@@ -1,6 +1,7 @@
 """Weighted Bergman spaces on the upper half-plane: reproducing kernels,
-the projective weighted slash action on kernels, its cocycle, and the
-formal degree computed from the square-integrability integral.
+the projective weighted slash action on kernels, its cocycle, kernel
+orbits as arrays with closed-form Gram matrices, and the formal degree
+computed from the square-integrability integral.
 
 Conventions fixed here and verified by the test suite:
 
@@ -20,11 +21,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from . import frames, fuchsian
-from .errors import AccuracyError, OracleInconsistencyError, UsageError
+import numpy as np
+
+from . import fuchsian
+from .errors import AccuracyError, OracleInconsistencyError, ResourceLimitError, UsageError
 from .hyperbolic import MoebiusMap, QuadratureGrid, UpperHalfPoint, integrate_invariant
 
 _BASE_POINT = UpperHalfPoint(0.0, 1.0)
+
+# an assembled inner-product matrix holds at most GRAM_SIZE_CAP^2 entries
+GRAM_SIZE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -47,19 +53,30 @@ class KernelVector:
 
 
 @dataclass(frozen=True)
-class TransformedKernel:
-    """Scalar multiple of a kernel, as produced by the group action."""
+class KernelOrbit:
+    """Vectors c_k k_{z_k} of one weight: points ``z`` and coefficients ``c``
+    as complex arrays of equal length."""
 
-    base: KernelVector
-    coefficient: complex
+    z: np.ndarray
+    c: np.ndarray
+    alpha: float
 
     def __post_init__(self):
-        if self.coefficient == 0:
-            raise UsageError("transformed kernel coefficient must be nonzero")
+        if self.z.shape != self.c.shape or self.z.ndim != 1:
+            raise UsageError("points and coefficients must be 1-d arrays of equal length")
+        if not np.all(self.z.imag > 0.0):
+            raise UsageError("kernel points must lie in the open upper half-plane")
+        if not np.all(self.c != 0):
+            raise UsageError("kernel coefficients must be nonzero")
 
     @classmethod
-    def plain(cls, k: KernelVector) -> "TransformedKernel":
-        return cls(base=k, coefficient=1.0 + 0.0j)
+    def plain(cls, points, weight: Weight) -> "KernelOrbit":
+        """Kernels at the given points with coefficient 1."""
+        z = np.array([p.as_complex for p in points], dtype=complex)
+        return cls(z=z, c=np.ones_like(z), alpha=weight.alpha)
+
+    def __len__(self):
+        return len(self.z)
 
 
 @dataclass(frozen=True)
@@ -76,31 +93,30 @@ class PhaseFunction:
         raise KeyError(f"{m!r} is not in the stabiliser")
 
 
-def _check_weights(w1: Weight, w2: Weight):
-    if w1.alpha != w2.alpha:
-        raise UsageError(f"weight mismatch: {w1.alpha} vs {w2.alpha}")
+def kernel_gram(left: KernelOrbit, right: KernelOrbit) -> np.ndarray:
+    """Inner products G[i, j] = <left_i, right_j>, linear in the left entry.
 
-
-def kernel_eval(k: KernelVector, w: UpperHalfPoint) -> complex:
-    """Value of the kernel at w; principal-branch complex powers throughout.
-
-    The argument of w - conj(z) lies in (0, pi), so no branch cut is crossed.
+    By the reproducing property <c k_z, c' k_w> = c conj(c') k_z(w), so
+    G[i, j] = c_i conj(c'_j) C i^alpha (w_j - conj z_i)^(-alpha) with
+    C = 2^(alpha-2) (alpha-1) / pi. The argument of w - conj(z) lies in
+    (0, pi), so no branch cut is crossed.
     """
-    alpha = k.weight.alpha
-    const = 2.0 ** (alpha - 2.0) / math.pi * (alpha - 1.0)
-    i_pow = cmath.exp(1j * math.pi * alpha / 2.0)
-    return const * i_pow * (w.as_complex - k.z.as_complex.conjugate()) ** (-alpha)
+    if left.alpha != right.alpha:
+        raise UsageError(f"weight mismatch: {left.alpha} vs {right.alpha}")
+    if len(left) * len(right) > GRAM_SIZE_CAP * GRAM_SIZE_CAP:
+        raise ResourceLimitError(
+            f"{len(left)} x {len(right)} inner products exceed the Gram cap {GRAM_SIZE_CAP}^2"
+        )
+    alpha = left.alpha
+    const = 2.0 ** (alpha - 2.0) / math.pi * (alpha - 1.0) * cmath.exp(1j * math.pi * alpha / 2.0)
+    K = const * (right.z[None, :] - left.z.conj()[:, None]) ** (-alpha)
+    return (left.c[:, None] * right.c.conj()[None, :]) * K
 
 
 def kernel_norm_sq(k: KernelVector) -> float:
     """||k_z||^2 from the diagonal kernel value, which is real and positive."""
-    return float(kernel_eval(k, k.z).real)
-
-
-def kernel_inner(k1: KernelVector, k2: KernelVector) -> complex:
-    """<k_{z1}, k_{z2}> via the reproducing property: the value of k_{z1} at z2."""
-    _check_weights(k1.weight, k2.weight)
-    return kernel_eval(k1, k2.z)
+    single = KernelOrbit.plain([k.z], k.weight)
+    return float(kernel_gram(single, single)[0, 0].real)
 
 
 def sigma_cocycle(x: MoebiusMap, y: MoebiusMap, weight: Weight) -> complex:
@@ -118,23 +134,22 @@ def sigma_cocycle(x: MoebiusMap, y: MoebiusMap, weight: Weight) -> complex:
     return num / (xy_inv.j_factor(_BASE_POINT) ** alpha)
 
 
-def apply_pi(m: MoebiusMap, k: KernelVector) -> TransformedKernel:
-    """Action of the group on a kernel: a unimodular-times-positive scalar
-    times the kernel at the moved point."""
-    alpha = k.weight.alpha
-    coeff = sigma_cocycle(m, m.inverse(), k.weight) * (m.j_factor(k.z) ** alpha).conjugate()
-    return TransformedKernel(base=KernelVector(m.act(k.z), k.weight), coefficient=coeff)
+def orbit_system(maps, kernel: KernelVector) -> KernelOrbit:
+    """Orbit pi(m) k of a kernel under a list of group elements.
 
-
-def apply_pi_transformed(m: MoebiusMap, t: TransformedKernel) -> TransformedKernel:
-    moved = apply_pi(m, t.base)
-    return TransformedKernel(base=moved.base, coefficient=t.coefficient * moved.coefficient)
-
-
-def orbit_inner(t1: TransformedKernel, t2: TransformedKernel) -> complex:
-    """Inner product of two scalar multiples of kernels."""
-    _check_weights(t1.base.weight, t2.base.weight)
-    return t1.coefficient * t2.coefficient.conjugate() * kernel_inner(t1.base, t2.base)
+    Each pi(m) k is a unimodular-times-positive scalar times the kernel at
+    the moved point: c = sigma(m, m^-1) conj(j(m, z)^alpha) at m.z.
+    """
+    alpha = kernel.weight.alpha
+    z = kernel.z
+    points = [m.act(z).as_complex for m in maps]
+    coeffs = [
+        sigma_cocycle(m, m.inverse(), kernel.weight) * (m.j_factor(z) ** alpha).conjugate()
+        for m in maps
+    ]
+    return KernelOrbit(
+        z=np.array(points, dtype=complex), c=np.array(coeffs, dtype=complex), alpha=alpha
+    )
 
 
 def default_formal_degree_grid(
@@ -240,15 +255,11 @@ def projective_stabilizer_kernel(
     """
     if not (0.0 < tol < 1.0):
         raise UsageError(f"tol must lie in (0, 1), got {tol}")
-    nsq = kernel_norm_sq(k)
-    reference = TransformedKernel.plain(k)
-    members = []
-    values = []
-    for g in ball.elements:
-        overlap = orbit_inner(apply_pi_transformed(g, reference), reference) / nsq
-        if abs(overlap) >= 1.0 - tol:
-            members.append(g)
-            values.append(overlap)
+    reference = KernelOrbit.plain([k.z], k.weight)
+    overlaps = kernel_gram(orbit_system(ball.elements, k), reference)[:, 0] / kernel_norm_sq(k)
+    hits = np.flatnonzero(np.abs(overlaps) >= 1.0 - tol)
+    members = [ball.elements[i] for i in hits]
+    values = [complex(overlaps[i]) for i in hits]
     point_tol = min(point_tol_for_kernel_tol(tol, k.weight.alpha), 1e-4)
     point_members = fuchsian.stabilizer_of_point(ball, k.z, tol=point_tol)
     if {g.key() for g in members} != {g.key() for g in point_members}:
@@ -262,21 +273,7 @@ def projective_stabilizer_kernel(
     return members, PhaseFunction(members=tuple(members), values=tuple(values))
 
 
-def orbit_system(maps, kernel: KernelVector) -> frames.OrbitSystem:
-    """Orbit of a kernel under a list of group elements, as a frame system."""
-    vectors = tuple(apply_pi(m, kernel) for m in maps)
-    return frames.OrbitSystem(
-        labels=tuple(m.key() for m in maps),
-        vectors=vectors,
-        inner=orbit_inner,
-        ambient_dim=None,
-        gen_norm_sq=kernel_norm_sq(kernel),
-    )
-
-
-def probe_kernels(
-    kernel: KernelVector, count: int, max_radius: float = 2.0
-) -> list[TransformedKernel]:
+def probe_kernels(kernel: KernelVector, count: int, max_radius: float = 2.0) -> KernelOrbit:
     """Deterministic probe set: kernels on a golden-angle spiral of geodesic
     polar coordinates around the generator's centre."""
     if count < 1:
@@ -284,11 +281,10 @@ def probe_kernels(
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     center = kernel.z
     mover = MoebiusMap(math.sqrt(center.y), center.x / math.sqrt(center.y), 0.0, 1.0 / math.sqrt(center.y))
-    probes = []
+    points = []
     for p in range(count):
         rho = max_radius * math.sqrt((p + 0.5) / count)
         theta = (p / golden) % 1.0 * math.pi
         rot = MoebiusMap(math.cos(theta), math.sin(theta), -math.sin(theta), math.cos(theta))
-        point = mover.compose(rot).act(UpperHalfPoint(0.0, math.exp(rho)))
-        probes.append(TransformedKernel.plain(KernelVector(point, kernel.weight)))
-    return probes
+        points.append(mover.compose(rot).act(UpperHalfPoint(0.0, math.exp(rho))))
+    return KernelOrbit.plain(points, kernel.weight)

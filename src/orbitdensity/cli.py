@@ -9,9 +9,11 @@ ball             group-ball enumeration
 stabilizer       point and kernel stabilisers of a lattice at a point
 
 Exit codes: 0 success, 1 exact-mode theorem violation, 2 usage error,
-3 numerical failure. Output formats: human, csv (RFC quoting, header row),
-json (one object per line plus a final summary object). Floats are printed
-with 17 significant digits. A flat key=value config file can supply any
+3 numerical or resource failure, 4 internal error (a programming bug; the
+traceback goes to stderr). Output formats: human, csv (RFC quoting, one
+table under a header row; every other record goes to stderr), json (one
+object per line plus a final summary object). Floats are printed with 17
+significant digits. A flat key=value config file can supply any
 parameter; explicit flags win; unknown keys are rejected.
 """
 
@@ -23,14 +25,25 @@ import json
 import math
 import sys
 
-from . import bergman, finite_gabor, frames, fuchsian
-from .errors import TheoremViolationError, UsageError
+from . import bergman, finite_gabor, frames, fuchsian, linalg
+from .errors import (
+    NotPSDError,
+    NotRieszError,
+    NumericalFailure,
+    OracleInconsistencyError,
+    ResourceLimitError,
+    TheoremViolationError,
+    UsageError,
+)
 from .hyperbolic import MoebiusMap, UpperHalfPoint
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
+
+_NUMERICAL_FAILURES = (NumericalFailure, ResourceLimitError, NotPSDError, NotRieszError)
 
 FORMATS = ("human", "csv", "json")
 
@@ -85,7 +98,11 @@ def parse_grid(text: str) -> tuple[int, int]:
 
 def load_config(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -109,6 +126,13 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"cannot parse boolean {text!r}")
 
 
+def _parse_float(text: str, key: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise UsageError(f"{key}: cannot parse number {text.strip()!r}") from exc
+
+
 def lattice_from_config(name: str, config: dict) -> fuchsian.LatticeSpec:
     if name == "psl2z":
         return fuchsian.psl2z()
@@ -119,11 +143,15 @@ def lattice_from_config(name: str, config: dict) -> fuchsian.LatticeSpec:
         raise UsageError("lattice block needs lattice.generators (row-major 4-tuples, ';'-separated)")
     generators = []
     for chunk in gens_text.split(";"):
-        entries = [float(v) for v in chunk.split(",")]
+        entries = [_parse_float(v, "lattice.generators") for v in chunk.split(",")]
         if len(entries) != 4:
             raise UsageError(f"generator needs 4 entries, got {chunk!r}")
         generators.append(MoebiusMap(*entries))
-    covolume = float(config["lattice.covolume"]) if "lattice.covolume" in config else None
+    covolume = (
+        _parse_float(config["lattice.covolume"], "lattice.covolume")
+        if "lattice.covolume" in config
+        else None
+    )
     integral = _parse_bool(config["lattice.integral"]) if "lattice.integral" in config else False
     return fuchsian.LatticeSpec(
         name=name, generators=tuple(generators), covolume=covolume, is_integral=integral
@@ -141,7 +169,12 @@ def format_value(value) -> str:
 
 
 class Emitter:
-    """Serialises records uniformly into the chosen format."""
+    """Serialises records uniformly into the chosen format.
+
+    A CSV stream holds one table: the records of the first kind written.
+    Records of any other kind, and the summary, go to stderr as comment
+    lines, so that stdout always parses as a single table.
+    """
 
     def __init__(self, fmt: str, stream):
         if fmt not in FORMATS:
@@ -150,6 +183,7 @@ class Emitter:
         self.stream = stream
         self._csv_writer = None
         self._csv_columns = None
+        self._csv_kind = None
 
     def record(self, kind: str, data: dict):
         if self.fmt == "json":
@@ -158,10 +192,14 @@ class Emitter:
             self.stream.write(json.dumps(payload) + "\n")
         elif self.fmt == "csv":
             if self._csv_writer is None:
+                self._csv_kind = kind
                 self._csv_columns = list(data.keys())
                 self._csv_writer = csv.writer(self.stream, lineterminator="\n")
                 self._csv_writer.writerow(self._csv_columns)
-            self._csv_writer.writerow([format_value(data.get(c)) for c in self._csv_columns])
+            if kind == self._csv_kind:
+                self._csv_writer.writerow([format_value(data.get(c)) for c in self._csv_columns])
+            else:
+                print(f"# {kind}: {json.dumps(data)}", file=sys.stderr)
         else:
             self.stream.write(f"[{kind}]\n")
             for key, value in data.items():
@@ -256,7 +294,12 @@ class Settings:
             return value
         if name in self.config:
             raw = self.config[name]
-            return parse(raw) if parse else raw
+            if parse is None:
+                return raw
+            try:
+                return parse(raw)
+            except ValueError as exc:
+                raise UsageError(f"config key {name}: cannot parse {raw!r}") from exc
         return default
 
 
@@ -277,13 +320,8 @@ def cmd_finite_scan(settings: Settings, emitter: Emitter) -> int:
     if windows < 0 or seed < 0:
         raise UsageError("windows and seed must be nonnegative")
     report = finite_gabor.exhaustive_scan(n_max, windows_per_case=windows, seed=seed)
-    if emitter.fmt == "csv":
-        emitter.stream.write(report.to_csv())
-    else:
-        for row in report.rows:
-            emitter.record(
-                "scan_row", {c: row[c] for c in finite_gabor.SCAN_CSV_COLUMNS}
-            )
+    for row in report.rows:
+        emitter.record("scan_row", {c: row[c] for c in finite_gabor.SCAN_CSV_COLUMNS})
     for violation in report.violations:
         emitter.record("violation", violation)
     emitter.summary(report.summary())
@@ -364,8 +402,8 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
     point_members = fuchsian.stabilizer_of_point(ball, z, tol=tol)
     kernel = bergman.KernelVector(z, bergman.Weight(alpha))
     kernel_tol = bergman.kernel_tol_for_point_tol(tol, alpha)
+    # raises OracleInconsistencyError unless the kernel and point paths agree as sets
     kernel_members, phases = bergman.projective_stabilizer_kernel(ball, kernel, tol=kernel_tol)
-    agree = {m.key() for m in point_members} == {m.key() for m in kernel_members}
     emitter.record(
         "stabilizer",
         {
@@ -375,7 +413,6 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
             "ball_size": len(ball.elements),
             "order": len(point_members),
             "order_kernel": len(kernel_members),
-            "paths_agree": agree,
             "members": " ".join(
                 f"({m.a:.12g},{m.b:.12g};{m.c:.12g},{m.d:.12g})" for m in point_members
             ),
@@ -384,8 +421,18 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
             ),
         },
     )
-    emitter.summary({"order": len(point_members), "paths_agree": agree})
+    emitter.summary({"order": len(point_members)})
     return EXIT_OK
+
+
+def _prefix_length(maps, bound_sq: float) -> int:
+    """Number of leading elements inside the truncation; the elements must be
+    sorted so that exactly these satisfy it."""
+    inside = [m.frobenius_sq <= bound_sq for m in maps]
+    count = sum(inside)
+    if not all(inside[:count]):
+        raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
+    return count
 
 
 def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
@@ -430,10 +477,26 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
     )
 
     ball = fuchsian.ball_enumerate(spec, ball_norm)
-    stab_members, phases = bergman.projective_stabilizer_kernel(ball, kernel)
+    stab_members, _phases = bergman.projective_stabilizer_kernel(ball, kernel)
+    stab_order = len(stab_members)
     cosets = fuchsian.coset_representatives(ball, stab_members)
     probes = bergman.probe_kernels(kernel, probes_count, probe_radius)
     gen_norm_sq = bergman.kernel_norm_sq(kernel)
+
+    # Ball elements and coset representatives are sorted by norm, so every
+    # truncation below is a leading prefix: assemble once at the full
+    # radius and slice per step.
+    reps = cosets.representatives
+    lam_orbit = bergman.orbit_system(reps, kernel)
+    lam_gram = bergman.kernel_gram(lam_orbit, lam_orbit)
+    probe_matrix = bergman.kernel_gram(probes, bergman.orbit_system(ball.elements, kernel)).T
+    whitener = linalg.psd_eigen(bergman.kernel_gram(probes, probes).T).whitener()
+    # the S-relation compares two independently built orbits: the fully
+    # tiled representatives, and every rep * h for them
+    tiled = [rep for rep, full in zip(reps, cosets.rep_fully_tiled) if full]
+    tiled_full = [rep.compose(h) for rep in tiled for h in cosets.stabilizer]
+    synth_red = bergman.kernel_gram(bergman.orbit_system(tiled, kernel), probes).T
+    synth_full = bergman.kernel_gram(bergman.orbit_system(tiled_full, kernel), probes).T
 
     norms = [
         max(math.sqrt(2.0), ball_norm - refine_delta * (refine_steps - 1 - j))
@@ -442,14 +505,14 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
     riesz_trace_min, riesz_trace_max = [], []
     probe_trace_min, probe_trace_max = [], []
     reports = []
-    for step, norm in enumerate(norms):
+    for norm in norms:
         bound_sq = norm * norm + 1e-9
-        lam_maps = [m for m in cosets.representatives if m.frobenius_sq <= bound_sq]
-        gamma_maps = [m for m in ball.elements if m.frobenius_sq <= bound_sq]
-        lam_system = bergman.orbit_system(lam_maps, kernel)
-        gamma_system = bergman.orbit_system(gamma_maps, kernel)
-        riesz_lo, riesz_hi = frames.riesz_extremes(frames.gram(lam_system))
-        probe_lo, probe_hi, probe_diag = frames.frame_bounds_probe(gamma_system, probes)
+        lam_count = _prefix_length(reps, bound_sq)
+        gamma_count = _prefix_length(ball.elements, bound_sq)
+        riesz_lo, riesz_hi = frames.gram(lam_gram[:lam_count, :lam_count]).extremes
+        probe_lo, probe_hi, probe_diag = frames.frame_bounds_probe(
+            probe_matrix[:gamma_count], whitener
+        )
         riesz_trace_min.append(riesz_lo)
         riesz_trace_max.append(riesz_hi)
         probe_trace_min.append(probe_lo)
@@ -464,24 +527,16 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
             for lo, hi in zip(riesz_trace_min[-window:], riesz_trace_max[-window:])
         )
 
-        tiled = [
-            rep
-            for rep, full in zip(cosets.representatives, cosets.rep_fully_tiled)
-            if full and rep.frobenius_sq <= bound_sq
-        ]
-        tiled_full = [rep.compose(h) for rep in tiled for h in cosets.stabilizer]
-        s_relation_residual = frames.check_S_relation(
-            bergman.orbit_system(tiled_full, kernel),
-            bergman.orbit_system(tiled, kernel),
-            len(stab_members),
-            probes,
+        tiled_count = sum(cosets.rep_fully_tiled[:lam_count])
+        s_relation_residual = frames.s_relation_residual(
+            synth_full[:, : tiled_count * stab_order], synth_red[:, :tiled_count], stab_order
         )
         diagnostics = {
             "truncation_radius": norm,
             "probe_count": probe_diag["probe_count"],
             "probe_rank": probe_diag["probe_rank"],
-            "gamma_count": len(gamma_maps),
-            "lambda_count": len(lam_maps),
+            "gamma_count": gamma_count,
+            "lambda_count": lam_count,
             "formal_degree_rel_error": degree_diag["est_rel_error"],
             "ball_certified": ball.closure_certified,
             "s_relation_residual": s_relation_residual,
@@ -495,7 +550,7 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
             ball_norm=norm,
             covolume=covolume,
             formal_degree=degree,
-            stab_order=len(stab_members),
+            stab_order=stab_order,
             gen_norm_sq=gen_norm_sq,
             frame_decision=frame_decision,
             riesz_decision=riesz_decision,
@@ -540,10 +595,34 @@ _COMMANDS = {
 }
 
 
+def _join_point_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--z VALUE`` as ``--z=VALUE`` when VALUE is a point with a
+    negative real part, which argparse would otherwise read as an option."""
+    joined = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if token == "--z" and value[:1] == "-" and (value[1:2].isdigit() or value[1:2] == "."):
+            token = f"--z={value}"
+            i += 1
+        joined.append(token)
+        i += 1
+    return joined
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot open output file: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_point_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
@@ -554,7 +633,7 @@ def main(argv=None) -> int:
             raise UsageError(f"format must be one of {FORMATS}, got {fmt!r}")
         out_path = settings.get("out", None)
         if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with _open_output(out_path) as fh:
                 return _COMMANDS[args.command](settings, Emitter(fmt, fh))
         return _COMMANDS[args.command](settings, Emitter(fmt, sys.stdout))
     except UsageError as exc:
@@ -563,9 +642,16 @@ def main(argv=None) -> int:
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except Exception as exc:  # numerical and resource failures
+    except (*_NUMERICAL_FAILURES, BrokenPipeError) as exc:
+        # a reader that closes the output early is no bug in this program
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception:
+        import traceback  # only an internal error pays for this import
+
+        traceback.print_exc()
+        print("internal error: this is a bug in orbit-density", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto process exit codes: usage problems exit 2,
-exact-mode theorem violations exit 1, numerical failures exit 3.
+exact-mode theorem violations exit 1, numerical and resource failures
+(``NumericalFailure``, ``ResourceLimitError``, ``NotPSDError``,
+``NotRieszError``) exit 3. Any other exception is a programming bug and
+exits 4 with its traceback.
 """
 
 

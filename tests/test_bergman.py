@@ -2,23 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from oracles import kernel_value
 from scipy.integrate import quad
 
 from orbitdensity import bergman, fuchsian
 from orbitdensity.bergman import (
+    KernelOrbit,
     KernelVector,
-    TransformedKernel,
     Weight,
-    apply_pi,
-    apply_pi_transformed,
     formal_degree,
-    kernel_eval,
-    kernel_inner,
+    kernel_gram,
     kernel_norm_sq,
-    orbit_inner,
+    orbit_system,
     sigma_cocycle,
 )
-from orbitdensity.errors import AccuracyError, UsageError
+from orbitdensity.errors import AccuracyError, ResourceLimitError, UsageError
 from orbitdensity.hyperbolic import MoebiusMap, UpperHalfPoint, distance, integrate_invariant
 
 POINT_I = UpperHalfPoint(0.0, 1.0)
@@ -41,42 +39,55 @@ def random_point(rng) -> UpperHalfPoint:
     return UpperHalfPoint(float(rng.uniform(-5.0, 5.0)), float(math.exp(rng.uniform(-2.3, 2.3))))
 
 
+def inner(z: UpperHalfPoint, u: UpperHalfPoint, w: Weight) -> complex:
+    """<k_z, k_u> from the array assembly."""
+    return complex(kernel_gram(KernelOrbit.plain([z], w), KernelOrbit.plain([u], w))[0, 0])
+
+
+def moved(m: MoebiusMap, k: KernelVector) -> tuple[UpperHalfPoint, complex]:
+    """Point and coefficient of pi(m) k from the array builder."""
+    t = orbit_system([m], k)
+    return UpperHalfPoint.from_complex(complex(t.z[0])), complex(t.c[0])
+
+
 class TestKernel:
     def test_weight_validation(self):
         with pytest.raises(UsageError):
             Weight(1.0)
 
     def test_value_at_center_alpha_two(self):
-        k = KernelVector(POINT_I, Weight(2.0))
-        value = kernel_eval(k, POINT_I)
+        value = inner(POINT_I, POINT_I, Weight(2.0))
         assert abs(value - 1.0 / (4.0 * math.pi)) <= 1e-15
 
     def test_diagonal_closed_form_and_positivity(self):
         rng = np.random.default_rng(21)
         for alpha in (1.5, 2.0, 3.0, 4.5, 7.0, 12.0):
-            for _ in range(20):
-                z = random_point(rng)
-                k = KernelVector(z, Weight(alpha))
-                diag = kernel_eval(k, z)
-                expected = (alpha - 1.0) / (4.0 * math.pi) * z.y ** (-alpha)
-                assert diag.real > 0.0
-                assert abs(diag.imag) <= 1e-12 * diag.real
-                assert abs(diag.real - expected) <= 1e-12 * expected
+            points = [random_point(rng) for _ in range(20)]
+            orbit = KernelOrbit.plain(points, Weight(alpha))
+            diag = np.diag(kernel_gram(orbit, orbit))
+            ys = np.array([z.y for z in points])
+            expected = (alpha - 1.0) / (4.0 * math.pi) * ys ** (-alpha)
+            assert np.all(diag.real > 0.0)
+            assert np.all(np.abs(diag.imag) <= 1e-12 * diag.real)
+            assert np.all(np.abs(diag.real - expected) <= 1e-12 * expected)
 
     def test_reproducing_property_on_kernel_combinations(self):
+        # <f, k_target> for f = sum c_j k_{z_j} equals f(target) evaluated
+        # pointwise by the scalar kernel formula
         rng = np.random.default_rng(22)
         w = Weight(3.0)
         centers = [random_point(rng) for _ in range(4)]
         coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         target = random_point(rng)
         f_at_target = sum(
-            c * kernel_eval(KernelVector(z, w), target) for c, z in zip(coeffs, centers)
-        )
-        inner_with_kernel = sum(
-            c * kernel_inner(KernelVector(z, w), KernelVector(target, w))
+            c * kernel_value(z.as_complex, target.as_complex, w.alpha)
             for c, z in zip(coeffs, centers)
         )
-        assert inner_with_kernel == f_at_target
+        combination = KernelOrbit(
+            z=np.array([z.as_complex for z in centers]), c=coeffs.astype(complex), alpha=w.alpha
+        )
+        inner_with_kernel = kernel_gram(combination, KernelOrbit.plain([target], w))[:, 0].sum()
+        assert abs(inner_with_kernel - f_at_target) <= 1e-13 * abs(f_at_target)
 
     def test_pair_ratio_hand_value(self):
         # |<k_i, k_2i>|^2 / (||k_i||^2 ||k_2i||^2) = (8/9)^alpha since
@@ -84,7 +95,7 @@ class TestKernel:
         for alpha in (2.0, 3.0, 4.5):
             w = Weight(alpha)
             k1, k2 = KernelVector(POINT_I, w), KernelVector(POINT_2I, w)
-            ratio = abs(kernel_inner(k1, k2)) ** 2 / (kernel_norm_sq(k1) * kernel_norm_sq(k2))
+            ratio = abs(inner(POINT_I, POINT_2I, w)) ** 2 / (kernel_norm_sq(k1) * kernel_norm_sq(k2))
             assert abs(ratio - (8.0 / 9.0) ** alpha) <= 1e-12
 
     def test_norms_hand_values(self):
@@ -95,18 +106,24 @@ class TestKernel:
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(23)
         w = Weight(3.5)
-        for _ in range(200):
-            k1 = KernelVector(random_point(rng), w)
-            k2 = KernelVector(random_point(rng), w)
-            lhs = kernel_inner(k1, k2)
-            rhs = kernel_inner(k2, k1).conjugate()
-            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-300)
+        left = KernelOrbit.plain([random_point(rng) for _ in range(200)], w)
+        right = KernelOrbit.plain([random_point(rng) for _ in range(200)], w)
+        lhs = kernel_gram(left, right)
+        rhs = kernel_gram(right, left).conj().T
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(np.abs(lhs), 1e-300))
 
     def test_weight_mismatch_rejected(self):
         with pytest.raises(UsageError):
-            kernel_inner(
-                KernelVector(POINT_I, Weight(2.0)), KernelVector(POINT_I, Weight(3.0))
+            kernel_gram(
+                KernelOrbit.plain([POINT_I], Weight(2.0)), KernelOrbit.plain([POINT_I], Weight(3.0))
             )
+
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(bergman, "GRAM_SIZE_CAP", 2)
+        orbit = KernelOrbit.plain([POINT_I, POINT_2I, UpperHalfPoint(1.0, 1.0)], Weight(2.0))
+        assert kernel_gram(orbit, KernelOrbit.plain([POINT_I], Weight(2.0))).shape == (3, 1)
+        with pytest.raises(ResourceLimitError):
+            kernel_gram(orbit, orbit)
 
     def test_norm_by_weighted_quadrature_slow_cross_check(self):
         # independent of the diagonal shortcut: ||k_z||^2 equals the
@@ -137,30 +154,27 @@ class TestKernel:
             for _ in range(1000):
                 z, u = random_point(rng), random_point(rng)
                 k1, k2 = KernelVector(z, w), KernelVector(u, w)
-                lhs = abs(kernel_inner(k1, k2)) ** 2 / (kernel_norm_sq(k1) * kernel_norm_sq(k2))
+                lhs = abs(inner(z, u, w)) ** 2 / (kernel_norm_sq(k1) * kernel_norm_sq(k2))
                 rhs = math.cosh(distance(z, u) / 2.0) ** (-2.0 * alpha)
                 assert abs(lhs - rhs) <= 1e-10
 
 
 class TestAction:
     def test_identity(self):
-        k = KernelVector(POINT_I, Weight(2.0))
-        t = apply_pi(MoebiusMap.identity(), k)
-        assert abs(t.coefficient - 1.0) <= 1e-12
-        assert t.base.z == POINT_I
+        point, coefficient = moved(MoebiusMap.identity(), KernelVector(POINT_I, Weight(2.0)))
+        assert abs(coefficient - 1.0) <= 1e-12
+        assert point == POINT_I
 
     def test_translation(self):
-        k = KernelVector(POINT_I, Weight(2.0))
-        t = apply_pi(T, k)
-        assert abs(t.base.z.as_complex - (1.0 + 1.0j)) <= 1e-15
-        assert abs(abs(t.coefficient) - 1.0) <= 1e-12
+        point, coefficient = moved(T, KernelVector(POINT_I, Weight(2.0)))
+        assert abs(point.as_complex - (1.0 + 1.0j)) <= 1e-15
+        assert abs(abs(coefficient) - 1.0) <= 1e-12
 
     def test_inversion_at_2i(self):
-        k = KernelVector(POINT_2I, Weight(2.0))
-        t = apply_pi(S, k)
-        assert abs(t.base.z.as_complex - 0.5j) <= 1e-15
+        point, coefficient = moved(S, KernelVector(POINT_2I, Weight(2.0)))
+        assert abs(point.as_complex - 0.5j) <= 1e-15
         # |j(S, 2i)|^2 = 1/4
-        assert abs(abs(t.coefficient) - 0.25) <= 1e-12
+        assert abs(abs(coefficient) - 0.25) <= 1e-12
 
     def test_unitarity(self):
         rng = np.random.default_rng(25)
@@ -168,8 +182,8 @@ class TestAction:
             w = Weight(alpha)
             for _ in range(200):
                 k = KernelVector(random_point(rng), w)
-                t = apply_pi(random_map(rng), k)
-                lhs = abs(t.coefficient) ** 2 * kernel_norm_sq(t.base)
+                point, coefficient = moved(random_map(rng), k)
+                lhs = abs(coefficient) ** 2 * kernel_norm_sq(KernelVector(point, w))
                 rhs = kernel_norm_sq(k)
                 assert abs(lhs - rhs) <= 1e-10 * rhs
 
@@ -179,14 +193,15 @@ class TestAction:
         for _ in range(100):
             x, y = random_map(rng), random_map(rng)
             k = KernelVector(random_point(rng), w)
-            via_steps = apply_pi_transformed(x, apply_pi(y, k))
-            direct = apply_pi(x.compose(y), k)
+            y_point, y_coeff = moved(y, k)
+            step_point, x_coeff = moved(x, KernelVector(y_point, w))
+            direct_point, direct_coeff = moved(x.compose(y), k)
             sigma = sigma_cocycle(x, y, w)
             assert (
-                abs(via_steps.base.z.as_complex - direct.base.z.as_complex)
-                <= 1e-12 * abs(direct.base.z.as_complex)
+                abs(step_point.as_complex - direct_point.as_complex)
+                <= 1e-12 * abs(direct_point.as_complex)
             )
-            ratio = via_steps.coefficient / direct.coefficient
+            ratio = y_coeff * x_coeff / direct_coeff
             assert abs(abs(ratio) - 1.0) <= 1e-10
             assert abs(ratio - sigma) <= 1e-10
 
@@ -230,27 +245,31 @@ class TestCocycle:
 
 class TestOrbitInner:
     def test_self_inner_positive(self):
-        k = KernelVector(POINT_I, Weight(2.0))
-        t = apply_pi(MoebiusMap(1.0, 0.5, 0.0, 1.0), k)
-        value = orbit_inner(t, t)
+        w = Weight(2.0)
+        t = orbit_system([MoebiusMap(1.0, 0.5, 0.0, 1.0)], KernelVector(POINT_I, w))
+        value = complex(kernel_gram(t, t)[0, 0])
+        expected = abs(t.c[0]) ** 2 * kernel_norm_sq(
+            KernelVector(UpperHalfPoint.from_complex(complex(t.z[0])), w)
+        )
         assert value.real > 0.0
         assert abs(value.imag) <= 1e-15 * value.real
-        assert abs(value.real - abs(t.coefficient) ** 2 * kernel_norm_sq(t.base)) <= 1e-15
+        assert abs(value.real - expected) <= 1e-15
 
     def test_reduces_to_kernel_inner(self):
+        # with unit coefficients the orbit inner product is the kernel value k_i(2i)
         w = Weight(2.0)
-        t1 = TransformedKernel.plain(KernelVector(POINT_I, w))
-        t2 = TransformedKernel.plain(KernelVector(POINT_2I, w))
-        assert orbit_inner(t1, t2) == kernel_inner(t1.base, t2.base)
+        value = inner(POINT_I, POINT_2I, w)
+        oracle = kernel_value(POINT_I.as_complex, POINT_2I.as_complex, w.alpha)
+        assert abs(value - oracle) <= 1e-15 * abs(oracle)
 
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(30)
         w = Weight(3.1)
         for _ in range(100):
-            t1 = apply_pi(random_map(rng), KernelVector(random_point(rng), w))
-            t2 = apply_pi(random_map(rng), KernelVector(random_point(rng), w))
-            lhs = orbit_inner(t1, t2)
-            rhs = orbit_inner(t2, t1).conjugate()
+            t1 = orbit_system([random_map(rng)], KernelVector(random_point(rng), w))
+            t2 = orbit_system([random_map(rng)], KernelVector(random_point(rng), w))
+            lhs = complex(kernel_gram(t1, t2)[0, 0])
+            rhs = complex(kernel_gram(t2, t1)[0, 0]).conjugate()
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-300)
 
 
@@ -346,12 +365,13 @@ class TestProbeKernels:
         k = KernelVector(UpperHalfPoint(0.3, 0.8), Weight(2.0))
         probes = bergman.probe_kernels(k, 17, max_radius=1.5)
         assert len(probes) == 17
-        for p in probes:
-            assert p.coefficient == 1.0 + 0.0j
-            assert distance(p.base.z, k.z) <= 1.5 + 1e-9
+        assert probes.alpha == 2.0
+        assert np.all(probes.c == 1.0 + 0.0j)
+        for z in probes.z:
+            assert distance(UpperHalfPoint.from_complex(complex(z)), k.z) <= 1.5 + 1e-9
 
     def test_deterministic(self):
         k = KernelVector(POINT_I, Weight(2.0))
         a = bergman.probe_kernels(k, 8)
         b = bergman.probe_kernels(k, 8)
-        assert [p.base.z for p in a] == [p.base.z for p in b]
+        assert np.array_equal(a.z, b.z)

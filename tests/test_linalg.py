@@ -67,48 +67,48 @@ class TestHermitianEigen:
 
 class TestInverseSqrtPsd:
     def test_identity(self):
-        R = linalg.inverse_sqrt_psd(np.eye(4))
+        R = linalg.psd_eigen(np.eye(4)).inverse_sqrt()
         assert np.allclose(R, np.eye(4), atol=1e-12)
 
     def test_diagonal(self):
-        R = linalg.inverse_sqrt_psd(np.diag([4.0, 9.0]))
+        R = linalg.psd_eigen(np.diag([4.0, 9.0])).inverse_sqrt()
         assert np.allclose(R, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
 
     def test_rank_deficient_projects(self):
         # Gram of {e1, e1}: eigenvalues 0 and 2, eigenvector (1,1)/sqrt(2)
         M = np.ones((2, 2))
-        R = linalg.inverse_sqrt_psd(M)
+        R = linalg.psd_eigen(M).inverse_sqrt()
         P = R @ M @ R
         proj = 0.5 * np.ones((2, 2))
         assert np.allclose(P, proj, atol=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(NotPSDError):
-            linalg.inverse_sqrt_psd(np.diag([1.0, -1.0]))
+            linalg.psd_eigen(np.diag([1.0, -1.0]))
 
     def test_pseudo_inverse_action(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         M = X @ X.conj().T  # PSD of rank 4
-        R = linalg.inverse_sqrt_psd(M)
+        R = linalg.psd_eigen(M).inverse_sqrt()
         P = R @ R @ M  # pseudo-inverse times M = projector onto the range
         assert np.linalg.norm(P @ M - M) <= 1e-8 * np.linalg.norm(M)
         assert np.linalg.norm(P @ P - P) <= 1e-8
 
     def test_bad_rel_tol(self):
         with pytest.raises(UsageError):
-            linalg.inverse_sqrt_psd(np.eye(2), rel_tol=2.0)
+            linalg.psd_eigen(np.eye(2), rel_tol=2.0)
 
 
 class TestNumericalRank:
     def test_identity(self):
-        assert linalg.numerical_rank(np.eye(5)) == 5
+        assert linalg.psd_eigen(np.eye(5), compute_vectors=False).rank == 5
 
     def test_all_ones(self):
-        assert linalg.numerical_rank(np.ones((2, 2))) == 1
+        assert linalg.psd_eigen(np.ones((2, 2))).rank == 1
 
     def test_zero_matrix(self):
-        assert linalg.numerical_rank(np.zeros((3, 3))) == 0
+        assert linalg.psd_eigen(np.zeros((3, 3))).rank == 0
 
     def test_gram_of_dependent_triple(self):
         # Gram of {e1, e2, e1+e2}: hand eigencheck gives eigenvalues 0, 1, 3
@@ -118,33 +118,37 @@ class TestNumericalRank:
         G = np.array([[np.vdot(w, v) for w in vecs] for v in vecs])
         w = linalg.hermitian_eigen(G).eigenvalues
         assert np.allclose(sorted(w), [0.0, 1.0, 3.0], atol=1e-12)
-        assert linalg.numerical_rank(G) == 2
+        assert linalg.psd_eigen(G).rank == 2
 
     def test_unitary_conjugation_invariance(self):
         rng = np.random.default_rng(5)
         M = random_hermitian(rng, 7)
         M = M @ M.conj().T  # PSD
         U = linalg.hermitian_eigen(random_hermitian(rng, 7)).eigenvectors
-        assert linalg.numerical_rank(U @ M @ U.conj().T) == linalg.numerical_rank(M)
+        assert linalg.psd_eigen(U @ M @ U.conj().T).rank == linalg.psd_eigen(M).rank
+
+
+def rayleigh(N, D):
+    return linalg.generalized_rayleigh_extremes(N, linalg.psd_eigen(D).whitener())
 
 
 class TestGeneralizedRayleigh:
     def test_identity_pair(self):
-        lo, hi = linalg.generalized_rayleigh_extremes(np.eye(3), np.eye(3))
+        lo, hi = rayleigh(np.eye(3), np.eye(3))
         assert np.allclose([lo, hi], [1.0, 1.0], atol=1e-12)
 
     def test_diagonal_numerator(self):
-        lo, hi = linalg.generalized_rayleigh_extremes(np.diag([2.0, 8.0]), np.eye(2))
+        lo, hi = rayleigh(np.diag([2.0, 8.0]), np.eye(2))
         assert np.allclose([lo, hi], [2.0, 8.0], atol=1e-12)
 
     def test_axis_ratios(self):
-        lo, hi = linalg.generalized_rayleigh_extremes(np.diag([1.0, 4.0]), np.diag([1.0, 2.0]))
+        lo, hi = rayleigh(np.diag([1.0, 4.0]), np.diag([1.0, 2.0]))
         assert np.allclose([lo, hi], [1.0, 2.0], atol=1e-12)
 
     def test_degenerate_probe(self):
         with pytest.raises(DegenerateProbeError):
-            linalg.generalized_rayleigh_extremes(np.eye(2), np.zeros((2, 2)))
+            rayleigh(np.eye(2), np.zeros((2, 2)))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            linalg.generalized_rayleigh_extremes(np.eye(2), np.eye(3))
+            rayleigh(np.eye(2), np.eye(3))
