@@ -43,7 +43,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
-_NUMERICAL_FAILURES = (NumericalFailure, ResourceLimitError, NotPSDError, NotRieszError)
+# OverflowError: a float result left the double range, e.g. a huge weight alpha
+_NUMERICAL_FAILURES = (NumericalFailure, ResourceLimitError, NotPSDError, NotRieszError, OverflowError)
 
 FORMATS = ("human", "csv", "json")
 

@@ -3,7 +3,8 @@
 The CLI maps these onto process exit codes: usage problems exit 2,
 exact-mode theorem violations exit 1, numerical and resource failures
 (``NumericalFailure``, ``ResourceLimitError``, ``NotPSDError``,
-``NotRieszError``) exit 3. Any other exception is a programming bug and
+``NotRieszError``, and Python's ``OverflowError`` when a float result
+leaves the double range) exit 3. Any other exception is a programming bug and
 exits 4 with its traceback.
 """
 

@@ -130,14 +130,14 @@ class PSDSpectrum(HermitianSpectrum):
         return V[:, self.keep] / np.sqrt(self.eigenvalues[self.keep])
 
 
-def psd_eigen(M, rel_tol: float = DEFAULT_REL_TOL, *, compute_vectors: bool = True) -> PSDSpectrum:
+def psd_eigen(M, rel_tol: float = DEFAULT_REL_TOL) -> PSDSpectrum:
     """Eigendecompose a PSD matrix, keeping eigenvalues above ``rel_tol * lambda_max``.
 
     A clearly negative eigenvalue raises ``NotPSDError``.
     """
     if not (0.0 < rel_tol < 1.0):
         raise UsageError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    spec = hermitian_eigen(M, compute_vectors=compute_vectors)
+    spec = hermitian_eigen(M)
     w = spec.eigenvalues
     if w.size:
         lam_max = max(float(w[-1]), 0.0)

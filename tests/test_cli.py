@@ -97,6 +97,11 @@ class TestExitCodes:
         assert code == 3
         assert "failure: injected" in err
 
+    def test_float_overflow_from_a_huge_weight_exits_three(self, capsys):
+        code, _, err = run_cli(capsys, "stabilizer", "--z", "i", "--alpha", "2000", "--ball", "4")
+        assert code == 3
+        assert "failure:" in err and "Traceback" not in err
+
     def test_programming_bug_exits_four_with_traceback(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             return {}["missing"]

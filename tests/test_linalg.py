@@ -102,7 +102,7 @@ class TestInverseSqrtPsd:
 
 class TestNumericalRank:
     def test_identity(self):
-        assert linalg.psd_eigen(np.eye(5), compute_vectors=False).rank == 5
+        assert linalg.psd_eigen(np.eye(5)).rank == 5
 
     def test_all_ones(self):
         assert linalg.psd_eigen(np.ones((2, 2))).rank == 1
