@@ -314,8 +314,6 @@ def cmd_finite_scan(settings: Settings, emitter: Emitter) -> int:
     n_max = settings.get("n_max", None, int)
     if n_max is None:
         raise UsageError("finite-scan requires --n-max")
-    if not (2 <= n_max <= 8):
-        raise UsageError(f"n_max must lie in [2, 8], got {n_max}")
     windows = settings.get("windows", 50, int)
     seed = settings.get("seed", 0, int)
     if windows < 0 or seed < 0:

@@ -10,6 +10,10 @@ columns of an n x m matrix V, for which G = V^T conj(V)
 and B = V against the standard basis. Spectra are computed once,
 by :func:`gram` or :func:`linalg.psd_eigen`, and every rank, bound and
 identity check reads from them.
+
+The matrix functions also take stacks (..., rows, cols) of equally sized
+systems and then return one value per system; every Hermitian, diagonal,
+PSD and rank check still applies to each matrix on its own.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ SCHEMA_VERSION = "1"
 
 def vector_gram(V) -> np.ndarray:
     """Gram matrix G[i, j] = <v_i, v_j> of the columns of an orbit matrix."""
-    return V.T @ V.conj()
+    return V.swapaxes(-1, -2) @ V.conj()
 
 
 def frame_operator(V) -> np.ndarray:
     """Frame operator sum_i v_i v_i* of the columns of an orbit matrix."""
-    return V @ V.conj().T
+    return V @ linalg.adjoint(V)
 
 
 def gram(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpectrum:
@@ -48,23 +52,24 @@ def gram(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpectrum:
     violations signal inconsistent inner products. Eigenvalues only.
     """
     G = np.asarray(G, dtype=complex)
-    m = len(G)
-    if m == 0:
+    if G.shape[-1] == 0:
         raise UsageError("system needs at least one vector")
-    scale = float(np.linalg.norm(G))
-    herm_dev = float(np.linalg.norm(G - G.conj().T))
-    if scale > 0.0 and herm_dev > 1e-12 * scale:
+    herm_dev = linalg.hermitian_deviation(G)
+    if np.any(herm_dev > 1e-12):
         raise OracleInconsistencyError(
-            f"inner products are not Hermitian: deviation {herm_dev:.3e}"
+            f"inner products are not Hermitian: relative deviation {np.max(herm_dev):.3e}"
         )
-    H = 0.5 * (G + G.conj().T)
-    if not np.all(H.diagonal().real > 0.0):
+    if not np.all(np.diagonal(G, axis1=-2, axis2=-1).real > 0.0):
         raise OracleInconsistencyError("Gram diagonal must be strictly positive")
-    w = linalg.hermitian_eigen(H, compute_vectors=False).eigenvalues
-    lam_max = max(float(w[-1]), 0.0)
-    if float(w[0]) < -rel_tol * lam_max:
+    # eigensolved as (G + G*) / 2, whose diagonal is the real part of G's
+    w = linalg.hermitian_eigen(G, compute_vectors=False).eigenvalues
+    lam_max = np.maximum(w[..., -1], 0.0)
+    bad = w[..., 0] < -rel_tol * lam_max
+    if np.any(bad):
+        k = np.argmax(bad)
         raise OracleInconsistencyError(
-            f"Gram matrix is not PSD: min eigenvalue {w[0]:.6e} of max {lam_max:.6e}"
+            f"Gram matrix is not PSD: min eigenvalue {w[..., 0].flat[k]:.6e} "
+            f"of max {lam_max.flat[k]:.6e}"
         )
     return linalg.PSDSpectrum.filtered(w, None, rel_tol)
 
@@ -93,7 +98,7 @@ def frame_bounds_probe(A, whitener) -> tuple[float, float, dict]:
 
 
 def check_span_equality(full: linalg.PSDSpectrum, reduced: linalg.PSDSpectrum) -> bool:
-    """Numerical ranks of the full and reduced Gram matrices agree."""
+    """Numerical ranks of the full and reduced Gram matrices agree (per matrix of a stack)."""
     return full.rank == reduced.rank
 
 
@@ -107,22 +112,21 @@ def s_relation_residual(B_full, B_reduced, stab_order: int) -> float:
     """
     if stab_order < 1:
         raise UsageError(f"stabiliser order must be at least 1, got {stab_order}")
-    m_full, m_red = B_full.shape[1], B_reduced.shape[1]
+    m_full, m_red = B_full.shape[-1], B_reduced.shape[-1]
     if m_full != stab_order * m_red:
         raise UsageError(
             f"tiling violated: {m_full} full vectors vs {stab_order} x {m_red} reduced"
         )
-    M_full = B_full @ B_full.conj().T
-    M_red = B_reduced @ B_reduced.conj().T
-    scale = float(np.linalg.norm(M_full))
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(M_full - stab_order * M_red)) / scale
+    M_full = B_full @ linalg.adjoint(B_full)
+    M_red = B_reduced @ linalg.adjoint(B_reduced)
+    scale = linalg.frobenius(M_full)
+    dev = linalg.frobenius(M_full - stab_order * M_red)
+    return linalg.per_matrix(np.divide(dev, scale, out=np.zeros_like(dev), where=scale > 0.0))
 
 
 @dataclass(frozen=True)
 class ParsevalCheck:
-    """Outcome of the canonical-Parseval norm identity check."""
+    """Outcome of the canonical-Parseval norm identity check (arrays over a stack)."""
 
     max_deviation: float
     generator_parseval_norm_sq: float | None
@@ -141,15 +145,15 @@ def parseval_norm_check(
     covolume * formal degree.
     """
     lam_index = np.asarray(lam_index, dtype=int)
-    if lam_index.shape != (V_full.shape[1],):
+    if lam_index.shape != (V_full.shape[-1],):
         raise UsageError("factorization must assign every full vector")
-    lhs = np.sum(np.abs(R_full @ V_full) ** 2, axis=0)
-    rhs = np.sum(np.abs(R_reduced @ V_reduced) ** 2, axis=0)[lam_index]
-    max_dev = float(np.max(np.abs(lhs - rhs / stab_order)))
+    lhs = np.sum(np.abs(R_full @ V_full) ** 2, axis=-2)
+    rhs = np.sum(np.abs(R_reduced @ V_reduced) ** 2, axis=-2)[..., lam_index]
+    max_dev = linalg.per_matrix(np.max(np.abs(lhs - rhs / stab_order), axis=-1))
     gen_psq = None
     if generator is not None:
-        gv = R_full @ np.asarray(generator, dtype=complex)
-        gen_psq = float(np.vdot(gv, gv).real)
+        gv = (R_full @ np.asarray(generator, dtype=complex)[..., None])[..., 0]
+        gen_psq = linalg.per_matrix(np.sum(np.abs(gv) ** 2, axis=-1))
     return ParsevalCheck(max_deviation=max_dev, generator_parseval_norm_sq=gen_psq)
 
 
@@ -160,11 +164,14 @@ def biorthogonality_check(V, gram_spectrum: linalg.PSDSpectrum, R) -> float:
     orbit matrix ``V``. Requires a numerically nonsingular Gram matrix (a
     Riesz system).
     """
-    if gram_spectrum.rank < len(gram_spectrum.eigenvalues):
-        lo, hi = gram_spectrum.extremes
-        raise NotRieszError(f"Gram matrix is numerically singular (min {lo:.3e}, max {hi:.3e})")
-    K = V.conj().T @ (R @ R) @ V
-    return float(np.max(np.abs(K - np.eye(V.shape[1]))))
+    singular = np.asarray(gram_spectrum.rank) < V.shape[-1]
+    if np.any(singular):
+        w = gram_spectrum.eigenvalues.reshape(-1, V.shape[-1])[np.argmax(singular)]
+        raise NotRieszError(
+            f"Gram matrix is numerically singular (min {w[0]:.3e}, max {w[-1]:.3e})"
+        )
+    K = linalg.adjoint(V) @ (R @ R) @ V
+    return linalg.per_matrix(np.max(np.abs(K - np.eye(V.shape[-1])), axis=(-2, -1)))
 
 
 @dataclass(frozen=True)

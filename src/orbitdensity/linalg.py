@@ -28,28 +28,67 @@ _HERMITICITY_RTOL = 1e-8
 
 def _as_square_complex(M) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise UsageError("matrix contains non-finite entries")
     return A
 
 
+def adjoint(A) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return A.conj().swapaxes(-1, -2)
+
+
+def frobenius(A) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (0-d for one matrix).
+
+    Summed over the real and imaginary views, without a temporary copy.
+    """
+    A = np.asarray(A)
+    sq = np.einsum("...ij,...ij->...", A.real, A.real)
+    if np.iscomplexobj(A):
+        sq = sq + np.einsum("...ij,...ij->...", A.imag, A.imag)
+    return np.sqrt(sq)
+
+
+def per_matrix(values):
+    """Per-matrix values of a stack as an array; a Python scalar for one matrix."""
+    values = np.asarray(values)
+    return values.item() if values.ndim == 0 else values
+
+
+def hermitian_deviation(A) -> np.ndarray:
+    """||A - A*|| / ||A|| of a matrix or each matrix of a stack (0 for a zero matrix).
+
+    The difference is formed in a single temporary, so a large stack costs
+    one extra copy at a time.
+    """
+    D = adjoint(A)
+    D -= A
+    scale = frobenius(A)
+    return np.divide(frobenius(D), scale, out=np.zeros_like(scale), where=scale > 0.0)
+
+
 def _symmetrized(M) -> np.ndarray:
-    """Validate near-Hermitianness and return (M + M*)/2."""
+    """Validate near-Hermitianness of each matrix and return (M + M*)/2."""
     A = _as_square_complex(M)
-    scale = float(np.linalg.norm(A))
-    dev = float(np.linalg.norm(A - A.conj().T))
-    if scale > 0.0 and dev > _HERMITICITY_RTOL * scale:
+    dev = hermitian_deviation(A)
+    if np.any(dev > _HERMITICITY_RTOL):
         raise UsageError(
-            f"matrix is not Hermitian: ||M - M*|| = {dev:.3e} > {_HERMITICITY_RTOL:.0e}*||M||"
+            f"matrix is not Hermitian: ||M - M*|| / ||M|| = {np.max(dev):.3e} "
+            f"> {_HERMITICITY_RTOL:.0e}"
         )
-    return 0.5 * (A + A.conj().T)
+    H = adjoint(A)
+    H += A
+    H *= 0.5
+    return H
 
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
-    """Real spectrum of a Hermitian matrix, eigenvalues ascending.
+    """Real spectrum of a Hermitian matrix, or of each matrix of a stack,
+    eigenvalues ascending along the last axis.
 
     ``eigenvectors`` holds an orthonormal column system aligned with
     ``eigenvalues``, or ``None`` when only eigenvalues were requested.
@@ -60,10 +99,10 @@ class HermitianSpectrum:
 
 
 def hermitian_eigen(M, *, compute_vectors: bool = True) -> HermitianSpectrum:
-    """Full spectral decomposition of a (near-)Hermitian matrix.
+    """Full spectral decomposition of a (near-)Hermitian matrix or stack of them.
 
-    The input is symmetrized internally; it must already be Hermitian to
-    relative tolerance 1e-8.
+    The input is symmetrized internally; each matrix must already be
+    Hermitian to relative tolerance 1e-8.
     """
     A = _symmetrized(M)
     try:
@@ -79,12 +118,14 @@ def hermitian_eigen(M, *, compute_vectors: bool = True) -> HermitianSpectrum:
 
 @dataclass(frozen=True)
 class PSDSpectrum(HermitianSpectrum):
-    """Spectrum of a Hermitian PSD matrix with its numerical-rank mask.
+    """Spectrum of a Hermitian PSD matrix, or of each matrix of a stack, with
+    its numerical-rank mask.
 
-    ``keep`` marks the eigenvalues above ``rel_tol * lambda_max``; the
-    others count as kernel directions. Every rank, extreme, pseudo inverse
-    square root and whitening of the matrix is read from this one
-    decomposition.
+    ``keep`` marks the eigenvalues above ``rel_tol * lambda_max`` of their
+    own matrix; the others count as kernel directions. Every rank, extreme,
+    pseudo inverse square root and whitening of the matrix is read from
+    this one decomposition. For a stack, ``rank`` and ``extremes`` are
+    arrays over the stack and indexing selects matrices.
     """
 
     keep: np.ndarray
@@ -92,18 +133,22 @@ class PSDSpectrum(HermitianSpectrum):
     @classmethod
     def filtered(cls, eigenvalues, eigenvectors, rel_tol: float) -> "PSDSpectrum":
         """Attach the mask of eigenvalues above ``rel_tol * lambda_max``."""
-        lam_max = max(float(eigenvalues[-1]), 0.0) if eigenvalues.size else 0.0
+        lam_max = np.maximum(eigenvalues[..., -1:], 0.0)
         return cls(eigenvalues, eigenvectors, eigenvalues > rel_tol * lam_max)
 
-    @property
-    def rank(self) -> int:
-        """Number of eigenvalues above the threshold; 0 for the zero matrix."""
-        return int(np.count_nonzero(self.keep))
+    def __getitem__(self, index) -> "PSDSpectrum":
+        vectors = None if self.eigenvectors is None else self.eigenvectors[index]
+        return PSDSpectrum(self.eigenvalues[index], vectors, self.keep[index])
 
     @property
-    def extremes(self) -> tuple[float, float]:
+    def rank(self):
+        """Number of eigenvalues above the threshold; 0 for the zero matrix."""
+        return per_matrix(np.count_nonzero(self.keep, axis=-1))
+
+    @property
+    def extremes(self):
         """Smallest and largest eigenvalue."""
-        return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
+        return per_matrix(self.eigenvalues[..., 0]), per_matrix(self.eigenvalues[..., -1])
 
     def _vectors(self) -> np.ndarray:
         if self.eigenvectors is None:
@@ -111,7 +156,7 @@ class PSDSpectrum(HermitianSpectrum):
         return self.eigenvectors
 
     def inverse_sqrt(self) -> np.ndarray:
-        """Pseudo inverse square root R of the matrix M.
+        """Pseudo inverse square root R of the matrix M (of each matrix of a stack).
 
         R @ M @ R is the orthogonal projector onto the span of the kept
         eigenvectors; kernel directions are mapped to zero.
@@ -119,11 +164,12 @@ class PSDSpectrum(HermitianSpectrum):
         V = self._vectors()
         inv = np.zeros_like(self.eigenvalues)
         inv[self.keep] = 1.0 / np.sqrt(self.eigenvalues[self.keep])
-        return (V * inv) @ V.conj().T
+        return (V * inv[..., None, :]) @ adjoint(V)
 
     def whitener(self) -> np.ndarray:
-        """Columns v_k / sqrt(w_k) over the kept eigendirections, so that
-        B* M B is the identity on the numerically nondegenerate subspace."""
+        """Columns v_k / sqrt(w_k) over the kept eigendirections of one
+        matrix, so that B* M B is the identity on the numerically
+        nondegenerate subspace."""
         V = self._vectors()
         if not np.any(self.keep):
             raise DegenerateProbeError("probe Gram matrix is numerically singular in every direction")
@@ -131,21 +177,25 @@ class PSDSpectrum(HermitianSpectrum):
 
 
 def psd_eigen(M, rel_tol: float = DEFAULT_REL_TOL) -> PSDSpectrum:
-    """Eigendecompose a PSD matrix, keeping eigenvalues above ``rel_tol * lambda_max``.
+    """Eigendecompose a PSD matrix or a stack of them, keeping eigenvalues
+    above ``rel_tol * lambda_max`` of each matrix.
 
-    A clearly negative eigenvalue raises ``NotPSDError``.
+    A clearly negative eigenvalue of any matrix raises ``NotPSDError``.
     """
     if not (0.0 < rel_tol < 1.0):
         raise UsageError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     spec = hermitian_eigen(M)
     w = spec.eigenvalues
-    if w.size:
-        lam_max = max(float(w[-1]), 0.0)
+    if w.shape[-1]:
+        lam_max = np.maximum(w[..., -1], 0.0)
         # absolute guard keeps exact-zero matrices and pure roundoff negatives legal
-        neg_floor = rel_tol * lam_max + 64.0 * np.finfo(float).eps * float(np.linalg.norm(M))
-        if float(w[0]) < -neg_floor:
+        neg_floor = rel_tol * lam_max + 64.0 * np.finfo(float).eps * frobenius(M)
+        bad = w[..., 0] < -neg_floor
+        if np.any(bad):
+            k = np.argmax(bad)
             raise NotPSDError(
-                f"matrix is not PSD: min eigenvalue {w[0]:.6e} < -{neg_floor:.6e}"
+                f"matrix is not PSD: min eigenvalue {w[..., 0].flat[k]:.6e} "
+                f"< -{neg_floor.flat[k]:.6e}"
             )
     return PSDSpectrum.filtered(w, spec.eigenvectors, rel_tol)
 

@@ -74,6 +74,35 @@ def test_criterion_2_proof_identity_suite(scan_result):
         assert riesz_cases > 0
 
 
+def test_frame_verdicts_match_adjoint_riesz_duality(scan_result):
+    """A second path to every frame verdict of the scan (Ron-Shen, or
+    Wexler-Raz, duality): the orbit over L is a frame exactly when the full
+    orbit over the adjoint subgroup L° = {mu : mu_a l_b - l_a mu_b = 0 mod n}
+    is a Riesz sequence, and |L| |L°| = n^2."""
+    report, _ = scan_result
+    rows = iter(report.rows)
+    for n in range(2, 7):
+        shifts = {(a, b): pi_shift_matrix(a, b, n) for a in range(n) for b in range(n)}
+        for si, sub in enumerate(finite_gabor.subgroup_enumerate(n)):
+            adjoint = [
+                mu for mu in shifts
+                if all((mu[0] * lam[1] - lam[0] * mu[1]) % n == 0 for lam in sub.elements)
+            ]
+            assert sub.order * len(adjoint) == n * n
+            P = np.array([shifts[mu] for mu in adjoint])
+            window_ids, windows = finite_gabor.scan_windows(n, si, 50, SCAN_SEED)
+            V = np.einsum("kij,wj->wik", P, windows)  # columns pi(mu) g
+            w = np.linalg.eigvalsh(np.conj(np.swapaxes(V, 1, 2)) @ V)
+            adjoint_riesz = w[:, 0] > 1e-9 * w[:, -1]
+            for window_id, riesz in zip(window_ids, adjoint_riesz):
+                row = next(rows)
+                assert (row["n"], row["subgroup_gens"], row["window_id"]) == (
+                    n, sub.gens_text(), window_id
+                )
+                assert row["is_frame"] == bool(riesz)
+    assert next(rows, None) is None
+
+
 def test_criterion_3_discrete_orthogonality_relations():
     with criterion(3, "discrete orthogonality relations, 100 random pairs per n <= 8"):
         for n in range(2, 9):

@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from orbitdensity import bergman, cli, finite_gabor, fuchsian
+from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian
 from orbitdensity.errors import (
     AccuracyError,
     NotPSDError,
@@ -169,6 +173,27 @@ class TestDeterminism:
         assert out1 == out2
 
 
+    def test_formal_degree_independent_of_blas_threads(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            )
+            result = subprocess.run(
+                [sys.executable, "-m", "orbitdensity.cli", "formal-degree", "--alpha", "2"],
+                env=env,
+                capture_output=True,
+                check=True,
+                timeout=120,
+            )
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+
+
 class TestFormatParity:
     def test_ball_csv_json_same_content(self, capsys):
         code, out_json, _ = run_cli(
@@ -213,16 +238,17 @@ class TestFormatParity:
         assert f"{value:.17g}" == row["formal_degree"]
 
     def test_scan_violation_keeps_csv_a_single_table(self, capsys, monkeypatch):
-        original = finite_gabor.verify_density_theorem
+        # the exact-mode density verdict is the last check, made once per case
+        original = frames.density_verdict
         calls = []
 
-        def inject(sys):
-            calls.append(sys)
+        def inject(**kwargs):
+            calls.append(kwargs)
             if len(calls) == 3:
                 raise TheoremViolationError("injected violation")
-            return original(sys)
+            return original(**kwargs)
 
-        monkeypatch.setattr(finite_gabor, "verify_density_theorem", inject)
+        monkeypatch.setattr(frames, "density_verdict", inject)
         code, out, err = run_cli(
             capsys, "finite-scan", "--n-max", "2", "--windows", "1", "--seed", "0",
             "--format", "csv",

@@ -1,12 +1,14 @@
 import io
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 from oracles import pi_shift_matrix
 
-from orbitdensity import cli
+from orbitdensity import cli, frames
 from orbitdensity import finite_gabor as fg
 from orbitdensity.errors import ResourceLimitError, UsageError
 
@@ -24,13 +26,13 @@ class TestShift:
     def test_identity(self):
         rng = np.random.default_rng(51)
         v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert np.allclose(fg.pi_shift(0, 0, v), v, atol=0.0)
+        assert np.allclose(oracles.pi_shift(0, 0, v), v, atol=0.0)
 
     def test_translation_moves_basis(self):
-        assert np.allclose(fg.pi_shift(1, 0, E1), np.array([0.0, 1.0]), atol=0.0)
+        assert np.allclose(oracles.pi_shift(1, 0, E1), np.array([0.0, 1.0]), atol=0.0)
 
     def test_modulation_on_support_zero(self):
-        assert np.allclose(fg.pi_shift(0, 1, E1), E1, atol=0.0)
+        assert np.allclose(oracles.pi_shift(0, 1, E1), E1, atol=0.0)
 
     def test_unitarity(self):
         rng = np.random.default_rng(52)
@@ -38,7 +40,7 @@ class TestShift:
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             for a in range(n):
                 for b in range(n):
-                    w = fg.pi_shift(a, b, v)
+                    w = oracles.pi_shift(a, b, v)
                     assert abs(np.vdot(w, w).real - np.vdot(v, v).real) <= 1e-12 * np.vdot(v, v).real
 
     def test_projective_relation_exhaustive(self):
@@ -52,16 +54,16 @@ class TestShift:
                 for y in itertools.product(range(n), repeat=2):
                     xy = ((x[0] + y[0]) % n, (x[1] + y[1]) % n)
                     lhs = mats[x] @ mats[y]
-                    rhs = fg.sigma_finite(x, y, n) * mats[xy]
+                    rhs = oracles.sigma_finite(x, y, n) * mats[xy]
                     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestSigma:
     def test_identity_argument(self):
-        assert fg.sigma_finite((0, 0), (3, 1), 4) == 1.0 + 0.0j
+        assert oracles.sigma_finite((0, 0), (3, 1), 4) == 1.0 + 0.0j
 
     def test_hand_value_n4(self):
-        value = fg.sigma_finite((1, 0), (0, 1), 4)
+        value = oracles.sigma_finite((1, 0), (0, 1), 4)
         assert abs(value - np.exp(-1j * np.pi / 2.0)) <= 1e-15
 
     def test_cocycle_identity_exhaustive(self):
@@ -72,20 +74,20 @@ class TestSigma:
                     xy = ((x[0] + y[0]) % n, (x[1] + y[1]) % n)
                     for z in pairs:
                         yz = ((y[0] + z[0]) % n, (y[1] + z[1]) % n)
-                        lhs = fg.sigma_finite(x, y, n) * fg.sigma_finite(xy, z, n)
-                        rhs = fg.sigma_finite(y, z, n) * fg.sigma_finite(x, yz, n)
+                        lhs = oracles.sigma_finite(x, y, n) * oracles.sigma_finite(xy, z, n)
+                        rhs = oracles.sigma_finite(y, z, n) * oracles.sigma_finite(x, yz, n)
                         assert abs(lhs - rhs) <= 1e-12
 
 
 class TestFormalDegree:
     def test_value(self):
-        assert fg.formal_degree_finite(2) == Fraction(1, 2)
-        assert fg.formal_degree_finite(3) == Fraction(1, 3)
+        assert oracles.formal_degree_finite(2) == Fraction(1, 2)
+        assert oracles.formal_degree_finite(3) == Fraction(1, 3)
 
     def test_hand_sum_n2(self):
         # f = g = e1: the four terms are 1, 1, 0, 0
         total = sum(
-            abs(np.vdot(fg.pi_shift(a, b, E1), E1)) ** 2
+            abs(np.vdot(oracles.pi_shift(a, b, E1), E1)) ** 2
             for a in range(2)
             for b in range(2)
         )
@@ -99,13 +101,13 @@ class TestFormalDegree:
             S = np.zeros((n, n), dtype=complex)
             for a in range(n):
                 for b in range(n):
-                    v = fg.pi_shift(a, b, g)
+                    v = oracles.pi_shift(a, b, g)
                     S += np.outer(v, v.conj())
             assert np.max(np.abs(S - n * gsq * np.eye(n))) <= 1e-10 * n * gsq
 
     def test_modulus_validation(self):
         with pytest.raises(UsageError):
-            fg.formal_degree_finite(1)
+            oracles.formal_degree_finite(1)
 
 
 class TestSubgroupEnumeration:
@@ -136,6 +138,21 @@ class TestSubgroupEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             fg.subgroup_enumerate(13)
+
+    def test_hermite_normal_forms_match_pair_closure(self):
+        for n in range(2, 13):
+            hnf = [(s.order, s.elements, s.generators) for s in fg.subgroup_enumerate(n)]
+            pairs = [
+                (s.order, s.elements, s.generators) for s in oracles.subgroup_enumerate_pairs(n)
+            ]
+            assert hnf == pairs
+            # counting law: Z_n x Z_n has sum of gcd(a, b) over divisors a, b of n subgroups
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            assert len(hnf) == sum(math.gcd(a, b) for a in divisors for b in divisors)
+
+    def test_rejects_element_list_that_is_not_closed(self):
+        with pytest.raises(UsageError):
+            fg.SubgroupDescr(n=4, generators=((1, 0),), elements=((0, 0), (1, 0)), order=2)
 
 
 class TestProjectiveStabilizer:
@@ -222,6 +239,74 @@ def scan_csv(n_max, **kwargs) -> str:
     for row in report.rows:
         emitter.record("scan_row", {c: row[c] for c in fg.SCAN_CSV_COLUMNS})
     return stream.getvalue()
+
+
+class TestBatchedScan:
+    def test_eigensolves_scale_with_batches_not_cases(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+
+            def counting(*args, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        report = fg.exhaustive_scan(5, windows_per_case=4, seed=7)
+        monkeypatch.undo()
+        batches = 0
+        for n in range(2, 6):
+            for si, sub in enumerate(fg.subgroup_enumerate(n)):
+                _, windows = fg.scan_windows(n, si, 4, 7)
+                stabilizers = {
+                    fg.projective_stabilizer_finite(fg.FiniteGaborSystem(n, g, sub))[0].elements
+                    for g in windows
+                }
+                batches += len(stabilizers)
+        # a per-case design makes four eigensolves per case
+        assert 4 * batches < report.total_cases
+        assert len(calls) <= 4 * batches
+
+    def test_batch_matches_one_window_at_a_time(self):
+        n = 4
+        for si, sub in enumerate(fg.subgroup_enumerate(n)):
+            _, windows = fg.scan_windows(n, si, 3, 9)
+            for window, batched in zip(windows, fg.verify_windows(sub, windows)):
+                single = fg.verify_density_theorem(fg.FiniteGaborSystem(n, window, sub))
+                for name in ("stab_order", "lambda_size", "is_frame", "is_riesz", "verdict_i"):
+                    assert getattr(single, name) == getattr(batched, name)
+                assert abs(single.max_identity_residual - batched.max_identity_residual) <= 1e-12
+
+    def test_violation_isolated_to_its_window(self, monkeypatch):
+        n, seed = 3, 5
+        subgroups = fg.subgroup_enumerate(n)
+        si = len(subgroups) - 1
+        sub = subgroups[si]
+        window_ids, windows = fg.scan_windows(n, si, 3, seed)
+        target = windows[window_ids.index("rand001")]
+        clean = fg.exhaustive_scan(n, windows_per_case=3, seed=seed)
+        original = frames.parseval_norm_check
+
+        def corrupt(*args, generator, **kwargs):
+            check = original(*args, generator=generator, **kwargs)
+            hit = [np.array_equal(g, target) for g in generator]
+            return frames.ParsevalCheck(
+                np.where(hit, 1.0, check.max_deviation), check.generator_parseval_norm_sq
+            )
+
+        monkeypatch.setattr(frames, "parseval_norm_check", corrupt)
+        report = fg.exhaustive_scan(n, windows_per_case=3, seed=seed)
+        hit_row = (n, sub.gens_text(), "rand001")
+        expected = [
+            row for row in clean.rows
+            if (row["n"], row["subgroup_gens"], row["window_id"]) != hit_row
+        ]
+        assert len(expected) == len(clean.rows) - 1
+        assert list(report.rows) == expected
+        (violation,) = report.violations
+        assert (violation["n"], violation["subgroup_gens"], violation["window_id"]) == hit_row
+        message = violation["message"]
+        assert message.startswith("canonical Parseval norm identity deviation 1.000e+00")
+        assert message.endswith(f"[n={n}, gens={sub.gens_text()}, window={target.tolist()!r}]")
 
 
 class TestScan:

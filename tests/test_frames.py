@@ -55,6 +55,38 @@ def biorthogonality(*vectors) -> float:
     return frames.biorthogonality_check(V, gram_of(*vectors), R)
 
 
+class TestStackedSystems:
+    def test_gram_checks_every_matrix(self):
+        good = np.eye(2)
+        assert list(frames.gram(np.array([good, 2.0 * good])).rank) == [2, 2]
+        with pytest.raises(OracleInconsistencyError):
+            frames.gram(np.array([good, [[1.0, 2.0], [2.0, 1.0]]]))
+
+    def test_identity_checks_match_each_system(self):
+        rng = np.random.default_rng(62)
+        V = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        V_red = V[..., :2]
+        S, S_red = (linalg.psd_eigen(frames.frame_operator(X)) for X in (V, V_red))
+        G_red = frames.gram(frames.vector_gram(V_red))
+        lam_index = [0, 1, 0, 1]
+        s_res = frames.s_relation_residual(V, V_red, 2)
+        check = frames.parseval_norm_check(
+            V, V_red, S.inverse_sqrt(), S_red.inverse_sqrt(), lam_index, 2, generator=V[..., 0]
+        )
+        biorth = frames.biorthogonality_check(V_red, G_red, S_red.inverse_sqrt())
+        for k in range(3):
+            S_k, S_red_k = S[k].inverse_sqrt(), S_red[k].inverse_sqrt()
+            one = frames.parseval_norm_check(
+                V[k], V_red[k], S_k, S_red_k, lam_index, 2, generator=V[k, :, 0]
+            )
+            assert abs(s_res[k] - frames.s_relation_residual(V[k], V_red[k], 2)) <= 1e-12
+            assert abs(check.max_deviation[k] - one.max_deviation) <= 1e-12
+            gen_psq = one.generator_parseval_norm_sq
+            assert abs(check.generator_parseval_norm_sq[k] - gen_psq) <= 1e-12
+            one_biorth = frames.biorthogonality_check(V_red[k], G_red[k], S_red_k)
+            assert abs(biorth[k] - one_biorth) <= 1e-12
+
+
 class TestGram:
     def test_orthonormal_triple(self):
         spec = gram_of(*np.eye(3, dtype=complex))

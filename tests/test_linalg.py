@@ -152,3 +152,31 @@ class TestGeneralizedRayleigh:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             rayleigh(np.eye(2), np.eye(3))
+
+
+class TestStacks:
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(61)
+        mats = []
+        for rank in (4, 2, 0):
+            B = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            mats.append(B @ B.conj().T)
+        stack = linalg.psd_eigen(np.array(mats))
+        R = stack.inverse_sqrt()
+        assert list(stack.rank) == [4, 2, 0]
+        for k, M in enumerate(mats):
+            single = linalg.psd_eigen(M)
+            assert stack[k].rank == single.rank
+            assert np.allclose(stack[k].extremes, single.extremes, rtol=0.0, atol=1e-12)
+            assert np.allclose(R[k], single.inverse_sqrt(), rtol=0.0, atol=1e-10)
+
+    def test_single_matrix_gives_python_scalars(self):
+        spec = linalg.psd_eigen(np.diag([1.0, 3.0]))
+        assert type(spec.rank) is int
+        assert all(type(x) is float for x in spec.extremes)
+
+    def test_every_matrix_is_checked(self):
+        with pytest.raises(NotPSDError):
+            linalg.psd_eigen(np.array([np.eye(2), np.diag([1.0, -1.0])]))
+        with pytest.raises(UsageError):
+            linalg.hermitian_eigen(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
