@@ -78,19 +78,9 @@ class KernelOrbit:
     def __len__(self):
         return len(self.z)
 
-
-@dataclass(frozen=True)
-class PhaseFunction:
-    """Unimodular scalars u(g) with pi(g) k = u(g) k on the stabiliser."""
-
-    members: tuple[MoebiusMap, ...]
-    values: tuple[complex, ...]
-
-    def u(self, m: MoebiusMap) -> complex:
-        for member, value in zip(self.members, self.values):
-            if member.key() == m.key():
-                return value
-        raise KeyError(f"{m!r} is not in the stabiliser")
+    def take(self, index) -> "KernelOrbit":
+        """The vectors at the given positions, in that order."""
+        return KernelOrbit(z=self.z[index], c=self.c[index], alpha=self.alpha)
 
 
 def kernel_gram(left: KernelOrbit, right: KernelOrbit) -> np.ndarray:
@@ -245,21 +235,24 @@ def point_tol_for_kernel_tol(tol: float, alpha: float) -> float:
 
 
 def projective_stabilizer_kernel(
-    ball: fuchsian.GroupBall, k: KernelVector, tol: float = 1e-9
-) -> tuple[list[MoebiusMap], PhaseFunction]:
-    """Ball elements whose action fixes the kernel up to a scalar.
+    ball: fuchsian.GroupBall, k: KernelVector, orbit: KernelOrbit, tol: float = 1e-9
+) -> tuple[list[MoebiusMap], np.ndarray]:
+    """Ball elements whose action fixes the kernel up to a scalar, in ball
+    order, and those scalars u(g) with pi(g) k = u(g) k.
 
-    Selection is by overlap |<pi(g) k, k>| >= (1 - tol) ||k||^2 and must
-    agree exactly, as a set, with the point stabiliser of the kernel's
-    centre at the matching distance tolerance.
+    ``orbit`` is ``orbit_system(ball.elements, k)``. Selection is by overlap
+    |<pi(g) k, k>| >= (1 - tol) ||k||^2 and must agree exactly, as a set,
+    with the point stabiliser of the kernel's centre at the matching
+    distance tolerance.
     """
     if not (0.0 < tol < 1.0):
         raise UsageError(f"tol must lie in (0, 1), got {tol}")
+    if len(orbit) != len(ball.elements):
+        raise UsageError(f"orbit has {len(orbit)} vectors for {len(ball.elements)} ball elements")
     reference = KernelOrbit.plain([k.z], k.weight)
-    overlaps = kernel_gram(orbit_system(ball.elements, k), reference)[:, 0] / kernel_norm_sq(k)
+    overlaps = kernel_gram(orbit, reference)[:, 0] / kernel_norm_sq(k)
     hits = np.flatnonzero(np.abs(overlaps) >= 1.0 - tol)
     members = [ball.elements[i] for i in hits]
-    values = [complex(overlaps[i]) for i in hits]
     point_tol = min(point_tol_for_kernel_tol(tol, k.weight.alpha), 1e-4)
     point_members = fuchsian.stabilizer_of_point(ball, k.z, tol=point_tol)
     if {g.key() for g in members} != {g.key() for g in point_members}:
@@ -267,10 +260,7 @@ def projective_stabilizer_kernel(
             "kernel stabiliser disagrees with the point stabiliser "
             f"({len(members)} vs {len(point_members)} elements)"
         )
-    order = sorted(range(len(members)), key=lambda i: (round(members[i].frobenius_sq, 9), members[i].key()))
-    members = [members[i] for i in order]
-    values = [values[i] for i in order]
-    return members, PhaseFunction(members=tuple(members), values=tuple(values))
+    return members, overlaps[hits]
 
 
 def probe_kernels(kernel: KernelVector, count: int, max_radius: float = 2.0) -> KernelOrbit:

@@ -25,6 +25,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import bergman, finite_gabor, frames, fuchsian, linalg
 from .errors import (
     NotPSDError,
@@ -48,27 +50,7 @@ _NUMERICAL_FAILURES = (NumericalFailure, ResourceLimitError, NotPSDError, NotRie
 
 FORMATS = ("human", "csv", "json")
 
-# configuration keys accepted per command (plus the lattice block)
-_GLOBAL_KEYS = {"format", "out", "haar_scale"}
-_COMMAND_KEYS = {
-    "finite-scan": {"n_max", "windows", "seed"},
-    "bergman-density": {
-        "alpha",
-        "z",
-        "ball",
-        "probes",
-        "probe_radius",
-        "refine_steps",
-        "refine_delta",
-        "grid",
-        "lattice",
-        "frame_floor",
-        "riesz_floor",
-    },
-    "formal-degree": {"alpha", "z", "grid", "rel_tol"},
-    "ball": {"norm", "lattice"},
-    "stabilizer": {"z", "ball", "alpha", "tol", "lattice"},
-}
+# configuration keys of the lattice block, accepted by every command
 _LATTICE_KEYS = {"lattice.name", "lattice.generators", "lattice.covolume", "lattice.integral"}
 
 
@@ -178,8 +160,6 @@ class Emitter:
     """
 
     def __init__(self, fmt: str, stream):
-        if fmt not in FORMATS:
-            raise UsageError(f"format must be one of {FORMATS}, got {fmt!r}")
         self.fmt = fmt
         self.stream = stream
         self._csv_writer = None
@@ -284,7 +264,8 @@ class Settings:
     def __init__(self, args, config: dict):
         self.args = args
         self.config = config
-        allowed = _GLOBAL_KEYS | _COMMAND_KEYS[args.command] | _LATTICE_KEYS
+        # a config key names a parameter of the command's own flags
+        allowed = (set(vars(args)) - {"command", "config"}) | _LATTICE_KEYS
         unknown = set(config) - allowed
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -398,11 +379,12 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
     name = settings.get("lattice", "psl2z")
     spec = lattice_from_config(name, settings.config)
     ball = fuchsian.ball_enumerate(spec, ball_norm)
-    point_members = fuchsian.stabilizer_of_point(ball, z, tol=tol)
     kernel = bergman.KernelVector(z, bergman.Weight(alpha))
     kernel_tol = bergman.kernel_tol_for_point_tol(tol, alpha)
     # raises OracleInconsistencyError unless the kernel and point paths agree as sets
-    kernel_members, phases = bergman.projective_stabilizer_kernel(ball, kernel, tol=kernel_tol)
+    members, phases = bergman.projective_stabilizer_kernel(
+        ball, kernel, bergman.orbit_system(ball.elements, kernel), tol=kernel_tol
+    )
     emitter.record(
         "stabilizer",
         {
@@ -410,24 +392,22 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
             "z": f"{z.x}+{z.y}i",
             "ball_norm": ball_norm,
             "ball_size": len(ball.elements),
-            "order": len(point_members),
-            "order_kernel": len(kernel_members),
+            "order": len(members),
+            "order_kernel": len(members),
             "members": " ".join(
-                f"({m.a:.12g},{m.b:.12g};{m.c:.12g},{m.d:.12g})" for m in point_members
+                f"({m.a:.12g},{m.b:.12g};{m.c:.12g},{m.d:.12g})" for m in members
             ),
-            "max_phase_modulus_error": max(
-                (abs(abs(u) - 1.0) for u in phases.values), default=0.0
-            ),
+            "max_phase_modulus_error": float(np.max(np.abs(np.abs(phases) - 1.0))),
         },
     )
-    emitter.summary({"order": len(point_members)})
+    emitter.summary({"order": len(members)})
     return EXIT_OK
 
 
-def _prefix_length(maps, bound_sq: float) -> int:
-    """Number of leading elements inside the truncation; the elements must be
-    sorted so that exactly these satisfy it."""
-    inside = [m.frobenius_sq <= bound_sq for m in maps]
+def _prefix_length(ball: fuchsian.GroupBall, bound_sq: float) -> int:
+    """Number of leading ball elements inside the truncation; the ball order
+    must be such that exactly these satisfy it."""
+    inside = [m.frobenius_sq <= bound_sq for m in ball.elements]
     count = sum(inside)
     if not all(inside[:count]):
         raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
@@ -476,26 +456,27 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
     )
 
     ball = fuchsian.ball_enumerate(spec, ball_norm)
-    stab_members, _phases = bergman.projective_stabilizer_kernel(ball, kernel)
+    # the one orbit of the command; every other orbit is a gather from it
+    orbit = bergman.orbit_system(ball.elements, kernel)
+    stab_members, _phases = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
     stab_order = len(stab_members)
     cosets = fuchsian.coset_representatives(ball, stab_members)
     probes = bergman.probe_kernels(kernel, probes_count, probe_radius)
     gen_norm_sq = bergman.kernel_norm_sq(kernel)
 
-    # Ball elements and coset representatives are sorted by norm, so every
-    # truncation below is a leading prefix: assemble once at the full
-    # radius and slice per step.
-    reps = cosets.representatives
-    lam_orbit = bergman.orbit_system(reps, kernel)
+    # Ball elements are sorted by norm and the representatives' ball indices
+    # increase, so every truncation below is a leading prefix of both:
+    # assemble once at the full radius and slice per step.
+    lam_orbit = orbit.take(cosets.rep_index)
     lam_gram = bergman.kernel_gram(lam_orbit, lam_orbit)
-    probe_matrix = bergman.kernel_gram(probes, bergman.orbit_system(ball.elements, kernel)).T
+    probe_matrix = bergman.kernel_gram(probes, orbit).T
     whitener = linalg.psd_eigen(bergman.kernel_gram(probes, probes).T).whitener()
-    # the S-relation compares two independently built orbits: the fully
-    # tiled representatives, and every rep * h for them
-    tiled = [rep for rep, full in zip(reps, cosets.rep_fully_tiled) if full]
-    tiled_full = [rep.compose(h) for rep in tiled for h in cosets.stabilizer]
-    synth_red = bergman.kernel_gram(bergman.orbit_system(tiled, kernel), probes).T
-    synth_full = bergman.kernel_gram(bergman.orbit_system(tiled_full, kernel), probes).T
+    # The S-relation compares the synthesis of the fully tiled
+    # representatives with that of every rep * h, whose columns come from
+    # the other ball elements of each coset.
+    fully_tiled = np.all(cosets.tile >= 0, axis=1)
+    synth_red = bergman.kernel_gram(orbit.take(cosets.rep_index[fully_tiled]), probes).T
+    synth_full = bergman.kernel_gram(orbit.take(cosets.tile[fully_tiled].ravel()), probes).T
 
     norms = [
         max(math.sqrt(2.0), ball_norm - refine_delta * (refine_steps - 1 - j))
@@ -506,8 +487,8 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
     reports = []
     for norm in norms:
         bound_sq = norm * norm + 1e-9
-        lam_count = _prefix_length(reps, bound_sq)
-        gamma_count = _prefix_length(ball.elements, bound_sq)
+        gamma_count = _prefix_length(ball, bound_sq)
+        lam_count = int(np.searchsorted(cosets.rep_index, gamma_count))
         riesz_lo, riesz_hi = frames.gram(lam_gram[:lam_count, :lam_count]).extremes
         probe_lo, probe_hi, probe_diag = frames.frame_bounds_probe(
             probe_matrix[:gamma_count], whitener
@@ -526,7 +507,7 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
             for lo, hi in zip(riesz_trace_min[-window:], riesz_trace_max[-window:])
         )
 
-        tiled_count = sum(cosets.rep_fully_tiled[:lam_count])
+        tiled_count = np.count_nonzero(fully_tiled[:lam_count])
         s_relation_residual = frames.s_relation_residual(
             synth_full[:, : tiled_count * stab_order], synth_red[:, :tiled_count], stab_order
         )

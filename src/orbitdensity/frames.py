@@ -187,10 +187,6 @@ class SandwichVerdict:
     def passed(self) -> bool:
         return self.passed_lower and self.passed_upper
 
-    @property
-    def min_slack(self) -> float:
-        return min(self.lower_slack, self.upper_slack)
-
 
 def density_sandwich_check(
     lower: float,

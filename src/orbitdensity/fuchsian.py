@@ -54,9 +54,20 @@ def psl2z() -> LatticeSpec:
     )
 
 
+def norm_order(m: MoebiusMap) -> tuple:
+    """Sort key of ball elements: Frobenius norm, ties broken on the entries."""
+    return (round(m.frobenius_sq, 9), m.key())
+
+
 @dataclass(frozen=True)
 class GroupBall:
-    """Deduplicated group elements with Frobenius norm at most ``norm_bound``."""
+    """Deduplicated group elements with Frobenius norm at most ``norm_bound``,
+    strictly increasing in :func:`norm_order`.
+
+    Every other list of group elements (stabilisers, coset transversals,
+    truncations) is a selection from this order, so a truncation to a
+    smaller norm is a leading prefix.
+    """
 
     norm_bound: float
     elements: tuple[MoebiusMap, ...]
@@ -68,13 +79,12 @@ class GroupBall:
             raise UsageError("ball contains duplicate canonical representatives")
         if MoebiusMap.identity().key() not in keys:
             raise UsageError("ball does not contain the identity")
+        order = [norm_order(m) for m in self.elements]
+        if any(a >= b for a, b in zip(order, order[1:])):
+            raise UsageError("ball elements must be sorted by norm, ties by entries")
 
     def key_set(self) -> set:
         return {m.key() for m in self.elements}
-
-
-def _sorted_elements(elements) -> tuple[MoebiusMap, ...]:
-    return tuple(sorted(elements, key=lambda m: (round(m.frobenius_sq, 9), m.key())))
 
 
 def brute_force_integer_ball(norm_bound: float) -> GroupBall:
@@ -112,7 +122,7 @@ def brute_force_integer_ball(norm_bound: float) -> GroupBall:
                     if b * c == -1:
                         for d in range(-m, m + 1):
                             consider(a, b, c, d)
-    return GroupBall(norm_bound, _sorted_elements(found.values()), closure_certified=True)
+    return GroupBall(norm_bound, tuple(sorted(found.values(), key=norm_order)), closure_certified=True)
 
 
 def ball_enumerate(
@@ -164,13 +174,14 @@ def ball_enumerate(
                 f"ball enumeration disagrees with the integer oracle at bound {norm_bound}",
                 stacklevel=2,
             )
-    return GroupBall(norm_bound, _sorted_elements(elements.values()), certified)
+    return GroupBall(norm_bound, tuple(sorted(elements.values(), key=norm_order)), certified)
 
 
 def stabilizer_of_point(
     ball: GroupBall, z: UpperHalfPoint, tol: float = DEFAULT_POINT_TOL
 ) -> list[MoebiusMap]:
-    """Elements of the ball moving z by hyperbolic distance at most tol.
+    """Elements of the ball moving z by hyperbolic distance at most tol, in
+    ball order.
 
     The result is checked to be closed under composition and inversion
     within the ball; a failed check warns that the ball is too small.
@@ -195,79 +206,60 @@ def stabilizer_of_point(
             "stabilizer is not closed within the ball; enlarge the norm bound",
             stacklevel=2,
         )
-    return sorted(members, key=lambda m: (round(m.frobenius_sq, 9), m.key()))
+    return members
 
 
 @dataclass(frozen=True)
 class CosetSystem:
-    """Transversal of a finite stabiliser subgroup inside a group ball.
+    """Transversal of a finite stabiliser subgroup H inside a group ball, as
+    indices into the ball's elements.
 
-    ``assignment`` factorises every ball element g as reps[i] * stab[j];
-    ``rep_fully_tiled[i]`` records whether the whole coset of reps[i] lies
-    inside the ball.
+    ``rep_index[i]`` is the ball index of the i-th representative and is
+    increasing; ``tile[i, j]`` is the ball index of ``rep_i.compose(h_j)``
+    for the j-th stabiliser element h_j as given, or -1 where that element
+    lies outside the ball. Every ball index appears in ``tile`` exactly once.
     """
 
-    stabilizer: tuple[MoebiusMap, ...]
-    representatives: tuple[MoebiusMap, ...]
-    assignment: dict
-    rep_fully_tiled: tuple[bool, ...]
+    rep_index: np.ndarray
+    tile: np.ndarray
 
 
 def coset_representatives(ball: GroupBall, stabilizer) -> CosetSystem:
     """Pick one representative per coset g*H of the stabiliser H in the ball.
 
-    The representative is the member of minimal Frobenius norm (ties broken
-    lexicographically on the entries); the identity represents its own
-    coset. Every ball element is factorised as representative * stabiliser
-    element.
+    The representative is the coset's first member in ball order, except
+    that the identity represents its own coset H; cosets are listed in the
+    order of their first members.
     """
     stab = list(stabilizer)
-    stab_keys = {g.key(): i for i, g in enumerate(stab)}
-    identity_key = MoebiusMap.identity().key()
-    if identity_key not in stab_keys:
+    stab_keys = {g.key() for g in stab}
+    identity = MoebiusMap.identity()
+    if identity.key() not in stab_keys:
         raise UsageError("stabilizer must contain the identity")
-    ball_keys = ball.key_set()
-    if not set(stab_keys).issubset(ball_keys):
+    index = {g.key(): i for i, g in enumerate(ball.elements)}
+    if not stab_keys.issubset(index):
         raise UsageError("stabilizer must be contained in the ball")
     for g1 in stab:
         for g2 in stab:
             if g1.compose(g2).key() not in stab_keys:
                 raise UsageError("stabilizer is not closed under composition")
 
-    cosets: dict[tuple, list[MoebiusMap]] = {}
-    for g in ball.elements:
-        coset_id = min(g.compose(h).key() for h in stab)
-        cosets.setdefault(coset_id, []).append(g)
-
-    reps = []
-    fully_tiled = []
-    assignment = {}
-    ordered = sorted(
-        cosets.values(),
-        key=lambda members: min((round(m.frobenius_sq, 9), m.key()) for m in members),
-    )
-    for members in ordered:
-        member_keys = {m.key() for m in members}
-        if identity_key in member_keys:
-            rep = MoebiusMap.identity()
-        else:
-            rep = min(members, key=lambda m: (round(m.frobenius_sq, 9), m.key()))
-        rep_idx = len(reps)
-        reps.append(rep)
-        fully_tiled.append(len(members) == len(stab))
-        rep_inv = rep.inverse()
-        for g in members:
-            gp = rep_inv.compose(g)
-            j = stab_keys.get(gp.key())
-            if j is None:
-                raise UsageError("coset factorisation left the stabilizer; inconsistent input")
-            assignment[g.key()] = (rep_idx, j)
-    return CosetSystem(
-        stabilizer=tuple(stab),
-        representatives=tuple(reps),
-        assignment=assignment,
-        rep_fully_tiled=tuple(fully_tiled),
-    )
+    covered = np.zeros(len(ball.elements), dtype=bool)
+    rep_index, tile = [], []
+    for i, g in enumerate(ball.elements):
+        if covered[i]:
+            continue
+        # Only rotations about i precede the identity in ball order, and they
+        # lie in H whenever H holds one, so rep_index still increases.
+        rep = identity if g.key() in stab_keys else g
+        row = [index.get(rep.compose(h).key(), -1) for h in stab]
+        inside = [j for j in row if j >= 0]
+        if covered[inside].any():
+            raise UsageError("cosets overlap; inconsistent input")
+        covered[inside] = True
+        rep_index.append(index[rep.key()])
+        tile.append(row)
+    return CosetSystem(rep_index=np.array(rep_index, dtype=int), tile=np.array(tile, dtype=int))
 
 
 def modular_fundamental_domain_grid(nx: int = 400, ns: int = 600, s_max: float = 16.0) -> QuadratureGrid:

@@ -210,6 +210,5 @@ def generalized_rayleigh_extremes(N, whitener) -> tuple[float, float]:
     B = np.asarray(whitener, dtype=complex)
     if B.ndim != 2 or B.shape[0] != A_N.shape[0]:
         raise DimensionError(f"shape mismatch: N is {A_N.shape}, whitener is {B.shape}")
-    W = B.conj().T @ A_N @ B
-    vals = hermitian_eigen(0.5 * (W + W.conj().T), compute_vectors=False).eigenvalues
+    vals = hermitian_eigen(B.conj().T @ A_N @ B, compute_vectors=False).eigenvalues
     return float(vals[0]), float(vals[-1])

@@ -209,15 +209,16 @@ def test_criterion_7_stabilizer_orders_both_paths():
             ball = fuchsian.ball_enumerate(fuchsian.psl2z(), float(bound))
             for z, order in expected:
                 point_members = fuchsian.stabilizer_of_point(ball, z)
+                kernel = KernelVector(z, w)
                 kernel_members, phases = bergman.projective_stabilizer_kernel(
-                    ball, KernelVector(z, w)
+                    ball, kernel, bergman.orbit_system(ball.elements, kernel)
                 )
                 assert len(point_members) == order
                 assert len(kernel_members) == order
                 assert {m.key() for m in point_members} == {
                     m.key() for m in kernel_members
                 }
-                for u in phases.values:
+                for u in phases:
                     assert abs(abs(u) - 1.0) <= 1e-10
 
 

@@ -346,11 +346,12 @@ class TestKernelStabilizer:
             (POINT_2I, 1),
         ]
         for z, expected_order in cases:
-            members, phases = bergman.projective_stabilizer_kernel(ball, KernelVector(z, w))
+            k = KernelVector(z, w)
+            members, phases = bergman.projective_stabilizer_kernel(ball, k, orbit_system(ball.elements, k))
             assert len(members) == expected_order
-            for u in phases.values:
+            for u in phases:
                 assert abs(abs(u) - 1.0) <= 1e-10
-            assert abs(phases.u(MoebiusMap.identity()) - 1.0) <= 1e-12
+            assert abs(phases[members.index(MoebiusMap.identity())] - 1.0) <= 1e-12
 
     def test_tolerance_maps_are_inverse(self):
         for alpha in (2.0, 4.5):

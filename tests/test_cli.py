@@ -302,8 +302,9 @@ class TestStabilizerCommand:
         monkeypatch.setattr(fuchsian, "stabilizer_of_point", wrong)
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 4.0)
         kernel = bergman.KernelVector(cli.parse_point("i"), bergman.Weight(2.0))
+        orbit = bergman.orbit_system(ball.elements, kernel)
         with pytest.raises(OracleInconsistencyError):
-            bergman.projective_stabilizer_kernel(ball, kernel)
+            bergman.projective_stabilizer_kernel(ball, kernel, orbit)
         code, _, err = run_cli(capsys, "stabilizer", "--z", "i", "--ball", "4")
         assert code == 3
         assert "disagrees" in err
@@ -314,6 +315,30 @@ class TestStabilizerCommand:
         )
         assert code == 0
         assert json_lines(out)[0]["order"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bergman-density", "--alpha", "3", "--z", "0.5+0.8660254037844386i", "--ball", "6"),
+        ("stabilizer", "--z", "0.5+0.8660254037844386i", "--ball", "6"),
+    ],
+)
+def test_one_kernel_orbit_per_command(capsys, monkeypatch, argv):
+    # the ball's orbit is built once; stabiliser, transversal, S-relation
+    # and truncations are gathers from it
+    sizes = []
+    build = bergman.orbit_system
+
+    def counted(maps, kernel):
+        orbit = build(maps, kernel)
+        sizes.append(len(orbit))
+        return orbit
+
+    monkeypatch.setattr(bergman, "orbit_system", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sizes == [len(fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0).elements)]
 
 
 class TestFormalDegreeCommand:

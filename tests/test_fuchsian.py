@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from oracles import restricted
 
@@ -94,6 +95,11 @@ class TestBallEnumerate:
         with pytest.raises(ResourceLimitError):
             fuchsian.ball_enumerate(fuchsian.psl2z(), 10.0, max_elements=20)
 
+    def test_out_of_order_elements_rejected(self):
+        elliptic = MoebiusMap(1.0, -1.0, 1.0, 0.0)
+        with pytest.raises(UsageError, match="sorted"):
+            fuchsian.GroupBall(2.0, (elliptic, MoebiusMap.identity()), closure_certified=False)
+
     def test_restricted_is_prefix_closed(self):
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0)
         sub = restricted(ball, 3.0)
@@ -153,41 +159,55 @@ class TestStabilizer:
         assert len(members) == 2
 
 
+def representatives(ball, cs):
+    return [ball.elements[i] for i in cs.rep_index]
+
+
 class TestCosetSystem:
     def test_trivial_stabilizer(self, ball3):
         cs = fuchsian.coset_representatives(ball3, [MoebiusMap.identity()])
-        assert keyset(cs.representatives) == ball3.key_set()
-        assert all(cs.rep_fully_tiled)
+        assert keyset(representatives(ball3, cs)) == ball3.key_set()
+        assert np.all(cs.tile >= 0)
 
     def test_stabilizer_equals_ball(self):
         # degenerate case: the two-element ball is itself a subgroup
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), SQRT2)
         cs = fuchsian.coset_representatives(ball, list(ball.elements))
-        assert len(cs.representatives) == 1
-        assert cs.representatives[0] == MoebiusMap.identity()
+        assert representatives(ball, cs) == [MoebiusMap.identity()]
 
     def test_halving_at_i(self, ball3):
         stab = fuchsian.stabilizer_of_point(ball3, POINT_I)
         cs = fuchsian.coset_representatives(ball3, stab)
-        assert len(cs.representatives) == len(ball3.elements) // 2
-        assert MoebiusMap.identity().key() in keyset(cs.representatives)
+        assert len(cs.rep_index) == len(ball3.elements) // 2
+        assert MoebiusMap.identity().key() in keyset(representatives(ball3, cs))
 
     def test_tiling_factorisation_exact(self, ball3):
-        stab = fuchsian.stabilizer_of_point(ball3, POINT_I)
-        cs = fuchsian.coset_representatives(ball3, stab)
-        for g in ball3.elements:
-            rep_idx, stab_idx = cs.assignment[g.key()]
-            recomposed = cs.representatives[rep_idx].compose(cs.stabilizer[stab_idx])
-            assert recomposed.key() == g.key()
+        bound_sq = ball3.norm_bound**2 + 1e-9
+        for z in (POINT_I, POINT_RHO):
+            stab = fuchsian.stabilizer_of_point(ball3, z)
+            cs = fuchsian.coset_representatives(ball3, stab)
+            assert cs.tile.shape == (len(cs.rep_index), len(stab))
+            for rep, row in zip(representatives(ball3, cs), cs.tile):
+                for h, j in zip(stab, row):
+                    product = rep.compose(h)
+                    if j >= 0:
+                        assert ball3.elements[j].key() == product.key()
+                    else:
+                        assert product.frobenius_sq > bound_sq
+        # elliptic elements of order 3 are not isometries of the norm, so
+        # some cosets at rho leave the ball
+        assert np.any(cs.tile < 0)
 
     def test_factorisation_unique(self, ball3):
-        stab = fuchsian.stabilizer_of_point(ball3, POINT_I)
-        cs = fuchsian.coset_representatives(ball3, stab)
-        seen = {}
-        for g in ball3.elements:
-            pair = cs.assignment[g.key()]
-            assert pair not in seen
-            seen[pair] = g
+        # every ball index appears in the tiling exactly once
+        for z in (POINT_I, POINT_RHO):
+            cs = fuchsian.coset_representatives(ball3, fuchsian.stabilizer_of_point(ball3, z))
+            assert sorted(cs.tile[cs.tile >= 0]) == list(range(len(ball3.elements)))
+
+    @pytest.mark.parametrize("z", [POINT_I, POINT_RHO, POINT_2I])
+    def test_rep_index_increasing(self, ball6, z):
+        cs = fuchsian.coset_representatives(ball6, fuchsian.stabilizer_of_point(ball6, z))
+        assert np.all(np.diff(cs.rep_index) > 0)
 
     def test_representatives_stable_under_growth(self):
         big = fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0)
@@ -196,9 +216,9 @@ class TestCosetSystem:
         cs_big = fuchsian.coset_representatives(big, stab)
         cs_small = fuchsian.coset_representatives(small, stab)
         reps_big_restricted = {
-            m.key() for m in cs_big.representatives if m.frobenius_sq <= 16.0 + 1e-9
+            m.key() for m in representatives(big, cs_big) if m.frobenius_sq <= 16.0 + 1e-9
         }
-        assert reps_big_restricted == keyset(cs_small.representatives)
+        assert reps_big_restricted == keyset(representatives(small, cs_small))
 
     def test_non_subgroup_rejected(self, ball3):
         with pytest.raises(UsageError):

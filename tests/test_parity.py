@@ -303,9 +303,9 @@ n,subgroup_order,subgroup_gens,window_id,stab_order,lambda_size,is_frame,is_ries
 def test_bergman_arrays_match_per_pair_oracle(z, alpha, order):
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0)
     kernel = KernelVector(z, Weight(alpha))
-    members, _ = bergman.projective_stabilizer_kernel(ball, kernel)
-    assert len(members) == order
     orbit = bergman.orbit_system(ball.elements, kernel)
+    members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
+    assert len(members) == order
     probes = bergman.probe_kernels(kernel, 40)
     reference = KernelOrbit.plain([z], kernel.weight)
     # Gram, probe matrix, probe Gram, overlap row and compressed synthesis
