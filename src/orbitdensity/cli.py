@@ -534,7 +534,6 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
             gen_norm_sq=gen_norm_sq,
             frame_decision=frame_decision,
             riesz_decision=riesz_decision,
-            exact_mode=False,
             a_est=probe_lo,
             b_est=probe_hi,
             riesz_min=riesz_lo,

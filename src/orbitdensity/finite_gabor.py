@@ -8,7 +8,10 @@ identity is checkable exhaustively in exact arithmetic (up to float
 roundoff), which is what :func:`verify_windows` and
 :func:`exhaustive_scan` do. Work is batched per subgroup: one gather
 builds the orbit matrices of all windows, and the stabiliser, coset
-transversal and spectra are computed once per stabiliser class.
+transversal and spectra are computed once per stabiliser class. Each
+check is one boolean or float array over a class's windows, and a window
+leaves :func:`verify_windows` as a scan row or as the violation of its
+first failed check.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
 
 _IDENTITY_RESIDUAL_TOL = 1e-10
 _SANDWICH_TOL = 1e-9
+_STABILIZER_TOL = 1e-9
 
 
 def _is_subgroup(elements, n: int) -> bool:
@@ -125,26 +129,6 @@ def _find_small_generators(elements, n: int):
     raise OracleInconsistencyError("subgroup of Z_n x Z_n needed more than two generators")
 
 
-@dataclass(eq=False)
-class FiniteGaborSystem:
-    """Window plus subgroup of time-frequency shifts of Z_n x Z_n."""
-
-    n: int
-    window: np.ndarray
-    subgroup: SubgroupDescr
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise UsageError(f"modulus must be at least 2, got {self.n}")
-        self.window = np.asarray(self.window, dtype=complex)
-        if self.window.ndim != 1 or self.window.size != self.n:
-            raise DimensionError("window length must equal the modulus")
-        if not float(np.vdot(self.window, self.window).real) > 0.0:
-            raise UsageError("window must be nonzero")
-        if self.subgroup.n != self.n:
-            raise UsageError("subgroup modulus does not match the system")
-
-
 def orbit_system(windows, elements) -> np.ndarray:
     """Orbit matrices of a window or a (W, n) stack of windows: shape
     (..., n, m) with column k equal to pi(a_k, b_k) g.
@@ -161,12 +145,23 @@ def orbit_system(windows, elements) -> np.ndarray:
     return phases * g[..., (j - a) % n]
 
 
-def _stabilizer_overlaps(V, windows, tol: float):
-    """Phases <pi(gamma) g, g> / ||g||^2 and the stabiliser membership mask
-    |<pi(gamma) g, g>| >= (1 - tol) ||g||^2, per window and orbit column."""
+def stabilizer_classes(subgroup: SubgroupDescr, windows, V) -> list:
+    """The windows of a (W, n) stack grouped by projective stabiliser.
+
+    ``V`` is the windows' orbit stack over the subgroup (see
+    :func:`orbit_system`); gamma stabilises g when
+    |<pi(gamma) g, g>| >= (1 - 1e-9) ||g||^2. Returns one pair
+    (stabiliser, increasing window indices) per distinct stabiliser, each
+    asserted to be a subgroup whose order divides the lattice order.
+    """
     nsq = np.einsum("...j,...j->...", windows.conj(), windows).real[..., None]
     overlaps = np.einsum("...j,...jk->...k", windows.conj(), V)
-    return overlaps / nsq, np.abs(overlaps) >= (1.0 - tol) * nsq
+    masks = np.abs(overlaps) >= (1.0 - _STABILIZER_TOL) * nsq
+    classes, class_of = np.unique(masks, axis=0, return_inverse=True)
+    return [
+        (_stabilizer(subgroup, mask), np.flatnonzero(class_of.ravel() == c))
+        for c, mask in enumerate(classes)
+    ]
 
 
 def _stabilizer(subgroup: SubgroupDescr, mask) -> SubgroupDescr:
@@ -183,26 +178,6 @@ def _stabilizer(subgroup: SubgroupDescr, mask) -> SubgroupDescr:
         elements=members,
         order=len(members),
     )
-
-
-def projective_stabilizer_finite(
-    sys: FiniteGaborSystem, tol: float = 1e-9
-) -> tuple[SubgroupDescr, dict]:
-    """Shifts in the subgroup mapping the window to a scalar multiple.
-
-    Returns the stabiliser subgroup and the phase u(gamma) with
-    pi(gamma) g = u(gamma) g. Membership uses the overlap criterion
-    |<pi(gamma) g, g>| >= (1 - tol) ||g||^2, and the result is asserted to
-    be a subgroup whose order divides the lattice order.
-    """
-    V = orbit_system(sys.window, sys.subgroup.elements)
-    phases, mask = _stabilizer_overlaps(V, sys.window, tol)
-    stab = _stabilizer(sys.subgroup, mask)
-    return stab, {
-        gamma: complex(phase)
-        for gamma, phase, kept in zip(sys.subgroup.elements, phases, mask)
-        if kept
-    }
 
 
 def lex_coset_representatives(subgroup: SubgroupDescr, stabilizer: SubgroupDescr):
@@ -230,41 +205,6 @@ def lex_coset_representatives(subgroup: SubgroupDescr, stabilizer: SubgroupDescr
     return lambdas, factorization
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
-    """Outcome of one exact verification case."""
-
-    n: int
-    subgroup: SubgroupDescr
-    stab_order: int
-    lambda_size: int
-    is_frame: bool
-    is_riesz: bool
-    vol_times_d: float
-    bound: float
-    verdict_i: str
-    verdict_ii: str
-    frame_lower: float
-    frame_upper: float
-    s_relation_residual: float
-    parseval_deviation: float
-    biorth_deviation: float | None
-    sandwich_lower_slack: float
-    sandwich_upper_slack: float
-    calibration_deviation: float | None
-
-    @property
-    def max_identity_residual(self) -> float:
-        worst = max(self.s_relation_residual, self.parseval_deviation)
-        if self.biorth_deviation is not None:
-            worst = max(worst, self.biorth_deviation)
-        if self.calibration_deviation is not None:
-            worst = max(worst, self.calibration_deviation)
-        worst = max(worst, -min(self.sandwich_lower_slack, 0.0))
-        worst = max(worst, -min(self.sandwich_upper_slack, 0.0))
-        return worst
-
-
 def verify_windows(
     subgroup: SubgroupDescr, windows, rel_tol: float = linalg.DEFAULT_REL_TOL
 ) -> list:
@@ -273,15 +213,17 @@ def verify_windows(
 
     With counting measure, vol = n^2 / |subgroup| and the formal degree is
     1/n, so a frame forces n * |stabiliser| <= |subgroup| and a Riesz
-    transversal orbit forces the reverse. The frame-operator relation, the
-    canonical-Parseval norm identity, biorthogonality of Riesz duals and
-    the frame-bound sandwich are all asserted; any failure is an
-    implementation bug. Returns, per window and in order, its
-    :class:`TheoremVerdict` or the :class:`TheoremViolationError` with a
-    reproducer that its first failed check raised; the other windows are
-    unaffected. The full orbit's spectra are computed for the whole stack;
-    the stabiliser, coset transversal and transversal spectra once per
-    stabiliser class.
+    transversal orbit forces the reverse. Span equality, the
+    frame-operator relation, the canonical-Parseval norm identity and its
+    calibration, biorthogonality of Riesz duals and the frame-bound
+    sandwich are all asserted, in this order; any failure is an
+    implementation bug. Returns, per window and in order, its scan row (the
+    :data:`SCAN_CSV_COLUMNS` but ``window_id``, plus the component
+    residuals) or the :class:`TheoremViolationError` with a reproducer for
+    its first failed check; the other windows are unaffected. Each check is
+    one array over the windows of a stabiliser class; the full orbit's
+    spectra are computed for the whole stack, the coset transversal and its
+    spectra once per class.
     """
     n = subgroup.n
     g = np.asarray(windows, dtype=complex)
@@ -292,22 +234,13 @@ def verify_windows(
     V_full = orbit_system(g, subgroup.elements)
     G_full = frames.gram(frames.vector_gram(V_full), rel_tol)
     S_full = linalg.psd_eigen(frames.frame_operator(V_full), rel_tol)
-    _, masks = _stabilizer_overlaps(V_full, g, tol=1e-9)
     outcomes = [None] * len(g)
-    classes, class_of = np.unique(masks, axis=0, return_inverse=True)
-    for c, mask in enumerate(classes):
-        members = np.flatnonzero(class_of.ravel() == c)
-        verdicts = _verify_class(
-            subgroup,
-            _stabilizer(subgroup, mask),
-            g[members],
-            V_full[members],
-            G_full[members],
-            S_full[members],
-            rel_tol,
+    for stab, members in stabilizer_classes(subgroup, g, V_full):
+        rows = _verify_class(
+            subgroup, stab, g[members], V_full[members], G_full[members], S_full[members], rel_tol
         )
-        for w, verdict in zip(members, verdicts):
-            outcomes[w] = verdict
+        for w, row in zip(members, rows):
+            outcomes[w] = row
     return outcomes
 
 
@@ -316,8 +249,8 @@ def _verify_class(subgroup, stab, g, V_full, G_full, S_full, rel_tol) -> list:
     transversal orbit is the full orbit's columns at the coset representatives."""
     n, gamma_order = subgroup.n, subgroup.order
     lambdas, factorization = lex_coset_representatives(subgroup, stab)
-    column = {gamma: k for k, gamma in enumerate(subgroup.elements)}
-    V_red = V_full[..., [column[lam] for lam in lambdas]]
+    column_of = {gamma: k for k, gamma in enumerate(subgroup.elements)}
+    V_red = V_full[..., [column_of[lam] for lam in lambdas]]
 
     # with G_full and S_full, the four spectra that every check below reads from
     G_red = frames.gram(frames.vector_gram(V_red), rel_tol)
@@ -325,133 +258,120 @@ def _verify_class(subgroup, stab, g, V_full, G_full, S_full, rel_tol) -> list:
 
     gen_norm_sq = np.einsum("wj,wj->w", g.conj(), g).real
     is_frame = G_full.rank == n
-    lam_lo, lam_hi = G_red.eigenvalues[:, 0], G_red.eigenvalues[:, -1]
-    is_riesz = lam_lo > rel_tol * np.maximum(lam_hi, 0.0)
-    span_equal = frames.check_span_equality(G_full, G_red)
+    is_riesz = G_red.eigenvalues[:, 0] > rel_tol * np.maximum(G_red.eigenvalues[:, -1], 0.0)
     # against the standard basis the compressed synthesis matrix is V itself
     s_residual = frames.s_relation_residual(V_full, V_red, stab.order)
-    R_full = S_full.inverse_sqrt()
     R_red = S_red.inverse_sqrt()
-    parseval = frames.parseval_norm_check(
+    parseval_dev, gen_parseval_sq = frames.parseval_norm_check(
         V_full,
         V_red,
-        R_full,
+        S_full.inverse_sqrt(),
         R_red,
         [lam_idx for lam_idx, _ in factorization],
         stab.order,
         generator=g,
     )
+    vol = (n * n) / gamma_order
+    degree = 1.0 / n
+    vol_times_d = vol * degree
+    # NaN marks a check that does not apply to a window: it fails no
+    # comparison, and np.fmax skips it in max_identity_residual
+    calibration = np.where(is_frame, np.abs(gen_parseval_sq - vol_times_d), np.nan)
     biorth = np.full(len(g), np.nan)
     riesz = np.flatnonzero(is_riesz)
     if riesz.size:
         biorth[riesz] = frames.biorthogonality_check(V_red[riesz], G_red[riesz], R_red[riesz])
+    lower_slack, upper_slack, sandwich_ok = frames.density_sandwich_check(
+        S_full.eigenvalues[:, 0],
+        S_full.eigenvalues[:, -1],
+        vol,
+        degree,
+        gen_norm_sq,
+        tol=_SANDWICH_TOL,
+    )
 
-    vol = (n * n) / gamma_order
-    degree = 1.0 / n
-    vol_times_d = vol * degree
-    verdicts = []
-    for w in range(len(g)):
-
-        def fail(message):
-            raise TheoremViolationError(
-                f"{message} [n={n}, gens={subgroup.gens_text()}, window={g[w].tolist()!r}]"
-            )
-
-        try:
-            # integer-exact density verdicts
-            verdict_i = "na"
-            if is_frame[w]:
-                if n * stab.order > gamma_order:
-                    fail(f"frame with n*|stab| = {n * stab.order} > |Gamma| = {gamma_order}")
-                verdict_i = "pass"
-            verdict_ii = "na"
-            if is_riesz[w]:
-                if n * stab.order < gamma_order:
-                    fail(
-                        f"Riesz transversal with n*|stab| = {n * stab.order} "
-                        f"< |Gamma| = {gamma_order}"
-                    )
-                verdict_ii = "pass"
-            if not span_equal[w]:
-                fail("span of the full orbit differs from span of the transversal orbit")
-            if s_residual[w] > _IDENTITY_RESIDUAL_TOL:
-                fail(f"frame operator relation residual {s_residual[w]:.3e}")
-            norm_sq = float(gen_norm_sq[w])
-            parseval_dev = float(parseval.max_deviation[w])
-            if parseval_dev > _IDENTITY_RESIDUAL_TOL * max(norm_sq, 1.0):
-                fail(f"canonical Parseval norm identity deviation {parseval_dev:.3e}")
-            calibration = None
-            if is_frame[w]:
-                calibration = abs(float(parseval.generator_parseval_norm_sq[w]) - vol_times_d)
-                if calibration > _IDENTITY_RESIDUAL_TOL * max(vol_times_d, 1.0):
-                    fail(f"Parseval calibration ||S^-1/2 g||^2 off by {calibration:.3e}")
-            biorth_dev = None
-            if is_riesz[w]:
-                biorth_dev = float(biorth[w])
-                if biorth_dev > _IDENTITY_RESIDUAL_TOL:
-                    fail(f"biorthogonality deviation {biorth_dev:.3e}")
-            frame_lo = float(S_full.eigenvalues[w, 0])
-            frame_hi = float(S_full.eigenvalues[w, -1])
-            sandwich = frames.density_sandwich_check(
-                frame_lo, frame_hi, vol, degree, norm_sq, tol=_SANDWICH_TOL
-            )
-            if not sandwich.passed:
-                fail(
-                    f"frame-bound sandwich violated: slacks {sandwich.lower_slack:.3e}, "
-                    f"{sandwich.upper_slack:.3e}"
-                )
-            frames.density_verdict(
-                lattice=f"Z{n}xZ{n}:{subgroup.gens_text()}",
-                ball_norm=float("inf"),
-                covolume=vol,
-                formal_degree=degree,
-                stab_order=stab.order,
-                gen_norm_sq=norm_sq,
-                frame_decision=bool(is_frame[w]),
-                riesz_decision=bool(is_riesz[w]),
-                exact_mode=True,
-                a_est=frame_lo,
-                b_est=frame_hi,
-                riesz_min=float(lam_lo[w]),
-                riesz_max=float(lam_hi[w]),
-            )
-        except TheoremViolationError as exc:
-            verdicts.append(exc)
+    tol = _IDENTITY_RESIDUAL_TOL
+    # (failure mask, message template, per-window values), in reporting order
+    checks = (
+        (
+            is_frame & (n * stab.order > gamma_order),
+            f"frame with n*|stab| = {n * stab.order} > |Gamma| = {gamma_order}",
+            (),
+        ),
+        (
+            is_riesz & (n * stab.order < gamma_order),
+            f"Riesz transversal with n*|stab| = {n * stab.order} < |Gamma| = {gamma_order}",
+            (),
+        ),
+        (
+            G_full.rank != G_red.rank,
+            "span of the full orbit differs from span of the transversal orbit",
+            (),
+        ),
+        (s_residual > tol, "frame operator relation residual {:.3e}", (s_residual,)),
+        (
+            parseval_dev > tol * np.maximum(gen_norm_sq, 1.0),
+            "canonical Parseval norm identity deviation {:.3e}",
+            (parseval_dev,),
+        ),
+        (
+            calibration > tol * max(vol_times_d, 1.0),
+            "Parseval calibration ||S^-1/2 g||^2 off by {:.3e}",
+            (calibration,),
+        ),
+        (biorth > tol, "biorthogonality deviation {:.3e}", (biorth,)),
+        (
+            ~sandwich_ok,
+            "frame-bound sandwich violated: slacks {:.3e}, {:.3e}",
+            (lower_slack, upper_slack),
+        ),
+    )
+    failed = np.array([bad for bad, _, _ in checks])
+    table = {
+        "is_frame": is_frame,
+        "is_riesz": is_riesz,
+        "verdict_i": np.where(is_frame, "pass", "na"),
+        "verdict_ii": np.where(is_riesz, "pass", "na"),
+        "max_identity_residual": np.fmax.reduce(
+            [
+                s_residual,
+                parseval_dev,
+                biorth,
+                calibration,
+                np.where(lower_slack < 0.0, -lower_slack, 0.0),
+                np.where(upper_slack < 0.0, -upper_slack, 0.0),
+            ]
+        ),
+        # component residuals, not part of the CSV schema; None where a check does not apply
+        "s_relation_residual": s_residual,
+        "parseval_deviation": parseval_dev,
+        "biorth_deviation": np.where(is_riesz, biorth, None),
+        "sandwich_lower_slack": lower_slack,
+        "sandwich_upper_slack": upper_slack,
+        "calibration_deviation": np.where(is_frame, calibration, None),
+    }
+    fixed = {
+        "n": n,
+        "subgroup_order": gamma_order,
+        "subgroup_gens": subgroup.gens_text(),
+        "stab_order": stab.order,
+        "lambda_size": len(lambdas),
+        "vol_times_d": vol_times_d,
+        "bound": 1.0 / stab.order,
+    }
+    outcomes = []
+    for w, values in enumerate(zip(*(column.tolist() for column in table.values()))):
+        if not failed[:, w].any():
+            outcomes.append({**fixed, **dict(zip(table, values))})
             continue
-        verdicts.append(
-            TheoremVerdict(
-                n=n,
-                subgroup=subgroup,
-                stab_order=stab.order,
-                lambda_size=len(lambdas),
-                is_frame=bool(is_frame[w]),
-                is_riesz=bool(is_riesz[w]),
-                vol_times_d=vol_times_d,
-                bound=1.0 / stab.order,
-                verdict_i=verdict_i,
-                verdict_ii=verdict_ii,
-                frame_lower=frame_lo,
-                frame_upper=frame_hi,
-                s_relation_residual=float(s_residual[w]),
-                parseval_deviation=parseval_dev,
-                biorth_deviation=biorth_dev,
-                sandwich_lower_slack=sandwich.lower_slack,
-                sandwich_upper_slack=sandwich.upper_slack,
-                calibration_deviation=calibration,
+        _, template, args = checks[np.argmax(failed[:, w])]
+        outcomes.append(
+            TheoremViolationError(
+                f"{template.format(*(a[w] for a in args))} "
+                f"[n={n}, gens={subgroup.gens_text()}, window={g[w].tolist()!r}]"
             )
         )
-    return verdicts
-
-
-def verify_density_theorem(
-    sys: FiniteGaborSystem, rel_tol: float = linalg.DEFAULT_REL_TOL
-) -> TheoremVerdict:
-    """:func:`verify_windows` for one system; a failed check raises its
-    :class:`TheoremViolationError`."""
-    outcome = verify_windows(sys.subgroup, sys.window[None, :], rel_tol)[0]
-    if isinstance(outcome, TheoremViolationError):
-        raise outcome
-    return outcome
+    return outcomes
 
 
 def structured_windows(n: int):
@@ -541,42 +461,19 @@ def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> Sc
     for n in range(2, n_max + 1):
         for si, sub in enumerate(subgroup_enumerate(n)):
             window_ids, windows = scan_windows(n, si, windows_per_case, seed)
-            for window_id, verdict in zip(window_ids, verify_windows(sub, windows)):
-                if isinstance(verdict, TheoremViolationError):
+            for window_id, outcome in zip(window_ids, verify_windows(sub, windows)):
+                if isinstance(outcome, TheoremViolationError):
                     violations.append(
                         {
                             "n": n,
                             "subgroup_gens": sub.gens_text(),
                             "window_id": window_id,
                             "seed": seed,
-                            "message": str(verdict),
+                            "message": str(outcome),
                         }
                     )
-                    continue
-                rows.append(
-                    {
-                        "n": n,
-                        "subgroup_order": sub.order,
-                        "subgroup_gens": sub.gens_text(),
-                        "window_id": window_id,
-                        "stab_order": verdict.stab_order,
-                        "lambda_size": verdict.lambda_size,
-                        "is_frame": verdict.is_frame,
-                        "is_riesz": verdict.is_riesz,
-                        "vol_times_d": verdict.vol_times_d,
-                        "bound": verdict.bound,
-                        "verdict_i": verdict.verdict_i,
-                        "verdict_ii": verdict.verdict_ii,
-                        "max_identity_residual": verdict.max_identity_residual,
-                        # component residuals, not part of the CSV schema
-                        "s_relation_residual": verdict.s_relation_residual,
-                        "parseval_deviation": verdict.parseval_deviation,
-                        "biorth_deviation": verdict.biorth_deviation,
-                        "sandwich_lower_slack": verdict.sandwich_lower_slack,
-                        "sandwich_upper_slack": verdict.sandwich_upper_slack,
-                        "calibration_deviation": verdict.calibration_deviation,
-                    }
-                )
+                else:
+                    rows.append(dict(outcome, window_id=window_id))
     return ScanReport(
         n_max=n_max,
         windows_per_case=windows_per_case,

@@ -109,10 +109,6 @@ class UpperHalfPoint:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0.0):
             raise UsageError(f"point ({self.x}, {self.y}) is not in the open upper half-plane")
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "UpperHalfPoint":
-        return cls(z.real, z.imag)
-
     @property
     def as_complex(self) -> complex:
         return complex(self.x, self.y)

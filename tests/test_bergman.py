@@ -47,7 +47,8 @@ def inner(z: UpperHalfPoint, u: UpperHalfPoint, w: Weight) -> complex:
 def moved(m: MoebiusMap, k: KernelVector) -> tuple[UpperHalfPoint, complex]:
     """Point and coefficient of pi(m) k from the array builder."""
     t = orbit_system([m], k)
-    return UpperHalfPoint.from_complex(complex(t.z[0])), complex(t.c[0])
+    z = complex(t.z[0])
+    return UpperHalfPoint(z.real, z.imag), complex(t.c[0])
 
 
 class TestKernel:
@@ -249,7 +250,7 @@ class TestOrbitInner:
         t = orbit_system([MoebiusMap(1.0, 0.5, 0.0, 1.0)], KernelVector(POINT_I, w))
         value = complex(kernel_gram(t, t)[0, 0])
         expected = abs(t.c[0]) ** 2 * kernel_norm_sq(
-            KernelVector(UpperHalfPoint.from_complex(complex(t.z[0])), w)
+            KernelVector(UpperHalfPoint(t.z[0].real, t.z[0].imag), w)
         )
         assert value.real > 0.0
         assert abs(value.imag) <= 1e-15 * value.real
@@ -369,7 +370,7 @@ class TestProbeKernels:
         assert probes.alpha == 2.0
         assert np.all(probes.c == 1.0 + 0.0j)
         for z in probes.z:
-            assert distance(UpperHalfPoint.from_complex(complex(z)), k.z) <= 1.5 + 1e-9
+            assert distance(UpperHalfPoint(z.real, z.imag), k.z) <= 1.5 + 1e-9
 
     def test_deterministic(self):
         k = KernelVector(POINT_I, Weight(2.0))

@@ -16,7 +16,6 @@ from orbitdensity.errors import (
     NotRieszError,
     OracleInconsistencyError,
     ResourceLimitError,
-    TheoremViolationError,
     UsageError,
 )
 from orbitdensity.hyperbolic import MoebiusMap
@@ -26,6 +25,24 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_with_blas_threads(threads: str, *argv):
+    """The CLI in a fresh interpreter whose BLAS uses this many threads."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=threads,
+        OMP_NUM_THREADS=threads,
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "orbitdensity.cli", *argv],
+        env=env,
+        capture_output=True,
+        check=True,
+        timeout=120,
+    )
 
 
 def json_lines(out):
@@ -174,24 +191,14 @@ class TestDeterminism:
 
 
     def test_formal_degree_independent_of_blas_threads(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(
-                os.environ,
-                OPENBLAS_NUM_THREADS=threads,
-                OMP_NUM_THREADS=threads,
-                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-            )
-            result = subprocess.run(
-                [sys.executable, "-m", "orbitdensity.cli", "formal-degree", "--alpha", "2"],
-                env=env,
-                capture_output=True,
-                check=True,
-                timeout=120,
-            )
-            outputs.append(result.stdout)
-        assert outputs[0] == outputs[1]
+        outputs = [run_cli_with_blas_threads(t, "formal-degree", "--alpha", "2") for t in "12"]
+        assert outputs[0].stdout == outputs[1].stdout
+
+    def test_finite_scan_independent_of_blas_threads(self):
+        argv = ("finite-scan", "--n-max", "5", "--windows", "3", "--seed", "2", "--format", "csv")
+        outputs = [run_cli_with_blas_threads(t, *argv) for t in "12"]
+        assert outputs[0].stdout == outputs[1].stdout
+        assert outputs[0].stderr == outputs[1].stderr
 
 
 class TestFormatParity:
@@ -238,27 +245,29 @@ class TestFormatParity:
         assert f"{value:.17g}" == row["formal_degree"]
 
     def test_scan_violation_keeps_csv_a_single_table(self, capsys, monkeypatch):
-        # the exact-mode density verdict is the last check, made once per case
-        original = frames.density_verdict
+        argv = ("finite-scan", "--n-max", "2", "--windows", "1", "--seed", "0", "--format", "csv")
+        _, clean, _ = run_cli(capsys, *argv)
+        # the Parseval check runs once per stabiliser class: fail the first window of the third
+        original = frames.parseval_norm_check
         calls = []
 
-        def inject(**kwargs):
-            calls.append(kwargs)
+        def inject(*args, **kwargs):
+            max_dev, gen_psq = original(*args, **kwargs)
+            calls.append(len(max_dev))
             if len(calls) == 3:
-                raise TheoremViolationError("injected violation")
-            return original(**kwargs)
+                max_dev = max_dev.copy()
+                max_dev[0] = 1.0
+            return max_dev, gen_psq
 
-        monkeypatch.setattr(frames, "density_verdict", inject)
-        code, out, err = run_cli(
-            capsys, "finite-scan", "--n-max", "2", "--windows", "1", "--seed", "0",
-            "--format", "csv",
-        )
+        monkeypatch.setattr(frames, "parseval_norm_check", inject)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == list(finite_gabor.SCAN_CSV_COLUMNS)
         assert all(len(row) == len(rows[0]) for row in rows)
-        assert len(rows) == 1 + len(calls) - 1  # header plus every case but the injected one
-        assert "injected violation" in err
+        assert len(rows) == 1 + sum(calls) - 1  # header plus every case but the injected one
+        assert len(rows) == len(clean.splitlines()) - 1
+        assert "canonical Parseval norm identity deviation 1.000e+00" in err
         assert "# violations = 1" in err
 
 

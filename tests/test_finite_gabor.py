@@ -10,7 +10,12 @@ from oracles import pi_shift_matrix
 
 from orbitdensity import cli, frames
 from orbitdensity import finite_gabor as fg
-from orbitdensity.errors import ResourceLimitError, UsageError
+from orbitdensity.errors import (
+    DimensionError,
+    ResourceLimitError,
+    TheoremViolationError,
+    UsageError,
+)
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 
@@ -155,31 +160,50 @@ class TestSubgroupEnumeration:
             fg.SubgroupDescr(n=4, generators=((1, 0),), elements=((0, 0), (1, 0)), order=2)
 
 
+def stabilizers(sub, windows):
+    """The (stabiliser, window indices) classes of a window stack, as the scan forms them."""
+    windows = np.asarray(windows, dtype=complex)
+    return fg.stabilizer_classes(sub, windows, fg.orbit_system(windows, sub.elements))
+
+
 class TestProjectiveStabilizer:
     def test_basis_window_full_group(self):
         full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        sys = fg.FiniteGaborSystem(n=2, window=E1, subgroup=full)
-        stab, phases = fg.projective_stabilizer_finite(sys)
+        ((stab, members),) = stabilizers(full, [E1])
         assert stab.elements == ((0, 0), (0, 1))
-        assert abs(phases[(0, 0)] - 1.0) <= 1e-15
-        assert abs(phases[(0, 1)] - 1.0) <= 1e-15
+        assert list(members) == [0]
+        # both members fix e1 with phase 1
+        for a, b in stab.elements:
+            assert np.array_equal(oracles.pi_shift(a, b, E1), E1)
 
     def test_generic_window_trivial(self):
         rng = np.random.default_rng(55)
         for n in (2, 3, 4):
             full = max(fg.subgroup_enumerate(n), key=lambda s: s.order)
             g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            sys = fg.FiniteGaborSystem(n=n, window=g, subgroup=full)
-            stab, _ = fg.projective_stabilizer_finite(sys)
+            ((stab, _),) = stabilizers(full, [g])
             assert stab.order == 1
 
     def test_flat_window_translation_invariant(self):
         full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         g = np.ones(2, dtype=complex) / np.sqrt(2.0)
-        sys = fg.FiniteGaborSystem(n=2, window=g, subgroup=full)
-        stab, _ = fg.projective_stabilizer_finite(sys)
+        ((stab, _),) = stabilizers(full, [g])
         assert (1, 0) in stab.elements
         assert stab.order >= 2
+
+    def test_windows_grouped_by_stabilizer(self):
+        full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        flat = np.ones(2, dtype=complex)
+        generic = np.array([1.0, 0.3 + 0.4j])
+        classes = stabilizers(full, [E1, generic, flat, 2.0 * E1])
+        by_window = {int(w): stab.elements for stab, members in classes for w in members}
+        assert by_window == {
+            0: ((0, 0), (0, 1)),
+            1: ((0, 0),),
+            2: ((0, 0), (1, 0)),
+            3: ((0, 0), (0, 1)),
+        }
+        assert len(classes) == 3
 
 
 class TestCosetTransversal:
@@ -194,41 +218,49 @@ class TestCosetTransversal:
             assert ((lam[0] + gp[0]) % 2, (lam[1] + gp[1]) % 2) == gamma
 
 
+def verify_one(sub, window):
+    """The scan row of one window, or the violation it raises."""
+    (outcome,) = fg.verify_windows(sub, np.asarray(window, dtype=complex)[None, :])
+    if isinstance(outcome, TheoremViolationError):
+        raise outcome
+    return outcome
+
+
 class TestVerifyDensityTheorem:
     def test_full_group_basis_window(self):
         full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        sys = fg.FiniteGaborSystem(n=2, window=E1, subgroup=full)
-        v = fg.verify_density_theorem(sys)
-        assert v.is_frame and v.is_riesz
-        assert v.stab_order == 2 and v.lambda_size == 2
-        assert v.verdict_i == "pass" and v.verdict_ii == "pass"
-        assert v.vol_times_d == pytest.approx(0.5)
-        assert v.max_identity_residual <= 1e-12
+        v = verify_one(full, E1)
+        assert v["is_frame"] and v["is_riesz"]
+        assert v["stab_order"] == 2 and v["lambda_size"] == 2
+        assert v["verdict_i"] == "pass" and v["verdict_ii"] == "pass"
+        assert v["vol_times_d"] == pytest.approx(0.5)
+        assert v["max_identity_residual"] <= 1e-12
 
     def test_modulation_subgroup_basis_window(self):
         sub = subgroup_by_elements(2, [(0, 0), (0, 1)])
-        sys = fg.FiniteGaborSystem(n=2, window=E1, subgroup=sub)
-        v = fg.verify_density_theorem(sys)
-        assert not v.is_frame
-        assert v.is_riesz
-        assert v.lambda_size == 1
-        assert v.verdict_i == "na" and v.verdict_ii == "pass"
-        assert v.vol_times_d == pytest.approx(1.0)
+        v = verify_one(sub, E1)
+        assert not v["is_frame"]
+        assert v["is_riesz"]
+        assert v["lambda_size"] == 1
+        assert v["verdict_i"] == "na" and v["verdict_ii"] == "pass"
+        assert v["vol_times_d"] == pytest.approx(1.0)
+        assert v["calibration_deviation"] is None
 
     def test_full_group_random_window(self):
         rng = np.random.default_rng(56)
         full = max(fg.subgroup_enumerate(3), key=lambda s: s.order)
         g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        sys = fg.FiniteGaborSystem(n=3, window=g, subgroup=full)
-        v = fg.verify_density_theorem(sys)
-        assert v.is_frame
-        assert v.stab_order == 1
-        assert v.verdict_i == "pass"
+        v = verify_one(full, g)
+        assert v["is_frame"]
+        assert v["stab_order"] == 1
+        assert v["verdict_i"] == "pass"
 
     def test_window_validation(self):
         sub = subgroup_by_elements(2, [(0, 0), (0, 1)])
         with pytest.raises(UsageError):
-            fg.FiniteGaborSystem(n=2, window=np.zeros(2), subgroup=sub)
+            fg.verify_windows(sub, np.zeros((1, 2)))
+        with pytest.raises(DimensionError):
+            fg.verify_windows(sub, np.ones(2))
 
 
 def scan_csv(n_max, **kwargs) -> str:
@@ -257,11 +289,7 @@ class TestBatchedScan:
         for n in range(2, 6):
             for si, sub in enumerate(fg.subgroup_enumerate(n)):
                 _, windows = fg.scan_windows(n, si, 4, 7)
-                stabilizers = {
-                    fg.projective_stabilizer_finite(fg.FiniteGaborSystem(n, g, sub))[0].elements
-                    for g in windows
-                }
-                batches += len(stabilizers)
+                batches += len(stabilizers(sub, windows))
         # a per-case design makes four eigensolves per case
         assert 4 * batches < report.total_cases
         assert len(calls) <= 4 * batches
@@ -271,10 +299,10 @@ class TestBatchedScan:
         for si, sub in enumerate(fg.subgroup_enumerate(n)):
             _, windows = fg.scan_windows(n, si, 3, 9)
             for window, batched in zip(windows, fg.verify_windows(sub, windows)):
-                single = fg.verify_density_theorem(fg.FiniteGaborSystem(n, window, sub))
+                single = verify_one(sub, window)
                 for name in ("stab_order", "lambda_size", "is_frame", "is_riesz", "verdict_i"):
-                    assert getattr(single, name) == getattr(batched, name)
-                assert abs(single.max_identity_residual - batched.max_identity_residual) <= 1e-12
+                    assert single[name] == batched[name]
+                assert abs(single["max_identity_residual"] - batched["max_identity_residual"]) <= 1e-12
 
     def test_violation_isolated_to_its_window(self, monkeypatch):
         n, seed = 3, 5
@@ -287,11 +315,9 @@ class TestBatchedScan:
         original = frames.parseval_norm_check
 
         def corrupt(*args, generator, **kwargs):
-            check = original(*args, generator=generator, **kwargs)
+            max_dev, gen_psq = original(*args, generator=generator, **kwargs)
             hit = [np.array_equal(g, target) for g in generator]
-            return frames.ParsevalCheck(
-                np.where(hit, 1.0, check.max_deviation), check.generator_parseval_norm_sq
-            )
+            return np.where(hit, 1.0, max_dev), gen_psq
 
         monkeypatch.setattr(frames, "parseval_norm_check", corrupt)
         report = fg.exhaustive_scan(n, windows_per_case=3, seed=seed)
@@ -307,6 +333,38 @@ class TestBatchedScan:
         message = violation["message"]
         assert message.startswith("canonical Parseval norm identity deviation 1.000e+00")
         assert message.endswith(f"[n={n}, gens={sub.gens_text()}, window={target.tolist()!r}]")
+
+
+    def test_first_failed_check_is_reported(self, monkeypatch):
+        # the S-relation is checked before the Parseval identity
+        n, seed = 3, 5
+        subgroups = fg.subgroup_enumerate(n)
+        sub = subgroups[-1]
+        _, windows = fg.scan_windows(n, len(subgroups) - 1, 3, seed)
+        target = windows[-1]
+        s_relation, parseval = frames.s_relation_residual, frames.parseval_norm_check
+
+        def hit(V_full):
+            # column 0 of an orbit matrix is its window
+            return [np.array_equal(V[:, 0], target) for V in V_full]
+
+        def bad_s_relation(V_full, V_red, stab_order):
+            return np.where(hit(V_full), 2.0, s_relation(V_full, V_red, stab_order))
+
+        def bad_parseval(V_full, *args, **kwargs):
+            max_dev, gen_psq = parseval(V_full, *args, **kwargs)
+            return np.where(hit(V_full), 1.0, max_dev), gen_psq
+
+        monkeypatch.setattr(frames, "s_relation_residual", bad_s_relation)
+        monkeypatch.setattr(frames, "parseval_norm_check", bad_parseval)
+        *others, outcome = fg.verify_windows(sub, windows)
+        assert not any(isinstance(o, TheoremViolationError) for o in others)
+        assert isinstance(outcome, TheoremViolationError)
+        assert str(outcome).startswith(f"frame operator relation residual 2.000e+00 [n={n},")
+        # with the S-relation intact, the same window fails on the Parseval identity
+        monkeypatch.setattr(frames, "s_relation_residual", s_relation)
+        outcome = fg.verify_windows(sub, windows)[-1]
+        assert str(outcome).startswith("canonical Parseval norm identity deviation 1.000e+00 [")
 
 
 class TestScan:
