@@ -25,7 +25,8 @@ import numpy as np
 
 from . import fuchsian
 from .errors import AccuracyError, OracleInconsistencyError, ResourceLimitError, UsageError
-from .hyperbolic import MoebiusMap, QuadratureGrid, UpperHalfPoint, integrate_invariant
+from .hyperbolic import QuadratureGrid, UpperHalfPoint, canonical, compose, image, inverse
+from .hyperbolic import integrate_invariant
 
 _BASE_POINT = UpperHalfPoint(0.0, 1.0)
 
@@ -109,37 +110,42 @@ def kernel_norm_sq(k: KernelVector) -> float:
     return float(kernel_gram(single, single)[0, 0].real)
 
 
-def sigma_cocycle(x: MoebiusMap, y: MoebiusMap, weight: Weight) -> complex:
-    """Unimodular cocycle of the weighted slash action, by branch tracking.
+def sigma_cocycle(x, y, weight: Weight) -> np.ndarray:
+    """Unimodular cocycle of the weighted slash action, by branch tracking,
+    for matrix rows x and y broadcast against each other.
 
     Computed as j(x^-1, p)^a j(y^-1, x^-1 p)^a / j((xy)^-1, p)^a at the
-    reference point p = i; the value is independent of p.
+    reference point p = i; the value is independent of p. The complex
+    arithmetic is scalar, one row at a time.
     """
     alpha = weight.alpha
-    x_inv = x.inverse()
-    y_inv = y.inverse()
-    xy_inv = x.compose(y).inverse()
-    p1 = x_inv.act(_BASE_POINT)
-    num = (x_inv.j_factor(_BASE_POINT) ** alpha) * (y_inv.j_factor(p1) ** alpha)
-    return num / (xy_inv.j_factor(_BASE_POINT) ** alpha)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    p = _BASE_POINT.as_complex
+    values = []
+    for (a, b, c, d), (_, _, yc, yd), (_, _, xyc, xyd) in zip(
+        *(m.reshape(-1, 4).tolist() for m in (inverse(x), inverse(y), inverse(compose(x, y))))
+    ):
+        p1 = image(a, b, c, d, p)
+        num = ((1.0 / (c * p + d)) ** alpha) * ((1.0 / (yc * p1 + yd)) ** alpha)
+        values.append(num / ((1.0 / (xyc * p + xyd)) ** alpha))
+    return np.array(values, dtype=complex).reshape(x.shape[:-1])
 
 
 def orbit_system(maps, kernel: KernelVector) -> KernelOrbit:
-    """Orbit pi(m) k of a kernel under a list of group elements.
+    """Orbit pi(m) k of a kernel under group elements given as matrix rows.
 
     Each pi(m) k is a unimodular-times-positive scalar times the kernel at
     the moved point: c = sigma(m, m^-1) conj(j(m, z)^alpha) at m.z.
     """
     alpha = kernel.weight.alpha
-    z = kernel.z
-    points = [m.act(z).as_complex for m in maps]
-    coeffs = [
-        sigma_cocycle(m, m.inverse(), kernel.weight) * (m.j_factor(z) ** alpha).conjugate()
-        for m in maps
-    ]
-    return KernelOrbit(
-        z=np.array(points, dtype=complex), c=np.array(coeffs, dtype=complex), alpha=alpha
-    )
+    z = kernel.z.as_complex
+    maps = np.asarray(maps, dtype=float).reshape(-1, 4)
+    sigma = sigma_cocycle(maps, inverse(maps), kernel.weight).tolist()
+    points, coeffs = [], []
+    for (a, b, c, d), s in zip(maps.tolist(), sigma):
+        points.append(image(a, b, c, d, z))
+        coeffs.append(s * ((1.0 / (c * z + d)) ** alpha).conjugate())
+    return KernelOrbit(z=np.array(points, dtype=complex), c=np.array(coeffs, dtype=complex), alpha=alpha)
 
 
 def default_formal_degree_grid(
@@ -236,14 +242,14 @@ def point_tol_for_kernel_tol(tol: float, alpha: float) -> float:
 
 def projective_stabilizer_kernel(
     ball: fuchsian.GroupBall, k: KernelVector, orbit: KernelOrbit, tol: float = 1e-9
-) -> tuple[list[MoebiusMap], np.ndarray]:
-    """Ball elements whose action fixes the kernel up to a scalar, in ball
-    order, and those scalars u(g) with pi(g) k = u(g) k.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ball indices, increasing, of the elements whose action fixes the
+    kernel up to a scalar, and those scalars u(g) with pi(g) k = u(g) k.
 
     ``orbit`` is ``orbit_system(ball.elements, k)``. Selection is by overlap
-    |<pi(g) k, k>| >= (1 - tol) ||k||^2 and must agree exactly, as a set,
-    with the point stabiliser of the kernel's centre at the matching
-    distance tolerance.
+    |<pi(g) k, k>| >= (1 - tol) ||k||^2 and must agree exactly with the
+    point stabiliser of the kernel's centre at the matching distance
+    tolerance.
     """
     if not (0.0 < tol < 1.0):
         raise UsageError(f"tol must lie in (0, 1), got {tol}")
@@ -251,16 +257,15 @@ def projective_stabilizer_kernel(
         raise UsageError(f"orbit has {len(orbit)} vectors for {len(ball.elements)} ball elements")
     reference = KernelOrbit.plain([k.z], k.weight)
     overlaps = kernel_gram(orbit, reference)[:, 0] / kernel_norm_sq(k)
-    hits = np.flatnonzero(np.abs(overlaps) >= 1.0 - tol)
-    members = [ball.elements[i] for i in hits]
+    members = np.flatnonzero(np.abs(overlaps) >= 1.0 - tol)
     point_tol = min(point_tol_for_kernel_tol(tol, k.weight.alpha), 1e-4)
     point_members = fuchsian.stabilizer_of_point(ball, k.z, tol=point_tol)
-    if {g.key() for g in members} != {g.key() for g in point_members}:
+    if not np.array_equal(members, point_members):
         raise OracleInconsistencyError(
             "kernel stabiliser disagrees with the point stabiliser "
             f"({len(members)} vs {len(point_members)} elements)"
         )
-    return members, overlaps[hits]
+    return members, overlaps[members]
 
 
 def probe_kernels(kernel: KernelVector, count: int, max_radius: float = 2.0) -> KernelOrbit:
@@ -270,11 +275,13 @@ def probe_kernels(kernel: KernelVector, count: int, max_radius: float = 2.0) -> 
         raise UsageError(f"need at least one probe, got {count}")
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     center = kernel.z
-    mover = MoebiusMap(math.sqrt(center.y), center.x / math.sqrt(center.y), 0.0, 1.0 / math.sqrt(center.y))
+    root_y = math.sqrt(center.y)
+    mover = canonical([root_y, center.x / root_y, 0.0, 1.0 / root_y])
+    thetas = [(p / golden) % 1.0 * math.pi for p in range(count)]
+    rotations = canonical([(math.cos(t), math.sin(t), -math.sin(t), math.cos(t)) for t in thetas])
     points = []
-    for p in range(count):
+    for p, (a, b, c, d) in enumerate(compose(mover, rotations).tolist()):
         rho = max_radius * math.sqrt((p + 0.5) / count)
-        theta = (p / golden) % 1.0 * math.pi
-        rot = MoebiusMap(math.cos(theta), math.sin(theta), -math.sin(theta), math.cos(theta))
-        points.append(mover.compose(rot).act(UpperHalfPoint(0.0, math.exp(rho))))
-    return KernelOrbit.plain(points, kernel.weight)
+        points.append(image(a, b, c, d, complex(0.0, math.exp(rho))))
+    z = np.array(points, dtype=complex)
+    return KernelOrbit(z=z, c=np.ones_like(z), alpha=kernel.weight.alpha)

@@ -37,7 +37,7 @@ from .errors import (
     TheoremViolationError,
     UsageError,
 )
-from .hyperbolic import MoebiusMap, UpperHalfPoint
+from .hyperbolic import MoebiusMap, UpperHalfPoint, frobenius_sq
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -308,6 +308,14 @@ def cmd_finite_scan(settings: Settings, emitter: Emitter) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
+def _grid_setting(settings: Settings, weight: bergman.Weight, base: UpperHalfPoint):
+    """The formal-degree grid that ``--grid NXxNT`` names, or None for the default."""
+    grid_text = settings.get("grid", None)
+    if grid_text is None:
+        return None
+    return bergman.default_formal_degree_grid(weight, base, *parse_grid(grid_text))
+
+
 def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
     alpha = settings.get("alpha", None, float)
     if alpha is None:
@@ -318,11 +326,7 @@ def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
     haar_scale = _positive(settings.get("haar_scale", 1.0, float), "haar_scale")
     base = parse_point(settings.get("z", "i"))
     rel_tol = settings.get("rel_tol", None, float)
-    grid_text = settings.get("grid", None)
-    grid = None
-    if grid_text is not None:
-        nx, nt = parse_grid(grid_text)
-        grid = bergman.default_formal_degree_grid(weight, base, nx=nx, nt=nt)
+    grid = _grid_setting(settings, weight, base)
     degree, diag = bergman.formal_degree(
         weight, grid, base=base, haar_scale=haar_scale, rel_tol=rel_tol, full_output=True
     )
@@ -348,11 +352,8 @@ def cmd_ball(settings: Settings, emitter: Emitter) -> int:
     name = settings.get("lattice", "psl2z")
     spec = lattice_from_config(name, settings.config)
     ball = fuchsian.ball_enumerate(spec, norm)
-    for elt in ball.elements:
-        emitter.record(
-            "element",
-            {"a": elt.a, "b": elt.b, "c": elt.c, "d": elt.d, "frobenius_norm": elt.frobenius_norm},
-        )
+    for (a, b, c, d), norm_sq in zip(ball.elements.tolist(), frobenius_sq(ball.elements).tolist()):
+        emitter.record("element", {"a": a, "b": b, "c": c, "d": d, "frobenius_norm": math.sqrt(norm_sq)})
     emitter.summary(
         {
             "lattice": spec.name,
@@ -395,7 +396,8 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
             "order": len(members),
             "order_kernel": len(members),
             "members": " ".join(
-                f"({m.a:.12g},{m.b:.12g};{m.c:.12g},{m.d:.12g})" for m in members
+                f"({a:.12g},{b:.12g};{c:.12g},{d:.12g})"
+                for a, b, c, d in ball.elements[members].tolist()
             ),
             "max_phase_modulus_error": float(np.max(np.abs(np.abs(phases) - 1.0))),
         },
@@ -407,9 +409,9 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
 def _prefix_length(ball: fuchsian.GroupBall, bound_sq: float) -> int:
     """Number of leading ball elements inside the truncation; the ball order
     must be such that exactly these satisfy it."""
-    inside = [m.frobenius_sq <= bound_sq for m in ball.elements]
-    count = sum(inside)
-    if not all(inside[:count]):
+    inside = frobenius_sq(ball.elements) <= bound_sq
+    count = int(np.count_nonzero(inside))
+    if not inside[:count].all():
         raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
     return count
 
@@ -445,12 +447,9 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
 
     weight = bergman.Weight(alpha)
     kernel = bergman.KernelVector(z, weight)
+    # a grid over the node cap is refused before any quadrature runs
+    grid = _grid_setting(settings, weight, z)
     covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)
-    grid_text = settings.get("grid", None)
-    grid = None
-    if grid_text is not None:
-        nx, nt = parse_grid(grid_text)
-        grid = bergman.default_formal_degree_grid(weight, z, nx=nx, nt=nt)
     degree, degree_diag = bergman.formal_degree(
         weight, grid, base=z, haar_scale=haar_scale, rel_tol=None, full_output=True
     )

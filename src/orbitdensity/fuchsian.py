@@ -1,6 +1,8 @@
 """Discrete subgroups of PSL(2, R): Frobenius-norm ball enumeration, point
 stabilisers, coset transversals, and the modular-group covolume.
 
+A ball is an ``(N, 4)`` array of canonical matrix rows (a, b, c, d) in norm
+order; stabilisers and coset transversals are index arrays into it.
 Balls of the modular group are certified against an exhaustive integer
 oracle; balls of other groups are sweep-to-fixpoint heuristics and are
 flagged as such.
@@ -10,18 +12,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .hyperbolic import MoebiusMap, QuadratureGrid, UpperHalfPoint, distance, integrate_invariant
+from .hyperbolic import MoebiusMap, QuadratureGrid, UpperHalfPoint, integrate_invariant
+from .hyperbolic import compose, frobenius_sq, inverse, round9, row_keys
 
 # identity has Frobenius norm sqrt(2); smaller balls would be empty
 MIN_NORM_BOUND = math.sqrt(2.0)
 
 _NORM_EPS = 1e-9
 DEFAULT_POINT_TOL = 1e-8
+IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -54,15 +58,17 @@ def psl2z() -> LatticeSpec:
     )
 
 
-def norm_order(m: MoebiusMap) -> tuple:
-    """Sort key of ball elements: Frobenius norm, ties broken on the entries."""
-    return (round(m.frobenius_sq, 9), m.key())
+def _norm_sorted(elements: np.ndarray) -> np.ndarray:
+    """Positions of the rows in norm order: Frobenius norm rounded to 9
+    digits, ties broken on the rounded entries."""
+    k = np.array(round9(elements)).reshape(-1, 4)
+    return np.lexsort((k[:, 3], k[:, 2], k[:, 1], k[:, 0], round9(frobenius_sq(elements))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupBall:
     """Deduplicated group elements with Frobenius norm at most ``norm_bound``,
-    strictly increasing in :func:`norm_order`.
+    as an ``(N, 4)`` array of rows strictly increasing in norm order.
 
     Every other list of group elements (stabilisers, coset transversals,
     truncations) is a selection from this order, so a truncation to a
@@ -70,21 +76,31 @@ class GroupBall:
     """
 
     norm_bound: float
-    elements: tuple[MoebiusMap, ...]
+    elements: np.ndarray
     closure_certified: bool
+    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        keys = {m.key() for m in self.elements}
-        if len(keys) != len(self.elements):
+        elements = np.asarray(self.elements, dtype=float).reshape(-1, 4)
+        keys = row_keys(elements)
+        index = {key: i for i, key in enumerate(keys)}
+        if len(index) != len(keys):
             raise UsageError("ball contains duplicate canonical representatives")
-        if MoebiusMap.identity().key() not in keys:
+        if IDENTITY not in index:
             raise UsageError("ball does not contain the identity")
-        order = [norm_order(m) for m in self.elements]
-        if any(a >= b for a, b in zip(order, order[1:])):
+        if not np.array_equal(_norm_sorted(elements), np.arange(len(keys))):
             raise UsageError("ball elements must be sorted by norm, ties by entries")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_index", index)
 
     def key_set(self) -> set:
-        return {m.key() for m in self.elements}
+        return set(self._index)
+
+    def index_of(self, rows) -> np.ndarray:
+        """Ball index of each canonical matrix row (..., 4) by its rounded
+        entries, or -1 where the ball does not hold it."""
+        found = [self._index.get(key, -1) for key in row_keys(rows)]
+        return np.array(found, dtype=int).reshape(np.shape(rows)[:-1])
 
 
 def brute_force_integer_ball(norm_bound: float) -> GroupBall:
@@ -98,31 +114,23 @@ def brute_force_integer_ball(norm_bound: float) -> GroupBall:
     if norm_bound > 30.0:
         raise ResourceLimitError(f"integer oracle capped at norm_bound 30, got {norm_bound}")
     m = int(math.floor(norm_bound + 1e-12))
-    bound_sq = norm_bound * norm_bound + _NORM_EPS
-    found: dict[tuple, MoebiusMap] = {}
-
-    def consider(a: int, b: int, c: int, d: int):
-        if a * d - b * c != 1:
-            return
-        if a * a + b * b + c * c + d * d > bound_sq:
-            return
-        elt = MoebiusMap(float(a), float(b), float(c), float(d))
-        found.setdefault(elt.key(), elt)
-
-    for a in range(-m, m + 1):
-        for b in range(-m, m + 1):
-            for c in range(-m, m + 1):
-                if a != 0:
-                    num = 1 + b * c
-                    if num % a == 0:
-                        d = num // a
-                        if -m <= d <= m:
-                            consider(a, b, c, d)
-                else:
-                    if b * c == -1:
-                        for d in range(-m, m + 1):
-                            consider(a, b, c, d)
-    return GroupBall(norm_bound, tuple(sorted(found.values(), key=norm_order)), closure_certified=True)
+    r = np.arange(-m, m + 1)
+    a, b, c = (v.ravel() for v in np.meshgrid(r, r, r, indexing="ij"))
+    # a != 0 fixes d = (1 + b c) / a, which must be an integer in range
+    num = 1 + b * c
+    divisor = np.where(a == 0, 1, a)
+    d = num // divisor
+    found = (a != 0) & (num % divisor == 0) & (np.abs(d) <= m)
+    # a == 0 forces b c = -1, and then d is free
+    free_d = [(0, s, -s, t) for s in (1, -1) for t in r.tolist()]
+    quads = np.concatenate([np.stack([a, b, c, d], axis=1)[found], free_d])
+    # both signs are enumerated; keep the representative whose first nonzero entry is positive
+    lead = quads[np.arange(len(quads)), np.argmax(quads != 0, axis=1)]
+    norms = np.sum(quads * quads, axis=1)
+    kept = (lead > 0) & (norms <= norm_bound * norm_bound + _NORM_EPS)
+    quads, norms = quads[kept], norms[kept]
+    order = np.lexsort((quads[:, 3], quads[:, 2], quads[:, 1], quads[:, 0], norms))
+    return GroupBall(norm_bound, quads[order].astype(float), closure_certified=True)
 
 
 def ball_enumerate(
@@ -130,82 +138,69 @@ def ball_enumerate(
 ) -> GroupBall:
     """Breadth-first closure of the generators inside the Frobenius ball.
 
-    Products are explored until a full sweep adds no new in-bound element.
-    For integral groups the result is certified by exact comparison with
-    the integer oracle (bounds up to 30).
+    Each sweep composes the whole frontier with every step (generators and
+    their inverses) and keeps, in frontier-times-step order, the first
+    product of each new element inside the ball, until a sweep adds
+    nothing. For integral groups the result is certified by exact
+    comparison with the integer oracle (bounds up to 30).
     """
     if norm_bound < MIN_NORM_BOUND - 1e-12:
         raise UsageError(f"norm_bound must be at least sqrt(2), got {norm_bound}")
     bound_sq = norm_bound * norm_bound + _NORM_EPS
-    steps = []
-    seen_steps = set()
-    for g in spec.generators:
-        for h in (g, g.inverse()):
-            if h.key() not in seen_steps:
-                seen_steps.add(h.key())
-                steps.append(h)
+    generators = np.array(spec.generators, dtype=float)
+    steps = np.stack([generators, inverse(generators)], axis=1).reshape(-1, 4)
+    # g1, g1^-1, g2, ... without repeats
+    _, first = np.unique(np.array(round9(steps)).reshape(-1, 4), axis=0, return_index=True)
+    steps = steps[np.sort(first)]
 
-    identity = MoebiusMap.identity()
-    elements: dict[tuple, MoebiusMap] = {identity.key(): identity}
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for elt in frontier:
-            for step in steps:
-                prod = elt.compose(step)
-                if prod.frobenius_sq > bound_sq:
-                    continue
-                k = prod.key()
-                if k not in elements:
-                    elements[k] = prod
-                    next_frontier.append(prod)
-                    if len(elements) > max_elements:
-                        raise ResourceLimitError(
-                            f"ball enumeration exceeded {max_elements} elements"
-                        )
-        frontier = next_frontier
+    seen = {IDENTITY}
+    found = [np.array([IDENTITY])]
+    while len(found[-1]):
+        products = compose(found[-1][:, None, :], steps[None, :, :]).reshape(-1, 4)
+        products = products[frobenius_sq(products) <= bound_sq]
+        fresh = []
+        for i, key in enumerate(row_keys(products)):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        if len(seen) > max_elements:
+            raise ResourceLimitError(f"ball enumeration exceeded {max_elements} elements")
+        found.append(products[fresh])
+    elements = np.concatenate(found)
 
     certified = False
     if spec.is_integral and norm_bound <= 30.0:
-        oracle = brute_force_integer_ball(norm_bound)
-        certified = oracle.key_set() == set(elements.keys())
+        certified = brute_force_integer_ball(norm_bound).key_set() == seen
         if not certified:
             warnings.warn(
                 f"ball enumeration disagrees with the integer oracle at bound {norm_bound}",
                 stacklevel=2,
             )
-    return GroupBall(norm_bound, tuple(sorted(elements.values(), key=norm_order)), certified)
+    return GroupBall(norm_bound, elements[_norm_sorted(elements)], certified)
 
 
 def stabilizer_of_point(
     ball: GroupBall, z: UpperHalfPoint, tol: float = DEFAULT_POINT_TOL
-) -> list[MoebiusMap]:
-    """Elements of the ball moving z by hyperbolic distance at most tol, in
-    ball order.
+) -> np.ndarray:
+    """Ball indices, increasing, of the elements moving z by hyperbolic
+    distance at most tol.
 
     The result is checked to be closed under composition and inversion
     within the ball; a failed check warns that the ball is too small.
     """
     if not (0.0 < tol <= 1e-4):
         raise UsageError(f"tol must lie in (0, 1e-4], got {tol}")
-    members = [g for g in ball.elements if distance(g.act(z), z) <= tol]
-    member_keys = {g.key() for g in members}
-    bound_sq = ball.norm_bound * ball.norm_bound + _NORM_EPS
-    closed = all(g.inverse().key() in member_keys for g in members)
-    if closed:
-        for g1 in members:
-            for g2 in members:
-                prod = g1.compose(g2)
-                if prod.frobenius_sq <= bound_sq and prod.key() not in member_keys:
-                    closed = False
-                    break
-            if not closed:
-                break
-    if not closed:
-        warnings.warn(
-            "stabilizer is not closed within the ball; enlarge the norm bound",
-            stacklevel=2,
-        )
+    a, b, c, d = ball.elements.T
+    w = (a * z.as_complex + b) / (c * z.as_complex + d)
+    dx, dy = w.real - z.x, w.imag - z.y
+    dist = np.arccosh(np.maximum(1.0 + (dx * dx + dy * dy) / (2.0 * w.imag * z.y), 1.0))
+    members = np.flatnonzero(dist <= tol)
+    h = ball.elements[members]
+    products = compose(h[:, None, :], h[None, :, :]).reshape(-1, 4)
+    inside = frobenius_sq(products) <= ball.norm_bound * ball.norm_bound + _NORM_EPS
+    reached = np.concatenate([ball.index_of(inverse(h)), ball.index_of(products[inside])])
+    if not np.isin(reached, members).all():
+        warnings.warn("stabilizer is not closed within the ball; enlarge the norm bound", stacklevel=2)
     return members
 
 
@@ -215,9 +210,9 @@ class CosetSystem:
     indices into the ball's elements.
 
     ``rep_index[i]`` is the ball index of the i-th representative and is
-    increasing; ``tile[i, j]`` is the ball index of ``rep_i.compose(h_j)``
-    for the j-th stabiliser element h_j as given, or -1 where that element
-    lies outside the ball. Every ball index appears in ``tile`` exactly once.
+    increasing; ``tile[i, j]`` is the ball index of ``rep_i h_j`` for the
+    j-th stabiliser element h_j as given, or -1 where that element lies
+    outside the ball. Every ball index appears in ``tile`` exactly once.
     """
 
     rep_index: np.ndarray
@@ -225,41 +220,35 @@ class CosetSystem:
 
 
 def coset_representatives(ball: GroupBall, stabilizer) -> CosetSystem:
-    """Pick one representative per coset g*H of the stabiliser H in the ball.
+    """Pick one representative per coset g*H of the stabiliser H, given as
+    ball indices, in the ball.
 
     The representative is the coset's first member in ball order, except
     that the identity represents its own coset H; cosets are listed in the
     order of their first members.
     """
-    stab = list(stabilizer)
-    stab_keys = {g.key() for g in stab}
-    identity = MoebiusMap.identity()
-    if identity.key() not in stab_keys:
-        raise UsageError("stabilizer must contain the identity")
-    index = {g.key(): i for i, g in enumerate(ball.elements)}
-    if not stab_keys.issubset(index):
+    stab = np.asarray(stabilizer, dtype=int)
+    n = len(ball.elements)
+    if stab.ndim != 1 or not np.all((stab >= 0) & (stab < n)):
         raise UsageError("stabilizer must be contained in the ball")
-    for g1 in stab:
-        for g2 in stab:
-            if g1.compose(g2).key() not in stab_keys:
-                raise UsageError("stabilizer is not closed under composition")
+    identity = int(ball.index_of(IDENTITY))
+    if identity not in stab:
+        raise UsageError("stabilizer must contain the identity")
+    h = ball.elements[stab]
+    if not np.isin(ball.index_of(compose(h[:, None, :], h[None, :, :])), stab).all():
+        raise UsageError("stabilizer is not closed under composition")
 
-    covered = np.zeros(len(ball.elements), dtype=bool)
-    rep_index, tile = [], []
-    for i, g in enumerate(ball.elements):
-        if covered[i]:
-            continue
-        # Only rotations about i precede the identity in ball order, and they
-        # lie in H whenever H holds one, so rep_index still increases.
-        rep = identity if g.key() in stab_keys else g
-        row = [index.get(rep.compose(h).key(), -1) for h in stab]
-        inside = [j for j in row if j >= 0]
-        if covered[inside].any():
-            raise UsageError("cosets overlap; inconsistent input")
-        covered[inside] = True
-        rep_index.append(index[rep.key()])
-        tile.append(row)
-    return CosetSystem(rep_index=np.array(rep_index, dtype=int), tile=np.array(tile, dtype=int))
+    # table[g, j]: ball index of g h_j; a coset's first member is its minimum
+    table = ball.index_of(compose(ball.elements[:, None, :], h[None, :, :]))
+    first = np.where(table >= 0, table, n).min(axis=1)
+    rep_index = np.flatnonzero(first == np.arange(n))
+    # Only rotations about i precede the identity in ball order, and they
+    # lie in H whenever H holds one, so rep_index still increases.
+    rep_index[np.isin(rep_index, stab)] = identity
+    tile = table[rep_index]
+    if not np.array_equal(np.bincount(tile[tile >= 0], minlength=n), np.ones(n, dtype=int)):
+        raise UsageError("cosets overlap; inconsistent input")
+    return CosetSystem(rep_index=rep_index, tile=tile)
 
 
 def modular_fundamental_domain_grid(nx: int = 400, ns: int = 600, s_max: float = 16.0) -> QuadratureGrid:

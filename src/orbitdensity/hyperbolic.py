@@ -1,11 +1,15 @@
-"""Upper half-plane geometry: Moebius maps, the j-cocycle, hyperbolic
-distance, and midpoint quadrature against the invariant measure
-y^-2 dx dy.
+"""Upper half-plane geometry: group elements, their action, and
+midpoint quadrature against the invariant measure y^-2 dx dy.
 
-Group elements are kept as sign-canonicalised unit-determinant 2x2
-matrices, so each class of the +/- identification has a unique
-representative: the first entry of (a, b, c, d) larger than 1e-14 in
-modulus is made strictly positive.
+Group elements are sign-canonicalised unit-determinant 2x2 matrices: the
+first entry of (a, b, c, d) larger than 1e-14 in modulus is positive, so
+each class of the +/- identification has one representative. A list of
+elements is an ``(N, 4)`` float array of rows (a, b, c, d), and
+:func:`canonical`, :func:`compose` and :func:`inverse` act on whole arrays;
+:class:`MoebiusMap` is one such row, for generators and probes.
+
+A quadrature grid keeps its axes as arrays that broadcast against each
+other; integrands are evaluated on them, not on a materialised mesh.
 """
 
 from __future__ import annotations
@@ -15,15 +19,86 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalFailure, UsageError
+from .errors import NumericalFailure, ResourceLimitError, UsageError
 
 # entries below this are treated as zero by the sign canonicalisation
 SIGN_TOL = 1e-14
 
+# a quadrature grid holds at most this many nodes; a larger one is refused before allocation
+QUADRATURE_NODE_CAP = 4096 * 4096
+
+
+def _entries(x) -> tuple[np.ndarray, ...]:
+    x = np.asarray(x, dtype=float)
+    return x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+
+
+def canonical(m) -> np.ndarray:
+    """Canonical representatives of matrix rows (..., 4): each row divided
+    by the square root of its determinant, then negated if its first entry
+    larger than SIGN_TOL in modulus is negative."""
+    m = np.asarray(m, dtype=float)
+    det = m[..., 0] * m[..., 3] - m[..., 1] * m[..., 2]
+    bad = ~(np.isfinite(det) & (det > 0.0))
+    if bad.any():
+        raise UsageError(f"matrix determinant must be positive, got {float(det[bad].flat[0])}")
+    m = m / np.sqrt(det)[..., None]
+    big = np.abs(m) > SIGN_TOL
+    first = np.argmax(big, axis=-1)[..., None]
+    flip = np.take_along_axis(big & (m < 0.0), first, axis=-1)
+    # +0.0 folds negative zeros into the canonical representative
+    return np.where(flip, -m, m) + 0.0
+
+
+def compose(x, y) -> np.ndarray:
+    """Canonical products x y of matrix rows broadcast against each other."""
+    xa, xb, xc, xd = _entries(x)
+    ya, yb, yc, yd = _entries(y)
+    return canonical(
+        np.stack([xa * ya + xb * yc, xa * yb + xb * yd, xc * ya + xd * yc, xc * yb + xd * yd], axis=-1)
+    )
+
+
+def inverse(x) -> np.ndarray:
+    """Canonical inverses (d, -b, -c, a) of matrix rows."""
+    a, b, c, d = _entries(x)
+    return canonical(np.stack([d, -b, -c, a], axis=-1))
+
+
+def frobenius_sq(x) -> np.ndarray:
+    """a^2 + b^2 + c^2 + d^2 of matrix rows, summed in that order."""
+    a, b, c, d = _entries(x)
+    return a * a + b * b + c * c + d * d
+
+
+def round9(values) -> list[float]:
+    """``round(v, 9) + 0.0`` of each value, flattened. An integer-valued
+    float is its own rounding, so only the others pay for Python's round."""
+    v = np.asarray(values, dtype=float).ravel()
+    out = (v + 0.0).tolist()
+    for i in np.flatnonzero(v != np.floor(v)).tolist():
+        out[i] = round(out[i], 9) + 0.0
+    return out
+
+
+def row_keys(x) -> list[tuple[float, float, float, float]]:
+    """Entries of matrix rows rounded to 9 digits, as hashable keys."""
+    flat = round9(x)
+    return list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
+
+
+def image(a: float, b: float, c: float, d: float, z: complex) -> complex:
+    """(a z + b) / (c z + d) in scalar complex arithmetic, in the upper half-plane."""
+    w = (a * z + b) / (c * z + d)
+    if not w.imag > 0.0:
+        raise NumericalFailure(f"Moebius image left the upper half-plane: {w}")
+    return w
+
 
 @dataclass(eq=False)
 class MoebiusMap:
-    """Element of PSL(2, R) as a canonicalised matrix (a b; c d), ad - bc = 1."""
+    """One element of PSL(2, R), such as a generator, as a canonicalised
+    matrix (a b; c d), ad - bc = 1; array-like as its row (a, b, c, d)."""
 
     a: float
     b: float
@@ -31,71 +106,10 @@ class MoebiusMap:
     d: float
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if not math.isfinite(det) or det <= 0.0:
-            raise UsageError(f"matrix determinant must be positive, got {det}")
-        s = math.sqrt(det)
-        a, b, c, d = self.a / s, self.b / s, self.c / s, self.d / s
-        for entry in (a, b, c, d):
-            if abs(entry) > SIGN_TOL:
-                if entry < 0.0:
-                    a, b, c, d = -a, -b, -c, -d
-                break
-        # +0.0 folds negative zeros into the canonical representative
-        self.a, self.b, self.c, self.d = a + 0.0, b + 0.0, c + 0.0, d + 0.0
+        self.a, self.b, self.c, self.d = canonical([self.a, self.b, self.c, self.d]).tolist()
 
-    @classmethod
-    def identity(cls) -> "MoebiusMap":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-    def act(self, z: "UpperHalfPoint") -> "UpperHalfPoint":
-        w = (self.a * z.as_complex + self.b) / (self.c * z.as_complex + self.d)
-        if not w.imag > 0.0:
-            raise NumericalFailure(f"Moebius image left the upper half-plane: {w}")
-        return UpperHalfPoint(w.real, w.imag)
-
-    def j_factor(self, z: "UpperHalfPoint") -> complex:
-        """Automorphy factor 1/(cz + d); |j|^2 equals Im(m.z)/Im(z)."""
-        return 1.0 / (self.c * z.as_complex + self.d)
-
-    @property
-    def frobenius_sq(self) -> float:
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
-
-    @property
-    def frobenius_norm(self) -> float:
-        return math.sqrt(self.frobenius_sq)
-
-    def key(self, ndigits: int = 9) -> tuple[float, float, float, float]:
-        """Rounded entry tuple used for deduplication and hashing."""
-        return (
-            round(self.a, ndigits) + 0.0,
-            round(self.b, ndigits) + 0.0,
-            round(self.c, ndigits) + 0.0,
-            round(self.d, ndigits) + 0.0,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, MoebiusMap):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"MoebiusMap({self.a:.12g}, {self.b:.12g}, {self.c:.12g}, {self.d:.12g})"
+    def __array__(self, dtype=None, copy=None):
+        return np.array([self.a, self.b, self.c, self.d], dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -114,12 +128,9 @@ class UpperHalfPoint:
         return complex(self.x, self.y)
 
 
-def distance(z: UpperHalfPoint, w: UpperHalfPoint) -> float:
-    """Hyperbolic distance acosh(1 + |z-w|^2 / (2 Im z Im w))."""
-    dx = z.x - w.x
-    dy = z.y - w.y
-    arg = 1.0 + (dx * dx + dy * dy) / (2.0 * z.y * w.y)
-    return math.acosh(max(arg, 1.0))
+def _check_node_count(n1: int, n2: int):
+    if n1 * n2 > QUADRATURE_NODE_CAP:
+        raise ResourceLimitError(f"{n1} x {n2} quadrature nodes exceed the cap {QUADRATURE_NODE_CAP}")
 
 
 def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
@@ -133,7 +144,12 @@ def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
 class QuadratureGrid:
     """Nodes (x, y) in the upper half-plane with weights that already
     include the invariant density, so that integrate_invariant is a plain
-    weighted sum of integrand values."""
+    weighted sum of integrand values.
+
+    ``xs``, ``ys`` and ``weights`` broadcast against each other to the
+    grid's shape: a tensor grid keeps its axes, e.g. x as an ``(nx, 1)``
+    column and y and the weights as ``(1, nt)`` rows.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
@@ -141,8 +157,12 @@ class QuadratureGrid:
     descriptor: dict = field(repr=False)
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return np.broadcast_shapes(self.xs.shape, self.ys.shape, self.weights.shape)
+
+    @property
     def node_count(self) -> int:
-        return int(self.xs.size)
+        return math.prod(self.shape)
 
     @classmethod
     def rectangle_log_y(
@@ -152,23 +172,16 @@ class QuadratureGrid:
 
         In these coordinates the measure y^-2 dx dy becomes exp(-t) dx dt.
         """
+        _check_node_count(nx, nt)
         xs1, hx = _midpoints(x_min, x_max, nx)
         ts1, ht = _midpoints(t_min, t_max, nt)
-        X, T = np.meshgrid(xs1, ts1, indexing="ij")
-        w = hx * ht * np.exp(-T)
         return cls(
-            xs=X.ravel(),
-            ys=np.exp(T).ravel(),
-            weights=w.ravel(),
-            descriptor={
-                "kind": "rectangle_log_y",
-                "x_min": x_min,
-                "x_max": x_max,
-                "t_min": t_min,
-                "t_max": t_max,
-                "nx": nx,
-                "nt": nt,
-            },
+            xs=xs1[:, None],
+            ys=np.exp(ts1)[None, :],
+            weights=(hx * ht * np.exp(-ts1))[None, :],
+            descriptor=dict(
+                kind="rectangle_log_y", x_min=x_min, x_max=x_max, t_min=t_min, t_max=t_max, nx=nx, nt=nt
+            ),
         )
 
     @classmethod
@@ -181,57 +194,44 @@ class QuadratureGrid:
         with s in (0, s_max], under which y^-2 dy = e^-s / floor(x) ds; the
         ray mass beyond s_max is exp(-s_max) relative.
         """
+        _check_node_count(nx, ns)
         xs1, hx = _midpoints(x_min, x_max, nx)
         ss1, hs = _midpoints(0.0, s_max, ns)
         fv = np.asarray(floor(xs1), dtype=float)
         if fv.shape != xs1.shape or not np.all(fv > 0.0):
             raise UsageError("floor function must return positive values on the x-range")
-        Y = fv[:, None] * np.exp(ss1)[None, :]
-        W = (hx * hs) * np.exp(-ss1)[None, :] / fv[:, None]
-        X = np.broadcast_to(xs1[:, None], Y.shape)
         return cls(
-            xs=X.ravel().copy(),
-            ys=Y.ravel(),
-            weights=W.ravel(),
-            descriptor={
-                "kind": "above_graph",
-                "x_min": x_min,
-                "x_max": x_max,
-                "floor": floor,
-                "nx": nx,
-                "ns": ns,
-                "s_max": s_max,
-            },
+            xs=xs1[:, None],
+            ys=fv[:, None] * np.exp(ss1)[None, :],
+            weights=(hx * hs) * np.exp(-ss1)[None, :] / fv[:, None],
+            descriptor=dict(
+                kind="above_graph", x_min=x_min, x_max=x_max, floor=floor, nx=nx, ns=ns, s_max=s_max
+            ),
         )
 
     def scaled_resolution(self, factor: float) -> "QuadratureGrid":
         """Same region, node counts multiplied by ``factor`` (at least 1 each)."""
-        d = self.descriptor
-        kind = d["kind"]
-        if kind == "rectangle_log_y":
-            return QuadratureGrid.rectangle_log_y(
-                d["x_min"], d["x_max"], d["t_min"], d["t_max"],
-                max(1, round(d["nx"] * factor)), max(1, round(d["nt"] * factor)),
-            )
-        if kind == "above_graph":
-            return QuadratureGrid.above_graph(
-                d["x_min"], d["x_max"], d["floor"],
-                max(1, round(d["nx"] * factor)), max(1, round(d["ns"] * factor)),
-                d["s_max"],
-            )
-        raise UsageError(f"unknown grid kind {kind!r}")
+        args = dict(self.descriptor)
+        kind = args.pop("kind")
+        if kind not in ("rectangle_log_y", "above_graph"):
+            raise UsageError(f"unknown grid kind {kind!r}")
+        for n in {"nx", "nt", "ns"} & set(args):
+            args[n] = max(1, round(args[n] * factor))
+        return getattr(QuadratureGrid, kind)(**args)
 
 
 def integrate_invariant(grid: QuadratureGrid, f) -> float:
     """Weighted sum of f over the grid; weights carry the invariant measure.
 
-    ``f`` is called once with the node coordinate arrays (xs, ys) and must
-    return finite values of the same shape.
+    ``f`` is called once with the node coordinate arrays (xs, ys), which
+    broadcast to the grid's shape, and must return finite values that
+    broadcast to it too. Values and weights are each laid out as one
+    contiguous array of that shape before the sum.
     """
-    vals = np.asarray(f(grid.xs, grid.ys), dtype=float)
-    if vals.shape != grid.xs.shape:
-        vals = np.broadcast_to(vals, grid.xs.shape)
+    shape = grid.shape
+    vals = np.broadcast_to(np.asarray(f(grid.xs, grid.ys), dtype=float), shape).ravel()
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("integrand returned non-finite values on the grid")
+    weights = np.broadcast_to(grid.weights, shape).ravel()
     # einsum sums without BLAS, so the result does not depend on the BLAS thread count
-    return float(np.einsum("i,i->", grid.weights, vals))
+    return float(np.einsum("i,i->", weights, vals))

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import kernel_value
+from oracles import Moebius, distance, kernel_value
 from scipy.integrate import quad
 
 from orbitdensity import bergman, fuchsian
@@ -17,21 +18,21 @@ from orbitdensity.bergman import (
     sigma_cocycle,
 )
 from orbitdensity.errors import AccuracyError, ResourceLimitError, UsageError
-from orbitdensity.hyperbolic import MoebiusMap, UpperHalfPoint, distance, integrate_invariant
+from orbitdensity.hyperbolic import UpperHalfPoint, integrate_invariant
 
 POINT_I = UpperHalfPoint(0.0, 1.0)
 POINT_2I = UpperHalfPoint(0.0, 2.0)
-S = MoebiusMap(0.0, -1.0, 1.0, 0.0)
-T = MoebiusMap(1.0, 1.0, 0.0, 1.0)
+S = Moebius(0.0, -1.0, 1.0, 0.0)
+T = Moebius(1.0, 1.0, 0.0, 1.0)
 
 
-def random_map(rng) -> MoebiusMap:
+def random_map(rng) -> Moebius:
     x = float(rng.uniform(-3.0, 3.0))
     s = float(rng.uniform(-1.5, 1.5))
     th = float(rng.uniform(0.0, math.pi))
-    n = MoebiusMap(1.0, x, 0.0, 1.0)
-    a = MoebiusMap(math.exp(s / 2.0), 0.0, 0.0, math.exp(-s / 2.0))
-    k = MoebiusMap(math.cos(th), math.sin(th), -math.sin(th), math.cos(th))
+    n = Moebius(1.0, x, 0.0, 1.0)
+    a = Moebius(math.exp(s / 2.0), 0.0, 0.0, math.exp(-s / 2.0))
+    k = Moebius(math.cos(th), math.sin(th), -math.sin(th), math.cos(th))
     return n.compose(a).compose(k)
 
 
@@ -44,7 +45,7 @@ def inner(z: UpperHalfPoint, u: UpperHalfPoint, w: Weight) -> complex:
     return complex(kernel_gram(KernelOrbit.plain([z], w), KernelOrbit.plain([u], w))[0, 0])
 
 
-def moved(m: MoebiusMap, k: KernelVector) -> tuple[UpperHalfPoint, complex]:
+def moved(m: Moebius, k: KernelVector) -> tuple[UpperHalfPoint, complex]:
     """Point and coefficient of pi(m) k from the array builder."""
     t = orbit_system([m], k)
     z = complex(t.z[0])
@@ -162,7 +163,7 @@ class TestKernel:
 
 class TestAction:
     def test_identity(self):
-        point, coefficient = moved(MoebiusMap.identity(), KernelVector(POINT_I, Weight(2.0)))
+        point, coefficient = moved(Moebius.identity(), KernelVector(POINT_I, Weight(2.0)))
         assert abs(coefficient - 1.0) <= 1e-12
         assert point == POINT_I
 
@@ -213,8 +214,8 @@ class TestCocycle:
         rng = np.random.default_rng(27)
         for _ in range(20):
             m = random_map(rng)
-            assert abs(sigma_cocycle(MoebiusMap.identity(), m, w) - 1.0) <= 1e-12
-            assert abs(sigma_cocycle(m, MoebiusMap.identity(), w) - 1.0) <= 1e-12
+            assert abs(sigma_cocycle(Moebius.identity(), m, w) - 1.0) <= 1e-12
+            assert abs(sigma_cocycle(m, Moebius.identity(), w) - 1.0) <= 1e-12
 
     def test_unimodular(self):
         rng = np.random.default_rng(28)
@@ -247,7 +248,7 @@ class TestCocycle:
 class TestOrbitInner:
     def test_self_inner_positive(self):
         w = Weight(2.0)
-        t = orbit_system([MoebiusMap(1.0, 0.5, 0.0, 1.0)], KernelVector(POINT_I, w))
+        t = orbit_system([Moebius(1.0, 0.5, 0.0, 1.0)], KernelVector(POINT_I, w))
         value = complex(kernel_gram(t, t)[0, 0])
         expected = abs(t.c[0]) ** 2 * kernel_norm_sq(
             KernelVector(UpperHalfPoint(t.z[0].real, t.z[0].imag), w)
@@ -309,6 +310,19 @@ class TestFormalDegree:
             errors.append(abs(value - oracle))
         assert errors[2] < errors[1] < errors[0]
 
+    def test_peak_memory_below_three_full_grids(self):
+        # the integrand is evaluated on the grid's axes; only the values and
+        # one weight array are laid out over the full grid
+        w, rho = Weight(3.0), UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)
+        d = bergman.default_formal_degree_grid(w, rho).descriptor
+        tracemalloc.start()
+        try:
+            formal_degree(w, base=rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * d["nx"] * d["nt"]
+
     def test_haar_scale_division_exact(self):
         w = Weight(3.0)
         base = formal_degree(w)
@@ -352,7 +366,8 @@ class TestKernelStabilizer:
             assert len(members) == expected_order
             for u in phases:
                 assert abs(abs(u) - 1.0) <= 1e-10
-            assert abs(phases[members.index(MoebiusMap.identity())] - 1.0) <= 1e-12
+            identity = ball.index_of(Moebius.identity())
+            assert abs(phases[list(members).index(identity)] - 1.0) <= 1e-12
 
     def test_tolerance_maps_are_inverse(self):
         for alpha in (2.0, 4.5):

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from oracles import Moebius
 
-from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian
+from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian, hyperbolic
 from orbitdensity.errors import (
     AccuracyError,
     NotPSDError,
@@ -18,7 +20,6 @@ from orbitdensity.errors import (
     ResourceLimitError,
     UsageError,
 )
-from orbitdensity.hyperbolic import MoebiusMap
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +195,19 @@ class TestDeterminism:
         outputs = [run_cli_with_blas_threads(t, "formal-degree", "--alpha", "2") for t in "12"]
         assert outputs[0].stdout == outputs[1].stdout
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ball", "--norm", "6", "--format", "csv"),
+            ("stabilizer", "--z=0.5+0.8660254037844386i", "--ball", "6"),
+            ("formal-degree", "--alpha", "3", "--grid", "64x32"),
+        ],
+        ids=["ball", "stabilizer", "formal-degree"],
+    )
+    def test_array_paths_independent_of_blas_threads(self, argv):
+        outputs = [run_cli_with_blas_threads(t, *argv) for t in "12"]
+        assert outputs[0].stdout == outputs[1].stdout
+
     def test_finite_scan_independent_of_blas_threads(self):
         argv = ("finite-scan", "--n-max", "5", "--windows", "3", "--seed", "2", "--format", "csv")
         outputs = [run_cli_with_blas_threads(t, *argv) for t in "12"]
@@ -281,10 +295,7 @@ class TestBallCommand:
         elements = {
             (r["a"], r["b"], r["c"], r["d"]) for r in records if r["type"] == "element"
         }
-        oracle = {
-            (m.a, m.b, m.c, m.d)
-            for m in fuchsian.brute_force_integer_ball(3.0).elements
-        }
+        oracle = {tuple(row) for row in fuchsian.brute_force_integer_ball(3.0).elements.tolist()}
         assert elements == oracle
         summary = records[-1]
         assert summary["type"] == "summary"
@@ -306,7 +317,7 @@ class TestStabilizerCommand:
         # the kernel path must agree with the point path as a set; a wrong
         # point stabiliser is reported as a numerical failure
         def wrong(ball, z, tol):
-            return [MoebiusMap.identity()]
+            return ball.index_of([Moebius.identity()])
 
         monkeypatch.setattr(fuchsian, "stabilizer_of_point", wrong)
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 4.0)
@@ -350,6 +361,29 @@ def test_one_kernel_orbit_per_command(capsys, monkeypatch, argv):
     assert sizes == [len(fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0).elements)]
 
 
+def test_moebius_maps_do_not_grow_with_the_ball(capsys, monkeypatch):
+    # the ball, stabiliser, cosets and orbit are arrays; maps are made only
+    # for the generators
+    counts = []
+    for ball in ("7", "13"):
+        made = []
+        build = hyperbolic.MoebiusMap.__post_init__
+
+        def counted(self):
+            made.append(self)
+            build(self)
+
+        monkeypatch.setattr(hyperbolic.MoebiusMap, "__post_init__", counted)
+        code, _, _ = run_cli(
+            capsys, "bergman-density", "--alpha", "2", "--z", "0.3+1.5i", "--ball", ball,
+            "--probes", "8",
+        )
+        monkeypatch.undo()
+        assert code == 0
+        counts.append(len(made))
+    assert counts[0] == counts[1]
+
+
 class TestFormalDegreeCommand:
     def test_alpha_four_default_tolerance(self, capsys):
         code, out, _ = run_cli(
@@ -359,6 +393,26 @@ class TestFormalDegreeCommand:
         record = json_lines(out)[0]
         expected = 3.0 / (4.0 * math.pi)
         assert abs(record["formal_degree"] - expected) <= 0.01 * expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("formal-degree", "--alpha", "2"),
+            ("bergman-density", "--alpha", "2", "--z", "i", "--ball", "3"),
+        ],
+        ids=["formal-degree", "bergman-density"],
+    )
+    def test_grid_over_node_cap_exits_three_before_allocating(self, capsys, argv):
+        # 10^10 nodes; the cap is checked before any array is made
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, *argv, "--grid", "100000x100000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert f"exceed the cap {hyperbolic.QUADRATURE_NODE_CAP}" in err and "Traceback" not in err
+        assert peak < 1 << 20
 
     def test_requested_tolerance_failure_exits_three(self, capsys):
         code, _, err = run_cli(

@@ -4,30 +4,41 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import geodesic_annulus
-from orbitdensity.errors import NumericalFailure, UsageError
-from orbitdensity.hyperbolic import (
-    MoebiusMap,
-    QuadratureGrid,
-    UpperHalfPoint,
+from oracles import (
+    Moebius,
     distance,
+    geodesic_annulus,
+    scalar_canonical,
+    scalar_compose,
+    scalar_inverse,
+    scalar_key,
+)
+from orbitdensity.errors import NumericalFailure, ResourceLimitError, UsageError
+from orbitdensity.hyperbolic import (
+    QUADRATURE_NODE_CAP,
+    QuadratureGrid,
+    canonical,
+    UpperHalfPoint,
+    compose,
     integrate_invariant,
+    inverse,
+    row_keys,
 )
 
-S = MoebiusMap(0.0, -1.0, 1.0, 0.0)
-T = MoebiusMap(1.0, 1.0, 0.0, 1.0)
-I2 = MoebiusMap.identity()
+S = Moebius(0.0, -1.0, 1.0, 0.0)
+T = Moebius(1.0, 1.0, 0.0, 1.0)
+I2 = Moebius.identity()
 POINT_I = UpperHalfPoint(0.0, 1.0)
 
 
-def random_map(rng) -> MoebiusMap:
+def random_map(rng) -> Moebius:
     # Iwasawa-style sample: translation * dilation * rotation
     x = float(rng.uniform(-3.0, 3.0))
     s = float(rng.uniform(-1.5, 1.5))
     th = float(rng.uniform(0.0, math.pi))
-    n = MoebiusMap(1.0, x, 0.0, 1.0)
-    a = MoebiusMap(math.exp(s / 2.0), 0.0, 0.0, math.exp(-s / 2.0))
-    k = MoebiusMap(math.cos(th), math.sin(th), -math.sin(th), math.cos(th))
+    n = Moebius(1.0, x, 0.0, 1.0)
+    a = Moebius(math.exp(s / 2.0), 0.0, 0.0, math.exp(-s / 2.0))
+    k = Moebius(math.cos(th), math.sin(th), -math.sin(th), math.cos(th))
     return n.compose(a).compose(k)
 
 
@@ -37,42 +48,71 @@ def random_point(rng) -> UpperHalfPoint:
 
 class TestMoebiusMap:
     def test_canonical_sign_and_det(self):
-        m = MoebiusMap(-2.0, 0.0, 0.0, -0.5)
+        m = Moebius(-2.0, 0.0, 0.0, -0.5)
         assert m.a > 0.0
         assert abs(m.a * m.d - m.b * m.c - 1.0) <= 1e-12
 
     def test_determinant_rescaled(self):
-        m = MoebiusMap(2.0, 0.0, 0.0, 2.0)
+        m = Moebius(2.0, 0.0, 0.0, 2.0)
         assert m == I2
 
     def test_nonpositive_det_rejected(self):
         with pytest.raises(UsageError):
-            MoebiusMap(1.0, 0.0, 0.0, -1.0)
+            Moebius(1.0, 0.0, 0.0, -1.0)
 
     def test_s_squared_is_identity(self):
-        assert S.compose(S) == I2
+        assert row_keys(compose(S, S)) == [I2.key()]
 
     def test_translation_addition(self):
-        assert T.compose(T) == MoebiusMap(1.0, 2.0, 0.0, 1.0)
+        assert row_keys(compose(T, T)) == [Moebius(1.0, 2.0, 0.0, 1.0).key()]
 
     def test_inverse_law(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             m = random_map(rng)
-            prod = m.compose(m.inverse())
-            assert max(
-                abs(prod.a - 1), abs(prod.b), abs(prod.c), abs(prod.d - 1)
-            ) <= 1e-12
+            a, b, c, d = compose(m, inverse(m))
+            assert max(abs(a - 1), abs(b), abs(c), abs(d - 1)) <= 1e-12
 
     def test_associativity(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             m1, m2, m3 = (random_map(rng) for _ in range(3))
-            lhs = m1.compose(m2).compose(m3)
-            rhs = m1.compose(m2.compose(m3))
-            assert max(
-                abs(lhs.a - rhs.a), abs(lhs.b - rhs.b), abs(lhs.c - rhs.c), abs(lhs.d - rhs.d)
-            ) <= 1e-12
+            lhs = compose(compose(m1, m2), m3)
+            rhs = compose(m1, compose(m2, m3))
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+class TestRowArithmetic:
+    EDGE_ROWS = [
+        (-0.0, -1.0, 1.0, 0.0),
+        (1e-15, -1.0, 1.0, -0.0),
+        (-1e-15, 1.0, -1.0, 3.0),
+        (-2.0, 0.0, 0.0, -0.5),
+        (3.0, 1.0, 2.0, 1.0),
+        (0.1, 0.7, -0.3, 1.9),
+    ]
+
+    def rows(self, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((300, 4)) * rng.choice([1e-15, 1e-3, 1.0, 1e3], size=(300, 4))
+        raw = raw[raw[:, 0] * raw[:, 3] - raw[:, 1] * raw[:, 2] > 0.0]
+        return np.vstack([self.EDGE_ROWS, raw])
+
+    def test_rows_match_scalar_oracle_bit_for_bit(self):
+        rows = self.rows(18)
+        want = np.array([scalar_canonical(*r) for r in rows.tolist()])
+        assert canonical(rows).tobytes() == want.tobytes()
+        # products of wildly scaled rows lose their determinant to cancellation
+        rng = np.random.default_rng(19)
+        m = np.vstack([want[: len(self.EDGE_ROWS)], [random_map(rng) for _ in range(30)]])
+        pairs = np.array([[scalar_compose(x, y) for y in m.tolist()] for x in m.tolist()])
+        assert compose(m[:, None, :], m[None, :, :]).tobytes() == pairs.tobytes()
+        assert inverse(m).tobytes() == np.array([scalar_inverse(x) for x in m.tolist()]).tobytes()
+        assert row_keys(rows) == [scalar_key(r) for r in rows.tolist()]
+
+    def test_nonpositive_det_rejected_with_its_value(self):
+        with pytest.raises(UsageError, match=r"got -1\.0$"):
+            canonical([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]])
 
 
 class TestAction:
@@ -83,7 +123,7 @@ class TestAction:
         assert abs(T.act(POINT_I).as_complex - (1 + 1j)) <= 1e-15
 
     def test_hand_value(self):
-        m = MoebiusMap(1.0, 1.0, 1.0, 2.0)
+        m = Moebius(1.0, 1.0, 1.0, 2.0)
         # (i+1)/(i+2) = (3+i)/5
         assert abs(m.act(POINT_I).as_complex - (0.6 + 0.2j)) <= 1e-15
 
@@ -195,7 +235,7 @@ class TestQuadrature:
         assert np.all(grid.ys >= np.sqrt(1.0 - grid.xs**2) - 1e-12)
 
     def test_measure_invariance_refinement(self):
-        m = MoebiusMap(2.0, 1.0, 1.0, 1.0)
+        m = Moebius(2.0, 1.0, 1.0, 1.0)
         minv = m.inverse()
 
         def bump(x, y):
@@ -229,6 +269,14 @@ class TestQuadrature:
         rect = QuadratureGrid.rectangle_log_y(-60.0, 60.0, math.log(1e-4), math.log(1e4), 1024, 512)
         v_rect = integrate_invariant(rect, radial)
         assert abs(v_rect - v_ann) <= 2e-3 * v_ann
+
+    def test_node_cap(self):
+        grid = QuadratureGrid.rectangle_log_y(-1.0, 1.0, -1.0, 1.0, 4096, QUADRATURE_NODE_CAP // 4096)
+        assert grid.node_count == QUADRATURE_NODE_CAP
+        with pytest.raises(ResourceLimitError, match="exceed the cap"):
+            QuadratureGrid.rectangle_log_y(-1.0, 1.0, -1.0, 1.0, 4097, QUADRATURE_NODE_CAP // 4096)
+        with pytest.raises(ResourceLimitError, match="exceed the cap"):
+            QuadratureGrid.above_graph(-0.5, 0.5, lambda x: np.ones_like(x), 10**6, 10**6, 8.0)
 
     def test_scaled_resolution_refines_region(self):
         grid = QuadratureGrid.rectangle_log_y(-2.0, 2.0, -1.0, 1.0, 64, 32)

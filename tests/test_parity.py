@@ -1,5 +1,7 @@
 """Parity of the closed-form array assembly with the per-pair reference
-oracles, and of CLI output with values captured from the per-pair
+oracles, of the array group ball and the tensor-grid quadrature with the
+one-matrix-at-a-time and materialised-meshgrid paths they replaced (bit for
+bit), and of CLI output with values captured from the per-pair
 implementation that the array assembly replaced.
 
 The golden values below are verbatim outputs of ``bergman-density --ball 6``
@@ -30,11 +32,12 @@ import math
 
 import numpy as np
 import pytest
+import oracles
 from oracles import kernel_cross_oracle, pi_shift, vector_gram_oracle
 
 from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian
 from orbitdensity.bergman import KernelOrbit, KernelVector, Weight
-from orbitdensity.hyperbolic import UpperHalfPoint
+from orbitdensity.hyperbolic import MoebiusMap, UpperHalfPoint
 
 ORACLE_RTOL = 1e-13
 FLOAT_RTOL = 1e-12
@@ -410,3 +413,81 @@ def test_finite_scan_matches_golden(capsys):
                 assert abs(float(g) - float(w)) <= FLOAT_RTOL * abs(float(w))
             else:
                 assert g == w
+
+
+RHO = UpperHalfPoint(0.5, 0.8660254037844386)
+GENERIC = UpperHalfPoint(0.3, 1.5)
+BASES = [UpperHalfPoint(0.0, 1.0), RHO, GENERIC]
+BASE_IDS = ["i", "rho", "generic"]
+HALFCONT = fuchsian.LatticeSpec(
+    name="halfcont",
+    generators=(MoebiusMap(1.0, 2.0, 0.0, 1.0), MoebiusMap(0.0, -1.0, 1.0, 0.0)),
+    covolume=2.0 * math.pi,
+)
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
+def test_formal_degree_matches_meshgrid_oracle(alpha, base):
+    weight = Weight(alpha)
+    grid = bergman.default_formal_degree_grid(weight, base)
+    _, diag = bergman.formal_degree(weight, base=base, rel_tol=None, full_output=True)
+    assert diag == oracles.formal_degree_by_meshgrid(alpha, grid.descriptor, base)
+
+
+def test_formal_degree_on_a_custom_grid_matches_meshgrid_oracle():
+    weight = Weight(2.5)
+    grid = bergman.default_formal_degree_grid(weight, GENERIC, nx=300, nt=200)
+    _, diag = bergman.formal_degree(weight, grid, base=GENERIC, rel_tol=None, full_output=True)
+    assert diag == oracles.formal_degree_by_meshgrid(2.5, grid.descriptor, GENERIC)
+    assert diag["node_count"] == 300 * 200
+
+
+def test_covolume_matches_meshgrid_oracle():
+    assert fuchsian.covolume_psl2z() == oracles.covolume_psl2z_by_meshgrid()
+    grid = fuchsian.modular_fundamental_domain_grid(60, 90, 16.0)
+    assert fuchsian.covolume_psl2z(grid=grid, haar_scale=3.0) == oracles.covolume_psl2z_by_meshgrid(
+        60, 90, 16.0, haar_scale=3.0
+    )
+
+
+@pytest.mark.parametrize("bound", [math.sqrt(2.0), 3.0, 6.0, 13.0, 17.0])
+def test_integer_ball_matches_loop_oracle(bound):
+    ball = fuchsian.brute_force_integer_ball(bound)
+    assert _bits(ball.elements) == _bits(np.array(oracles.integer_ball_by_loops(bound)))
+
+
+BALL_CASES = [(fuchsian.psl2z(), bound) for bound in (6.0, 13.0, 17.0)] + [(HALFCONT, 3.0), (HALFCONT, 9.0)]
+
+
+@pytest.mark.parametrize("spec, bound", BALL_CASES, ids=lambda v: getattr(v, "name", str(v)))
+def test_ball_stabilizers_and_cosets_match_scalar_oracle(spec, bound):
+    ball = fuchsian.ball_enumerate(spec, bound)
+    rows, certified = oracles.ball_by_scalar_bfs(spec, bound)
+    # same elements, bit for bit, in the same order
+    assert _bits(ball.elements) == _bits(np.array(rows))
+    assert ball.closure_certified == certified
+    for z in BASES:
+        for tol in (fuchsian.DEFAULT_POINT_TOL, 1e-4):
+            members = fuchsian.stabilizer_of_point(ball, z, tol=tol)
+            assert members.tolist() == oracles.stabilizer_by_scalars(rows, z, tol)
+        cosets = fuchsian.coset_representatives(ball, members)
+        rep_index, tile = oracles.cosets_by_loop(rows, members.tolist())
+        assert cosets.rep_index.tolist() == rep_index
+        assert cosets.tile.tolist() == tile
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("z", BASES, ids=BASE_IDS)
+def test_orbit_matches_scalar_oracle(alpha, z):
+    # vectorised complex division and powers are not bit-equal to scalar ones,
+    # so this pins the per-row complex arithmetic of the orbit and its cocycle
+    ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 13.0)
+    orbit = bergman.orbit_system(ball.elements, KernelVector(z, Weight(alpha)))
+    points, coeffs = oracles.orbit_by_scalars(ball.elements.tolist(), z.as_complex, alpha)
+    assert _bits(orbit.z) == _bits(points)
+    assert _bits(orbit.c) == _bits(coeffs)
