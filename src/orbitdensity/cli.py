@@ -3,8 +3,10 @@
 Commands
 --------
 finite-scan      exhaustive exact verification over finite Weyl-Heisenberg systems
-bergman-density  density report for a lattice orbit of Bergman kernels
-formal-degree    formal degree by quadrature, with an error estimate
+bergman-density  density report for a lattice orbit of Bergman kernels, with
+                 the closed-form covolume and formal degree
+formal-degree    formal degree by quadrature, with its mesh-halving error
+                 estimate and its deviation from the closed form
 ball             group-ball enumeration
 stabilizer       point and kernel stabilisers of a lattice at a point
 
@@ -231,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-radius", dest="probe_radius", type=float, default=None)
     p.add_argument("--refine-steps", dest="refine_steps", type=int, default=None)
     p.add_argument("--refine-delta", dest="refine_delta", type=float, default=None)
-    p.add_argument("--grid", default=None, help="formal-degree grid, e.g. 1536x768")
     p.add_argument("--frame-floor", dest="frame_floor", type=float, default=None)
     p.add_argument("--riesz-floor", dest="riesz_floor", type=float, default=None)
 
@@ -308,14 +309,6 @@ def cmd_finite_scan(settings: Settings, emitter: Emitter) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
-def _grid_setting(settings: Settings, weight: bergman.Weight, base: UpperHalfPoint):
-    """The formal-degree grid that ``--grid NXxNT`` names, or None for the default."""
-    grid_text = settings.get("grid", None)
-    if grid_text is None:
-        return None
-    return bergman.default_formal_degree_grid(weight, base, *parse_grid(grid_text))
-
-
 def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
     alpha = settings.get("alpha", None, float)
     if alpha is None:
@@ -326,10 +319,14 @@ def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
     haar_scale = _positive(settings.get("haar_scale", 1.0, float), "haar_scale")
     base = parse_point(settings.get("z", "i"))
     rel_tol = settings.get("rel_tol", None, float)
-    grid = _grid_setting(settings, weight, base)
+    grid_text = settings.get("grid", None)
+    grid = None
+    if grid_text is not None:
+        grid = bergman.default_formal_degree_grid(weight, base, *parse_grid(grid_text))
     degree, diag = bergman.formal_degree(
         weight, grid, base=base, haar_scale=haar_scale, rel_tol=rel_tol, full_output=True
     )
+    exact = bergman.formal_degree_closed_form(weight, haar_scale)
     emitter.record(
         "formal_degree",
         {
@@ -338,6 +335,7 @@ def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
             "haar_scale": haar_scale,
             "formal_degree": degree,
             "est_rel_error": diag["est_rel_error"],
+            "closed_form_rel_deviation": abs(degree - exact) / exact,
             "node_count": diag["node_count"],
         },
     )
@@ -447,12 +445,8 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
 
     weight = bergman.Weight(alpha)
     kernel = bergman.KernelVector(z, weight)
-    # a grid over the node cap is refused before any quadrature runs
-    grid = _grid_setting(settings, weight, z)
     covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)
-    degree, degree_diag = bergman.formal_degree(
-        weight, grid, base=z, haar_scale=haar_scale, rel_tol=None, full_output=True
-    )
+    degree = bergman.formal_degree_closed_form(weight, haar_scale)
 
     ball = fuchsian.ball_enumerate(spec, ball_norm)
     # the one orbit of the command; every other orbit is a gather from it
@@ -516,7 +510,6 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
             "probe_rank": probe_diag["probe_rank"],
             "gamma_count": gamma_count,
             "lambda_count": lam_count,
-            "formal_degree_rel_error": degree_diag["est_rel_error"],
             "ball_certified": ball.closure_certified,
             "s_relation_residual": s_relation_residual,
             "probe_trace_min": list(probe_trace_min),

@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .errors import NotRieszError, OracleInconsistencyError, UsageError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def vector_gram(V) -> np.ndarray:

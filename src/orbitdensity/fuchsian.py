@@ -1,5 +1,6 @@
 """Discrete subgroups of PSL(2, R): Frobenius-norm ball enumeration, point
-stabilisers, coset transversals, and the modular-group covolume.
+stabilisers, coset transversals, and covolumes (the modular group's from
+Gauss-Bonnet, any other lattice's from its configuration).
 
 A ball is an ``(N, 4)`` array of canonical matrix rows (a, b, c, d) in norm
 order; stabilisers and coset transversals are index arrays into it.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .hyperbolic import MoebiusMap, QuadratureGrid, UpperHalfPoint, integrate_invariant
+from .hyperbolic import MoebiusMap, UpperHalfPoint
 from .hyperbolic import compose, frobenius_sq, inverse, round9, row_keys
 
 # identity has Frobenius norm sqrt(2); smaller balls would be empty
@@ -251,35 +252,18 @@ def coset_representatives(ball: GroupBall, stabilizer) -> CosetSystem:
     return CosetSystem(rep_index=rep_index, tile=tile)
 
 
-def modular_fundamental_domain_grid(nx: int = 400, ns: int = 600, s_max: float = 16.0) -> QuadratureGrid:
-    """Quadrature grid on the classical domain {|x| <= 1/2, |z| >= 1}."""
-    return QuadratureGrid.above_graph(
-        -0.5, 0.5, lambda x: np.sqrt(1.0 - x * x), nx, ns, s_max
-    )
-
-
-def covolume_psl2z(
-    *, grid: QuadratureGrid | None = None, haar_scale: float = 1.0
-) -> float:
-    """Invariant area of the modular fundamental domain (pi/3 at scale 1)."""
-    if not haar_scale > 0.0:
-        raise UsageError(f"haar_scale must be positive, got {haar_scale}")
-    if grid is None:
-        grid = modular_fundamental_domain_grid()
-    area = integrate_invariant(grid, lambda x, y: np.ones_like(x))
-    return haar_scale * area
-
-
-def lattice_covolume(
-    spec: LatticeSpec, *, haar_scale: float = 1.0, grid: QuadratureGrid | None = None
-) -> float:
+def lattice_covolume(spec: LatticeSpec, *, haar_scale: float = 1.0) -> float:
     """Covolume of a lattice spec at the given Haar scale.
 
-    The modular group is integrated over its fundamental domain; any other
-    lattice must carry a configured covolume (understood at scale 1).
+    The modular group's covolume is the Gauss-Bonnet area
+    2 pi (2g - 2 + sum_i (1 - 1/m_i) + cusps) of its signature: genus 0,
+    elliptic periods 2 and 3, one cusp, which gives pi/3. Any other lattice
+    must carry a configured covolume (understood at scale 1).
     """
+    if not haar_scale > 0.0:
+        raise UsageError(f"haar_scale must be positive, got {haar_scale}")
     if spec.name == "psl2z" and spec.covolume is None:
-        return covolume_psl2z(grid=grid, haar_scale=haar_scale)
+        return haar_scale * (math.pi / 3.0)
     if spec.covolume is None:
         raise UsageError(f"lattice {spec.name!r} has no configured covolume")
     return haar_scale * spec.covolume

@@ -1,5 +1,6 @@
 """Upper half-plane geometry: group elements, their action, and
-midpoint quadrature against the invariant measure y^-2 dx dy.
+midpoint quadrature against the invariant measure y^-2 dx dy on
+rectangles in (x, ln y), which the formal-degree quadrature uses.
 
 Group elements are sign-canonicalised unit-determinant 2x2 matrices: the
 first entry of (a, b, c, d) larger than 1e-14 in modulus is positive, so
@@ -128,11 +129,6 @@ class UpperHalfPoint:
         return complex(self.x, self.y)
 
 
-def _check_node_count(n1: int, n2: int):
-    if n1 * n2 > QUADRATURE_NODE_CAP:
-        raise ResourceLimitError(f"{n1} x {n2} quadrature nodes exceed the cap {QUADRATURE_NODE_CAP}")
-
-
 def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     if not (n >= 1 and math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise UsageError(f"bad midpoint range ({lo}, {hi}) with {n} nodes")
@@ -172,7 +168,8 @@ class QuadratureGrid:
 
         In these coordinates the measure y^-2 dx dy becomes exp(-t) dx dt.
         """
-        _check_node_count(nx, nt)
+        if nx * nt > QUADRATURE_NODE_CAP:
+            raise ResourceLimitError(f"{nx} x {nt} quadrature nodes exceed the cap {QUADRATURE_NODE_CAP}")
         xs1, hx = _midpoints(x_min, x_max, nx)
         ts1, ht = _midpoints(t_min, t_max, nt)
         return cls(
@@ -184,40 +181,15 @@ class QuadratureGrid:
             ),
         )
 
-    @classmethod
-    def above_graph(
-        cls, x_min: float, x_max: float, floor, nx: int, ns: int, s_max: float
-    ) -> "QuadratureGrid":
-        """Midpoint grid on the region {x in [x_min, x_max], y >= floor(x)}.
-
-        Per x-node the vertical ray is parameterised as y = floor(x) e^s
-        with s in (0, s_max], under which y^-2 dy = e^-s / floor(x) ds; the
-        ray mass beyond s_max is exp(-s_max) relative.
-        """
-        _check_node_count(nx, ns)
-        xs1, hx = _midpoints(x_min, x_max, nx)
-        ss1, hs = _midpoints(0.0, s_max, ns)
-        fv = np.asarray(floor(xs1), dtype=float)
-        if fv.shape != xs1.shape or not np.all(fv > 0.0):
-            raise UsageError("floor function must return positive values on the x-range")
-        return cls(
-            xs=xs1[:, None],
-            ys=fv[:, None] * np.exp(ss1)[None, :],
-            weights=(hx * hs) * np.exp(-ss1)[None, :] / fv[:, None],
-            descriptor=dict(
-                kind="above_graph", x_min=x_min, x_max=x_max, floor=floor, nx=nx, ns=ns, s_max=s_max
-            ),
-        )
-
     def scaled_resolution(self, factor: float) -> "QuadratureGrid":
-        """Same region, node counts multiplied by ``factor`` (at least 1 each)."""
+        """Same rectangle, node counts multiplied by ``factor`` (at least 1 each)."""
         args = dict(self.descriptor)
         kind = args.pop("kind")
-        if kind not in ("rectangle_log_y", "above_graph"):
+        if kind != "rectangle_log_y":
             raise UsageError(f"unknown grid kind {kind!r}")
-        for n in {"nx", "nt", "ns"} & set(args):
+        for n in ("nx", "nt"):
             args[n] = max(1, round(args[n] * factor))
-        return getattr(QuadratureGrid, kind)(**args)
+        return QuadratureGrid.rectangle_log_y(**args)
 
 
 def integrate_invariant(grid: QuadratureGrid, f) -> float:

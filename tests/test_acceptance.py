@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import Moebius, distance, pi_shift_matrix
+from oracles import Moebius, covolume_psl2z_by_meshgrid, distance, pi_shift_matrix
 from scipy.integrate import quad
 
 from orbitdensity import bergman, cli, finite_gabor, fuchsian
@@ -161,7 +161,7 @@ def test_criterion_4_bergman_kernel_oracle():
 
 
 def test_criterion_5_formal_degree():
-    with criterion(5, "formal degree within 1% with mesh-halving refinement study"):
+    with criterion(5, "formal degree within 1e-4 with mesh-halving refinement study"):
         for alpha in (2.0, 3.0, 4.0, 6.0):
             w = Weight(alpha)
             oracle = quad(
@@ -175,7 +175,7 @@ def test_criterion_5_formal_degree():
             assert abs(oracle - (alpha - 1.0) / (4.0 * math.pi)) <= 1e-8 * oracle
             start = time.perf_counter()
             value = bergman.formal_degree(w)
-            assert abs(value - oracle) <= 0.01 * oracle
+            assert abs(value - oracle) <= 1e-4 * oracle
             errors = []
             for nx, nt in ((96, 48), (192, 96), (384, 192)):
                 grid = bergman.default_formal_degree_grid(w, nx=nx, nt=nt)
@@ -189,12 +189,13 @@ def test_criterion_6_covolume_and_haar_invariance():
     with criterion(6, "modular covolume within 1e-4 and Haar-scale invariance"):
         oracle, _ = quad(lambda x: 1.0 / math.sqrt(1.0 - x * x), -0.5, 0.5)
         assert abs(oracle - math.pi / 3.0) <= 1e-10
-        vol = fuchsian.covolume_psl2z()
+        vol = fuchsian.lattice_covolume(fuchsian.psl2z())
         assert abs(vol - oracle) <= 1e-4 * oracle
+        assert abs(covolume_psl2z_by_meshgrid() - oracle) <= 1e-4 * oracle
         w = Weight(2.0)
         products = []
         for c in (1.0 / 3.0, 1.0, 7.0):
-            vol_c = fuchsian.covolume_psl2z(haar_scale=c)
+            vol_c = fuchsian.lattice_covolume(fuchsian.psl2z(), haar_scale=c)
             deg_c = bergman.formal_degree(w, haar_scale=c)
             products.append(vol_c * deg_c)
         for p in products[1:]:

@@ -298,7 +298,8 @@ class TestFormalDegree:
         # the oracle itself reproduces the closed form (alpha-1)/(4 pi)
         assert abs(oracle - (alpha - 1.0) / (4.0 * math.pi)) <= 1e-8 * oracle
         value = formal_degree(Weight(alpha))
-        assert abs(value - oracle) <= 0.01 * oracle
+        # the x-range truncation of the default grid: 6.9e-5 relative at alpha = 2
+        assert abs(value - oracle) <= 1e-4 * oracle
 
     def test_refinement_reduces_error(self):
         w = Weight(2.0)

@@ -386,22 +386,23 @@ def test_moebius_maps_do_not_grow_with_the_ball(capsys, monkeypatch):
 
 class TestFormalDegreeCommand:
     def test_alpha_four_default_tolerance(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "formal-degree", "--alpha", "4", "--grid", "400x400", "--format", "json"
-        )
+        # on the default grid; a 400x400 grid is 3.0e-4 off at alpha = 4
+        code, out, _ = run_cli(capsys, "formal-degree", "--alpha", "4", "--format", "json")
         assert code == 0
         record = json_lines(out)[0]
         expected = 3.0 / (4.0 * math.pi)
-        assert abs(record["formal_degree"] - expected) <= 0.01 * expected
+        assert abs(record["formal_degree"] - expected) <= 1e-4 * expected
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("formal-degree", "--alpha", "2"),
-            ("bergman-density", "--alpha", "2", "--z", "i", "--ball", "3"),
-        ],
-        ids=["formal-degree", "bergman-density"],
-    )
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 7.0])
+    def test_closed_form_rel_deviation(self, capsys, alpha):
+        code, out, _ = run_cli(capsys, "formal-degree", "--alpha", str(alpha), "--format", "json")
+        assert code == 0
+        record = json_lines(out)[0]
+        exact = (alpha - 1.0) / (4.0 * math.pi)
+        assert record["closed_form_rel_deviation"] == abs(record["formal_degree"] - exact) / exact
+        assert record["closed_form_rel_deviation"] <= 1e-4
+
+    @pytest.mark.parametrize("argv", [("formal-degree", "--alpha", "2")], ids=["formal-degree"])
     def test_grid_over_node_cap_exits_three_before_allocating(self, capsys, argv):
         # 10^10 nodes; the cap is checked before any array is made
         tracemalloc.start()
@@ -424,6 +425,17 @@ class TestFormalDegreeCommand:
 
 
 class TestDensityCommand:
+    def test_removed_grid_option_is_refused(self, capsys, tmp_path):
+        density = ("bergman-density", "--alpha", "2", "--z", "i", "--ball", "3", "--probes", "8")
+        code, _, err = run_cli(capsys, *density, "--grid", "64x32")
+        assert code == 2 and "--grid" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid = 64x32\n")
+        code, _, err = run_cli(capsys, *density, "--config", str(cfg))
+        assert code == 2 and "unknown config keys: ['grid']" in err
+        code, _, _ = run_cli(capsys, "formal-degree", "--alpha", "3", "--config", str(cfg))
+        assert code == 0
+
     def test_reference_run(self, capsys):
         code, out, _ = run_cli(
             capsys, "bergman-density", "--lattice", "psl2z", "--alpha", "2",
@@ -453,6 +465,28 @@ class TestDensityCommand:
         assert abs(s3["formal_degree"] - s1["formal_degree"] / 3.0) <= 1e-12 * s1["formal_degree"]
         assert abs(s3["density_product"] - s1["density_product"]) <= 1e-12 * s1["density_product"]
         assert s3["verdict_consistency"] == s1["verdict_consistency"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--alpha", "7", "--z", "i"),
+        ("--alpha", "5", "--z", "0.5+0.8660254037844386i"),
+        ("--alpha", "13", "--z", "0.3+1.5i"),
+        ("--alpha", "7", "--z", "i", "--haar-scale", "3"),
+    ],
+    ids=["i", "rho", "generic", "i-haar-3"],
+)
+def test_critical_density_passes(capsys, argv):
+    # alpha = 1 + 12 / |stab| puts the PSL(2, Z) product (alpha - 1) / 12
+    # exactly on the bound 1 / |stab|, where both verdicts must pass
+    code, out, _ = run_cli(capsys, "bergman-density", *argv, "--ball", "6", "--format", "json")
+    assert code == 0
+    summary = json_lines(out)[-1]
+    bound = 1.0 / summary["stab_order"]
+    assert abs(summary["density_product"] - bound) <= 1e-15 * bound
+    assert summary["verdict_ii_pass"] is True
+    assert summary["verdict_consistency"] == "pass"
 
 
 class TestConfigFile:

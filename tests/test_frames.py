@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import covolume_psl2z_by_meshgrid
 
-from orbitdensity import bergman, frames, fuchsian, linalg
+from orbitdensity import bergman, frames, linalg
 from orbitdensity.bergman import KernelOrbit, Weight
 from orbitdensity.errors import (
     NotRieszError,
@@ -337,7 +338,7 @@ class TestDensityVerdict:
         assert not report.consistent
 
     def test_haar_rescaling_invariance(self):
-        vol, degree = fuchsian.covolume_psl2z(), 0.0795
+        vol, degree = covolume_psl2z_by_meshgrid(), 0.0795
         base = frames.density_verdict(
             lattice="psl2z",
             ball_norm=6.0,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import Moebius, restricted
+from oracles import Moebius, covolume_psl2z_by_meshgrid, restricted
 
 from orbitdensity import fuchsian
 from orbitdensity.errors import ResourceLimitError, UsageError
@@ -231,19 +231,22 @@ class TestCosetSystem:
 
 
 class TestCovolume:
+    # the Gauss-Bonnet covolume against the midpoint quadrature over the
+    # modular fundamental domain, its independent second path
     def test_against_oracle(self):
-        value = fuchsian.covolume_psl2z()
-        assert abs(value - math.pi / 3.0) <= 1e-4 * math.pi / 3.0
+        value = fuchsian.lattice_covolume(fuchsian.psl2z())
+        assert value == math.pi / 3.0
+        assert abs(covolume_psl2z_by_meshgrid() - value) <= 1e-4 * value
 
     def test_refinement_reduces_error(self):
-        coarse = fuchsian.covolume_psl2z(grid=fuchsian.modular_fundamental_domain_grid(60, 90, 16.0))
-        fine = fuchsian.covolume_psl2z(grid=fuchsian.modular_fundamental_domain_grid(120, 180, 16.0))
-        target = math.pi / 3.0
+        coarse = covolume_psl2z_by_meshgrid(60, 90, 16.0)
+        fine = covolume_psl2z_by_meshgrid(120, 180, 16.0)
+        target = fuchsian.lattice_covolume(fuchsian.psl2z())
         assert abs(fine - target) < abs(coarse - target)
 
     def test_haar_scale_linearity(self):
-        base = fuchsian.covolume_psl2z()
-        scaled = fuchsian.covolume_psl2z(haar_scale=3.0)
+        base = fuchsian.lattice_covolume(fuchsian.psl2z())
+        scaled = fuchsian.lattice_covolume(fuchsian.psl2z(), haar_scale=3.0)
         assert scaled == 3.0 * base
 
     def test_configured_covolume(self):
