@@ -31,6 +31,7 @@ import numpy as np
 
 from . import bergman, finite_gabor, frames, fuchsian, linalg
 from .errors import (
+    AccuracyError,
     NotPSDError,
     NotRieszError,
     NumericalFailure,
@@ -327,6 +328,10 @@ def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
         weight, grid, base=base, haar_scale=haar_scale, rel_tol=rel_tol, full_output=True
     )
     exact = bergman.formal_degree_closed_form(weight, haar_scale)
+    deviation = abs(degree - exact) / exact
+    # the mesh-halving estimate does not see the grid's x-range cut-off; the closed form does
+    if rel_tol is not None and deviation > rel_tol:
+        raise AccuracyError(f"closed_form_rel_deviation {deviation:.3e} exceeds rel_tol {rel_tol:.3e}")
     emitter.record(
         "formal_degree",
         {
@@ -335,7 +340,7 @@ def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
             "haar_scale": haar_scale,
             "formal_degree": degree,
             "est_rel_error": diag["est_rel_error"],
-            "closed_form_rel_deviation": abs(degree - exact) / exact,
+            "closed_form_rel_deviation": deviation,
             "node_count": diag["node_count"],
         },
     )

@@ -6,12 +6,12 @@ measure; every subgroup is a lattice of covolume n^2 / |subgroup| and the
 formal degree is 1/n. In this instance every density statement and proof
 identity is checkable exhaustively in exact arithmetic (up to float
 roundoff), which is what :func:`verify_windows` and
-:func:`exhaustive_scan` do. Work is batched per subgroup: one gather
-builds the orbit matrices of all windows, and the stabiliser, coset
-transversal and spectra are computed once per stabiliser class. Each
-check is one boolean or float array over a class's windows, and a window
-leaves :func:`verify_windows` as a scan row or as the violation of its
-first failed check.
+:func:`exhaustive_scan` do. The scan batches the windows of all
+subgroups of one n and one order, whose orbit matrices share a shape: the
+full orbits' spectra are computed once per batch, the coset transversals'
+once per stabiliser order in it. Each check is one boolean or float array
+over such a group of windows, and a window leaves as a scan row or as the
+violation of its first failed check.
 """
 
 from __future__ import annotations
@@ -220,37 +220,54 @@ def verify_windows(
     implementation bug. Returns, per window and in order, its scan row (the
     :data:`SCAN_CSV_COLUMNS` but ``window_id``, plus the component
     residuals) or the :class:`TheoremViolationError` with a reproducer for
-    its first failed check; the other windows are unaffected. Each check is
-    one array over the windows of a stabiliser class; the full orbit's
-    spectra are computed for the whole stack, the coset transversal and its
-    spectra once per class.
+    its first failed check; the other windows are unaffected.
     """
-    n = subgroup.n
     g = np.asarray(windows, dtype=complex)
-    if g.ndim != 2 or g.shape[1] != n:
-        raise DimensionError(f"windows must form a (W, {n}) stack, got shape {g.shape}")
+    if g.ndim != 2 or g.shape[1] != subgroup.n:
+        raise DimensionError(f"windows must form a (W, {subgroup.n}) stack, got shape {g.shape}")
+    return _verify_batch([(subgroup, g)], rel_tol)
+
+
+def _verify_batch(cases, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list:
+    """:func:`verify_windows` for (subgroup, window stack) pairs of one n and
+    one subgroup order, whose orbit matrices share a shape: the full
+    orbits' spectra are computed once for all windows, the transversals'
+    once per stabiliser order. Returns the outcomes pair by pair."""
+    g = np.concatenate([windows for _, windows in cases])
     if not np.all(np.einsum("wj,wj->w", g.conj(), g).real > 0.0):
         raise UsageError("window must be nonzero")
-    V_full = orbit_system(g, subgroup.elements)
+    V_full = np.concatenate([orbit_system(windows, sub.elements) for sub, windows in cases])
     G_full = frames.gram(frames.vector_gram(V_full), rel_tol)
     S_full = linalg.psd_eigen(frames.frame_operator(V_full), rel_tol)
+    # stabiliser order -> its classes' (rows, coset columns, coset of each column, subgroup)
+    batches = {}
+    rows = np.arange(len(g))
+    for sub, windows in cases:
+        sub_rows, rows = rows[: len(windows)], rows[len(windows) :]
+        for stab, members in stabilizer_classes(sub, windows, V_full[sub_rows]):
+            lambdas, factorization = lex_coset_representatives(sub, stab)
+            cols = [sub.elements.index(lam) for lam in lambdas]
+            lam_index = [lam_idx for lam_idx, _ in factorization]
+            classes = batches.setdefault(stab.order, [])
+            classes.append((sub_rows[members], cols, lam_index, sub.gens_text()))
     outcomes = [None] * len(g)
-    for stab, members in stabilizer_classes(subgroup, g, V_full):
-        rows = _verify_class(
-            subgroup, stab, g[members], V_full[members], G_full[members], S_full[members], rel_tol
-        )
-        for w, row in zip(members, rows):
-            outcomes[w] = row
+    for stab_order, classes in batches.items():
+        rows, cols, lam_index, gens = zip(*classes)
+        counts = [len(r) for r in rows]
+        rows = np.concatenate(rows)
+        per_row = [np.repeat(x, counts, axis=0) for x in (cols, lam_index, gens)]
+        arrays = (g[rows], V_full[rows], G_full[rows], S_full[rows])
+        for w, outcome in zip(rows, _verify_class(stab_order, *per_row, *arrays, rel_tol)):
+            outcomes[w] = outcome
     return outcomes
 
 
-def _verify_class(subgroup, stab, g, V_full, G_full, S_full, rel_tol) -> list:
-    """:func:`verify_windows` for windows that share one stabiliser; the
-    transversal orbit is the full orbit's columns at the coset representatives."""
-    n, gamma_order = subgroup.n, subgroup.order
-    lambdas, factorization = lex_coset_representatives(subgroup, stab)
-    column_of = {gamma: k for k, gamma in enumerate(subgroup.elements)}
-    V_red = V_full[..., [column_of[lam] for lam in lambdas]]
+def _verify_class(stab_order, cols, lam_index, gens, g, V_full, G_full, S_full, rel_tol) -> list:
+    """:func:`verify_windows` for windows that share one stabiliser order: row
+    w's transversal orbit is its full orbit's columns ``cols[w]``, over the
+    subgroup named ``gens[w]``; ``lam_index[w]`` is each full column's coset."""
+    n, gamma_order = g.shape[-1], V_full.shape[-1]
+    V_red = np.take_along_axis(V_full, cols[:, None, :], axis=-1)
 
     # with G_full and S_full, the four spectra that every check below reads from
     G_red = frames.gram(frames.vector_gram(V_red), rel_tol)
@@ -260,16 +277,10 @@ def _verify_class(subgroup, stab, g, V_full, G_full, S_full, rel_tol) -> list:
     is_frame = G_full.rank == n
     is_riesz = G_red.eigenvalues[:, 0] > rel_tol * np.maximum(G_red.eigenvalues[:, -1], 0.0)
     # against the standard basis the compressed synthesis matrix is V itself
-    s_residual = frames.s_relation_residual(V_full, V_red, stab.order)
+    s_residual = frames.s_relation_residual(V_full, V_red, stab_order)
     R_red = S_red.inverse_sqrt()
     parseval_dev, gen_parseval_sq = frames.parseval_norm_check(
-        V_full,
-        V_red,
-        S_full.inverse_sqrt(),
-        R_red,
-        [lam_idx for lam_idx, _ in factorization],
-        stab.order,
-        generator=g,
+        V_full, V_red, S_full.inverse_sqrt(), R_red, lam_index, stab_order, generator=g
     )
     vol = (n * n) / gamma_order
     degree = 1.0 / n
@@ -294,13 +305,13 @@ def _verify_class(subgroup, stab, g, V_full, G_full, S_full, rel_tol) -> list:
     # (failure mask, message template, per-window values), in reporting order
     checks = (
         (
-            is_frame & (n * stab.order > gamma_order),
-            f"frame with n*|stab| = {n * stab.order} > |Gamma| = {gamma_order}",
+            is_frame & (n * stab_order > gamma_order),
+            f"frame with n*|stab| = {n * stab_order} > |Gamma| = {gamma_order}",
             (),
         ),
         (
-            is_riesz & (n * stab.order < gamma_order),
-            f"Riesz transversal with n*|stab| = {n * stab.order} < |Gamma| = {gamma_order}",
+            is_riesz & (n * stab_order < gamma_order),
+            f"Riesz transversal with n*|stab| = {n * stab_order} < |Gamma| = {gamma_order}",
             (),
         ),
         (
@@ -328,6 +339,7 @@ def _verify_class(subgroup, stab, g, V_full, G_full, S_full, rel_tol) -> list:
     )
     failed = np.array([bad for bad, _, _ in checks])
     table = {
+        "subgroup_gens": gens,
         "is_frame": is_frame,
         "is_riesz": is_riesz,
         "verdict_i": np.where(is_frame, "pass", "na"),
@@ -353,11 +365,10 @@ def _verify_class(subgroup, stab, g, V_full, G_full, S_full, rel_tol) -> list:
     fixed = {
         "n": n,
         "subgroup_order": gamma_order,
-        "subgroup_gens": subgroup.gens_text(),
-        "stab_order": stab.order,
-        "lambda_size": len(lambdas),
+        "stab_order": stab_order,
+        "lambda_size": V_red.shape[-1],
         "vol_times_d": vol_times_d,
-        "bound": 1.0 / stab.order,
+        "bound": 1.0 / stab_order,
     }
     outcomes = []
     for w, values in enumerate(zip(*(column.tolist() for column in table.values()))):
@@ -368,7 +379,7 @@ def _verify_class(subgroup, stab, g, V_full, G_full, S_full, rel_tol) -> list:
         outcomes.append(
             TheoremViolationError(
                 f"{template.format(*(a[w] for a in args))} "
-                f"[n={n}, gens={subgroup.gens_text()}, window={g[w].tolist()!r}]"
+                f"[n={n}, gens={gens[w]}, window={g[w].tolist()!r}]"
             )
         )
     return outcomes
@@ -448,9 +459,9 @@ def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> Sc
     For each modulus n <= n_max, each subgroup of Z_n x Z_n, and each of
     ``windows_per_case`` seeded random windows plus the structured windows,
     the density theorem and proof identities are verified, all windows of
-    a subgroup in one batch. Violations are collected with a reproducer
-    rather than aborting the scan. The report is byte-deterministic for a
-    fixed seed.
+    the subgroups of one order in one batch. Violations are collected with a
+    reproducer rather than aborting the scan. The report is
+    byte-deterministic for a fixed seed.
     """
     if not (2 <= n_max <= 8):
         raise UsageError(f"n_max must lie in [2, 8], got {n_max}")
@@ -459,9 +470,12 @@ def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> Sc
     rows = []
     violations = []
     for n in range(2, n_max + 1):
-        for si, sub in enumerate(subgroup_enumerate(n)):
-            window_ids, windows = scan_windows(n, si, windows_per_case, seed)
-            for window_id, outcome in zip(window_ids, verify_windows(sub, windows)):
+        by_order = itertools.groupby(enumerate(subgroup_enumerate(n)), lambda item: item[1].order)
+        for _, group in by_order:
+            cases = [(sub, *scan_windows(n, si, windows_per_case, seed)) for si, sub in group]
+            outcomes = _verify_batch([(sub, windows) for sub, _, windows in cases])
+            labels = [(sub, window_id) for sub, window_ids, _ in cases for window_id in window_ids]
+            for (sub, window_id), outcome in zip(labels, outcomes):
                 if isinstance(outcome, TheoremViolationError):
                     violations.append(
                         {

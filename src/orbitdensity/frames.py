@@ -123,16 +123,17 @@ def parseval_norm_check(
 
     ``R_full`` and ``R_reduced`` are the pseudo inverse square roots of the
     frame operators of the orbit matrices ``V_full`` and ``V_reduced``;
-    ``lam_index[k]`` is the reduced column of the k-th full vector. Returns
-    the maximal deviation and the generator's canonical-Parseval norm
-    square ||S_full^-1/2 g||^2, for calibration against covolume * formal
-    degree.
+    ``lam_index[..., k]`` is the reduced column of the k-th full vector,
+    one (m,) index shared by a stack or one per system. Returns the maximal
+    deviation and the generator's canonical-Parseval norm square
+    ||S_full^-1/2 g||^2, for calibration against covolume * formal degree.
     """
     lam_index = np.asarray(lam_index, dtype=int)
-    if lam_index.shape != (V_full.shape[-1],):
+    if lam_index.shape not in (V_full.shape[-1:], V_full.shape[:-2] + V_full.shape[-1:]):
         raise UsageError("factorization must assign every full vector")
     lhs = np.sum(np.abs(R_full @ V_full) ** 2, axis=-2)
-    rhs = np.sum(np.abs(R_reduced @ V_reduced) ** 2, axis=-2)[..., lam_index]
+    rhs = np.sum(np.abs(R_reduced @ V_reduced) ** 2, axis=-2)
+    rhs = np.take_along_axis(rhs, np.broadcast_to(lam_index, lhs.shape), axis=-1)
     max_dev = linalg.per_matrix(np.max(np.abs(lhs - rhs / stab_order), axis=-1))
     gv = (R_full @ np.asarray(generator, dtype=complex)[..., None])[..., 0]
     return max_dev, linalg.per_matrix(np.sum(np.abs(gv) ** 2, axis=-1))

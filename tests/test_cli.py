@@ -423,6 +423,17 @@ class TestFormalDegreeCommand:
         assert code == 3
         assert "error" in err.lower() or "failure" in err.lower()
 
+    def test_rel_tol_also_bounds_the_closed_form_deviation(self, capsys):
+        # the mesh-halving estimate is 2.3e-9 here; the x-range cut-off costs 6.9e-5
+        code, out, err = run_cli(capsys, "formal-degree", "--alpha", "2", "--rel-tol", "1e-6")
+        assert code == 3 and out == ""
+        assert err == "failure: closed_form_rel_deviation 6.898e-05 exceeds rel_tol 1.000e-06\n"
+        code, out, _ = run_cli(
+            capsys, "formal-degree", "--alpha", "3", "--rel-tol", "1e-5", "--format", "json"
+        )
+        assert code == 0
+        assert json_lines(out)[0]["closed_form_rel_deviation"] <= 1e-5
+
 
 class TestDensityCommand:
     def test_removed_grid_option_is_refused(self, capsys, tmp_path):

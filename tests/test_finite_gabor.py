@@ -294,6 +294,93 @@ class TestBatchedScan:
         assert 4 * batches < report.total_cases
         assert len(calls) <= 4 * batches
 
+    def test_eigensolves_are_two_per_order_and_two_per_stabilizer_order(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+
+            def counting(*args, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        fg.exhaustive_scan(5, windows_per_case=4, seed=7)
+        monkeypatch.undo()
+        orders, stab_orders = set(), set()
+        for n in range(2, 6):
+            for si, sub in enumerate(fg.subgroup_enumerate(n)):
+                _, windows = fg.scan_windows(n, si, 4, 7)
+                orders.add((n, sub.order))
+                stab_orders.update((n, sub.order, stab.order) for stab, _ in stabilizers(sub, windows))
+        # the full orbits' Gram and frame operator per (n, order), the transversal's per stabiliser order
+        assert len(calls) == 2 * len(orders) + 2 * len(stab_orders)
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
+    def test_scan_equals_one_subgroup_at_a_time(self, monkeypatch, seed, faulty):
+        if faulty:
+            # a fault keyed by window content hits the same windows on both paths
+            original = frames.parseval_norm_check
+
+            def corrupt(*args, generator, **kwargs):
+                max_dev, gen_psq = original(*args, generator=generator, **kwargs)
+                return np.where(generator[:, 0].real > 1.0, 2.0, max_dev), gen_psq
+
+            monkeypatch.setattr(frames, "parseval_norm_check", corrupt)
+        report = fg.exhaustive_scan(6, windows_per_case=3, seed=seed)
+        rows, violations = [], []
+        for n in range(2, 7):
+            for si, sub in enumerate(fg.subgroup_enumerate(n)):
+                window_ids, windows = fg.scan_windows(n, si, 3, seed)
+                for window_id, outcome in zip(window_ids, fg.verify_windows(sub, windows)):
+                    if isinstance(outcome, TheoremViolationError):
+                        violations.append(
+                            {
+                                "n": n,
+                                "subgroup_gens": sub.gens_text(),
+                                "window_id": window_id,
+                                "seed": seed,
+                                "message": str(outcome),
+                            }
+                        )
+                    else:
+                        rows.append(dict(outcome, window_id=window_id))
+        assert list(report.rows) == rows
+        assert list(report.violations) == violations
+        assert bool(violations) == faulty
+
+    def test_violation_names_its_own_subgroup_within_a_batch(self, monkeypatch):
+        # the order-4 subgroups of Z_4 x Z_4 share one batch; "const" is in all of them and
+        # its orbit over <(2,1)> differs from its orbit over every other one
+        n, seed = 4, 3
+        subgroups = [sub for sub in fg.subgroup_enumerate(n) if sub.order == 4]
+        (target_sub,) = [sub for sub in subgroups if sub.gens_text() == "(2,1)"]
+        const = np.ones(n, dtype=complex) / np.sqrt(n)
+        target = fg.orbit_system(const, target_sub.elements)
+        orbits = [fg.orbit_system(const, sub.elements) for sub in subgroups]
+        assert sum(np.array_equal(V, target) for V in orbits) == 1
+        clean = fg.exhaustive_scan(n, windows_per_case=2, seed=seed)
+        original = frames.parseval_norm_check
+
+        def corrupt(V_full, *args, **kwargs):
+            max_dev, gen_psq = original(V_full, *args, **kwargs)
+            return np.where([np.array_equal(V, target) for V in V_full], 1.0, max_dev), gen_psq
+
+        monkeypatch.setattr(frames, "parseval_norm_check", corrupt)
+        report = fg.exhaustive_scan(n, windows_per_case=2, seed=seed)
+        hit_row = (n, "(2,1)", "const")
+        expected = [
+            row for row in clean.rows
+            if (row["n"], row["subgroup_gens"], row["window_id"]) != hit_row
+        ]
+        assert len(expected) == len(clean.rows) - 1
+        assert list(report.rows) == expected
+        (violation,) = report.violations
+        assert (violation["n"], violation["subgroup_gens"], violation["window_id"]) == hit_row
+        assert violation["message"] == (
+            "canonical Parseval norm identity deviation 1.000e+00 "
+            f"[n={n}, gens=(2,1), window={const.tolist()!r}]"
+        )
+
     def test_batch_matches_one_window_at_a_time(self):
         n = 4
         for si, sub in enumerate(fg.subgroup_enumerate(n)):

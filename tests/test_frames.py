@@ -85,6 +85,24 @@ class TestStackedSystems:
             one_biorth = frames.biorthogonality_check(V_red[k], G_red[k], S_red_k)
             assert abs(biorth[k] - one_biorth) <= 1e-12
 
+    def test_parseval_takes_one_lam_index_per_system(self):
+        rng = np.random.default_rng(63)
+        V = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        cols = np.array([[0, 1], [2, 3], [1, 2]])
+        lam_index = np.array([[0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 1]])
+        V_red = np.take_along_axis(V, cols[:, None, :], axis=-1)
+        R, R_red = (linalg.psd_eigen(frames.frame_operator(X)).inverse_sqrt() for X in (V, V_red))
+        max_dev, gen_psq = frames.parseval_norm_check(
+            V, V_red, R, R_red, lam_index, 2, generator=V[..., 0]
+        )
+        for k in range(3):
+            one_dev, one_psq = frames.parseval_norm_check(
+                V[k], V_red[k], R[k], R_red[k], lam_index[k], 2, generator=V[k, :, 0]
+            )
+            assert max_dev[k] == one_dev and gen_psq[k] == one_psq
+        with pytest.raises(UsageError):
+            frames.parseval_norm_check(V, V_red, R, R_red, lam_index[:2], 2, generator=V[..., 0])
+
 
 class TestGram:
     def test_orthonormal_triple(self):
