@@ -16,7 +16,8 @@ traceback goes to stderr). Output formats: human, csv (RFC quoting, one
 table under a header row; every other record goes to stderr), json (one
 object per line plus a final summary object). Floats are printed with 17
 significant digits. A flat key=value config file can supply any
-parameter; explicit flags win; unknown keys are rejected.
+parameter; explicit flags win; unknown keys are rejected. Each command
+imports only the modules it runs, and ``--help`` imports none of them.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import csv
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bergman, finite_gabor, frames, fuchsian, linalg
 from .errors import (
     AccuracyError,
     NotPSDError,
@@ -40,7 +41,10 @@ from .errors import (
     TheoremViolationError,
     UsageError,
 )
-from .hyperbolic import MoebiusMap, UpperHalfPoint, frobenius_sq
+
+if TYPE_CHECKING:
+    from .fuchsian import GroupBall, LatticeSpec
+    from .hyperbolic import UpperHalfPoint
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -59,6 +63,8 @@ _LATTICE_KEYS = {"lattice.name", "lattice.generators", "lattice.covolume", "latt
 
 def parse_point(text: str) -> UpperHalfPoint:
     """Parse '1.5+0.5i', '2i', 'i' into an upper half-plane point."""
+    from .hyperbolic import UpperHalfPoint
+
     cleaned = text.strip().replace("I", "i").replace("i", "j")
     try:
         z = complex(cleaned)
@@ -119,7 +125,10 @@ def _parse_float(text: str, key: str) -> float:
         raise UsageError(f"{key}: cannot parse number {text.strip()!r}") from exc
 
 
-def lattice_from_config(name: str, config: dict) -> fuchsian.LatticeSpec:
+def lattice_from_config(name: str, config: dict) -> LatticeSpec:
+    from . import fuchsian
+    from .hyperbolic import MoebiusMap
+
     if name == "psl2z":
         return fuchsian.psl2z()
     if config.get("lattice.name") != name:
@@ -297,6 +306,8 @@ def cmd_finite_scan(settings: Settings, emitter: Emitter) -> int:
     n_max = settings.get("n_max", None, int)
     if n_max is None:
         raise UsageError("finite-scan requires --n-max")
+    from . import finite_gabor
+
     windows = settings.get("windows", 50, int)
     seed = settings.get("seed", 0, int)
     if windows < 0 or seed < 0:
@@ -311,6 +322,8 @@ def cmd_finite_scan(settings: Settings, emitter: Emitter) -> int:
 
 
 def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
+    from . import bergman
+
     alpha = settings.get("alpha", None, float)
     if alpha is None:
         raise UsageError("formal-degree requires --alpha")
@@ -349,6 +362,9 @@ def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
 
 
 def cmd_ball(settings: Settings, emitter: Emitter) -> int:
+    from . import fuchsian
+    from .hyperbolic import frobenius_sq
+
     norm = settings.get("norm", None, float)
     if norm is None:
         raise UsageError("ball requires --norm")
@@ -369,6 +385,8 @@ def cmd_ball(settings: Settings, emitter: Emitter) -> int:
 
 
 def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
+    from . import bergman, fuchsian
+
     z_text = settings.get("z", None)
     ball_norm = settings.get("ball", None, float)
     if z_text is None or ball_norm is None:
@@ -409,9 +427,11 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
     return EXIT_OK
 
 
-def _prefix_length(ball: fuchsian.GroupBall, bound_sq: float) -> int:
+def _prefix_length(ball: GroupBall, bound_sq: float) -> int:
     """Number of leading ball elements inside the truncation; the ball order
     must be such that exactly these satisfy it."""
+    from .hyperbolic import frobenius_sq
+
     inside = frobenius_sq(ball.elements) <= bound_sq
     count = int(np.count_nonzero(inside))
     if not inside[:count].all():
@@ -420,6 +440,8 @@ def _prefix_length(ball: fuchsian.GroupBall, bound_sq: float) -> int:
 
 
 def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
+    from . import bergman, frames, fuchsian, linalg
+
     alpha = settings.get("alpha", None, float)
     if alpha is None:
         raise UsageError("bergman-density requires --alpha")

@@ -5,11 +5,13 @@ G[i, j] = <v_i, v_j> (inner products linear in the first argument), the
 probe matrix A[i, j] = <q_j, v_i> against a probe family, and the
 compressed synthesis matrix B[p, i] = <v_i, q_p>, whose product B B* is
 the frame operator compressed to the probes. Finite systems are the
-columns of an n x m matrix V, for which G = V^T conj(V)
-(:func:`vector_gram`), the frame operator is V V* (:func:`frame_operator`)
-and B = V against the standard basis. Spectra are computed once,
-by :func:`gram` or :func:`linalg.psd_eigen`, and every rank, bound and
-identity check reads from them.
+columns of an n x m matrix V, whose frame operator is V V*
+(:func:`frame_operator`) and B = V against the standard basis. Their
+Gram matrix V^T conj(V) has the nonzero spectrum of V V*, so every Gram
+rank and extreme of a finite system is read from the n x n frame
+operator. Spectra are computed once, by :func:`gram` or
+:func:`linalg.psd_eigen`, and every rank, bound and identity check reads
+from them.
 
 The matrix functions also take stacks (..., rows, cols) of equally sized
 systems and then return one value per system; every Hermitian, diagonal,
@@ -28,11 +30,6 @@ from . import linalg
 from .errors import NotRieszError, OracleInconsistencyError, UsageError
 
 SCHEMA_VERSION = "2"
-
-
-def vector_gram(V) -> np.ndarray:
-    """Gram matrix G[i, j] = <v_i, v_j> of the columns of an orbit matrix."""
-    return V.swapaxes(-1, -2) @ V.conj()
 
 
 def frame_operator(V) -> np.ndarray:
@@ -139,19 +136,18 @@ def parseval_norm_check(
     return max_dev, linalg.per_matrix(np.sum(np.abs(gv) ** 2, axis=-1))
 
 
-def biorthogonality_check(V, gram_spectrum: linalg.PSDSpectrum, R) -> float:
+def biorthogonality_check(V, frame_spectrum: linalg.PSDSpectrum, R) -> float:
     """Max deviation of <v_i, S^-1 v_j> from the Kronecker delta.
 
-    ``R`` is the pseudo inverse square root of the frame operator of the
-    orbit matrix ``V``. Requires a numerically nonsingular Gram matrix (a
-    Riesz system).
+    ``frame_spectrum`` is the spectrum of the frame operator S = V V* of the
+    orbit matrix ``V`` and ``R`` its pseudo inverse square root. Requires a
+    numerically nonsingular Gram matrix (a Riesz system): its nonzero
+    spectrum is that of S, so S must have rank equal to the column count.
     """
-    singular = np.asarray(gram_spectrum.rank) < V.shape[-1]
-    if np.any(singular):
-        w = gram_spectrum.eigenvalues.reshape(-1, V.shape[-1])[np.argmax(singular)]
-        raise NotRieszError(
-            f"Gram matrix is numerically singular (min {w[0]:.3e}, max {w[-1]:.3e})"
-        )
+    m = V.shape[-1]
+    rank = np.ravel(frame_spectrum.rank)
+    if np.any(rank < m):
+        raise NotRieszError(f"Gram matrix is numerically singular: rank {np.min(rank)} of {m}")
     K = linalg.adjoint(V) @ (R @ R) @ V
     return linalg.per_matrix(np.max(np.abs(K - np.eye(V.shape[-1])), axis=(-2, -1)))
 

@@ -1,7 +1,8 @@
 """Reference oracles and helpers that only the tests use.
 
 The scalar kernel formula, the per-pair inner products, the one-vector
-time-frequency shift, the pair-closure subgroup enumeration, the
+time-frequency shift, the pair-closure subgroup enumeration and subgroup
+test, the stacked Gram matrix of orbit matrices, the
 one-matrix-at-a-time group ball, stabiliser, coset and orbit paths and the
 materialised-meshgrid quadrature are the slow reference paths that the
 closed-form, batched, array and tensor-grid code in ``orbitdensity`` is
@@ -45,6 +46,12 @@ def kernel_cross_oracle(left, right) -> np.ndarray:
         for j, (zj, cj) in enumerate(zip(right.z.tolist(), right.c.tolist())):
             out[i, j] = ci * cj.conjugate() * kernel_value(zi, zj, left.alpha)
     return out
+
+
+def vector_gram(V) -> np.ndarray:
+    """Gram matrix G[i, j] = <v_i, v_j> of the columns of an orbit matrix or
+    of each orbit matrix of a stack."""
+    return V.swapaxes(-1, -2) @ V.conj()
 
 
 def vector_gram_oracle(V) -> np.ndarray:
@@ -98,6 +105,19 @@ def formal_degree_finite(n: int, *, pairs: int = 8, seed: int = 20240801) -> Fra
                 f"orthogonality relation failed at n={n}: sum {total!r} vs {target!r}"
             )
     return Fraction(1, n)
+
+
+def is_subgroup_pairs(elements, n: int) -> bool:
+    """Nonempty, duplicate-free, inside Z_n x Z_n and closed under addition,
+    checked one pair of elements at a time."""
+    members = set(elements)
+    return (
+        0 < len(members) == len(elements)
+        and all(0 <= a < n and 0 <= b < n for a, b in members)
+        and all(
+            ((x[0] + y[0]) % n, (x[1] + y[1]) % n) in members for x in members for y in members
+        )
+    )
 
 
 def additive_closure(gens, n: int) -> tuple:

@@ -11,10 +11,10 @@ import time
 
 import numpy as np
 import pytest
-from oracles import Moebius, covolume_psl2z_by_meshgrid, distance, pi_shift_matrix
+from oracles import Moebius, covolume_psl2z_by_meshgrid, distance, pi_shift_matrix, vector_gram
 from scipy.integrate import quad
 
-from orbitdensity import bergman, cli, finite_gabor, fuchsian
+from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian, linalg
 from orbitdensity.bergman import KernelOrbit, KernelVector, Weight
 from orbitdensity.hyperbolic import UpperHalfPoint
 
@@ -101,6 +101,40 @@ def test_frame_verdicts_match_adjoint_riesz_duality(scan_result):
                 )
                 assert row["is_frame"] == bool(riesz)
     assert next(rows, None) is None
+
+
+def test_gram_verdicts_match_frame_operator_spectra(scan_result):
+    """The Gram matrices as oracle for what the scan reads from the n x n
+    frame operators: a frame is a |Gamma| x |Gamma| Gram of rank n, a Riesz
+    transversal a nonsingular |Lambda| x |Lambda| Gram, and the two Grams
+    have equal rank."""
+    report, _ = scan_result
+    rows = iter(report.rows)
+    rel_tol = linalg.DEFAULT_REL_TOL
+    seen = set()
+    for n in range(2, 7):
+        for si, sub in enumerate(finite_gabor.subgroup_enumerate(n)):
+            window_ids, windows = finite_gabor.scan_windows(n, si, 50, SCAN_SEED)
+            V = finite_gabor.orbit_system(windows, sub.elements)
+            G_full = frames.gram(vector_gram(V))
+            is_frame = G_full.rank == n
+            is_riesz = np.zeros(len(windows), dtype=bool)
+            for stab, members in finite_gabor.stabilizer_classes(sub, windows, V):
+                lambdas, _ = finite_gabor.lex_coset_representatives(sub, stab)
+                cols = [sub.elements.index(lam) for lam in lambdas]
+                G_red = frames.gram(vector_gram(V[members][..., cols]))
+                w = G_red.eigenvalues
+                is_riesz[members] = w[:, 0] > rel_tol * np.maximum(w[:, -1], 0.0)
+                assert np.array_equal(G_full.rank[members], G_red.rank)
+            for k, window_id in enumerate(window_ids):
+                row = next(rows)
+                assert (row["n"], row["subgroup_gens"], row["window_id"]) == (
+                    n, sub.gens_text(), window_id
+                )
+                assert (row["is_frame"], row["is_riesz"]) == (is_frame[k], is_riesz[k])
+                seen.add((row["is_frame"], row["is_riesz"]))
+    assert next(rows, None) is None
+    assert {(True, False), (False, True), (True, True)} <= seen
 
 
 def test_criterion_3_discrete_orthogonality_relations():

@@ -28,8 +28,8 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_with_blas_threads(threads: str, *argv):
-    """The CLI in a fresh interpreter whose BLAS uses this many threads."""
+def run_python(threads: str, *args):
+    """A fresh interpreter on this source tree whose BLAS uses this many threads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(
         os.environ,
@@ -38,12 +38,36 @@ def run_cli_with_blas_threads(threads: str, *argv):
         PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
     )
     return subprocess.run(
-        [sys.executable, "-m", "orbitdensity.cli", *argv],
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         check=True,
         timeout=120,
     )
+
+
+def run_cli_with_blas_threads(threads: str, *argv):
+    """The CLI in a fresh interpreter whose BLAS uses this many threads."""
+    return run_python(threads, "-m", "orbitdensity.cli", *argv)
+
+
+# runs cli.main on each argv given as JSON, then prints the exit codes and the
+# package modules imported
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+from orbitdensity import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("orbitdensity."))]))
+"""
+
+
+def loaded_modules(*argvs) -> tuple[list, set]:
+    """Exit codes of the commands, run in turn in one fresh interpreter, and
+    the package modules that interpreter imported."""
+    child = run_python("1", "-c", _LOADED_MODULES, json.dumps(argvs))
+    codes, modules = json.loads(child.stdout)
+    return codes, set(modules)
 
 
 def json_lines(out):
@@ -213,6 +237,62 @@ class TestDeterminism:
         outputs = [run_cli_with_blas_threads(t, *argv) for t in "12"]
         assert outputs[0].stdout == outputs[1].stdout
         assert outputs[0].stderr == outputs[1].stderr
+
+
+def test_scan_at_n_max_ten(capsys):
+    code, out, err = run_cli(
+        capsys, "finite-scan", "--n-max", "10", "--windows", "1", "--format", "csv"
+    )
+    assert code == 0
+    # per subgroup: the random window, n basis vectors, the constant and one
+    # indicator per divisor 2 <= d < n; Z_n x Z_n has sum gcd(a, b) over
+    # divisors a, b of n subgroups
+    expected = 0
+    for n in range(2, 11):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        subgroups = sum(math.gcd(a, b) for a in divisors for b in divisors)
+        expected += subgroups * (1 + n + 1 + sum(1 for d in divisors if 2 <= d < n))
+    summary = err.splitlines()
+    assert f"# total_cases = {expected}" in summary
+    assert "# violations = 0" in summary
+    assert len(out.splitlines()) == expected + 1
+
+
+COMMAND_MODULES = {
+    f"orbitdensity.{name}"
+    for name in ("bergman", "finite_gabor", "frames", "fuchsian", "hyperbolic", "linalg")
+}
+
+
+class TestImports:
+    def test_finite_scan_imports_no_bergman_module(self):
+        codes, modules = loaded_modules(["finite-scan", "--n-max", "3", "--windows", "1"])
+        assert codes == [0]
+        assert "orbitdensity.finite_gabor" in modules
+        bergman_side = {"orbitdensity.bergman", "orbitdensity.fuchsian", "orbitdensity.hyperbolic"}
+        assert not modules & bergman_side
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bergman-density", "--alpha", "2", "--z", "i", "--ball", "4", "--probes", "8"],
+            ["formal-degree", "--alpha", "3", "--grid", "64x32"],
+            ["ball", "--norm", "4"],
+            ["stabilizer", "--z", "i", "--ball", "4"],
+        ],
+        ids=["bergman-density", "formal-degree", "ball", "stabilizer"],
+    )
+    def test_bergman_commands_import_no_exact_oracle(self, argv):
+        codes, modules = loaded_modules(argv)
+        assert codes == [0]
+        assert "orbitdensity.fuchsian" in modules
+        assert "orbitdensity.finite_gabor" not in modules
+
+    def test_help_imports_no_command_module(self):
+        commands = ["finite-scan", "bergman-density", "formal-degree", "ball", "stabilizer"]
+        codes, modules = loaded_modules(["--help"], *([command, "--help"] for command in commands))
+        assert codes == [0] * 6
+        assert not modules & COMMAND_MODULES
 
 
 class TestFormatParity:

@@ -12,6 +12,7 @@ from orbitdensity import cli, frames
 from orbitdensity import finite_gabor as fg
 from orbitdensity.errors import (
     DimensionError,
+    OracleInconsistencyError,
     ResourceLimitError,
     TheoremViolationError,
     UsageError,
@@ -142,7 +143,7 @@ class TestSubgroupEnumeration:
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            fg.subgroup_enumerate(13)
+            fg.subgroup_enumerate(17)
 
     def test_hermite_normal_forms_match_pair_closure(self):
         for n in range(2, 13):
@@ -154,6 +155,32 @@ class TestSubgroupEnumeration:
             # counting law: Z_n x Z_n has sum of gcd(a, b) over divisors a, b of n subgroups
             divisors = [d for d in range(1, n + 1) if n % d == 0]
             assert len(hnf) == sum(math.gcd(a, b) for a in divisors for b in divisors)
+
+    def test_subgroup_check_matches_pair_closure(self):
+        rng = np.random.default_rng(57)
+        for n in range(2, 9):
+            subgroups = {sub.elements for sub in fg.subgroup_enumerate(n)}
+            pairs = list(itertools.product(range(n), repeat=2))
+            candidates = []
+            for elements in sorted(subgroups):
+                assert fg._is_subgroup(elements, n) and oracles.is_subgroup_pairs(elements, n)
+                # one element dropped, one added
+                drop = elements[rng.integers(len(elements))]
+                candidates.append(tuple(e for e in elements if e != drop))
+                candidates.append(tuple(sorted({*elements, pairs[rng.integers(len(pairs))]})))
+            for _ in range(100):
+                size = rng.integers(1, len(pairs) + 1)
+                picked = rng.choice(len(pairs), size, replace=False)
+                candidates.append(tuple(pairs[k] for k in picked))
+            non_subgroups = [c for c in candidates if tuple(sorted(c)) not in subgroups]
+            assert len(non_subgroups) >= 50
+            for elements in non_subgroups:
+                assert not fg._is_subgroup(elements, n)
+                assert not oracles.is_subgroup_pairs(elements, n)
+        # empty, a duplicate, outside Z_2 x Z_2
+        for elements in ((), ((0, 0), (0, 0)), ((0, 0), (0, 2)), ((0, 0), (-1, 0))):
+            assert not fg._is_subgroup(elements, 2)
+            assert not oracles.is_subgroup_pairs(elements, 2)
 
     def test_rejects_element_list_that_is_not_closed(self):
         with pytest.raises(UsageError):
@@ -204,6 +231,13 @@ class TestProjectiveStabilizer:
             3: ((0, 0), (0, 1)),
         }
         assert len(classes) == 3
+
+    def test_stabilizer_that_is_not_a_subgroup_is_an_inconsistency(self):
+        full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        with pytest.raises(OracleInconsistencyError, match="not closed under addition"):
+            fg._stabilizer(full, [False, True, True, False])
+        with pytest.raises(OracleInconsistencyError):
+            fg._stabilizer(full, [True, False, True, True])
 
 
 class TestCosetTransversal:
@@ -294,13 +328,13 @@ class TestBatchedScan:
         assert 4 * batches < report.total_cases
         assert len(calls) <= 4 * batches
 
-    def test_eigensolves_are_two_per_order_and_two_per_stabilizer_order(self, monkeypatch):
-        calls = []
+    def test_one_n_by_n_eigensolve_per_order_and_stab_order(self, monkeypatch):
+        sizes = []
         for name in ("eigh", "eigvalsh"):
 
-            def counting(*args, _original=getattr(np.linalg, name), **kwargs):
-                calls.append(name)
-                return _original(*args, **kwargs)
+            def counting(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                sizes.append(np.shape(a)[-2:])
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
         fg.exhaustive_scan(5, windows_per_case=4, seed=7)
@@ -311,8 +345,10 @@ class TestBatchedScan:
                 _, windows = fg.scan_windows(n, si, 4, 7)
                 orders.add((n, sub.order))
                 stab_orders.update((n, sub.order, stab.order) for stab, _ in stabilizers(sub, windows))
-        # the full orbits' Gram and frame operator per (n, order), the transversal's per stabiliser order
-        assert len(calls) == 2 * len(orders) + 2 * len(stab_orders)
+        # the full orbits' frame operators per (n, order), the transversals' per
+        # stabiliser order; no |Gamma| x |Gamma| or |Lambda| x |Lambda| Gram
+        expected = [(n, n) for n, *_ in [*orders, *stab_orders]]
+        assert sorted(sizes) == sorted(expected)
 
     @pytest.mark.parametrize("seed", [2, 9])
     @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
@@ -477,4 +513,4 @@ class TestScan:
         with pytest.raises(UsageError):
             fg.exhaustive_scan(0)
         with pytest.raises(UsageError):
-            fg.exhaustive_scan(9)
+            fg.exhaustive_scan(17)

