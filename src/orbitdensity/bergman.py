@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fuchsian
+from . import fuchsian, linalg
 from .errors import AccuracyError, OracleInconsistencyError, ResourceLimitError, UsageError
 from .hyperbolic import QuadratureGrid, UpperHalfPoint, canonical, compose, image, inverse
 from .hyperbolic import integrate_invariant
@@ -92,6 +92,13 @@ def kernel_gram(left: KernelOrbit, right: KernelOrbit) -> np.ndarray:
     G[i, j] = c_i conj(c'_j) C i^alpha (w_j - conj z_i)^(-alpha) with
     C = 2^(alpha-2) (alpha-1) / pi. The argument of w - conj(z) lies in
     (0, pi), so no branch cut is crossed.
+
+    The matrix is assembled in its own buffer by in-place ufuncs, the
+    coefficient products by strips of ``linalg.ROW_BLOCK`` rows, so no
+    second full-size array is made. Every entry is computed as
+    ((w_j - conj z_i)^-alpha C i^alpha) times (c_i conj(c'_j)), in that
+    operand order at every size, so a leading block of a Gram is bitwise
+    the Gram of the leading vectors.
     """
     if left.alpha != right.alpha:
         raise UsageError(f"weight mismatch: {left.alpha} vs {right.alpha}")
@@ -101,8 +108,14 @@ def kernel_gram(left: KernelOrbit, right: KernelOrbit) -> np.ndarray:
         )
     alpha = left.alpha
     const = 2.0 ** (alpha - 2.0) / math.pi * (alpha - 1.0) * cmath.exp(1j * math.pi * alpha / 2.0)
-    K = const * (right.z[None, :] - left.z.conj()[:, None]) ** (-alpha)
-    return (left.c[:, None] * right.c.conj()[None, :]) * K
+    G = np.subtract(right.z[None, :], left.z.conj()[:, None])
+    np.power(G, -alpha, out=G)
+    np.multiply(G, const, out=G)
+    right_c = right.c.conj()
+    for r0 in range(0, len(left), linalg.ROW_BLOCK):
+        rows = G[r0 : r0 + linalg.ROW_BLOCK]
+        np.multiply(left.c[r0 : r0 + linalg.ROW_BLOCK, None] * right_c[None, :], rows, out=rows)
+    return G
 
 
 def kernel_norm_sq(k: KernelVector) -> float:

@@ -484,11 +484,20 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
     probes = bergman.probe_kernels(kernel, probes_count, probe_radius)
     gen_norm_sq = bergman.kernel_norm_sq(kernel)
 
+    norms = [
+        max(math.sqrt(2.0), ball_norm - refine_delta * (refine_steps - 1 - j))
+        for j in range(refine_steps)
+    ]
     # Ball elements are sorted by norm and the representatives' ball indices
     # increase, so every truncation below is a leading prefix of both:
-    # assemble once at the full radius and slice per step.
+    # assemble once at the full radius and slice per step. The Gram of the
+    # representatives is the command's one large array: every truncation is
+    # validated and eigensolved as a view of it, before the probe matrices
+    # are made.
+    gamma_counts = [_prefix_length(ball, norm * norm + 1e-9) for norm in norms]
+    lam_counts = [int(np.searchsorted(cosets.rep_index, count)) for count in gamma_counts]
     lam_orbit = orbit.take(cosets.rep_index)
-    lam_gram = bergman.kernel_gram(lam_orbit, lam_orbit)
+    riesz_spectra = frames.gram(bergman.kernel_gram(lam_orbit, lam_orbit), lam_counts)
     probe_matrix = bergman.kernel_gram(probes, orbit).T
     whitener = linalg.psd_eigen(bergman.kernel_gram(probes, probes).T).whitener()
     # The S-relation compares the synthesis of the fully tiled
@@ -498,18 +507,13 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
     synth_red = bergman.kernel_gram(orbit.take(cosets.rep_index[fully_tiled]), probes).T
     synth_full = bergman.kernel_gram(orbit.take(cosets.tile[fully_tiled].ravel()), probes).T
 
-    norms = [
-        max(math.sqrt(2.0), ball_norm - refine_delta * (refine_steps - 1 - j))
-        for j in range(refine_steps)
-    ]
     riesz_trace_min, riesz_trace_max = [], []
     probe_trace_min, probe_trace_max = [], []
     reports = []
-    for norm in norms:
-        bound_sq = norm * norm + 1e-9
-        gamma_count = _prefix_length(ball, bound_sq)
-        lam_count = int(np.searchsorted(cosets.rep_index, gamma_count))
-        riesz_lo, riesz_hi = frames.gram(lam_gram[:lam_count, :lam_count]).extremes
+    for norm, gamma_count, lam_count, riesz_spectrum in zip(
+        norms, gamma_counts, lam_counts, riesz_spectra
+    ):
+        riesz_lo, riesz_hi = riesz_spectrum.extremes
         probe_lo, probe_hi, probe_diag = frames.frame_bounds_probe(
             probe_matrix[:gamma_count], whitener
         )

@@ -11,7 +11,9 @@ Gram matrix V^T conj(V) has the nonzero spectrum of V V*, so every Gram
 rank and extreme of a finite system is read from the n x n frame
 operator. Spectra are computed once, by :func:`gram` or
 :func:`linalg.psd_eigen`, and every rank, bound and identity check reads
-from them.
+from them. :func:`gram` serves nested truncations: it validates every
+leading block of one Gram buffer, symmetrizes the buffer once in place
+and eigensolves each block as a view.
 
 The matrix functions also take stacks (..., rows, cols) of equally sized
 systems and then return one value per system; every Hermitian, diagonal,
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import NotRieszError, OracleInconsistencyError, UsageError
+from .errors import DimensionError, NotRieszError, OracleInconsistencyError, UsageError
 
 SCHEMA_VERSION = "2"
 
@@ -37,35 +39,58 @@ def frame_operator(V) -> np.ndarray:
     return V @ linalg.adjoint(V)
 
 
-def gram(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpectrum:
-    """Validate an assembled Gram matrix and return its spectrum.
+def gram(G, sizes=None, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list[linalg.PSDSpectrum]:
+    """Validate the leading blocks G[:k, :k] of an assembled Gram matrix (of
+    each matrix of a stack) and return their spectra, one per k of
+    ``sizes``, the whole matrix by default.
 
-    The matrix must be Hermitian to 1e-12 relative, with a strictly
+    Each block must be Hermitian to 1e-12 relative, with a strictly
     positive diagonal, and its symmetrization PSD at ``rel_tol``;
-    violations signal inconsistent inner products. Eigenvalues only.
+    violations signal inconsistent inner products. The first block, in
+    ``sizes`` order, that fails the Hermitian, diagonal or finiteness check
+    raises before anything is eigensolved. Eigenvalues only.
+
+    A complex128 ``G`` is the working buffer. Once those checks pass, its
+    leading max(sizes) rows and columns are overwritten with the Hermitian
+    part (G + G*) / 2, and each block is eigensolved as a view of it, so
+    LAPACK's copy is the only other full-size array. Pass a copy to keep
+    ``G`` intact.
     """
     G = np.asarray(G, dtype=complex)
-    if G.shape[-1] == 0:
+    if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {G.shape}")
+    sizes = [G.shape[-1]] if sizes is None else [int(k) for k in sizes]
+    if not sizes or min(sizes) < 1:
         raise UsageError("system needs at least one vector")
-    herm_dev = linalg.hermitian_deviation(G)
-    if np.any(herm_dev > 1e-12):
-        raise OracleInconsistencyError(
-            f"inner products are not Hermitian: relative deviation {np.max(herm_dev):.3e}"
-        )
-    if not np.all(np.diagonal(G, axis1=-2, axis2=-1).real > 0.0):
-        raise OracleInconsistencyError("Gram diagonal must be strictly positive")
+    if max(sizes) > G.shape[-1]:
+        raise UsageError(f"truncation size {max(sizes)} exceeds the {G.shape[-1]} vectors")
+    herm_dev, finite = linalg.leading_hermitian_deviations(G, sizes)
+    diagonal = np.diagonal(G, axis1=-2, axis2=-1).real
+    for k, dev, fin in zip(sizes, herm_dev, finite):
+        if np.any(dev > 1e-12):
+            raise OracleInconsistencyError(
+                f"inner products are not Hermitian: relative deviation {np.max(dev):.3e}"
+            )
+        if not np.all(diagonal[..., :k] > 0.0):
+            raise OracleInconsistencyError("Gram diagonal must be strictly positive")
+        if not np.all(fin):
+            raise UsageError("matrix contains non-finite entries")
     # eigensolved as (G + G*) / 2, whose diagonal is the real part of G's; the
     # 1e-12 bound above implies hermitian_eigen's 1e-8 one, so it is not measured again
-    w = linalg.hermitian_part_eigenvalues(G)
-    lam_max = np.maximum(w[..., -1], 0.0)
-    bad = w[..., 0] < -rel_tol * lam_max
-    if np.any(bad):
-        k = np.argmax(bad)
-        raise OracleInconsistencyError(
-            f"Gram matrix is not PSD: min eigenvalue {w[..., 0].flat[k]:.6e} "
-            f"of max {lam_max.flat[k]:.6e}"
-        )
-    return linalg.PSDSpectrum.filtered(w, None, rel_tol)
+    linalg.hermitian_part_in_place(G, max(sizes))
+    spectra = []
+    for k in sizes:
+        w = linalg.hermitian_eigenvalues(G[..., :k, :k])
+        lam_max = np.maximum(w[..., -1], 0.0)
+        bad = w[..., 0] < -rel_tol * lam_max
+        if np.any(bad):
+            j = np.argmax(bad)
+            raise OracleInconsistencyError(
+                f"Gram matrix is not PSD: min eigenvalue {w[..., 0].flat[j]:.6e} "
+                f"of max {lam_max.flat[j]:.6e}"
+            )
+        spectra.append(linalg.PSDSpectrum.filtered(w, None, rel_tol))
+    return spectra
 
 
 def frame_bounds_probe(A, whitener) -> tuple[float, float, dict]:

@@ -116,19 +116,19 @@ def brute_force_integer_ball(norm_bound: float) -> GroupBall:
         raise ResourceLimitError(f"integer oracle capped at norm_bound 30, got {norm_bound}")
     m = int(math.floor(norm_bound + 1e-12))
     r = np.arange(-m, m + 1)
-    a, b, c = (v.ravel() for v in np.meshgrid(r, r, r, indexing="ij"))
-    # a != 0 fixes d = (1 + b c) / a, which must be an integer in range
+    b, c = (v.ravel() for v in np.meshgrid(r, r, indexing="ij"))
     num = 1 + b * c
-    divisor = np.where(a == 0, 1, a)
-    d = num // divisor
-    found = (a != 0) & (num % divisor == 0) & (np.abs(d) <= m)
-    # a == 0 forces b c = -1, and then d is free
-    free_d = [(0, s, -s, t) for s in (1, -1) for t in r.tolist()]
-    quads = np.concatenate([np.stack([a, b, c, d], axis=1)[found], free_d])
-    # both signs are enumerated; keep the representative whose first nonzero entry is positive
-    lead = quads[np.arange(len(quads)), np.argmax(quads != 0, axis=1)]
+    # a == 0 forces b c = -1; the sign representative has b = 1, c = -1 and any d
+    slabs = [np.stack([np.zeros_like(r), np.ones_like(r), -np.ones_like(r), r], axis=1)]
+    # a > 0 fixes the sign and d = (1 + b c) / a, which must be an integer in
+    # range: one (b, c) slab per a, so memory is O(m^2)
+    for a in range(1, m + 1):
+        d = num // a
+        found = (num % a == 0) & (np.abs(d) <= m)
+        slabs.append(np.stack([np.full(np.count_nonzero(found), a), b[found], c[found], d[found]], axis=1))
+    quads = np.concatenate(slabs)
     norms = np.sum(quads * quads, axis=1)
-    kept = (lead > 0) & (norms <= norm_bound * norm_bound + _NORM_EPS)
+    kept = norms <= norm_bound * norm_bound + _NORM_EPS
     quads, norms = quads[kept], norms[kept]
     order = np.lexsort((quads[:, 3], quads[:, 2], quads[:, 1], quads[:, 0], norms))
     return GroupBall(norm_bound, quads[order].astype(float), closure_certified=True)

@@ -4,6 +4,13 @@ Everything downstream (Gram matrices, frame operators, Rayleigh quotients)
 reduces to Hermitian eigenproblems solved here.  All routines are
 deterministic for identical input and use a single relative threshold
 ``DEFAULT_REL_TOL`` wherever a rank decision has to be made.
+
+Matrices and small stacks are symmetrized into a copy. A large matrix
+whose leading blocks are all needed (a Gram buffer and its truncations)
+is measured and symmetrized in place by strips of ``ROW_BLOCK`` rows
+(:func:`leading_hermitian_deviations`, :func:`hermitian_part_in_place`),
+and each block is eigensolved as a view (:func:`hermitian_eigenvalues`),
+so LAPACK's copy is the only other full-size array.
 """
 
 from __future__ import annotations
@@ -25,6 +32,10 @@ DEFAULT_REL_TOL = 1e-9
 
 _HERMITICITY_RTOL = 1e-8
 
+# rows per strip of the row-blocked passes over a large matrix, whose
+# temporaries are then ROW_BLOCK x n instead of n x n
+ROW_BLOCK = 64
+
 
 def _as_square_complex(M) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
@@ -45,11 +56,15 @@ def frobenius(A) -> np.ndarray:
 
     Summed over the real and imaginary views, without a temporary copy.
     """
-    A = np.asarray(A)
+    return np.sqrt(_sum_sq(np.asarray(A)))
+
+
+def _sum_sq(A) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack."""
     sq = np.einsum("...ij,...ij->...", A.real, A.real)
     if np.iscomplexobj(A):
         sq = sq + np.einsum("...ij,...ij->...", A.imag, A.imag)
-    return np.sqrt(sq)
+    return sq
 
 
 def per_matrix(values):
@@ -68,6 +83,52 @@ def hermitian_deviation(A) -> np.ndarray:
     D -= A
     scale = frobenius(A)
     return np.divide(frobenius(D), scale, out=np.zeros_like(scale), where=scale > 0.0)
+
+
+def leading_hermitian_deviations(A, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """||A_k - A_k*|| / ||A_k|| (0 for a zero block) of each leading block
+    A_k = A[..., :k, :k], one per k of ``sizes``, and whether that block is
+    finite; both of shape (len(sizes),) + the stack shape.
+
+    Measured by strips of ROW_BLOCK rows, so no temporary is larger than
+    ROW_BLOCK x max(sizes).
+    """
+    n = max(sizes)
+    norm_sq = np.zeros((len(sizes),) + A.shape[:-2])
+    diff_sq = np.zeros_like(norm_sq)
+    finite = np.ones(norm_sq.shape, dtype=bool)
+    for r0 in range(0, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
+        rows = A[..., r0:r1, :n]
+        diff = adjoint(A[..., :n, r0:r1])
+        diff -= rows
+        for i, k in enumerate(sizes):
+            if k > r0:
+                block = rows[..., : k - r0, :k]
+                norm_sq[i] += _sum_sq(block)
+                diff_sq[i] += _sum_sq(diff[..., : k - r0, :k])
+                finite[i] &= np.all(np.isfinite(block), axis=(-2, -1))
+    scale = np.sqrt(norm_sq)
+    dev = np.divide(np.sqrt(diff_sq), scale, out=np.zeros_like(scale), where=scale > 0.0)
+    return dev, finite
+
+
+def hermitian_part_in_place(A, n: int) -> None:
+    """Overwrite A[..., :n, :n] with its Hermitian part (A + A*) / 2, by
+    strips of ROW_BLOCK rows.
+
+    Entry for entry this is the matrix :func:`_hermitian_part` returns, and
+    exactly Hermitian, so eigensolvers that read one triangle see the same
+    numbers.
+    """
+    for r0 in range(0, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
+        strip = adjoint(A[..., r0:n, r0:r1])
+        strip += A[..., r0:r1, r0:n]
+        strip *= 0.5
+        A[..., r0:r1, r0:n] = strip
+        np.conjugate(strip, out=strip)
+        A[..., r0:n, r0:r1] = strip.swapaxes(-1, -2)
 
 
 def _symmetrized(M) -> np.ndarray:
@@ -112,11 +173,11 @@ def hermitian_eigen(M, *, compute_vectors: bool = True) -> HermitianSpectrum:
     return _eigen(_symmetrized(M), compute_vectors)
 
 
-def hermitian_part_eigenvalues(M) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part (M + M*) / 2 of a matrix
-    or stack, without measuring M's deviation from it: for callers that
-    bound that deviation themselves."""
-    return _eigen(_hermitian_part(_as_square_complex(M)), False).eigenvalues
+def hermitian_eigenvalues(H) -> np.ndarray:
+    """Ascending eigenvalues of an exactly Hermitian matrix or stack, which
+    may be a strided view: for callers that validated and symmetrized it
+    themselves. Only the lower triangle is read."""
+    return _eigen(H, False).eigenvalues
 
 
 def _eigen(H, compute_vectors: bool) -> HermitianSpectrum:

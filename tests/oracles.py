@@ -6,20 +6,25 @@ test, the stacked Gram matrix of orbit matrices, the
 one-matrix-at-a-time group ball, stabiliser, coset and orbit paths and the
 materialised-meshgrid quadrature are the slow reference paths that the
 closed-form, batched, array and tensor-grid code in ``orbitdensity`` is
-compared against; the grid, ball and shift-matrix helpers build inputs for
-property tests.
+compared against. So are the whole-cube integer ball and the one-block,
+copy-based Gram validation and spectrum, which the slab and in-place
+row-block code replaced. The grid, ball and shift-matrix helpers build
+inputs for property tests, and :func:`traced_peak` measures the numpy and
+Python memory a call holds at its peak.
 """
 
 import cmath
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 
+from orbitdensity import linalg
 from orbitdensity.errors import DimensionError, OracleInconsistencyError, UsageError
 from orbitdensity.finite_gabor import SubgroupDescr
-from orbitdensity.fuchsian import GroupBall
+from orbitdensity.fuchsian import _NORM_EPS, MIN_NORM_BOUND, GroupBall
 from orbitdensity.hyperbolic import (
     SIGN_TOL,
     MoebiusMap,
@@ -261,6 +266,27 @@ def integer_ball_by_loops(norm_bound: float) -> list[tuple]:
     return sorted(found.values(), key=scalar_norm_order)
 
 
+def integer_ball_by_meshgrid(norm_bound: float) -> GroupBall:
+    """``fuchsian.brute_force_integer_ball`` on the whole (a, b, c) cube at
+    once, O(m^3) memory, with both signs enumerated and one kept."""
+    assert MIN_NORM_BOUND - 1e-12 <= norm_bound <= 30.0
+    m = int(math.floor(norm_bound + 1e-12))
+    r = np.arange(-m, m + 1)
+    a, b, c = (v.ravel() for v in np.meshgrid(r, r, r, indexing="ij"))
+    num = 1 + b * c
+    divisor = np.where(a == 0, 1, a)
+    d = num // divisor
+    found = (a != 0) & (num % divisor == 0) & (np.abs(d) <= m)
+    free_d = [(0, s, -s, t) for s in (1, -1) for t in r.tolist()]
+    quads = np.concatenate([np.stack([a, b, c, d], axis=1)[found], free_d])
+    lead = quads[np.arange(len(quads)), np.argmax(quads != 0, axis=1)]
+    norms = np.sum(quads * quads, axis=1)
+    kept = (lead > 0) & (norms <= norm_bound * norm_bound + _NORM_EPS)
+    quads, norms = quads[kept], norms[kept]
+    order = np.lexsort((quads[:, 3], quads[:, 2], quads[:, 1], quads[:, 0], norms))
+    return GroupBall(norm_bound, quads[order].astype(float), closure_certified=True)
+
+
 def ball_by_scalar_bfs(spec, norm_bound: float) -> tuple[list[tuple], bool]:
     """Breadth-first ball one product at a time, in norm order, and whether
     it is certified by the integer ball."""
@@ -461,3 +487,52 @@ def covolume_psl2z_by_meshgrid(nx=400, ns=600, s_max=16.0, haar_scale=1.0) -> fl
     midpoint rule; on the default grid it is 3.0e-5 relative below pi/3."""
     nodes = meshgrid_above_graph(-0.5, 0.5, lambda x: np.sqrt(1.0 - x * x), nx, ns, s_max)
     return haar_scale * meshgrid_integrate(nodes, lambda x, y: np.ones_like(x))
+
+
+def gram_per_call(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpectrum:
+    """Spectrum of one Gram matrix (or stack) with the checks of
+    ``frames.gram``, on whole-matrix copies: the Hermitian deviation from
+    a full A* - A, then the eigenvalues of a fresh (A + A*) / 2. ``G`` is
+    left as it is."""
+    G = np.asarray(G, dtype=complex)
+    if G.shape[-1] == 0:
+        raise UsageError("system needs at least one vector")
+    herm_dev = linalg.hermitian_deviation(G)
+    if np.any(herm_dev > 1e-12):
+        raise OracleInconsistencyError(
+            f"inner products are not Hermitian: relative deviation {np.max(herm_dev):.3e}"
+        )
+    if not np.all(np.diagonal(G, axis1=-2, axis2=-1).real > 0.0):
+        raise OracleInconsistencyError("Gram diagonal must be strictly positive")
+    if not np.all(np.isfinite(G)):
+        raise UsageError("matrix contains non-finite entries")
+    H = linalg.adjoint(G)
+    H += G
+    H *= 0.5
+    w = np.linalg.eigvalsh(H)
+    lam_max = np.maximum(w[..., -1], 0.0)
+    bad = w[..., 0] < -rel_tol * lam_max
+    if np.any(bad):
+        k = np.argmax(bad)
+        raise OracleInconsistencyError(
+            f"Gram matrix is not PSD: min eigenvalue {w[..., 0].flat[k]:.6e} "
+            f"of max {lam_max.flat[k]:.6e}"
+        )
+    return linalg.PSDSpectrum.filtered(w, None, rel_tol)
+
+
+def traced_peak(fn, *args, **kwargs) -> tuple:
+    """``fn(*args, **kwargs)`` and the most memory it held at once beyond
+    what was allocated before the call, in bytes, as ``tracemalloc`` sees
+    it: Python objects and numpy array data, not LAPACK's work buffers."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

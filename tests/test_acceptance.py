@@ -116,13 +116,13 @@ def test_gram_verdicts_match_frame_operator_spectra(scan_result):
         for si, sub in enumerate(finite_gabor.subgroup_enumerate(n)):
             window_ids, windows = finite_gabor.scan_windows(n, si, 50, SCAN_SEED)
             V = finite_gabor.orbit_system(windows, sub.elements)
-            G_full = frames.gram(vector_gram(V))
+            (G_full,) = frames.gram(vector_gram(V))
             is_frame = G_full.rank == n
             is_riesz = np.zeros(len(windows), dtype=bool)
             for stab, members in finite_gabor.stabilizer_classes(sub, windows, V):
                 lambdas, _ = finite_gabor.lex_coset_representatives(sub, stab)
                 cols = [sub.elements.index(lam) for lam in lambdas]
-                G_red = frames.gram(vector_gram(V[members][..., cols]))
+                (G_red,) = frames.gram(vector_gram(V[members][..., cols]))
                 w = G_red.eigenvalues
                 is_riesz[members] = w[:, 0] > rel_tol * np.maximum(w[:, -1], 0.0)
                 assert np.array_equal(G_full.rank[members], G_red.rank)

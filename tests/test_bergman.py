@@ -1,12 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import Moebius, distance, kernel_value
+from oracles import Moebius, distance, kernel_value, traced_peak
 from scipy.integrate import quad
 
-from orbitdensity import bergman, fuchsian
+from orbitdensity import bergman, fuchsian, linalg
 from orbitdensity.bergman import (
     KernelOrbit,
     KernelVector,
@@ -126,6 +125,31 @@ class TestKernel:
         assert kernel_gram(orbit, KernelOrbit.plain([POINT_I], Weight(2.0))).shape == (3, 1)
         with pytest.raises(ResourceLimitError):
             kernel_gram(orbit, orbit)
+
+    def test_leading_block_is_bitwise_the_gram_of_the_leading_vectors(self):
+        # the 506 x 506 Gram at rho is past the size (256 KiB) where numpy
+        # computes a temporary's product in place, its small blocks are not;
+        # the operand order of every product must not depend on that
+        kernel = KernelVector(UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0), Weight(3.0))
+        orbit = orbit_system(fuchsian.ball_enumerate(fuchsian.psl2z(), 13.0).elements, kernel)
+        probes = bergman.probe_kernels(kernel, 40)
+        G = kernel_gram(orbit, orbit)
+        B = kernel_gram(orbit, probes)
+        assert G.shape == (506, 506)
+        for k in (1, 63, 64, 65, 100, 300):
+            lead = orbit.take(np.arange(k))
+            assert np.array_equal(G[:k, :k], kernel_gram(lead, lead))
+            assert np.array_equal(B[:k], kernel_gram(lead, probes))
+
+    def test_assembly_holds_one_buffer(self):
+        orbit = orbit_system(
+            fuchsian.ball_enumerate(fuchsian.psl2z(), 13.0).elements,
+            KernelVector(UpperHalfPoint(0.3, 1.5), Weight(2.0)),
+        )
+        G, peak = traced_peak(kernel_gram, orbit, orbit)
+        # the Gram, one strip of coefficient products and numpy's ufunc
+        # buffers (2 x 8192 entries), which are less than a second strip here
+        assert peak <= G.nbytes * (1.0 + 2.0 * linalg.ROW_BLOCK / len(orbit))
 
     def test_norm_by_weighted_quadrature_slow_cross_check(self):
         # independent of the diagonal shortcut: ||k_z||^2 equals the
@@ -316,12 +340,7 @@ class TestFormalDegree:
         # one weight array are laid out over the full grid
         w, rho = Weight(3.0), UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)
         d = bergman.default_formal_degree_grid(w, rho).descriptor
-        tracemalloc.start()
-        try:
-            formal_degree(w, base=rho)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(formal_degree, w, base=rho)
         assert peak < 3 * 8 * d["nx"] * d["nt"]
 
     def test_haar_scale_division_exact(self):

@@ -5,11 +5,10 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
-from oracles import Moebius
+from oracles import Moebius, traced_peak
 
 from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian, hyperbolic
 from orbitdensity.errors import (
@@ -485,12 +484,7 @@ class TestFormalDegreeCommand:
     @pytest.mark.parametrize("argv", [("formal-degree", "--alpha", "2")], ids=["formal-degree"])
     def test_grid_over_node_cap_exits_three_before_allocating(self, capsys, argv):
         # 10^10 nodes; the cap is checked before any array is made
-        tracemalloc.start()
-        try:
-            code, _, err = run_cli(capsys, *argv, "--grid", "100000x100000")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (code, _, err), peak = traced_peak(run_cli, capsys, *argv, "--grid", "100000x100000")
         assert code == 3
         assert f"exceed the cap {hyperbolic.QUADRATURE_NODE_CAP}" in err and "Traceback" not in err
         assert peak < 1 << 20
@@ -542,6 +536,18 @@ class TestDensityCommand:
         assert summary["verdict_i_pass"] is True
         assert summary["verdict_consistency"] == "pass"
         assert reports[-1]["diag_s_relation_residual"] <= 1e-8
+
+    def test_generic_point_holds_one_transversal_gram(self, capsys):
+        # the whole 506-element ball is the transversal; its Gram is assembled,
+        # validated, symmetrized and eigensolved in one buffer (LAPACK's copy
+        # is allocated outside numpy and not traced)
+        density = ("bergman-density", "--alpha", "2", "--z", "0.3+1.5i", "--probes", "40")
+        run_cli(capsys, *density, "--ball", "4")  # imports and first-call caches
+        (code, out, _), peak = traced_peak(run_cli, capsys, *density, "--ball", "13", "--format", "json")
+        assert code == 0
+        m = json_lines(out)[-2]["diag_lambda_count"]
+        assert m == 506
+        assert peak <= 1.5 * 16 * m * m
 
     def test_haar_scale_invariance(self, capsys):
         base_args = (

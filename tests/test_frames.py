@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import covolume_psl2z_by_meshgrid, vector_gram
+from oracles import covolume_psl2z_by_meshgrid, gram_per_call, vector_gram
 
-from orbitdensity import bergman, frames, linalg
+from orbitdensity import bergman, frames, fuchsian, linalg
 from orbitdensity.bergman import KernelOrbit, Weight
 from orbitdensity.errors import (
+    DimensionError,
     NotRieszError,
     OracleInconsistencyError,
     UsageError,
@@ -17,6 +18,8 @@ E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
 POINT_I = UpperHalfPoint(0.0, 1.0)
 POINT_2I = UpperHalfPoint(0.0, 2.0)
+POINT_RHO = UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)
+POINT_GENERIC = UpperHalfPoint(0.3, 1.5)
 
 
 def orbit_of(*vectors) -> np.ndarray:
@@ -25,7 +28,8 @@ def orbit_of(*vectors) -> np.ndarray:
 
 
 def gram_of(*vectors) -> linalg.PSDSpectrum:
-    return frames.gram(vector_gram(orbit_of(*vectors)))
+    (spectrum,) = frames.gram(vector_gram(orbit_of(*vectors)))
+    return spectrum
 
 
 def frame_spectrum(*vectors) -> linalg.PSDSpectrum:
@@ -57,7 +61,7 @@ def biorthogonality(*vectors) -> float:
 class TestStackedSystems:
     def test_gram_checks_every_matrix(self):
         good = np.eye(2)
-        assert list(frames.gram(np.array([good, 2.0 * good])).rank) == [2, 2]
+        assert list(frames.gram(np.array([good, 2.0 * good]))[0].rank) == [2, 2]
         with pytest.raises(OracleInconsistencyError):
             frames.gram(np.array([good, [[1.0, 2.0], [2.0, 1.0]]]))
 
@@ -122,7 +126,7 @@ class TestGram:
         assert abs(G[1, 1] - 1.0 / (16.0 * math.pi)) <= 1e-16
         # k_i(2i) = (1/pi) (-1) (2i + i)^-2 = 1 / (9 pi)
         assert abs(G[0, 1] - 1.0 / (9.0 * math.pi)) <= 1e-15
-        assert frames.gram(G).rank == 2
+        assert frames.gram(G)[0].rank == 2
 
     def test_inconsistent_oracle_rejected(self):
         with pytest.raises(OracleInconsistencyError):
@@ -131,6 +135,100 @@ class TestGram:
             frames.gram(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
         with pytest.raises(OracleInconsistencyError):
             frames.gram(np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+
+def transversal_gram(z: UpperHalfPoint, alpha: float) -> np.ndarray:
+    """Gram of the coset representatives' kernels in the psl2z ball of norm
+    9, assembled as ``bergman-density`` assembles it."""
+    ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 9.0)
+    kernel = bergman.KernelVector(z, Weight(alpha))
+    orbit = bergman.orbit_system(ball.elements, kernel)
+    members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
+    lam_orbit = orbit.take(fuchsian.coset_representatives(ball, members).rep_index)
+    return bergman.kernel_gram(lam_orbit, lam_orbit)
+
+
+def random_gram(m: int = 150, dim: int = 40) -> np.ndarray:
+    """Gram of m random vectors in C^dim (rank dim, so numerically singular
+    like the generic kernel Grams), off Hermitian by roundoff-sized noise."""
+    rng = np.random.default_rng(3)
+    V = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+    G = vector_gram(V)
+    return G + 1e-14 * np.abs(G).max() * rng.standard_normal(G.shape)
+
+
+NESTED_GRAMS = {
+    "i": lambda: transversal_gram(POINT_I, 2.0),
+    "rho": lambda: transversal_gram(POINT_RHO, 3.0),
+    "generic": lambda: transversal_gram(POINT_GENERIC, 2.0),
+    "random": random_gram,
+}
+
+
+class TestNestedGram:
+    @pytest.mark.parametrize("case", sorted(NESTED_GRAMS))
+    def test_blocks_match_per_call_oracle(self, case):
+        G = NESTED_GRAMS[case]()
+        m = len(G)
+        # strip edges of linalg.ROW_BLOCK = 64 rows, in increasing and mixed order
+        sizes = sorted(k for k in {1, 37, 63, 64, 65, 128, 129, m - 1, m} if 1 <= k <= m)
+        for order in (sizes, sizes[::-1] + sizes[:2]):
+            spectra = frames.gram(G.copy(), order)
+            assert len(spectra) == len(order)
+            for k, spectrum in zip(order, spectra):
+                oracle = gram_per_call(G[:k, :k])
+                assert spectrum.extremes == oracle.extremes
+                assert np.array_equal(spectrum.eigenvalues, oracle.eigenvalues)
+                assert np.array_equal(spectrum.keep, oracle.keep)
+
+    def test_buffer_becomes_the_hermitian_part(self):
+        G = random_gram()
+        buffer = G.copy()
+        frames.gram(buffer, (50, 100))
+        H = linalg.adjoint(G)
+        H += G
+        H *= 0.5
+        assert np.array_equal(buffer[:100, :100], H[:100, :100])
+        assert np.array_equal(buffer[100:], G[100:]) and np.array_equal(buffer[:, 100:], G[:, 100:])
+
+    @pytest.mark.parametrize(
+        "defect, error",
+        [
+            ("non_hermitian", OracleInconsistencyError),
+            ("zero_diagonal", OracleInconsistencyError),
+            ("not_psd", OracleInconsistencyError),
+            ("non_finite", UsageError),
+        ],
+    )
+    def test_defect_in_a_later_block_raises_as_per_call(self, defect, error):
+        G = NESTED_GRAMS["generic"]()
+        sizes = (64, 150, len(G))
+        j = 149  # inside the second block only
+        if defect == "non_hermitian":
+            G[j, 3] += 1e-8 * G[0, 0]
+        elif defect == "zero_diagonal":
+            G[j, j] = 0.0
+        elif defect == "not_psd":
+            # an indefinite 2 x 2 principal block: det = ab - 4ab < 0
+            G[j, j - 1] = 2.0 * np.sqrt(G[j, j].real * G[j - 1, j - 1].real)
+            G[j - 1, j] = G[j, j - 1]
+        else:
+            G[j, 3] = G[3, j] = np.nan
+        with pytest.raises(error) as per_call:
+            for k in sizes:
+                gram_per_call(G[:k, :k])
+        with pytest.raises(error) as nested:
+            frames.gram(G.copy(), sizes)
+        assert str(nested.value) == str(per_call.value)
+        assert frames.gram(G.copy(), sizes[:1])[0].rank == gram_per_call(G[:64, :64]).rank
+
+    def test_sizes_validated(self):
+        with pytest.raises(UsageError, match="at least one vector"):
+            frames.gram(np.eye(3), (2, 0))
+        with pytest.raises(UsageError, match="exceeds"):
+            frames.gram(np.eye(3), (4,))
+        with pytest.raises(DimensionError):
+            frames.gram(np.ones((2, 3)))
 
 
 class TestRieszExtremes:
@@ -152,8 +250,8 @@ class TestRieszExtremes:
         vecs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(6)]
         G = vector_gram(orbit_of(*vecs))
         prev_lo, prev_hi = None, None
-        for count in (2, 4, 6):
-            lo, hi = frames.gram(G[:count, :count]).extremes
+        for spectrum in frames.gram(G, (2, 4, 6)):
+            lo, hi = spectrum.extremes
             if prev_lo is not None:
                 assert lo <= prev_lo + 1e-12
                 assert hi >= prev_hi - 1e-12

@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import Moebius, covolume_psl2z_by_meshgrid, restricted
+from oracles import (
+    Moebius,
+    covolume_psl2z_by_meshgrid,
+    integer_ball_by_meshgrid,
+    restricted,
+    traced_peak,
+)
 
 from orbitdensity import fuchsian
 from orbitdensity.errors import ResourceLimitError, UsageError
@@ -70,6 +76,20 @@ class TestIntegerBallOracle:
     def test_bound_cap(self):
         with pytest.raises(ResourceLimitError):
             fuchsian.brute_force_integer_ball(31.0)
+
+    @pytest.mark.parametrize("bound", [SQRT2, SQRT3, 2.0, 3.0, 4.5, 7.0, 10.0, 13.0, 17.0, 22.5, 30.0])
+    def test_slabs_match_whole_cube(self, bound):
+        ball = fuchsian.brute_force_integer_ball(bound)
+        oracle = integer_ball_by_meshgrid(bound)
+        assert ball.elements.dtype == oracle.elements.dtype
+        assert np.array_equal(ball.elements, oracle.elements)
+        assert ball.norm_bound == oracle.norm_bound and ball.closure_certified
+
+    def test_memory_is_far_below_the_whole_cube(self):
+        # (2m + 1)^2 entries per slab against (2m + 1)^3 for the cube, m = 30
+        ball, peak = traced_peak(fuchsian.brute_force_integer_ball, 30.0)
+        _, cube_peak = traced_peak(integer_ball_by_meshgrid, 30.0)
+        assert peak < cube_peak / 8
 
 
 class TestBallEnumerate:
