@@ -17,7 +17,8 @@ table under a header row; every other record goes to stderr), json (one
 object per line plus a final summary object). Floats are printed with 17
 significant digits. A flat key=value config file can supply any
 parameter; explicit flags win; unknown keys are rejected. Each command
-imports only the modules it runs, and ``--help`` imports none of them.
+imports only the modules it runs, numpy included, so ``--help`` and a usage
+error caught before a command's imports load neither numpy nor any of them.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import json
 import math
 import sys
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import (
     AccuracyError,
@@ -385,6 +384,8 @@ def cmd_ball(settings: Settings, emitter: Emitter) -> int:
 
 
 def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
+    import numpy as np
+
     from . import bergman, fuchsian
 
     z_text = settings.get("z", None)
@@ -430,6 +431,8 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
 def _prefix_length(ball: GroupBall, bound_sq: float) -> int:
     """Number of leading ball elements inside the truncation; the ball order
     must be such that exactly these satisfy it."""
+    import numpy as np
+
     from .hyperbolic import frobenius_sq
 
     inside = frobenius_sq(ball.elements) <= bound_sq
@@ -440,6 +443,8 @@ def _prefix_length(ball: GroupBall, bound_sq: float) -> int:
 
 
 def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
+    import numpy as np
+
     from . import bergman, frames, fuchsian, linalg
 
     alpha = settings.get("alpha", None, float)

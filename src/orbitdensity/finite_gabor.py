@@ -14,13 +14,18 @@ n x n frame operator V V*: an orbit's Gram matrix has the same nonzero
 spectrum, so the frame, Riesz and span checks read its rank and extremes
 from V V*. Each check is one boolean or float array over such a group of
 windows, and a window leaves as a scan row or as the violation of its
-first failed check.
+first failed check. The scan's random windows come from the standard
+library's generator, one stream per subgroup (see :func:`scan_windows`),
+and a scan whose largest batch of orbit matrices would exceed
+:data:`ORBIT_STACK_BYTE_CAP` is refused before any window is drawn.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,10 @@ from .errors import (
 _IDENTITY_RESIDUAL_TOL = 1e-10
 _SANDWICH_TOL = 1e-9
 _STABILIZER_TOL = 1e-9
+
+# the scan refuses, before drawing a window, a run whose largest orbit stack
+# (see :func:`orbit_stack_bytes`) would exceed this many bytes
+ORBIT_STACK_BYTE_CAP = 1 << 30
 
 
 def _is_subgroup(elements, n: int) -> bool:
@@ -73,38 +82,44 @@ class SubgroupDescr:
         return "+".join(f"({a},{b})" for a, b in self.generators) or "()"
 
 
+def _hermite_normal_forms(n: int):
+    """(a, b, d) for each lattice nZ^2 <= L <= Z^2: the rows (a, b), (0, d)
+    of its Hermite normal form, with a | n, d | n, 0 <= b < d and
+    d | (n / a) b. The subgroup L / nZ^2 has order (n / a) (n / d)."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for a, d in itertools.product(divisors, repeat=2):
+        for b in range(d):
+            if (n // a) * b % d == 0:
+                yield a, b, d
+
+
 def subgroup_enumerate(n: int) -> list[SubgroupDescr]:
     """All subgroups of Z_n x Z_n, ordered by (order, sorted elements).
 
-    Each is L / nZ^2 for exactly one lattice nZ^2 <= L <= Z^2, whose Hermite
-    normal form has rows (a, b), (0, d) with a | n, d | n, 0 <= b < d and
-    d | (n / a) b; its elements are i (a, b) + j (0, d) for i < n / a,
-    j < n / d. Supports n <= 16: n = 16 has 83 subgroups, enumerated in
-    about 30 ms.
+    Each is L / nZ^2 for exactly one lattice nZ^2 <= L <= Z^2 (see
+    :func:`_hermite_normal_forms`); its elements are i (a, b) + j (0, d)
+    for i < n / a, j < n / d. Supports n <= 16: n = 16 has 83 subgroups,
+    enumerated in about 30 ms.
     """
     if not (1 <= n <= 16):
         raise ResourceLimitError(f"subgroup enumeration supports n <= 16, got {n}")
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
     subgroups = []
-    for a, d in itertools.product(divisors, repeat=2):
-        for b in range(d):
-            if (n // a) * b % d:
-                continue
-            elements = tuple(
-                sorted(
-                    ((i * a) % n, (i * b + j * d) % n)
-                    for i in range(n // a)
-                    for j in range(n // d)
-                )
+    for a, b, d in _hermite_normal_forms(n):
+        elements = tuple(
+            sorted(
+                ((i * a) % n, (i * b + j * d) % n)
+                for i in range(n // a)
+                for j in range(n // d)
             )
-            subgroups.append(
-                SubgroupDescr(
-                    n=n,
-                    generators=_find_small_generators(elements, n),
-                    elements=elements,
-                    order=len(elements),
-                )
+        )
+        subgroups.append(
+            SubgroupDescr(
+                n=n,
+                generators=_find_small_generators(elements, n),
+                elements=elements,
+                order=len(elements),
             )
+        )
     return sorted(subgroups, key=lambda s: (s.order, s.elements))
 
 
@@ -161,11 +176,22 @@ def stabilizer_classes(subgroup: SubgroupDescr, windows, V) -> list:
     nsq = np.einsum("...j,...j->...", windows.conj(), windows).real[..., None]
     overlaps = np.einsum("...j,...jk->...k", windows.conj(), V)
     masks = np.abs(overlaps) >= (1.0 - _STABILIZER_TOL) * nsq
-    classes, class_of = np.unique(masks, axis=0, return_inverse=True)
+    classes, class_of = _unique_rows(masks)
     return [
-        (_stabilizer(subgroup, mask), np.flatnonzero(class_of.ravel() == c))
+        (_stabilizer(subgroup, mask), np.flatnonzero(class_of == c))
         for c, mask in enumerate(classes)
     ]
+
+
+def _unique_rows(masks):
+    """``np.unique(masks, axis=0, return_inverse=True)`` for a 2-d boolean
+    array, with a flat inverse. Each row is packed into one opaque value,
+    whose bytes sort as the row does: packing is big-endian and pads every
+    row alike."""
+    packed = np.packbits(masks, axis=-1)
+    keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel()
+    _, first, class_of = np.unique(keys, return_index=True, return_inverse=True)
+    return masks[first], class_of.ravel()
 
 
 def _stabilizer(subgroup: SubgroupDescr, mask) -> SubgroupDescr:
@@ -452,33 +478,58 @@ class ScanReport:
 def scan_windows(n: int, subgroup_index: int, windows_per_case: int, seed: int):
     """Window ids and the (W, n) window stack that the scan checks for the
     ``subgroup_index``-th subgroup of Z_n x Z_n: the structured windows,
-    then ``windows_per_case`` random ones seeded by (seed, n, index, w)."""
-    labelled = structured_windows(n)
-    for w in range(windows_per_case):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(n, subgroup_index, w))
-        )
-        labelled.append((f"rand{w:03d}", rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    return [wid for wid, _ in labelled], np.array([v for _, v in labelled])
+    then ``windows_per_case`` random ones.
+
+    The random windows come from one :class:`random.Random` seeded with the
+    string ``"seed,n,subgroup_index"``: the key is injective in the three
+    integers, and CPython documents string seeding as reproducible. Each
+    window in turn draws its n real parts, then its n imaginary parts, with
+    ``gauss(0.0, 1.0)``, so window w does not depend on ``windows_per_case``.
+    """
+    structured_ids, structured = zip(*structured_windows(n))
+    rng = random.Random(f"{seed},{n},{subgroup_index}")
+    draws = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * n * windows_per_case)])
+    draws = draws.reshape(windows_per_case, 2, n)
+    window_ids = [*structured_ids, *(f"rand{w:03d}" for w in range(windows_per_case))]
+    return window_ids, np.concatenate([structured, draws[:, 0] + 1j * draws[:, 1]])
+
+
+def orbit_stack_bytes(n: int, windows_per_case: int) -> int:
+    """Bytes of the largest orbit stack that the scan builds at modulus n:
+    the complex n x |subgroup| orbit matrices of every window, structured
+    and random, of all subgroups of one order."""
+    counts = Counter((n // a) * (n // d) for a, _, d in _hermite_normal_forms(n))
+    windows = windows_per_case + len(structured_windows(n))
+    return max(order * count for order, count in counts.items()) * windows * n * 16
 
 
 def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> ScanReport:
     """Run the exact verification over every subgroup and window family.
 
     For each modulus n <= n_max, each subgroup of Z_n x Z_n, and each of
-    ``windows_per_case`` seeded random windows plus the structured windows,
-    the density theorem and proof identities are verified, all windows of
-    the subgroups of one order in one batch. Violations are collected with a
-    reproducer rather than aborting the scan. The report is
-    byte-deterministic for a fixed seed. ``n_max`` goes up to 16: with 6
-    random windows that is 9853 cases, which take about 2 s and 75 MB peak
-    RSS in process with one BLAS thread (2-core Xeon), since every
+    its windows from :func:`scan_windows` (the structured windows and
+    ``windows_per_case`` seeded random ones), the density theorem and proof
+    identities are verified, all windows of the subgroups of one order in
+    one batch. Violations are collected with a reproducer rather than
+    aborting the scan. The report is byte-deterministic for a fixed seed.
+    A scan whose largest orbit stack (see :func:`orbit_stack_bytes`) would
+    exceed :data:`ORBIT_STACK_BYTE_CAP` raises :class:`ResourceLimitError`
+    before any window is drawn. ``n_max`` goes up to 16: with 6
+    random windows that is 9853 cases, which take about 1.1 s and 69 MB
+    peak RSS end to end with one BLAS thread (2-core Xeon), since every
     eigensolve is of an n x n frame operator.
     """
     if not (2 <= n_max <= 16):
         raise UsageError(f"n_max must lie in [2, 16], got {n_max}")
     if windows_per_case < 0:
         raise UsageError("windows_per_case must be nonnegative")
+    for n in range(2, n_max + 1):
+        stack_bytes = orbit_stack_bytes(n, windows_per_case)
+        if stack_bytes > ORBIT_STACK_BYTE_CAP:
+            raise ResourceLimitError(
+                f"{windows_per_case} windows per case need a {stack_bytes}-byte orbit stack "
+                f"at n = {n}, over the cap of {ORBIT_STACK_BYTE_CAP} bytes"
+            )
     rows = []
     violations = []
     for n in range(2, n_max + 1):

@@ -50,21 +50,26 @@ def run_cli_with_blas_threads(threads: str, *argv):
     return run_python(threads, "-m", "orbitdensity.cli", *argv)
 
 
+# third-party and costly stdlib modules that loaded_modules also reports:
+# numpy.random alone pulls in hashlib, secrets and OpenSSL
+WATCHED_MODULES = ("numpy", "numpy.random", "hashlib", "secrets")
+
 # runs cli.main on each argv given as JSON, then prints the exit codes and the
-# package modules imported
+# package and watched modules imported
 _LOADED_MODULES = """
 import contextlib, io, json, sys
 from orbitdensity import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("orbitdensity."))]))
+watched = set(json.loads(sys.argv[2]))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("orbitdensity.") or m in watched)]))
 """
 
 
 def loaded_modules(*argvs) -> tuple[list, set]:
     """Exit codes of the commands, run in turn in one fresh interpreter, and
-    the package modules that interpreter imported."""
-    child = run_python("1", "-c", _LOADED_MODULES, json.dumps(argvs))
+    the package modules and :data:`WATCHED_MODULES` that interpreter imported."""
+    child = run_python("1", "-c", _LOADED_MODULES, json.dumps(argvs), json.dumps(WATCHED_MODULES))
     codes, modules = json.loads(child.stdout)
     return codes, set(modules)
 
@@ -102,6 +107,15 @@ class TestExitCodes:
             capsys, "bergman-density", "--alpha", "1.0", "--z", "i", "--ball", "3"
         )
         assert code == 2
+
+    def test_oversized_windows_exit_three_before_drawing(self, capsys):
+        # a billion windows per case; the cap is checked before any window is drawn
+        argv = ("finite-scan", "--n-max", "16", "--windows", "1000000000", "--format", "csv")
+        (code, out, err), peak = traced_peak(run_cli, capsys, *argv)
+        assert code == 3 and out == ""
+        assert f"over the cap of {finite_gabor.ORBIT_STACK_BYTE_CAP} bytes" in err
+        assert "Traceback" not in err
+        assert peak < 1 << 20
 
     def test_unknown_command_exits_two(self, capsys):
         assert cli.main(["no-such-command"]) == 2
@@ -270,6 +284,9 @@ class TestImports:
         assert "orbitdensity.finite_gabor" in modules
         bergman_side = {"orbitdensity.bergman", "orbitdensity.fuchsian", "orbitdensity.hyperbolic"}
         assert not modules & bergman_side
+        # the random windows come from the stdlib generator
+        assert "numpy" in modules
+        assert not modules & {"numpy.random", "hashlib", "secrets"}
 
     @pytest.mark.parametrize(
         "argv",
@@ -292,6 +309,13 @@ class TestImports:
         codes, modules = loaded_modules(["--help"], *([command, "--help"] for command in commands))
         assert codes == [0] * 6
         assert not modules & COMMAND_MODULES
+        assert "numpy" not in modules
+
+    def test_usage_error_before_the_command_imports_loads_no_numpy(self):
+        codes, modules = loaded_modules(["finite-scan", "--windows", "3"])
+        assert codes == [2]
+        assert not modules & COMMAND_MODULES
+        assert "numpy" not in modules
 
 
 class TestFormatParity:

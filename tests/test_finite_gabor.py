@@ -232,6 +232,29 @@ class TestProjectiveStabilizer:
         }
         assert len(classes) == 3
 
+    def test_packed_row_classes_match_unique_rows(self, monkeypatch):
+        seen = []
+        unique_rows = fg._unique_rows
+
+        def recording(masks):
+            seen.append(masks.copy())
+            return unique_rows(masks)
+
+        monkeypatch.setattr(fg, "_unique_rows", recording)
+        fg.exhaustive_scan(8, windows_per_case=3, seed=1)
+        monkeypatch.undo()
+        # widths that are not a multiple of 8, and repeated rows
+        rng = np.random.default_rng(58)
+        for width in range(1, 18):
+            rows = rng.random((40, width)) < 0.5
+            seen.append(rows[rng.integers(len(rows), size=60)])
+        assert {masks.shape[1] for masks in seen} >= set(range(1, 18)) | {64}
+        for masks in seen:
+            classes, class_of = fg._unique_rows(masks)
+            want_classes, want_class_of = np.unique(masks, axis=0, return_inverse=True)
+            assert np.array_equal(classes, want_classes)
+            assert np.array_equal(class_of, want_class_of.ravel())
+
     def test_stabilizer_that_is_not_a_subgroup_is_an_inconsistency(self):
         full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         with pytest.raises(OracleInconsistencyError, match="not closed under addition"):
@@ -490,6 +513,51 @@ class TestBatchedScan:
         assert str(outcome).startswith("canonical Parseval norm identity deviation 1.000e+00 [")
 
 
+class TestScanWindows:
+    def test_deterministic(self):
+        ids, windows = fg.scan_windows(5, 3, 4, 11)
+        again_ids, again = fg.scan_windows(5, 3, 4, 11)
+        assert ids == again_ids
+        assert windows.tobytes() == again.tobytes()
+        assert ids[-4:] == ["rand000", "rand001", "rand002", "rand003"]
+        assert windows.shape == (len(ids), 5) and windows.dtype == complex
+
+    def test_stream_is_pinned(self):
+        # real parts, then imaginary parts, of gauss(0, 1) seeded with "7,3,0"; the
+        # golden scan compares residuals only to the roundoff floor, so a changed
+        # stream would pass it
+        _, windows = fg.scan_windows(3, 0, 1, 7)
+        assert windows[-1].tolist() == [
+            0.5911155492089387 + 1.5464049600370928j,
+            0.25753635129713537 + 0.9760596072034069j,
+            1.4451526877659804 + 0.27333374545212974j,
+        ]
+
+    def test_fewer_windows_are_a_prefix(self):
+        for n, si, seed in [(2, 0, 0), (6, 7, 3), (12, 40, 9)]:
+            ids3, w3 = fg.scan_windows(n, si, 3, seed)
+            ids6, w6 = fg.scan_windows(n, si, 6, seed)
+            assert ids6[: len(ids3)] == ids3
+            assert w6[: len(w3)].tobytes() == w3.tobytes()
+            ids0, w0 = fg.scan_windows(n, si, 0, seed)
+            assert [wid for wid, _ in fg.structured_windows(n)] == ids0
+            assert w0.tobytes() == w3[: len(w0)].tobytes()
+
+    def test_windows_differ_across_seed_n_and_subgroup(self):
+        first = {}
+        for seed, n, si in itertools.product(range(4), range(2, 7), range(5)):
+            _, windows = fg.scan_windows(n, si, 1, seed)
+            first[seed, n, si] = tuple(windows[-1, :2].tolist())
+        assert len(set(first.values())) == len(first)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_windows_have_trivial_stabilizers(self, seed):
+        rows = fg.exhaustive_scan(6, windows_per_case=6, seed=seed).rows
+        random_rows = [row for row in rows if row["window_id"].startswith("rand")]
+        assert len(random_rows) == 6 * sum(len(fg.subgroup_enumerate(n)) for n in range(2, 7))
+        assert {row["stab_order"] for row in random_rows} == {1}
+
+
 class TestScan:
     def test_small_scan_clean(self):
         report = fg.exhaustive_scan(2, windows_per_case=10, seed=7)
@@ -508,6 +576,23 @@ class TestScan:
     def test_csv_header(self):
         header = scan_csv(2, windows_per_case=1, seed=0).splitlines()[0]
         assert header == ",".join(fg.SCAN_CSV_COLUMNS)
+
+    def test_orbit_stack_bytes_counts_the_largest_order_batch(self):
+        for n in range(2, 17):
+            orders = [sub.order for sub in fg.subgroup_enumerate(n)]
+            cases = 5 + len(fg.structured_windows(n))
+            largest = max(order * orders.count(order) for order in orders)
+            assert fg.orbit_stack_bytes(n, 5) == largest * cases * n * 16
+        # n = 16 with 50 windows: 31 subgroups of order 16, 70 windows each
+        assert fg.orbit_stack_bytes(16, 50) == 31 * 70 * 16 * 16 * 16
+
+    def test_orbit_stack_over_the_cap_is_refused(self, monkeypatch):
+        cap = fg.orbit_stack_bytes(4, 2)
+        assert fg.orbit_stack_bytes(5, 2) > cap
+        monkeypatch.setattr(fg, "ORBIT_STACK_BYTE_CAP", cap)
+        assert not fg.exhaustive_scan(4, windows_per_case=2, seed=0).violations
+        with pytest.raises(ResourceLimitError, match=f"at n = 5, over the cap of {cap} bytes"):
+            fg.exhaustive_scan(5, windows_per_case=2, seed=0)
 
     def test_n_max_validation(self):
         with pytest.raises(UsageError):
