@@ -19,12 +19,18 @@ significant digits. A flat key=value config file can supply any
 parameter; explicit flags win; unknown keys are rejected. Each command
 imports only the modules it runs, numpy included, so ``--help`` and a usage
 error caught before a command's imports load neither numpy nor any of them.
+
+The process entry is :func:`run`, for both ``python -m orbitdensity.cli``
+and the ``orbit-density`` script: it runs :func:`main`, which tests call in
+process, then freezes the objects still alive before it exits, so the
+interpreter's exit-time garbage collection skips them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import sys
@@ -661,5 +667,13 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """:func:`main`, then exit with its code, after freezing every object
+    still alive; atexit handlers and the final flush still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

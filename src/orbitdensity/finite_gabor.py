@@ -8,16 +8,19 @@ identity is checkable exhaustively in exact arithmetic (up to float
 roundoff), which is what :func:`verify_windows` and
 :func:`exhaustive_scan` do. The scan batches the windows of all
 subgroups of one n and one order, whose orbit matrices share a shape: the
-full orbits' frame-operator spectra are computed once per batch, the coset
-transversals' once per stabiliser order in it. Every eigensolve is of an
-n x n frame operator V V*: an orbit's Gram matrix has the same nonzero
-spectrum, so the frame, Riesz and span checks read its rank and extremes
-from V V*. Each check is one boolean or float array over such a group of
-windows, and a window leaves as a scan row or as the violation of its
-first failed check. The scan's random windows come from the standard
-library's generator, one stream per subgroup (see :func:`scan_windows`),
-and a scan whose largest batch of orbit matrices would exceed
-:data:`ORBIT_STACK_BYTE_CAP` is refused before any window is drawn.
+stabiliser classes of all its windows are found in one pass, the full
+orbits' frame-operator spectra are computed once per batch, and the coset
+transversals' once per nontrivial stabiliser order in it, since a trivial
+stabiliser's transversal is the full orbit up to column order. Every
+eigensolve is of an n x n frame operator V V*: an orbit's Gram matrix has
+the same nonzero spectrum, so the frame, Riesz and span checks read its
+rank and extremes from V V*. Each check is one boolean or float array over
+such a group of windows, and a window leaves as a scan row or as the
+violation of its first failed check. The scan's random windows come from
+the standard library's generator, one stream per subgroup (see
+:func:`scan_windows`), and a scan whose largest batch of orbit matrices
+would exceed :data:`ORBIT_STACK_BYTE_CAP` is refused before any window is
+drawn.
 """
 
 from __future__ import annotations
@@ -164,34 +167,41 @@ def orbit_system(windows, elements) -> np.ndarray:
     return phases * g[..., (j - a) % n]
 
 
-def stabilizer_classes(subgroup: SubgroupDescr, windows, V) -> list:
-    """The windows of a (W, n) stack grouped by projective stabiliser.
+def stabilizer_classes(subgroups, owner, windows, V) -> list:
+    """The windows of a (W, n) stack grouped by subgroup and projective
+    stabiliser, in one pass over the whole stack.
 
-    ``V`` is the windows' orbit stack over the subgroup (see
-    :func:`orbit_system`); gamma stabilises g when
-    |<pi(gamma) g, g>| >= (1 - 1e-9) ||g||^2. Returns one pair
-    (stabiliser, increasing window indices) per distinct stabiliser, each
-    asserted to be a subgroup whose order divides the lattice order.
+    ``owner[w]`` is the index in ``subgroups`` of window w's subgroup, all
+    of one order, and ``V`` is the windows' orbit stack over their own
+    subgroups (see :func:`orbit_system`); gamma stabilises g when
+    |<pi(gamma) g, g>| >= (1 - 1e-9) ||g||^2. Returns one triple (subgroup
+    index, stabiliser, increasing window indices) per distinct pair of
+    subgroup and stabiliser, sorted by subgroup index, each stabiliser
+    asserted to be a subgroup whose order divides its lattice's order.
     """
     nsq = np.einsum("...j,...j->...", windows.conj(), windows).real[..., None]
     overlaps = np.einsum("...j,...jk->...k", windows.conj(), V)
     masks = np.abs(overlaps) >= (1.0 - _STABILIZER_TOL) * nsq
-    classes, class_of = _unique_rows(masks)
+    owners, classes, class_of = _unique_rows(np.asarray(owner), masks)
     return [
-        (_stabilizer(subgroup, mask), np.flatnonzero(class_of == c))
-        for c, mask in enumerate(classes)
+        (si, _stabilizer(subgroups[si], mask), np.flatnonzero(class_of == c))
+        for c, (si, mask) in enumerate(zip(owners.tolist(), classes))
     ]
 
 
-def _unique_rows(masks):
-    """``np.unique(masks, axis=0, return_inverse=True)`` for a 2-d boolean
-    array, with a flat inverse. Each row is packed into one opaque value,
-    whose bytes sort as the row does: packing is big-endian and pads every
-    row alike."""
-    packed = np.packbits(masks, axis=-1)
-    keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel()
+def _unique_rows(labels, masks):
+    """The distinct rows (labels[w], *masks[w]) of a nonnegative integer
+    array and a 2-d boolean array, in the order of ``np.unique(...,
+    axis=0)``: their labels, their masks and a flat inverse. Each row is
+    packed into one opaque value whose bytes sort as the row does: the label
+    as 4 big-endian bytes, then the mask, packed big-endian and padded alike
+    in every row."""
+    keys = np.concatenate(
+        [labels.astype(">u4").view(np.uint8).reshape(-1, 4), np.packbits(masks, axis=-1)], axis=-1
+    )
+    keys = keys.view(np.dtype((np.void, keys.shape[-1]))).ravel()
     _, first, class_of = np.unique(keys, return_index=True, return_inverse=True)
-    return masks[first], class_of.ravel()
+    return labels[first], masks[first], class_of.ravel()
 
 
 def _stabilizer(subgroup: SubgroupDescr, mask) -> SubgroupDescr:
@@ -262,25 +272,27 @@ def verify_windows(
 
 def _verify_batch(cases, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list:
     """:func:`verify_windows` for (subgroup, window stack) pairs of one n and
-    one subgroup order, whose orbit matrices share a shape: the full
-    orbits' spectra are computed once for all windows, the transversals'
-    once per stabiliser order. Returns the outcomes pair by pair."""
+    one subgroup order, whose orbit matrices share a shape: the stabiliser
+    classes of all windows are found in one pass, the full orbits' spectra
+    are computed once for all windows, and the transversals' once per
+    stabiliser order. Returns the outcomes pair by pair."""
     g = np.concatenate([windows for _, windows in cases])
     if not np.all(np.einsum("wj,wj->w", g.conj(), g).real > 0.0):
         raise UsageError("window must be nonzero")
+    subgroups = [sub for sub, _ in cases]
+    owner = np.repeat(np.arange(len(cases)), [len(windows) for _, windows in cases])
     V_full = np.concatenate([orbit_system(windows, sub.elements) for sub, windows in cases])
     S_full = linalg.psd_eigen(frames.frame_operator(V_full), rel_tol)
     # stabiliser order -> its classes' (rows, coset columns, coset of each column, subgroup)
     batches = {}
-    rows = np.arange(len(g))
-    for sub, windows in cases:
-        sub_rows, rows = rows[: len(windows)], rows[len(windows) :]
-        for stab, members in stabilizer_classes(sub, windows, V_full[sub_rows]):
-            lambdas, factorization = lex_coset_representatives(sub, stab)
-            cols = [sub.elements.index(lam) for lam in lambdas]
-            lam_index = [lam_idx for lam_idx, _ in factorization]
-            classes = batches.setdefault(stab.order, [])
-            classes.append((sub_rows[members], cols, lam_index, sub.gens_text()))
+    for si, stab, rows in stabilizer_classes(subgroups, owner, g, V_full):
+        sub = subgroups[si]
+        lambdas, factorization = lex_coset_representatives(sub, stab)
+        column_of = {gamma: k for k, gamma in enumerate(sub.elements)}
+        cols = [column_of[lam] for lam in lambdas]
+        lam_index = [lam_idx for lam_idx, _ in factorization]
+        classes = batches.setdefault(stab.order, [])
+        classes.append((rows, cols, lam_index, sub.gens_text()))
     outcomes = [None] * len(g)
     for stab_order, classes in batches.items():
         rows, cols, lam_index, gens = zip(*classes)
@@ -300,11 +312,14 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full, rel_tol)
     n, gamma_order = g.shape[-1], V_full.shape[-1]
     V_red = np.take_along_axis(V_full, cols[:, None, :], axis=-1)
     lam_size = V_red.shape[-1]
+    trivial = stab_order == 1
 
     # with S_full, the two spectra that every check below reads from. The Gram
     # matrix of an orbit matrix V has the nonzero spectrum of its frame
-    # operator V V*, so the n x n spectra give every Gram rank and extreme.
-    S_red = linalg.psd_eigen(frames.frame_operator(V_red), rel_tol)
+    # operator V V*, so the n x n spectra give every Gram rank and extreme. A
+    # trivial stabiliser's transversal is the full orbit with its columns
+    # permuted, which leaves V V*, and so its spectrum, as it is.
+    S_red = S_full if trivial else linalg.psd_eigen(frames.frame_operator(V_red), rel_tol)
     gen_norm_sq = np.einsum("wj,wj->w", g.conj(), g).real
     is_frame = S_full.rank == n
     # the Gram matrix's smallest eigenvalue: the lam_size-th largest of S_red,
@@ -313,9 +328,10 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full, rel_tol)
     is_riesz = gram_min > rel_tol * np.maximum(S_red.eigenvalues[:, -1], 0.0)
     # against the standard basis the compressed synthesis matrix is V itself
     s_residual = frames.s_relation_residual(V_full, V_red, stab_order)
-    R_red = S_red.inverse_sqrt()
+    R_full = S_full.inverse_sqrt()
+    R_red = R_full if trivial else S_red.inverse_sqrt()
     parseval_dev, gen_parseval_sq = frames.parseval_norm_check(
-        V_full, V_red, S_full.inverse_sqrt(), R_red, lam_index, stab_order, generator=g
+        V_full, V_red, R_full, R_red, lam_index, stab_order, generator=g
     )
     vol = (n * n) / gamma_order
     degree = 1.0 / n
@@ -515,9 +531,9 @@ def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> Sc
     A scan whose largest orbit stack (see :func:`orbit_stack_bytes`) would
     exceed :data:`ORBIT_STACK_BYTE_CAP` raises :class:`ResourceLimitError`
     before any window is drawn. ``n_max`` goes up to 16: with 6
-    random windows that is 9853 cases, which take about 1.1 s and 69 MB
-    peak RSS end to end with one BLAS thread (2-core Xeon), since every
-    eigensolve is of an n x n frame operator.
+    random windows that is 9853 cases, which take about 2.1 s and 67 MB
+    peak RSS end to end with one BLAS thread (shared 2-core Xeon under
+    load), since every eigensolve is of an n x n frame operator.
     """
     if not (2 <= n_max <= 16):
         raise UsageError(f"n_max must lie in [2, 16], got {n_max}")

@@ -119,7 +119,8 @@ def test_gram_verdicts_match_frame_operator_spectra(scan_result):
             (G_full,) = frames.gram(vector_gram(V))
             is_frame = G_full.rank == n
             is_riesz = np.zeros(len(windows), dtype=bool)
-            for stab, members in finite_gabor.stabilizer_classes(sub, windows, V):
+            owner = np.zeros(len(windows), dtype=int)
+            for _, stab, members in finite_gabor.stabilizer_classes([sub], owner, windows, V):
                 lambdas, _ = finite_gabor.lex_coset_representatives(sub, stab)
                 cols = [sub.elements.index(lam) for lam in lambdas]
                 (G_red,) = frames.gram(vector_gram(V[members][..., cols]))

@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(threads: str, *args):
+def run_python(threads: str, *args, check: bool = True):
     """A fresh interpreter on this source tree whose BLAS uses this many threads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(
@@ -40,7 +42,7 @@ def run_python(threads: str, *args):
         [sys.executable, *args],
         env=env,
         capture_output=True,
-        check=True,
+        check=check,
         timeout=120,
     )
 
@@ -275,6 +277,41 @@ COMMAND_MODULES = {
     f"orbitdensity.{name}"
     for name in ("bergman", "finite_gabor", "frames", "fuchsian", "hyperbolic", "linalg")
 }
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize(
+        "argv, expected_code",
+        [
+            (("finite-scan", "--n-max", "5", "--windows", "3", "--format", "csv"), 0),
+            (("finite-scan", "--n-max", "5", "--windows", "3", "--format", "json"), 0),
+            (("finite-scan", "--n-max", "5", "--windows", "3", "--format", "csv", "--out", "{out}"), 0),
+            (("finite-scan", "--windows", "3"), 2),
+            (("finite-scan", "--n-max", "5", "--no-such-flag"), 2),
+            (("finite-scan", "--n-max", "16", "--windows", "1000000000"), 3),
+        ],
+        ids=["csv", "json", "out-file", "usage-error", "unknown-flag", "oversized-windows"],
+    )
+    def test_spawned_cli_matches_main_in_process(self, capsys, tmp_path, argv, expected_code):
+        spawned_out, in_process_out = tmp_path / "spawned.csv", tmp_path / "in_process.csv"
+        spawn_argv = [arg.format(out=spawned_out) for arg in argv]
+        child = run_python("1", "-m", "orbitdensity.cli", *spawn_argv, check=False)
+        code, out, err = run_cli(capsys, *(arg.format(out=in_process_out) for arg in argv))
+        assert (child.returncode, child.stdout.decode(), child.stderr.decode()) == (code, out, err)
+        assert code == expected_code
+        if "--out" in argv:
+            assert spawned_out.read_bytes() == in_process_out.read_bytes()
+            assert in_process_out.read_text().startswith("n,subgroup_order,")
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run_cli(capsys, "finite-scan", "--n-max", "3", "--windows", "1")[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_script_entry_is_run(self):
+        pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"orbit-density": "orbitdensity.cli:run"}
 
 
 class TestImports:

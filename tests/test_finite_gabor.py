@@ -8,7 +8,7 @@ import oracles
 import pytest
 from oracles import pi_shift_matrix
 
-from orbitdensity import cli, frames
+from orbitdensity import cli, frames, linalg
 from orbitdensity import finite_gabor as fg
 from orbitdensity.errors import (
     DimensionError,
@@ -188,9 +188,12 @@ class TestSubgroupEnumeration:
 
 
 def stabilizers(sub, windows):
-    """The (stabiliser, window indices) classes of a window stack, as the scan forms them."""
+    """The (stabiliser, window indices) classes of a window stack over one
+    subgroup, as the scan forms them."""
     windows = np.asarray(windows, dtype=complex)
-    return fg.stabilizer_classes(sub, windows, fg.orbit_system(windows, sub.elements))
+    V = fg.orbit_system(windows, sub.elements)
+    owner = np.zeros(len(windows), dtype=int)
+    return [(stab, members) for _, stab, members in fg.stabilizer_classes([sub], owner, windows, V)]
 
 
 class TestProjectiveStabilizer:
@@ -236,23 +239,29 @@ class TestProjectiveStabilizer:
         seen = []
         unique_rows = fg._unique_rows
 
-        def recording(masks):
-            seen.append(masks.copy())
-            return unique_rows(masks)
+        def recording(labels, masks):
+            seen.append((labels.copy(), masks.copy()))
+            return unique_rows(labels, masks)
 
         monkeypatch.setattr(fg, "_unique_rows", recording)
         fg.exhaustive_scan(8, windows_per_case=3, seed=1)
         monkeypatch.undo()
-        # widths that are not a multiple of 8, and repeated rows
+        # widths that are not a multiple of 8, repeated rows, and labels that
+        # need more than one byte
         rng = np.random.default_rng(58)
         for width in range(1, 18):
             rows = rng.random((40, width)) < 0.5
-            seen.append(rows[rng.integers(len(rows), size=60)])
-        assert {masks.shape[1] for masks in seen} >= set(range(1, 18)) | {64}
-        for masks in seen:
-            classes, class_of = fg._unique_rows(masks)
-            want_classes, want_class_of = np.unique(masks, axis=0, return_inverse=True)
-            assert np.array_equal(classes, want_classes)
+            picked = rng.integers(len(rows), size=60)
+            seen.append((rng.choice([0, 3, 255, 256, 70000], size=60), rows[picked]))
+        assert {masks.shape[1] for _, masks in seen} >= set(range(1, 18)) | {64}
+        assert max(len(np.unique(labels)) for labels, _ in seen[:-17]) > 1
+        for labels, masks in seen:
+            got_labels, classes, class_of = fg._unique_rows(labels, masks)
+            want, want_class_of = np.unique(
+                np.column_stack([labels, masks]), axis=0, return_inverse=True
+            )
+            assert np.array_equal(got_labels, want[:, 0])
+            assert np.array_equal(classes, want[:, 1:].astype(bool))
             assert np.array_equal(class_of, want_class_of.ravel())
 
     def test_stabilizer_that_is_not_a_subgroup_is_an_inconsistency(self):
@@ -352,26 +361,93 @@ class TestBatchedScan:
         assert len(calls) <= 4 * batches
 
     def test_one_n_by_n_eigensolve_per_order_and_stab_order(self, monkeypatch):
-        sizes = []
+        shapes = []
         for name in ("eigh", "eigvalsh"):
 
             def counting(a, *args, _original=getattr(np.linalg, name), **kwargs):
-                sizes.append(np.shape(a)[-2:])
+                shapes.append(np.shape(a))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        fg.exhaustive_scan(5, windows_per_case=4, seed=7)
+        report = fg.exhaustive_scan(7, windows_per_case=6, seed=1)
         monkeypatch.undo()
-        orders, stab_orders = set(), set()
-        for n in range(2, 6):
+        orders, stab_orders, nontrivial = set(), set(), 0
+        for n in range(2, 8):
             for si, sub in enumerate(fg.subgroup_enumerate(n)):
-                _, windows = fg.scan_windows(n, si, 4, 7)
+                _, windows = fg.scan_windows(n, si, 6, 1)
                 orders.add((n, sub.order))
-                stab_orders.update((n, sub.order, stab.order) for stab, _ in stabilizers(sub, windows))
-        # the full orbits' frame operators per (n, order), the transversals' per
-        # stabiliser order; no |Gamma| x |Gamma| or |Lambda| x |Lambda| Gram
+                for stab, members in stabilizers(sub, windows):
+                    if stab.order > 1:
+                        stab_orders.add((n, sub.order, stab.order))
+                        nontrivial += len(members)
+        # the full orbits' frame operators per (n, order), the transversals'
+        # per nontrivial stabiliser order: a trivial stabiliser's transversal
+        # is the full orbit. No |Gamma| x |Gamma| or |Lambda| x |Lambda| Gram.
         expected = [(n, n) for n, *_ in [*orders, *stab_orders]]
-        assert sorted(sizes) == sorted(expected)
+        assert sorted(shape[-2:] for shape in shapes) == sorted(expected)
+        # 78 calls and 1942 matrices when every class was eigensolved
+        assert len(shapes) == 52
+        assert sum(math.prod(shape[:-2]) for shape in shapes) == 1229
+        assert report.total_cases + nontrivial == 1229
+
+    def test_trivial_stabilizer_spectrum_is_the_transversal_eigensolve(self, monkeypatch):
+        trivial = []
+        verify_class = fg._verify_class
+
+        def recording(stab_order, cols, lam_index, gens, g, V_full, S_full, rel_tol):
+            if stab_order == 1:
+                trivial.append((cols, V_full, S_full))
+            return verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full, rel_tol)
+
+        monkeypatch.setattr(fg, "_verify_class", recording)
+        for n in range(2, 7):
+            for si, sub in enumerate(fg.subgroup_enumerate(n)):
+                # reversed elements make each trivial transversal a true
+                # column permutation of the full orbit
+                reversed_sub = fg.SubgroupDescr(
+                    n=n, generators=sub.generators, elements=sub.elements[::-1], order=sub.order
+                )
+                _, windows = fg.scan_windows(n, si, 6, 3)
+                expected = fg.verify_windows(sub, windows)
+                for got, want in zip(fg.verify_windows(reversed_sub, windows), expected):
+                    for name, value in want.items():
+                        if isinstance(value, float):
+                            assert abs(got[name] - value) <= 1e-12
+                        else:
+                            assert got[name] == value
+        monkeypatch.undo()
+        assert any(np.any(np.diff(cols, axis=-1) < 0) for cols, *_ in trivial)
+        for cols, V_full, S_full in trivial:
+            V_red = np.take_along_axis(V_full, cols[:, None, :], axis=-1)
+            S_red = linalg.psd_eigen(frames.frame_operator(V_red))
+            scale = S_full.eigenvalues[:, -1:]
+            assert np.array_equal(S_red.rank, S_full.rank)
+            assert np.all(np.abs(S_red.eigenvalues - S_full.eigenvalues) <= 1e-12 * scale)
+            R_full = S_full.inverse_sqrt()
+            R_gap = np.abs(S_red.inverse_sqrt() - R_full).max(axis=(-2, -1))
+            assert np.all(R_gap <= 1e-9 * np.abs(R_full).max(axis=(-2, -1)))
+
+    def test_batch_classes_equal_per_subgroup_classes(self):
+        for n in range(2, 9):
+            by_order = itertools.groupby(enumerate(fg.subgroup_enumerate(n)), lambda item: item[1].order)
+            for _, group in by_order:
+                subgroups, stacks, expected = [], [], []
+                offset = 0
+                for si, sub in group:
+                    _, windows = fg.scan_windows(n, si, 3, 4)
+                    for stab, members in stabilizers(sub, windows):
+                        expected.append((len(subgroups), stab, (members + offset).tolist()))
+                    subgroups.append(sub)
+                    stacks.append(windows)
+                    offset += len(windows)
+                g = np.concatenate(stacks)
+                owner = np.repeat(np.arange(len(stacks)), [len(w) for w in stacks])
+                V = np.concatenate([fg.orbit_system(w, sub.elements) for sub, w in zip(subgroups, stacks)])
+                got = [
+                    (si, stab, members.tolist())
+                    for si, stab, members in fg.stabilizer_classes(subgroups, owner, g, V)
+                ]
+                assert got == expected
 
     @pytest.mark.parametrize("seed", [2, 9])
     @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
