@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     AccuracyError,
-    NotPSDError,
     NotRieszError,
     NumericalFailure,
     OracleInconsistencyError,
@@ -58,7 +57,7 @@ EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
 # OverflowError: a float result left the double range, e.g. a huge weight alpha
-_NUMERICAL_FAILURES = (NumericalFailure, ResourceLimitError, NotPSDError, NotRieszError, OverflowError)
+_NUMERICAL_FAILURES = (NumericalFailure, ResourceLimitError, NotRieszError, OverflowError)
 
 FORMATS = ("human", "csv", "json")
 

@@ -2,10 +2,10 @@
 
 The CLI maps these onto process exit codes: usage problems exit 2,
 exact-mode theorem violations exit 1, numerical and resource failures
-(``NumericalFailure``, ``ResourceLimitError``, ``NotPSDError``,
-``NotRieszError``, and Python's ``OverflowError`` when a float result
-leaves the double range) exit 3. Any other exception is a programming bug and
-exits 4 with its traceback.
+(``NumericalFailure``, ``ResourceLimitError``, ``NotRieszError``, and
+Python's ``OverflowError`` when a float result leaves the double range)
+exit 3. Any other exception is a programming bug and exits 4 with its
+traceback.
 """
 
 
@@ -15,10 +15,6 @@ class UsageError(ValueError):
 
 class DimensionError(UsageError):
     """Matrix or vector dimensions do not match the operation."""
-
-
-class NotPSDError(ValueError):
-    """A matrix required to be positive semidefinite has a genuinely negative eigenvalue."""
 
 
 class NotRieszError(ValueError):

@@ -282,7 +282,7 @@ def _verify_batch(cases, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list:
     subgroups = [sub for sub, _ in cases]
     owner = np.repeat(np.arange(len(cases)), [len(windows) for _, windows in cases])
     V_full = np.concatenate([orbit_system(windows, sub.elements) for sub, windows in cases])
-    S_full = linalg.psd_eigen(frames.frame_operator(V_full), rel_tol)
+    S_full = linalg.psd_eigen(frames.frame_operator(V_full), rel_tol=rel_tol)
     # stabiliser order -> its classes' (rows, coset columns, coset of each column, subgroup)
     batches = {}
     for si, stab, rows in stabilizer_classes(subgroups, owner, g, V_full):
@@ -319,7 +319,7 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full, rel_tol)
     # operator V V*, so the n x n spectra give every Gram rank and extreme. A
     # trivial stabiliser's transversal is the full orbit with its columns
     # permuted, which leaves V V*, and so its spectrum, as it is.
-    S_red = S_full if trivial else linalg.psd_eigen(frames.frame_operator(V_red), rel_tol)
+    S_red = S_full if trivial else linalg.psd_eigen(frames.frame_operator(V_red), rel_tol=rel_tol)
     gen_norm_sq = np.einsum("wj,wj->w", g.conj(), g).real
     is_frame = S_full.rank == n
     # the Gram matrix's smallest eigenvalue: the lam_size-th largest of S_red,

@@ -9,11 +9,12 @@ columns of an n x m matrix V, whose frame operator is V V*
 (:func:`frame_operator`) and B = V against the standard basis. Their
 Gram matrix V^T conj(V) has the nonzero spectrum of V V*, so every Gram
 rank and extreme of a finite system is read from the n x n frame
-operator. Spectra are computed once, by :func:`gram` or
-:func:`linalg.psd_eigen`, and every rank, bound and identity check reads
-from them. :func:`gram` serves nested truncations: it validates every
-leading block of one Gram buffer, symmetrizes the buffer once in place
-and eigensolves each block as a view.
+operator. Every spectrum, the probe quotient's included, is computed
+once on linalg's one spectrum path (:func:`linalg.hermitian_eigen`,
+:func:`linalg.psd_eigen`), and every rank, bound and identity check reads
+from it. :func:`gram` adds only the Gram-only positive-diagonal check; the
+nested truncations it serves are leading blocks of one buffer, validated,
+symmetrized in place once and eigensolved as views.
 
 The matrix functions also take stacks (..., rows, cols) of equally sized
 systems and then return one value per system; every Hermitian, diagonal,
@@ -42,55 +43,26 @@ def frame_operator(V) -> np.ndarray:
 def gram(G, sizes=None, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list[linalg.PSDSpectrum]:
     """Validate the leading blocks G[:k, :k] of an assembled Gram matrix (of
     each matrix of a stack) and return their spectra, one per k of
-    ``sizes``, the whole matrix by default.
+    ``sizes``, the whole matrix by default. Eigenvalues only.
 
-    Each block must be Hermitian to 1e-12 relative, with a strictly
-    positive diagonal, and its symmetrization PSD at ``rel_tol``;
-    violations signal inconsistent inner products. The first block, in
-    ``sizes`` order, that fails the Hermitian, diagonal or finiteness check
-    raises before anything is eigensolved. Eigenvalues only.
+    Each block must have a strictly positive diagonal and pass
+    :func:`linalg.psd_eigen` at ``rel_tol``: finite, Hermitian to
+    ``linalg.HERMITIAN_RTOL`` relative and PSD. Violations of the diagonal,
+    Hermitian and PSD conditions signal inconsistent inner products.
 
-    A complex128 ``G`` is the working buffer. Once those checks pass, its
-    leading max(sizes) rows and columns are overwritten with the Hermitian
-    part (G + G*) / 2, and each block is eigensolved as a view of it, so
-    LAPACK's copy is the only other full-size array. Pass a copy to keep
-    ``G`` intact.
+    A complex128 ``G`` is the working buffer: its leading max(sizes) rows
+    and columns are overwritten with the Hermitian part (G + G*) / 2, and
+    each block is eigensolved as a view of it. Pass a copy to keep ``G``
+    intact.
     """
     G = np.asarray(G, dtype=complex)
-    if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
-        raise DimensionError(f"expected a square matrix or a stack of them, got shape {G.shape}")
-    sizes = [G.shape[-1]] if sizes is None else [int(k) for k in sizes]
-    if not sizes or min(sizes) < 1:
-        raise UsageError("system needs at least one vector")
-    if max(sizes) > G.shape[-1]:
-        raise UsageError(f"truncation size {max(sizes)} exceeds the {G.shape[-1]} vectors")
-    herm_dev, finite = linalg.leading_hermitian_deviations(G, sizes)
-    diagonal = np.diagonal(G, axis1=-2, axis2=-1).real
-    for k, dev, fin in zip(sizes, herm_dev, finite):
-        if np.any(dev > 1e-12):
-            raise OracleInconsistencyError(
-                f"inner products are not Hermitian: relative deviation {np.max(dev):.3e}"
-            )
-        if not np.all(diagonal[..., :k] > 0.0):
+    sizes = G.shape[-1:] if sizes is None else sizes
+    # psd_eigen raises DimensionError for fewer than two axes
+    if G.ndim >= 2:
+        diagonal = np.diagonal(G, axis1=-2, axis2=-1)[..., : max(sizes, default=0)]
+        if not np.all(diagonal.real > 0.0):
             raise OracleInconsistencyError("Gram diagonal must be strictly positive")
-        if not np.all(fin):
-            raise UsageError("matrix contains non-finite entries")
-    # eigensolved as (G + G*) / 2, whose diagonal is the real part of G's; the
-    # 1e-12 bound above implies hermitian_eigen's 1e-8 one, so it is not measured again
-    linalg.hermitian_part_in_place(G, max(sizes))
-    spectra = []
-    for k in sizes:
-        w = linalg.hermitian_eigenvalues(G[..., :k, :k])
-        lam_max = np.maximum(w[..., -1], 0.0)
-        bad = w[..., 0] < -rel_tol * lam_max
-        if np.any(bad):
-            j = np.argmax(bad)
-            raise OracleInconsistencyError(
-                f"Gram matrix is not PSD: min eigenvalue {w[..., 0].flat[j]:.6e} "
-                f"of max {lam_max.flat[j]:.6e}"
-            )
-        spectra.append(linalg.PSDSpectrum.filtered(w, None, rel_tol))
-    return spectra
+    return linalg.psd_eigen(G, sizes, rel_tol=rel_tol, compute_vectors=False)
 
 
 def frame_bounds_probe(A, whitener) -> tuple[float, float, dict]:
@@ -105,15 +77,19 @@ def frame_bounds_probe(A, whitener) -> tuple[float, float, dict]:
     it, index truncation lowers it) and is an estimate only.
     """
     A = np.asarray(A, dtype=complex)
+    B = np.asarray(whitener, dtype=complex)
     m, p = A.shape
     if p == 0:
         raise UsageError("need at least one probe")
-    N = A.conj().T @ A
-    lo, hi = linalg.generalized_rayleigh_extremes(N, whitener)
+    if B.ndim != 2 or B.shape[0] != p:
+        raise DimensionError(f"shape mismatch: probe matrix is {A.shape}, whitener is {B.shape}")
+    # sum_i |<f, v_i>|^2 at f = Q B x is ||A B x||^2, and ||f|| = ||x||
+    C = A @ B
+    w = linalg.hermitian_eigen(linalg.adjoint(C) @ C, compute_vectors=False).eigenvalues
     # the quotient is a sum of squares; tiny negatives are roundoff
-    lo = max(lo, 0.0)
-    diagnostics = {"probe_count": p, "index_count": m, "probe_rank": whitener.shape[1]}
-    return lo, hi, diagnostics
+    lo = max(float(w[0]), 0.0)
+    diagnostics = {"probe_count": p, "index_count": m, "probe_rank": B.shape[1]}
+    return lo, float(w[-1]), diagnostics
 
 
 def s_relation_residual(B_full, B_reduced, stab_order: int) -> float:

@@ -1,49 +1,46 @@
 """Dense complex Hermitian linear algebra.
 
-Everything downstream (Gram matrices, frame operators, Rayleigh quotients)
-reduces to Hermitian eigenproblems solved here.  All routines are
-deterministic for identical input and use a single relative threshold
-``DEFAULT_REL_TOL`` wherever a rank decision has to be made.
-
-Matrices and small stacks are symmetrized into a copy. A large matrix
-whose leading blocks are all needed (a Gram buffer and its truncations)
-is measured and symmetrized in place by strips of ``ROW_BLOCK`` rows
-(:func:`leading_hermitian_deviations`, :func:`hermitian_part_in_place`),
-and each block is eigensolved as a view (:func:`hermitian_eigenvalues`),
-so LAPACK's copy is the only other full-size array.
+Everything downstream (Gram matrices, frame operators, probe quotients)
+reduces to Hermitian eigenproblems, and all of them take one path:
+:func:`hermitian_eigen`, and :func:`psd_eigen` for a PSD matrix with its
+numerical rank. The path takes a matrix or a stack of equally sized ones,
+and optionally the sizes of leading blocks, for the nested truncations of
+one Gram buffer. It checks each block's shape, finiteness and Hermitian
+deviation against one tolerance, ``HERMITIAN_RTOL``, by strips of
+``ROW_BLOCK`` rows; overwrites the buffer with its Hermitian part in place,
+once; and eigensolves every block as a view of it, so LAPACK's copy is the
+only other full-size array. All routines are deterministic for identical
+input and use a single relative threshold ``DEFAULT_REL_TOL`` wherever a
+rank decision has to be made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DegenerateProbeError,
     DimensionError,
-    NotPSDError,
     NumericalFailure,
+    OracleInconsistencyError,
     UsageError,
 )
 
 # Relative eigenvalue threshold for every rank / kernel decision.
 DEFAULT_REL_TOL = 1e-9
 
-_HERMITICITY_RTOL = 1e-8
+# Largest relative Hermitian deviation ||M - M*|| / ||M|| accepted. The
+# matrices eigensolved here are sums of inner products, Hermitian up to a
+# few ulps: measured at most 2.7e-16 for the scan's frame operators and
+# 1.1e-14 for the kernel and probe Grams.
+HERMITIAN_RTOL = 1e-12
 
 # rows per strip of the row-blocked passes over a large matrix, whose
 # temporaries are then ROW_BLOCK x n instead of n x n
 ROW_BLOCK = 64
-
-
-def _as_square_complex(M) -> np.ndarray:
-    A = np.asarray(M, dtype=complex)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise DimensionError(f"expected a square matrix or a stack of them, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
-        raise UsageError("matrix contains non-finite entries")
-    return A
 
 
 def adjoint(A) -> np.ndarray:
@@ -73,22 +70,10 @@ def per_matrix(values):
     return values.item() if values.ndim == 0 else values
 
 
-def hermitian_deviation(A) -> np.ndarray:
-    """||A - A*|| / ||A|| of a matrix or each matrix of a stack (0 for a zero matrix).
-
-    The difference is formed in a single temporary, so a large stack costs
-    one extra copy at a time.
-    """
-    D = adjoint(A)
-    D -= A
-    scale = frobenius(A)
-    return np.divide(frobenius(D), scale, out=np.zeros_like(scale), where=scale > 0.0)
-
-
-def leading_hermitian_deviations(A, sizes) -> tuple[np.ndarray, np.ndarray]:
+def _leading_deviations(A, sizes) -> tuple[np.ndarray, np.ndarray]:
     """||A_k - A_k*|| / ||A_k|| (0 for a zero block) of each leading block
-    A_k = A[..., :k, :k], one per k of ``sizes``, and whether that block is
-    finite; both of shape (len(sizes),) + the stack shape.
+    A_k = A[..., :k, :k], one per k of ``sizes``, of shape (len(sizes),) +
+    the stack shape, and whether each block is finite in every matrix.
 
     Measured by strips of ROW_BLOCK rows, so no temporary is larger than
     ROW_BLOCK x max(sizes).
@@ -96,30 +81,31 @@ def leading_hermitian_deviations(A, sizes) -> tuple[np.ndarray, np.ndarray]:
     n = max(sizes)
     norm_sq = np.zeros((len(sizes),) + A.shape[:-2])
     diff_sq = np.zeros_like(norm_sq)
-    finite = np.ones(norm_sq.shape, dtype=bool)
+    finite = np.ones(len(sizes), dtype=bool)
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
         rows = A[..., r0:r1, :n]
         diff = adjoint(A[..., :n, r0:r1])
-        diff -= rows
+        # inf - inf is nan: a non-finite block is rejected as such, not warned about
+        with np.errstate(invalid="ignore"):
+            diff -= rows
         for i, k in enumerate(sizes):
             if k > r0:
                 block = rows[..., : k - r0, :k]
                 norm_sq[i] += _sum_sq(block)
                 diff_sq[i] += _sum_sq(diff[..., : k - r0, :k])
-                finite[i] &= np.all(np.isfinite(block), axis=(-2, -1))
+                finite[i] &= np.isfinite(block).all()
     scale = np.sqrt(norm_sq)
     dev = np.divide(np.sqrt(diff_sq), scale, out=np.zeros_like(scale), where=scale > 0.0)
     return dev, finite
 
 
-def hermitian_part_in_place(A, n: int) -> None:
+def _hermitian_part_in_place(A, n: int) -> None:
     """Overwrite A[..., :n, :n] with its Hermitian part (A + A*) / 2, by
     strips of ROW_BLOCK rows.
 
-    Entry for entry this is the matrix :func:`_hermitian_part` returns, and
-    exactly Hermitian, so eigensolvers that read one triangle see the same
-    numbers.
+    Entry for entry this is (A + A*) / 2 formed in a fresh array, and exactly
+    Hermitian, so eigensolvers that read one triangle see the same numbers.
     """
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
@@ -127,94 +113,38 @@ def hermitian_part_in_place(A, n: int) -> None:
         strip += A[..., r0:r1, r0:n]
         strip *= 0.5
         A[..., r0:r1, r0:n] = strip
-        np.conjugate(strip, out=strip)
-        A[..., r0:n, r0:r1] = strip.swapaxes(-1, -2)
-
-
-def _symmetrized(M) -> np.ndarray:
-    """Validate near-Hermitianness of each matrix and return (M + M*)/2."""
-    A = _as_square_complex(M)
-    dev = hermitian_deviation(A)
-    if np.any(dev > _HERMITICITY_RTOL):
-        raise UsageError(
-            f"matrix is not Hermitian: ||M - M*|| / ||M|| = {np.max(dev):.3e} "
-            f"> {_HERMITICITY_RTOL:.0e}"
-        )
-    return _hermitian_part(A)
-
-
-def _hermitian_part(A) -> np.ndarray:
-    """(A + A*) / 2 of a matrix or of each matrix of a stack."""
-    H = adjoint(A)
-    H += A
-    H *= 0.5
-    return H
+        A[..., r1:n, r0:r1] = adjoint(strip[..., r1 - r0 :])
 
 
 @dataclass(frozen=True)
-class HermitianSpectrum:
+class PSDSpectrum:
     """Real spectrum of a Hermitian matrix, or of each matrix of a stack,
     eigenvalues ascending along the last axis.
 
     ``eigenvectors`` holds an orthonormal column system aligned with
     ``eigenvalues``, or ``None`` when only eigenvalues were requested.
+    ``keep`` marks the eigenvalues above ``rel_tol * lambda_max`` of their
+    own matrix; the others count as kernel directions. :func:`psd_eigen`
+    sets ``rel_tol`` once the matrix has passed its PSD check;
+    :func:`hermitian_eigen` leaves the default. Every rank, extreme, pseudo
+    inverse square root and whitening of the matrix is read from this one
+    decomposition. For a stack, ``rank`` and ``extremes`` are arrays over
+    the stack and indexing selects matrices.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
+    rel_tol: float = DEFAULT_REL_TOL
 
-
-def hermitian_eigen(M, *, compute_vectors: bool = True) -> HermitianSpectrum:
-    """Full spectral decomposition of a (near-)Hermitian matrix or stack of them.
-
-    The input is symmetrized internally; each matrix must already be
-    Hermitian to relative tolerance 1e-8.
-    """
-    return _eigen(_symmetrized(M), compute_vectors)
-
-
-def hermitian_eigenvalues(H) -> np.ndarray:
-    """Ascending eigenvalues of an exactly Hermitian matrix or stack, which
-    may be a strided view: for callers that validated and symmetrized it
-    themselves. Only the lower triangle is read."""
-    return _eigen(H, False).eigenvalues
-
-
-def _eigen(H, compute_vectors: bool) -> HermitianSpectrum:
-    try:
-        if compute_vectors:
-            w, V = np.linalg.eigh(H)
-        else:
-            w = np.linalg.eigvalsh(H)
-            V = None
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-    return HermitianSpectrum(eigenvalues=w, eigenvectors=V)
-
-
-@dataclass(frozen=True)
-class PSDSpectrum(HermitianSpectrum):
-    """Spectrum of a Hermitian PSD matrix, or of each matrix of a stack, with
-    its numerical-rank mask.
-
-    ``keep`` marks the eigenvalues above ``rel_tol * lambda_max`` of their
-    own matrix; the others count as kernel directions. Every rank, extreme,
-    pseudo inverse square root and whitening of the matrix is read from
-    this one decomposition. For a stack, ``rank`` and ``extremes`` are
-    arrays over the stack and indexing selects matrices.
-    """
-
-    keep: np.ndarray
-
-    @classmethod
-    def filtered(cls, eigenvalues, eigenvectors, rel_tol: float) -> "PSDSpectrum":
-        """Attach the mask of eigenvalues above ``rel_tol * lambda_max``."""
-        lam_max = np.maximum(eigenvalues[..., -1:], 0.0)
-        return cls(eigenvalues, eigenvectors, eigenvalues > rel_tol * lam_max)
+    @cached_property
+    def keep(self) -> np.ndarray:
+        """Mask of the eigenvalues above ``rel_tol * max(lambda_max, 0)``."""
+        lam_max = np.maximum(self.eigenvalues[..., -1:], 0.0)
+        return self.eigenvalues > self.rel_tol * lam_max
 
     def __getitem__(self, index) -> "PSDSpectrum":
         vectors = None if self.eigenvectors is None else self.eigenvectors[index]
-        return PSDSpectrum(self.eigenvalues[index], vectors, self.keep[index])
+        return PSDSpectrum(self.eigenvalues[index], vectors, self.rel_tol)
 
     @property
     def rank(self):
@@ -252,39 +182,85 @@ class PSDSpectrum(HermitianSpectrum):
         return V[:, self.keep] / np.sqrt(self.eigenvalues[self.keep])
 
 
-def psd_eigen(M, rel_tol: float = DEFAULT_REL_TOL) -> PSDSpectrum:
-    """Eigendecompose a PSD matrix or a stack of them, keeping eigenvalues
-    above ``rel_tol * lambda_max`` of each matrix.
+def hermitian_eigen(
+    M, sizes=None, *, compute_vectors: bool = True
+) -> PSDSpectrum | list[PSDSpectrum]:
+    """Spectrum of a Hermitian matrix or of each matrix of a stack; with
+    ``sizes``, a list of the spectra of the leading blocks M[..., :k, :k],
+    one per k.
 
-    A clearly negative eigenvalue of any matrix raises ``NotPSDError``.
+    A non-square input raises ``DimensionError``. Each block must be finite
+    and Hermitian to ``HERMITIAN_RTOL`` relative. The first block, in
+    ``sizes`` order, that is not raises before anything is eigensolved:
+    ``UsageError`` for a non-finite entry, ``OracleInconsistencyError`` for
+    the deviation. Then the leading max(sizes) rows and columns are
+    overwritten with the Hermitian part (M + M*) / 2, and every block is
+    eigensolved as a view of it.
+
+    A complex128 ndarray ``M`` is that buffer; pass a copy to keep it
+    intact. Any other input is first converted into a fresh complex array.
+    """
+    A = np.asarray(M, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    if sizes is None:
+        blocks = A.shape[-1:]
+    else:
+        blocks = [int(k) for k in sizes]
+        if not blocks or min(blocks) < 1:
+            raise UsageError("system needs at least one vector")
+        if max(blocks) > A.shape[-1]:
+            raise UsageError(f"truncation size {max(blocks)} exceeds the {A.shape[-1]} vectors")
+    for dev, finite in zip(*_leading_deviations(A, blocks)):
+        if not finite:
+            raise UsageError("matrix contains non-finite entries")
+        if np.any(dev > HERMITIAN_RTOL):
+            raise OracleInconsistencyError(
+                f"inner products are not Hermitian: relative deviation {np.max(dev):.3e}"
+            )
+    _hermitian_part_in_place(A, max(blocks))
+    spectra = []
+    for k in blocks:
+        try:
+            if compute_vectors:
+                w, V = np.linalg.eigh(A[..., :k, :k])
+            else:
+                w, V = np.linalg.eigvalsh(A[..., :k, :k]), None
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+        spectra.append(PSDSpectrum(w, V))
+    return spectra[0] if sizes is None else spectra
+
+
+def psd_eigen(
+    M, sizes=None, *, rel_tol: float = DEFAULT_REL_TOL, compute_vectors: bool = True
+) -> PSDSpectrum | list[PSDSpectrum]:
+    """:func:`hermitian_eigen` of a PSD matrix, stack or set of leading
+    blocks, keeping the eigenvalues above ``rel_tol * lambda_max`` of each
+    matrix.
+
+    An eigenvalue below -(rel_tol * lambda_max + 64 eps ||M_k||_F) of its
+    own matrix raises ``OracleInconsistencyError``: the matrices are built
+    from inner products, so a clearly negative eigenvalue is an error in
+    the numbers, not in the input.
     """
     if not (0.0 < rel_tol < 1.0):
         raise UsageError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    spec = hermitian_eigen(M)
-    w = spec.eigenvalues
-    if w.shape[-1]:
-        lam_max = np.maximum(w[..., -1], 0.0)
-        # absolute guard keeps exact-zero matrices and pure roundoff negatives legal
-        neg_floor = rel_tol * lam_max + 64.0 * np.finfo(float).eps * frobenius(M)
-        bad = w[..., 0] < -neg_floor
-        if np.any(bad):
-            k = np.argmax(bad)
-            raise NotPSDError(
-                f"matrix is not PSD: min eigenvalue {w[..., 0].flat[k]:.6e} "
-                f"< -{neg_floor.flat[k]:.6e}"
-            )
-    return PSDSpectrum.filtered(w, spec.eigenvectors, rel_tol)
-
-
-def generalized_rayleigh_extremes(N, whitener) -> tuple[float, float]:
-    """Extremes of x*Nx / x*Dx over the numerically nondegenerate subspace of D.
-
-    ``whitener`` is ``psd_eigen(D).whitener()``, computed once per D; the
-    extreme eigenvalues of the whitened N are returned as (min, max).
-    """
-    A_N = _symmetrized(N)
-    B = np.asarray(whitener, dtype=complex)
-    if B.ndim != 2 or B.shape[0] != A_N.shape[0]:
-        raise DimensionError(f"shape mismatch: N is {A_N.shape}, whitener is {B.shape}")
-    vals = hermitian_eigen(B.conj().T @ A_N @ B, compute_vectors=False).eigenvalues
-    return float(vals[0]), float(vals[-1])
+    spectra = hermitian_eigen(M, sizes, compute_vectors=compute_vectors)
+    checked = []
+    for spec in [spectra] if sizes is None else spectra:
+        w = spec.eigenvalues
+        if w.shape[-1]:
+            lam_max = np.maximum(w[..., -1], 0.0)
+            # ||M_k||_F^2 is the sum of the squared eigenvalues; the absolute
+            # term keeps exact-zero matrices and pure roundoff negatives legal
+            norm = np.sqrt(np.einsum("...i,...i->...", w, w))
+            bad = w[..., 0] < -(rel_tol * lam_max + 64.0 * np.finfo(float).eps * norm)
+            if np.any(bad):
+                j = np.argmax(bad)
+                raise OracleInconsistencyError(
+                    f"Gram matrix is not PSD: min eigenvalue {w[..., 0].flat[j]:.6e} "
+                    f"of max {lam_max.flat[j]:.6e}"
+                )
+        checked.append(PSDSpectrum(w, spec.eigenvectors, rel_tol))
+    return checked[0] if sizes is None else checked

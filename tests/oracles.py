@@ -6,11 +6,13 @@ test, the stacked Gram matrix of orbit matrices, the
 one-matrix-at-a-time group ball, stabiliser, coset and orbit paths and the
 materialised-meshgrid quadrature are the slow reference paths that the
 closed-form, batched, array and tensor-grid code in ``orbitdensity`` is
-compared against. So are the whole-cube integer ball and the one-block,
-copy-based Gram validation and spectrum, which the slab and in-place
-row-block code replaced. The grid, ball and shift-matrix helpers build
-inputs for property tests, and :func:`traced_peak` measures the numpy and
-Python memory a call holds at its peak.
+compared against. So are the whole-cube integer ball, the one-block,
+copy-based Gram validation and spectrum and the copy-based Hermitian
+eigensolve, which the slab and in-place row-block code replaced, and the
+whitened probe product that the whitened probe matrix replaced. The grid,
+ball and shift-matrix helpers build inputs for property tests, and
+:func:`traced_peak` measures the numpy and Python memory a call holds at
+its peak.
 """
 
 import cmath
@@ -489,6 +491,40 @@ def covolume_psl2z_by_meshgrid(nx=400, ns=600, s_max=16.0, haar_scale=1.0) -> fl
     return haar_scale * meshgrid_integrate(nodes, lambda x, y: np.ones_like(x))
 
 
+def hermitian_deviation(A) -> np.ndarray:
+    """||A - A*|| / ||A|| of a matrix or each matrix of a stack (0 for a zero
+    matrix), from a whole-matrix difference."""
+    D = linalg.adjoint(A)
+    D -= A
+    scale = linalg.frobenius(A)
+    return np.divide(linalg.frobenius(D), scale, out=np.zeros_like(scale), where=scale > 0.0)
+
+
+def hermitian_part(A) -> np.ndarray:
+    """(A + A*) / 2 of a matrix or of each matrix of a stack, in a fresh array."""
+    H = linalg.adjoint(A)
+    H += A
+    H *= 0.5
+    return H
+
+
+def psd_eigen_by_copy(M, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpectrum:
+    """Eigenvalues, eigenvectors and rank mask of a fresh (M + M*) / 2, the
+    copy-based path that the in-place ``linalg.psd_eigen`` replaced; ``M``
+    is left as it is."""
+    w, V = np.linalg.eigh(hermitian_part(np.asarray(M, dtype=complex)))
+    return linalg.PSDSpectrum(w, V, rel_tol)
+
+
+def whitened_probe_extremes(A, whitener) -> tuple[float, float]:
+    """Extremes of the whitened product B* (A* A) B, the probe quotient that
+    ``frames.frame_bounds_probe`` now reads from (A B)* (A B); the minimum
+    clamped at 0 as there."""
+    A, B = np.asarray(A, dtype=complex), np.asarray(whitener, dtype=complex)
+    w = np.linalg.eigvalsh(hermitian_part(B.conj().T @ hermitian_part(A.conj().T @ A) @ B))
+    return max(float(w[0]), 0.0), float(w[-1])
+
+
 def gram_per_call(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpectrum:
     """Spectrum of one Gram matrix (or stack) with the checks of
     ``frames.gram``, on whole-matrix copies: the Hermitian deviation from
@@ -497,7 +533,7 @@ def gram_per_call(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpect
     G = np.asarray(G, dtype=complex)
     if G.shape[-1] == 0:
         raise UsageError("system needs at least one vector")
-    herm_dev = linalg.hermitian_deviation(G)
+    herm_dev = hermitian_deviation(G)
     if np.any(herm_dev > 1e-12):
         raise OracleInconsistencyError(
             f"inner products are not Hermitian: relative deviation {np.max(herm_dev):.3e}"
@@ -506,10 +542,7 @@ def gram_per_call(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpect
         raise OracleInconsistencyError("Gram diagonal must be strictly positive")
     if not np.all(np.isfinite(G)):
         raise UsageError("matrix contains non-finite entries")
-    H = linalg.adjoint(G)
-    H += G
-    H *= 0.5
-    w = np.linalg.eigvalsh(H)
+    w = np.linalg.eigvalsh(hermitian_part(G))
     lam_max = np.maximum(w[..., -1], 0.0)
     bad = w[..., 0] < -rel_tol * lam_max
     if np.any(bad):
@@ -518,7 +551,7 @@ def gram_per_call(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpect
             f"Gram matrix is not PSD: min eigenvalue {w[..., 0].flat[k]:.6e} "
             f"of max {lam_max.flat[k]:.6e}"
         )
-    return linalg.PSDSpectrum.filtered(w, None, rel_tol)
+    return linalg.PSDSpectrum(w, None, rel_tol)
 
 
 def traced_peak(fn, *args, **kwargs) -> tuple:

@@ -9,13 +9,13 @@ import sys
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import Moebius, traced_peak
 
 from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian, hyperbolic
 from orbitdensity.errors import (
     AccuracyError,
-    NotPSDError,
     NotRieszError,
     OracleInconsistencyError,
     ResourceLimitError,
@@ -147,7 +147,8 @@ class TestExitCodes:
         assert "norm" in err
 
     @pytest.mark.parametrize(
-        "failure", [AccuracyError, ResourceLimitError, NotPSDError, NotRieszError, BrokenPipeError]
+        "failure",
+        [AccuracyError, ResourceLimitError, OracleInconsistencyError, NotRieszError, BrokenPipeError],
     )
     def test_numerical_and_resource_failures_exit_three(self, capsys, monkeypatch, failure):
         def fail(*args, **kwargs):
@@ -157,6 +158,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "ball", "--norm", "2")
         assert code == 3
         assert "failure: injected" in err
+
+    def test_non_hermitian_frame_operator_exits_three(self, capsys, monkeypatch):
+        # a matrix the program built is a numerical failure, not a usage error
+        frame_operator = frames.frame_operator
+
+        def skewed(V):
+            S = frame_operator(V)
+            S[..., 0, -1] += 1e-6 * np.abs(S).max()
+            return S
+
+        monkeypatch.setattr(frames, "frame_operator", skewed)
+        code, _, err = run_cli(capsys, "finite-scan", "--n-max", "3", "--windows", "1")
+        assert code == 3
+        assert "not Hermitian" in err and "Traceback" not in err
 
     def test_float_overflow_from_a_huge_weight_exits_three(self, capsys):
         code, _, err = run_cli(capsys, "stabilizer", "--z", "i", "--alpha", "2000", "--ball", "4")

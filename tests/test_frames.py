@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import covolume_psl2z_by_meshgrid, gram_per_call, vector_gram
+from oracles import (
+    covolume_psl2z_by_meshgrid,
+    gram_per_call,
+    hermitian_deviation,
+    vector_gram,
+    whitened_probe_extremes,
+)
+from test_parity import PROBE_MAX_RTOL, PROBE_MIN_RTOL, PROBE_MIN_TOL
 
 from orbitdensity import bergman, frames, fuchsian, linalg
 from orbitdensity.bergman import KernelOrbit, Weight
@@ -230,6 +237,11 @@ class TestNestedGram:
         with pytest.raises(DimensionError):
             frames.gram(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("rel_tol", [2.0, 0.0, -1.0])
+    def test_rel_tol_validated(self, rel_tol):
+        with pytest.raises(UsageError, match="rel_tol"):
+            frames.gram(np.eye(3, dtype=complex), rel_tol=rel_tol)
+
 
 class TestRieszExtremes:
     def test_identity(self):
@@ -317,6 +329,28 @@ class TestFrameBoundsProbe:
                 assert lo >= prev[0] - 1e-10
                 assert hi >= prev[1] - 1e-10
             prev = (lo, hi)
+
+    @pytest.mark.parametrize(
+        "z, alpha",
+        [(POINT_I, 2.0), (POINT_RHO, 3.0), (POINT_GENERIC, 2.0)],
+        ids=["i", "rho", "generic"],
+    )
+    def test_whitened_probe_matrix_matches_the_whitened_product(self, z, alpha):
+        # the probe data of bergman-density at ball 10, over a refinement schedule
+        ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 10.0)
+        kernel = bergman.KernelVector(z, Weight(alpha))
+        probes = bergman.probe_kernels(kernel, 40)
+        A = bergman.kernel_gram(probes, bergman.orbit_system(ball.elements, kernel)).T
+        whitener = linalg.psd_eigen(bergman.kernel_gram(probes, probes).T).whitener()
+        C = A @ whitener
+        # Hermitian to a few ulps, where B* (A* A) B is off by up to 1e-9
+        assert hermitian_deviation(linalg.adjoint(C) @ C) <= 1e-15
+        for count in (len(A) // 4, len(A) // 2, len(A)):
+            lo, hi, _ = frames.frame_bounds_probe(A[:count], whitener)
+            lo_product, hi_product = whitened_probe_extremes(A[:count], whitener)
+            assert abs(hi - hi_product) <= PROBE_MAX_RTOL * hi_product
+            lo_tol = min(PROBE_MIN_TOL * hi_product, PROBE_MIN_RTOL * lo_product)
+            assert abs(lo - lo_product) <= lo_tol
 
 
 class TestSpanEquality:

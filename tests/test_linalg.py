@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from oracles import hermitian_part, psd_eigen_by_copy
 
-from orbitdensity import linalg
+from orbitdensity import bergman, finite_gabor, frames, linalg
+from orbitdensity.bergman import KernelVector, Weight
 from orbitdensity.errors import (
     DegenerateProbeError,
     DimensionError,
-    NotPSDError,
+    OracleInconsistencyError,
     UsageError,
 )
+from orbitdensity.hyperbolic import UpperHalfPoint
 
 
 def random_hermitian(rng, n):
@@ -44,7 +49,7 @@ class TestHermitianEigen:
             linalg.hermitian_eigen(np.ones((2, 3)))
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(OracleInconsistencyError):
             linalg.hermitian_eigen([[0.0, 1.0], [0.0, 0.0]])
 
     def test_trace_and_frobenius_identities(self):
@@ -83,7 +88,7 @@ class TestInverseSqrtPsd:
         assert np.allclose(P, proj, atol=1e-12)
 
     def test_negative_rejected(self):
-        with pytest.raises(NotPSDError):
+        with pytest.raises(OracleInconsistencyError):
             linalg.psd_eigen(np.diag([1.0, -1.0]))
 
     def test_pseudo_inverse_action(self):
@@ -96,8 +101,9 @@ class TestInverseSqrtPsd:
         assert np.linalg.norm(P @ P - P) <= 1e-8
 
     def test_bad_rel_tol(self):
-        with pytest.raises(UsageError):
-            linalg.psd_eigen(np.eye(2), rel_tol=2.0)
+        for rel_tol in (2.0, 0.0, -1.0):
+            with pytest.raises(UsageError):
+                linalg.psd_eigen(np.eye(2), rel_tol=rel_tol)
 
 
 class TestNumericalRank:
@@ -129,7 +135,11 @@ class TestNumericalRank:
 
 
 def rayleigh(N, D):
-    return linalg.generalized_rayleigh_extremes(N, linalg.psd_eigen(D).whitener())
+    """Extremes of x*Nx / x*Dx over the nondegenerate subspace of D, by
+    frame_bounds_probe on the probe matrix A = N^(1/2), so that A*A = N."""
+    w, U = np.linalg.eigh(np.asarray(N, dtype=complex))
+    A = (U * np.sqrt(np.maximum(w, 0.0))) @ U.conj().T
+    return frames.frame_bounds_probe(A, linalg.psd_eigen(D).whitener())[:2]
 
 
 class TestGeneralizedRayleigh:
@@ -176,7 +186,87 @@ class TestStacks:
         assert all(type(x) is float for x in spec.extremes)
 
     def test_every_matrix_is_checked(self):
-        with pytest.raises(NotPSDError):
+        with pytest.raises(OracleInconsistencyError):
             linalg.psd_eigen(np.array([np.eye(2), np.diag([1.0, -1.0])]))
-        with pytest.raises(UsageError):
+        with pytest.raises(OracleInconsistencyError):
             linalg.hermitian_eigen(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+
+
+def frame_operator_stack(n: int, which: int, windows: int = 6) -> np.ndarray:
+    """Frame operators of the scan's windows over one subgroup of Z_n x Z_n:
+    the first (order 1, rank 1), a middle one or the last (the whole group)."""
+    subgroups = finite_gabor.subgroup_enumerate(n)
+    index = (0, len(subgroups) // 2, len(subgroups) - 1)[which]
+    _, g = finite_gabor.scan_windows(n, index, windows, 1)
+    return frames.frame_operator(finite_gabor.orbit_system(g, subgroups[index].elements))
+
+
+def probe_gram(z: UpperHalfPoint, alpha: float) -> np.ndarray:
+    """The probe Gram of ``bergman-density``, as it is assembled there."""
+    probes = bergman.probe_kernels(KernelVector(z, Weight(alpha)), 40)
+    return bergman.kernel_gram(probes, probes).T
+
+
+SPECTRUM_CASES = {
+    **{
+        f"frames_n{n}_{which}": (lambda n=n, which=which: frame_operator_stack(n, which))
+        for n in (3, 7, 12, 16)
+        for which in range(3)
+    },
+    "probe_i": lambda: probe_gram(UpperHalfPoint(0.0, 1.0), 2.0),
+    "probe_rho": lambda: probe_gram(UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0), 3.0),
+    "probe_generic": lambda: probe_gram(UpperHalfPoint(0.3, 1.5), 2.0),
+}
+
+
+class TestOneSpectrumPath:
+    @pytest.mark.parametrize("case", sorted(SPECTRUM_CASES))
+    def test_in_place_path_is_bitwise_the_copy_path(self, case):
+        M = SPECTRUM_CASES[case]()
+        oracle = psd_eigen_by_copy(M)
+        # a copy in M's memory order: the probe Gram is a transposed view
+        spec = linalg.psd_eigen(M.copy(order="K"))
+        assert np.array_equal(spec.eigenvalues, oracle.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, oracle.eigenvectors)
+        assert np.array_equal(spec.keep, oracle.keep)
+        assert np.array_equal(spec.inverse_sqrt(), oracle.inverse_sqrt())
+        if case.endswith("_0"):
+            # the trivial subgroup's orbits are single vectors
+            assert np.all(spec.rank == 1)
+
+    def test_complex_buffer_becomes_its_hermitian_part(self):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+        M = X @ linalg.adjoint(X)
+        M += 1e-15 * rng.standard_normal(M.shape)
+        buffer = M.copy()
+        linalg.psd_eigen(buffer)
+        assert not np.array_equal(M, hermitian_part(M))
+        assert np.array_equal(buffer, hermitian_part(M))
+
+    def test_list_and_real_input_left_unchanged(self):
+        as_list = [[2.0, 1.0 + 1e-14], [1.0, 2.0]]
+        real = np.array(as_list)
+        linalg.hermitian_eigen(as_list)
+        linalg.hermitian_eigen(real)
+        assert as_list == [[2.0, 1.0 + 1e-14], [1.0, 2.0]]
+        assert np.array_equal(real, np.array(as_list))
+
+    def test_leading_blocks_match_separate_calls(self):
+        M = frame_operator_stack(12, 2)
+        blocks = linalg.psd_eigen(M.copy(), (5, 12, 1))
+        for k, spec in zip((5, 12, 1), blocks):
+            alone = linalg.psd_eigen(M[..., :k, :k].copy())
+            assert np.array_equal(spec.eigenvalues, alone.eigenvalues)
+            assert np.array_equal(spec.eigenvectors, alone.eigenvectors)
+
+    def test_one_error_type_per_cause(self):
+        with pytest.raises(DimensionError):
+            linalg.psd_eigen(np.ones(3))
+        with pytest.raises(UsageError, match="non-finite"):
+            linalg.psd_eigen(np.diag([1.0, np.inf]))
+        # 1e-11 relative off Hermitian, above the 1e-12 tolerance
+        with pytest.raises(OracleInconsistencyError, match="not Hermitian"):
+            linalg.hermitian_eigen([[1.0, 1e-11], [0.0, 1.0]])
+        with pytest.raises(OracleInconsistencyError, match="not PSD"):
+            linalg.psd_eigen(np.diag([1.0, -1e-6]))
