@@ -2,7 +2,9 @@
 the projective weighted slash action on kernels, its cocycle, kernel
 orbits as arrays with closed-form Gram matrices, and the formal degree:
 in closed form, and by quadrature of the square-integrability integral as
-its independent cross-check.
+its independent cross-check. At a point on a mirror of the modular group,
+:func:`mirror_rephased` gives the orbit the phases under which its Gram
+matrix has a real form of the same spectra (see ``linalg``).
 
 Conventions fixed here and verified by the test suite:
 
@@ -160,6 +162,32 @@ def orbit_system(maps, kernel: KernelVector) -> KernelOrbit:
         points.append(image(a, b, c, d, z))
         coeffs.append(s * ((1.0 / (c * z + d)) ** alpha).conjugate())
     return KernelOrbit(z=np.array(points, dtype=complex), c=np.array(coeffs, dtype=complex), alpha=alpha)
+
+
+def mirror_rephased(orbit: KernelOrbit, mirror: str) -> KernelOrbit:
+    """The vectors u_k c_k k_{z_k} with unimodular u_k in closed form, whose
+    Gram matrix G satisfies G[p][:, p] = conj(G) whenever the mirror
+    (``fuchsian.MIRRORS``) maps the points onto themselves as
+    z_p(k) = m(z_k) and the vectors have equal norms.
+
+    Rephasing is a diagonal unitary similarity of the Gram matrix, so no
+    spectrum moves. With K(z, w) = <k_z, k_w>, the Gram of the new vectors
+    c'_k k_{z_k} is mirror-conjugate when c'_p(k) f(z_k) = conj(c'_k) for
+    the factor f of K(m z, m w) = conj K(z, w) f(z) conj(f(w)):
+
+    * imaginary axis: K(-conj z, -conj w) = conj K(z, w) exactly, f = 1,
+      and |c_p(k)| = |c_k| since the vectors have equal norms, so
+      c'_k = |c_k|;
+    * unit circle: f(z) = z^alpha with principal powers, one factor per
+      point; the norms give |c_p(k)| |z_k|^alpha = |c_k|, and
+      arg(1/conj z) = arg z, so c'_k = |c_k| exp(-i alpha arg(z_k) / 2).
+    """
+    if mirror not in fuchsian.MIRRORS:
+        raise UsageError(f"unknown mirror {mirror!r}")
+    c = np.abs(orbit.c).astype(complex)
+    if mirror == "unit_circle":
+        c *= np.exp(-0.5j * orbit.alpha * np.angle(orbit.z))
+    return KernelOrbit(z=orbit.z, c=c, alpha=orbit.alpha)
 
 
 def default_formal_degree_grid(

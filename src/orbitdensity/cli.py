@@ -507,9 +507,20 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
     gamma_counts = [_prefix_length(ball, norm * norm + 1e-9) for norm in norms]
     lam_counts = [int(np.searchsorted(cosets.rep_index, count)) for count in gamma_counts]
     lam_orbit = orbit.take(cosets.rep_index)
-    riesz_spectra = frames.gram(bergman.kernel_gram(lam_orbit, lam_orbit), lam_counts)
+    # At a point on a mirror through i, the mirror pairs the representatives
+    # within every truncation; rephased, the Gram is eigensolved in real form.
+    mirror = fuchsian.point_mirror(spec, z)
+    pairing = None
+    if mirror is not None:
+        pairing = fuchsian.mirror_pairing(ball, cosets, mirror, lam_counts)
+        lam_orbit = bergman.mirror_rephased(lam_orbit, mirror)
+    riesz_spectra = frames.gram(
+        bergman.kernel_gram(lam_orbit, lam_orbit), lam_counts, mirror=pairing
+    )
     probe_matrix = bergman.kernel_gram(probes, orbit).T
-    whitener = linalg.psd_eigen(bergman.kernel_gram(probes, probes).T).whitener()
+    whitener = linalg.psd_eigen(
+        bergman.kernel_gram(probes, probes).T, name="probe Gram matrix"
+    ).whitener()
     # The S-relation compares the synthesis of the fully tiled
     # representatives with that of every rep * h, whose columns come from
     # the other ball elements of each coset.

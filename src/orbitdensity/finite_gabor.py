@@ -25,6 +25,7 @@ drawn.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -282,7 +283,7 @@ def _verify_batch(cases, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list:
     subgroups = [sub for sub, _ in cases]
     owner = np.repeat(np.arange(len(cases)), [len(windows) for _, windows in cases])
     V_full = np.concatenate([orbit_system(windows, sub.elements) for sub, windows in cases])
-    S_full = linalg.psd_eigen(frames.frame_operator(V_full), rel_tol=rel_tol)
+    S_full = linalg.psd_eigen(frames.frame_operator(V_full), rel_tol=rel_tol, name="frame operator")
     # stabiliser order -> its classes' (rows, coset columns, coset of each column, subgroup)
     batches = {}
     for si, stab, rows in stabilizer_classes(subgroups, owner, g, V_full):
@@ -319,7 +320,11 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full, rel_tol)
     # operator V V*, so the n x n spectra give every Gram rank and extreme. A
     # trivial stabiliser's transversal is the full orbit with its columns
     # permuted, which leaves V V*, and so its spectrum, as it is.
-    S_red = S_full if trivial else linalg.psd_eigen(frames.frame_operator(V_red), rel_tol=rel_tol)
+    S_red = (
+        S_full
+        if trivial
+        else linalg.psd_eigen(frames.frame_operator(V_red), rel_tol=rel_tol, name="frame operator")
+    )
     gen_norm_sq = np.einsum("wj,wj->w", g.conj(), g).real
     is_frame = S_full.rank == n
     # the Gram matrix's smallest eigenvalue: the lam_size-th largest of S_red,
@@ -450,6 +455,16 @@ def structured_windows(n: int):
     return windows
 
 
+@functools.cache
+def _structured_stack(n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Ids and read-only (W, n) stack of :func:`structured_windows`, built
+    once per n for all subgroups."""
+    ids, windows = zip(*structured_windows(n))
+    stack = np.array(windows)
+    stack.flags.writeable = False
+    return ids, stack
+
+
 SCAN_CSV_COLUMNS = (
     "n",
     "subgroup_order",
@@ -502,7 +517,7 @@ def scan_windows(n: int, subgroup_index: int, windows_per_case: int, seed: int):
     window in turn draws its n real parts, then its n imaginary parts, with
     ``gauss(0.0, 1.0)``, so window w does not depend on ``windows_per_case``.
     """
-    structured_ids, structured = zip(*structured_windows(n))
+    structured_ids, structured = _structured_stack(n)
     rng = random.Random(f"{seed},{n},{subgroup_index}")
     draws = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * n * windows_per_case)])
     draws = draws.reshape(windows_per_case, 2, n)
@@ -515,7 +530,7 @@ def orbit_stack_bytes(n: int, windows_per_case: int) -> int:
     the complex n x |subgroup| orbit matrices of every window, structured
     and random, of all subgroups of one order."""
     counts = Counter((n // a) * (n // d) for a, _, d in _hermite_normal_forms(n))
-    windows = windows_per_case + len(structured_windows(n))
+    windows = windows_per_case + len(_structured_stack(n)[0])
     return max(order * count for order, count in counts.items()) * windows * n * 16
 
 

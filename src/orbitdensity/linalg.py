@@ -1,4 +1,4 @@
-"""Dense complex Hermitian linear algebra.
+"""Dense Hermitian linear algebra.
 
 Everything downstream (Gram matrices, frame operators, probe quotients)
 reduces to Hermitian eigenproblems, and all of them take one path:
@@ -9,13 +9,23 @@ one Gram buffer. It checks each block's shape, finiteness and Hermitian
 deviation against one tolerance, ``HERMITIAN_RTOL``, by strips of
 ``ROW_BLOCK`` rows; overwrites the buffer with its Hermitian part in place,
 once; and eigensolves every block as a view of it, so LAPACK's copy is the
-only other full-size array. All routines are deterministic for identical
+only other full-size array. Real input is solved in real arithmetic.
+
+A complex matrix with an antiunitary symmetry, A[p][:, p] = conj(A) for an
+involution p that maps every leading block onto itself, is unitarily
+similar to a real symmetric matrix of the same size, and a real eigensolve
+costs about a quarter of a complex one. Given p, the same strips also
+measure that symmetry; where it holds to ``HERMITIAN_RTOL``, the path
+writes this real form over the real parts of the buffer's leading block
+and eigensolves its leading blocks instead (see
+:func:`_real_form_in_place`). All routines are deterministic for identical
 input and use a single relative threshold ``DEFAULT_REL_TOL`` wherever a
 rank decision has to be made.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,34 +80,78 @@ def per_matrix(values):
     return values.item() if values.ndim == 0 else values
 
 
-def _leading_deviations(A, sizes) -> tuple[np.ndarray, np.ndarray]:
+def _block_sums(X, row_index, bounds) -> np.ndarray:
+    """Squared Frobenius norms of the parts of a strip X that lie inside
+    each leading block [:k, :k], one per k of the ascending ``bounds``, of
+    shape (len(bounds),) + the stack shape. Row i of X is row
+    ``row_index[i]`` of the whole matrix; columns are the whole matrix's.
+
+    Each row's sums over the column segments between the bounds are formed
+    once and accumulated, so the cost is one pass over X however many
+    blocks there are. Strips of the callers lie inside the largest block.
+    """
+    if len(bounds) == 1:
+        return _sum_sq(X)[None]
+    starts = (0, *bounds[:-1])
+    segments = [_sum_sq_rows(X[..., s:e]) for s, e in zip(starts, bounds)]
+    cumulative = np.cumsum(np.stack(segments, axis=-1), axis=-1)
+    inside = np.asarray(row_index)[:, None] < np.asarray(bounds)
+    # where, not a product: a non-finite entry of a row outside a block
+    # must not turn that block's sum into nan
+    return np.moveaxis(np.where(inside, cumulative, 0.0).sum(axis=-2), -1, 0)
+
+
+def _sum_sq_rows(X) -> np.ndarray:
+    """Squared Euclidean norm of each row of a matrix or stack."""
+    sq = np.einsum("...ij,...ij->...i", X.real, X.real)
+    if np.iscomplexobj(X):
+        sq = sq + np.einsum("...ij,...ij->...i", X.imag, X.imag)
+    return sq
+
+
+def _leading_deviations(A, bounds, mirror=None) -> tuple:
     """||A_k - A_k*|| / ||A_k|| (0 for a zero block) of each leading block
-    A_k = A[..., :k, :k], one per k of ``sizes``, of shape (len(sizes),) +
-    the stack shape, and whether each block is finite in every matrix.
+    A_k = A[..., :k, :k], one per k of the ascending ``bounds``, of shape
+    (len(bounds),) + the stack shape; the same with the mirror image
+    conj(A_k[p][:, p]) in place of A_k* for the permutation ``mirror`` = p
+    of a single matrix, or None; and whether each block is finite in every
+    matrix.
 
     Measured by strips of ROW_BLOCK rows, so no temporary is larger than
-    ROW_BLOCK x max(sizes).
+    ROW_BLOCK x max(bounds).
     """
-    n = max(sizes)
-    norm_sq = np.zeros((len(sizes),) + A.shape[:-2])
+    n = bounds[-1]
+    norm_sq = np.zeros((len(bounds),) + A.shape[:-2])
     diff_sq = np.zeros_like(norm_sq)
-    finite = np.ones(len(sizes), dtype=bool)
+    mirror_sq = np.zeros_like(norm_sq)
+    finite = np.ones(len(bounds), dtype=bool)
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
         rows = A[..., r0:r1, :n]
-        diff = adjoint(A[..., :n, r0:r1])
+        index = np.arange(r0, r1)
+        norm_sq += _block_sums(rows, index, bounds)
         # inf - inf is nan: a non-finite block is rejected as such, not warned about
         with np.errstate(invalid="ignore"):
+            diff = _adjoint_rows(A[..., :n, r0:r1])
             diff -= rows
-        for i, k in enumerate(sizes):
-            if k > r0:
-                block = rows[..., : k - r0, :k]
-                norm_sq[i] += _sum_sq(block)
-                diff_sq[i] += _sum_sq(diff[..., : k - r0, :k])
-                finite[i] &= np.isfinite(block).all()
+            diff_sq += _block_sums(diff, index, bounds)
+            del diff
+            if mirror is not None:
+                # one gather of the partner rows' partner columns, no second copy
+                diff = A[np.ix_(mirror[r0:r1], mirror[:n])]
+                np.conjugate(diff, out=diff)
+                diff -= rows
+                mirror_sq += _block_sums(diff, index, bounds)
+                del diff
+        if not np.isfinite(rows).all():
+            for i, k in enumerate(bounds):
+                finite[i] &= np.isfinite(rows[..., : max(k - r0, 0), :k]).all()
     scale = np.sqrt(norm_sq)
-    dev = np.divide(np.sqrt(diff_sq), scale, out=np.zeros_like(scale), where=scale > 0.0)
-    return dev, finite
+
+    def relative(sq):
+        return np.divide(np.sqrt(sq), scale, out=np.zeros_like(scale), where=scale > 0.0)
+
+    return relative(diff_sq), None if mirror is None else relative(mirror_sq), finite
 
 
 def _hermitian_part_in_place(A, n: int) -> None:
@@ -109,11 +163,75 @@ def _hermitian_part_in_place(A, n: int) -> None:
     """
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
-        strip = adjoint(A[..., r0:n, r0:r1])
+        strip = _adjoint_rows(A[..., r0:n, r0:r1])
         strip += A[..., r0:r1, r0:n]
         strip *= 0.5
         A[..., r0:r1, r0:n] = strip
         A[..., r1:n, r0:r1] = adjoint(strip[..., r1 - r0 :])
+
+
+def _adjoint_rows(columns) -> np.ndarray:
+    """The adjoint of a column strip, as a fresh row-ordered array: copied,
+    then conjugated in place (on real input ndarray.conj() would return
+    the strip itself)."""
+    rows = columns.swapaxes(-1, -2).copy()
+    np.conjugate(rows, out=rows)
+    return rows
+
+
+def _real_form_in_place(A, p, n: int) -> np.ndarray:
+    """Write the real form U* A U of the leading n x n block of a complex
+    Hermitian matrix A with A[p][:, p] = conj(A) over the real parts of
+    that block, and return ``A.real``, whose leading blocks are then the
+    real forms of A's.
+
+    U is the unitary whose column j is e_j where p(j) = j and, for a pair
+    a = p(b) < b, (e_a + e_b) / sqrt 2 at a and i (e_a - e_b) / sqrt 2 at b.
+    These columns are fixed by the antiunitary x -> P conj(x), which
+    commutes with A, so U* A U is real and symmetric; and for every k with
+    p mapping [0, k) onto itself its leading k x k block is U_k* A_k U_k,
+    with the spectrum of A_k. The imaginary part that roundoff leaves in
+    U* A U is dropped: it is i times an antisymmetric matrix, which moves
+    the eigenvalues only to second order.
+
+    Row j of U* A needs rows j and p(j) of A only, so the rows are built
+    by chunks closed under p: the fixed rows and pair leaders a among
+    ROW_BLOCK / 4 consecutive indices, with their partners. Each chunk is
+    read before it is overwritten, and no temporary is larger than
+    ROW_BLOCK / 2 x n. The imaginary parts of the block are left as they
+    were.
+    """
+    p = p[:n]
+    half = math.sqrt(0.5)
+    index = np.arange(n)
+    pairs = np.flatnonzero(p > index)
+    chunk = ROW_BLOCK // 4
+    for f0 in range(0, n, chunk):
+        fixed = np.flatnonzero(p[f0 : f0 + chunk] == index[f0 : f0 + chunk]) + f0
+        lead = pairs[(pairs >= f0) & (pairs < f0 + chunk)]
+        rows = np.concatenate([fixed, lead, p[lead]])
+        # rows of U* A: x_j for a fixed row, (x_a + x_b) / sqrt 2 and
+        # i (x_b - x_a) / sqrt 2 for a pair
+        S = A[rows, :n]
+        first, second = S[len(fixed) : len(fixed) + len(lead)], S[len(fixed) + len(lead) :]
+        saved = first.copy()
+        first += second
+        first *= half
+        second -= saved
+        second *= 1j * half
+        del saved
+        # columns of (U* A) U, the same combinations
+        left, right = S[:, pairs], S[:, p[pairs]]
+        total = left + right
+        total *= half
+        S[:, pairs] = total
+        del total
+        left -= right
+        left *= 1j * half
+        S[:, p[pairs]] = left
+        del left, right
+        A.real[rows, :n] = S.real
+    return A.real
 
 
 @dataclass(frozen=True)
@@ -182,8 +300,24 @@ class PSDSpectrum:
         return V[:, self.keep] / np.sqrt(self.eigenvalues[self.keep])
 
 
+def _checked_mirror(mirror, size: int, blocks) -> np.ndarray:
+    """``mirror`` as an index array, which must be an involution of
+    range(size) that maps every range(k), k in ``blocks``, onto itself."""
+    mirror = np.asarray(mirror, dtype=int)
+    index = np.arange(size)
+    if not (
+        mirror.shape == index.shape
+        and np.array_equal(np.sort(mirror), index)
+        and np.array_equal(mirror[mirror], index)
+    ):
+        raise UsageError("mirror must be an involution of the matrix's indices")
+    if any(np.any(mirror[:k] >= k) for k in blocks):
+        raise UsageError("mirror must map every block onto itself")
+    return mirror
+
+
 def hermitian_eigen(
-    M, sizes=None, *, compute_vectors: bool = True
+    M, sizes=None, *, compute_vectors: bool = True, mirror=None, name: str = "matrix"
 ) -> PSDSpectrum | list[PSDSpectrum]:
     """Spectrum of a Hermitian matrix or of each matrix of a stack; with
     ``sizes``, a list of the spectra of the leading blocks M[..., :k, :k],
@@ -195,12 +329,29 @@ def hermitian_eigen(
     ``UsageError`` for a non-finite entry, ``OracleInconsistencyError`` for
     the deviation. Then the leading max(sizes) rows and columns are
     overwritten with the Hermitian part (M + M*) / 2, and every block is
-    eigensolved as a view of it.
+    eigensolved as a view of it. ``name`` names the matrix in these errors.
+
+    ``mirror`` is a permutation p of one complex matrix's rows, an
+    involution that maps every block's index range onto itself; it gives
+    eigenvalues only. The same strips then also measure each block's
+    deviation from M[p][:, p] = conj(M). If every block is that symmetric
+    to ``HERMITIAN_RTOL`` relative, the real form of the leading max(sizes)
+    block is written over its real parts instead of the Hermitian part, and
+    its leading blocks, of the same spectra, are eigensolved in real
+    arithmetic. Otherwise the blocks are eigensolved as complex matrices,
+    as without ``mirror``: the mirror deviation of computed inner products
+    is their assembly error, which can exceed the tolerance where the
+    Hermitian deviation does not.
 
     A complex128 ndarray ``M`` is that buffer; pass a copy to keep it
-    intact. Any other input is first converted into a fresh complex array.
+    intact. Any other input is first converted into a fresh array, of
+    float64 if it is real and of complex128 otherwise.
     """
-    A = np.asarray(M, dtype=complex)
+    A = np.asarray(M)
+    if np.iscomplexobj(A):
+        A = np.asarray(A, dtype=complex)
+    else:
+        A = np.array(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     if sizes is None:
@@ -211,14 +362,24 @@ def hermitian_eigen(
             raise UsageError("system needs at least one vector")
         if max(blocks) > A.shape[-1]:
             raise UsageError(f"truncation size {max(blocks)} exceeds the {A.shape[-1]} vectors")
-    for dev, finite in zip(*_leading_deviations(A, blocks)):
-        if not finite:
-            raise UsageError("matrix contains non-finite entries")
-        if np.any(dev > HERMITIAN_RTOL):
+    n = max(blocks)
+    if mirror is not None:
+        if compute_vectors or A.ndim != 2 or not np.iscomplexobj(A):
+            raise UsageError("a mirror applies to one complex matrix, for eigenvalues only")
+        mirror = _checked_mirror(mirror, A.shape[-1], blocks)
+    bounds = sorted(set(blocks))
+    dev, mirror_dev, finite = _leading_deviations(A, bounds, mirror)
+    for k in blocks:
+        i = bounds.index(k)
+        if not finite[i]:
+            raise UsageError(f"{name} contains non-finite entries")
+        if np.any(dev[i] > HERMITIAN_RTOL):
             raise OracleInconsistencyError(
-                f"inner products are not Hermitian: relative deviation {np.max(dev):.3e}"
+                f"{name} is not Hermitian: relative deviation {np.max(dev[i]):.3e}"
             )
-    _hermitian_part_in_place(A, max(blocks))
+    if mirror is not None and np.all(mirror_dev <= HERMITIAN_RTOL):
+        A = _real_form_in_place(A, mirror, n)
+    _hermitian_part_in_place(A, n)
     spectra = []
     for k in blocks:
         try:
@@ -233,7 +394,13 @@ def hermitian_eigen(
 
 
 def psd_eigen(
-    M, sizes=None, *, rel_tol: float = DEFAULT_REL_TOL, compute_vectors: bool = True
+    M,
+    sizes=None,
+    *,
+    rel_tol: float = DEFAULT_REL_TOL,
+    compute_vectors: bool = True,
+    mirror=None,
+    name: str = "matrix",
 ) -> PSDSpectrum | list[PSDSpectrum]:
     """:func:`hermitian_eigen` of a PSD matrix, stack or set of leading
     blocks, keeping the eigenvalues above ``rel_tol * lambda_max`` of each
@@ -246,7 +413,7 @@ def psd_eigen(
     """
     if not (0.0 < rel_tol < 1.0):
         raise UsageError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    spectra = hermitian_eigen(M, sizes, compute_vectors=compute_vectors)
+    spectra = hermitian_eigen(M, sizes, compute_vectors=compute_vectors, mirror=mirror, name=name)
     checked = []
     for spec in [spectra] if sizes is None else spectra:
         w = spec.eigenvalues
@@ -259,7 +426,7 @@ def psd_eigen(
             if np.any(bad):
                 j = np.argmax(bad)
                 raise OracleInconsistencyError(
-                    f"Gram matrix is not PSD: min eigenvalue {w[..., 0].flat[j]:.6e} "
+                    f"{name} is not PSD: min eigenvalue {w[..., 0].flat[j]:.6e} "
                     f"of max {lam_max.flat[j]:.6e}"
                 )
         checked.append(PSDSpectrum(w, spec.eigenvectors, rel_tol))

@@ -55,6 +55,40 @@ def kernel_cross_oracle(left, right) -> np.ndarray:
     return out
 
 
+def mirror_point(w, mirror: str):
+    """-conj(w) on the imaginary axis, 1 / conj(w) on the unit circle, of a
+    point or an array of points."""
+    return -w.conjugate() if mirror == "imaginary_axis" else 1.0 / w.conjugate()
+
+
+def rephased_coefficient(w: complex, z: complex, alpha: float, mirror: str) -> complex:
+    """Coefficient of the rephased orbit vector of k_z at the point w: the
+    modulus (Im w / Im z)^(alpha / 2), which makes ||c k_w|| = ||k_z||,
+    times the closed-form phase, 1 for the imaginary axis and
+    exp(-i alpha arg(w) / 2) for the unit circle."""
+    modulus = (w.imag / z.imag) ** (alpha / 2.0)
+    if mirror == "imaginary_axis":
+        return complex(modulus)
+    return modulus * cmath.exp(-0.5j * alpha * cmath.phase(w))
+
+
+def rephased_gram_oracle(points, z: complex, alpha: float, mirror: str) -> tuple:
+    """Per pair, the Gram G of the rephased orbit vectors of k_z at
+    ``points`` and the Gram G_m of those at the mirror images of the
+    points. The mirror is antiunitary on the orbit, so G_m = conj(G)."""
+
+    def gram(ws):
+        cs = [rephased_coefficient(w, z, alpha, mirror) for w in ws]
+        out = np.empty((len(ws), len(ws)), dtype=complex)
+        for i, (wi, ci) in enumerate(zip(ws, cs)):
+            for j, (wj, cj) in enumerate(zip(ws, cs)):
+                out[i, j] = ci * cj.conjugate() * kernel_value(wi, wj, alpha)
+        return out
+
+    points = [complex(w) for w in points]
+    return gram(points), gram([mirror_point(w, mirror) for w in points])
+
+
 def vector_gram(V) -> np.ndarray:
     """Gram matrix G[i, j] = <v_i, v_j> of the columns of an orbit matrix or
     of each orbit matrix of a stack."""
@@ -536,12 +570,12 @@ def gram_per_call(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpect
     herm_dev = hermitian_deviation(G)
     if np.any(herm_dev > 1e-12):
         raise OracleInconsistencyError(
-            f"inner products are not Hermitian: relative deviation {np.max(herm_dev):.3e}"
+            f"Gram matrix is not Hermitian: relative deviation {np.max(herm_dev):.3e}"
         )
     if not np.all(np.diagonal(G, axis1=-2, axis2=-1).real > 0.0):
         raise OracleInconsistencyError("Gram diagonal must be strictly positive")
     if not np.all(np.isfinite(G)):
-        raise UsageError("matrix contains non-finite entries")
+        raise UsageError("Gram matrix contains non-finite entries")
     w = np.linalg.eigvalsh(hermitian_part(G))
     lam_max = np.maximum(w[..., -1], 0.0)
     bad = w[..., 0] < -rel_tol * lam_max

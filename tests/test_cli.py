@@ -171,7 +171,7 @@ class TestExitCodes:
         monkeypatch.setattr(frames, "frame_operator", skewed)
         code, _, err = run_cli(capsys, "finite-scan", "--n-max", "3", "--windows", "1")
         assert code == 3
-        assert "not Hermitian" in err and "Traceback" not in err
+        assert "failure: frame operator is not Hermitian" in err and "Traceback" not in err
 
     def test_float_overflow_from_a_huge_weight_exits_three(self, capsys):
         code, _, err = run_cli(capsys, "stabilizer", "--z", "i", "--alpha", "2000", "--ball", "4")

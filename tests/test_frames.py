@@ -227,6 +227,7 @@ class TestNestedGram:
         with pytest.raises(error) as nested:
             frames.gram(G.copy(), sizes)
         assert str(nested.value) == str(per_call.value)
+        assert str(nested.value).startswith("Gram ")
         assert frames.gram(G.copy(), sizes[:1])[0].rank == gram_per_call(G[:64, :64]).rank
 
     def test_sizes_validated(self):
