@@ -5,6 +5,8 @@ in closed form, and by quadrature of the square-integrability integral as
 its independent cross-check. At a point on a mirror of the modular group,
 :func:`mirror_rephased` gives the orbit the phases under which its Gram
 matrix has a real form of the same spectra (see ``linalg``).
+:func:`density_analysis` is the ``bergman-density`` pipeline: the frame
+reports of a lattice orbit of one kernel over refining truncations.
 
 Conventions fixed here and verified by the test suite:
 
@@ -26,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fuchsian, linalg
+from . import frames, fuchsian, linalg
 from .errors import AccuracyError, OracleInconsistencyError, ResourceLimitError, UsageError
 from .hyperbolic import QuadratureGrid, UpperHalfPoint, canonical, compose, image, inverse
-from .hyperbolic import integrate_invariant
+from .hyperbolic import frobenius_sq, integrate_invariant
 
 _BASE_POINT = UpperHalfPoint(0.0, 1.0)
 
@@ -344,3 +346,135 @@ def probe_kernels(kernel: KernelVector, count: int, max_radius: float = 2.0) -> 
         points.append(image(a, b, c, d, complex(0.0, math.exp(rho))))
     z = np.array(points, dtype=complex)
     return KernelOrbit(z=z, c=np.ones_like(z), alpha=kernel.weight.alpha)
+
+
+def density_analysis(
+    spec: fuchsian.LatticeSpec,
+    z: UpperHalfPoint,
+    alpha: float,
+    ball_norm: float,
+    *,
+    probes: int = 40,
+    probe_radius: float = 2.0,
+    refine_steps: int = 3,
+    refine_delta: float = 1.0,
+    frame_floor: float = 1e-6,
+    riesz_floor: float = 1e-6,
+    haar_scale: float = 1.0,
+) -> list[frames.FrameReport]:
+    """Frame reports of the orbit of the kernel at ``z`` under ``spec``, one
+    per truncation: ``refine_steps`` radii ``refine_delta`` apart up to
+    ``ball_norm``, none below sqrt 2.
+
+    The Riesz bounds are the Gram spectrum of the coset representatives in
+    the truncation, the frame bounds are estimated on the span of ``probes``
+    kernels within ``probe_radius`` of z. A decision holds when its lower
+    bound stays above the floor times the upper one over the last three
+    truncations: a trend, not a proof.
+    """
+    if not alpha > 1.0:
+        raise UsageError(f"alpha must exceed 1, got {alpha}")
+    if ball_norm < math.sqrt(2.0):
+        raise UsageError(f"ball norm must be at least sqrt(2), got {ball_norm}")
+    if probes < 1:
+        raise UsageError(f"probes must be at least 1, got {probes}")
+    if refine_steps < 1:
+        raise UsageError(f"refine_steps must be at least 1, got {refine_steps}")
+    for name, value in (
+        ("probe_radius", probe_radius), ("refine_delta", refine_delta),
+        ("frame_floor", frame_floor), ("riesz_floor", riesz_floor),
+    ):
+        if not value > 0.0:
+            raise UsageError(f"{name} must be positive, got {value}")
+
+    weight = Weight(alpha)
+    kernel = KernelVector(z, weight)
+    covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)  # refuses haar_scale <= 0
+    degree = formal_degree_closed_form(weight, haar_scale)
+
+    ball = fuchsian.ball_enumerate(spec, ball_norm)
+    # the one orbit of the analysis; every other orbit is a gather from it
+    orbit = orbit_system(ball.elements, kernel)
+    stab_members, _phases = projective_stabilizer_kernel(ball, kernel, orbit)
+    stab_order = len(stab_members)
+    cosets = fuchsian.coset_representatives(ball, stab_members)
+    probe_orbit = probe_kernels(kernel, probes, probe_radius)
+    gen_norm_sq = kernel_norm_sq(kernel)
+
+    # Ball elements are sorted by norm and the representatives' ball indices
+    # increase, so every truncation is a leading prefix of both: assemble
+    # once at the full radius and slice per step. The Gram of the
+    # representatives is the one large array: every truncation is validated
+    # and eigensolved as a view of it, before the probe matrices are made.
+    norms = [max(math.sqrt(2.0), ball_norm - refine_delta * j) for j in range(refine_steps)][::-1]
+    ball_norms_sq = frobenius_sq(ball.elements)
+    gamma_counts = []
+    for norm in norms:
+        inside = ball_norms_sq <= norm * norm + 1e-9
+        gamma_counts.append(int(np.count_nonzero(inside)))
+        if not inside[: gamma_counts[-1]].all():
+            raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
+    lam_counts = [int(np.searchsorted(cosets.rep_index, count)) for count in gamma_counts]
+    lam_orbit = orbit.take(cosets.rep_index)
+    # At a point on a mirror through i, the mirror pairs the representatives
+    # within every truncation; rephased, the Gram is eigensolved in real form.
+    mirror = fuchsian.point_mirror(spec, z)
+    pairing = None
+    if mirror is not None:
+        pairing = fuchsian.mirror_pairing(ball, cosets, mirror, lam_counts)
+        lam_orbit = mirror_rephased(lam_orbit, mirror)
+    riesz_spectra = frames.gram(kernel_gram(lam_orbit, lam_orbit), lam_counts, mirror=pairing)
+    probe_matrix = kernel_gram(probe_orbit, orbit).T
+    probe_gram = kernel_gram(probe_orbit, probe_orbit).T
+    whitener = linalg.psd_eigen(probe_gram, name="probe Gram matrix").whitener()
+    # The S-relation compares the synthesis of the fully tiled
+    # representatives with that of every rep * h, whose columns come from
+    # the other ball elements of each coset.
+    fully_tiled = np.all(cosets.tile >= 0, axis=1)
+    synth_red = kernel_gram(orbit.take(cosets.rep_index[fully_tiled]), probe_orbit).T
+    synth_full = kernel_gram(orbit.take(cosets.tile[fully_tiled].ravel()), probe_orbit).T
+
+    probe_trace_min, probe_trace_max, riesz_trace_min, riesz_trace_max = [], [], [], []
+    reports = []
+    for norm, gamma_count, lam_count, riesz_spectrum in zip(
+        norms, gamma_counts, lam_counts, riesz_spectra
+    ):
+        riesz_lo, riesz_hi = riesz_spectrum.extremes
+        probe_lo, probe_hi, probe_diag = frames.frame_bounds_probe(
+            probe_matrix[:gamma_count], whitener
+        )
+        probe_trace_min.append(probe_lo)
+        probe_trace_max.append(probe_hi)
+        riesz_trace_min.append(riesz_lo)
+        riesz_trace_max.append(riesz_hi)
+        frame_decision = all(lo >= frame_floor * probe_hi for lo in probe_trace_min[-3:])
+        riesz_decision = all(
+            lo >= riesz_floor * max(hi, 0.0)
+            for lo, hi in zip(riesz_trace_min[-3:], riesz_trace_max[-3:])
+        )
+        tiled_count = np.count_nonzero(fully_tiled[:lam_count])
+        diagnostics = {
+            "truncation_radius": norm,
+            "probe_count": probe_diag["probe_count"],
+            "probe_rank": probe_diag["probe_rank"],
+            "gamma_count": gamma_count,
+            "lambda_count": lam_count,
+            "ball_certified": ball.closure_certified,
+            "s_relation_residual": frames.s_relation_residual(
+                synth_full[:, : tiled_count * stab_order], synth_red[:, :tiled_count], stab_order
+            ),
+            "probe_trace_min": list(probe_trace_min),
+            "probe_trace_max": list(probe_trace_max),
+            "riesz_trace_min": list(riesz_trace_min),
+            "riesz_trace_max": list(riesz_trace_max),
+        }
+        reports.append(
+            frames.density_verdict(
+                lattice=spec.name, ball_norm=norm, covolume=covolume, formal_degree=degree,
+                stab_order=stab_order, gen_norm_sq=gen_norm_sq,
+                frame_decision=frame_decision, riesz_decision=riesz_decision,
+                a_est=probe_lo, b_est=probe_hi, riesz_min=riesz_lo, riesz_max=riesz_hi,
+                diagnostics=diagnostics,
+            )
+        )
+    return reports

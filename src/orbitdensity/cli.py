@@ -17,37 +17,30 @@ table under a header row; every other record goes to stderr), json (one
 object per line plus a final summary object). Floats are printed with 17
 significant digits. A flat key=value config file can supply any
 parameter; explicit flags win; unknown keys are rejected. Each command
-imports only the modules it runs, numpy included, so ``--help`` and a usage
-error caught before a command's imports load neither numpy nor any of them.
+imports only the modules it runs, numpy included, and the parser holds the
+flags of the named command only, so ``--help`` and a usage error caught
+before a command's imports load neither numpy nor any of them; ``json``
+and ``csv`` load only when a record is written in their format.
 
 The process entry is :func:`run`, for both ``python -m orbitdensity.cli``
 and the ``orbit-density`` script: it runs :func:`main`, which tests call in
-process, then freezes the objects still alive before it exits, so the
-interpreter's exit-time garbage collection skips them.
+process, flushes stdout and stderr, and ends the process with
+``os._exit``, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import gc
-import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import (
-    AccuracyError,
-    NotRieszError,
-    NumericalFailure,
-    OracleInconsistencyError,
-    ResourceLimitError,
-    TheoremViolationError,
-    UsageError,
-)
+from .errors import AccuracyError, NotRieszError, NumericalFailure, ResourceLimitError
+from .errors import TheoremViolationError, UsageError
 
 if TYPE_CHECKING:
-    from .fuchsian import GroupBall, LatticeSpec
+    from .fuchsian import LatticeSpec
     from .hyperbolic import UpperHalfPoint
 
 EXIT_OK = 0
@@ -167,6 +160,12 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _json_line(kind: str, data: dict) -> str:
+    import json
+
+    return json.dumps({"type": kind, **data}) + "\n"
+
+
 class Emitter:
     """Serialises records uniformly into the chosen format.
 
@@ -184,11 +183,11 @@ class Emitter:
 
     def record(self, kind: str, data: dict):
         if self.fmt == "json":
-            payload = {"type": kind}
-            payload.update(data)
-            self.stream.write(json.dumps(payload) + "\n")
+            self.stream.write(_json_line(kind, data))
         elif self.fmt == "csv":
             if self._csv_writer is None:
+                import csv
+
                 self._csv_kind = kind
                 self._csv_columns = list(data.keys())
                 self._csv_writer = csv.writer(self.stream, lineterminator="\n")
@@ -196,6 +195,8 @@ class Emitter:
             if kind == self._csv_kind:
                 self._csv_writer.writerow([format_value(data.get(c)) for c in self._csv_columns])
             else:
+                import json
+
                 print(f"# {kind}: {json.dumps(data)}", file=sys.stderr)
         else:
             self.stream.write(f"[{kind}]\n")
@@ -205,9 +206,7 @@ class Emitter:
 
     def summary(self, data: dict):
         if self.fmt == "json":
-            payload = {"type": "summary"}
-            payload.update(data)
-            self.stream.write(json.dumps(payload) + "\n")
+            self.stream.write(_json_line("summary", data))
         elif self.fmt == "csv":
             # keep the CSV stream pure data; the summary goes to stderr
             for key, value in data.items():
@@ -218,58 +217,23 @@ class Emitter:
                 self.stream.write(f"{key} = {format_value(value)}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(named=None) -> argparse.ArgumentParser:
+    """The parser of every command name and help line, with the flags of the
+    commands in ``named`` only, or of every command when it is None."""
     parser = argparse.ArgumentParser(
         prog="orbit-density",
         description="Density conditions for frames and Riesz sequences in lattice orbits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--config", default=None, help="flat key = value configuration file")
-        p.add_argument("--haar-scale", dest="haar_scale", type=float, default=None)
-
-    p = sub.add_parser("finite-scan", help="exhaustive exact verification scan")
-    add_common(p)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--windows", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("bergman-density", help="density report for a Bergman kernel orbit")
-    add_common(p)
-    p.add_argument("--lattice", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--z", default=None)
-    p.add_argument("--ball", type=float, default=None)
-    p.add_argument("--probes", type=int, default=None)
-    p.add_argument("--probe-radius", dest="probe_radius", type=float, default=None)
-    p.add_argument("--refine-steps", dest="refine_steps", type=int, default=None)
-    p.add_argument("--refine-delta", dest="refine_delta", type=float, default=None)
-    p.add_argument("--frame-floor", dest="frame_floor", type=float, default=None)
-    p.add_argument("--riesz-floor", dest="riesz_floor", type=float, default=None)
-
-    p = sub.add_parser("formal-degree", help="formal degree by quadrature")
-    add_common(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--z", default=None, help="base point (default i)")
-    p.add_argument("--grid", default=None, help="grid resolution, e.g. 400x400")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-
-    p = sub.add_parser("ball", help="enumerate a group ball")
-    add_common(p)
-    p.add_argument("--lattice", default=None)
-    p.add_argument("--norm", type=float, default=None)
-
-    p = sub.add_parser("stabilizer", help="point and kernel stabilisers at a point")
-    add_common(p)
-    p.add_argument("--lattice", default=None)
-    p.add_argument("--z", default=None)
-    p.add_argument("--ball", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-
+    for command, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        if named is None or command in named:
+            p.add_argument("--format", choices=FORMATS, default=None)
+            p.add_argument("--out", default=None, help="output file (default stdout)")
+            p.add_argument("--config", default=None, help="flat key = value configuration file")
+            p.add_argument("--haar-scale", type=float, default=None)
+            for flag, kind, help_text in flags:
+                p.add_argument(flag, type=kind, default=None, help=help_text)
     return parser
 
 
@@ -300,12 +264,6 @@ class Settings:
         return default
 
 
-def _positive(value: float, name: str) -> float:
-    if not value > 0.0:
-        raise UsageError(f"{name} must be positive, got {value}")
-    return value
-
-
 def cmd_finite_scan(settings: Settings, emitter: Emitter) -> int:
     n_max = settings.get("n_max", None, int)
     if n_max is None:
@@ -334,7 +292,9 @@ def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
     if not alpha > 1.0:
         raise UsageError(f"alpha must exceed 1, got {alpha}")
     weight = bergman.Weight(alpha)
-    haar_scale = _positive(settings.get("haar_scale", 1.0, float), "haar_scale")
+    haar_scale = settings.get("haar_scale", 1.0, float)
+    if not haar_scale > 0.0:
+        raise UsageError(f"haar_scale must be positive, got {haar_scale}")
     base = parse_point(settings.get("z", "i"))
     rel_tol = settings.get("rel_tol", None, float)
     grid_text = settings.get("grid", None)
@@ -372,8 +332,7 @@ def cmd_ball(settings: Settings, emitter: Emitter) -> int:
     norm = settings.get("norm", None, float)
     if norm is None:
         raise UsageError("ball requires --norm")
-    name = settings.get("lattice", "psl2z")
-    spec = lattice_from_config(name, settings.config)
+    spec = lattice_from_config(settings.get("lattice", "psl2z"), settings.config)
     ball = fuchsian.ball_enumerate(spec, norm)
     for (a, b, c, d), norm_sq in zip(ball.elements.tolist(), frobenius_sq(ball.elements).tolist()):
         emitter.record("element", {"a": a, "b": b, "c": c, "d": d, "frobenius_norm": math.sqrt(norm_sq)})
@@ -404,8 +363,7 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
     tol = settings.get("tol", 1e-4, float)
     if not (0.0 < tol <= 1e-4):
         raise UsageError(f"tol must lie in (0, 1e-4], got {tol}")
-    name = settings.get("lattice", "psl2z")
-    spec = lattice_from_config(name, settings.config)
+    spec = lattice_from_config(settings.get("lattice", "psl2z"), settings.config)
     ball = fuchsian.ball_enumerate(spec, ball_norm)
     kernel = bergman.KernelVector(z, bergman.Weight(alpha))
     kernel_tol = bergman.kernel_tol_for_point_tol(tol, alpha)
@@ -433,30 +391,19 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
     return EXIT_OK
 
 
-def _prefix_length(ball: GroupBall, bound_sq: float) -> int:
-    """Number of leading ball elements inside the truncation; the ball order
-    must be such that exactly these satisfy it."""
-    import numpy as np
-
-    from .hyperbolic import frobenius_sq
-
-    inside = frobenius_sq(ball.elements) <= bound_sq
-    count = int(np.count_nonzero(inside))
-    if not inside[:count].all():
-        raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
-    return count
+# keyword options of bergman.density_analysis, with the parser of a config value
+_DENSITY_OPTIONS = {
+    "probes": int, "probe_radius": float, "refine_steps": int, "refine_delta": float,
+    "frame_floor": float, "riesz_floor": float, "haar_scale": float,
+}
 
 
 def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
-    import numpy as np
-
-    from . import bergman, frames, fuchsian, linalg
+    from . import bergman
 
     alpha = settings.get("alpha", None, float)
     if alpha is None:
         raise UsageError("bergman-density requires --alpha")
-    if not alpha > 1.0:
-        raise UsageError(f"alpha must exceed 1, got {alpha}")
     z_text = settings.get("z", None)
     if z_text is None:
         raise UsageError("bergman-density requires --z")
@@ -464,129 +411,15 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
     ball_norm = settings.get("ball", None, float)
     if ball_norm is None:
         raise UsageError("bergman-density requires --ball")
-    if ball_norm < math.sqrt(2.0):
-        raise UsageError(f"ball norm must be at least sqrt(2), got {ball_norm}")
-    probes_count = settings.get("probes", 40, int)
-    if probes_count < 1:
-        raise UsageError(f"probes must be at least 1, got {probes_count}")
-    probe_radius = _positive(settings.get("probe_radius", 2.0, float), "probe_radius")
-    refine_steps = settings.get("refine_steps", 3, int)
-    if refine_steps < 1:
-        raise UsageError(f"refine_steps must be at least 1, got {refine_steps}")
-    refine_delta = _positive(settings.get("refine_delta", 1.0, float), "refine_delta")
-    frame_floor = _positive(settings.get("frame_floor", 1e-6, float), "frame_floor")
-    riesz_floor = _positive(settings.get("riesz_floor", 1e-6, float), "riesz_floor")
-    haar_scale = _positive(settings.get("haar_scale", 1.0, float), "haar_scale")
-    name = settings.get("lattice", "psl2z")
-    spec = lattice_from_config(name, settings.config)
-
-    weight = bergman.Weight(alpha)
-    kernel = bergman.KernelVector(z, weight)
-    covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)
-    degree = bergman.formal_degree_closed_form(weight, haar_scale)
-
-    ball = fuchsian.ball_enumerate(spec, ball_norm)
-    # the one orbit of the command; every other orbit is a gather from it
-    orbit = bergman.orbit_system(ball.elements, kernel)
-    stab_members, _phases = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
-    stab_order = len(stab_members)
-    cosets = fuchsian.coset_representatives(ball, stab_members)
-    probes = bergman.probe_kernels(kernel, probes_count, probe_radius)
-    gen_norm_sq = bergman.kernel_norm_sq(kernel)
-
-    norms = [
-        max(math.sqrt(2.0), ball_norm - refine_delta * (refine_steps - 1 - j))
-        for j in range(refine_steps)
-    ]
-    # Ball elements are sorted by norm and the representatives' ball indices
-    # increase, so every truncation below is a leading prefix of both:
-    # assemble once at the full radius and slice per step. The Gram of the
-    # representatives is the command's one large array: every truncation is
-    # validated and eigensolved as a view of it, before the probe matrices
-    # are made.
-    gamma_counts = [_prefix_length(ball, norm * norm + 1e-9) for norm in norms]
-    lam_counts = [int(np.searchsorted(cosets.rep_index, count)) for count in gamma_counts]
-    lam_orbit = orbit.take(cosets.rep_index)
-    # At a point on a mirror through i, the mirror pairs the representatives
-    # within every truncation; rephased, the Gram is eigensolved in real form.
-    mirror = fuchsian.point_mirror(spec, z)
-    pairing = None
-    if mirror is not None:
-        pairing = fuchsian.mirror_pairing(ball, cosets, mirror, lam_counts)
-        lam_orbit = bergman.mirror_rephased(lam_orbit, mirror)
-    riesz_spectra = frames.gram(
-        bergman.kernel_gram(lam_orbit, lam_orbit), lam_counts, mirror=pairing
+    spec = lattice_from_config(settings.get("lattice", "psl2z"), settings.config)
+    options = {name: settings.get(name, None, parse) for name, parse in _DENSITY_OPTIONS.items()}
+    # an option left unset takes density_analysis's default
+    reports = bergman.density_analysis(
+        spec, z, alpha, ball_norm, **{name: v for name, v in options.items() if v is not None}
     )
-    probe_matrix = bergman.kernel_gram(probes, orbit).T
-    whitener = linalg.psd_eigen(
-        bergman.kernel_gram(probes, probes).T, name="probe Gram matrix"
-    ).whitener()
-    # The S-relation compares the synthesis of the fully tiled
-    # representatives with that of every rep * h, whose columns come from
-    # the other ball elements of each coset.
-    fully_tiled = np.all(cosets.tile >= 0, axis=1)
-    synth_red = bergman.kernel_gram(orbit.take(cosets.rep_index[fully_tiled]), probes).T
-    synth_full = bergman.kernel_gram(orbit.take(cosets.tile[fully_tiled].ravel()), probes).T
 
-    riesz_trace_min, riesz_trace_max = [], []
-    probe_trace_min, probe_trace_max = [], []
-    reports = []
-    for norm, gamma_count, lam_count, riesz_spectrum in zip(
-        norms, gamma_counts, lam_counts, riesz_spectra
-    ):
-        riesz_lo, riesz_hi = riesz_spectrum.extremes
-        probe_lo, probe_hi, probe_diag = frames.frame_bounds_probe(
-            probe_matrix[:gamma_count], whitener
-        )
-        riesz_trace_min.append(riesz_lo)
-        riesz_trace_max.append(riesz_hi)
-        probe_trace_min.append(probe_lo)
-        probe_trace_max.append(probe_hi)
-
-        window = min(3, len(probe_trace_min))
-        frame_decision = all(
-            lo >= frame_floor * probe_hi for lo in probe_trace_min[-window:]
-        )
-        riesz_decision = all(
-            lo >= riesz_floor * max(hi, 0.0)
-            for lo, hi in zip(riesz_trace_min[-window:], riesz_trace_max[-window:])
-        )
-
-        tiled_count = np.count_nonzero(fully_tiled[:lam_count])
-        s_relation_residual = frames.s_relation_residual(
-            synth_full[:, : tiled_count * stab_order], synth_red[:, :tiled_count], stab_order
-        )
-        diagnostics = {
-            "truncation_radius": norm,
-            "probe_count": probe_diag["probe_count"],
-            "probe_rank": probe_diag["probe_rank"],
-            "gamma_count": gamma_count,
-            "lambda_count": lam_count,
-            "ball_certified": ball.closure_certified,
-            "s_relation_residual": s_relation_residual,
-            "probe_trace_min": list(probe_trace_min),
-            "probe_trace_max": list(probe_trace_max),
-            "riesz_trace_min": list(riesz_trace_min),
-            "riesz_trace_max": list(riesz_trace_max),
-        }
-        report = frames.density_verdict(
-            lattice=spec.name,
-            ball_norm=norm,
-            covolume=covolume,
-            formal_degree=degree,
-            stab_order=stab_order,
-            gen_norm_sq=gen_norm_sq,
-            frame_decision=frame_decision,
-            riesz_decision=riesz_decision,
-            a_est=probe_lo,
-            b_est=probe_hi,
-            riesz_min=riesz_lo,
-            riesz_max=riesz_hi,
-            diagnostics=diagnostics,
-        )
-        reports.append(report)
+    for report in reports:
         emitter.record("frame_report", report.to_flat_dict())
-
     final = reports[-1]
     emitter.summary(
         {
@@ -609,12 +442,40 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
     return EXIT_OK
 
 
+# command: (function, help line, its flags after the common ones as (flag, type, help))
 _COMMANDS = {
-    "finite-scan": cmd_finite_scan,
-    "bergman-density": cmd_bergman_density,
-    "formal-degree": cmd_formal_degree,
-    "ball": cmd_ball,
-    "stabilizer": cmd_stabilizer,
+    "finite-scan": (
+        cmd_finite_scan,
+        "exhaustive exact verification scan",
+        (("--n-max", int, None), ("--windows", int, None), ("--seed", int, None)),
+    ),
+    "bergman-density": (
+        cmd_bergman_density,
+        "density report for a Bergman kernel orbit",
+        (
+            ("--lattice", None, None), ("--alpha", float, None), ("--z", None, None),
+            ("--ball", float, None), ("--probes", int, None), ("--probe-radius", float, None),
+            ("--refine-steps", int, None), ("--refine-delta", float, None),
+            ("--frame-floor", float, None), ("--riesz-floor", float, None),
+        ),
+    ),
+    "formal-degree": (
+        cmd_formal_degree,
+        "formal degree by quadrature",
+        (
+            ("--alpha", float, None), ("--z", None, "base point (default i)"),
+            ("--grid", None, "grid resolution, e.g. 400x400"), ("--rel-tol", float, None),
+        ),
+    ),
+    "ball": (cmd_ball, "enumerate a group ball", (("--lattice", None, None), ("--norm", float, None))),
+    "stabilizer": (
+        cmd_stabilizer,
+        "point and kernel stabilisers at a point",
+        (
+            ("--lattice", None, None), ("--z", None, None), ("--ball", float, None),
+            ("--alpha", float, None), ("--tol", float, None),
+        ),
+    ),
 }
 
 
@@ -622,15 +483,11 @@ def _join_point_values(argv: list[str]) -> list[str]:
     """Rewrite ``--z VALUE`` as ``--z=VALUE`` when VALUE is a point with a
     negative real part, which argparse would otherwise read as an option."""
     joined = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        value = argv[i + 1] if i + 1 < len(argv) else ""
-        if token == "--z" and value[:1] == "-" and (value[1:2].isdigit() or value[1:2] == "."):
-            token = f"--z={value}"
-            i += 1
-        joined.append(token)
-        i += 1
+    for token in argv:
+        if joined[-1:] == ["--z"] and token[:1] == "-" and (token[1:2].isdigit() or token[1:2] == "."):
+            joined[-1] = f"--z={token}"
+        else:
+            joined.append(token)
     return joined
 
 
@@ -642,10 +499,11 @@ def _open_output(path: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_point_values(sys.argv[1:] if argv is None else list(argv))
+    # no top-level option takes a value, so the first command name is argparse's command
+    named = [token for token in argv if token in _COMMANDS][:1]
     try:
-        args = parser.parse_args(_join_point_values(argv))
+        args = build_parser(named).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
@@ -657,8 +515,8 @@ def main(argv=None) -> int:
         out_path = settings.get("out", None)
         if out_path:
             with _open_output(out_path) as fh:
-                return _COMMANDS[args.command](settings, Emitter(fmt, fh))
-        return _COMMANDS[args.command](settings, Emitter(fmt, sys.stdout))
+                return _COMMANDS[args.command][0](settings, Emitter(fmt, fh))
+        return _COMMANDS[args.command][0](settings, Emitter(fmt, sys.stdout))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -678,11 +536,19 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """:func:`main`, then exit with its code, after freezing every object
-    still alive; atexit handlers and the final flush still run."""
+    """:func:`main`, then flush stdout and stderr and end the process with its
+    exit code, without the interpreter's teardown: no exit-time collections,
+    module cleanup or atexit handlers."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed before the buffered rest; a failure main reported is not repeated
+        if code != EXIT_NUMERICAL:
+            print(f"failure: {exc}", file=sys.stderr)
+            code = EXIT_NUMERICAL
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

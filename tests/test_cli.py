@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import io
@@ -6,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -29,18 +29,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(threads: str, *args, check: bool = True):
-    """A fresh interpreter on this source tree whose BLAS uses this many threads."""
+def python_env(threads: str) -> dict:
+    """The environment of a fresh interpreter on this source tree whose BLAS
+    uses this many threads."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(
+    return dict(
         os.environ,
         OPENBLAS_NUM_THREADS=threads,
         OMP_NUM_THREADS=threads,
         PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
     )
+
+
+def run_python(threads: str, *args, check: bool = True):
+    """A fresh interpreter on this source tree whose BLAS uses this many threads."""
     return subprocess.run(
         [sys.executable, *args],
-        env=env,
+        env=python_env(threads),
         capture_output=True,
         check=check,
         timeout=120,
@@ -53,25 +58,29 @@ def run_cli_with_blas_threads(threads: str, *argv):
 
 
 # third-party and costly stdlib modules that loaded_modules also reports:
-# numpy.random alone pulls in hashlib, secrets and OpenSSL
-WATCHED_MODULES = ("numpy", "numpy.random", "hashlib", "secrets")
+# numpy.random alone pulls in hashlib, secrets and OpenSSL; json and csv
+# load only for a record written in their format
+WATCHED_MODULES = ("numpy", "numpy.random", "hashlib", "secrets", "json", "csv")
 
-# runs cli.main on each argv given as JSON, then prints the exit codes and the
-# package and watched modules imported
+# runs cli.main on each argv given as a Python literal, then prints the exit
+# codes and the package and watched modules imported; the modules are taken
+# before the probe imports json to print them
 _LOADED_MODULES = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 from orbitdensity import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+    codes = [cli.main(argv) for argv in ast.literal_eval(sys.argv[1])]
+loaded = set(sys.modules)
+import json
 watched = set(json.loads(sys.argv[2]))
-print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("orbitdensity.") or m in watched)]))
+print(json.dumps([codes, sorted(m for m in loaded if m.startswith("orbitdensity.") or m in watched)]))
 """
 
 
 def loaded_modules(*argvs) -> tuple[list, set]:
     """Exit codes of the commands, run in turn in one fresh interpreter, and
     the package modules and :data:`WATCHED_MODULES` that interpreter imported."""
-    child = run_python("1", "-c", _LOADED_MODULES, json.dumps(argvs), json.dumps(WATCHED_MODULES))
+    child = run_python("1", "-c", _LOADED_MODULES, repr(argvs), json.dumps(WATCHED_MODULES))
     codes, modules = json.loads(child.stdout)
     return codes, set(modules)
 
@@ -323,7 +332,34 @@ class TestProcessEntry:
         assert run_cli(capsys, "finite-scan", "--n-max", "3", "--windows", "1")[0] == 0
         assert gc.get_freeze_count() == frozen
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv, read",
+        [(("finite-scan", "--n-max", "7", "--windows", "6", "--format", "csv"), 10), (("ball", "--norm", "3"), 0)],
+        ids=["scan-closed-after-10-bytes", "ball-closed-before-output"],
+    )
+    def test_reader_closing_early_exits_three(self, argv, read, buffered):
+        # a buffered small output fails only at run()'s final flush, which
+        # reports it like main does
+        env = python_env("1")
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "orbitdensity.cli", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(child.stdout.read(read)) == read
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 3
+        assert err == b"failure: [Errno 32] Broken pipe\n"
+
     def test_script_entry_is_run(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
         pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
         assert scripts == {"orbit-density": "orbitdensity.cli:run"}
@@ -361,13 +397,93 @@ class TestImports:
         codes, modules = loaded_modules(["--help"], *([command, "--help"] for command in commands))
         assert codes == [0] * 6
         assert not modules & COMMAND_MODULES
-        assert "numpy" not in modules
+        assert not modules & {"numpy", "json", "csv"}
 
     def test_usage_error_before_the_command_imports_loads_no_numpy(self):
         codes, modules = loaded_modules(["finite-scan", "--windows", "3"])
         assert codes == [2]
         assert not modules & COMMAND_MODULES
-        assert "numpy" not in modules
+        assert not modules & {"numpy", "json", "csv"}
+
+    @pytest.mark.parametrize(
+        "fmt, serialisers",
+        [("human", set()), ("json", {"json"}), ("csv", {"csv"})],
+        ids=["human", "json", "csv"],
+    )
+    def test_serialisers_load_only_for_their_format(self, fmt, serialisers):
+        density = ["bergman-density", "--alpha", "2", "--z", "i", "--ball", "4", "--probes", "8"]
+        codes, modules = loaded_modules(density + ["--format", fmt])
+        assert codes == [0]
+        assert modules & {"json", "csv"} == serialisers
+
+    def test_density_analysis_runs_without_the_cli(self):
+        child = run_python(
+            "1",
+            "-c",
+            "import sys\n"
+            "from orbitdensity import bergman, fuchsian\n"
+            "from orbitdensity.hyperbolic import UpperHalfPoint\n"
+            "reports = bergman.density_analysis(fuchsian.psl2z(), UpperHalfPoint(0.0, 1.0), 2.0, 4.0, probes=8)\n"
+            "print(len(reports), reports[-1].stab_order, 'orbitdensity.cli' in sys.modules)\n",
+        )
+        assert child.stdout.decode().split() == ["3", "2", "False"]
+
+
+def _every_flag_argv(parser: argparse.ArgumentParser, command: str) -> list[str]:
+    """An argv of the command that sets each of its flags, read off the parser."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    argv = [command]
+    for action in subparsers.choices[command]._actions:
+        if action.dest == "help":
+            continue
+        value = action.choices[-1] if action.choices else {int: "3", float: "2.5"}.get(action.type, "text")
+        argv += [action.option_strings[0], value]
+    return argv
+
+
+# the top-level help and an unknown command's error, with whitespace runs
+# collapsed: argparse wraps the usage line by terminal width and Python version
+TOP_LEVEL_HELP = (
+    "usage: orbit-density [-h] {finite-scan,bergman-density,formal-degree,ball,stabilizer} ... "
+    "Density conditions for frames and Riesz sequences in lattice orbits. "
+    "positional arguments: {finite-scan,bergman-density,formal-degree,ball,stabilizer} "
+    "finite-scan exhaustive exact verification scan "
+    "bergman-density density report for a Bergman kernel orbit "
+    "formal-degree formal degree by quadrature "
+    "ball enumerate a group ball "
+    "stabilizer point and kernel stabilisers at a point "
+    "options: -h, --help show this help message and exit"
+)
+UNKNOWN_COMMAND_ERROR = (
+    "usage: orbit-density [-h] {finite-scan,bergman-density,formal-degree,ball,stabilizer} ... "
+    "orbit-density: error: argument command: invalid choice: 'nosuch' (choose from "
+    "'finite-scan', 'bergman-density', 'formal-degree', 'ball', 'stabilizer')"
+)
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_one_command_parser_matches_the_full_parser(self, command):
+        full = cli.build_parser()
+        argv = _every_flag_argv(full, command)
+        args = cli.build_parser([command]).parse_args(argv)
+        assert args == full.parse_args(argv)
+        assert None not in vars(args).values()
+
+    def test_one_command_parser_holds_no_other_flags(self):
+        parser = cli.build_parser(["ball"])
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == list(cli._COMMANDS)
+        assert [a.dest for a in subparsers.choices["finite-scan"]._actions] == ["help"]
+        assert "norm" in [a.dest for a in subparsers.choices["ball"]._actions]
+
+    def test_top_level_help_is_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert (code, " ".join(out.split()), err) == (0, TOP_LEVEL_HELP, "")
+
+    def test_unknown_command_is_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "nosuch")
+        assert (code, out, " ".join(err.split())) == (2, "", UNKNOWN_COMMAND_ERROR)
 
 
 class TestFormatParity:

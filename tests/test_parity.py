@@ -404,6 +404,18 @@ def test_bergman_density_matches_golden(capsys, argv):
             assert summary[key] == expected, key
 
 
+@pytest.mark.parametrize("argv", list(GOLDEN_DENSITY), ids=["i", "rho", "generic"])
+def test_density_analysis_reports_are_the_cli_records(capsys, argv):
+    # the library entry and the command give the same reports, field for field
+    code = cli.main(["bergman-density", *argv, "--ball", "6", "--format", "json"])
+    assert code == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    args = cli.build_parser().parse_args(["bergman-density", *argv])
+    reports = bergman.density_analysis(fuchsian.psl2z(), cli.parse_point(args.z), args.alpha, 6.0)
+    got = [list({"type": "frame_report", **r.to_flat_dict()}.items()) for r in reports]
+    assert got == [list(record.items()) for record in records[:-1]]
+
+
 def test_finite_scan_matches_golden(capsys):
     code = cli.main(
         ["finite-scan", "--n-max", "3", "--windows", "4", "--seed", "7", "--format", "csv"]
