@@ -58,7 +58,7 @@ class KernelVector:
     weight: Weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelOrbit:
     """Vectors c_k k_{z_k} of one weight: points ``z`` and coefficients ``c``
     as complex arrays of equal length."""

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the CLI's exit codes.
 
 The CLI maps these onto process exit codes: usage problems exit 2,
 exact-mode theorem violations exit 1, numerical and resource failures
@@ -7,6 +7,12 @@ Python's ``OverflowError`` when a float result leaves the double range)
 exit 3. Any other exception is a programming bug and exits 4 with its
 traceback.
 """
+
+EXIT_OK = 0
+EXIT_VIOLATION = 1
+EXIT_USAGE = 2
+EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):

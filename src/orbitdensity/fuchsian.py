@@ -214,7 +214,7 @@ def stabilizer_of_point(
     return members
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetSystem:
     """Transversal of a finite stabiliser subgroup H inside a group ball, as
     indices into the ball's elements.

@@ -136,7 +136,7 @@ def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     return lo + h * (np.arange(n) + 0.5), h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Nodes (x, y) in the upper half-plane with weights that already
     include the invariant density, so that integrate_invariant is a plain

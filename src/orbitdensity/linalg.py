@@ -234,7 +234,7 @@ def _real_form_in_place(A, p, n: int) -> np.ndarray:
     return A.real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PSDSpectrum:
     """Real spectrum of a Hermitian matrix, or of each matrix of a stack,
     eigenvalues ascending along the last axis.

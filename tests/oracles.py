@@ -1,8 +1,8 @@
 """Reference oracles and helpers that only the tests use.
 
 The scalar kernel formula, the per-pair inner products, the one-vector
-time-frequency shift, the pair-closure subgroup enumeration and subgroup
-test, the stacked Gram matrix of orbit matrices, the
+time-frequency shift, the pair-closure subgroup enumeration, the
+membership-table and pair-closure subgroup tests, the stacked Gram matrix of orbit matrices, the
 one-matrix-at-a-time group ball, stabiliser, coset and orbit paths and the
 materialised-meshgrid quadrature are the slow reference paths that the
 closed-form, batched, array and tensor-grid code in ``orbitdensity`` is
@@ -146,6 +146,19 @@ def formal_degree_finite(n: int, *, pairs: int = 8, seed: int = 20240801) -> Fra
                 f"orthogonality relation failed at n={n}: sum {total!r} vs {target!r}"
             )
     return Fraction(1, n)
+
+
+def is_subgroup_table(elements, n: int) -> bool:
+    """Nonempty, duplicate-free, inside Z_n x Z_n and closed under addition,
+    which for a finite group makes it a subgroup. Closure is one lookup of
+    all pairwise sums in a membership table of Z_n x Z_n."""
+    pairs = np.asarray(elements, dtype=int).reshape(-1, 2)
+    if not (len(pairs) and np.all((pairs >= 0) & (pairs < n))):
+        return False
+    member = np.zeros((n, n), dtype=bool)
+    member[pairs[:, 0], pairs[:, 1]] = True
+    sums = (pairs[:, None, :] + pairs[None, :, :]) % n
+    return np.count_nonzero(member) == len(pairs) and bool(member[sums[..., 0], sums[..., 1]].all())
 
 
 def is_subgroup_pairs(elements, n: int) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from oracles import Moebius, distance, kernel_value, traced_peak
 from scipy.integrate import quad
 
-from orbitdensity import bergman, fuchsian, linalg
+from orbitdensity import bergman, fuchsian, hyperbolic, linalg
 from orbitdensity.bergman import (
     KernelOrbit,
     KernelVector,
@@ -412,3 +412,21 @@ class TestProbeKernels:
         a = bergman.probe_kernels(k, 8)
         b = bergman.probe_kernels(k, 8)
         assert np.array_equal(a.z, b.z)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: KernelOrbit(np.array([1j]), np.array([1.0 + 0j]), 2.0),
+        lambda: linalg.PSDSpectrum(np.array([1.0]), None),
+        lambda: fuchsian.CosetSystem(np.array([0]), np.array([[0]])),
+        lambda: hyperbolic.QuadratureGrid(np.zeros(1), np.ones(1), np.ones(1), {}),
+    ],
+    ids=["KernelOrbit", "PSDSpectrum", "CosetSystem", "QuadratureGrid"],
+)
+def test_array_records_compare_and_hash_by_identity(make):
+    # field-wise equality would take the truth value of an array, and an array has no hash
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from oracles import Moebius, traced_peak
 
-from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian, hyperbolic
+from orbitdensity import bergman, cli, commands, finite_gabor, frames, fuchsian, hyperbolic
 from orbitdensity.errors import (
     AccuracyError,
     NotRieszError,
@@ -91,20 +91,20 @@ def json_lines(out):
 
 class TestParsing:
     def test_parse_point_formats(self):
-        assert cli.parse_point("i").as_complex == 1j
-        assert cli.parse_point("2i").as_complex == 2j
-        assert cli.parse_point("0.5+0.866i").as_complex == 0.5 + 0.866j
+        assert commands.parse_point("i").as_complex == 1j
+        assert commands.parse_point("2i").as_complex == 2j
+        assert commands.parse_point("0.5+0.866i").as_complex == 0.5 + 0.866j
         with pytest.raises(UsageError):
-            cli.parse_point("1.0")
+            commands.parse_point("1.0")
         with pytest.raises(UsageError):
-            cli.parse_point("nonsense")
+            commands.parse_point("nonsense")
 
     def test_parse_grid(self):
-        assert cli.parse_grid("400x400") == (400, 400)
+        assert commands.parse_grid("400x400") == (400, 400)
         with pytest.raises(UsageError):
-            cli.parse_grid("400")
+            commands.parse_grid("400")
         with pytest.raises(UsageError):
-            cli.parse_grid("4x4")
+            commands.parse_grid("4x4")
 
 
 class TestExitCodes:
@@ -299,8 +299,11 @@ def test_scan_at_n_max_ten(capsys):
 
 COMMAND_MODULES = {
     f"orbitdensity.{name}"
-    for name in ("bergman", "finite_gabor", "frames", "fuchsian", "hyperbolic", "linalg")
+    for name in ("bergman", "commands", "finite_gabor", "frames", "fuchsian", "hyperbolic", "linalg")
 }
+
+# the package modules that --help and a usage error caught by the parser load
+ENTRY_MODULES = {"orbitdensity.cli", "orbitdensity.errors"}
 
 
 class TestProcessEntry:
@@ -313,14 +316,25 @@ class TestProcessEntry:
             (("finite-scan", "--windows", "3"), 2),
             (("finite-scan", "--n-max", "5", "--no-such-flag"), 2),
             (("finite-scan", "--n-max", "16", "--windows", "1000000000"), 3),
+            (("bergman-density", "--help"), 0),
+            (("formal-degree", "--help"), 0),
+            (("ball", "--norm", "3", "--config", "{config}"), 2),
+            (("ball", "--norm", "3", "--config", "{missing}"), 2),
         ],
-        ids=["csv", "json", "out-file", "usage-error", "unknown-flag", "oversized-windows"],
+        ids=[
+            "csv", "json", "out-file", "usage-error", "unknown-flag", "oversized-windows",
+            "bergman-density-help", "formal-degree-help", "unknown-config-key", "missing-config",
+        ],
     )
     def test_spawned_cli_matches_main_in_process(self, capsys, tmp_path, argv, expected_code):
         spawned_out, in_process_out = tmp_path / "spawned.csv", tmp_path / "in_process.csv"
-        spawn_argv = [arg.format(out=spawned_out) for arg in argv]
+        config, missing = tmp_path / "unknown_key.cfg", tmp_path / "missing.cfg"
+        config.write_text("no_such_key = 1\n")
+        spawn_argv = [arg.format(out=spawned_out, config=config, missing=missing) for arg in argv]
         child = run_python("1", "-m", "orbitdensity.cli", *spawn_argv, check=False)
-        code, out, err = run_cli(capsys, *(arg.format(out=in_process_out) for arg in argv))
+        code, out, err = run_cli(
+            capsys, *(arg.format(out=in_process_out, config=config, missing=missing) for arg in argv)
+        )
         assert (child.returncode, child.stdout.decode(), child.stderr.decode()) == (code, out, err)
         assert code == expected_code
         if "--out" in argv:
@@ -396,14 +410,19 @@ class TestImports:
         commands = ["finite-scan", "bergman-density", "formal-degree", "ball", "stabilizer"]
         codes, modules = loaded_modules(["--help"], *([command, "--help"] for command in commands))
         assert codes == [0] * 6
-        assert not modules & COMMAND_MODULES
-        assert not modules & {"numpy", "json", "csv"}
+        assert modules == ENTRY_MODULES
 
     def test_usage_error_before_the_command_imports_loads_no_numpy(self):
         codes, modules = loaded_modules(["finite-scan", "--windows", "3"])
         assert codes == [2]
-        assert not modules & COMMAND_MODULES
+        # the command's body raises it, so the commands module has loaded
+        assert not modules & (COMMAND_MODULES - {"orbitdensity.commands"})
         assert not modules & {"numpy", "json", "csv"}
+
+    def test_usage_error_of_the_parser_loads_only_the_entry(self):
+        codes, modules = loaded_modules(["finite-scan", "--n-max", "x"], ["nosuch"], ["ball", "--norm"])
+        assert codes == [2] * 3
+        assert modules == ENTRY_MODULES
 
     @pytest.mark.parametrize(
         "fmt, serialisers",
@@ -462,6 +481,10 @@ UNKNOWN_COMMAND_ERROR = (
 
 
 class TestParser:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_names_a_function_in_commands(self, command):
+        assert callable(getattr(commands, cli._COMMANDS[command][0]))
+
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_one_command_parser_matches_the_full_parser(self, command):
         full = cli.build_parser()
@@ -592,7 +615,7 @@ class TestStabilizerCommand:
 
         monkeypatch.setattr(fuchsian, "stabilizer_of_point", wrong)
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 4.0)
-        kernel = bergman.KernelVector(cli.parse_point("i"), bergman.Weight(2.0))
+        kernel = bergman.KernelVector(commands.parse_point("i"), bergman.Weight(2.0))
         orbit = bergman.orbit_system(ball.elements, kernel)
         with pytest.raises(OracleInconsistencyError):
             bergman.projective_stabilizer_kernel(ball, kernel, orbit)

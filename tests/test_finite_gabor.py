@@ -157,13 +157,19 @@ class TestSubgroupEnumeration:
             assert len(hnf) == sum(math.gcd(a, b) for a in divisors for b in divisors)
 
     def test_subgroup_check_matches_pair_closure(self):
+        def assert_refused_as_subgroup(elements, n):
+            # whatever generators it names, since every span is a subgroup
+            for generators in ((), elements[:1], elements[:2], elements):
+                with pytest.raises(UsageError):
+                    fg.SubgroupDescr(n=n, generators=generators, elements=elements, order=len(elements))
+
         rng = np.random.default_rng(57)
         for n in range(2, 9):
             subgroups = {sub.elements for sub in fg.subgroup_enumerate(n)}
             pairs = list(itertools.product(range(n), repeat=2))
             candidates = []
             for elements in sorted(subgroups):
-                assert fg._is_subgroup(elements, n) and oracles.is_subgroup_pairs(elements, n)
+                assert oracles.is_subgroup_table(elements, n) and oracles.is_subgroup_pairs(elements, n)
                 # one element dropped, one added
                 drop = elements[rng.integers(len(elements))]
                 candidates.append(tuple(e for e in elements if e != drop))
@@ -175,12 +181,14 @@ class TestSubgroupEnumeration:
             non_subgroups = [c for c in candidates if tuple(sorted(c)) not in subgroups]
             assert len(non_subgroups) >= 50
             for elements in non_subgroups:
-                assert not fg._is_subgroup(elements, n)
+                assert not oracles.is_subgroup_table(elements, n)
                 assert not oracles.is_subgroup_pairs(elements, n)
+                assert_refused_as_subgroup(elements, n)
         # empty, a duplicate, outside Z_2 x Z_2
         for elements in ((), ((0, 0), (0, 0)), ((0, 0), (0, 2)), ((0, 0), (-1, 0))):
-            assert not fg._is_subgroup(elements, 2)
+            assert not oracles.is_subgroup_table(elements, 2)
             assert not oracles.is_subgroup_pairs(elements, 2)
+            assert_refused_as_subgroup(elements, 2)
 
     def test_rejects_element_list_that_is_not_closed(self):
         with pytest.raises(UsageError):

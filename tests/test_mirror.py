@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import mirror_point, rephased_gram_oracle, traced_peak
 
-from orbitdensity import bergman, cli, frames, fuchsian
+from orbitdensity import bergman, cli, commands, frames, fuchsian
 from orbitdensity.bergman import KernelVector, Weight
 from orbitdensity.errors import OracleInconsistencyError
 from orbitdensity.hyperbolic import MoebiusMap, UpperHalfPoint, frobenius_sq
@@ -127,7 +127,7 @@ def run_density(capsys, monkeypatch, argv, *, complex_path=False):
 @pytest.mark.parametrize("z", ["0.5+0.866i", "-0.3+1.4i"])
 def test_points_off_the_mirrors_keep_the_complex_path(capsys, monkeypatch, z):
     argv = ["--alpha", "2.5", f"--z={z}", "--ball", "9"]
-    assert fuchsian.point_mirror(fuchsian.psl2z(), cli.parse_point(z)) is None
+    assert fuchsian.point_mirror(fuchsian.psl2z(), commands.parse_point(z)) is None
     mirrored = run_density(capsys, monkeypatch, argv)
     assert mirrored == run_density(capsys, monkeypatch, argv, complex_path=True)
 

@@ -38,7 +38,7 @@ import pytest
 import oracles
 from oracles import kernel_cross_oracle, pi_shift, vector_gram, vector_gram_oracle
 
-from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian
+from orbitdensity import bergman, cli, commands, finite_gabor, frames, fuchsian
 from orbitdensity.bergman import KernelOrbit, KernelVector, Weight
 from orbitdensity.hyperbolic import MoebiusMap, UpperHalfPoint
 
@@ -411,7 +411,7 @@ def test_density_analysis_reports_are_the_cli_records(capsys, argv):
     assert code == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     args = cli.build_parser().parse_args(["bergman-density", *argv])
-    reports = bergman.density_analysis(fuchsian.psl2z(), cli.parse_point(args.z), args.alpha, 6.0)
+    reports = bergman.density_analysis(fuchsian.psl2z(), commands.parse_point(args.z), args.alpha, 6.0)
     got = [list({"type": "frame_report", **r.to_flat_dict()}.items()) for r in reports]
     assert got == [list(record.items()) for record in records[:-1]]
 
