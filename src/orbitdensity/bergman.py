@@ -2,9 +2,11 @@
 the projective weighted slash action on kernels, its cocycle, kernel
 orbits as arrays with closed-form Gram matrices, and the formal degree:
 in closed form, and by quadrature of the square-integrability integral as
-its independent cross-check. At a point on a mirror of the modular group,
-:func:`mirror_rephased` gives the orbit the phases under which its Gram
-matrix has a real form of the same spectra (see ``linalg``).
+its independent cross-check. Where the lattice holds the rotation
+S: w -> -1/w, the unitary involution pi(S) / sqrt(omega) pairs the vectors
+of a coset transversal's orbit up to closed-form phases
+(:func:`rotation_symmetry`), and its two eigenspaces split their Gram
+matrix into two blocks of about half the size (:func:`rotation_halves`).
 :func:`density_analysis` is the ``bergman-density`` pipeline: the frame
 reports of a lattice orbit of one kernel over refining truncations.
 
@@ -166,30 +168,147 @@ def orbit_system(maps, kernel: KernelVector) -> KernelOrbit:
     return KernelOrbit(z=np.array(points, dtype=complex), c=np.array(coeffs, dtype=complex), alpha=alpha)
 
 
-def mirror_rephased(orbit: KernelOrbit, mirror: str) -> KernelOrbit:
-    """The vectors u_k c_k k_{z_k} with unimodular u_k in closed form, whose
-    Gram matrix G satisfies G[p][:, p] = conj(G) whenever the mirror
-    (``fuchsian.MIRRORS``) maps the points onto themselves as
-    z_p(k) = m(z_k) and the vectors have equal norms.
+def rotation_phases(orbit: KernelOrbit, p) -> np.ndarray:
+    """Phases t with W v_k = t_k v_p(k) for the vectors v_k = c_k k_{z_k}
+    and the pairing p of their points under S: w -> -1/w, in closed form.
 
-    Rephasing is a diagonal unitary similarity of the Gram matrix, so no
-    spectrum moves. With K(z, w) = <k_z, k_w>, the Gram of the new vectors
-    c'_k k_{z_k} is mirror-conjugate when c'_p(k) f(z_k) = conj(c'_k) for
-    the factor f of K(m z, m w) = conj K(z, w) f(z) conj(f(w)):
-
-    * imaginary axis: K(-conj z, -conj w) = conj K(z, w) exactly, f = 1,
-      and |c_p(k)| = |c_k| since the vectors have equal norms, so
-      c'_k = |c_k|;
-    * unit circle: f(z) = z^alpha with principal powers, one factor per
-      point; the norms give |c_p(k)| |z_k|^alpha = |c_k|, and
-      arg(1/conj z) = arg z, so c'_k = |c_k| exp(-i alpha arg(z_k) / 2).
+    pi(S) k_w = sigma(S, S^-1) conj(w^-alpha) k_{-1/w}, and applied twice
+    this gives pi(S)^2 = omega with omega = sigma(S, S^-1)^2 exp(i pi alpha),
+    since arg(w) + arg(-1/w) = pi. So W = pi(S) / sqrt(omega), with the root
+    sigma(S, S^-1) exp(i pi alpha / 2), is a unitary involution, and
+    W c k_w = c conj(w^-alpha) exp(-i pi alpha / 2) k_{-1/w}. Where
+    -1/z_k = z_p(k), t_k is that coefficient over c_p(k).
     """
-    if mirror not in fuchsian.MIRRORS:
-        raise UsageError(f"unknown mirror {mirror!r}")
-    c = np.abs(orbit.c).astype(complex)
-    if mirror == "unit_circle":
-        c *= np.exp(-0.5j * orbit.alpha * np.angle(orbit.z))
-    return KernelOrbit(z=orbit.z, c=c, alpha=orbit.alpha)
+    alpha = orbit.alpha
+    t = np.power(orbit.z, -alpha).conj()
+    t *= orbit.c * cmath.exp(-0.5j * math.pi * alpha)
+    t /= orbit.c[p]
+    return t
+
+
+def _distance(u, w) -> np.ndarray:
+    """Hyperbolic distance 2 asinh(|u - w| / (2 sqrt(Im u Im w))), exact
+    for close points where arccosh loses half the digits."""
+    return 2.0 * np.arcsinh(np.abs(u - w) / (2.0 * np.sqrt(u.imag * w.imag)))
+
+
+def _rounding(w) -> np.ndarray:
+    """Rounding bound 64 eps |w| / Im w on the hyperbolic position of a
+    computed orbit point w; the same for w and -1/w."""
+    return 64.0 * np.finfo(float).eps * np.abs(w) / w.imag
+
+
+def rotation_symmetry(
+    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: KernelOrbit, stabilizer, sizes
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairing p and phases t of the involution W of :func:`rotation_phases`
+    on the transversal's vectors v_k = ``orbit`` at ``cosets.rep_index``:
+    W v_k = t_k v_p(k), and p is an involution that closes every truncation
+    of ``sizes``.
+
+    W acts on them where the ball holds S and the point stabiliser fixes the
+    kernel's point z to rounding: then S rep_k z = rep_p(k) h z = z_p(k) for
+    the h in the stabiliser that :func:`fuchsian.rotation_pairing` implies.
+    Otherwise, where S is not in the ball or the stabiliser fixes z only to
+    its tolerance, p is the identity and t = 1, the trivial involution,
+    whose split is one block.
+
+    A point mismatch d(-1/z_k, z_p(k)) above 64 eps |z_k| / Im z_k, or a
+    phase with | |t_k| - 1 |, |t_k t_p(k) - 1| or, where p(k) = k,
+    |t_k -+ 1| above alpha times that, raises ``OracleInconsistencyError``.
+    The phases of fixed vectors are then set to exactly +-1.
+    """
+    lam = orbit.take(cosets.rep_index)
+    n = len(lam)
+    z = orbit.z[ball.index_of(fuchsian.IDENTITY)]
+    p = fuchsian.rotation_pairing(ball, cosets, sizes)
+    if p is None or np.any(_distance(orbit.z[stabilizer], z) > _rounding(z)):
+        return np.arange(n), np.ones(n, dtype=complex)
+    t = rotation_phases(lam, p)
+    fixed = p == np.arange(n)
+    sign = np.where(t.real < 0.0, -1.0, 1.0)
+    scale = _rounding(lam.z)
+    for what, deviation in (
+        ("point", _distance(-1.0 / lam.z, lam.z[p])),
+        ("phase modulus", np.abs(np.abs(t) - 1.0) / orbit.alpha),
+        ("phase product", np.abs(t * t[p] - 1.0) / orbit.alpha),
+        ("fixed phase", np.where(fixed, np.abs(t - sign), 0.0) / orbit.alpha),
+    ):
+        if np.any(deviation > scale):
+            raise OracleInconsistencyError(
+                f"the rotation S does not map the transversal onto itself: {what} "
+                f"mismatch {np.max(deviation / scale):.3e} times its rounding bound"
+            )
+    t[fixed] = sign[fixed]
+    return p, t
+
+
+def rotation_halves(orbit: KernelOrbit, p, t) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The Grams of the two eigenspaces of the involution W v_k = t_k v_p(k)
+    (see :func:`rotation_symmetry`) on the vectors of ``orbit``: for -1, then
+    +1, the Gram M of an orthonormal basis of the span's part in it, and the
+    increasing indices k that M's rows stand for. A half without rows is
+    left out.
+
+    The basis is (v_a +- t_a v_p(a)) / sqrt 2 over the pair leaders
+    a < p(a), plus each fixed vector v_f in the half of t_f = +-1. W is
+    unitary and self-adjoint, so M[a, b] = w_a w_b (G[a, b] +- conj(t_b)
+    G[a, p(b)]), with weight 1 for a leader and 1/sqrt 2 for a fixed vector,
+    whose two terms are equal. Over the rows R of leaders and fixed vectors
+    that is A = G[R, R], plus +-C = +-G[R, p(L)] diag(conj t) in the leaders'
+    columns L, times sqrt 2 in a leader's fixed columns and 1/sqrt 2 in a
+    fixed row's leader columns. For every m that p closes, the spectrum of
+    the Gram of v_k, k < m, is the union of those of the halves' leading
+    blocks over their rows below m. Only A and C are assembled, about half
+    of G's entries; the +1 half is formed in A's buffer. With p the identity
+    and t = 1, A = G is the one half. M[a, b] and conj M[b, a] are built from
+    different, independently rounded points, so the Hermitian check of a
+    half sees assembly errors that the check of G could not.
+    """
+    index = np.arange(len(orbit))
+    rows = np.flatnonzero(p >= index)
+    lead = p[rows] > rows
+    leaders = rows[lead]
+    A = kernel_gram(orbit.take(rows), orbit.take(rows))
+    partners = KernelOrbit(z=orbit.z[p[leaders]], c=orbit.c[p[leaders]] * t[leaders], alpha=orbit.alpha)
+    C = kernel_gram(orbit.take(rows), partners)
+    halves = []
+    for sign in (-1.0, 1.0):
+        keep = lead | (t[rows] == sign)
+        if not keep.any():
+            continue
+        M = A if sign > 0.0 and keep.all() else A[np.ix_(keep, keep)]
+        kept, lead_kept = np.flatnonzero(keep), lead[keep]
+        for r0 in range(0, len(M), linalg.ROW_BLOCK):
+            strip = M[r0 : r0 + linalg.ROW_BLOCK]
+            strip[:, lead_kept] += sign * C[kept[r0 : r0 + linalg.ROW_BLOCK]]
+        M[np.ix_(lead_kept, ~lead_kept)] *= math.sqrt(2.0)
+        M[np.ix_(~lead_kept, lead_kept)] *= math.sqrt(0.5)
+        halves.append((M, rows[keep]))
+    return halves
+
+
+def transversal_riesz_bounds(
+    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: KernelOrbit, stabilizer, sizes
+) -> list[tuple[float, float]]:
+    """Smallest and largest eigenvalue of the Gram of the first k coset
+    representatives' vectors (``orbit`` at ``cosets.rep_index``), one pair
+    per k of ``sizes``, each a truncation by norm.
+
+    The vectors are split by :func:`rotation_symmetry` and
+    :func:`rotation_halves`; each half's truncations are its leading blocks,
+    validated and eigensolved by one :func:`frames.gram` call, and each
+    extreme is taken over both halves.
+    """
+    pairing, phases = rotation_symmetry(ball, cosets, orbit, stabilizer, sizes)
+    bounds = [(math.inf, -math.inf)] * len(sizes)
+    for M, members in rotation_halves(orbit.take(cosets.rep_index), pairing, phases):
+        half_sizes = np.searchsorted(members, sizes).tolist()
+        steps = [j for j, size in enumerate(half_sizes) if size]
+        for j, spectrum in zip(steps, frames.gram(M, [half_sizes[j] for j in steps])):
+            lo, hi = spectrum.extremes
+            bounds[j] = (min(bounds[j][0], lo), max(bounds[j][1], hi))
+    return bounds
 
 
 def default_formal_degree_grid(
@@ -403,9 +522,10 @@ def density_analysis(
 
     # Ball elements are sorted by norm and the representatives' ball indices
     # increase, so every truncation is a leading prefix of both: assemble
-    # once at the full radius and slice per step. The Gram of the
-    # representatives is the one large array: every truncation is validated
-    # and eigensolved as a view of it, before the probe matrices are made.
+    # once at the full radius and slice per step. The two halves of the Gram
+    # of the representatives are the large arrays: every truncation is
+    # validated and eigensolved as views of them, before the probe matrices
+    # are made.
     norms = [max(math.sqrt(2.0), ball_norm - refine_delta * j) for j in range(refine_steps)][::-1]
     ball_norms_sq = frobenius_sq(ball.elements)
     gamma_counts = []
@@ -415,15 +535,7 @@ def density_analysis(
         if not inside[: gamma_counts[-1]].all():
             raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
     lam_counts = [int(np.searchsorted(cosets.rep_index, count)) for count in gamma_counts]
-    lam_orbit = orbit.take(cosets.rep_index)
-    # At a point on a mirror through i, the mirror pairs the representatives
-    # within every truncation; rephased, the Gram is eigensolved in real form.
-    mirror = fuchsian.point_mirror(spec, z)
-    pairing = None
-    if mirror is not None:
-        pairing = fuchsian.mirror_pairing(ball, cosets, mirror, lam_counts)
-        lam_orbit = mirror_rephased(lam_orbit, mirror)
-    riesz_spectra = frames.gram(kernel_gram(lam_orbit, lam_orbit), lam_counts, mirror=pairing)
+    riesz_bounds = transversal_riesz_bounds(ball, cosets, orbit, stab_members, lam_counts)
     probe_matrix = kernel_gram(probe_orbit, orbit).T
     probe_gram = kernel_gram(probe_orbit, probe_orbit).T
     whitener = linalg.psd_eigen(probe_gram, name="probe Gram matrix").whitener()
@@ -436,10 +548,9 @@ def density_analysis(
 
     probe_trace_min, probe_trace_max, riesz_trace_min, riesz_trace_max = [], [], [], []
     reports = []
-    for norm, gamma_count, lam_count, riesz_spectrum in zip(
-        norms, gamma_counts, lam_counts, riesz_spectra
+    for norm, gamma_count, lam_count, (riesz_lo, riesz_hi) in zip(
+        norms, gamma_counts, lam_counts, riesz_bounds
     ):
-        riesz_lo, riesz_hi = riesz_spectrum.extremes
         probe_lo, probe_hi, probe_diag = frames.frame_bounds_probe(
             probe_matrix[:gamma_count], whitener
         )

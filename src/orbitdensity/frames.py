@@ -14,8 +14,9 @@ once on linalg's one spectrum path (:func:`linalg.hermitian_eigen`,
 :func:`linalg.psd_eigen`), and every rank, bound and identity check reads
 from it. :func:`gram` adds only the Gram-only positive-diagonal check; the
 nested truncations it serves are leading blocks of one buffer, validated,
-symmetrized in place once (or, given a mirror pairing of the vectors,
-replaced by their real form) and eigensolved as views.
+symmetrized in place once and eigensolved as views. A Gram that a symmetry
+of the system splits into blocks (see ``bergman.rotation_halves``) is
+passed one block at a time.
 
 The matrix functions also take stacks (..., rows, cols) of equally sized
 systems and then return one value per system; every Hermitian, diagonal,
@@ -41,9 +42,7 @@ def frame_operator(V) -> np.ndarray:
     return V @ linalg.adjoint(V)
 
 
-def gram(
-    G, sizes=None, rel_tol: float = linalg.DEFAULT_REL_TOL, *, mirror=None
-) -> list[linalg.PSDSpectrum]:
+def gram(G, sizes=None, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list[linalg.PSDSpectrum]:
     """Validate the leading blocks G[:k, :k] of an assembled Gram matrix (of
     each matrix of a stack) and return their spectra, one per k of
     ``sizes``, the whole matrix by default. Eigenvalues only.
@@ -56,11 +55,7 @@ def gram(
     A complex128 ``G`` is the working buffer: its leading max(sizes) rows
     and columns are overwritten with the Hermitian part (G + G*) / 2, and
     each block is eigensolved as a view of it. Pass a copy to keep ``G``
-    intact. With ``mirror``, an involution p of the vectors that closes
-    every block and under which G[p][:, p] = conj(G), the blocks are also
-    measured for that symmetry and, where it holds, eigensolved in their
-    real form, which overwrites the buffer's real parts instead (see
-    :func:`linalg.hermitian_eigen`).
+    intact.
     """
     G = np.asarray(G, dtype=complex)
     sizes = G.shape[-1:] if sizes is None else sizes
@@ -69,9 +64,7 @@ def gram(
         diagonal = np.diagonal(G, axis1=-2, axis2=-1)[..., : max(sizes, default=0)]
         if not np.all(diagonal.real > 0.0):
             raise OracleInconsistencyError("Gram diagonal must be strictly positive")
-    return linalg.psd_eigen(
-        G, sizes, rel_tol=rel_tol, compute_vectors=False, mirror=mirror, name="Gram matrix"
-    )
+    return linalg.psd_eigen(G, sizes, rel_tol=rel_tol, compute_vectors=False, name="Gram matrix")
 
 
 def frame_bounds_probe(A, whitener) -> tuple[float, float, dict]:

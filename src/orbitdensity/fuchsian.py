@@ -6,15 +6,15 @@ A ball is an ``(N, 4)`` array of canonical matrix rows (a, b, c, d) in norm
 order; stabilisers and coset transversals are index arrays into it.
 Balls of the modular group are certified against an exhaustive integer
 oracle; balls of other groups are sweep-to-fixpoint heuristics and are
-flagged as such. The modular group's two mirrors through i map every ball
-onto itself; at a point on one, :func:`mirror_pairing` pairs the coset
-representatives that the mirror exchanges.
+flagged as such. Left multiplication by the order-2 rotation S about i
+keeps the Frobenius norm, so in a ball that holds S it maps every
+truncation onto itself, and :func:`rotation_pairing` pairs each coset with
+its image under S.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,11 +31,9 @@ _NORM_EPS = 1e-9
 DEFAULT_POINT_TOL = 1e-8
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
-# Reflections of the extended modular group that fix the ball centre i:
-# w -> -conj(w) and w -> 1/conj(w). Each is conjugation by an orthogonal
-# matrix, sigma = diag(1, -1) and tau = ((0, 1), (1, 0)), which keeps
-# PSL(2, Z) and the Frobenius norm, and so maps every ball onto itself.
-MIRRORS = ("imaginary_axis", "unit_circle")
+# The rotation S: w -> -1/w of order 2 about the ball centre i. Its matrix
+# is orthogonal, so S g has the norm of g for every g.
+ROTATION = (0.0, -1.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -278,42 +276,24 @@ def lattice_covolume(spec: LatticeSpec, *, haar_scale: float = 1.0) -> float:
     return haar_scale * spec.covolume
 
 
-def point_mirror(spec: LatticeSpec, z: UpperHalfPoint) -> str | None:
-    """The first of :data:`MIRRORS` that fixes z to within 4 eps |z|, or
-    None; only the modular group has them."""
-    if spec.name != "psl2z":
-        return None
-    w = z.as_complex
-    for mirror, image in zip(MIRRORS, (-w.conjugate(), 1.0 / w.conjugate())):
-        if abs(image - w) <= 4.0 * sys.float_info.epsilon * abs(w):
-            return mirror
-    return None
+def rotation_pairing(ball: GroupBall, cosets: CosetSystem, sizes) -> np.ndarray | None:
+    """Permutation p of the coset representatives of a stabiliser H with
+    S rep_i H = rep_p(i) H for the rotation S (:data:`ROTATION`), or None
+    when the ball does not hold S.
 
-
-def _mirror_conjugates(rows, mirror: str) -> np.ndarray:
-    """Canonical rows of m g m for the mirror m: (a, -b, -c, d) for the
-    imaginary axis, (d, c, b, a) for the unit circle."""
-    if mirror not in MIRRORS:
-        raise UsageError(f"unknown mirror {mirror!r}")
-    a, b, c, d = np.moveaxis(np.asarray(rows, dtype=float), -1, 0)
-    flipped = (a, -b, -c, d) if mirror == "imaginary_axis" else (d, c, b, a)
-    return canonical(np.stack(flipped, axis=-1))
-
-
-def mirror_pairing(ball: GroupBall, cosets: CosetSystem, mirror: str, sizes) -> np.ndarray:
-    """Permutation p of the coset representatives of a stabiliser H of a
-    point on ``mirror``: m rep_i m lies in the coset of rep_p(i).
-
-    The mirror m fixes the point, so it maps H onto itself and the coset
-    rep_i H onto (m rep_i m) H, element by element and norm for norm. So p
-    is an involution, and it maps the first k representatives onto
-    themselves for every k of ``sizes`` that is a truncation by norm; a
-    failure of either raises ``OracleInconsistencyError``.
+    S maps the coset rep_i H onto S rep_i H element by element and norm for
+    norm. So p is an involution, and it maps the first k representatives
+    onto themselves for every k of ``sizes`` that is a truncation by norm;
+    a failure of either, or an image outside the ball, raises
+    ``OracleInconsistencyError``.
     """
+    rotation = canonical(ROTATION)
+    if ball.index_of(rotation) < 0:
+        return None
     coset_of = np.full(len(ball.elements), -1)
     placed = cosets.tile >= 0
     coset_of[cosets.tile[placed]] = np.nonzero(placed)[0]
-    images = ball.index_of(_mirror_conjugates(ball.elements[cosets.rep_index], mirror))
+    images = ball.index_of(compose(rotation, ball.elements[cosets.rep_index]))
     p = np.where(images >= 0, coset_of[images], -1)
     if (
         np.any(p < 0)
@@ -321,6 +301,6 @@ def mirror_pairing(ball: GroupBall, cosets: CosetSystem, mirror: str, sizes) -> 
         or any(np.any(p[:k] >= k) for k in sizes)
     ):
         raise OracleInconsistencyError(
-            f"the {mirror} mirror does not pair the coset representatives within each truncation"
+            "the rotation S does not pair the coset representatives within each truncation"
         )
     return p

@@ -9,23 +9,13 @@ one Gram buffer. It checks each block's shape, finiteness and Hermitian
 deviation against one tolerance, ``HERMITIAN_RTOL``, by strips of
 ``ROW_BLOCK`` rows; overwrites the buffer with its Hermitian part in place,
 once; and eigensolves every block as a view of it, so LAPACK's copy is the
-only other full-size array. Real input is solved in real arithmetic.
-
-A complex matrix with an antiunitary symmetry, A[p][:, p] = conj(A) for an
-involution p that maps every leading block onto itself, is unitarily
-similar to a real symmetric matrix of the same size, and a real eigensolve
-costs about a quarter of a complex one. Given p, the same strips also
-measure that symmetry; where it holds to ``HERMITIAN_RTOL``, the path
-writes this real form over the real parts of the buffer's leading block
-and eigensolves its leading blocks instead (see
-:func:`_real_form_in_place`). All routines are deterministic for identical
-input and use a single relative threshold ``DEFAULT_REL_TOL`` wherever a
-rank decision has to be made.
+only other full-size array. Real input is solved in real arithmetic. All
+routines are deterministic for identical input and use a single relative
+threshold ``DEFAULT_REL_TOL`` wherever a rank decision has to be made.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,13 +99,11 @@ def _sum_sq_rows(X) -> np.ndarray:
     return sq
 
 
-def _leading_deviations(A, bounds, mirror=None) -> tuple:
+def _leading_deviations(A, bounds) -> tuple:
     """||A_k - A_k*|| / ||A_k|| (0 for a zero block) of each leading block
     A_k = A[..., :k, :k], one per k of the ascending ``bounds``, of shape
-    (len(bounds),) + the stack shape; the same with the mirror image
-    conj(A_k[p][:, p]) in place of A_k* for the permutation ``mirror`` = p
-    of a single matrix, or None; and whether each block is finite in every
-    matrix.
+    (len(bounds),) + the stack shape, and whether each block is finite in
+    every matrix.
 
     Measured by strips of ROW_BLOCK rows, so no temporary is larger than
     ROW_BLOCK x max(bounds).
@@ -123,7 +111,6 @@ def _leading_deviations(A, bounds, mirror=None) -> tuple:
     n = bounds[-1]
     norm_sq = np.zeros((len(bounds),) + A.shape[:-2])
     diff_sq = np.zeros_like(norm_sq)
-    mirror_sq = np.zeros_like(norm_sq)
     finite = np.ones(len(bounds), dtype=bool)
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
@@ -136,22 +123,12 @@ def _leading_deviations(A, bounds, mirror=None) -> tuple:
             diff -= rows
             diff_sq += _block_sums(diff, index, bounds)
             del diff
-            if mirror is not None:
-                # one gather of the partner rows' partner columns, no second copy
-                diff = A[np.ix_(mirror[r0:r1], mirror[:n])]
-                np.conjugate(diff, out=diff)
-                diff -= rows
-                mirror_sq += _block_sums(diff, index, bounds)
-                del diff
         if not np.isfinite(rows).all():
             for i, k in enumerate(bounds):
                 finite[i] &= np.isfinite(rows[..., : max(k - r0, 0), :k]).all()
     scale = np.sqrt(norm_sq)
-
-    def relative(sq):
-        return np.divide(np.sqrt(sq), scale, out=np.zeros_like(scale), where=scale > 0.0)
-
-    return relative(diff_sq), None if mirror is None else relative(mirror_sq), finite
+    dev = np.divide(np.sqrt(diff_sq), scale, out=np.zeros_like(scale), where=scale > 0.0)
+    return dev, finite
 
 
 def _hermitian_part_in_place(A, n: int) -> None:
@@ -177,61 +154,6 @@ def _adjoint_rows(columns) -> np.ndarray:
     rows = columns.swapaxes(-1, -2).copy()
     np.conjugate(rows, out=rows)
     return rows
-
-
-def _real_form_in_place(A, p, n: int) -> np.ndarray:
-    """Write the real form U* A U of the leading n x n block of a complex
-    Hermitian matrix A with A[p][:, p] = conj(A) over the real parts of
-    that block, and return ``A.real``, whose leading blocks are then the
-    real forms of A's.
-
-    U is the unitary whose column j is e_j where p(j) = j and, for a pair
-    a = p(b) < b, (e_a + e_b) / sqrt 2 at a and i (e_a - e_b) / sqrt 2 at b.
-    These columns are fixed by the antiunitary x -> P conj(x), which
-    commutes with A, so U* A U is real and symmetric; and for every k with
-    p mapping [0, k) onto itself its leading k x k block is U_k* A_k U_k,
-    with the spectrum of A_k. The imaginary part that roundoff leaves in
-    U* A U is dropped: it is i times an antisymmetric matrix, which moves
-    the eigenvalues only to second order.
-
-    Row j of U* A needs rows j and p(j) of A only, so the rows are built
-    by chunks closed under p: the fixed rows and pair leaders a among
-    ROW_BLOCK / 4 consecutive indices, with their partners. Each chunk is
-    read before it is overwritten, and no temporary is larger than
-    ROW_BLOCK / 2 x n. The imaginary parts of the block are left as they
-    were.
-    """
-    p = p[:n]
-    half = math.sqrt(0.5)
-    index = np.arange(n)
-    pairs = np.flatnonzero(p > index)
-    chunk = ROW_BLOCK // 4
-    for f0 in range(0, n, chunk):
-        fixed = np.flatnonzero(p[f0 : f0 + chunk] == index[f0 : f0 + chunk]) + f0
-        lead = pairs[(pairs >= f0) & (pairs < f0 + chunk)]
-        rows = np.concatenate([fixed, lead, p[lead]])
-        # rows of U* A: x_j for a fixed row, (x_a + x_b) / sqrt 2 and
-        # i (x_b - x_a) / sqrt 2 for a pair
-        S = A[rows, :n]
-        first, second = S[len(fixed) : len(fixed) + len(lead)], S[len(fixed) + len(lead) :]
-        saved = first.copy()
-        first += second
-        first *= half
-        second -= saved
-        second *= 1j * half
-        del saved
-        # columns of (U* A) U, the same combinations
-        left, right = S[:, pairs], S[:, p[pairs]]
-        total = left + right
-        total *= half
-        S[:, pairs] = total
-        del total
-        left -= right
-        left *= 1j * half
-        S[:, p[pairs]] = left
-        del left, right
-        A.real[rows, :n] = S.real
-    return A.real
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,24 +222,8 @@ class PSDSpectrum:
         return V[:, self.keep] / np.sqrt(self.eigenvalues[self.keep])
 
 
-def _checked_mirror(mirror, size: int, blocks) -> np.ndarray:
-    """``mirror`` as an index array, which must be an involution of
-    range(size) that maps every range(k), k in ``blocks``, onto itself."""
-    mirror = np.asarray(mirror, dtype=int)
-    index = np.arange(size)
-    if not (
-        mirror.shape == index.shape
-        and np.array_equal(np.sort(mirror), index)
-        and np.array_equal(mirror[mirror], index)
-    ):
-        raise UsageError("mirror must be an involution of the matrix's indices")
-    if any(np.any(mirror[:k] >= k) for k in blocks):
-        raise UsageError("mirror must map every block onto itself")
-    return mirror
-
-
 def hermitian_eigen(
-    M, sizes=None, *, compute_vectors: bool = True, mirror=None, name: str = "matrix"
+    M, sizes=None, *, compute_vectors: bool = True, name: str = "matrix"
 ) -> PSDSpectrum | list[PSDSpectrum]:
     """Spectrum of a Hermitian matrix or of each matrix of a stack; with
     ``sizes``, a list of the spectra of the leading blocks M[..., :k, :k],
@@ -330,18 +236,6 @@ def hermitian_eigen(
     the deviation. Then the leading max(sizes) rows and columns are
     overwritten with the Hermitian part (M + M*) / 2, and every block is
     eigensolved as a view of it. ``name`` names the matrix in these errors.
-
-    ``mirror`` is a permutation p of one complex matrix's rows, an
-    involution that maps every block's index range onto itself; it gives
-    eigenvalues only. The same strips then also measure each block's
-    deviation from M[p][:, p] = conj(M). If every block is that symmetric
-    to ``HERMITIAN_RTOL`` relative, the real form of the leading max(sizes)
-    block is written over its real parts instead of the Hermitian part, and
-    its leading blocks, of the same spectra, are eigensolved in real
-    arithmetic. Otherwise the blocks are eigensolved as complex matrices,
-    as without ``mirror``: the mirror deviation of computed inner products
-    is their assembly error, which can exceed the tolerance where the
-    Hermitian deviation does not.
 
     A complex128 ndarray ``M`` is that buffer; pass a copy to keep it
     intact. Any other input is first converted into a fresh array, of
@@ -362,13 +256,8 @@ def hermitian_eigen(
             raise UsageError("system needs at least one vector")
         if max(blocks) > A.shape[-1]:
             raise UsageError(f"truncation size {max(blocks)} exceeds the {A.shape[-1]} vectors")
-    n = max(blocks)
-    if mirror is not None:
-        if compute_vectors or A.ndim != 2 or not np.iscomplexobj(A):
-            raise UsageError("a mirror applies to one complex matrix, for eigenvalues only")
-        mirror = _checked_mirror(mirror, A.shape[-1], blocks)
     bounds = sorted(set(blocks))
-    dev, mirror_dev, finite = _leading_deviations(A, bounds, mirror)
+    dev, finite = _leading_deviations(A, bounds)
     for k in blocks:
         i = bounds.index(k)
         if not finite[i]:
@@ -377,9 +266,7 @@ def hermitian_eigen(
             raise OracleInconsistencyError(
                 f"{name} is not Hermitian: relative deviation {np.max(dev[i]):.3e}"
             )
-    if mirror is not None and np.all(mirror_dev <= HERMITIAN_RTOL):
-        A = _real_form_in_place(A, mirror, n)
-    _hermitian_part_in_place(A, n)
+    _hermitian_part_in_place(A, bounds[-1])
     spectra = []
     for k in blocks:
         try:
@@ -399,7 +286,6 @@ def psd_eigen(
     *,
     rel_tol: float = DEFAULT_REL_TOL,
     compute_vectors: bool = True,
-    mirror=None,
     name: str = "matrix",
 ) -> PSDSpectrum | list[PSDSpectrum]:
     """:func:`hermitian_eigen` of a PSD matrix, stack or set of leading
@@ -413,7 +299,7 @@ def psd_eigen(
     """
     if not (0.0 < rel_tol < 1.0):
         raise UsageError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    spectra = hermitian_eigen(M, sizes, compute_vectors=compute_vectors, mirror=mirror, name=name)
+    spectra = hermitian_eigen(M, sizes, compute_vectors=compute_vectors, name=name)
     checked = []
     for spec in [spectra] if sizes is None else spectra:
         w = spec.eigenvalues

@@ -8,8 +8,9 @@ materialised-meshgrid quadrature are the slow reference paths that the
 closed-form, batched, array and tensor-grid code in ``orbitdensity`` is
 compared against. So are the whole-cube integer ball, the one-block,
 copy-based Gram validation and spectrum and the copy-based Hermitian
-eigensolve, which the slab and in-place row-block code replaced, and the
-whitened probe product that the whitened probe matrix replaced. The grid,
+eigensolve, which the slab and in-place row-block code replaced, the
+unsplit Gram spectrum, which the rotation split replaced, and the whitened
+probe product that the whitened probe matrix replaced. The grid,
 ball and shift-matrix helpers build inputs for property tests, and
 :func:`traced_peak` measures the numpy and Python memory a call holds at
 its peak.
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbitdensity import linalg
+from orbitdensity import bergman, linalg
 from orbitdensity.errors import DimensionError, OracleInconsistencyError, UsageError
 from orbitdensity.finite_gabor import SubgroupDescr
 from orbitdensity.fuchsian import _NORM_EPS, MIN_NORM_BOUND, GroupBall
@@ -55,38 +56,12 @@ def kernel_cross_oracle(left, right) -> np.ndarray:
     return out
 
 
-def mirror_point(w, mirror: str):
-    """-conj(w) on the imaginary axis, 1 / conj(w) on the unit circle, of a
-    point or an array of points."""
-    return -w.conjugate() if mirror == "imaginary_axis" else 1.0 / w.conjugate()
-
-
-def rephased_coefficient(w: complex, z: complex, alpha: float, mirror: str) -> complex:
-    """Coefficient of the rephased orbit vector of k_z at the point w: the
-    modulus (Im w / Im z)^(alpha / 2), which makes ||c k_w|| = ||k_z||,
-    times the closed-form phase, 1 for the imaginary axis and
-    exp(-i alpha arg(w) / 2) for the unit circle."""
-    modulus = (w.imag / z.imag) ** (alpha / 2.0)
-    if mirror == "imaginary_axis":
-        return complex(modulus)
-    return modulus * cmath.exp(-0.5j * alpha * cmath.phase(w))
-
-
-def rephased_gram_oracle(points, z: complex, alpha: float, mirror: str) -> tuple:
-    """Per pair, the Gram G of the rephased orbit vectors of k_z at
-    ``points`` and the Gram G_m of those at the mirror images of the
-    points. The mirror is antiunitary on the orbit, so G_m = conj(G)."""
-
-    def gram(ws):
-        cs = [rephased_coefficient(w, z, alpha, mirror) for w in ws]
-        out = np.empty((len(ws), len(ws)), dtype=complex)
-        for i, (wi, ci) in enumerate(zip(ws, cs)):
-            for j, (wj, cj) in enumerate(zip(ws, cs)):
-                out[i, j] = ci * cj.conjugate() * kernel_value(wi, wj, alpha)
-        return out
-
-    points = [complex(w) for w in points]
-    return gram(points), gram([mirror_point(w, mirror) for w in points])
+def unsplit_gram_spectra(lam, sizes) -> list[np.ndarray]:
+    """Eigenvalues of the leading k x k blocks of the whole Gram of the
+    kernel vectors ``lam``, one ``np.linalg.eigvalsh`` per k of ``sizes``:
+    the Gram assembled in one piece and eigensolved unsplit."""
+    G = bergman.kernel_gram(lam, lam)
+    return [np.linalg.eigvalsh(G[:k, :k]) for k in sizes]
 
 
 def vector_gram(V) -> np.ndarray:

@@ -753,9 +753,11 @@ class TestDensityCommand:
         assert reports[-1]["diag_s_relation_residual"] <= 1e-8
 
     def test_generic_point_holds_one_transversal_gram(self, capsys):
-        # the whole 506-element ball is the transversal; its Gram is assembled,
-        # validated, symmetrized and eigensolved in one buffer (LAPACK's copy
-        # is allocated outside numpy and not traced)
+        # the whole 506-element ball is the transversal; the rotation S splits
+        # its Gram into two 253-row halves, assembled with their partner block
+        # in three quarters of one full Gram, then validated, symmetrized and
+        # eigensolved in place (LAPACK's copy is allocated outside numpy and
+        # not traced)
         density = ("bergman-density", "--alpha", "2", "--z", "0.3+1.5i", "--probes", "40")
         run_cli(capsys, *density, "--ball", "4")  # imports and first-call caches
         (code, out, _), peak = traced_peak(run_cli, capsys, *density, "--ball", "13", "--format", "json")

@@ -272,97 +272,6 @@ class TestOneSpectrumPath:
             linalg.psd_eigen(np.diag([1.0, -1e-6]))
 
 
-def mirror_symmetric(rng, segments=(5, 9, 16)) -> tuple[np.ndarray, np.ndarray]:
-    """A complex Hermitian A and an involution p with A[p][:, p] = conj(A)
-    that maps each leading block [0, k), k in ``segments``, onto itself:
-    U R U* for a random real symmetric R and the unitary whose columns are
-    e_j at fixed points and (e_a + e_b) / sqrt 2, i (e_a - e_b) / sqrt 2 at
-    pairs, as in the real form."""
-    n = segments[-1]
-    p = np.arange(n)
-    start = 0
-    for end in segments:
-        perm = rng.permutation(np.arange(start, end))
-        for a, b in zip(perm[0:-1:2], perm[1::2]):
-            if rng.random() < 0.8:
-                p[a], p[b] = b, a
-        start = end
-    U = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        a, b = min(j, p[j]), max(j, p[j])
-        if a == b:
-            U[j, j] = 1.0
-        elif j == a:
-            U[[a, b], j] = math.sqrt(0.5)
-        else:
-            U[[a, b], j] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
-    X = rng.standard_normal((n, n))
-    A = U @ (X + X.T) @ U.conj().T
-    return A, p
-
-
-class TestRealForm:
-    def test_blocks_match_the_complex_spectra(self):
-        rng = np.random.default_rng(17)
-        A, p = mirror_symmetric(rng)
-        assert np.abs(A[p][:, p] - A.conj()).max() <= 1e-14 * np.abs(A).max()
-        sizes = (16, 5, 9)
-        spectra = linalg.psd_eigen(A + 40.0 * np.eye(16), sizes, compute_vectors=False, mirror=p)
-        for k, spec in zip(sizes, spectra):
-            block = A[:k, :k] + 40.0 * np.eye(k)
-            assert spec.eigenvalues.dtype == np.float64
-            bound = 64.0 * np.finfo(float).eps * np.linalg.norm(block)
-            assert np.abs(spec.eigenvalues - np.linalg.eigvalsh(block)).max() <= bound
-
-    def test_real_parts_of_the_buffer_become_the_real_form(self):
-        rng = np.random.default_rng(5)
-        A, p = mirror_symmetric(rng)
-        buffer = A.copy()
-        linalg.hermitian_eigen(buffer, (9, 16), compute_vectors=False, mirror=p)
-        R = buffer.real
-        assert np.array_equal(R, R.T)
-        assert np.array_equal(buffer.imag, A.imag)
-        fixed = np.flatnonzero(p == np.arange(16))
-        assert np.array_equal(R[np.ix_(fixed, fixed)], A.real[np.ix_(fixed, fixed)])
-        # the imaginary part of U* A U that the real form drops is roundoff
-        assert np.allclose(np.linalg.eigvalsh(R), np.linalg.eigvalsh(A), rtol=0.0, atol=1e-13)
-
-    def test_broken_symmetry_falls_back_to_the_complex_blocks(self, monkeypatch):
-        A, p = mirror_symmetric(np.random.default_rng(8))
-        a = int(np.flatnonzero(p > np.arange(16))[0])
-        # still Hermitian, but A[p(a), p(a)] no longer equals conj(A[a, a])
-        A[a, a] += 1e-9 * np.abs(A).max()
-        solved = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(M):
-            solved.append(M.dtype)
-            return eigvalsh(M)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        spectra = linalg.hermitian_eigen(A.copy(), (9, 16), compute_vectors=False, mirror=p)
-        plain = linalg.hermitian_eigen(A.copy(), (9, 16), compute_vectors=False)
-        assert solved == [np.complex128] * 4
-        for spec, alone in zip(spectra, plain):
-            assert np.array_equal(spec.eigenvalues, alone.eigenvalues)
-        A[a, a] -= 1e-9 * np.abs(A).max()
-        linalg.hermitian_eigen(A.copy(), (9, 16), compute_vectors=False, mirror=p)
-        assert solved[4:] == [np.float64] * 2
-
-    def test_mirror_validated(self):
-        A, p = mirror_symmetric(np.random.default_rng(2))
-        with pytest.raises(UsageError, match="eigenvalues only"):
-            linalg.hermitian_eigen(A.copy(), mirror=p)
-        with pytest.raises(UsageError, match="involution"):
-            linalg.hermitian_eigen(A.copy(), compute_vectors=False, mirror=np.roll(np.arange(16), 1))
-        crossing = np.arange(16)
-        crossing[[4, 5]] = 5, 4
-        with pytest.raises(UsageError, match="every block"):
-            linalg.hermitian_eigen(A.copy(), (5, 16), compute_vectors=False, mirror=crossing)
-        with pytest.raises(UsageError, match="one complex matrix"):
-            linalg.hermitian_eigen(A.real.copy(), compute_vectors=False, mirror=np.arange(16))
-
-
 class TestRealInput:
     def test_real_input_is_solved_in_real_arithmetic(self):
         M = np.array([[2.0, 1.0], [1.0, 2.0]])
