@@ -12,7 +12,7 @@ from oracles import traced_peak, unsplit_gram_spectra
 
 from orbitdensity import bergman, cli, commands, frames, fuchsian
 from orbitdensity.bergman import KernelVector, Weight
-from orbitdensity.errors import EXIT_NUMERICAL, OracleInconsistencyError
+from orbitdensity.errors import EXIT_NUMERICAL
 from orbitdensity.hyperbolic import UpperHalfPoint, frobenius_sq
 
 RHO = UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)
@@ -92,21 +92,6 @@ def test_pairing_is_an_involution_that_closes_every_truncation(ball17, point):
     assert np.array_equal(sum(sizes), counts)
     for half in sizes:
         assert np.all(half <= -(-np.array(counts) // 2))
-
-
-def test_a_broken_pairing_is_an_inconsistency(ball17):
-    orbit, members, cosets, counts = transversal(ball17, RHO, 3.0)
-    p = fuchsian.rotation_pairing(ball17, cosets, counts)
-    # sizes that cut a pair apart are not truncations by norm
-    cut = int(np.flatnonzero(p > np.arange(len(p)))[-1]) + 1
-    with pytest.raises(OracleInconsistencyError, match="does not pair"):
-        fuchsian.rotation_pairing(ball17, cosets, [cut])
-    # three representatives moved round a cycle: their images are no involution
-    rep_index = cosets.rep_index.copy()
-    rep_index[[1, 2, 3]] = rep_index[[2, 3, 1]]
-    shuffled = fuchsian.CosetSystem(rep_index=rep_index, tile=cosets.tile)
-    with pytest.raises(OracleInconsistencyError, match="does not pair"):
-        fuchsian.rotation_pairing(ball17, shuffled, counts)
 
 
 def run_density(capsys, argv):
