@@ -1,10 +1,9 @@
 """Weighted Bergman spaces on the upper half-plane: reproducing kernels,
 the projective weighted slash action on kernels, its cocycle, kernel
-orbits as arrays with closed-form Gram matrices, and the formal degree:
-in closed form, and by quadrature of the square-integrability integral as
-its independent cross-check. Where the lattice holds the rotation
-S: w -> -1/w, the unitary involution pi(S) / sqrt(omega) pairs the vectors
-of a coset transversal's orbit up to closed-form phases
+orbits as arrays with closed-form Gram matrices, and the formal degree in
+closed form. A single kernel is a one-element orbit. Where the lattice
+holds the rotation S: w -> -1/w, the unitary involution pi(S) / sqrt(omega)
+pairs the vectors of a coset transversal's orbit up to closed-form phases
 (:func:`rotation_symmetry`), and its two eigenspaces split their Gram
 matrix into two blocks of about half the size (:func:`rotation_halves`).
 :func:`density_analysis` is the ``bergman-density`` pipeline: the frame
@@ -31,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames, fuchsian, linalg
-from .errors import AccuracyError, OracleInconsistencyError, ResourceLimitError, UsageError
-from .hyperbolic import QuadratureGrid, UpperHalfPoint, canonical, compose, image, inverse
-from .hyperbolic import frobenius_sq, integrate_invariant
+from .errors import NumericalFailure, OracleInconsistencyError, ResourceLimitError, UsageError
+from .hyperbolic import UpperHalfPoint, canonical, compose, frobenius_sq, image, inverse
 
 _BASE_POINT = UpperHalfPoint(0.0, 1.0)
 
@@ -50,14 +48,6 @@ class Weight:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 1.0):
             raise UsageError(f"weight must satisfy alpha > 1, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class KernelVector:
-    """Reproducing kernel of the weighted space at a half-plane point."""
-
-    z: UpperHalfPoint
-    weight: Weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +114,10 @@ def kernel_gram(left: KernelOrbit, right: KernelOrbit) -> np.ndarray:
     return G
 
 
-def kernel_norm_sq(k: KernelVector) -> float:
-    """||k_z||^2 from the diagonal kernel value, which is real and positive."""
-    single = KernelOrbit.plain([k.z], k.weight)
-    return float(kernel_gram(single, single)[0, 0].real)
+def kernel_norm_sq(kernel: KernelOrbit) -> float:
+    """Squared norm of the vector of a one-element orbit, from the diagonal
+    kernel value, which is real and positive."""
+    return float(kernel_gram(kernel, kernel)[0, 0].real)
 
 
 def sigma_cocycle(x, y, weight: Weight) -> np.ndarray:
@@ -151,21 +141,31 @@ def sigma_cocycle(x, y, weight: Weight) -> np.ndarray:
     return np.array(values, dtype=complex).reshape(x.shape[:-1])
 
 
-def orbit_system(maps, kernel: KernelVector) -> KernelOrbit:
-    """Orbit pi(m) k of a kernel under group elements given as matrix rows.
+def orbit_system(maps, kernel: KernelOrbit) -> KernelOrbit:
+    """Orbit pi(m) k of the kernel k = k_z of a one-element orbit of
+    coefficient 1 under group elements given as matrix rows.
 
     Each pi(m) k is a unimodular-times-positive scalar times the kernel at
-    the moved point: c = sigma(m, m^-1) conj(j(m, z)^alpha) at m.z.
+    the moved point: c = sigma(m, m^-1) conj(j(m, z)^alpha) at m.z. A
+    coefficient that underflows to 0 or is not finite, which a large alpha
+    makes, raises ``NumericalFailure``.
     """
-    alpha = kernel.weight.alpha
-    z = kernel.z.as_complex
+    if len(kernel) != 1 or kernel.c[0] != 1.0:
+        raise UsageError("an orbit is of one kernel with coefficient 1")
+    alpha = kernel.alpha
+    (z,) = kernel.z.tolist()
     maps = np.asarray(maps, dtype=float).reshape(-1, 4)
-    sigma = sigma_cocycle(maps, inverse(maps), kernel.weight).tolist()
+    sigma = sigma_cocycle(maps, inverse(maps), Weight(alpha)).tolist()
     points, coeffs = [], []
     for (a, b, c, d), s in zip(maps.tolist(), sigma):
         points.append(image(a, b, c, d, z))
         coeffs.append(s * ((1.0 / (c * z + d)) ** alpha).conjugate())
-    return KernelOrbit(z=np.array(points, dtype=complex), c=np.array(coeffs, dtype=complex), alpha=alpha)
+    c = np.array(coeffs, dtype=complex)
+    if not np.all(np.isfinite(c) & (c != 0)):
+        raise NumericalFailure(
+            f"an orbit coefficient |cz + d|^-alpha left the double range at alpha = {alpha}"
+        )
+    return KernelOrbit(z=np.array(points, dtype=complex), c=c, alpha=alpha)
 
 
 def rotation_phases(orbit: KernelOrbit, p) -> np.ndarray:
@@ -311,98 +311,16 @@ def transversal_riesz_bounds(
     return bounds
 
 
-def default_formal_degree_grid(
-    weight: Weight,
-    base: UpperHalfPoint = _BASE_POINT,
-    nx: int = 1536,
-    nt: int = 768,
-) -> QuadratureGrid:
-    """Rectangle grid for the formal-degree quadrature.
-
-    The squared matrix coefficient decays like y^(alpha-2) (1+y)^(1-2 alpha)
-    after the horizontal integral, so the vertical cut-offs are chosen from
-    its small-y and large-y tail exponents. The x-range is fixed at
-    +/- 120 y_0, and the mass it cuts off at large y dominates the error for
-    small alpha (6.9e-5 relative at alpha = 2, 1e-6 at alpha = 3). Ranges
-    are translated and dilated to the base point, which leaves accuracy
-    invariant.
-    """
-    alpha = weight.alpha
-    y_lo = min(1e-4, 1e-8 ** (1.0 / (alpha - 1.0)))
-    y_hi = max(1e3, 1e8 ** (1.0 / alpha))
-    half_width = 120.0
-    return QuadratureGrid.rectangle_log_y(
-        base.x - half_width * base.y,
-        base.x + half_width * base.y,
-        math.log(y_lo * base.y),
-        math.log(y_hi * base.y),
-        nx,
-        nt,
-    )
-
-
 def formal_degree_closed_form(weight: Weight, haar_scale: float = 1.0) -> float:
     """Formal degree (alpha - 1) / (4 pi) of the weighted Bergman
     representation, divided by ``haar_scale``.
 
     This is the coupling constant of Atiyah-Schmid and Goodman-de la
-    Harpe-Jones; :func:`formal_degree` approximates it by quadrature.
+    Harpe-Jones.
     """
     if not haar_scale > 0.0:
         raise UsageError(f"haar_scale must be positive, got {haar_scale}")
     return (weight.alpha - 1.0) / (4.0 * math.pi) / haar_scale
-
-
-def formal_degree(
-    weight: Weight,
-    grid: QuadratureGrid | None = None,
-    *,
-    base: UpperHalfPoint = _BASE_POINT,
-    haar_scale: float = 1.0,
-    rel_tol: float | None = 0.01,
-    full_output: bool = False,
-):
-    """Formal degree from the square-integrability integral of a kernel.
-
-    The rotation factor integrates exactly to 1 (the matrix-coefficient
-    modulus is constant along it), leaving the half-plane integral of
-    [4 y_0 y / ((x - x_0)^2 + (y + y_0)^2)]^alpha against the invariant
-    measure, normalised by ||k||^4. The returned degree scales inversely
-    with ``haar_scale``. With ``full_output`` a diagnostics dict with a
-    Richardson error estimate is returned alongside. That estimate, which
-    ``rel_tol`` bounds, sees only the discretisation error of halving the
-    mesh, not the mass cut off by the grid's x-range.
-    """
-    if not haar_scale > 0.0:
-        raise UsageError(f"haar_scale must be positive, got {haar_scale}")
-    if grid is None:
-        grid = default_formal_degree_grid(weight, base)
-    alpha = weight.alpha
-    x0, y0 = base.x, base.y
-
-    def integrand(x, y):
-        return (4.0 * y0 * y / ((x - x0) ** 2 + (y + y0) ** 2)) ** alpha
-
-    value = integrate_invariant(grid, integrand)
-    if not value > 0.0:
-        raise AccuracyError("formal degree integral vanished; grid does not cover the mass")
-    coarse = integrate_invariant(grid.scaled_resolution(0.5), integrand)
-    # midpoint rule is O(h^2): the fine value is ~3x closer than the coarse one
-    est_rel_error = abs(value - coarse) / (3.0 * value)
-    if rel_tol is not None and est_rel_error > rel_tol:
-        raise AccuracyError(
-            f"estimated quadrature error {est_rel_error:.3e} exceeds rel_tol {rel_tol:.3e}"
-        )
-    degree = (1.0 / value) / haar_scale
-    if not full_output:
-        return degree
-    diagnostics = {
-        "integral": value,
-        "integral_coarse": coarse,
-        "est_rel_error": est_rel_error,
-        "node_count": grid.node_count,
-    }
-    return degree, diagnostics
 
 
 def kernel_tol_for_point_tol(point_tol: float, alpha: float) -> float:
@@ -421,12 +339,12 @@ def point_tol_for_kernel_tol(tol: float, alpha: float) -> float:
 
 
 def projective_stabilizer_kernel(
-    ball: fuchsian.GroupBall, k: KernelVector, orbit: KernelOrbit, tol: float = 1e-9
+    ball: fuchsian.GroupBall, kernel: KernelOrbit, orbit: KernelOrbit, tol: float = 1e-9
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ball indices, increasing, of the elements whose action fixes the
-    kernel up to a scalar, and those scalars u(g) with pi(g) k = u(g) k.
+    kernel k up to a scalar, and those scalars u(g) with pi(g) k = u(g) k.
 
-    ``orbit`` is ``orbit_system(ball.elements, k)``. Selection is by overlap
+    ``orbit`` is ``orbit_system(ball.elements, kernel)``. Selection is by overlap
     |<pi(g) k, k>| >= (1 - tol) ||k||^2 and must agree exactly with the
     point stabiliser of the kernel's centre at the matching distance
     tolerance.
@@ -435,11 +353,11 @@ def projective_stabilizer_kernel(
         raise UsageError(f"tol must lie in (0, 1), got {tol}")
     if len(orbit) != len(ball.elements):
         raise UsageError(f"orbit has {len(orbit)} vectors for {len(ball.elements)} ball elements")
-    reference = KernelOrbit.plain([k.z], k.weight)
-    overlaps = kernel_gram(orbit, reference)[:, 0] / kernel_norm_sq(k)
+    overlaps = kernel_gram(orbit, kernel)[:, 0] / kernel_norm_sq(kernel)
     members = np.flatnonzero(np.abs(overlaps) >= 1.0 - tol)
-    point_tol = min(point_tol_for_kernel_tol(tol, k.weight.alpha), 1e-4)
-    point_members = fuchsian.stabilizer_of_point(ball, k.z, tol=point_tol)
+    point_tol = min(point_tol_for_kernel_tol(tol, kernel.alpha), 1e-4)
+    (z,) = kernel.z.tolist()
+    point_members = fuchsian.stabilizer_of_point(ball, UpperHalfPoint(z.real, z.imag), tol=point_tol)
     if not np.array_equal(members, point_members):
         raise OracleInconsistencyError(
             "kernel stabiliser disagrees with the point stabiliser "
@@ -448,15 +366,15 @@ def projective_stabilizer_kernel(
     return members, overlaps[members]
 
 
-def probe_kernels(kernel: KernelVector, count: int, max_radius: float = 2.0) -> KernelOrbit:
+def probe_kernels(kernel: KernelOrbit, count: int, max_radius: float = 2.0) -> KernelOrbit:
     """Deterministic probe set: kernels on a golden-angle spiral of geodesic
-    polar coordinates around the generator's centre."""
+    polar coordinates around the point of a one-element orbit."""
     if count < 1:
         raise UsageError(f"need at least one probe, got {count}")
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    center = kernel.z
-    root_y = math.sqrt(center.y)
-    mover = canonical([root_y, center.x / root_y, 0.0, 1.0 / root_y])
+    (center,) = kernel.z.tolist()
+    root_y = math.sqrt(center.imag)
+    mover = canonical([root_y, center.real / root_y, 0.0, 1.0 / root_y])
     thetas = [(p / golden) % 1.0 * math.pi for p in range(count)]
     rotations = canonical([(math.cos(t), math.sin(t), -math.sin(t), math.cos(t)) for t in thetas])
     points = []
@@ -464,7 +382,7 @@ def probe_kernels(kernel: KernelVector, count: int, max_radius: float = 2.0) -> 
         rho = max_radius * math.sqrt((p + 0.5) / count)
         points.append(image(a, b, c, d, complex(0.0, math.exp(rho))))
     z = np.array(points, dtype=complex)
-    return KernelOrbit(z=z, c=np.ones_like(z), alpha=kernel.weight.alpha)
+    return KernelOrbit(z=z, c=np.ones_like(z), alpha=kernel.alpha)
 
 
 def density_analysis(
@@ -507,7 +425,7 @@ def density_analysis(
             raise UsageError(f"{name} must be positive, got {value}")
 
     weight = Weight(alpha)
-    kernel = KernelVector(z, weight)
+    kernel = KernelOrbit.plain([z], weight)
     covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)  # refuses haar_scale <= 0
     degree = formal_degree_closed_form(weight, haar_scale)
 

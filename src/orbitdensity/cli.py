@@ -5,8 +5,7 @@ Commands
 finite-scan      exhaustive exact verification over finite Weyl-Heisenberg systems
 bergman-density  density report for a lattice orbit of Bergman kernels, with
                  the closed-form covolume and formal degree
-formal-degree    formal degree by quadrature, with its mesh-halving error
-                 estimate and its deviation from the closed form
+formal-degree    closed-form formal degree (alpha - 1) / (4 pi) over the Haar scale
 ball             group-ball enumeration
 stabilizer       point and kernel stabilisers of a lattice at a point
 
@@ -63,15 +62,13 @@ _COMMANDS = {
             ("--ball", float, None), ("--probes", int, None), ("--probe-radius", float, None),
             ("--refine-steps", int, None), ("--refine-delta", float, None),
             ("--frame-floor", float, None), ("--riesz-floor", float, None),
+            ("--haar-scale", float, None),
         ),
     ),
     "formal-degree": (
         "cmd_formal_degree",
-        "formal degree by quadrature",
-        (
-            ("--alpha", float, None), ("--z", None, "base point (default i)"),
-            ("--grid", None, "grid resolution, e.g. 400x400"), ("--rel-tol", float, None),
-        ),
+        "closed-form formal degree",
+        (("--alpha", float, None), ("--haar-scale", float, None)),
     ),
     "ball": ("cmd_ball", "enumerate a group ball", (("--lattice", None, None), ("--norm", float, None))),
     "stabilizer": (
@@ -166,7 +163,6 @@ def build_parser(named=None) -> argparse.ArgumentParser:
             p.add_argument("--format", choices=FORMATS, default=None)
             p.add_argument("--out", default=None, help="output file (default stdout)")
             p.add_argument("--config", default=None, help="flat key = value configuration file")
-            p.add_argument("--haar-scale", type=float, default=None)
             for flag, kind, help_text in flags:
                 p.add_argument(flag, type=kind, default=None, help=help_text)
     return parser

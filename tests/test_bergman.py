@@ -2,22 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from oracles import Moebius, distance, kernel_value, traced_peak
+from oracles import Moebius, distance, formal_degree_by_meshgrid, formal_degree_rectangle, kernel_value
+from oracles import meshgrid_integrate, meshgrid_rectangle_log_y, traced_peak
 from scipy.integrate import quad
 
-from orbitdensity import bergman, fuchsian, hyperbolic, linalg
+from orbitdensity import bergman, fuchsian, linalg
 from orbitdensity.bergman import (
     KernelOrbit,
-    KernelVector,
     Weight,
-    formal_degree,
+    formal_degree_closed_form,
     kernel_gram,
     kernel_norm_sq,
     orbit_system,
     sigma_cocycle,
 )
-from orbitdensity.errors import AccuracyError, ResourceLimitError, UsageError
-from orbitdensity.hyperbolic import UpperHalfPoint, integrate_invariant
+from orbitdensity.errors import ResourceLimitError, UsageError
+from orbitdensity.hyperbolic import UpperHalfPoint
 
 POINT_I = UpperHalfPoint(0.0, 1.0)
 POINT_2I = UpperHalfPoint(0.0, 2.0)
@@ -44,7 +44,7 @@ def inner(z: UpperHalfPoint, u: UpperHalfPoint, w: Weight) -> complex:
     return complex(kernel_gram(KernelOrbit.plain([z], w), KernelOrbit.plain([u], w))[0, 0])
 
 
-def moved(m: Moebius, k: KernelVector) -> tuple[UpperHalfPoint, complex]:
+def moved(m: Moebius, k: KernelOrbit) -> tuple[UpperHalfPoint, complex]:
     """Point and coefficient of pi(m) k from the array builder."""
     t = orbit_system([m], k)
     z = complex(t.z[0])
@@ -95,14 +95,14 @@ class TestKernel:
         # |i - conj(2i)| = 3 while the diagonal distances give 2 and 4
         for alpha in (2.0, 3.0, 4.5):
             w = Weight(alpha)
-            k1, k2 = KernelVector(POINT_I, w), KernelVector(POINT_2I, w)
+            k1, k2 = KernelOrbit.plain([POINT_I], w), KernelOrbit.plain([POINT_2I], w)
             ratio = abs(inner(POINT_I, POINT_2I, w)) ** 2 / (kernel_norm_sq(k1) * kernel_norm_sq(k2))
             assert abs(ratio - (8.0 / 9.0) ** alpha) <= 1e-12
 
     def test_norms_hand_values(self):
         w = Weight(2.0)
-        assert abs(kernel_norm_sq(KernelVector(POINT_I, w)) - 1.0 / (4.0 * math.pi)) <= 1e-15
-        assert abs(kernel_norm_sq(KernelVector(POINT_2I, w)) - 1.0 / (16.0 * math.pi)) <= 1e-16
+        assert abs(kernel_norm_sq(KernelOrbit.plain([POINT_I], w)) - 1.0 / (4.0 * math.pi)) <= 1e-15
+        assert abs(kernel_norm_sq(KernelOrbit.plain([POINT_2I], w)) - 1.0 / (16.0 * math.pi)) <= 1e-16
 
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(23)
@@ -130,7 +130,7 @@ class TestKernel:
         # the 506 x 506 Gram at rho is past the size (256 KiB) where numpy
         # computes a temporary's product in place, its small blocks are not;
         # the operand order of every product must not depend on that
-        kernel = KernelVector(UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0), Weight(3.0))
+        kernel = KernelOrbit.plain([UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)], Weight(3.0))
         orbit = orbit_system(fuchsian.ball_enumerate(fuchsian.psl2z(), 13.0).elements, kernel)
         probes = bergman.probe_kernels(kernel, 40)
         G = kernel_gram(orbit, orbit)
@@ -144,7 +144,7 @@ class TestKernel:
     def test_assembly_holds_one_buffer(self):
         orbit = orbit_system(
             fuchsian.ball_enumerate(fuchsian.psl2z(), 13.0).elements,
-            KernelVector(UpperHalfPoint(0.3, 1.5), Weight(2.0)),
+            KernelOrbit.plain([UpperHalfPoint(0.3, 1.5)], Weight(2.0)),
         )
         G, peak = traced_peak(kernel_gram, orbit, orbit)
         # the Gram, one strip of coefficient products and numpy's ufunc
@@ -160,8 +160,8 @@ class TestKernel:
             (6.0, UpperHalfPoint(-2.0, 0.5), 1e-9),
         ]
         for alpha, z, tol in cases:
-            k = KernelVector(z, Weight(alpha))
-            grid = bergman.default_formal_degree_grid(Weight(alpha), z, nx=1600, nt=900)
+            k = KernelOrbit.plain([z], Weight(alpha))
+            nodes = meshgrid_rectangle_log_y(*formal_degree_rectangle(alpha, z, nx=1600, nt=900))
             const = 2.0 ** (alpha - 2.0) / math.pi * (alpha - 1.0)
             zbar = complex(z.x, -z.y)
 
@@ -169,7 +169,7 @@ class TestKernel:
                 values = const * np.exp(1j * math.pi * alpha / 2.0) * ((x + 1j * y) - zbar) ** (-alpha)
                 return np.abs(values) ** 2 * y**alpha
 
-            quadrature = integrate_invariant(grid, integrand)
+            quadrature = meshgrid_integrate(nodes, integrand)
             diagonal = kernel_norm_sq(k)
             assert abs(quadrature - diagonal) <= tol * diagonal
 
@@ -179,7 +179,7 @@ class TestKernel:
             w = Weight(alpha)
             for _ in range(1000):
                 z, u = random_point(rng), random_point(rng)
-                k1, k2 = KernelVector(z, w), KernelVector(u, w)
+                k1, k2 = KernelOrbit.plain([z], w), KernelOrbit.plain([u], w)
                 lhs = abs(inner(z, u, w)) ** 2 / (kernel_norm_sq(k1) * kernel_norm_sq(k2))
                 rhs = math.cosh(distance(z, u) / 2.0) ** (-2.0 * alpha)
                 assert abs(lhs - rhs) <= 1e-10
@@ -187,17 +187,17 @@ class TestKernel:
 
 class TestAction:
     def test_identity(self):
-        point, coefficient = moved(Moebius.identity(), KernelVector(POINT_I, Weight(2.0)))
+        point, coefficient = moved(Moebius.identity(), KernelOrbit.plain([POINT_I], Weight(2.0)))
         assert abs(coefficient - 1.0) <= 1e-12
         assert point == POINT_I
 
     def test_translation(self):
-        point, coefficient = moved(T, KernelVector(POINT_I, Weight(2.0)))
+        point, coefficient = moved(T, KernelOrbit.plain([POINT_I], Weight(2.0)))
         assert abs(point.as_complex - (1.0 + 1.0j)) <= 1e-15
         assert abs(abs(coefficient) - 1.0) <= 1e-12
 
     def test_inversion_at_2i(self):
-        point, coefficient = moved(S, KernelVector(POINT_2I, Weight(2.0)))
+        point, coefficient = moved(S, KernelOrbit.plain([POINT_2I], Weight(2.0)))
         assert abs(point.as_complex - 0.5j) <= 1e-15
         # |j(S, 2i)|^2 = 1/4
         assert abs(abs(coefficient) - 0.25) <= 1e-12
@@ -207,9 +207,9 @@ class TestAction:
         for alpha in (2.0, 3.7, 6.0):
             w = Weight(alpha)
             for _ in range(200):
-                k = KernelVector(random_point(rng), w)
+                k = KernelOrbit.plain([random_point(rng)], w)
                 point, coefficient = moved(random_map(rng), k)
-                lhs = abs(coefficient) ** 2 * kernel_norm_sq(KernelVector(point, w))
+                lhs = abs(coefficient) ** 2 * kernel_norm_sq(KernelOrbit.plain([point], w))
                 rhs = kernel_norm_sq(k)
                 assert abs(lhs - rhs) <= 1e-10 * rhs
 
@@ -218,9 +218,9 @@ class TestAction:
         w = Weight(2.6)
         for _ in range(100):
             x, y = random_map(rng), random_map(rng)
-            k = KernelVector(random_point(rng), w)
+            k = KernelOrbit.plain([random_point(rng)], w)
             y_point, y_coeff = moved(y, k)
-            step_point, x_coeff = moved(x, KernelVector(y_point, w))
+            step_point, x_coeff = moved(x, KernelOrbit.plain([y_point], w))
             direct_point, direct_coeff = moved(x.compose(y), k)
             sigma = sigma_cocycle(x, y, w)
             assert (
@@ -230,6 +230,15 @@ class TestAction:
             ratio = y_coeff * x_coeff / direct_coeff
             assert abs(abs(ratio) - 1.0) <= 1e-10
             assert abs(ratio - sigma) <= 1e-10
+
+    def test_orbit_is_of_one_plain_kernel(self):
+        w = Weight(2.0)
+        for kernel in (
+            KernelOrbit.plain([POINT_I, POINT_2I], w),
+            KernelOrbit(np.array([1j]), np.array([2.0 + 0j]), 2.0),
+        ):
+            with pytest.raises(UsageError, match="one kernel with coefficient 1"):
+                orbit_system([Moebius.identity()], kernel)
 
 
 class TestCocycle:
@@ -272,10 +281,10 @@ class TestCocycle:
 class TestOrbitInner:
     def test_self_inner_positive(self):
         w = Weight(2.0)
-        t = orbit_system([Moebius(1.0, 0.5, 0.0, 1.0)], KernelVector(POINT_I, w))
+        t = orbit_system([Moebius(1.0, 0.5, 0.0, 1.0)], KernelOrbit.plain([POINT_I], w))
         value = complex(kernel_gram(t, t)[0, 0])
         expected = abs(t.c[0]) ** 2 * kernel_norm_sq(
-            KernelVector(UpperHalfPoint(t.z[0].real, t.z[0].imag), w)
+            KernelOrbit.plain([UpperHalfPoint(t.z[0].real, t.z[0].imag)], w)
         )
         assert value.real > 0.0
         assert abs(value.imag) <= 1e-15 * value.real
@@ -292,8 +301,8 @@ class TestOrbitInner:
         rng = np.random.default_rng(30)
         w = Weight(3.1)
         for _ in range(100):
-            t1 = orbit_system([random_map(rng)], KernelVector(random_point(rng), w))
-            t2 = orbit_system([random_map(rng)], KernelVector(random_point(rng), w))
+            t1 = orbit_system([random_map(rng)], KernelOrbit.plain([random_point(rng)], w))
+            t2 = orbit_system([random_map(rng)], KernelOrbit.plain([random_point(rng)], w))
             lhs = complex(kernel_gram(t1, t2)[0, 0])
             rhs = complex(kernel_gram(t2, t1)[0, 0]).conjugate()
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-300)
@@ -316,55 +325,40 @@ def beta_integral_oracle(alpha: float) -> float:
 
 
 class TestFormalDegree:
+    # the closed form against the meshgrid quadrature of the square-integrability integral
     @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 6.0])
     def test_against_beta_oracle(self, alpha):
         oracle = beta_integral_oracle(alpha)
         # the oracle itself reproduces the closed form (alpha-1)/(4 pi)
-        assert abs(oracle - (alpha - 1.0) / (4.0 * math.pi)) <= 1e-8 * oracle
-        value = formal_degree(Weight(alpha))
+        assert abs(oracle - formal_degree_closed_form(Weight(alpha))) <= 1e-8 * oracle
+        value = formal_degree_by_meshgrid(alpha)["formal_degree"]
         # the x-range truncation of the default grid: 6.9e-5 relative at alpha = 2
         assert abs(value - oracle) <= 1e-4 * oracle
 
     def test_refinement_reduces_error(self):
-        w = Weight(2.0)
         oracle = beta_integral_oracle(2.0)
         errors = []
         for nx, nt in ((96, 48), (192, 96), (384, 192)):
-            grid = bergman.default_formal_degree_grid(w, nx=nx, nt=nt)
-            value = formal_degree(w, grid, rel_tol=None)
+            value = formal_degree_by_meshgrid(2.0, nx=nx, nt=nt)["formal_degree"]
             errors.append(abs(value - oracle))
         assert errors[2] < errors[1] < errors[0]
 
-    def test_peak_memory_below_three_full_grids(self):
-        # the integrand is evaluated on the grid's axes; only the values and
-        # one weight array are laid out over the full grid
-        w, rho = Weight(3.0), UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)
-        d = bergman.default_formal_degree_grid(w, rho).descriptor
-        _, peak = traced_peak(formal_degree, w, base=rho)
-        assert peak < 3 * 8 * d["nx"] * d["nt"]
-
     def test_haar_scale_division_exact(self):
         w = Weight(3.0)
-        base = formal_degree(w)
-        assert formal_degree(w, haar_scale=4.0) == base / 4.0
+        assert formal_degree_closed_form(w, 4.0) == formal_degree_closed_form(w) / 4.0
+        with pytest.raises(UsageError, match="haar_scale"):
+            formal_degree_closed_form(w, 0.0)
 
     def test_base_point_independence(self):
-        w = Weight(2.0)
-        d_i = formal_degree(w)
-        d_moved = formal_degree(w, base=UpperHalfPoint(1.0, 2.0))
+        d_i = formal_degree_by_meshgrid(2.0)["formal_degree"]
+        d_moved = formal_degree_by_meshgrid(2.0, UpperHalfPoint(1.0, 2.0))["formal_degree"]
         assert abs(d_moved - d_i) <= 1e-6 * d_i
 
-    def test_accuracy_error_raised(self):
-        w = Weight(2.0)
-        grid = bergman.default_formal_degree_grid(w, nx=24, nt=12)
-        with pytest.raises(AccuracyError):
-            formal_degree(w, grid, rel_tol=1e-6)
-
     def test_diagnostics(self):
-        value, diag = formal_degree(Weight(2.0), full_output=True)
-        assert diag["node_count"] > 0
+        diag = formal_degree_by_meshgrid(2.0)
+        assert diag["node_count"] == 1536 * 768
         assert diag["est_rel_error"] >= 0.0
-        assert value > 0.0
+        assert diag["formal_degree"] == 1.0 / diag["integral"] > 0.0
 
 
 @pytest.fixture(scope="module")
@@ -381,7 +375,7 @@ class TestKernelStabilizer:
             (POINT_2I, 1),
         ]
         for z, expected_order in cases:
-            k = KernelVector(z, w)
+            k = KernelOrbit.plain([z], w)
             members, phases = bergman.projective_stabilizer_kernel(ball, k, orbit_system(ball.elements, k))
             assert len(members) == expected_order
             for u in phases:
@@ -399,16 +393,16 @@ class TestKernelStabilizer:
 
 class TestProbeKernels:
     def test_count_and_weights(self):
-        k = KernelVector(UpperHalfPoint(0.3, 0.8), Weight(2.0))
-        probes = bergman.probe_kernels(k, 17, max_radius=1.5)
+        center = UpperHalfPoint(0.3, 0.8)
+        probes = bergman.probe_kernels(KernelOrbit.plain([center], Weight(2.0)), 17, max_radius=1.5)
         assert len(probes) == 17
         assert probes.alpha == 2.0
         assert np.all(probes.c == 1.0 + 0.0j)
         for z in probes.z:
-            assert distance(UpperHalfPoint(z.real, z.imag), k.z) <= 1.5 + 1e-9
+            assert distance(UpperHalfPoint(z.real, z.imag), center) <= 1.5 + 1e-9
 
     def test_deterministic(self):
-        k = KernelVector(POINT_I, Weight(2.0))
+        k = KernelOrbit.plain([POINT_I], Weight(2.0))
         a = bergman.probe_kernels(k, 8)
         b = bergman.probe_kernels(k, 8)
         assert np.array_equal(a.z, b.z)
@@ -420,9 +414,8 @@ class TestProbeKernels:
         lambda: KernelOrbit(np.array([1j]), np.array([1.0 + 0j]), 2.0),
         lambda: linalg.PSDSpectrum(np.array([1.0]), None),
         lambda: fuchsian.CosetSystem(np.array([0]), np.array([[0]])),
-        lambda: hyperbolic.QuadratureGrid(np.zeros(1), np.ones(1), np.ones(1), {}),
     ],
-    ids=["KernelOrbit", "PSDSpectrum", "CosetSystem", "QuadratureGrid"],
+    ids=["KernelOrbit", "PSDSpectrum", "CosetSystem"],
 )
 def test_array_records_compare_and_hash_by_identity(make):
     # field-wise equality would take the truth value of an array, and an array has no hash

@@ -15,8 +15,8 @@ from oracles import Moebius, traced_peak
 
 from orbitdensity import bergman, cli, commands, finite_gabor, frames, fuchsian, hyperbolic
 from orbitdensity.errors import (
-    AccuracyError,
     NotRieszError,
+    NumericalFailure,
     OracleInconsistencyError,
     ResourceLimitError,
     UsageError,
@@ -99,13 +99,6 @@ class TestParsing:
         with pytest.raises(UsageError):
             commands.parse_point("nonsense")
 
-    def test_parse_grid(self):
-        assert commands.parse_grid("400x400") == (400, 400)
-        with pytest.raises(UsageError):
-            commands.parse_grid("400")
-        with pytest.raises(UsageError):
-            commands.parse_grid("4x4")
-
 
 class TestExitCodes:
     def test_usage_error_on_bad_n_max(self, capsys):
@@ -157,7 +150,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "failure",
-        [AccuracyError, ResourceLimitError, OracleInconsistencyError, NotRieszError, BrokenPipeError],
+        [NumericalFailure, ResourceLimitError, OracleInconsistencyError, NotRieszError, BrokenPipeError],
     )
     def test_numerical_and_resource_failures_exit_three(self, capsys, monkeypatch, failure):
         def fail(*args, **kwargs):
@@ -186,6 +179,33 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "stabilizer", "--z", "i", "--alpha", "2000", "--ball", "4")
         assert code == 3
         assert "failure:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("finite-scan", "--n-max", "2", "--windows", "1"),
+            ("ball", "--norm", "2"),
+            ("stabilizer", "--z", "i", "--ball", "3"),
+        ],
+        ids=["finite-scan", "ball", "stabilizer"],
+    )
+    def test_haar_scale_is_refused_where_nothing_reads_it(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--haar-scale", "5")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --haar-scale 5" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("haar_scale = 5\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "unknown config keys: ['haar_scale']" in err
+
+    def test_underflowed_orbit_coefficient_exits_three(self, capsys):
+        # |cz + d|^-300 underflows to 0 for the large elements of the ball
+        code, out, err = run_cli(
+            capsys, "bergman-density", "--alpha", "300", "--z=0.3+1.5i", "--ball", "10", "--probes", "8"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("failure: ") and "alpha = 300.0" in err and "Traceback" not in err
 
     def test_programming_bug_exits_four_with_traceback(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -219,12 +239,10 @@ class TestNegativePoint:
         assert summary["stab_order"] == 3
 
     def test_formal_degree(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "formal-degree", "--alpha", "2", "--z", "-0.5+1i", "--grid", "128x64",
-            "--format", "json",
-        )
-        assert code == 0
-        assert json_lines(out)[0]["base"] == "-0.5+1.0i"
+        # formal-degree takes no point: the rewritten flag is refused whole
+        code, out, err = run_cli(capsys, "formal-degree", "--alpha", "2", "--z", "-0.5+1i")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --z=-0.5+1i" in err
 
     def test_equals_form_and_config_key(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -263,7 +281,7 @@ class TestDeterminism:
         [
             ("ball", "--norm", "6", "--format", "csv"),
             ("stabilizer", "--z=0.5+0.8660254037844386i", "--ball", "6"),
-            ("formal-degree", "--alpha", "3", "--grid", "64x32"),
+            ("formal-degree", "--alpha", "3"),
         ],
         ids=["ball", "stabilizer", "formal-degree"],
     )
@@ -394,7 +412,7 @@ class TestImports:
         "argv",
         [
             ["bergman-density", "--alpha", "2", "--z", "i", "--ball", "4", "--probes", "8"],
-            ["formal-degree", "--alpha", "3", "--grid", "64x32"],
+            ["formal-degree", "--alpha", "3"],
             ["ball", "--norm", "4"],
             ["stabilizer", "--z", "i", "--ball", "4"],
         ],
@@ -468,7 +486,7 @@ TOP_LEVEL_HELP = (
     "positional arguments: {finite-scan,bergman-density,formal-degree,ball,stabilizer} "
     "finite-scan exhaustive exact verification scan "
     "bergman-density density report for a Bergman kernel orbit "
-    "formal-degree formal degree by quadrature "
+    "formal-degree closed-form formal degree "
     "ball enumerate a group ball "
     "stabilizer point and kernel stabilisers at a point "
     "options: -h, --help show this help message and exit"
@@ -545,9 +563,7 @@ class TestFormatParity:
                     assert text == str(value)
 
     def test_floats_have_17_significant_digits(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "formal-degree", "--alpha", "2", "--grid", "128x64", "--format", "csv"
-        )
+        _, out, _ = run_cli(capsys, "formal-degree", "--alpha", "2", "--format", "csv")
         row = list(csv.DictReader(io.StringIO(out)))[0]
         value = float(row["formal_degree"])
         assert f"{value:.17g}" == row["formal_degree"]
@@ -615,7 +631,7 @@ class TestStabilizerCommand:
 
         monkeypatch.setattr(fuchsian, "stabilizer_of_point", wrong)
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 4.0)
-        kernel = bergman.KernelVector(commands.parse_point("i"), bergman.Weight(2.0))
+        kernel = bergman.KernelOrbit.plain([commands.parse_point("i")], bergman.Weight(2.0))
         orbit = bergman.orbit_system(ball.elements, kernel)
         with pytest.raises(OracleInconsistencyError):
             bergman.projective_stabilizer_kernel(ball, kernel, orbit)
@@ -680,48 +696,27 @@ def test_moebius_maps_do_not_grow_with_the_ball(capsys, monkeypatch):
 
 class TestFormalDegreeCommand:
     def test_alpha_four_default_tolerance(self, capsys):
-        # on the default grid; a 400x400 grid is 3.0e-4 off at alpha = 4
+        # the closed form (4 - 1) / (4 pi), bit for bit
         code, out, _ = run_cli(capsys, "formal-degree", "--alpha", "4", "--format", "json")
         assert code == 0
-        record = json_lines(out)[0]
-        expected = 3.0 / (4.0 * math.pi)
-        assert abs(record["formal_degree"] - expected) <= 1e-4 * expected
+        assert json_lines(out)[0] == {
+            "type": "formal_degree", "alpha": 4.0, "haar_scale": 1.0, "formal_degree": 3.0 / (4.0 * math.pi)
+        }
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0, 7.0])
     def test_closed_form_rel_deviation(self, capsys, alpha):
-        code, out, _ = run_cli(capsys, "formal-degree", "--alpha", str(alpha), "--format", "json")
+        code, out, _ = run_cli(capsys, "formal-degree", "--alpha", str(alpha))
         assert code == 0
-        record = json_lines(out)[0]
-        exact = (alpha - 1.0) / (4.0 * math.pi)
-        assert record["closed_form_rel_deviation"] == abs(record["formal_degree"] - exact) / exact
-        assert record["closed_form_rel_deviation"] <= 1e-4
+        assert f"formal_degree = {(alpha - 1.0) / (4.0 * math.pi):.17g}\n" in out.splitlines(keepends=True)
 
-    @pytest.mark.parametrize("argv", [("formal-degree", "--alpha", "2")], ids=["formal-degree"])
-    def test_grid_over_node_cap_exits_three_before_allocating(self, capsys, argv):
-        # 10^10 nodes; the cap is checked before any array is made
-        (code, _, err), peak = traced_peak(run_cli, capsys, *argv, "--grid", "100000x100000")
-        assert code == 3
-        assert f"exceed the cap {hyperbolic.QUADRATURE_NODE_CAP}" in err and "Traceback" not in err
-        assert peak < 1 << 20
-
-    def test_requested_tolerance_failure_exits_three(self, capsys):
-        code, _, err = run_cli(
-            capsys, "formal-degree", "--alpha", "2", "--grid", "16x16",
-            "--rel-tol", "1e-8",
-        )
-        assert code == 3
-        assert "error" in err.lower() or "failure" in err.lower()
-
-    def test_rel_tol_also_bounds_the_closed_form_deviation(self, capsys):
-        # the mesh-halving estimate is 2.3e-9 here; the x-range cut-off costs 6.9e-5
-        code, out, err = run_cli(capsys, "formal-degree", "--alpha", "2", "--rel-tol", "1e-6")
-        assert code == 3 and out == ""
-        assert err == "failure: closed_form_rel_deviation 6.898e-05 exceeds rel_tol 1.000e-06\n"
-        code, out, _ = run_cli(
-            capsys, "formal-degree", "--alpha", "3", "--rel-tol", "1e-5", "--format", "json"
-        )
+    def test_haar_scale_divides_the_degree(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "formal-degree", "--alpha", "3", "--haar-scale", "4", "--format", "json")
         assert code == 0
-        assert json_lines(out)[0]["closed_form_rel_deviation"] <= 1e-5
+        assert json_lines(out)[-1] == {"type": "summary", "formal_degree": 2.0 / (4.0 * math.pi) / 4.0}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("haar_scale = 0\n")
+        code, _, err = run_cli(capsys, "formal-degree", "--alpha", "3", "--config", str(cfg))
+        assert code == 2 and "haar_scale must be positive" in err
 
 
 class TestDensityCommand:
@@ -733,8 +728,8 @@ class TestDensityCommand:
         cfg.write_text("grid = 64x32\n")
         code, _, err = run_cli(capsys, *density, "--config", str(cfg))
         assert code == 2 and "unknown config keys: ['grid']" in err
-        code, _, _ = run_cli(capsys, "formal-degree", "--alpha", "3", "--config", str(cfg))
-        assert code == 0
+        code, _, err = run_cli(capsys, "formal-degree", "--alpha", "3", "--config", str(cfg))
+        assert code == 2 and "unknown config keys: ['grid']" in err
 
     def test_reference_run(self, capsys):
         code, out, _ = run_cli(

@@ -148,7 +148,7 @@ def transversal_gram(z: UpperHalfPoint, alpha: float) -> np.ndarray:
     """Gram of the coset representatives' kernels in the psl2z ball of norm
     9, assembled as ``bergman-density`` assembles it."""
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 9.0)
-    kernel = bergman.KernelVector(z, Weight(alpha))
+    kernel = bergman.KernelOrbit.plain([z], Weight(alpha))
     orbit = bergman.orbit_system(ball.elements, kernel)
     members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
     lam_orbit = orbit.take(fuchsian.coset_representatives(ball, members).rep_index)
@@ -339,7 +339,7 @@ class TestFrameBoundsProbe:
     def test_whitened_probe_matrix_matches_the_whitened_product(self, z, alpha):
         # the probe data of bergman-density at ball 10, over a refinement schedule
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 10.0)
-        kernel = bergman.KernelVector(z, Weight(alpha))
+        kernel = bergman.KernelOrbit.plain([z], Weight(alpha))
         probes = bergman.probe_kernels(kernel, 40)
         A = bergman.kernel_gram(probes, bergman.orbit_system(ball.elements, kernel)).T
         whitener = linalg.psd_eigen(bergman.kernel_gram(probes, probes).T).whitener()

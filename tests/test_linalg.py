@@ -5,7 +5,7 @@ import pytest
 from oracles import hermitian_part, psd_eigen_by_copy
 
 from orbitdensity import bergman, finite_gabor, frames, linalg
-from orbitdensity.bergman import KernelVector, Weight
+from orbitdensity.bergman import KernelOrbit, Weight
 from orbitdensity.errors import (
     DegenerateProbeError,
     DimensionError,
@@ -203,7 +203,7 @@ def frame_operator_stack(n: int, which: int, windows: int = 6) -> np.ndarray:
 
 def probe_gram(z: UpperHalfPoint, alpha: float) -> np.ndarray:
     """The probe Gram of ``bergman-density``, as it is assembled there."""
-    probes = bergman.probe_kernels(KernelVector(z, Weight(alpha)), 40)
+    probes = bergman.probe_kernels(KernelOrbit.plain([z], Weight(alpha)), 40)
     return bergman.kernel_gram(probes, probes).T
 
 

@@ -15,7 +15,7 @@ import pytest
 from oracles import traced_peak
 
 from orbitdensity import bergman, cli, frames, fuchsian
-from orbitdensity.bergman import KernelVector, Weight
+from orbitdensity.bergman import KernelOrbit, Weight
 from orbitdensity.errors import OracleInconsistencyError
 from orbitdensity.hyperbolic import UpperHalfPoint, canonical, compose, frobenius_sq, inverse
 
@@ -34,7 +34,7 @@ def ball17():
 def transversal(ball, z: UpperHalfPoint, alpha: float):
     """Stabiliser, cosets, Lambda orbit and the Lambda counts of the balls
     of radius 6..17, as ``bergman-density`` truncates them."""
-    kernel = KernelVector(z, Weight(alpha))
+    kernel = KernelOrbit.plain([z], Weight(alpha))
     orbit = bergman.orbit_system(ball.elements, kernel)
     members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
     cosets = fuchsian.coset_representatives(ball, members)

@@ -11,7 +11,7 @@ import pytest
 from oracles import traced_peak, unsplit_gram_spectra
 
 from orbitdensity import bergman, cli, commands, frames, fuchsian
-from orbitdensity.bergman import KernelVector, Weight
+from orbitdensity.bergman import KernelOrbit, Weight
 from orbitdensity.errors import EXIT_NUMERICAL
 from orbitdensity.hyperbolic import UpperHalfPoint, frobenius_sq
 
@@ -36,7 +36,7 @@ def ball17():
 def transversal(ball, z: UpperHalfPoint, alpha: float):
     """Orbit, stabiliser, cosets and the Lambda counts of the balls of
     radius 6..17, as ``bergman-density`` truncates them."""
-    kernel = KernelVector(z, Weight(alpha))
+    kernel = KernelOrbit.plain([z], Weight(alpha))
     orbit = bergman.orbit_system(ball.elements, kernel)
     members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
     cosets = fuchsian.coset_representatives(ball, members)
@@ -147,7 +147,7 @@ def test_a_stabiliser_that_fixes_z_only_to_its_tolerance_keeps_one_block(z):
     # the stabiliser tolerance takes S into the stabiliser of these points
     # near i, but S moves them by 2e-5 and 4e-5
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 9.0)
-    kernel = KernelVector(z, Weight(2.0))
+    kernel = KernelOrbit.plain([z], Weight(2.0))
     orbit = bergman.orbit_system(ball.elements, kernel)
     members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
     assert len(members) == 2
@@ -282,7 +282,7 @@ def test_benchmark_lambda_stage_peak_is_at_most_the_unsplit_one(command):
     argv = BENCHMARK_COMMANDS[command]
     z = commands.parse_point(argv[2].partition("=")[2])
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), float(argv[4]))
-    kernel = KernelVector(z, Weight(float(argv[1])))
+    kernel = KernelOrbit.plain([z], Weight(float(argv[1])))
     orbit = bergman.orbit_system(ball.elements, kernel)
     members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
     cosets = fuchsian.coset_representatives(ball, members)
