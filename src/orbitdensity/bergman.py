@@ -31,7 +31,8 @@ import numpy as np
 
 from . import frames, fuchsian, linalg
 from .errors import NumericalFailure, OracleInconsistencyError, ResourceLimitError, UsageError
-from .hyperbolic import UpperHalfPoint, canonical, compose, frobenius_sq, image, inverse
+from .hyperbolic import UpperHalfPoint, canonical, compose, distance, frobenius_sq, image, inverse
+from .hyperbolic import rounding_bound
 
 _BASE_POINT = UpperHalfPoint(0.0, 1.0)
 
@@ -186,50 +187,37 @@ def rotation_phases(orbit: KernelOrbit, p) -> np.ndarray:
     return t
 
 
-def _distance(u, w) -> np.ndarray:
-    """Hyperbolic distance 2 asinh(|u - w| / (2 sqrt(Im u Im w))), exact
-    for close points where arccosh loses half the digits."""
-    return 2.0 * np.arcsinh(np.abs(u - w) / (2.0 * np.sqrt(u.imag * w.imag)))
-
-
-def _rounding(w) -> np.ndarray:
-    """Rounding bound 64 eps |w| / Im w on the hyperbolic position of a
-    computed orbit point w; the same for w and -1/w."""
-    return 64.0 * np.finfo(float).eps * np.abs(w) / w.imag
-
-
 def rotation_symmetry(
-    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: KernelOrbit, stabilizer, sizes
+    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: KernelOrbit, sizes
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairing p and phases t of the involution W of :func:`rotation_phases`
     on the transversal's vectors v_k = ``orbit`` at ``cosets.rep_index``:
     W v_k = t_k v_p(k), and p is an involution that closes every truncation
     of ``sizes``.
 
-    W acts on them where the ball holds S and the point stabiliser fixes the
-    kernel's point z to rounding: then S rep_k z = rep_p(k) h z = z_p(k) for
-    the h in the stabiliser that :func:`fuchsian.rotation_pairing` implies.
-    Otherwise, where S is not in the ball or the stabiliser fixes z only to
-    its tolerance, p is the identity and t = 1, the trivial involution,
-    whose split is one block.
+    The cosets are of the stabiliser of the kernel's point z, which fixes z
+    to rounding (:func:`projective_stabilizer_kernel`). So where the ball
+    holds S, S rep_k z = rep_p(k) h z = z_p(k) for the h in the stabiliser
+    that :func:`fuchsian.rotation_pairing` implies. Where it does not, p is
+    the identity and t = 1, the trivial involution, whose split is one block.
 
-    A point mismatch d(-1/z_k, z_p(k)) above 64 eps |z_k| / Im z_k, or a
-    phase with | |t_k| - 1 |, |t_k t_p(k) - 1| or, where p(k) = k,
-    |t_k -+ 1| above alpha times that, raises ``OracleInconsistencyError``.
-    The phases of fixed vectors are then set to exactly +-1.
+    A point mismatch d(-1/z_k, z_p(k)) above the rounding bound
+    64 eps |z_k| / Im z_k, or a phase with | |t_k| - 1 |, |t_k t_p(k) - 1|
+    or, where p(k) = k, |t_k -+ 1| above alpha times that, raises
+    ``OracleInconsistencyError``. The phases of fixed vectors are then set
+    to exactly +-1.
     """
     lam = orbit.take(cosets.rep_index)
     n = len(lam)
-    z = orbit.z[ball.index_of(fuchsian.IDENTITY)]
     p = fuchsian.rotation_pairing(ball, cosets, sizes)
-    if p is None or np.any(_distance(orbit.z[stabilizer], z) > _rounding(z)):
+    if p is None:
         return np.arange(n), np.ones(n, dtype=complex)
     t = rotation_phases(lam, p)
     fixed = p == np.arange(n)
     sign = np.where(t.real < 0.0, -1.0, 1.0)
-    scale = _rounding(lam.z)
+    scale = rounding_bound(lam.z)
     for what, deviation in (
-        ("point", _distance(-1.0 / lam.z, lam.z[p])),
+        ("point", distance(-1.0 / lam.z, lam.z[p])),
         ("phase modulus", np.abs(np.abs(t) - 1.0) / orbit.alpha),
         ("phase product", np.abs(t * t[p] - 1.0) / orbit.alpha),
         ("fixed phase", np.where(fixed, np.abs(t - sign), 0.0) / orbit.alpha),
@@ -289,7 +277,7 @@ def rotation_halves(orbit: KernelOrbit, p, t) -> list[tuple[np.ndarray, np.ndarr
 
 
 def transversal_riesz_bounds(
-    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: KernelOrbit, stabilizer, sizes
+    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: KernelOrbit, sizes
 ) -> list[tuple[float, float]]:
     """Smallest and largest eigenvalue of the Gram of the first k coset
     representatives' vectors (``orbit`` at ``cosets.rep_index``), one pair
@@ -300,7 +288,7 @@ def transversal_riesz_bounds(
     validated and eigensolved by one :func:`frames.gram` call, and each
     extreme is taken over both halves.
     """
-    pairing, phases = rotation_symmetry(ball, cosets, orbit, stabilizer, sizes)
+    pairing, phases = rotation_symmetry(ball, cosets, orbit, sizes)
     bounds = [(math.inf, -math.inf)] * len(sizes)
     for M, members in rotation_halves(orbit.take(cosets.rep_index), pairing, phases):
         half_sizes = np.searchsorted(members, sizes).tolist()
@@ -323,45 +311,44 @@ def formal_degree_closed_form(weight: Weight, haar_scale: float = 1.0) -> float:
     return (weight.alpha - 1.0) / (4.0 * math.pi) / haar_scale
 
 
-def kernel_tol_for_point_tol(point_tol: float, alpha: float) -> float:
-    """Overlap threshold matching a point-distance threshold.
-
-    |<pi(g) k, k>| / ||k||^2 equals cosh(d(gz, z)/2)^-alpha, so distance
-    tolerance tau corresponds exactly to overlap deficit
-    1 - cosh(tau/2)^-alpha.
-    """
-    return 1.0 - math.cosh(point_tol / 2.0) ** (-alpha)
-
-
-def point_tol_for_kernel_tol(tol: float, alpha: float) -> float:
-    """Inverse of :func:`kernel_tol_for_point_tol`."""
-    return 2.0 * math.acosh((1.0 - tol) ** (-1.0 / alpha))
-
-
 def projective_stabilizer_kernel(
-    ball: fuchsian.GroupBall, kernel: KernelOrbit, orbit: KernelOrbit, tol: float = 1e-9
+    ball: fuchsian.GroupBall, kernel: KernelOrbit, orbit: KernelOrbit, tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ball indices, increasing, of the elements whose action fixes the
-    kernel k up to a scalar, and those scalars u(g) with pi(g) k = u(g) k.
+    """Ball indices, increasing, of the elements g that move the kernel's
+    point z by at most tol, and their overlaps u(g) = <pi(g) k, k> / ||k||^2,
+    so pi(g) k = u(g) k where g fixes z. tol is that of
+    :func:`fuchsian.stabilizer_of_point`, which must find the same elements.
 
-    ``orbit`` is ``orbit_system(ball.elements, kernel)``. Selection is by overlap
-    |<pi(g) k, k>| >= (1 - tol) ||k||^2 and must agree exactly with the
-    point stabiliser of the kernel's centre at the matching distance
-    tolerance.
+    ``orbit`` is ``orbit_system(ball.elements, kernel)``, and each |u(g)| is
+    checked against cosh(d(w, z)/2)^-alpha at the computed point w of gz.
+    That identity holds at any w with |c| = (Im w / Im z)^(alpha/2), so the
+    log of their ratio is alpha times at most: the relative error of
+    |cz + d|, 3 eps |z| / Im z as |cz + d| >= |c| Im z; half of d(w, gz),
+    within the rounding bound of w; and a few eps per unit of d(w, z) in
+    the two powers. Each term is below a rounding bound (64 eps at least),
+    so a deviation above alpha times the bounds of z and w, relative to
+    cosh(d/2)^-alpha, raises ``OracleInconsistencyError``, as does a
+    disagreement of the two paths.
     """
-    if not (0.0 < tol < 1.0):
-        raise UsageError(f"tol must lie in (0, 1), got {tol}")
     if len(orbit) != len(ball.elements):
         raise UsageError(f"orbit has {len(orbit)} vectors for {len(ball.elements)} ball elements")
-    overlaps = kernel_gram(orbit, kernel)[:, 0] / kernel_norm_sq(kernel)
-    members = np.flatnonzero(np.abs(overlaps) >= 1.0 - tol)
-    point_tol = min(point_tol_for_kernel_tol(tol, kernel.alpha), 1e-4)
     (z,) = kernel.z.tolist()
-    point_members = fuchsian.stabilizer_of_point(ball, UpperHalfPoint(z.real, z.imag), tol=point_tol)
+    point_members = fuchsian.stabilizer_of_point(ball, UpperHalfPoint(z.real, z.imag), tol=tol)
+    moved = distance(orbit.z, z)
+    members = np.flatnonzero(moved <= (rounding_bound(z) if tol is None else tol))
     if not np.array_equal(members, point_members):
         raise OracleInconsistencyError(
             "kernel stabiliser disagrees with the point stabiliser "
             f"({len(members)} vs {len(point_members)} elements)"
+        )
+    overlaps = kernel_gram(orbit, kernel)[:, 0] / kernel_norm_sq(kernel)
+    expected = np.cosh(moved / 2.0) ** -kernel.alpha
+    deviation = np.abs(np.abs(overlaps) - expected)
+    scale = kernel.alpha * (rounding_bound(z) + rounding_bound(orbit.z)) * expected
+    if np.any(deviation > scale):
+        raise OracleInconsistencyError(
+            "kernel overlaps disagree with the distances of their points: mismatch "
+            f"{np.max(deviation / scale):.3e} times its rounding bound"
         )
     return members, overlaps[members]
 
@@ -453,7 +440,7 @@ def density_analysis(
         if not inside[: gamma_counts[-1]].all():
             raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
     lam_counts = [int(np.searchsorted(cosets.rep_index, count)) for count in gamma_counts]
-    riesz_bounds = transversal_riesz_bounds(ball, cosets, orbit, stab_members, lam_counts)
+    riesz_bounds = transversal_riesz_bounds(ball, cosets, orbit, lam_counts)
     probe_matrix = kernel_gram(probe_orbit, orbit).T
     probe_gram = kernel_gram(probe_orbit, probe_orbit).T
     whitener = linalg.psd_eigen(probe_gram, name="probe Gram matrix").whitener()

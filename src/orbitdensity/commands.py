@@ -196,10 +196,9 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
     spec = lattice_from_config(settings.get("lattice", "psl2z"), settings.config)
     ball = fuchsian.ball_enumerate(spec, ball_norm)
     kernel = bergman.KernelOrbit.plain([z], bergman.Weight(alpha))
-    kernel_tol = bergman.kernel_tol_for_point_tol(tol, alpha)
     # raises OracleInconsistencyError unless the kernel and point paths agree as sets
     members, phases = bergman.projective_stabilizer_kernel(
-        ball, kernel, bergman.orbit_system(ball.elements, kernel), tol=kernel_tol
+        ball, kernel, bergman.orbit_system(ball.elements, kernel), tol=tol
     )
     emitter.record(
         "stabilizer",

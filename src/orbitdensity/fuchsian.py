@@ -22,13 +22,12 @@ import numpy as np
 
 from .errors import OracleInconsistencyError, ResourceLimitError, UsageError
 from .hyperbolic import MoebiusMap, UpperHalfPoint
-from .hyperbolic import canonical, compose, frobenius_sq, inverse, round9, row_keys
+from .hyperbolic import canonical, compose, distance, frobenius_sq, inverse, round9, rounding_bound, row_keys
 
 # identity has Frobenius norm sqrt(2); smaller balls would be empty
 MIN_NORM_BOUND = math.sqrt(2.0)
 
 _NORM_EPS = 1e-9
-DEFAULT_POINT_TOL = 1e-8
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 # The rotation S: w -> -1/w of order 2 about the ball centre i. Its matrix
@@ -187,22 +186,22 @@ def ball_enumerate(
     return GroupBall(norm_bound, elements[_norm_sorted(elements)], certified)
 
 
-def stabilizer_of_point(
-    ball: GroupBall, z: UpperHalfPoint, tol: float = DEFAULT_POINT_TOL
-) -> np.ndarray:
+def stabilizer_of_point(ball: GroupBall, z: UpperHalfPoint, tol: float | None = None) -> np.ndarray:
     """Ball indices, increasing, of the elements moving z by hyperbolic
-    distance at most tol.
+    distance at most tol, by default the rounding bound of z: the
+    stabiliser of z itself, exact to rounding. An explicit tol, a query
+    for the elements that nearly fix z, must lie in (0, 1e-4].
 
     The result is checked to be closed under composition and inversion
     within the ball; a failed check warns that the ball is too small.
     """
-    if not (0.0 < tol <= 1e-4):
+    if tol is None:
+        tol = rounding_bound(z.as_complex)
+    elif not (0.0 < tol <= 1e-4):
         raise UsageError(f"tol must lie in (0, 1e-4], got {tol}")
     a, b, c, d = ball.elements.T
     w = (a * z.as_complex + b) / (c * z.as_complex + d)
-    dx, dy = w.real - z.x, w.imag - z.y
-    dist = np.arccosh(np.maximum(1.0 + (dx * dx + dy * dy) / (2.0 * w.imag * z.y), 1.0))
-    members = np.flatnonzero(dist <= tol)
+    members = np.flatnonzero(distance(w, z.as_complex) <= tol)
     h = ball.elements[members]
     products = compose(h[:, None, :], h[None, :, :]).reshape(-1, 4)
     inside = frobenius_sq(products) <= ball.norm_bound * ball.norm_bound + _NORM_EPS

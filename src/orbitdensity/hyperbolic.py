@@ -80,6 +80,19 @@ def row_keys(x) -> list[tuple[float, float, float, float]]:
     return list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
 
 
+def distance(u, w) -> np.ndarray:
+    """Hyperbolic distance 2 asinh(|u - w| / (2 sqrt(Im u Im w))) of
+    complex points, exact for close points where arccosh loses half the
+    digits."""
+    return 2.0 * np.arcsinh(np.abs(u - w) / (2.0 * np.sqrt(u.imag * w.imag)))
+
+
+def rounding_bound(w) -> np.ndarray:
+    """Rounding bound 64 eps |w| / Im w on the hyperbolic position of a
+    computed point w, such as a Moebius image; the same for w and -1/w."""
+    return 64.0 * np.finfo(float).eps * np.abs(w) / w.imag
+
+
 def image(a: float, b: float, c: float, d: float, z: complex) -> complex:
     """(a z + b) / (c z + d) in scalar complex arithmetic, in the upper half-plane."""
     w = (a * z + b) / (c * z + d)

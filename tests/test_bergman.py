@@ -16,8 +16,8 @@ from orbitdensity.bergman import (
     orbit_system,
     sigma_cocycle,
 )
-from orbitdensity.errors import ResourceLimitError, UsageError
-from orbitdensity.hyperbolic import UpperHalfPoint
+from orbitdensity.errors import OracleInconsistencyError, ResourceLimitError, UsageError
+from orbitdensity.hyperbolic import UpperHalfPoint, image
 
 POINT_I = UpperHalfPoint(0.0, 1.0)
 POINT_2I = UpperHalfPoint(0.0, 2.0)
@@ -383,12 +383,39 @@ class TestKernelStabilizer:
             identity = ball.index_of(Moebius.identity())
             assert abs(phases[list(members).index(identity)] - 1.0) <= 1e-12
 
-    def test_tolerance_maps_are_inverse(self):
-        for alpha in (2.0, 4.5):
-            for tol in (1e-10, 1e-8, 1e-6):
-                tau = bergman.point_tol_for_kernel_tol(tol, alpha)
-                back = bergman.kernel_tol_for_point_tol(tau, alpha)
-                assert abs(back - tol) <= 1e-6 * tol
+    @pytest.mark.parametrize("alpha", [2.0, 60.0])
+    @pytest.mark.parametrize(
+        "g, w, order",
+        [((3.0, 2.0, 1.0, 1.0), complex(0.5, math.sqrt(3.0) / 2.0), 3), ((2.0, 1.0, 1.0, 1.0), 1j, 2)],
+        ids=["(3,2;1,1)rho", "(2,1;1,1)i"],
+    )
+    def test_rotations_of_large_norm_fix_their_point_to_rounding(self, g, w, order, alpha):
+        # The rotations about (3,2;1,1) rho ~ 2.5+0.2887i in the ball of norm
+        # 22 have norm ~22 and move z by at most 1.9e-15 in Moebius
+        # evaluation, inside the rounding bound 1.2e-13 of z.
+        ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 22.0)
+        z = image(*g, w)
+        z = UpperHalfPoint(z.real, z.imag)
+        point_members = fuchsian.stabilizer_of_point(ball, z)
+        k = KernelOrbit.plain([z], Weight(alpha))
+        members, phases = bergman.projective_stabilizer_kernel(ball, k, orbit_system(ball.elements, k))
+        assert len(point_members) == order
+        assert np.array_equal(members, point_members)
+        assert np.all(np.abs(np.abs(phases) - 1.0) <= 1e-12)
+
+    def test_a_perturbed_overlap_is_an_inconsistency(self, ball, monkeypatch):
+        # one orbit coefficient scaled by 1 + 1e-9: its overlap no longer
+        # matches cosh(d/2)^-alpha of its point's distance
+        def perturbed(maps, kernel):
+            orbit = orbit_system(maps, kernel)
+            c = orbit.c.copy()
+            c[len(c) // 2] *= 1.0 + 1e-9
+            return KernelOrbit(z=orbit.z, c=c, alpha=orbit.alpha)
+
+        monkeypatch.setattr(bergman, "orbit_system", perturbed)
+        k = KernelOrbit.plain([UpperHalfPoint(0.3, 1.5)], Weight(2.0))
+        with pytest.raises(OracleInconsistencyError, match="overlaps disagree"):
+            bergman.projective_stabilizer_kernel(ball, k, bergman.orbit_system(ball.elements, k))
 
 
 class TestProbeKernels:

@@ -145,6 +145,13 @@ class TestStabilizer:
         members = fuchsian.stabilizer_of_point(ball6, POINT_2I)
         assert len(members) == 1
 
+    @pytest.mark.parametrize("tol", [None, 1e-12])
+    def test_rounding_level_tolerances_resolve(self, ball6, tol):
+        # S moves 1.000000001i by 2e-9, a distance that an arccosh form
+        # rounds to 0
+        members = fuchsian.stabilizer_of_point(ball6, UpperHalfPoint(0.0, 1.000000001), tol=tol)
+        assert keyset(ball6.elements[members]) == keyset([Moebius.identity()])
+
     def test_order_three_at_rho(self, ball6):
         members = fuchsian.stabilizer_of_point(ball6, POINT_RHO)
         assert len(members) == 3

@@ -84,7 +84,7 @@ def test_real_form_extremes_match_the_complex_blocks(ball17, point, alpha):
     # the extremes the command reports at a mirror point, once from the real
     # form and now from the two halves, against the complex Gram's blocks
     orbit, members, cosets, counts = transversal(ball17, POINTS[point], alpha)
-    bounds = bergman.transversal_riesz_bounds(ball17, cosets, orbit, members, counts)
+    bounds = bergman.transversal_riesz_bounds(ball17, cosets, orbit, counts)
     lam = orbit.take(cosets.rep_index)
     G = bergman.kernel_gram(lam, lam)
     for k, (lo, hi) in zip(counts, bounds):
@@ -126,15 +126,10 @@ def assert_reports_match(split, complex_):
 @pytest.mark.parametrize("z", ["0.5+0.866i", "-0.3+1.4i"])
 def test_points_off_the_mirrors_keep_the_complex_path(capsys, monkeypatch, z):
     argv = ["--alpha", "2.5", f"--z={z}", "--ball", "9", "--format", "csv"]
+    # 0.5+0.866i is 2.5e-5 from rho, which its trivial stabiliser tells apart
     split = run_density(capsys, monkeypatch, argv)
     complex_ = run_density(capsys, monkeypatch, argv, complex_path=True)
-    if z == "0.5+0.866i":
-        # 2.5e-5 from rho: the stabiliser tolerance takes in the rotations
-        # about rho, which fix z only to that tolerance, so the Gram stays
-        # one block and the report is the complex path's to the byte
-        assert split == complex_
-    else:
-        assert_reports_match(split, complex_)
+    assert_reports_match(split, complex_)
 
 
 @pytest.mark.parametrize(

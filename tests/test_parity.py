@@ -41,7 +41,7 @@ from oracles import kernel_cross_oracle, pi_shift, vector_gram, vector_gram_orac
 
 from orbitdensity import bergman, cli, commands, finite_gabor, frames, fuchsian
 from orbitdensity.bergman import KernelOrbit, Weight
-from orbitdensity.hyperbolic import MoebiusMap, UpperHalfPoint
+from orbitdensity.hyperbolic import MoebiusMap, UpperHalfPoint, rounding_bound
 
 ORACLE_RTOL = 1e-13
 FLOAT_RTOL = 1e-12
@@ -491,9 +491,10 @@ def test_ball_stabilizers_and_cosets_match_scalar_oracle(spec, bound):
     assert _bits(ball.elements) == _bits(np.array(rows))
     assert ball.closure_certified == certified
     for z in BASES:
-        for tol in (fuchsian.DEFAULT_POINT_TOL, 1e-4):
+        for tol in (None, 1e-4):
             members = fuchsian.stabilizer_of_point(ball, z, tol=tol)
-            assert members.tolist() == oracles.stabilizer_by_scalars(rows, z, tol)
+            oracle_tol = rounding_bound(z.as_complex) if tol is None else tol
+            assert members.tolist() == oracles.stabilizer_by_scalars(rows, z, oracle_tol)
         cosets = fuchsian.coset_representatives(ball, members)
         rep_index, tile = oracles.cosets_by_loop(rows, members.tolist())
         assert cosets.rep_index.tolist() == rep_index

@@ -33,9 +33,9 @@ def ball17():
     return fuchsian.ball_enumerate(fuchsian.psl2z(), 17.0)
 
 
-def transversal(ball, z: UpperHalfPoint, alpha: float):
+def transversal(ball, z: UpperHalfPoint, alpha: float, radii=RADII):
     """Orbit, stabiliser, cosets and the Lambda counts of the balls of
-    radius 6..17, as ``bergman-density`` truncates them."""
+    radius 6..17, or ``radii``, as ``bergman-density`` truncates them."""
     kernel = KernelOrbit.plain([z], Weight(alpha))
     orbit = bergman.orbit_system(ball.elements, kernel)
     members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
@@ -43,7 +43,7 @@ def transversal(ball, z: UpperHalfPoint, alpha: float):
     norms_sq = frobenius_sq(ball.elements)
     counts = [
         int(np.searchsorted(cosets.rep_index, np.count_nonzero(norms_sq <= r * r + 1e-9)))
-        for r in RADII
+        for r in radii
     ]
     return orbit, members, cosets, counts
 
@@ -52,16 +52,12 @@ def half_sizes(members, counts) -> np.ndarray:
     return np.searchsorted(members, counts)
 
 
-@pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("point", sorted(POINTS))
-def test_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha):
-    orbit, members, cosets, counts = transversal(ball17, POINTS[point], alpha)
-    p, t = bergman.rotation_symmetry(ball17, cosets, orbit, members, counts)
+def assert_halves_have_the_unsplit_spectrum(ball, orbit, cosets, counts):
+    """The transversal's Gram splits into two halves, and each truncation's
+    spectrum is the union of the halves' leading blocks'."""
+    p, t = bergman.rotation_symmetry(ball, cosets, orbit, counts)
     halves = bergman.rotation_halves(orbit.take(cosets.rep_index), p, t)
-    # near rho at small alpha the stabiliser tolerance takes in the rotations
-    # about rho, which move z by 5e-5: S does not map the transversal onto
-    # itself, and the Gram stays one block
-    assert len(halves) == (1 if point == "near-rho" and len(members) > 1 else 2)
+    assert len(halves) == 2
     split = [[] for _ in counts]
     for M, half_members in halves:
         sizes = half_sizes(half_members, counts)
@@ -71,6 +67,13 @@ def test_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha):
         got = np.sort(np.concatenate(parts))
         assert len(got) == k
         assert np.abs(got - reference).max() <= 64.0 * k * EPS * reference[-1]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha):
+    orbit, _, cosets, counts = transversal(ball17, POINTS[point], alpha)
+    assert_halves_have_the_unsplit_spectrum(ball17, orbit, cosets, counts)
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))
@@ -86,7 +89,7 @@ def test_pairing_is_an_involution_that_closes_every_truncation(ball17, point):
     assert np.all(np.abs(-1.0 / lam.z - lam.z[p]) <= 1e-12 * np.abs(lam.z[p]))
     assert np.count_nonzero(p == index) == (1 if point == "i" else 0)
     # the halves split every truncation evenly, the fixed coset aside
-    _, t = bergman.rotation_symmetry(ball17, cosets, orbit, members, counts)
+    _, t = bergman.rotation_symmetry(ball17, cosets, orbit, counts)
     halves = bergman.rotation_halves(lam, p, t)
     sizes = [half_sizes(half_members, counts) for _, half_members in halves]
     assert np.array_equal(sum(sizes), counts)
@@ -141,21 +144,26 @@ def test_a_corrupted_pairing_or_phase_exits_3(capsys, monkeypatch, corruption, c
 
 
 @pytest.mark.parametrize(
-    "z", [UpperHalfPoint(1e-5, 1.0), UpperHalfPoint(0.0, 1.00002)], ids=["1e-5+i", "1.00002i"]
+    "z, order",
+    [
+        (UpperHalfPoint(0.0, 1.00002), 1),
+        (UpperHalfPoint(0.5, 0.866), 1),
+        (UpperHalfPoint(0.0, 1.0), 2),
+        (UpperHalfPoint(0.5, 0.8660254037844386), 3),
+    ],
+    ids=["near-i", "near-rho", "i", "rho"],
 )
-def test_a_stabiliser_that_fixes_z_only_to_its_tolerance_keeps_one_block(z):
-    # the stabiliser tolerance takes S into the stabiliser of these points
-    # near i, but S moves them by 2e-5 and 4e-5
-    ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 9.0)
-    kernel = KernelOrbit.plain([z], Weight(2.0))
-    orbit = bergman.orbit_system(ball.elements, kernel)
-    members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
-    assert len(members) == 2
-    cosets = fuchsian.coset_representatives(ball, members)
-    n = len(cosets.rep_index)
-    p, t = bergman.rotation_symmetry(ball, cosets, orbit, members, [n])
-    assert np.array_equal(p, np.arange(n)) and np.all(t == 1.0)
-    assert len(bergman.rotation_halves(orbit.take(cosets.rep_index), p, t)) == 1
+def test_stab_order_does_not_depend_on_alpha(z, order):
+    # the stabiliser is of the point alone: S moves 1.00002i by 4e-5 and the
+    # rotations about rho move 0.5+0.866i by 5e-5, at every alpha
+    ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0)
+    for alpha in (2.0, 20.0, 60.0):
+        reports = bergman.density_analysis(fuchsian.psl2z(), z, alpha, 6.0, probes=8)
+        assert [r.stab_order for r in reports] == [order] * len(reports)
+        # and S splits the Gram, also near i where it is no longer taken
+        # into the stabiliser
+        orbit, _, cosets, counts = transversal(ball, z, alpha, radii=[4.0, 5.0, 6.0])
+        assert_halves_have_the_unsplit_spectrum(ball, orbit, cosets, counts)
 
 
 GAMMA2 = (
@@ -295,7 +303,7 @@ def test_benchmark_lambda_stage_peak_is_at_most_the_unsplit_one(command):
 
     unsplit()  # first-call caches
     bounds, split_peak = traced_peak(
-        bergman.transversal_riesz_bounds, ball, cosets, orbit, members, counts
+        bergman.transversal_riesz_bounds, ball, cosets, orbit, counts
     )
     spectra, unsplit_peak = traced_peak(unsplit)
     assert split_peak <= unsplit_peak
