@@ -4,8 +4,11 @@ orbits as arrays with closed-form Gram matrices, and the formal degree in
 closed form. A single kernel is a one-element orbit. Where the lattice
 holds the rotation S: w -> -1/w, the unitary involution pi(S) / sqrt(omega)
 pairs the vectors of a coset transversal's orbit up to closed-form phases
-(:func:`rotation_symmetry`), and its two eigenspaces split their Gram
-matrix into two blocks of about half the size (:func:`rotation_halves`).
+(:func:`transversal_symmetry`), and its two eigenspaces split their Gram
+matrix into two blocks of about half the size (:func:`symmetry_halves`).
+Where the kernel's point lies on a mirror through i, the antiunitary
+involution f(w) -> conj f(-conj w) pairs them too, and each block is the
+real Gram of a basis that it fixes.
 :func:`density_analysis` is the ``bergman-density`` pipeline: the frame
 reports of a lattice orbit of one kernel over refining truncations.
 
@@ -169,17 +172,23 @@ def orbit_system(maps, kernel: KernelOrbit) -> KernelOrbit:
     return KernelOrbit(z=np.array(points, dtype=complex), c=c, alpha=alpha)
 
 
-def rotation_phases(orbit: KernelOrbit, p) -> np.ndarray:
-    """Phases t with W v_k = t_k v_p(k) for the vectors v_k = c_k k_{z_k}
-    and the pairing p of their points under S: w -> -1/w, in closed form.
+def symmetry_phases(orbit: KernelOrbit, p, mirror=None) -> np.ndarray:
+    """Phases t with U v_k = t_k v_p(k) for the vectors v_k = c_k k_{z_k} and
+    the pairing p of their points, in closed form: by the rotation
+    S: w -> -1/w, or with ``mirror`` by the reflection w -> -conj(w).
 
     pi(S) k_w = sigma(S, S^-1) conj(w^-alpha) k_{-1/w}, and applied twice
     this gives pi(S)^2 = omega with omega = sigma(S, S^-1)^2 exp(i pi alpha),
     since arg(w) + arg(-1/w) = pi. So W = pi(S) / sqrt(omega), with the root
     sigma(S, S^-1) exp(i pi alpha / 2), is a unitary involution, and
-    W c k_w = c conj(w^-alpha) exp(-i pi alpha / 2) k_{-1/w}. Where
-    -1/z_k = z_p(k), t_k is that coefficient over c_p(k).
+    W c k_w = c conj(w^-alpha) exp(-i pi alpha / 2) k_{-1/w}. The antiunitary
+    involution R f(w) = conj f(-conj w) maps k_w to k_{-conj w}, as
+    conj((-conj u)^-alpha) = exp(i pi alpha) u^-alpha for u in the upper
+    half-plane, so R c k_w = conj(c) k_{-conj w}; it commutes with W. Where
+    the image of z_k is z_p(k), t_k is that coefficient over c_p(k).
     """
+    if mirror is not None:
+        return orbit.c.conj() / orbit.c[p]
     alpha = orbit.alpha
     t = np.power(orbit.z, -alpha).conj()
     t *= orbit.c * cmath.exp(-0.5j * math.pi * alpha)
@@ -187,56 +196,122 @@ def rotation_phases(orbit: KernelOrbit, p) -> np.ndarray:
     return t
 
 
-def rotation_symmetry(
+def transversal_symmetry(
     ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: KernelOrbit, sizes
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairing p and phases t of the involution W of :func:`rotation_phases`
-    on the transversal's vectors v_k = ``orbit`` at ``cosets.rep_index``:
-    W v_k = t_k v_p(k), and p is an involution that closes every truncation
-    of ``sizes``.
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
+    """Pairings and phases (p, t) of W and (q, s) of R (see
+    :func:`symmetry_phases`) on the transversal's vectors v_k = ``orbit`` at
+    ``cosets.rep_index``: W v_k = t_k v_p(k) and R v_k = s_k v_q(k), with p
+    and q commuting involutions that close every truncation of ``sizes``.
 
     The cosets are of the stabiliser of the kernel's point z, which fixes z
     to rounding (:func:`projective_stabilizer_kernel`). So where the ball
     holds S, S rep_k z = rep_p(k) h z = z_p(k) for the h in the stabiliser
-    that :func:`fuchsian.rotation_pairing` implies. Where it does not, p is
-    the identity and t = 1, the trivial involution, whose split is one block.
+    that :func:`fuchsian.coset_pairing` implies; where it does not, p is the
+    identity and t = 1, the trivial involution, whose split is one block.
+    Where z lies on a mirror through i, which the point alone decides,
+    -conj(z) = g0 z (:func:`fuchsian.mirror_of`), and -conj(z_k) =
+    sigma rep_k sigma g0 z = z_q(k) likewise; elsewhere, or where the ball
+    is not symmetric, there is no q and the second pair is None.
 
-    A point mismatch d(-1/z_k, z_p(k)) above the rounding bound
-    64 eps |z_k| / Im z_k, or a phase with | |t_k| - 1 |, |t_k t_p(k) - 1|
-    or, where p(k) = k, |t_k -+ 1| above alpha times that, raises
-    ``OracleInconsistencyError``. The phases of fixed vectors are then set
-    to exactly +-1.
+    For either map, a point mismatch, the distance from the image of z_k to
+    z_p(k), above the rounding bound 64 eps |z_k| / Im z_k, or a phase with
+    | |t_k| - 1 | or an involution defect |t_k t_p(k) - 1| (for R,
+    |conj(t_k) t_q(k) - 1|) above alpha times that, raises
+    ``OracleInconsistencyError``, and so do q p != p q and a defect
+    |conj(t_k) s_p(k) - s_k t_q(k)| of RW = WR above alpha times the bound.
+    The phases t of vectors that W fixes are then set to exactly +-1.
     """
     lam = orbit.take(cosets.rep_index)
     n = len(lam)
-    p = fuchsian.rotation_pairing(ball, cosets, sizes)
-    if p is None:
-        return np.arange(n), np.ones(n, dtype=complex)
-    t = rotation_phases(lam, p)
-    fixed = p == np.arange(n)
-    sign = np.where(t.real < 0.0, -1.0, 1.0)
     scale = rounding_bound(lam.z)
-    for what, deviation in (
-        ("point", distance(-1.0 / lam.z, lam.z[p])),
-        ("phase modulus", np.abs(np.abs(t) - 1.0) / orbit.alpha),
-        ("phase product", np.abs(t * t[p] - 1.0) / orbit.alpha),
-        ("fixed phase", np.where(fixed, np.abs(t - sign), 0.0) / orbit.alpha),
-    ):
-        if np.any(deviation > scale):
+
+    def paired(name, mirror=None):
+        p = fuchsian.coset_pairing(ball, cosets, sizes, mirror)
+        if p is None:
+            return None
+        t = symmetry_phases(lam, p, mirror)
+        image = -1.0 / lam.z if mirror is None else -lam.z.conj()
+        for what, deviation in (
+            ("point", distance(image, lam.z[p])),
+            ("phase modulus", np.abs(np.abs(t) - 1.0) / orbit.alpha),
+            ("phase product", np.abs((t if mirror is None else t.conj()) * t[p] - 1.0) / orbit.alpha),
+        ):
+            if np.any(deviation > scale):
+                raise OracleInconsistencyError(
+                    f"the {name} does not map the transversal onto itself: {what} "
+                    f"mismatch {np.max(deviation / scale):.3e} times its rounding bound"
+                )
+        return p, t
+
+    p, t = paired("rotation S") or (np.arange(n), np.ones(n, dtype=complex))
+    fixed = p == np.arange(n)
+    t[fixed] = np.where(t[fixed].real < 0.0, -1.0, 1.0)
+    mirror = fuchsian.mirror_of(complex(orbit.z[ball.index_of(fuchsian.IDENTITY)]))
+    reflection = None if mirror is None else paired("reflection w -> -conj(w)", mirror)
+    if reflection is not None:
+        q, s = reflection
+        deviation = np.abs(t.conj() * s[p] - s * t[q]) / orbit.alpha
+        if not np.array_equal(q[p], p[q]) or np.any(deviation > scale):
             raise OracleInconsistencyError(
-                f"the rotation S does not map the transversal onto itself: {what} "
-                f"mismatch {np.max(deviation / scale):.3e} times its rounding bound"
+                "the reflection w -> -conj(w) does not commute with the rotation S: mismatch "
+                f"{np.max(deviation / scale):.3e} times its rounding bound"
             )
-    t[fixed] = sign[fixed]
-    return p, t
+    return (p, t), reflection
 
 
-def rotation_halves(orbit: KernelOrbit, p, t) -> list[tuple[np.ndarray, np.ndarray]]:
+def _real_form(M, pairing, phases, bound) -> np.ndarray:
+    """The Gram of a real orthonormal basis of the span whose Gram is M, for
+    an antiunitary involution R with R u_a = s_a u_q(a) on its vectors u_a:
+    M is overwritten with T^T M conj(T), whose real part is returned as a
+    view of M.
+
+    The basis is (u_a + s_a u_b) / sqrt 2 at a and i (u_a - s_a u_b) / sqrt 2
+    at b = q(a) > a, and sqrt(s_f) u_f at each f = q(f). Each is fixed by R,
+    so their inner products are real, and the basis spans the same leading
+    blocks as the u_a where q closes them. T^T acts on rows and conj(T) on
+    columns, by strips of ``linalg.ROW_BLOCK`` pairs, in two strip buffers:
+    u_a - s_a u_b, then u_a + s_a u_b as twice u_a less that. An imaginary part
+    above ``bound[a] + bound[b]`` at [a, b] raises
+    ``OracleInconsistencyError``: it compares entries built from different,
+    independently rounded points.
+    """
+    index = np.arange(len(M))
+    lead = np.flatnonzero(pairing > index)
+    fixed = np.flatnonzero(pairing == index)
+    root = np.sqrt(phases[fixed])
+    for X, s, unit, r in ((M, phases, 1j, root), (M.T, phases.conj(), -1j, root.conj())):
+        for j0 in range(0, len(lead), linalg.ROW_BLOCK):
+            a = lead[j0 : j0 + linalg.ROW_BLOCK]
+            b = pairing[a]
+            x, y = X[a], X[b]
+            y *= s[a, None]
+            np.subtract(x, y, out=y)
+            x *= 2.0
+            x -= y
+            x *= math.sqrt(0.5)
+            y *= unit * math.sqrt(0.5)
+            X[a], X[b] = x, y
+            del x, y
+        X[fixed] *= r[:, None]
+    worst = 0.0
+    for r0 in range(0, len(M), linalg.ROW_BLOCK):
+        strip = slice(r0, r0 + linalg.ROW_BLOCK)
+        worst = max(worst, np.max(np.abs(M[strip].imag) / (bound[strip, None] + bound[None, :])))
+    if worst > 1.0:
+        raise OracleInconsistencyError(
+            f"a real form of the Gram is not real: imaginary part {worst:.3e} times its rounding bound"
+        )
+    return M.real
+
+
+def symmetry_halves(orbit: KernelOrbit, rotation, reflection=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """The Grams of the two eigenspaces of the involution W v_k = t_k v_p(k)
-    (see :func:`rotation_symmetry`) on the vectors of ``orbit``: for -1, then
-    +1, the Gram M of an orthonormal basis of the span's part in it, and the
-    increasing indices k that M's rows stand for. A half without rows is
-    left out.
+    (see :func:`transversal_symmetry`) on the vectors of ``orbit``: for -1,
+    then +1, the Gram M of an orthonormal basis of the span's part in it,
+    and the increasing indices k that M's rows stand for. A half without
+    rows is left out. With the reflection R v_k = s_k v_q(k), each M is the
+    float64 Gram of a real basis of its half (:func:`_real_form`).
 
     The basis is (v_a +- t_a v_p(a)) / sqrt 2 over the pair leaders
     a < p(a), plus each fixed vector v_f in the half of t_f = +-1. W is
@@ -252,7 +327,18 @@ def rotation_halves(orbit: KernelOrbit, p, t) -> list[tuple[np.ndarray, np.ndarr
     and t = 1, A = G is the one half. M[a, b] and conj M[b, a] are built from
     different, independently rounded points, so the Hermitian check of a
     half sees assembly errors that the check of G could not.
+
+    R commutes with W, so it maps each half onto itself: the basis vector
+    of a goes to s_a times that of c = q(a) where c leads its pair or is
+    fixed, and to +-s_a conj(t_h) times that of h = p(c) where h < c. Each
+    entry of a real form is a sum of at most eight entries of G, each within
+    alpha (r_a + r_b) ||v||^2 of its exact value, for the rounding bounds r
+    of the rows' points (:func:`transversal_symmetry`; r is the same at w,
+    -1/w and -conj w) and the squared norm ||v||^2 = A[0, 0] that every
+    orbit vector has, pi being unitary. So 8 alpha r ||v||^2 is each row's
+    bound.
     """
+    p, t = rotation
     index = np.arange(len(orbit))
     rows = np.flatnonzero(p >= index)
     lead = p[rows] > rows
@@ -260,6 +346,8 @@ def rotation_halves(orbit: KernelOrbit, p, t) -> list[tuple[np.ndarray, np.ndarr
     A = kernel_gram(orbit.take(rows), orbit.take(rows))
     partners = KernelOrbit(z=orbit.z[p[leaders]], c=orbit.c[p[leaders]] * t[leaders], alpha=orbit.alpha)
     C = kernel_gram(orbit.take(rows), partners)
+    if reflection is not None:
+        bound = 8.0 * orbit.alpha * rounding_bound(orbit.z) * A[0, 0].real
     halves = []
     for sign in (-1.0, 1.0):
         keep = lead | (t[rows] == sign)
@@ -272,7 +360,16 @@ def rotation_halves(orbit: KernelOrbit, p, t) -> list[tuple[np.ndarray, np.ndarr
             strip[:, lead_kept] += sign * C[kept[r0 : r0 + linalg.ROW_BLOCK]]
         M[np.ix_(lead_kept, ~lead_kept)] *= math.sqrt(2.0)
         M[np.ix_(~lead_kept, lead_kept)] *= math.sqrt(0.5)
-        halves.append((M, rows[keep]))
+        members = rows[keep]
+        if reflection is not None:
+            q, s = reflection
+            position = np.zeros(len(orbit), dtype=int)
+            position[members] = np.arange(len(members))
+            image = q[members]
+            head = np.minimum(image, p[image])
+            phases = s[members] * np.where(image == head, 1.0, sign * t[head].conj())
+            M = _real_form(M, position[head], phases, bound[members])
+        halves.append((M, members))
     return halves
 
 
@@ -283,14 +380,14 @@ def transversal_riesz_bounds(
     representatives' vectors (``orbit`` at ``cosets.rep_index``), one pair
     per k of ``sizes``, each a truncation by norm.
 
-    The vectors are split by :func:`rotation_symmetry` and
-    :func:`rotation_halves`; each half's truncations are its leading blocks,
-    validated and eigensolved by one :func:`frames.gram` call, and each
-    extreme is taken over both halves.
+    The vectors are split by :func:`transversal_symmetry` and
+    :func:`symmetry_halves`; each half's truncations are its leading blocks,
+    validated and eigensolved by one :func:`frames.gram` call, in real
+    arithmetic at a mirror point, and each extreme is taken over both halves.
     """
-    pairing, phases = rotation_symmetry(ball, cosets, orbit, sizes)
+    rotation, reflection = transversal_symmetry(ball, cosets, orbit, sizes)
     bounds = [(math.inf, -math.inf)] * len(sizes)
-    for M, members in rotation_halves(orbit.take(cosets.rep_index), pairing, phases):
+    for M, members in symmetry_halves(orbit.take(cosets.rep_index), rotation, reflection):
         half_sizes = np.searchsorted(members, sizes).tolist()
         steps = [j for j, size in enumerate(half_sizes) if size]
         for j, spectrum in zip(steps, frames.gram(M, [half_sizes[j] for j in steps])):

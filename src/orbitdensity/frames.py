@@ -15,7 +15,7 @@ once on linalg's one spectrum path (:func:`linalg.hermitian_eigen`,
 from it. :func:`gram` adds only the Gram-only positive-diagonal check; the
 nested truncations it serves are leading blocks of one buffer, validated,
 symmetrized in place once and eigensolved as views. A Gram that a symmetry
-of the system splits into blocks (see ``bergman.rotation_halves``) is
+of the system splits into blocks (see ``bergman.symmetry_halves``) is
 passed one block at a time.
 
 The matrix functions also take stacks (..., rows, cols) of equally sized
@@ -55,9 +55,9 @@ def gram(G, sizes=None, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list[linalg.
     A complex128 ``G`` is the working buffer: its leading max(sizes) rows
     and columns are overwritten with the Hermitian part (G + G*) / 2, and
     each block is eigensolved as a view of it. Pass a copy to keep ``G``
-    intact.
+    intact. A real ``G`` is left intact and solved in real arithmetic.
     """
-    G = np.asarray(G, dtype=complex)
+    G = np.asarray(G, dtype=complex if np.iscomplexobj(G) else float)
     sizes = G.shape[-1:] if sizes is None else sizes
     # psd_eigen raises DimensionError for fewer than two axes
     if G.ndim >= 2:

@@ -6,10 +6,11 @@ A ball is an ``(N, 4)`` array of canonical matrix rows (a, b, c, d) in norm
 order; stabilisers and coset transversals are index arrays into it.
 Balls of the modular group are certified against an exhaustive integer
 oracle; balls of other groups are sweep-to-fixpoint heuristics and are
-flagged as such. Left multiplication by the order-2 rotation S about i
-keeps the Frobenius norm, so in a ball that holds S it maps every
-truncation onto itself, and :func:`rotation_pairing` pairs each coset with
-its image under S.
+flagged as such. Left multiplication by the order-2 rotation S about i,
+and the reflection g -> sigma g sigma by sigma = diag(1, -1), keep the
+Frobenius norm, so in a ball that they map onto itself they map every
+truncation onto itself, and :func:`coset_pairing` pairs each coset with its
+image under either.
 """
 
 from __future__ import annotations
@@ -33,6 +34,25 @@ IDENTITY = (1.0, 0.0, 0.0, 1.0)
 # The rotation S: w -> -1/w of order 2 about the ball centre i. Its matrix
 # is orthogonal, so S g has the norm of g for every g.
 ROTATION = (0.0, -1.0, 1.0, 0.0)
+
+
+def reflected(rows) -> np.ndarray:
+    """sigma g sigma = (a, -b, -c, d) of matrix rows, canonical, for
+    sigma = diag(1, -1): the element that moves -conj(w) to -conj(g w)."""
+    return canonical(np.asarray(rows, dtype=float) * [1.0, -1.0, -1.0, 1.0])
+
+
+def mirror_of(z: complex) -> tuple | None:
+    """The g0 with -conj(z) = g0 z, for a point on a mirror of the
+    reflection w -> -conj(w) or w -> 1/conj(w) through the ball centre i:
+    the identity where Re z = 0, else S where |z| = 1, else None. Decided,
+    like a stabiliser, by hyperbolic distance against the rounding bound
+    of z."""
+    for g0 in (IDENTITY, ROTATION):
+        a, b, c, d = g0
+        if distance(-z.conjugate(), (a * z + b) / (c * z + d)) <= rounding_bound(z):
+            return g0
+    return None
 
 
 @dataclass(frozen=True)
@@ -275,24 +295,35 @@ def lattice_covolume(spec: LatticeSpec, *, haar_scale: float = 1.0) -> float:
     return haar_scale * spec.covolume
 
 
-def rotation_pairing(ball: GroupBall, cosets: CosetSystem, sizes) -> np.ndarray | None:
+def coset_pairing(ball: GroupBall, cosets: CosetSystem, sizes, mirror=None) -> np.ndarray | None:
     """Permutation p of the coset representatives of a stabiliser H with
-    S rep_i H = rep_p(i) H for the rotation S (:data:`ROTATION`), or None
-    when the ball does not hold S.
+    S rep_i H = rep_p(i) H for the rotation S (:data:`ROTATION`), or, with
+    ``mirror`` = g0 of :func:`mirror_of`, sigma rep_i sigma g0 H = rep_p(i) H
+    for the reflection of :func:`reflected`. None when the ball does not
+    hold S, or g0, or is not mapped onto itself by the reflection.
 
-    S maps the coset rep_i H onto S rep_i H element by element and norm for
-    norm. So p is an involution, and it maps the first k representatives
-    onto themselves for every k of ``sizes`` that is a truncation by norm;
-    a failure of either, or an image outside the ball, raises
-    ``OracleInconsistencyError``.
+    S and sigma are orthogonal, so either map moves the coset rep_i H onto
+    its image element by element and norm for norm: the reflection maps H
+    onto g0^-1 sigma H sigma g0 = H, because g0 z = -conj(z). So p is an
+    involution, and it maps the first k representatives onto themselves for
+    every k of ``sizes`` that is a truncation by norm; a failure of either,
+    or an image outside the ball, raises ``OracleInconsistencyError``.
     """
-    rotation = canonical(ROTATION)
-    if ball.index_of(rotation) < 0:
-        return None
+    reps = ball.elements[cosets.rep_index]
+    if mirror is None:
+        name, rotation = "rotation S", canonical(ROTATION)
+        if ball.index_of(rotation) < 0:
+            return None
+        images = compose(rotation, reps)
+    else:
+        name, g0 = "reflection w -> -conj(w)", canonical(mirror)
+        if ball.index_of(g0) < 0 or np.any(ball.index_of(reflected(ball.elements)) < 0):
+            return None
+        images = compose(reflected(reps), g0)
     coset_of = np.full(len(ball.elements), -1)
     placed = cosets.tile >= 0
     coset_of[cosets.tile[placed]] = np.nonzero(placed)[0]
-    images = ball.index_of(compose(rotation, ball.elements[cosets.rep_index]))
+    images = ball.index_of(images)
     p = np.where(images >= 0, coset_of[images], -1)
     if (
         np.any(p < 0)
@@ -300,6 +331,6 @@ def rotation_pairing(ball: GroupBall, cosets: CosetSystem, sizes) -> np.ndarray 
         or any(np.any(p[:k] >= k) for k in sizes)
     ):
         raise OracleInconsistencyError(
-            "the rotation S does not pair the coset representatives within each truncation"
+            f"the {name} does not pair the coset representatives within each truncation"
         )
     return p

@@ -1,11 +1,10 @@
 """The Lambda Gram at the mirror points of the modular group, i and rho,
-where it was once eigensolved as a real symmetric matrix and is now split
-by the rotation S: w -> -1/w (see ``test_split``). The report there must
-still be the complex path's: the pairing of the coset representatives by
-S, a pairing that fails, the extremes against the complex Gram's blocks,
-the command's output, and its memory at the benchmark's rho size. The
-complex path is the one-block Gram that the split falls back to where the
-ball does not hold S."""
+where the rotation S: w -> -1/w splits it into two halves and the
+reflection w -> -conj(w) makes each half real (see ``test_split``): the
+pairings of the coset representatives, a pairing that fails, the real
+halves' extremes against the complex Gram's blocks, the command's output
+against the one complex block of a ball taken to hold neither symmetry,
+and its memory at the benchmark's rho size."""
 
 import json
 import math
@@ -50,14 +49,21 @@ def transversal(ball, z: UpperHalfPoint, alpha: float):
 def test_pairing_is_an_involution_within_every_ball(ball17, point):
     z = POINTS[point]
     _, members, cosets, counts = transversal(ball17, z, 2.0)
-    p = fuchsian.rotation_pairing(ball17, cosets, counts)
-    assert np.array_equal(p[p], np.arange(len(p)))
-    for k in counts:
-        assert np.array_equal(np.sort(p[:k]), np.arange(k))
-    # by the group, not by the tiles: rep_p(a)^-1 S rep_a lies in the stabiliser
+    mirror = fuchsian.mirror_of(z.as_complex)
+    p, q = (fuchsian.coset_pairing(ball17, cosets, counts, m) for m in (None, mirror))
+    for pairing in (p, q):
+        assert np.array_equal(pairing[pairing], np.arange(len(pairing)))
+        for k in counts:
+            assert np.array_equal(np.sort(pairing[:k]), np.arange(k))
+    # by the group, not by the tiles: rep_p(a)^-1 S rep_a and
+    # rep_q(a)^-1 sigma rep_a sigma g0 lie in the stabiliser
     reps = ball17.elements[cosets.rep_index]
-    h = canonical(compose(inverse(reps[p]), compose(canonical(fuchsian.ROTATION), reps)))
-    assert np.isin(ball17.index_of(h), members).all()
+    for pairing, images in (
+        (p, compose(canonical(fuchsian.ROTATION), reps)),
+        (q, compose(fuchsian.reflected(reps), canonical(mirror))),
+    ):
+        h = compose(inverse(reps[pairing]), images)
+        assert np.isin(ball17.index_of(h), members).all()
     # S fixes i, so the stabiliser's own coset is its only fixed one; at rho
     # S moves the stabiliser's coset onto another
     assert np.count_nonzero(p == np.arange(len(p))) == (1 if point == "i" else 0)
@@ -65,24 +71,25 @@ def test_pairing_is_an_involution_within_every_ball(ball17, point):
 
 def test_pairing_failure_is_an_inconsistency(ball17):
     _, _, cosets, counts = transversal(ball17, POINTS["rho"], 3.0)
-    p = fuchsian.rotation_pairing(ball17, cosets, counts)
-    # sizes that cut a pair apart are not truncations by norm
-    cut = int(np.flatnonzero(p > np.arange(len(p)))[-1]) + 1
-    with pytest.raises(OracleInconsistencyError, match="does not pair"):
-        fuchsian.rotation_pairing(ball17, cosets, [cut])
-    # three representatives moved round a cycle: their images are no involution
-    rep_index = cosets.rep_index.copy()
-    rep_index[[1, 2, 3]] = rep_index[[2, 3, 1]]
-    shuffled = fuchsian.CosetSystem(rep_index=rep_index, tile=cosets.tile)
-    with pytest.raises(OracleInconsistencyError, match="does not pair"):
-        fuchsian.rotation_pairing(ball17, shuffled, counts)
+    for mirror in (None, fuchsian.ROTATION):
+        p = fuchsian.coset_pairing(ball17, cosets, counts, mirror)
+        # sizes that cut a pair apart are not truncations by norm
+        cut = int(np.flatnonzero(p > np.arange(len(p)))[-1]) + 1
+        with pytest.raises(OracleInconsistencyError, match="does not pair"):
+            fuchsian.coset_pairing(ball17, cosets, [cut], mirror)
+        # three representatives moved round a cycle: their images are no involution
+        rep_index = cosets.rep_index.copy()
+        rep_index[[1, 2, 3]] = rep_index[[2, 3, 1]]
+        shuffled = fuchsian.CosetSystem(rep_index=rep_index, tile=cosets.tile)
+        with pytest.raises(OracleInconsistencyError, match="does not pair"):
+            fuchsian.coset_pairing(ball17, shuffled, counts, mirror)
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))
 @pytest.mark.parametrize("alpha", [2.0, 3.0, 5.0, 7.0, 13.0])
 def test_real_form_extremes_match_the_complex_blocks(ball17, point, alpha):
-    # the extremes the command reports at a mirror point, once from the real
-    # form and now from the two halves, against the complex Gram's blocks
+    # the extremes the command reports at a mirror point, from the two real
+    # halves, against the complex Gram's blocks
     orbit, members, cosets, counts = transversal(ball17, POINTS[point], alpha)
     bounds = bergman.transversal_riesz_bounds(ball17, cosets, orbit, counts)
     lam = orbit.take(cosets.rep_index)
@@ -96,10 +103,11 @@ def test_real_form_extremes_match_the_complex_blocks(ball17, point, alpha):
 
 def run_density(capsys, monkeypatch, argv, *, complex_path=False):
     """stdout of ``bergman-density``; with ``complex_path`` the ball is
-    taken not to hold S, so the Lambda Gram is one complex block."""
+    taken to hold neither S nor the reflection, so the Lambda Gram is one
+    complex block."""
     with monkeypatch.context() as patch:
         if complex_path:
-            patch.setattr(fuchsian, "rotation_pairing", lambda ball, cosets, sizes: None)
+            patch.setattr(fuchsian, "coset_pairing", lambda ball, cosets, sizes, mirror=None: None)
         code = cli.main(["bergman-density", *argv])
     out = capsys.readouterr().out
     assert code == 0

@@ -1,7 +1,8 @@
-"""The rotation split of the Lambda Gram: the pairing of the coset
-representatives by S: w -> -1/w and its phases, the spectra of the two
-halves against the unsplit Gram, lattices with and without S, and the
-command's eigensolves and memory."""
+"""The symmetry split of the Lambda Gram: the pairings of the coset
+representatives by the rotation S: w -> -1/w and, at points on a mirror
+through i, by the reflection w -> -conj(w), and their phases; the spectra
+of the two halves, real at mirror points, against the unsplit Gram;
+lattices with and without S; and the command's eigensolves and memory."""
 
 import json
 import math
@@ -22,6 +23,13 @@ POINTS = {
     "near-rho": UpperHalfPoint(0.5, 0.866),  # 2.5e-5 from rho
     "generic": UpperHalfPoint(0.3, 1.5),
     "generic-left": UpperHalfPoint(-0.3, 1.4),
+}
+# points on the mirrors Re z = 0 and |z| = 1, the last two with a trivial stabiliser
+MIRRORS = {
+    "i": POINTS["i"],
+    "rho": RHO,
+    "1.3i": UpperHalfPoint(0.0, 1.3),
+    "0.6+0.8i": UpperHalfPoint(0.6, 0.8),
 }
 ALPHAS = [2.0, 3.0, 7.0, 13.0, 30.0, 60.0]
 RADII = range(6, 18)
@@ -53,11 +61,14 @@ def half_sizes(members, counts) -> np.ndarray:
 
 
 def assert_halves_have_the_unsplit_spectrum(ball, orbit, cosets, counts):
-    """The transversal's Gram splits into two halves, and each truncation's
-    spectrum is the union of the halves' leading blocks'."""
-    p, t = bergman.rotation_symmetry(ball, cosets, orbit, counts)
-    halves = bergman.rotation_halves(orbit.take(cosets.rep_index), p, t)
+    """The transversal's Gram splits into two halves, real where the point
+    lies on a mirror, and each truncation's spectrum is the union of the
+    halves' leading blocks'."""
+    rotation, reflection = bergman.transversal_symmetry(ball, cosets, orbit, counts)
+    halves = bergman.symmetry_halves(orbit.take(cosets.rep_index), rotation, reflection)
     assert len(halves) == 2
+    dtype = np.complex128 if reflection is None else np.float64
+    assert all(M.dtype == dtype for M, _ in halves)
     split = [[] for _ in counts]
     for M, half_members in halves:
         sizes = half_sizes(half_members, counts)
@@ -76,10 +87,68 @@ def test_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha):
     assert_halves_have_the_unsplit_spectrum(ball17, orbit, cosets, counts)
 
 
+@pytest.mark.parametrize("alpha", [2.0, 5.0, 7.0, 13.0])
+@pytest.mark.parametrize("point", sorted(MIRRORS))
+def test_real_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha):
+    orbit, _, cosets, counts = transversal(ball17, MIRRORS[point], alpha)
+    assert bergman.transversal_symmetry(ball17, cosets, orbit, counts)[1] is not None
+    assert_halves_have_the_unsplit_spectrum(ball17, orbit, cosets, counts)
+
+
+@pytest.mark.parametrize("point", sorted(MIRRORS))
+def test_reflection_pairing_is_an_involution_that_commutes_with_s(ball17, point):
+    z = MIRRORS[point]
+    orbit, _, cosets, counts = transversal(ball17, z, 3.0)
+    mirror = fuchsian.mirror_of(z.as_complex)
+    assert mirror == (fuchsian.IDENTITY if z.x == 0.0 else fuchsian.ROTATION)
+    q = fuchsian.coset_pairing(ball17, cosets, counts, mirror)
+    p = fuchsian.coset_pairing(ball17, cosets, counts)
+    assert np.array_equal(q[q], np.arange(len(q)))
+    assert np.array_equal(q[p], p[q])
+    for k in counts:
+        assert np.array_equal(np.sort(q[:k]), np.arange(k))
+    # the partner's point is the mirrored point
+    lam = orbit.take(cosets.rep_index)
+    assert np.all(np.abs(-lam.z.conj() - lam.z[q]) <= 1e-12 * np.abs(lam.z[q]))
+
+
+@pytest.mark.parametrize(
+    "z, mirror",
+    [
+        ("i", fuchsian.IDENTITY), ("1.00002i", fuchsian.IDENTITY), ("0.6+0.8i", fuchsian.ROTATION),
+        ("-0.6+0.8i", fuchsian.ROTATION), ("0.5+0.8660254037844386i", fuchsian.ROTATION),
+        ("0.3+1.5i", None), ("0.5+0.866i", None), ("1e-9+1.3i", None),
+    ],
+)
+def test_the_mirror_is_decided_by_the_point_alone(z, mirror):
+    assert fuchsian.mirror_of(commands.parse_point(z).as_complex) == mirror
+
+
+# the points off the mirrors of the stdout comparison with the complex path:
+# two fixed ones and the benchmark's generic points of seeds 0 to 2
+OFF_MIRRORS = [
+    "0.3+1.5i", "0.5+0.866i",
+    "0.2755374812200385+1.6227106094846067i",
+    "-0.29250860471007906+1.672263797823931i",
+    "0.3648274175113996+1.7118941809281485i",
+]
+
+
+@pytest.mark.parametrize("z", OFF_MIRRORS)
+def test_points_off_the_mirrors_keep_the_complex_halves(capsys, monkeypatch, z):
+    def refuse(*args):
+        raise AssertionError("a real form off the mirrors")
+
+    monkeypatch.setattr(bergman, "_real_form", refuse)
+    for alpha in ("2", "3", "7", "13"):
+        code, _, _ = run_density(capsys, ["--alpha", alpha, f"--z={z}", "--ball", "6", "--probes", "8"])
+        assert code == 0
+
+
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_pairing_is_an_involution_that_closes_every_truncation(ball17, point):
     orbit, members, cosets, counts = transversal(ball17, POINTS[point], 3.0)
-    p = fuchsian.rotation_pairing(ball17, cosets, counts)
+    p = fuchsian.coset_pairing(ball17, cosets, counts)
     index = np.arange(len(p))
     assert np.array_equal(p[p], index)
     for k in counts:
@@ -89,8 +158,7 @@ def test_pairing_is_an_involution_that_closes_every_truncation(ball17, point):
     assert np.all(np.abs(-1.0 / lam.z - lam.z[p]) <= 1e-12 * np.abs(lam.z[p]))
     assert np.count_nonzero(p == index) == (1 if point == "i" else 0)
     # the halves split every truncation evenly, the fixed coset aside
-    _, t = bergman.rotation_symmetry(ball17, cosets, orbit, counts)
-    halves = bergman.rotation_halves(lam, p, t)
+    halves = bergman.symmetry_halves(lam, *bergman.transversal_symmetry(ball17, cosets, orbit, counts))
     sizes = [half_sizes(half_members, counts) for _, half_members in halves]
     assert np.array_equal(sum(sizes), counts)
     for half in sizes:
@@ -110,37 +178,66 @@ def run_density(capsys, argv):
         ("leader sign", "phase product"),
         ("modulus", "phase modulus"),
         ("fixed", "phase product"),  # t_f^2 = -1
+        ("reflected partners", "point"),
+        ("reflection sign", "phase product"),  # conj(s_a) s_q(a) = -1
+        ("reflection pair turned", "commute"),  # R still an involution, RW != WR
+        ("moved point", "imaginary part"),
     ],
 )
 def test_a_corrupted_pairing_or_phase_exits_3(capsys, monkeypatch, corruption, check):
-    pairing, phases = fuchsian.rotation_pairing, bergman.rotation_phases
+    pairing, phases, halves = fuchsian.coset_pairing, bergman.symmetry_phases, bergman.symmetry_halves
+    reflection = corruption.startswith("refl")
 
-    def swapped(ball, cosets, sizes):
+    def swapped(ball, cosets, sizes, mirror=None):
         # the partners of the first two pairs exchanged: still an involution,
-        # but the rotated points miss their partners'
-        p = pairing(ball, cosets, sizes).copy()
-        a, b = np.flatnonzero(p > np.arange(len(p)))[:2]
-        p[[a, b, p[a], p[b]]] = p[b], p[a], b, a
+        # but the mapped points miss their partners'
+        p = pairing(ball, cosets, sizes, mirror)
+        if (mirror is not None) == reflection:
+            p = p.copy()
+            a, b = np.flatnonzero(p > np.arange(len(p)))[:2]
+            p[[a, b, p[a], p[b]]] = p[b], p[a], b, a
         return p
 
-    def corrupted(orbit, p):
-        t = phases(orbit, p)
+    def corrupted(orbit, p, mirror=None):
+        t = phases(orbit, p, mirror)
         index = np.arange(len(p))
-        if corruption == "leader sign":
+        if (mirror is not None) != reflection:
+            return t
+        if corruption in ("leader sign", "reflection sign"):
             t[np.flatnonzero(p > index)[0]] *= -1.0
+        elif corruption == "reflection pair turned":
+            # both phases of a pair whose rotated point lies outside the pair
+            rotated = [int(np.argmin(np.abs(orbit.z + 1.0 / w))) for w in orbit.z]
+            a = next(a for a in np.flatnonzero(p > index) if rotated[a] not in (a, p[a]))
+            t[[a, p[a]]] *= 1j
         elif corruption == "modulus":
             t *= 1.0 + 1e-9
         else:  # the fixed coset's phase turned by i
             t[p == index] *= 1j
         return t
 
-    if corruption == "swapped partners":
-        monkeypatch.setattr(fuchsian, "rotation_pairing", swapped)
+    def moved(orbit, *symmetries):
+        # after the pairings and phases passed: only the real form's
+        # imaginary part compares the entries of mirrored points
+        z = orbit.z.copy()
+        z[1] += 1e-9
+        return halves(KernelOrbit(z=z, c=orbit.c, alpha=orbit.alpha), *symmetries)
+
+    if corruption.endswith("partners"):
+        monkeypatch.setattr(fuchsian, "coset_pairing", swapped)
+    elif corruption == "moved point":
+        monkeypatch.setattr(bergman, "symmetry_halves", moved)
     else:
-        monkeypatch.setattr(bergman, "rotation_phases", corrupted)
+        monkeypatch.setattr(bergman, "symmetry_phases", corrupted)
     code, _, err = run_density(capsys, ["--alpha", "3", "--z", "i", "--ball", "8", "--probes", "8"])
     assert code == EXIT_NUMERICAL
-    assert f"does not map the transversal onto itself: {check} mismatch" in err
+    if corruption == "moved point":
+        assert "a real form of the Gram is not real: imaginary part" in err
+    elif check == "commute":
+        assert "the reflection w -> -conj(w) does not commute with the rotation S: mismatch" in err
+    else:
+        name = "reflection w -> -conj(w)" if reflection else "rotation S"
+        assert f"the {name} does not map the transversal onto itself: {check} mismatch" in err
 
 
 @pytest.mark.parametrize(
@@ -185,7 +282,7 @@ def test_a_lattice_without_s_is_one_block_as_before(capsys, monkeypatch, tmp_pat
     cfg = tmp_path / "gamma2.cfg"
     cfg.write_text(GAMMA2)
     assembled, solved, inside = [], [], []
-    kernel_gram, gram, halves = bergman.kernel_gram, frames.gram, bergman.rotation_halves
+    kernel_gram, gram, halves = bergman.kernel_gram, frames.gram, bergman.symmetry_halves
 
     def recording_kernel_gram(left, right):
         if inside:
@@ -204,7 +301,7 @@ def test_a_lattice_without_s_is_one_block_as_before(capsys, monkeypatch, tmp_pat
         return gram(G, sizes)
 
     monkeypatch.setattr(bergman, "kernel_gram", recording_kernel_gram)
-    monkeypatch.setattr(bergman, "rotation_halves", marked_halves)
+    monkeypatch.setattr(bergman, "symmetry_halves", marked_halves)
     monkeypatch.setattr(frames, "gram", recording_gram)
     argv = ["--lattice", "gamma2", "--config", str(cfg), "--alpha", "3", f"--z={z}"]
     code, out, _ = run_density(capsys, [*argv, "--ball", "9", "--probes", "8", "--format", "json"])
@@ -215,14 +312,21 @@ def test_a_lattice_without_s_is_one_block_as_before(capsys, monkeypatch, tmp_pat
     m = max(counts)
     assert G.shape == (m, m) and sizes == counts
     assert assembled == [(m, m), (m, 0)]  # the Gram and an empty partner block
-    # and it is bitwise the Gram of the transversal, which the unsplit path
-    # eigensolved with the same call
+    # and off the mirrors it is bitwise the Gram of the transversal, which
+    # the unsplit path eigensolved with the same call. Gamma(2) is symmetric
+    # under w -> -conj(w), so at i the block is that Gram's real form, with
+    # its spectrum.
     spec = commands.lattice_from_config("gamma2", commands.load_config(str(cfg)))
     ball = fuchsian.ball_enumerate(spec, 9.0)
     orbit, members, cosets, _ = transversal(ball, commands.parse_point(z), 3.0)
     assert len(members) == 1
     lam = orbit.take(cosets.rep_index)
-    assert np.array_equal(G, kernel_gram(lam, lam))
+    if z == "i":
+        assert G.dtype == np.float64
+        reference = np.linalg.eigvalsh(kernel_gram(lam, lam))
+        assert np.abs(np.linalg.eigvalsh(G) - reference).max() <= 64.0 * m * EPS * reference[-1]
+    else:
+        assert np.array_equal(G, kernel_gram(lam, lam))
 
 
 def test_a_configured_modular_group_gets_the_split(capsys, monkeypatch, tmp_path):
@@ -258,12 +362,13 @@ BENCHMARK_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(BENCHMARK_COMMANDS))
 def test_benchmark_lambda_eigensolves_are_halves(capsys, monkeypatch, command):
     argv = [*BENCHMARK_COMMANDS[command], "--probes", "40", "--format", "json"]
-    solves, inside = [], []
+    solves, inside, dtypes = [], [], set()
     eigvalsh, gram = np.linalg.eigvalsh, frames.gram
 
     def recording_eigvalsh(a, *args, **kwargs):
         if inside:
             solves.append(a.shape[-1])
+            dtypes.add(a.dtype)
         return eigvalsh(a, *args, **kwargs)
 
     def marked_gram(G, sizes):
@@ -283,6 +388,8 @@ def test_benchmark_lambda_eigensolves_are_halves(capsys, monkeypatch, command):
     assert len(solves) == 2 * len(counts)
     assert np.array_equal(minus + plus, counts)
     assert np.all(np.maximum(minus, plus) <= -(-np.array(counts) // 2))
+    # rho lies on the mirror |z| = 1, so its halves are real; the generic point's are not
+    assert dtypes == {np.dtype(np.float64 if command == "rho" else np.complex128)}
 
 
 @pytest.mark.parametrize("command", sorted(BENCHMARK_COMMANDS))
