@@ -124,8 +124,8 @@ def test_the_mirror_is_decided_by_the_point_alone(z, mirror):
     assert fuchsian.mirror_of(commands.parse_point(z).as_complex) == mirror
 
 
-# the points off the mirrors of the stdout comparison with the complex path:
-# two fixed ones and the benchmark's generic points of seeds 0 to 2
+# points off both mirrors: two fixed ones and the benchmark's generic points
+# of seeds 0 to 2
 OFF_MIRRORS = [
     "0.3+1.5i", "0.5+0.866i",
     "0.2755374812200385+1.6227106094846067i",
