@@ -1,9 +1,14 @@
 """Weighted Bergman spaces on the upper half-plane: reproducing kernels,
-the projective weighted slash action on kernels, its cocycle, kernel
-orbits as arrays with closed-form Gram matrices, and the formal degree in
-closed form. A single kernel is a one-element orbit. Where the lattice
-holds the rotation S: w -> -1/w, the unitary involution pi(S) / sqrt(omega)
-pairs the vectors of a coset transversal's orbit up to closed-form phases
+kernel orbits as the arrays of their points with closed-form Gram
+matrices, and the formal degree in closed form. A single kernel is a
+one-element orbit. Every vector of an orbit is a unit kernel
+u_w = k_w / ||k_w||: pi(g) k_z is ||k_z|| times a unimodular scalar times
+u_{gz}, and every quantity read from the orbit (Gram spectra, frame sums,
+the stabiliser) is unchanged by unimodular scalars, so the cocycle and the
+coefficients |cz + d|^-alpha are never formed and ||k_z||^2 is applied to
+the reported bounds once. Where the lattice holds the rotation
+S: w -> -1/w, the unitary involution pi(S) / sqrt(omega) pairs the vectors
+of a coset transversal's orbit up to closed-form phases
 (:func:`transversal_symmetry`), and its two eigenspaces split their Gram
 matrix into two blocks of about half the size (:func:`symmetry_halves`).
 Where the kernel's point lies on a mirror through i, the antiunitary
@@ -15,11 +20,9 @@ reports of a lattice orbit of one kernel over refining truncations.
 Conventions fixed here and verified by the test suite:
 
 * kernel at z:  k_z(w) = 2^(alpha-2) pi^-1 (alpha-1) i^alpha (w - conj z)^-alpha,
-  which is anti-holomorphic in z and positive on the diagonal;
+  which is anti-holomorphic in z and positive on the diagonal, with
+  ||k_z||^2 = k_z(z) = (alpha - 1) / (4 pi) (Im z)^-alpha;
 * all complex powers use the principal branch, and i^alpha = exp(i pi alpha / 2);
-* the cocycle is defined operationally by branch tracking at a reference
-  point (the value is point-independent because no automorphy factor
-  crosses the branch cut while the point stays in the half-plane);
 * the Haar measure is y^-2 dx dy times a unit-mass rotation factor, with
   an explicit scale knob so that covolume * formal degree is scale-free.
 """
@@ -33,11 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames, fuchsian, linalg
-from .errors import NumericalFailure, OracleInconsistencyError, ResourceLimitError, UsageError
-from .hyperbolic import UpperHalfPoint, canonical, compose, distance, frobenius_sq, image, inverse
-from .hyperbolic import rounding_bound
-
-_BASE_POINT = UpperHalfPoint(0.0, 1.0)
+from .errors import OracleInconsistencyError, ResourceLimitError, UsageError
+from .hyperbolic import UpperHalfPoint, act, canonical, compose, distance, frobenius_sq, rounding_bound
 
 # an assembled inner-product matrix holds at most GRAM_SIZE_CAP^2 entries
 GRAM_SIZE_CAP = 4096
@@ -56,49 +56,45 @@ class Weight:
 
 @dataclass(frozen=True, eq=False)
 class KernelOrbit:
-    """Vectors c_k k_{z_k} of one weight: points ``z`` and coefficients ``c``
-    as complex arrays of equal length."""
+    """Unit kernels u_w = k_w / ||k_w|| of one weight at the points ``z``, a
+    1-d complex array."""
 
     z: np.ndarray
-    c: np.ndarray
     alpha: float
 
     def __post_init__(self):
-        if self.z.shape != self.c.shape or self.z.ndim != 1:
-            raise UsageError("points and coefficients must be 1-d arrays of equal length")
+        if self.z.ndim != 1:
+            raise UsageError("kernel points must be a 1-d array")
         if not np.all(self.z.imag > 0.0):
             raise UsageError("kernel points must lie in the open upper half-plane")
-        if not np.all(self.c != 0):
-            raise UsageError("kernel coefficients must be nonzero")
 
     @classmethod
     def plain(cls, points, weight: Weight) -> "KernelOrbit":
-        """Kernels at the given points with coefficient 1."""
-        z = np.array([p.as_complex for p in points], dtype=complex)
-        return cls(z=z, c=np.ones_like(z), alpha=weight.alpha)
+        """The unit kernels at the given points."""
+        return cls(z=np.array([p.as_complex for p in points], dtype=complex), alpha=weight.alpha)
 
     def __len__(self):
         return len(self.z)
 
     def take(self, index) -> "KernelOrbit":
         """The vectors at the given positions, in that order."""
-        return KernelOrbit(z=self.z[index], c=self.c[index], alpha=self.alpha)
+        return KernelOrbit(z=self.z[index], alpha=self.alpha)
 
 
 def kernel_gram(left: KernelOrbit, right: KernelOrbit) -> np.ndarray:
-    """Inner products G[i, j] = <left_i, right_j>, linear in the left entry.
+    """Inner products G[i, j] = <u_{z_i}, u_{w_j}> of unit kernels, linear in
+    the left entry.
 
-    By the reproducing property <c k_z, c' k_w> = c conj(c') k_z(w), so
-    G[i, j] = c_i conj(c'_j) C i^alpha (w_j - conj z_i)^(-alpha) with
-    C = 2^(alpha-2) (alpha-1) / pi. The argument of w - conj(z) lies in
-    (0, pi), so no branch cut is crossed.
+    By the reproducing property <k_z, k_w> = k_z(w), so with the norms
+    ||k_z||^2 = k_z(z), G[i, j] = ((w_j - conj z_i) / (2i sqrt(Im z_i Im w_j)))^-alpha.
+    The base has a positive real part and modulus cosh(d(z_i, w_j) / 2) >= 1,
+    so every entry has modulus at most 1 at every alpha: nothing overflows,
+    and an underflow to 0 is a true zero.
 
-    The matrix is assembled in its own buffer by in-place ufuncs, the
-    coefficient products by strips of ``linalg.ROW_BLOCK`` rows, so no
-    second full-size array is made. Every entry is computed as
-    ((w_j - conj z_i)^-alpha C i^alpha) times (c_i conj(c'_j)), in that
-    operand order at every size, so a leading block of a Gram is bitwise
-    the Gram of the leading vectors.
+    The matrix is assembled in its own buffer by in-place ufuncs whose other
+    operands are a row or a column, so no second full-size array is made and
+    every entry is computed by the same operations at every size: a leading
+    block of a Gram is bitwise the Gram of the leading vectors.
     """
     if left.alpha != right.alpha:
         raise UsageError(f"weight mismatch: {left.alpha} vs {right.alpha}")
@@ -106,93 +102,55 @@ def kernel_gram(left: KernelOrbit, right: KernelOrbit) -> np.ndarray:
         raise ResourceLimitError(
             f"{len(left)} x {len(right)} inner products exceed the Gram cap {GRAM_SIZE_CAP}^2"
         )
-    alpha = left.alpha
-    const = 2.0 ** (alpha - 2.0) / math.pi * (alpha - 1.0) * cmath.exp(1j * math.pi * alpha / 2.0)
     G = np.subtract(right.z[None, :], left.z.conj()[:, None])
-    np.power(G, -alpha, out=G)
-    np.multiply(G, const, out=G)
-    right_c = right.c.conj()
-    for r0 in range(0, len(left), linalg.ROW_BLOCK):
-        rows = G[r0 : r0 + linalg.ROW_BLOCK]
-        np.multiply(left.c[r0 : r0 + linalg.ROW_BLOCK, None] * right_c[None, :], rows, out=rows)
+    G *= (-0.5j / np.sqrt(left.z.imag))[:, None]
+    G *= (1.0 / np.sqrt(right.z.imag))[None, :]
+    np.power(G, -left.alpha, out=G)
     return G
 
 
 def kernel_norm_sq(kernel: KernelOrbit) -> float:
-    """Squared norm of the vector of a one-element orbit, from the diagonal
-    kernel value, which is real and positive."""
-    return float(kernel_gram(kernel, kernel)[0, 0].real)
-
-
-def sigma_cocycle(x, y, weight: Weight) -> np.ndarray:
-    """Unimodular cocycle of the weighted slash action, by branch tracking,
-    for matrix rows x and y broadcast against each other.
-
-    Computed as j(x^-1, p)^a j(y^-1, x^-1 p)^a / j((xy)^-1, p)^a at the
-    reference point p = i; the value is independent of p. The complex
-    arithmetic is scalar, one row at a time.
-    """
-    alpha = weight.alpha
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    p = _BASE_POINT.as_complex
-    values = []
-    for (a, b, c, d), (_, _, yc, yd), (_, _, xyc, xyd) in zip(
-        *(m.reshape(-1, 4).tolist() for m in (inverse(x), inverse(y), inverse(compose(x, y))))
-    ):
-        p1 = image(a, b, c, d, p)
-        num = ((1.0 / (c * p + d)) ** alpha) * ((1.0 / (yc * p1 + yd)) ** alpha)
-        values.append(num / ((1.0 / (xyc * p + xyd)) ** alpha))
-    return np.array(values, dtype=complex).reshape(x.shape[:-1])
+    """||k_z||^2 = (alpha - 1) / (4 pi) (Im z)^-alpha for the point z of a
+    one-element orbit: the squared norm of every vector pi(g) k_z. A value
+    beyond the double range raises ``OverflowError``."""
+    (z,) = kernel.z.tolist()
+    return (kernel.alpha - 1.0) / (4.0 * math.pi) * z.imag**-kernel.alpha
 
 
 def orbit_system(maps, kernel: KernelOrbit) -> KernelOrbit:
-    """Orbit pi(m) k of the kernel k = k_z of a one-element orbit of
-    coefficient 1 under group elements given as matrix rows.
-
-    Each pi(m) k is a unimodular-times-positive scalar times the kernel at
-    the moved point: c = sigma(m, m^-1) conj(j(m, z)^alpha) at m.z. A
-    coefficient that underflows to 0 or is not finite, which a large alpha
-    makes, raises ``NumericalFailure``.
-    """
-    if len(kernel) != 1 or kernel.c[0] != 1.0:
-        raise UsageError("an orbit is of one kernel with coefficient 1")
-    alpha = kernel.alpha
+    """Orbit of the kernel at the point z of a one-element orbit under group
+    elements given as matrix rows: pi(m) k_z is ||k_z|| times a unimodular
+    scalar times the unit kernel at m.z, and the orbit is those points."""
     (z,) = kernel.z.tolist()
-    maps = np.asarray(maps, dtype=float).reshape(-1, 4)
-    sigma = sigma_cocycle(maps, inverse(maps), Weight(alpha)).tolist()
-    points, coeffs = [], []
-    for (a, b, c, d), s in zip(maps.tolist(), sigma):
-        points.append(image(a, b, c, d, z))
-        coeffs.append(s * ((1.0 / (c * z + d)) ** alpha).conjugate())
-    c = np.array(coeffs, dtype=complex)
-    if not np.all(np.isfinite(c) & (c != 0)):
-        raise NumericalFailure(
-            f"an orbit coefficient |cz + d|^-alpha left the double range at alpha = {alpha}"
-        )
-    return KernelOrbit(z=np.array(points, dtype=complex), c=c, alpha=alpha)
+    return KernelOrbit(z=act(np.asarray(maps, dtype=float).reshape(-1, 4), z), alpha=kernel.alpha)
 
 
 def symmetry_phases(orbit: KernelOrbit, p, mirror=None) -> np.ndarray:
-    """Phases t with U v_k = t_k v_p(k) for the vectors v_k = c_k k_{z_k} and
-    the pairing p of their points, in closed form: by the rotation
-    S: w -> -1/w, or with ``mirror`` by the reflection w -> -conj(w).
+    """Phases t with U u_k = t_k u_p(k) for the unit kernels u_k at the points
+    w_k of ``orbit`` and the pairing p of their points, in closed form: by
+    the rotation S: w -> -1/w, or with ``mirror`` by the reflection
+    w -> -conj(w).
 
-    pi(S) k_w = sigma(S, S^-1) conj(w^-alpha) k_{-1/w}, and applied twice
-    this gives pi(S)^2 = omega with omega = sigma(S, S^-1)^2 exp(i pi alpha),
+    pi(S) k_w = c conj(w^-alpha) k_{-1/w} for a unimodular constant c, and
+    applied twice this gives pi(S)^2 = omega with omega = c^2 exp(i pi alpha),
     since arg(w) + arg(-1/w) = pi. So W = pi(S) / sqrt(omega), with the root
-    sigma(S, S^-1) exp(i pi alpha / 2), is a unitary involution, and
-    W c k_w = c conj(w^-alpha) exp(-i pi alpha / 2) k_{-1/w}. The antiunitary
+    c exp(i pi alpha / 2), is a unitary involution, and
+    W k_w = conj(w^-alpha) exp(-i pi alpha / 2) k_{-1/w}. The antiunitary
     involution R f(w) = conj f(-conj w) maps k_w to k_{-conj w}, as
     conj((-conj u)^-alpha) = exp(i pi alpha) u^-alpha for u in the upper
-    half-plane, so R c k_w = conj(c) k_{-conj w}; it commutes with W. Where
-    the image of z_k is z_p(k), t_k is that coefficient over c_p(k).
+    half-plane; it commutes with W. With ||k_w|| proportional to
+    (Im w)^(-alpha/2), where the image of w_k is w_p(k),
+    t_k = (Im w_k / Im w_p(k))^(alpha/2) conj(w_k^-alpha) exp(-i pi alpha / 2),
+    computed as the one power conj((w_k (Im w_p(k) / Im w_k)^(1/2))^-alpha)
+    of a base of modulus about 1, and for R
+    s_k = (Im w_k / Im w_q(k))^(alpha/2), which is 1 up to rounding.
     """
-    if mirror is not None:
-        return orbit.c.conj() / orbit.c[p]
     alpha = orbit.alpha
-    t = np.power(orbit.z, -alpha).conj()
-    t *= orbit.c * cmath.exp(-0.5j * math.pi * alpha)
-    t /= orbit.c[p]
+    ratio = orbit.z.imag / orbit.z[p].imag
+    if mirror is not None:
+        return ratio ** (0.5 * alpha) + 0j
+    t = np.power(orbit.z / np.sqrt(ratio), -alpha).conj()
+    t *= cmath.exp(-0.5j * math.pi * alpha)
     return t
 
 
@@ -200,8 +158,8 @@ def transversal_symmetry(
     ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: KernelOrbit, sizes
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
     """Pairings and phases (p, t) of W and (q, s) of R (see
-    :func:`symmetry_phases`) on the transversal's vectors v_k = ``orbit`` at
-    ``cosets.rep_index``: W v_k = t_k v_p(k) and R v_k = s_k v_q(k), with p
+    :func:`symmetry_phases`) on the transversal's vectors u_k = ``orbit`` at
+    ``cosets.rep_index``: W u_k = t_k u_p(k) and R u_k = s_k u_q(k), with p
     and q commuting involutions that close every truncation of ``sizes``.
 
     The cosets are of the stabiliser of the kernel's point z, which fixes z
@@ -215,7 +173,8 @@ def transversal_symmetry(
     is not symmetric, there is no q and the second pair is None.
 
     For either map, a point mismatch, the distance from the image of z_k to
-    z_p(k), above the rounding bound 64 eps |z_k| / Im z_k, or a phase with
+    z_p(k), above the rounding bound 64 eps |z_k| / Im z_k, or, as the
+    phases compare independently rounded points, a phase with
     | |t_k| - 1 | or an involution defect |t_k t_p(k) - 1| (for R,
     |conj(t_k) t_q(k) - 1|) above alpha times that, raises
     ``OracleInconsistencyError``, and so do q p != p q and a defect
@@ -306,22 +265,22 @@ def _real_form(M, pairing, phases, bound) -> np.ndarray:
 
 
 def symmetry_halves(orbit: KernelOrbit, rotation, reflection=None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The Grams of the two eigenspaces of the involution W v_k = t_k v_p(k)
+    """The Grams of the two eigenspaces of the involution W u_k = t_k u_p(k)
     (see :func:`transversal_symmetry`) on the vectors of ``orbit``: for -1,
     then +1, the Gram M of an orthonormal basis of the span's part in it,
     and the increasing indices k that M's rows stand for. A half without
-    rows is left out. With the reflection R v_k = s_k v_q(k), each M is the
+    rows is left out. With the reflection R u_k = s_k u_q(k), each M is the
     float64 Gram of a real basis of its half (:func:`_real_form`).
 
-    The basis is (v_a +- t_a v_p(a)) / sqrt 2 over the pair leaders
-    a < p(a), plus each fixed vector v_f in the half of t_f = +-1. W is
+    The basis is (u_a +- t_a u_p(a)) / sqrt 2 over the pair leaders
+    a < p(a), plus each fixed vector u_f in the half of t_f = +-1. W is
     unitary and self-adjoint, so M[a, b] = w_a w_b (G[a, b] +- conj(t_b)
     G[a, p(b)]), with weight 1 for a leader and 1/sqrt 2 for a fixed vector,
     whose two terms are equal. Over the rows R of leaders and fixed vectors
     that is A = G[R, R], plus +-C = +-G[R, p(L)] diag(conj t) in the leaders'
     columns L, times sqrt 2 in a leader's fixed columns and 1/sqrt 2 in a
     fixed row's leader columns. For every m that p closes, the spectrum of
-    the Gram of v_k, k < m, is the union of those of the halves' leading
+    the Gram of u_k, k < m, is the union of those of the halves' leading
     blocks over their rows below m. Only A and C are assembled, about half
     of G's entries; the +1 half is formed in A's buffer. With p the identity
     and t = 1, A = G is the one half. M[a, b] and conj M[b, a] are built from
@@ -331,12 +290,10 @@ def symmetry_halves(orbit: KernelOrbit, rotation, reflection=None) -> list[tuple
     R commutes with W, so it maps each half onto itself: the basis vector
     of a goes to s_a times that of c = q(a) where c leads its pair or is
     fixed, and to +-s_a conj(t_h) times that of h = p(c) where h < c. Each
-    entry of a real form is a sum of at most eight entries of G, each within
-    alpha (r_a + r_b) ||v||^2 of its exact value, for the rounding bounds r
-    of the rows' points (:func:`transversal_symmetry`; r is the same at w,
-    -1/w and -conj w) and the squared norm ||v||^2 = A[0, 0] that every
-    orbit vector has, pi being unitary. So 8 alpha r ||v||^2 is each row's
-    bound.
+    entry of a real form is a sum of at most eight entries of G, each of
+    modulus at most 1 and within alpha (r_a + r_b) of its exact value, for
+    the rounding bounds r of the rows' points (:func:`transversal_symmetry`;
+    r is the same at w, -1/w and -conj w). So 8 alpha r is each row's bound.
     """
     p, t = rotation
     index = np.arange(len(orbit))
@@ -344,10 +301,10 @@ def symmetry_halves(orbit: KernelOrbit, rotation, reflection=None) -> list[tuple
     lead = p[rows] > rows
     leaders = rows[lead]
     A = kernel_gram(orbit.take(rows), orbit.take(rows))
-    partners = KernelOrbit(z=orbit.z[p[leaders]], c=orbit.c[p[leaders]] * t[leaders], alpha=orbit.alpha)
-    C = kernel_gram(orbit.take(rows), partners)
+    C = kernel_gram(orbit.take(rows), orbit.take(p[leaders]))
+    C *= t[leaders].conj()[None, :]
     if reflection is not None:
-        bound = 8.0 * orbit.alpha * rounding_bound(orbit.z) * A[0, 0].real
+        bound = 8.0 * orbit.alpha * rounding_bound(orbit.z)
     halves = []
     for sign in (-1.0, 1.0):
         keep = lead | (t[rows] == sign)
@@ -377,8 +334,8 @@ def transversal_riesz_bounds(
     ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: KernelOrbit, sizes
 ) -> list[tuple[float, float]]:
     """Smallest and largest eigenvalue of the Gram of the first k coset
-    representatives' vectors (``orbit`` at ``cosets.rep_index``), one pair
-    per k of ``sizes``, each a truncation by norm.
+    representatives' unit kernels (``orbit`` at ``cosets.rep_index``), one
+    pair per k of ``sizes``, each a truncation by norm.
 
     The vectors are split by :func:`transversal_symmetry` and
     :func:`symmetry_halves`; each half's truncations are its leading blocks,
@@ -412,36 +369,29 @@ def projective_stabilizer_kernel(
     ball: fuchsian.GroupBall, kernel: KernelOrbit, orbit: KernelOrbit, tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ball indices, increasing, of the elements g that move the kernel's
-    point z by at most tol, and their overlaps u(g) = <pi(g) k, k> / ||k||^2,
-    so pi(g) k = u(g) k where g fixes z. tol is that of
-    :func:`fuchsian.stabilizer_of_point`, which must find the same elements.
+    point z by at most tol (:func:`fuchsian.stabilizer_of_point`), and their
+    overlaps u(g) = <u_{gz}, u_z>. pi(g) k_z is a unimodular multiple of
+    ||k_z|| u_{gz}, so it lies in the circle times k_z iff gz = z, and then
+    |u(g)| = 1.
 
-    ``orbit`` is ``orbit_system(ball.elements, kernel)``, and each |u(g)| is
-    checked against cosh(d(w, z)/2)^-alpha at the computed point w of gz.
-    That identity holds at any w with |c| = (Im w / Im z)^(alpha/2), so the
-    log of their ratio is alpha times at most: the relative error of
-    |cz + d|, 3 eps |z| / Im z as |cz + d| >= |c| Im z; half of d(w, gz),
-    within the rounding bound of w; and a few eps per unit of d(w, z) in
-    the two powers. Each term is below a rounding bound (64 eps at least),
-    so a deviation above alpha times the bounds of z and w, relative to
-    cosh(d/2)^-alpha, raises ``OracleInconsistencyError``, as does a
-    disagreement of the two paths.
+    ``orbit`` is ``orbit_system(ball.elements, kernel)``, whose points are
+    the images that the stabiliser is decided from. The overlaps are the
+    independent path: each |u(g)| is checked against cosh(d(w, z)/2)^-alpha
+    at the computed point w of gz, with d in its asinh form. Both are exact
+    functions of w and z, computed to a few eps times alpha (1 + d), below
+    alpha times the rounding bounds of z and w (64 eps each at least). So a
+    deviation above that, relative to cosh(d/2)^-alpha, and above the
+    smallest normal double, where both underflow, raises
+    ``OracleInconsistencyError``.
     """
     if len(orbit) != len(ball.elements):
         raise UsageError(f"orbit has {len(orbit)} vectors for {len(ball.elements)} ball elements")
     (z,) = kernel.z.tolist()
-    point_members = fuchsian.stabilizer_of_point(ball, UpperHalfPoint(z.real, z.imag), tol=tol)
-    moved = distance(orbit.z, z)
-    members = np.flatnonzero(moved <= (rounding_bound(z) if tol is None else tol))
-    if not np.array_equal(members, point_members):
-        raise OracleInconsistencyError(
-            "kernel stabiliser disagrees with the point stabiliser "
-            f"({len(members)} vs {len(point_members)} elements)"
-        )
-    overlaps = kernel_gram(orbit, kernel)[:, 0] / kernel_norm_sq(kernel)
-    expected = np.cosh(moved / 2.0) ** -kernel.alpha
+    members = fuchsian.stabilizer_of_point(ball, UpperHalfPoint(z.real, z.imag), tol=tol)
+    overlaps = kernel_gram(orbit, kernel)[:, 0]
+    expected = np.cosh(distance(orbit.z, z) / 2.0) ** -kernel.alpha
     deviation = np.abs(np.abs(overlaps) - expected)
-    scale = kernel.alpha * (rounding_bound(z) + rounding_bound(orbit.z)) * expected
+    scale = kernel.alpha * (rounding_bound(z) + rounding_bound(orbit.z)) * expected + np.finfo(float).tiny
     if np.any(deviation > scale):
         raise OracleInconsistencyError(
             "kernel overlaps disagree with the distances of their points: mismatch "
@@ -461,12 +411,9 @@ def probe_kernels(kernel: KernelOrbit, count: int, max_radius: float = 2.0) -> K
     mover = canonical([root_y, center.real / root_y, 0.0, 1.0 / root_y])
     thetas = [(p / golden) % 1.0 * math.pi for p in range(count)]
     rotations = canonical([(math.cos(t), math.sin(t), -math.sin(t), math.cos(t)) for t in thetas])
-    points = []
-    for p, (a, b, c, d) in enumerate(compose(mover, rotations).tolist()):
-        rho = max_radius * math.sqrt((p + 0.5) / count)
-        points.append(image(a, b, c, d, complex(0.0, math.exp(rho))))
-    z = np.array(points, dtype=complex)
-    return KernelOrbit(z=z, c=np.ones_like(z), alpha=kernel.alpha)
+    radii = [max_radius * math.sqrt((p + 0.5) / count) for p in range(count)]
+    z = act(compose(mover, rotations), np.array([complex(0.0, math.exp(r)) for r in radii]))
+    return KernelOrbit(z=z, alpha=kernel.alpha)
 
 
 def density_analysis(
@@ -489,7 +436,9 @@ def density_analysis(
 
     The Riesz bounds are the Gram spectrum of the coset representatives in
     the truncation, the frame bounds are estimated on the span of ``probes``
-    kernels within ``probe_radius`` of z. A decision holds when its lower
+    kernels within ``probe_radius`` of z. Both are read from the unit
+    kernels of the orbit and reported times ||k_z||^2 = ``gen_norm_sq``,
+    the squared norm of every orbit vector. A decision holds when its lower
     bound stays above the floor times the upper one over the last three
     truncations: a trend, not a proof.
     """
@@ -512,6 +461,7 @@ def density_analysis(
     kernel = KernelOrbit.plain([z], weight)
     covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)  # refuses haar_scale <= 0
     degree = formal_degree_closed_form(weight, haar_scale)
+    gen_norm_sq = kernel_norm_sq(kernel)
 
     ball = fuchsian.ball_enumerate(spec, ball_norm)
     # the one orbit of the analysis; every other orbit is a gather from it
@@ -520,7 +470,6 @@ def density_analysis(
     stab_order = len(stab_members)
     cosets = fuchsian.coset_representatives(ball, stab_members)
     probe_orbit = probe_kernels(kernel, probes, probe_radius)
-    gen_norm_sq = kernel_norm_sq(kernel)
 
     # Ball elements are sorted by norm and the representatives' ball indices
     # increase, so every truncation is a leading prefix of both: assemble
@@ -538,15 +487,28 @@ def density_analysis(
             raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
     lam_counts = [int(np.searchsorted(cosets.rep_index, count)) for count in gamma_counts]
     riesz_bounds = transversal_riesz_bounds(ball, cosets, orbit, lam_counts)
+    # Weighted by ||k_w|| over the largest probe norm, (min Im w / Im w)^(alpha/2)
+    # <= 1, the unit probes are the plain kernels k_w up to one common
+    # factor, so the probe family and its whitening cutoff are theirs, and no
+    # probe entry leaves the double range at any alpha.
+    probe_y = probe_orbit.z.imag
+    probe_weight = (probe_y.min() / probe_y) ** (0.5 * alpha)
     probe_matrix = kernel_gram(probe_orbit, orbit).T
+    probe_matrix *= probe_weight
     probe_gram = kernel_gram(probe_orbit, probe_orbit).T
+    probe_gram *= probe_weight[:, None] * probe_weight
     whitener = linalg.psd_eigen(probe_gram, name="probe Gram matrix").whitener()
     # The S-relation compares the synthesis of the fully tiled
     # representatives with that of every rep * h, whose columns come from
     # the other ball elements of each coset.
     fully_tiled = np.all(cosets.tile >= 0, axis=1)
     synth_red = kernel_gram(orbit.take(cosets.rep_index[fully_tiled]), probe_orbit).T
+    synth_red *= probe_weight[:, None]
     synth_full = kernel_gram(orbit.take(cosets.tile[fully_tiled].ravel()), probe_orbit).T
+    synth_full *= probe_weight[:, None]
+
+    def scaled(values):
+        return [gen_norm_sq * v for v in values]
 
     probe_trace_min, probe_trace_max, riesz_trace_min, riesz_trace_max = [], [], [], []
     reports = []
@@ -576,17 +538,18 @@ def density_analysis(
             "s_relation_residual": frames.s_relation_residual(
                 synth_full[:, : tiled_count * stab_order], synth_red[:, :tiled_count], stab_order
             ),
-            "probe_trace_min": list(probe_trace_min),
-            "probe_trace_max": list(probe_trace_max),
-            "riesz_trace_min": list(riesz_trace_min),
-            "riesz_trace_max": list(riesz_trace_max),
+            "probe_trace_min": scaled(probe_trace_min),
+            "probe_trace_max": scaled(probe_trace_max),
+            "riesz_trace_min": scaled(riesz_trace_min),
+            "riesz_trace_max": scaled(riesz_trace_max),
         }
         reports.append(
             frames.density_verdict(
                 lattice=spec.name, ball_norm=norm, covolume=covolume, formal_degree=degree,
                 stab_order=stab_order, gen_norm_sq=gen_norm_sq,
                 frame_decision=frame_decision, riesz_decision=riesz_decision,
-                a_est=probe_lo, b_est=probe_hi, riesz_min=riesz_lo, riesz_max=riesz_hi,
+                a_est=gen_norm_sq * probe_lo, b_est=gen_norm_sq * probe_hi,
+                riesz_min=gen_norm_sq * riesz_lo, riesz_max=gen_norm_sq * riesz_hi,
                 diagnostics=diagnostics,
             )
         )

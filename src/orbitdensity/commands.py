@@ -187,16 +187,12 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
     if z_text is None or ball_norm is None:
         raise UsageError("stabilizer requires --z and --ball")
     z = parse_point(z_text)
-    alpha = settings.get("alpha", 2.0, float)
-    if not alpha > 1.0:
-        raise UsageError(f"alpha must exceed 1, got {alpha}")
+    # a bad weight fails before the ball is enumerated
+    kernel = bergman.KernelOrbit.plain([z], bergman.Weight(settings.get("alpha", 2.0, float)))
     tol = settings.get("tol", 1e-4, float)
-    if not (0.0 < tol <= 1e-4):
-        raise UsageError(f"tol must lie in (0, 1e-4], got {tol}")
     spec = lattice_from_config(settings.get("lattice", "psl2z"), settings.config)
     ball = fuchsian.ball_enumerate(spec, ball_norm)
-    kernel = bergman.KernelOrbit.plain([z], bergman.Weight(alpha))
-    # raises OracleInconsistencyError unless the kernel and point paths agree as sets
+    # raises OracleInconsistencyError unless the overlaps match the points' distances
     members, phases = bergman.projective_stabilizer_kernel(
         ball, kernel, bergman.orbit_system(ball.elements, kernel), tol=tol
     )

@@ -90,8 +90,10 @@ def frame_bounds_probe(A, whitener) -> tuple[float, float, dict]:
     w = linalg.hermitian_eigen(
         linalg.adjoint(C) @ C, compute_vectors=False, name="whitened probe matrix"
     ).eigenvalues
-    # the quotient is a sum of squares; tiny negatives are roundoff
-    lo = max(float(w[0]), 0.0)
+    # the quotient is a sum of squares, and the eigensolve of the k x k
+    # C* C resolves it to k eps times its largest value: a smaller minimum,
+    # of either sign, is a zero
+    lo = float(w[0]) if w[0] > C.shape[1] * np.finfo(float).eps * w[-1] else 0.0
     diagnostics = {"probe_count": p, "index_count": m, "probe_rank": B.shape[1]}
     return lo, float(w[-1]), diagnostics
 

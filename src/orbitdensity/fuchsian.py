@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import OracleInconsistencyError, ResourceLimitError, UsageError
 from .hyperbolic import MoebiusMap, UpperHalfPoint
-from .hyperbolic import canonical, compose, distance, frobenius_sq, inverse, round9, rounding_bound, row_keys
+from .hyperbolic import act, canonical, compose, distance, frobenius_sq, inverse, round9, rounding_bound, row_keys
 
 # identity has Frobenius norm sqrt(2); smaller balls would be empty
 MIN_NORM_BOUND = math.sqrt(2.0)
@@ -49,8 +49,7 @@ def mirror_of(z: complex) -> tuple | None:
     like a stabiliser, by hyperbolic distance against the rounding bound
     of z."""
     for g0 in (IDENTITY, ROTATION):
-        a, b, c, d = g0
-        if distance(-z.conjugate(), (a * z + b) / (c * z + d)) <= rounding_bound(z):
+        if distance(-z.conjugate(), act(g0, z)) <= rounding_bound(z):
             return g0
     return None
 
@@ -219,9 +218,7 @@ def stabilizer_of_point(ball: GroupBall, z: UpperHalfPoint, tol: float | None = 
         tol = rounding_bound(z.as_complex)
     elif not (0.0 < tol <= 1e-4):
         raise UsageError(f"tol must lie in (0, 1e-4], got {tol}")
-    a, b, c, d = ball.elements.T
-    w = (a * z.as_complex + b) / (c * z.as_complex + d)
-    members = np.flatnonzero(distance(w, z.as_complex) <= tol)
+    members = np.flatnonzero(distance(act(ball.elements, z.as_complex), z.as_complex) <= tol)
     h = ball.elements[members]
     products = compose(h[:, None, :], h[None, :, :]).reshape(-1, 4)
     inside = frobenius_sq(products) <= ball.norm_bound * ball.norm_bound + _NORM_EPS

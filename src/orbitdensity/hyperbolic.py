@@ -4,8 +4,9 @@ Group elements are sign-canonicalised unit-determinant 2x2 matrices: the
 first entry of (a, b, c, d) larger than 1e-14 in modulus is positive, so
 each class of the +/- identification has one representative. A list of
 elements is an ``(N, 4)`` float array of rows (a, b, c, d), and
-:func:`canonical`, :func:`compose` and :func:`inverse` act on whole arrays;
-:class:`MoebiusMap` is one such row, for generators and probes.
+:func:`canonical`, :func:`compose`, :func:`inverse` and :func:`act` work on
+whole arrays; :class:`MoebiusMap` is one such row, for generators and
+probes.
 """
 
 from __future__ import annotations
@@ -93,11 +94,15 @@ def rounding_bound(w) -> np.ndarray:
     return 64.0 * np.finfo(float).eps * np.abs(w) / w.imag
 
 
-def image(a: float, b: float, c: float, d: float, z: complex) -> complex:
-    """(a z + b) / (c z + d) in scalar complex arithmetic, in the upper half-plane."""
+def act(m, z) -> np.ndarray:
+    """Images (a z + b) / (c z + d) of complex points z under matrix rows
+    (..., 4), broadcast against each other, in array arithmetic. An image
+    outside the open upper half-plane raises ``NumericalFailure``."""
+    a, b, c, d = _entries(m)
     w = (a * z + b) / (c * z + d)
-    if not w.imag > 0.0:
-        raise NumericalFailure(f"Moebius image left the upper half-plane: {w}")
+    bad = ~(w.imag > 0.0)
+    if bad.any():
+        raise NumericalFailure(f"Moebius image left the upper half-plane: {w[bad].flat[0]}")
     return w
 
 

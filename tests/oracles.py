@@ -1,9 +1,10 @@
 """Reference oracles and helpers that only the tests use.
 
-The scalar kernel formula, the per-pair inner products, the one-vector
-time-frequency shift, the pair-closure subgroup enumeration, the
-membership-table and pair-closure subgroup tests, the stacked Gram matrix
-of orbit matrices and the one-matrix-at-a-time group ball, stabiliser,
+The scalar kernel formula, the per-pair inner products, the
+extended-precision unit-kernel Gram, the one-vector time-frequency shift,
+the pair-closure subgroup enumeration, the membership-table and
+pair-closure subgroup tests, the stacked Gram matrix of orbit matrices and
+the one-matrix-at-a-time group ball, stabiliser,
 coset and orbit paths are the slow reference paths that the closed-form,
 batched and array code in ``orbitdensity`` is compared against. So are the
 whole-cube integer ball, the one-block, copy-based Gram validation and
@@ -34,7 +35,6 @@ from orbitdensity.hyperbolic import (
     MoebiusMap,
     UpperHalfPoint,
     frobenius_sq,
-    image,
 )
 
 
@@ -47,13 +47,23 @@ def kernel_value(z: complex, w: complex, alpha: float) -> complex:
 
 
 def kernel_cross_oracle(left, right) -> np.ndarray:
-    """<left_i, right_j> for two kernel orbits, one Python call per pair."""
+    """<u_i, u_j> = k_{z_i}(w_j) / sqrt(k_{z_i}(z_i) k_{w_j}(w_j)) for the unit
+    kernels of two orbits, one Python call per pair."""
     assert left.alpha == right.alpha
     out = np.empty((len(left), len(right)), dtype=complex)
-    for i, (zi, ci) in enumerate(zip(left.z.tolist(), left.c.tolist())):
-        for j, (zj, cj) in enumerate(zip(right.z.tolist(), right.c.tolist())):
-            out[i, j] = ci * cj.conjugate() * kernel_value(zi, zj, left.alpha)
+    for i, zi in enumerate(left.z.tolist()):
+        for j, wj in enumerate(right.z.tolist()):
+            norms_sq = kernel_value(zi, zi, left.alpha) * kernel_value(wj, wj, left.alpha)
+            out[i, j] = kernel_value(zi, wj, left.alpha) / cmath.sqrt(norms_sq)
     return out
+
+
+def unit_gram_extended(left, right) -> np.ndarray:
+    """The unit-kernel Gram ((w_j - conj z_i) / (2i sqrt(Im z_i Im w_j)))^-alpha
+    of two orbits' points, in ``np.clongdouble`` arithmetic."""
+    z = left.z.astype(np.clongdouble)[:, None]
+    w = right.z.astype(np.clongdouble)[None, :]
+    return ((w - z.conj()) / (2j * np.sqrt(z.imag * w.imag))) ** -np.longdouble(left.alpha)
 
 
 def unsplit_gram_spectra(lam, sizes) -> list[np.ndarray]:
@@ -369,7 +379,7 @@ class Moebius(MoebiusMap):
         return Moebius(self.d, -self.b, -self.c, self.a)
 
     def act(self, z: UpperHalfPoint) -> UpperHalfPoint:
-        w = image(self.a, self.b, self.c, self.d, z.as_complex)
+        w = scalar_image((self.a, self.b, self.c, self.d), z.as_complex)
         return UpperHalfPoint(w.real, w.imag)
 
     def j_factor(self, z: UpperHalfPoint) -> complex:
@@ -418,23 +428,9 @@ def cosets_by_loop(rows, stab) -> tuple[list[int], list[list[int]]]:
     return rep_index, tile
 
 
-def sigma_by_scalars(x, y, alpha: float) -> complex:
-    """The branch-tracked cocycle of one pair of matrices at the point i."""
-    x_inv, y_inv = scalar_inverse(x), scalar_inverse(y)
-    xy_inv = scalar_inverse(scalar_compose(x, y))
-    p1 = scalar_image(x_inv, 1j)
-    num = (scalar_j(x_inv, 1j) ** alpha) * (scalar_j(y_inv, p1) ** alpha)
-    return num / (scalar_j(xy_inv, 1j) ** alpha)
-
-
-def orbit_by_scalars(rows, z: complex, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Points and coefficients of pi(m) k_z, one row at a time."""
-    points = [scalar_image(m, z) for m in rows]
-    coeffs = [
-        sigma_by_scalars(m, scalar_inverse(m), alpha) * (scalar_j(m, z) ** alpha).conjugate()
-        for m in rows
-    ]
-    return np.array(points, dtype=complex), np.array(coeffs, dtype=complex)
+def orbit_by_scalars(rows, z: complex) -> np.ndarray:
+    """Points m.z of the orbit pi(m) k_z, one row at a time."""
+    return np.array([scalar_image(m, z) for m in rows], dtype=complex)
 
 
 # Midpoint quadrature against the invariant measure y^-2 dx dy on

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from oracles import Moebius, distance, formal_degree_by_meshgrid, formal_degree_rectangle, kernel_value
-from oracles import meshgrid_integrate, meshgrid_rectangle_log_y, traced_peak
+from oracles import meshgrid_integrate, meshgrid_rectangle_log_y, traced_peak, unit_gram_extended
 from scipy.integrate import quad
 
 from orbitdensity import bergman, fuchsian, linalg
@@ -14,10 +14,9 @@ from orbitdensity.bergman import (
     kernel_gram,
     kernel_norm_sq,
     orbit_system,
-    sigma_cocycle,
 )
 from orbitdensity.errors import OracleInconsistencyError, ResourceLimitError, UsageError
-from orbitdensity.hyperbolic import UpperHalfPoint, image
+from orbitdensity.hyperbolic import UpperHalfPoint, act, rounding_bound
 
 POINT_I = UpperHalfPoint(0.0, 1.0)
 POINT_2I = UpperHalfPoint(0.0, 2.0)
@@ -40,15 +39,14 @@ def random_point(rng) -> UpperHalfPoint:
 
 
 def inner(z: UpperHalfPoint, u: UpperHalfPoint, w: Weight) -> complex:
-    """<k_z, k_u> from the array assembly."""
+    """<u_z, u_u> from the array assembly."""
     return complex(kernel_gram(KernelOrbit.plain([z], w), KernelOrbit.plain([u], w))[0, 0])
 
 
-def moved(m: Moebius, k: KernelOrbit) -> tuple[UpperHalfPoint, complex]:
-    """Point and coefficient of pi(m) k from the array builder."""
-    t = orbit_system([m], k)
-    z = complex(t.z[0])
-    return UpperHalfPoint(z.real, z.imag), complex(t.c[0])
+def moved(m: Moebius, k: KernelOrbit) -> UpperHalfPoint:
+    """Point of pi(m) k from the array builder."""
+    z = complex(orbit_system([m], k).z[0])
+    return UpperHalfPoint(z.real, z.imag)
 
 
 class TestKernel:
@@ -57,8 +55,9 @@ class TestKernel:
             Weight(1.0)
 
     def test_value_at_center_alpha_two(self):
-        value = inner(POINT_I, POINT_I, Weight(2.0))
-        assert abs(value - 1.0 / (4.0 * math.pi)) <= 1e-15
+        # k_i(i) = 1 / (4 pi), and the unit kernel's is 1
+        assert abs(kernel_norm_sq(KernelOrbit.plain([POINT_I], Weight(2.0))) - 1.0 / (4.0 * math.pi)) <= 1e-15
+        assert inner(POINT_I, POINT_I, Weight(2.0)) == 1.0
 
     def test_diagonal_closed_form_and_positivity(self):
         rng = np.random.default_rng(21)
@@ -66,15 +65,13 @@ class TestKernel:
             points = [random_point(rng) for _ in range(20)]
             orbit = KernelOrbit.plain(points, Weight(alpha))
             diag = np.diag(kernel_gram(orbit, orbit))
-            ys = np.array([z.y for z in points])
-            expected = (alpha - 1.0) / (4.0 * math.pi) * ys ** (-alpha)
             assert np.all(diag.real > 0.0)
             assert np.all(np.abs(diag.imag) <= 1e-12 * diag.real)
-            assert np.all(np.abs(diag.real - expected) <= 1e-12 * expected)
+            assert np.all(np.abs(diag.real - 1.0) <= 2.0 * alpha * rounding_bound(orbit.z))
 
     def test_reproducing_property_on_kernel_combinations(self):
         # <f, k_target> for f = sum c_j k_{z_j} equals f(target) evaluated
-        # pointwise by the scalar kernel formula
+        # pointwise by the scalar kernel formula; k_z = ||k_z|| u_z
         rng = np.random.default_rng(22)
         w = Weight(3.0)
         centers = [random_point(rng) for _ in range(4)]
@@ -84,19 +81,16 @@ class TestKernel:
             c * kernel_value(z.as_complex, target.as_complex, w.alpha)
             for c, z in zip(coeffs, centers)
         )
-        combination = KernelOrbit(
-            z=np.array([z.as_complex for z in centers]), c=coeffs.astype(complex), alpha=w.alpha
-        )
-        inner_with_kernel = kernel_gram(combination, KernelOrbit.plain([target], w))[:, 0].sum()
+        norms = np.sqrt([kernel_norm_sq(KernelOrbit.plain([z], w)) for z in (*centers, target)])
+        unit_inners = kernel_gram(KernelOrbit.plain(centers, w), KernelOrbit.plain([target], w))[:, 0]
+        inner_with_kernel = np.sum(coeffs * norms[:-1] * unit_inners) * norms[-1]
         assert abs(inner_with_kernel - f_at_target) <= 1e-13 * abs(f_at_target)
 
     def test_pair_ratio_hand_value(self):
-        # |<k_i, k_2i>|^2 / (||k_i||^2 ||k_2i||^2) = (8/9)^alpha since
-        # |i - conj(2i)| = 3 while the diagonal distances give 2 and 4
+        # |<u_i, u_2i>|^2 = (8/9)^alpha since |i - conj(2i)| = 3 while the
+        # diagonal distances give 2 and 4
         for alpha in (2.0, 3.0, 4.5):
-            w = Weight(alpha)
-            k1, k2 = KernelOrbit.plain([POINT_I], w), KernelOrbit.plain([POINT_2I], w)
-            ratio = abs(inner(POINT_I, POINT_2I, w)) ** 2 / (kernel_norm_sq(k1) * kernel_norm_sq(k2))
+            ratio = abs(inner(POINT_I, POINT_2I, Weight(alpha))) ** 2
             assert abs(ratio - (8.0 / 9.0) ** alpha) <= 1e-12
 
     def test_norms_hand_values(self):
@@ -147,12 +141,36 @@ class TestKernel:
             KernelOrbit.plain([UpperHalfPoint(0.3, 1.5)], Weight(2.0)),
         )
         G, peak = traced_peak(kernel_gram, orbit, orbit)
-        # the Gram, one strip of coefficient products and numpy's ufunc
-        # buffers (2 x 8192 entries), which are less than a second strip here
+        # the Gram, its row and column factors and numpy's ufunc buffers
+        # (2 x 8192 entries), which are less than two strips of 64 rows here
         assert peak <= G.nbytes * (1.0 + 2.0 * linalg.ROW_BLOCK / len(orbit))
 
+    def test_entries_stay_in_range_at_extreme_weights(self):
+        # points down to Im w = 1e-6 and weights up to 1000: every entry has
+        # modulus cosh(d/2)^-alpha <= 1, to alpha times the rounding bounds
+        rng = np.random.default_rng(31)
+        z = rng.uniform(-5.0, 5.0, 60) + 1j * np.geomspace(1e-6, 1e3, 60)
+        r = rounding_bound(z)
+        for alpha in (2.0, 30.0, 300.0, 1000.0):
+            orbit = KernelOrbit(z=z, alpha=alpha)
+            G = kernel_gram(orbit, orbit)
+            assert np.all(np.isfinite(G))
+            assert np.all(np.abs(G) <= 1.0 + alpha * (r[:, None] + r[None, :]))
+            assert np.all(np.abs(np.diag(G) - 1.0) <= 2.0 * alpha * r)
+
+    @pytest.mark.parametrize("alpha", [3.0, 13.0, 60.0, 150.0])
+    @pytest.mark.parametrize("z", [POINT_I, UpperHalfPoint(0.3, 1.5)], ids=["i", "generic"])
+    def test_matches_an_extended_precision_reassembly(self, z, alpha):
+        # each entry is within alpha (r_i + r_j) of its value at the same
+        # points, so the spectral norm of the error is within 2 alpha k max r
+        for norm in (6.0, 10.0, 14.0):
+            ball = fuchsian.ball_enumerate(fuchsian.psl2z(), norm)
+            orbit = orbit_system(ball.elements, KernelOrbit.plain([z], Weight(alpha)))
+            error = (kernel_gram(orbit, orbit) - unit_gram_extended(orbit, orbit)).astype(complex)
+            assert np.linalg.norm(error, 2) <= 2.0 * alpha * len(orbit) * np.max(rounding_bound(orbit.z))
+
     def test_norm_by_weighted_quadrature_slow_cross_check(self):
-        # independent of the diagonal shortcut: ||k_z||^2 equals the
+        # independent of the closed form: ||k_z||^2 equals the
         # integral of |k_z(w)|^2 against y^(alpha-2) dx dy
         cases = [
             (2.0, UpperHalfPoint(0.0, 1.0), 1e-3),
@@ -179,103 +197,39 @@ class TestKernel:
             w = Weight(alpha)
             for _ in range(1000):
                 z, u = random_point(rng), random_point(rng)
-                k1, k2 = KernelOrbit.plain([z], w), KernelOrbit.plain([u], w)
-                lhs = abs(inner(z, u, w)) ** 2 / (kernel_norm_sq(k1) * kernel_norm_sq(k2))
+                lhs = abs(inner(z, u, w)) ** 2
                 rhs = math.cosh(distance(z, u) / 2.0) ** (-2.0 * alpha)
                 assert abs(lhs - rhs) <= 1e-10
 
 
 class TestAction:
     def test_identity(self):
-        point, coefficient = moved(Moebius.identity(), KernelOrbit.plain([POINT_I], Weight(2.0)))
-        assert abs(coefficient - 1.0) <= 1e-12
-        assert point == POINT_I
+        assert moved(Moebius.identity(), KernelOrbit.plain([POINT_I], Weight(2.0))) == POINT_I
 
     def test_translation(self):
-        point, coefficient = moved(T, KernelOrbit.plain([POINT_I], Weight(2.0)))
+        point = moved(T, KernelOrbit.plain([POINT_I], Weight(2.0)))
         assert abs(point.as_complex - (1.0 + 1.0j)) <= 1e-15
-        assert abs(abs(coefficient) - 1.0) <= 1e-12
 
     def test_inversion_at_2i(self):
-        point, coefficient = moved(S, KernelOrbit.plain([POINT_2I], Weight(2.0)))
+        w = Weight(2.0)
+        point = moved(S, KernelOrbit.plain([POINT_2I], w))
         assert abs(point.as_complex - 0.5j) <= 1e-15
-        # |j(S, 2i)|^2 = 1/4
-        assert abs(abs(coefficient) - 0.25) <= 1e-12
+        # pi(S) k_2i = c k_0.5i with |c| = ||k_2i|| / ||k_0.5i|| = |j(S, 2i)|^alpha = 1/4
+        ratio = kernel_norm_sq(KernelOrbit.plain([POINT_2I], w)) / kernel_norm_sq(KernelOrbit.plain([point], w))
+        assert abs(math.sqrt(ratio) - 0.25) <= 1e-15
 
     def test_unitarity(self):
+        # pi(m) is unitary, so the moved unit kernels keep their overlaps up
+        # to a unimodular factor, and are unit vectors
         rng = np.random.default_rng(25)
         for alpha in (2.0, 3.7, 6.0):
             w = Weight(alpha)
             for _ in range(200):
-                k = KernelOrbit.plain([random_point(rng)], w)
-                point, coefficient = moved(random_map(rng), k)
-                lhs = abs(coefficient) ** 2 * kernel_norm_sq(KernelOrbit.plain([point], w))
-                rhs = kernel_norm_sq(k)
-                assert abs(lhs - rhs) <= 1e-10 * rhs
-
-    def test_projective_homomorphism(self):
-        rng = np.random.default_rng(26)
-        w = Weight(2.6)
-        for _ in range(100):
-            x, y = random_map(rng), random_map(rng)
-            k = KernelOrbit.plain([random_point(rng)], w)
-            y_point, y_coeff = moved(y, k)
-            step_point, x_coeff = moved(x, KernelOrbit.plain([y_point], w))
-            direct_point, direct_coeff = moved(x.compose(y), k)
-            sigma = sigma_cocycle(x, y, w)
-            assert (
-                abs(step_point.as_complex - direct_point.as_complex)
-                <= 1e-12 * abs(direct_point.as_complex)
-            )
-            ratio = y_coeff * x_coeff / direct_coeff
-            assert abs(abs(ratio) - 1.0) <= 1e-10
-            assert abs(ratio - sigma) <= 1e-10
-
-    def test_orbit_is_of_one_plain_kernel(self):
-        w = Weight(2.0)
-        for kernel in (
-            KernelOrbit.plain([POINT_I, POINT_2I], w),
-            KernelOrbit(np.array([1j]), np.array([2.0 + 0j]), 2.0),
-        ):
-            with pytest.raises(UsageError, match="one kernel with coefficient 1"):
-                orbit_system([Moebius.identity()], kernel)
-
-
-class TestCocycle:
-    def test_identity_argument(self):
-        w = Weight(2.4)
-        rng = np.random.default_rng(27)
-        for _ in range(20):
-            m = random_map(rng)
-            assert abs(sigma_cocycle(Moebius.identity(), m, w) - 1.0) <= 1e-12
-            assert abs(sigma_cocycle(m, Moebius.identity(), w) - 1.0) <= 1e-12
-
-    def test_unimodular(self):
-        rng = np.random.default_rng(28)
-        for alpha in (2.0, 3.3, 5.1):
-            w = Weight(alpha)
-            for _ in range(200):
-                sigma = sigma_cocycle(random_map(rng), random_map(rng), w)
-                assert abs(abs(sigma) - 1.0) <= 1e-10
-
-    def test_reference_point_independence(self):
-        # recompute the defining ratio at another base point
-        rng = np.random.default_rng(29)
-        z0 = UpperHalfPoint(1.0, 2.0)
-        for alpha in (2.0, 3.7):
-            w = Weight(alpha)
-            for _ in range(100):
-                x, y = random_map(rng), random_map(rng)
-                sigma = sigma_cocycle(x, y, w)
-                x_inv, y_inv = x.inverse(), y.inverse()
-                xy_inv = x.compose(y).inverse()
-                p1 = x_inv.act(z0)
-                alt = (
-                    (x_inv.j_factor(z0) ** alpha)
-                    * (y_inv.j_factor(p1) ** alpha)
-                    / (xy_inv.j_factor(z0) ** alpha)
-                )
-                assert abs(sigma - alt) <= 1e-10
+                m = random_map(rng)
+                k, k2 = KernelOrbit.plain([random_point(rng)], w), KernelOrbit.plain([random_point(rng)], w)
+                t, t2 = orbit_system([m], k), orbit_system([m], k2)
+                assert abs(kernel_gram(t, t)[0, 0] - 1.0) <= 1e-12
+                assert abs(abs(kernel_gram(t, t2)[0, 0]) - abs(kernel_gram(k, k2)[0, 0])) <= 1e-10
 
 
 class TestOrbitInner:
@@ -283,18 +237,17 @@ class TestOrbitInner:
         w = Weight(2.0)
         t = orbit_system([Moebius(1.0, 0.5, 0.0, 1.0)], KernelOrbit.plain([POINT_I], w))
         value = complex(kernel_gram(t, t)[0, 0])
-        expected = abs(t.c[0]) ** 2 * kernel_norm_sq(
-            KernelOrbit.plain([UpperHalfPoint(t.z[0].real, t.z[0].imag)], w)
-        )
         assert value.real > 0.0
         assert abs(value.imag) <= 1e-15 * value.real
-        assert abs(value.real - expected) <= 1e-15
+        assert abs(value.real - 1.0) <= 1e-15
 
     def test_reduces_to_kernel_inner(self):
-        # with unit coefficients the orbit inner product is the kernel value k_i(2i)
+        # the unit kernels' inner product is the kernel value k_i(2i) over the norms
         w = Weight(2.0)
         value = inner(POINT_I, POINT_2I, w)
-        oracle = kernel_value(POINT_I.as_complex, POINT_2I.as_complex, w.alpha)
+        oracle = kernel_value(POINT_I.as_complex, POINT_2I.as_complex, w.alpha) / math.sqrt(
+            kernel_norm_sq(KernelOrbit.plain([POINT_I], w)) * kernel_norm_sq(KernelOrbit.plain([POINT_2I], w))
+        )
         assert abs(value - oracle) <= 1e-15 * abs(oracle)
 
     def test_hermitian_symmetry(self):
@@ -394,7 +347,7 @@ class TestKernelStabilizer:
         # 22 have norm ~22 and move z by at most 1.9e-15 in Moebius
         # evaluation, inside the rounding bound 1.2e-13 of z.
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 22.0)
-        z = image(*g, w)
+        z = complex(act(g, w))
         z = UpperHalfPoint(z.real, z.imag)
         point_members = fuchsian.stabilizer_of_point(ball, z)
         k = KernelOrbit.plain([z], Weight(alpha))
@@ -404,15 +357,14 @@ class TestKernelStabilizer:
         assert np.all(np.abs(np.abs(phases) - 1.0) <= 1e-12)
 
     def test_a_perturbed_overlap_is_an_inconsistency(self, ball, monkeypatch):
-        # one orbit coefficient scaled by 1 + 1e-9: its overlap no longer
-        # matches cosh(d/2)^-alpha of its point's distance
-        def perturbed(maps, kernel):
-            orbit = orbit_system(maps, kernel)
-            c = orbit.c.copy()
-            c[len(c) // 2] *= 1.0 + 1e-9
-            return KernelOrbit(z=orbit.z, c=c, alpha=orbit.alpha)
+        # one overlap scaled by 1 + 1e-9: it no longer matches
+        # cosh(d/2)^-alpha of its point's distance
+        def perturbed(left, right):
+            G = kernel_gram(left, right)
+            G[len(G) // 2] *= 1.0 + 1e-9
+            return G
 
-        monkeypatch.setattr(bergman, "orbit_system", perturbed)
+        monkeypatch.setattr(bergman, "kernel_gram", perturbed)
         k = KernelOrbit.plain([UpperHalfPoint(0.3, 1.5)], Weight(2.0))
         with pytest.raises(OracleInconsistencyError, match="overlaps disagree"):
             bergman.projective_stabilizer_kernel(ball, k, bergman.orbit_system(ball.elements, k))
@@ -424,7 +376,6 @@ class TestProbeKernels:
         probes = bergman.probe_kernels(KernelOrbit.plain([center], Weight(2.0)), 17, max_radius=1.5)
         assert len(probes) == 17
         assert probes.alpha == 2.0
-        assert np.all(probes.c == 1.0 + 0.0j)
         for z in probes.z:
             assert distance(UpperHalfPoint(z.real, z.imag), center) <= 1.5 + 1e-9
 
@@ -438,7 +389,7 @@ class TestProbeKernels:
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: KernelOrbit(np.array([1j]), np.array([1.0 + 0j]), 2.0),
+        lambda: KernelOrbit(np.array([1j]), 2.0),
         lambda: linalg.PSDSpectrum(np.array([1.0]), None),
         lambda: fuchsian.CosetSystem(np.array([0]), np.array([[0]])),
     ],

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import Moebius, traced_peak
+from oracles import traced_peak
 
 from orbitdensity import bergman, cli, commands, finite_gabor, frames, fuchsian, hyperbolic
 from orbitdensity.errors import (
@@ -176,9 +176,18 @@ class TestExitCodes:
         assert "failure: frame operator is not Hermitian" in err and "Traceback" not in err
 
     def test_float_overflow_from_a_huge_weight_exits_three(self, capsys):
-        code, _, err = run_cli(capsys, "stabilizer", "--z", "i", "--alpha", "2000", "--ball", "4")
+        # ||k_z||^2 = (alpha - 1) / (4 pi) (Im z)^-alpha is 4^1000 / (4 pi) and more
+        code, _, err = run_cli(
+            capsys, "bergman-density", "--alpha", "2000", "--z=0.5i", "--ball", "4", "--probes", "8"
+        )
         assert code == 3
         assert "failure:" in err and "Traceback" not in err
+
+    def test_a_huge_weight_leaves_the_stabiliser_in_range(self, capsys):
+        # every overlap of unit kernels lies in [0, 1]
+        code, out, _ = run_cli(capsys, "stabilizer", "--z", "i", "--alpha", "2000", "--ball", "4", "--format", "json")
+        assert code == 0
+        assert json_lines(out)[0]["order"] == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -199,13 +208,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "unknown config keys: ['haar_scale']" in err
 
-    def test_underflowed_orbit_coefficient_exits_three(self, capsys):
-        # |cz + d|^-300 underflows to 0 for the large elements of the ball
-        code, out, err = run_cli(
-            capsys, "bergman-density", "--alpha", "300", "--z=0.3+1.5i", "--ball", "10", "--probes", "8"
-        )
-        assert code == 3 and out == ""
-        assert err.startswith("failure: ") and "alpha = 300.0" in err and "Traceback" not in err
+    def test_a_large_weight_on_a_large_ball_exits_zero(self, capsys):
+        # |cz + d|^-300 would underflow to 0 for the large elements of the
+        # ball, and plain probe kernels at alpha 700 span e^+-700 in norm; the
+        # unit kernels and the weighted unit probes need no such number
+        for alpha, z in (("300", "0.3+1.5i"), ("700", "i")):
+            code, out, err = run_cli(
+                capsys, "bergman-density", "--alpha", alpha, f"--z={z}", "--ball", "10", "--probes", "8",
+                "--format", "json",
+            )
+            assert code == 0 and err == ""
+            reports = json_lines(out)[:-1]
+            for field in ("riesz_min", "riesz_max", "diag_riesz_trace_min", "diag_riesz_trace_max"):
+                values = [float(v) for r in reports for v in str(r[field]).split(";")]
+                assert np.all(np.isfinite(values)), field
 
     def test_programming_bug_exits_four_with_traceback(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -624,12 +640,16 @@ class TestStabilizerCommand:
         assert record["order_kernel"] == record["order"]
 
     def test_path_disagreement_raises(self, capsys, monkeypatch):
-        # the kernel path must agree with the point path as a set; a wrong
-        # point stabiliser is reported as a numerical failure
-        def wrong(ball, z, tol):
-            return ball.index_of([Moebius.identity()])
+        # the kernel path's overlaps must agree with the point path's
+        # distances; a wrong overlap is reported as a numerical failure
+        kernel_gram = bergman.kernel_gram
 
-        monkeypatch.setattr(fuchsian, "stabilizer_of_point", wrong)
+        def wrong(left, right):
+            G = kernel_gram(left, right)
+            G[-1] *= 1.0 + 1e-9
+            return G
+
+        monkeypatch.setattr(bergman, "kernel_gram", wrong)
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 4.0)
         kernel = bergman.KernelOrbit.plain([commands.parse_point("i")], bergman.Weight(2.0))
         orbit = bergman.orbit_system(ball.elements, kernel)
@@ -637,7 +657,7 @@ class TestStabilizerCommand:
             bergman.projective_stabilizer_kernel(ball, kernel, orbit)
         code, _, err = run_cli(capsys, "stabilizer", "--z", "i", "--ball", "4")
         assert code == 3
-        assert "disagrees" in err
+        assert "overlaps disagree" in err
 
     def test_exact_point(self, capsys):
         code, out, _ = run_cli(

@@ -129,10 +129,11 @@ class TestGram:
         w = Weight(2.0)
         pair = KernelOrbit.plain([POINT_I, POINT_2I], w)
         G = bergman.kernel_gram(pair, pair)
-        assert abs(G[0, 0] - 1.0 / (4.0 * math.pi)) <= 1e-15
-        assert abs(G[1, 1] - 1.0 / (16.0 * math.pi)) <= 1e-16
-        # k_i(2i) = (1/pi) (-1) (2i + i)^-2 = 1 / (9 pi)
-        assert abs(G[0, 1] - 1.0 / (9.0 * math.pi)) <= 1e-15
+        assert abs(G[0, 0] - 1.0) <= 1e-15
+        assert abs(G[1, 1] - 1.0) <= 1e-15
+        # k_i(2i) = (1/pi) (-1) (2i + i)^-2 = 1 / (9 pi), over the norms
+        # 1 / (2 sqrt(pi)) and 1 / (4 sqrt(pi)) of k_i and k_2i
+        assert abs(G[0, 1] - 8.0 / 9.0) <= 1e-15
         assert frames.gram(G)[0].rank == 2
 
     def test_inconsistent_oracle_rejected(self):
@@ -341,8 +342,11 @@ class TestFrameBoundsProbe:
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 10.0)
         kernel = bergman.KernelOrbit.plain([z], Weight(alpha))
         probes = bergman.probe_kernels(kernel, 40)
-        A = bergman.kernel_gram(probes, bergman.orbit_system(ball.elements, kernel)).T
-        whitener = linalg.psd_eigen(bergman.kernel_gram(probes, probes).T).whitener()
+        # the unit probes weighted to the plain kernels up to one factor
+        weight = (probes.z.imag.min() / probes.z.imag) ** (alpha / 2.0)
+        A = bergman.kernel_gram(probes, bergman.orbit_system(ball.elements, kernel)).T * weight
+        D = bergman.kernel_gram(probes, probes).T * (weight[:, None] * weight)
+        whitener = linalg.psd_eigen(D).whitener()
         C = A @ whitener
         # Hermitian to a few ulps, where B* (A* A) B is off by up to 1e-9
         assert hermitian_deviation(linalg.adjoint(C) @ C) <= 1e-15

@@ -204,7 +204,10 @@ def frame_operator_stack(n: int, which: int, windows: int = 6) -> np.ndarray:
 def probe_gram(z: UpperHalfPoint, alpha: float) -> np.ndarray:
     """The probe Gram of ``bergman-density``, as it is assembled there."""
     probes = bergman.probe_kernels(KernelOrbit.plain([z], Weight(alpha)), 40)
-    return bergman.kernel_gram(probes, probes).T
+    weight = (probes.z.imag.min() / probes.z.imag) ** (alpha / 2.0)
+    D = bergman.kernel_gram(probes, probes).T
+    D *= weight[:, None] * weight
+    return D
 
 
 SPECTRUM_CASES = {

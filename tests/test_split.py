@@ -221,7 +221,7 @@ def test_a_corrupted_pairing_or_phase_exits_3(capsys, monkeypatch, corruption, c
         # imaginary part compares the entries of mirrored points
         z = orbit.z.copy()
         z[1] += 1e-9
-        return halves(KernelOrbit(z=z, c=orbit.c, alpha=orbit.alpha), *symmetries)
+        return halves(KernelOrbit(z=z, alpha=orbit.alpha), *symmetries)
 
     if corruption.endswith("partners"):
         monkeypatch.setattr(fuchsian, "coset_pairing", swapped)
