@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames, fuchsian, linalg
-from .errors import OracleInconsistencyError, ResourceLimitError, UsageError
+from .errors import NumericalFailure, OracleInconsistencyError, ResourceLimitError, UsageError
 from .hyperbolic import UpperHalfPoint, act, canonical, compose, distance, frobenius_sq, rounding_bound
 
 # an assembled inner-product matrix holds at most GRAM_SIZE_CAP^2 entries
@@ -112,9 +112,18 @@ def kernel_gram(left: KernelOrbit, right: KernelOrbit) -> np.ndarray:
 def kernel_norm_sq(kernel: KernelOrbit) -> float:
     """||k_z||^2 = (alpha - 1) / (4 pi) (Im z)^-alpha for the point z of a
     one-element orbit: the squared norm of every vector pi(g) k_z. A value
-    beyond the double range raises ``OverflowError``."""
+    beyond the double range raises ``NumericalFailure``."""
     (z,) = kernel.z.tolist()
-    return (kernel.alpha - 1.0) / (4.0 * math.pi) * z.imag**-kernel.alpha
+    try:
+        norm_sq = (kernel.alpha - 1.0) / (4.0 * math.pi) * z.imag**-kernel.alpha
+    except OverflowError:
+        norm_sq = math.inf
+    if norm_sq == math.inf:
+        raise NumericalFailure(
+            f"||k_z||^2 = (alpha - 1) / (4 pi) (Im z)^-alpha overflows at alpha = {kernel.alpha}, "
+            f"Im z = {z.imag}"
+        )
+    return norm_sq
 
 
 def orbit_system(maps, kernel: KernelOrbit) -> KernelOrbit:
@@ -442,10 +451,9 @@ def density_analysis(
     bound stays above the floor times the upper one over the last three
     truncations: a trend, not a proof.
     """
-    if not alpha > 1.0:
-        raise UsageError(f"alpha must exceed 1, got {alpha}")
-    if ball_norm < math.sqrt(2.0):
-        raise UsageError(f"ball norm must be at least sqrt(2), got {ball_norm}")
+    weight = Weight(alpha)
+    # ball_enumerate refuses a small ball norm before any work on the ball;
+    # the probes are built after the eigensolves, so their count is checked here
     if probes < 1:
         raise UsageError(f"probes must be at least 1, got {probes}")
     if refine_steps < 1:
@@ -457,7 +465,6 @@ def density_analysis(
         if not value > 0.0:
             raise UsageError(f"{name} must be positive, got {value}")
 
-    weight = Weight(alpha)
     kernel = KernelOrbit.plain([z], weight)
     covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)  # refuses haar_scale <= 0
     degree = formal_degree_closed_form(weight, haar_scale)
@@ -544,12 +551,12 @@ def density_analysis(
             "riesz_trace_max": scaled(riesz_trace_max),
         }
         reports.append(
-            frames.density_verdict(
-                lattice=spec.name, ball_norm=norm, covolume=covolume, formal_degree=degree,
-                stab_order=stab_order, gen_norm_sq=gen_norm_sq,
-                frame_decision=frame_decision, riesz_decision=riesz_decision,
+            frames.FrameReport(
+                lattice=spec.name, ball_norm=norm, stab_order=stab_order, covolume=covolume,
+                formal_degree=degree, gen_norm_sq=gen_norm_sq,
                 a_est=gen_norm_sq * probe_lo, b_est=gen_norm_sq * probe_hi,
                 riesz_min=gen_norm_sq * riesz_lo, riesz_max=gen_norm_sq * riesz_hi,
+                frame_decision=frame_decision, riesz_decision=riesz_decision,
                 diagnostics=diagnostics,
             )
         )

@@ -44,7 +44,6 @@ from .errors import (
 )
 
 _IDENTITY_RESIDUAL_TOL = 1e-10
-_SANDWICH_TOL = 1e-9
 _STABILIZER_TOL = 1e-9
 
 # the scan refuses, before drawing a window, a run whose largest orbit stack
@@ -248,9 +247,7 @@ def lex_coset_representatives(subgroup: SubgroupDescr, stabilizer: SubgroupDescr
     return lambdas, factorization
 
 
-def verify_windows(
-    subgroup: SubgroupDescr, windows, rel_tol: float = linalg.DEFAULT_REL_TOL
-) -> list:
+def verify_windows(subgroup: SubgroupDescr, windows) -> list:
     """Exhaustively check the density statements and proof identities for
     every window of a (W, n) stack over one subgroup.
 
@@ -268,10 +265,10 @@ def verify_windows(
     g = np.asarray(windows, dtype=complex)
     if g.ndim != 2 or g.shape[1] != subgroup.n:
         raise DimensionError(f"windows must form a (W, {subgroup.n}) stack, got shape {g.shape}")
-    return _verify_batch([(subgroup, g)], rel_tol)
+    return _verify_batch([(subgroup, g)])
 
 
-def _verify_batch(cases, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list:
+def _verify_batch(cases) -> list:
     """:func:`verify_windows` for (subgroup, window stack) pairs of one n and
     one subgroup order, whose orbit matrices share a shape: the stabiliser
     classes of all windows are found in one pass, the full orbits' spectra
@@ -283,7 +280,7 @@ def _verify_batch(cases, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list:
     subgroups = [sub for sub, _ in cases]
     owner = np.repeat(np.arange(len(cases)), [len(windows) for _, windows in cases])
     V_full = np.concatenate([orbit_system(windows, sub.elements) for sub, windows in cases])
-    S_full = linalg.psd_eigen(frames.frame_operator(V_full), rel_tol=rel_tol, name="frame operator")
+    S_full = linalg.psd_eigen(frames.frame_operator(V_full), name="frame operator")
     # stabiliser order -> its classes' (rows, coset columns, coset of each column, subgroup)
     batches = {}
     for si, stab, rows in stabilizer_classes(subgroups, owner, g, V_full):
@@ -301,12 +298,12 @@ def _verify_batch(cases, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list:
         rows = np.concatenate(rows)
         per_row = [np.repeat(x, counts, axis=0) for x in (cols, lam_index, gens)]
         arrays = (g[rows], V_full[rows], S_full[rows])
-        for w, outcome in zip(rows, _verify_class(stab_order, *per_row, *arrays, rel_tol)):
+        for w, outcome in zip(rows, _verify_class(stab_order, *per_row, *arrays)):
             outcomes[w] = outcome
     return outcomes
 
 
-def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full, rel_tol) -> list:
+def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full) -> list:
     """:func:`verify_windows` for windows that share one stabiliser order: row
     w's transversal orbit is its full orbit's columns ``cols[w]``, over the
     subgroup named ``gens[w]``; ``lam_index[w]`` is each full column's coset."""
@@ -320,17 +317,13 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full, rel_tol)
     # operator V V*, so the n x n spectra give every Gram rank and extreme. A
     # trivial stabiliser's transversal is the full orbit with its columns
     # permuted, which leaves V V*, and so its spectrum, as it is.
-    S_red = (
-        S_full
-        if trivial
-        else linalg.psd_eigen(frames.frame_operator(V_red), rel_tol=rel_tol, name="frame operator")
-    )
+    S_red = S_full if trivial else linalg.psd_eigen(frames.frame_operator(V_red), name="frame operator")
     gen_norm_sq = np.einsum("wj,wj->w", g.conj(), g).real
     is_frame = S_full.rank == n
     # the Gram matrix's smallest eigenvalue: the lam_size-th largest of S_red,
     # or 0 for more vectors than dimensions
     gram_min = S_red.eigenvalues[:, n - lam_size] if lam_size <= n else 0.0
-    is_riesz = gram_min > rel_tol * np.maximum(S_red.eigenvalues[:, -1], 0.0)
+    is_riesz = gram_min > linalg.DEFAULT_REL_TOL * np.maximum(S_red.eigenvalues[:, -1], 0.0)
     # against the standard basis the compressed synthesis matrix is V itself
     s_residual = frames.s_relation_residual(V_full, V_red, stab_order)
     R_full = S_full.inverse_sqrt()
@@ -349,12 +342,7 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full, rel_tol)
     if riesz.size:
         biorth[riesz] = frames.biorthogonality_check(V_red[riesz], S_red[riesz], R_red[riesz])
     lower_slack, upper_slack, sandwich_ok = frames.density_sandwich_check(
-        S_full.eigenvalues[:, 0],
-        S_full.eigenvalues[:, -1],
-        vol,
-        degree,
-        gen_norm_sq,
-        tol=_SANDWICH_TOL,
+        S_full.eigenvalues[:, 0], S_full.eigenvalues[:, -1], vol, degree, gen_norm_sq
     )
 
     tol = _IDENTITY_RESIDUAL_TOL

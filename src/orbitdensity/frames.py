@@ -23,11 +23,16 @@ systems and then return one value per system; every Hermitian, diagonal,
 PSD and rank check still applies to each matrix on its own. The identity
 checks return their deviations, slacks and pass masks as plain numbers or
 arrays, and leave the verdict and its message to the caller.
+
+:class:`FrameReport` is the ``frame_report`` record of ``bergman-density``:
+its fields, declared once in record order, are the record's schema, and it
+evaluates both density verdicts on construction. The verdicts and the
+frame-bound sandwich compare to one tolerance, ``DENSITY_TOL``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,21 +41,25 @@ from .errors import DimensionError, NotRieszError, OracleInconsistencyError, Usa
 
 SCHEMA_VERSION = "2"
 
+# Relative tolerance of the density comparisons: a verdict's product against
+# 1 / |stab|, and each side of the frame-bound sandwich against its largest term.
+DENSITY_TOL = 1e-9
+
 
 def frame_operator(V) -> np.ndarray:
     """Frame operator sum_i v_i v_i* of the columns of an orbit matrix."""
     return V @ linalg.adjoint(V)
 
 
-def gram(G, sizes=None, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list[linalg.PSDSpectrum]:
+def gram(G, sizes=None) -> list[linalg.PSDSpectrum]:
     """Validate the leading blocks G[:k, :k] of an assembled Gram matrix (of
     each matrix of a stack) and return their spectra, one per k of
     ``sizes``, the whole matrix by default. Eigenvalues only.
 
     Each block must have a strictly positive diagonal and pass
-    :func:`linalg.psd_eigen` at ``rel_tol``: finite, Hermitian to
-    ``linalg.HERMITIAN_RTOL`` relative and PSD. Violations of the diagonal,
-    Hermitian and PSD conditions signal inconsistent inner products.
+    :func:`linalg.psd_eigen`: finite, Hermitian to ``linalg.HERMITIAN_RTOL``
+    relative and PSD. Violations of the diagonal, Hermitian and PSD
+    conditions signal inconsistent inner products.
 
     A complex128 ``G`` is the working buffer: its leading max(sizes) rows
     and columns are overwritten with the Hermitian part (G + G*) / 2, and
@@ -64,7 +73,7 @@ def gram(G, sizes=None, rel_tol: float = linalg.DEFAULT_REL_TOL) -> list[linalg.
         diagonal = np.diagonal(G, axis1=-2, axis2=-1)[..., : max(sizes, default=0)]
         if not np.all(diagonal.real > 0.0):
             raise OracleInconsistencyError("Gram diagonal must be strictly positive")
-    return linalg.psd_eigen(G, sizes, rel_tol=rel_tol, compute_vectors=False, name="Gram matrix")
+    return linalg.psd_eigen(G, sizes, compute_vectors=False, name="Gram matrix")
 
 
 def frame_bounds_probe(A, whitener) -> tuple[float, float, dict]:
@@ -159,19 +168,12 @@ def biorthogonality_check(V, frame_spectrum: linalg.PSDSpectrum, R) -> float:
     return linalg.per_matrix(np.max(np.abs(K - np.eye(V.shape[-1])), axis=(-2, -1)))
 
 
-def density_sandwich_check(
-    lower,
-    upper,
-    covolume: float,
-    degree: float,
-    gen_norm_sq,
-    tol: float = 1e-9,
-) -> tuple:
+def density_sandwich_check(lower, upper, covolume: float, degree: float, gen_norm_sq) -> tuple:
     """Verify the frame-bound sandwich A vol <= ||g||^2 / d_pi <= B vol.
 
     Takes scalars or equally shaped arrays of bounds and norms; returns the
     slacks ||g||^2 / d - A vol and B vol - ||g||^2 / d and whether both are
-    at least -tol times the largest of the three terms.
+    at least -``DENSITY_TOL`` times the largest of the three terms.
     """
     if not (np.all(lower <= upper) and covolume > 0.0 and degree > 0.0):
         raise UsageError("need lower <= upper, covolume > 0 and degree > 0")
@@ -182,119 +184,76 @@ def density_sandwich_check(
     )
     lower_slack = mid - lower * covolume
     upper_slack = upper * covolume - mid
-    return lower_slack, upper_slack, (lower_slack >= -tol * scale) & (upper_slack >= -tol * scale)
+    tol = DENSITY_TOL * scale
+    return lower_slack, upper_slack, (lower_slack >= -tol) & (upper_slack >= -tol)
 
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Flat record of one density analysis step."""
+    """One density analysis step, its fields declared in ``frame_report``
+    record order, and both density verdicts, evaluated on construction.
+
+    Verdict (i): a frame forces covolume * degree <= 1 / stabiliser order.
+    Verdict (ii): a Riesz transversal orbit forces the reverse inequality.
+    Each compares to ``DENSITY_TOL`` relative, and a failed applicable verdict
+    is flagged as an inconsistency.
+    """
 
     lattice: str
     ball_norm: float
     stab_order: int
     covolume: float
     formal_degree: float
-    density_product: float
-    density_bound: float
+    density_product: float = field(init=False)
+    density_bound: float = field(init=False)
     gen_norm_sq: float
-    a_est: float | None
-    b_est: float | None
-    riesz_min: float | None
-    riesz_max: float | None
+    a_est: float
+    b_est: float
+    riesz_min: float
+    riesz_max: float
     frame_decision: bool
     riesz_decision: bool
-    verdict_i_applicable: bool
-    verdict_i_pass: bool
-    verdict_ii_applicable: bool
-    verdict_ii_pass: bool
-    consistent: bool
+    verdict_i_applicable: bool = field(init=False)
+    verdict_i_pass: bool = field(init=False)
+    verdict_ii_applicable: bool = field(init=False)
+    verdict_ii_pass: bool = field(init=False)
+    consistent: bool = field(init=False)
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.stab_order < 1:
+            raise UsageError(f"stabiliser order must be at least 1, got {self.stab_order}")
+        if self.a_est > self.b_est:
+            raise UsageError(f"frame estimates out of order: {self.a_est} > {self.b_est}")
+        product = self.covolume * self.formal_degree
+        bound = 1.0 / self.stab_order
+        if not product > 0.0:
+            raise UsageError("density product must be positive")
+        scale = max(product, bound)
+        pass_i = product <= bound + DENSITY_TOL * scale
+        pass_ii = product >= bound - DENSITY_TOL * scale
+        derived = {
+            "density_product": product,
+            "density_bound": bound,
+            "verdict_i_applicable": self.frame_decision,
+            "verdict_i_pass": pass_i,
+            "verdict_ii_applicable": self.riesz_decision,
+            "verdict_ii_pass": pass_ii,
+            "consistent": (not self.frame_decision or pass_i) and (not self.riesz_decision or pass_ii),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
     def to_flat_dict(self) -> dict:
+        """The ``frame_report`` record: the schema version, every field but
+        the diagnostics in declaration order, then each diagnostic, sorted by
+        key, as ``diag_<key>``."""
         record = {"schema_version": SCHEMA_VERSION}
-        for name in (
-            "lattice",
-            "ball_norm",
-            "stab_order",
-            "covolume",
-            "formal_degree",
-            "density_product",
-            "density_bound",
-            "gen_norm_sq",
-            "a_est",
-            "b_est",
-            "riesz_min",
-            "riesz_max",
-            "frame_decision",
-            "riesz_decision",
-            "verdict_i_applicable",
-            "verdict_i_pass",
-            "verdict_ii_applicable",
-            "verdict_ii_pass",
-            "consistent",
-        ):
-            record[name] = getattr(self, name)
+        for f in fields(self):
+            if f.name != "diagnostics":
+                record[f.name] = getattr(self, f.name)
         for key, value in sorted(self.diagnostics.items()):
             if isinstance(value, (list, tuple)):
                 value = ";".join(repr(float(v)) for v in value)
             record[f"diag_{key}"] = value
         return record
-
-
-def density_verdict(
-    *,
-    lattice: str,
-    ball_norm: float,
-    covolume: float,
-    formal_degree: float,
-    stab_order: int,
-    gen_norm_sq: float,
-    frame_decision: bool,
-    riesz_decision: bool,
-    a_est: float | None = None,
-    b_est: float | None = None,
-    riesz_min: float | None = None,
-    riesz_max: float | None = None,
-    diagnostics: dict | None = None,
-    tol: float = 1e-9,
-) -> FrameReport:
-    """Assemble a frame report and evaluate both density verdicts.
-
-    Verdict (i): a frame forces covolume * degree <= 1 / stabiliser order.
-    Verdict (ii): a Riesz transversal orbit forces the reverse inequality.
-    A failed applicable verdict is flagged as an inconsistency.
-    """
-    if stab_order < 1:
-        raise UsageError(f"stabiliser order must be at least 1, got {stab_order}")
-    if a_est is not None and b_est is not None and a_est > b_est:
-        raise UsageError(f"frame estimates out of order: {a_est} > {b_est}")
-    product = covolume * formal_degree
-    bound = 1.0 / stab_order
-    if not product > 0.0:
-        raise UsageError("density product must be positive")
-    scale = max(product, bound)
-    pass_i = product <= bound + tol * scale
-    pass_ii = product >= bound - tol * scale
-    consistent = (not frame_decision or pass_i) and (not riesz_decision or pass_ii)
-    return FrameReport(
-        lattice=lattice,
-        ball_norm=ball_norm,
-        stab_order=stab_order,
-        covolume=covolume,
-        formal_degree=formal_degree,
-        density_product=product,
-        density_bound=bound,
-        gen_norm_sq=gen_norm_sq,
-        a_est=a_est,
-        b_est=b_est,
-        riesz_min=riesz_min,
-        riesz_max=riesz_max,
-        frame_decision=frame_decision,
-        riesz_decision=riesz_decision,
-        verdict_i_applicable=frame_decision,
-        verdict_i_pass=pass_i,
-        verdict_ii_applicable=riesz_decision,
-        verdict_ii_pass=pass_ii,
-        consistent=consistent,
-        diagnostics=diagnostics or {},
-    )

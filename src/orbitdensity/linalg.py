@@ -10,8 +10,9 @@ deviation against one tolerance, ``HERMITIAN_RTOL``, by strips of
 ``ROW_BLOCK`` rows; overwrites the buffer with its Hermitian part in place,
 once; and eigensolves every block as a view of it, so LAPACK's copy is the
 only other full-size array. Real input is solved in real arithmetic. All
-routines are deterministic for identical input and use a single relative
-threshold ``DEFAULT_REL_TOL`` wherever a rank decision has to be made.
+routines are deterministic for identical input, and every rank decision,
+the PSD check's allowance included, reads one relative threshold,
+``DEFAULT_REL_TOL``.
 """
 
 from __future__ import annotations
@@ -106,8 +107,32 @@ def _leading_deviations(A, bounds) -> tuple:
     every matrix.
 
     Measured by strips of ROW_BLOCK rows, so no temporary is larger than
-    ROW_BLOCK x max(bounds).
+    ROW_BLOCK x max(bounds). The squares of entries beyond about 1e154
+    overflow and those below about 1e-154 underflow, which would make a
+    quotient nan or lose it: a block whose squared norm leaves
+    [2^-900, 2^1000] is measured again on its own, times 2^-600 or 2^600,
+    which brings its squares into the double range and, a power of two,
+    changes no quotient.
     """
+    norm_sq, diff_sq, finite = _leading_sums(A, bounds)
+    for i, k in enumerate(bounds):
+        low, high = norm_sq[i] <= 2.0**-900, norm_sq[i] >= 2.0**1000
+        if np.any(low | high):
+            factor = np.where(high, 2.0**-600, np.where(low, 2.0**600, 1.0))
+            block_norm_sq, block_diff_sq, _ = _leading_sums(A, [k], factor)
+            norm_sq[i], diff_sq[i] = block_norm_sq[0], block_diff_sq[0]
+    scale = np.sqrt(norm_sq)
+    # inf / inf is left only in a non-finite block, which is rejected as such
+    with np.errstate(invalid="ignore"):
+        dev = np.divide(np.sqrt(diff_sq), scale, out=np.zeros_like(scale), where=scale > 0.0)
+    return dev, finite
+
+
+def _leading_sums(A, bounds, factor=None) -> tuple:
+    """Squared Frobenius norms of A_k and of A_k - A_k* for the leading
+    blocks of :func:`_leading_deviations`, of each matrix times its
+    ``factor`` (an array over the stack) when one is given, and whether
+    each block is finite."""
     n = bounds[-1]
     norm_sq = np.zeros((len(bounds),) + A.shape[:-2])
     diff_sq = np.zeros_like(norm_sq)
@@ -115,20 +140,22 @@ def _leading_deviations(A, bounds) -> tuple:
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
         rows = A[..., r0:r1, :n]
+        if factor is not None:
+            rows = rows * factor[..., None, None]
         index = np.arange(r0, r1)
         norm_sq += _block_sums(rows, index, bounds)
         # inf - inf is nan: a non-finite block is rejected as such, not warned about
         with np.errstate(invalid="ignore"):
             diff = _adjoint_rows(A[..., :n, r0:r1])
+            if factor is not None:
+                diff *= factor[..., None, None]
             diff -= rows
             diff_sq += _block_sums(diff, index, bounds)
             del diff
         if not np.isfinite(rows).all():
             for i, k in enumerate(bounds):
                 finite[i] &= np.isfinite(rows[..., : max(k - r0, 0), :k]).all()
-    scale = np.sqrt(norm_sq)
-    dev = np.divide(np.sqrt(diff_sq), scale, out=np.zeros_like(scale), where=scale > 0.0)
-    return dev, finite
+    return norm_sq, diff_sq, finite
 
 
 def _hermitian_part_in_place(A, n: int) -> None:
@@ -163,28 +190,25 @@ class PSDSpectrum:
 
     ``eigenvectors`` holds an orthonormal column system aligned with
     ``eigenvalues``, or ``None`` when only eigenvalues were requested.
-    ``keep`` marks the eigenvalues above ``rel_tol * lambda_max`` of their
-    own matrix; the others count as kernel directions. :func:`psd_eigen`
-    sets ``rel_tol`` once the matrix has passed its PSD check;
-    :func:`hermitian_eigen` leaves the default. Every rank, extreme, pseudo
-    inverse square root and whitening of the matrix is read from this one
-    decomposition. For a stack, ``rank`` and ``extremes`` are arrays over
-    the stack and indexing selects matrices.
+    ``keep`` marks the eigenvalues above ``DEFAULT_REL_TOL * lambda_max`` of
+    their own matrix; the others count as kernel directions. Every rank,
+    extreme, pseudo inverse square root and whitening of the matrix is read
+    from this one decomposition. For a stack, ``rank`` and ``extremes`` are
+    arrays over the stack and indexing selects matrices.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    rel_tol: float = DEFAULT_REL_TOL
 
     @cached_property
     def keep(self) -> np.ndarray:
-        """Mask of the eigenvalues above ``rel_tol * max(lambda_max, 0)``."""
+        """Mask of the eigenvalues above ``DEFAULT_REL_TOL * max(lambda_max, 0)``."""
         lam_max = np.maximum(self.eigenvalues[..., -1:], 0.0)
-        return self.eigenvalues > self.rel_tol * lam_max
+        return self.eigenvalues > DEFAULT_REL_TOL * lam_max
 
     def __getitem__(self, index) -> "PSDSpectrum":
         vectors = None if self.eigenvectors is None else self.eigenvectors[index]
-        return PSDSpectrum(self.eigenvalues[index], vectors, self.rel_tol)
+        return PSDSpectrum(self.eigenvalues[index], vectors)
 
     @property
     def rank(self):
@@ -281,26 +305,17 @@ def hermitian_eigen(
 
 
 def psd_eigen(
-    M,
-    sizes=None,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    compute_vectors: bool = True,
-    name: str = "matrix",
+    M, sizes=None, *, compute_vectors: bool = True, name: str = "matrix"
 ) -> PSDSpectrum | list[PSDSpectrum]:
     """:func:`hermitian_eigen` of a PSD matrix, stack or set of leading
-    blocks, keeping the eigenvalues above ``rel_tol * lambda_max`` of each
-    matrix.
+    blocks.
 
-    An eigenvalue below -(rel_tol * lambda_max + 64 eps ||M_k||_F) of its
-    own matrix raises ``OracleInconsistencyError``: the matrices are built
-    from inner products, so a clearly negative eigenvalue is an error in
-    the numbers, not in the input.
+    An eigenvalue below -(DEFAULT_REL_TOL * lambda_max + 64 eps ||M_k||_F)
+    of its own matrix raises ``OracleInconsistencyError``: the matrices are
+    built from inner products, so a clearly negative eigenvalue is an error
+    in the numbers, not in the input.
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise UsageError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     spectra = hermitian_eigen(M, sizes, compute_vectors=compute_vectors, name=name)
-    checked = []
     for spec in [spectra] if sizes is None else spectra:
         w = spec.eigenvalues
         if w.shape[-1]:
@@ -308,12 +323,11 @@ def psd_eigen(
             # ||M_k||_F^2 is the sum of the squared eigenvalues; the absolute
             # term keeps exact-zero matrices and pure roundoff negatives legal
             norm = np.sqrt(np.einsum("...i,...i->...", w, w))
-            bad = w[..., 0] < -(rel_tol * lam_max + 64.0 * np.finfo(float).eps * norm)
+            bad = w[..., 0] < -(DEFAULT_REL_TOL * lam_max + 64.0 * np.finfo(float).eps * norm)
             if np.any(bad):
                 j = np.argmax(bad)
                 raise OracleInconsistencyError(
                     f"{name} is not PSD: min eigenvalue {w[..., 0].flat[j]:.6e} "
                     f"of max {lam_max.flat[j]:.6e}"
                 )
-        checked.append(PSDSpectrum(w, spec.eigenvectors, rel_tol))
-    return checked[0] if sizes is None else checked
+    return spectra

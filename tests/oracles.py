@@ -559,12 +559,12 @@ def hermitian_part(A) -> np.ndarray:
     return H
 
 
-def psd_eigen_by_copy(M, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpectrum:
+def psd_eigen_by_copy(M) -> linalg.PSDSpectrum:
     """Eigenvalues, eigenvectors and rank mask of a fresh (M + M*) / 2, the
     copy-based path that the in-place ``linalg.psd_eigen`` replaced; ``M``
     is left as it is."""
     w, V = np.linalg.eigh(hermitian_part(np.asarray(M, dtype=complex)))
-    return linalg.PSDSpectrum(w, V, rel_tol)
+    return linalg.PSDSpectrum(w, V)
 
 
 def whitened_probe_extremes(A, whitener) -> tuple[float, float]:
@@ -576,7 +576,7 @@ def whitened_probe_extremes(A, whitener) -> tuple[float, float]:
     return max(float(w[0]), 0.0), float(w[-1])
 
 
-def gram_per_call(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpectrum:
+def gram_per_call(G) -> linalg.PSDSpectrum:
     """Spectrum of one Gram matrix (or stack) with the checks of
     ``frames.gram``, on whole-matrix copies: the Hermitian deviation from
     a full A* - A, then the eigenvalues of a fresh (A + A*) / 2. ``G`` is
@@ -595,14 +595,14 @@ def gram_per_call(G, rel_tol: float = linalg.DEFAULT_REL_TOL) -> linalg.PSDSpect
         raise UsageError("Gram matrix contains non-finite entries")
     w = np.linalg.eigvalsh(hermitian_part(G))
     lam_max = np.maximum(w[..., -1], 0.0)
-    bad = w[..., 0] < -rel_tol * lam_max
+    bad = w[..., 0] < -linalg.DEFAULT_REL_TOL * lam_max
     if np.any(bad):
         k = np.argmax(bad)
         raise OracleInconsistencyError(
             f"Gram matrix is not PSD: min eigenvalue {w[..., 0].flat[k]:.6e} "
             f"of max {lam_max.flat[k]:.6e}"
         )
-    return linalg.PSDSpectrum(w, None, rel_tol)
+    return linalg.PSDSpectrum(w, None)
 
 
 def traced_peak(fn, *args, **kwargs) -> tuple:

@@ -182,6 +182,7 @@ class TestExitCodes:
         )
         assert code == 3
         assert "failure:" in err and "Traceback" not in err
+        assert "||k_z||^2" in err and "alpha = 2000.0" in err and "Im z = 0.5" in err
 
     def test_a_huge_weight_leaves_the_stabiliser_in_range(self, capsys):
         # every overlap of unit kernels lies in [0, 1]

@@ -402,10 +402,10 @@ class TestBatchedScan:
         trivial = []
         verify_class = fg._verify_class
 
-        def recording(stab_order, cols, lam_index, gens, g, V_full, S_full, rel_tol):
+        def recording(stab_order, cols, lam_index, gens, g, V_full, S_full):
             if stab_order == 1:
                 trivial.append((cols, V_full, S_full))
-            return verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full, rel_tol)
+            return verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full)
 
         monkeypatch.setattr(fg, "_verify_class", recording)
         for n in range(2, 7):

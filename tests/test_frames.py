@@ -239,11 +239,6 @@ class TestNestedGram:
         with pytest.raises(DimensionError):
             frames.gram(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("rel_tol", [2.0, 0.0, -1.0])
-    def test_rel_tol_validated(self, rel_tol):
-        with pytest.raises(UsageError, match="rel_tol"):
-            frames.gram(np.eye(3, dtype=complex), rel_tol=rel_tol)
-
 
 class TestRieszExtremes:
     def test_identity(self):
@@ -462,74 +457,62 @@ class TestSandwich:
             frames.density_sandwich_check(2.0, 1.0, 1.0, 1.0, 1.0)
 
 
+def frame_report(**inputs) -> frames.FrameReport:
+    """A frame report of neutral inputs, but for the given ones."""
+    defaults = dict(
+        lattice="test", ball_norm=5.0, stab_order=1, covolume=1.0, formal_degree=0.1,
+        gen_norm_sq=1.0, a_est=0.5, b_est=1.0, riesz_min=0.5, riesz_max=1.0,
+        frame_decision=False, riesz_decision=False,
+    )
+    return frames.FrameReport(**{**defaults, **inputs})
+
+
 class TestDensityVerdict:
     def test_exact_mode_pass_at_equality(self):
-        report = frames.density_verdict(
-            lattice="test",
-            ball_norm=float("inf"),
-            covolume=1.0,
-            formal_degree=0.5,
-            stab_order=2,
-            gen_norm_sq=1.0,
-            frame_decision=True,
-            riesz_decision=True,
+        report = frame_report(
+            ball_norm=float("inf"), stab_order=2, covolume=1.0, formal_degree=0.5,
+            frame_decision=True, riesz_decision=True,
         )
         assert report.verdict_i_pass and report.verdict_ii_pass and report.consistent
 
     def test_numerical_mode_flags_only(self):
-        report = frames.density_verdict(
-            lattice="test",
-            ball_norm=4.0,
-            covolume=1.0,
-            formal_degree=1.0,
-            stab_order=2,
-            gen_norm_sq=1.0,
-            frame_decision=True,
-            riesz_decision=False,
+        report = frame_report(
+            ball_norm=4.0, stab_order=2, covolume=1.0, formal_degree=1.0, frame_decision=True
         )
         assert not report.verdict_i_pass
         assert not report.consistent
 
     def test_haar_rescaling_invariance(self):
         vol, degree = covolume_psl2z_by_meshgrid(), 0.0795
-        base = frames.density_verdict(
-            lattice="psl2z",
-            ball_norm=6.0,
-            covolume=vol,
-            formal_degree=degree,
-            stab_order=2,
-            gen_norm_sq=1.0,
+        base = frame_report(
+            lattice="psl2z", ball_norm=6.0, stab_order=2, covolume=vol, formal_degree=degree,
             frame_decision=True,
-            riesz_decision=False,
         )
         for c in (1.0 / 3.0, 7.0):
-            scaled = frames.density_verdict(
-                lattice="psl2z",
-                ball_norm=6.0,
-                covolume=c * vol,
-                formal_degree=degree / c,
-                stab_order=2,
-                gen_norm_sq=1.0,
-                frame_decision=True,
-                riesz_decision=False,
-                )
+            scaled = frame_report(
+                lattice="psl2z", ball_norm=6.0, stab_order=2, covolume=c * vol,
+                formal_degree=degree / c, frame_decision=True,
+            )
             assert abs(scaled.density_product - base.density_product) <= 1e-12 * base.density_product
             assert scaled.verdict_i_pass == base.verdict_i_pass
             assert scaled.consistent == base.consistent
 
     def test_flat_record_roundtrip(self):
-        report = frames.density_verdict(
-            lattice="test",
-            ball_norm=5.0,
-            covolume=1.0,
-            formal_degree=0.1,
-            stab_order=1,
-            gen_norm_sq=1.0,
-            frame_decision=False,
-            riesz_decision=False,
-            diagnostics={"probe_trace_min": [0.1, 0.2], "probe_count": 7},
-        )
+        report = frame_report(diagnostics={"probe_trace_min": [0.1, 0.2], "probe_count": 7})
         record = report.to_flat_dict()
         assert record["schema_version"] == frames.SCHEMA_VERSION
         assert record["diag_probe_count"] == 7
         assert record["diag_probe_trace_min"] == "0.1;0.2"
+
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            ({"stab_order": 0}, "stabiliser order"),
+            ({"a_est": 2.0, "b_est": 1.0}, "out of order"),
+            ({"covolume": 0.0}, "product must be positive"),
+            ({"formal_degree": -0.1}, "product must be positive"),
+        ],
+    )
+    def test_inputs_refused(self, inputs, message):
+        with pytest.raises(UsageError, match=message):
+            frame_report(**inputs)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,32 @@ class TestHermitianEigen:
         with pytest.raises(OracleInconsistencyError):
             linalg.hermitian_eigen([[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_deviation_holds_where_squares_leave_the_double_range(self, scale):
+        # the entries' squares overflow at 1e200 and underflow at 1e-200; the
+        # relative deviation is that of [[1, 0.3], [0.1, 1]], about 0.195
+        with pytest.raises(OracleInconsistencyError, match="relative deviation 1.952e-01"):
+            linalg.hermitian_eigen(scale * np.array([[1.0, 0.3], [0.1, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = linalg.hermitian_eigen(scale * np.array([[1.0, 0.2], [0.2, 1.0]])).eigenvalues
+        np.testing.assert_allclose(w / scale, [0.8, 1.2], rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "leading, corner, deviation",
+        [([[1.0, 0.3], [0.1, 1.0]], 0.0, "1.952e-01"), ([[1.0, 0.2], [0.2, 1.0]], 0.5, "6.325e-01")],
+    )
+    def test_each_leading_block_is_measured_at_its_own_scale(self, leading, corner, deviation):
+        # a 2 x 2 leading block of entries about 1e-200, whose squares
+        # underflow, in a 3 x 3 matrix with a unit diagonal: the deviation
+        # is read in the leading block, or in the whole matrix, whose
+        # corner entry is not mirrored
+        A = np.eye(3)
+        A[:2, :2] = 1e-200 * np.array(leading)
+        A[0, 2] = corner
+        with pytest.raises(OracleInconsistencyError, match=f"relative deviation {deviation}"):
+            linalg.hermitian_eigen(A, (2, 3))
+
     def test_trace_and_frobenius_identities(self):
         rng = np.random.default_rng(2)
         for n in (2, 5, 9):
@@ -99,11 +126,6 @@ class TestInverseSqrtPsd:
         P = R @ R @ M  # pseudo-inverse times M = projector onto the range
         assert np.linalg.norm(P @ M - M) <= 1e-8 * np.linalg.norm(M)
         assert np.linalg.norm(P @ P - P) <= 1e-8
-
-    def test_bad_rel_tol(self):
-        for rel_tol in (2.0, 0.0, -1.0):
-            with pytest.raises(UsageError):
-                linalg.psd_eigen(np.eye(2), rel_tol=rel_tol)
 
 
 class TestNumericalRank:
