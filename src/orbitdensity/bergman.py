@@ -42,6 +42,12 @@ from .hyperbolic import UpperHalfPoint, act, canonical, compose, distance, frobe
 # an assembled inner-product matrix holds at most GRAM_SIZE_CAP^2 entries
 GRAM_SIZE_CAP = 4096
 
+# geodesic radius around z of the probe kernels' points
+PROBE_RADIUS = 2.0
+
+# a frame or Riesz decision holds while its lower bound exceeds this times its upper one
+DECISION_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class Weight:
@@ -409,9 +415,9 @@ def projective_stabilizer_kernel(
     return members, overlaps[members]
 
 
-def probe_kernels(kernel: KernelOrbit, count: int, max_radius: float = 2.0) -> KernelOrbit:
+def probe_kernels(kernel: KernelOrbit, count: int) -> KernelOrbit:
     """Deterministic probe set: kernels on a golden-angle spiral of geodesic
-    polar coordinates around the point of a one-element orbit."""
+    polar coordinates within ``PROBE_RADIUS`` of the point of a one-element orbit."""
     if count < 1:
         raise UsageError(f"need at least one probe, got {count}")
     golden = (1.0 + math.sqrt(5.0)) / 2.0
@@ -420,7 +426,7 @@ def probe_kernels(kernel: KernelOrbit, count: int, max_radius: float = 2.0) -> K
     mover = canonical([root_y, center.real / root_y, 0.0, 1.0 / root_y])
     thetas = [(p / golden) % 1.0 * math.pi for p in range(count)]
     rotations = canonical([(math.cos(t), math.sin(t), -math.sin(t), math.cos(t)) for t in thetas])
-    radii = [max_radius * math.sqrt((p + 0.5) / count) for p in range(count)]
+    radii = [PROBE_RADIUS * math.sqrt((p + 0.5) / count) for p in range(count)]
     z = act(compose(mover, rotations), np.array([complex(0.0, math.exp(r)) for r in radii]))
     return KernelOrbit(z=z, alpha=kernel.alpha)
 
@@ -432,11 +438,8 @@ def density_analysis(
     ball_norm: float,
     *,
     probes: int = 40,
-    probe_radius: float = 2.0,
     refine_steps: int = 3,
     refine_delta: float = 1.0,
-    frame_floor: float = 1e-6,
-    riesz_floor: float = 1e-6,
     haar_scale: float = 1.0,
 ) -> list[frames.FrameReport]:
     """Frame reports of the orbit of the kernel at ``z`` under ``spec``, one
@@ -445,11 +448,11 @@ def density_analysis(
 
     The Riesz bounds are the Gram spectrum of the coset representatives in
     the truncation, the frame bounds are estimated on the span of ``probes``
-    kernels within ``probe_radius`` of z. Both are read from the unit
+    kernels within ``PROBE_RADIUS`` of z. Both are read from the unit
     kernels of the orbit and reported times ||k_z||^2 = ``gen_norm_sq``,
     the squared norm of every orbit vector. A decision holds when its lower
-    bound stays above the floor times the upper one over the last three
-    truncations: a trend, not a proof.
+    bound stays above ``DECISION_FLOOR`` times the upper one over the last
+    three truncations: a trend, not a proof.
     """
     weight = Weight(alpha)
     # ball_enumerate refuses a small ball norm before any work on the ball;
@@ -458,12 +461,8 @@ def density_analysis(
         raise UsageError(f"probes must be at least 1, got {probes}")
     if refine_steps < 1:
         raise UsageError(f"refine_steps must be at least 1, got {refine_steps}")
-    for name, value in (
-        ("probe_radius", probe_radius), ("refine_delta", refine_delta),
-        ("frame_floor", frame_floor), ("riesz_floor", riesz_floor),
-    ):
-        if not value > 0.0:
-            raise UsageError(f"{name} must be positive, got {value}")
+    if not refine_delta > 0.0:
+        raise UsageError(f"refine_delta must be positive, got {refine_delta}")
 
     kernel = KernelOrbit.plain([z], weight)
     covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)  # refuses haar_scale <= 0
@@ -476,7 +475,7 @@ def density_analysis(
     stab_members, _phases = projective_stabilizer_kernel(ball, kernel, orbit)
     stab_order = len(stab_members)
     cosets = fuchsian.coset_representatives(ball, stab_members)
-    probe_orbit = probe_kernels(kernel, probes, probe_radius)
+    probe_orbit = probe_kernels(kernel, probes)
 
     # Ball elements are sorted by norm and the representatives' ball indices
     # increase, so every truncation is a leading prefix of both: assemble
@@ -507,12 +506,14 @@ def density_analysis(
     whitener = linalg.psd_eigen(probe_gram, name="probe Gram matrix").whitener()
     # The S-relation compares the synthesis of the fully tiled
     # representatives with that of every rep * h, whose columns come from
-    # the other ball elements of each coset.
+    # the other ball elements of each coset: both are gathers of the
+    # synthesis of the whole ball, which is then freed.
     fully_tiled = np.all(cosets.tile >= 0, axis=1)
-    synth_red = kernel_gram(orbit.take(cosets.rep_index[fully_tiled]), probe_orbit).T
-    synth_red *= probe_weight[:, None]
-    synth_full = kernel_gram(orbit.take(cosets.tile[fully_tiled].ravel()), probe_orbit).T
-    synth_full *= probe_weight[:, None]
+    synthesis = kernel_gram(orbit, probe_orbit).T
+    synthesis *= probe_weight[:, None]
+    synth_red = synthesis[:, cosets.rep_index[fully_tiled]]
+    synth_full = synthesis[:, cosets.tile[fully_tiled].ravel()]
+    del synthesis
 
     def scaled(values):
         return [gen_norm_sq * v for v in values]
@@ -529,9 +530,9 @@ def density_analysis(
         probe_trace_max.append(probe_hi)
         riesz_trace_min.append(riesz_lo)
         riesz_trace_max.append(riesz_hi)
-        frame_decision = all(lo >= frame_floor * probe_hi for lo in probe_trace_min[-3:])
+        frame_decision = all(lo >= DECISION_FLOOR * probe_hi for lo in probe_trace_min[-3:])
         riesz_decision = all(
-            lo >= riesz_floor * max(hi, 0.0)
+            lo >= DECISION_FLOOR * max(hi, 0.0)
             for lo, hi in zip(riesz_trace_min[-3:], riesz_trace_max[-3:])
         )
         tiled_count = np.count_nonzero(fully_tiled[:lam_count])

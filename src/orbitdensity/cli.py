@@ -14,13 +14,19 @@ Exit codes: 0 success, 1 exact-mode theorem violation, 2 usage error,
 traceback goes to stderr). Output formats: human, csv (RFC quoting, one
 table under a header row; every other record goes to stderr), json (one
 object per line plus a final summary object). Floats are printed with 17
-significant digits. A flat key=value config file can supply any
-parameter; explicit flags win; unknown keys are rejected.
+significant digits.
 
-The commands' bodies, settings and parsers live in
+Each flag is declared once, in ``_COMMANDS``, with its type and default;
+argparse parses it. A flat key=value config file can supply any flag of
+the command, as a string default that argparse parses with the flag's
+type, so explicit flags win; unknown keys are rejected. One check then
+names every required flag that neither supplied.
+
+The commands' bodies and the config, lattice and point parsers live in
 :mod:`orbitdensity.commands`, which :func:`main` imports only once the
-arguments parse, so ``--help`` and a usage error caught by the parser
-compile no package module but this one and :mod:`orbitdensity.errors`.
+arguments parse, so ``--help`` and a usage error caught by the parser or
+the required check compile no package module but this one and
+:mod:`orbitdensity.errors`.
 Each command imports only the modules it runs, numpy included, the parser
 holds the flags of the named command only, and ``json`` and ``csv`` load
 only when a record is written in their format.
@@ -46,37 +52,39 @@ _NUMERICAL_FAILURES = (NumericalFailure, ResourceLimitError, NotRieszError, Over
 
 FORMATS = ("human", "csv", "json")
 
+# marks a flag that neither the command line nor the config file may omit
+REQUIRED = object()
+
 # command: (its function's name in orbitdensity.commands, help line,
-#           its flags after the common ones as (flag, type, help))
+#           its flags after the common ones as (flag, type, default)); a
+#           bergman-density option left at None takes density_analysis's default
 _COMMANDS = {
     "finite-scan": (
         "cmd_finite_scan",
         "exhaustive exact verification scan",
-        (("--n-max", int, None), ("--windows", int, None), ("--seed", int, None)),
+        (("--n-max", int, REQUIRED), ("--windows", int, 50), ("--seed", int, 0)),
     ),
     "bergman-density": (
         "cmd_bergman_density",
         "density report for a Bergman kernel orbit",
         (
-            ("--lattice", None, None), ("--alpha", float, None), ("--z", None, None),
-            ("--ball", float, None), ("--probes", int, None), ("--probe-radius", float, None),
-            ("--refine-steps", int, None), ("--refine-delta", float, None),
-            ("--frame-floor", float, None), ("--riesz-floor", float, None),
-            ("--haar-scale", float, None),
+            ("--lattice", None, "psl2z"), ("--alpha", float, REQUIRED), ("--z", None, REQUIRED),
+            ("--ball", float, REQUIRED), ("--probes", int, None), ("--refine-steps", int, None),
+            ("--refine-delta", float, None), ("--haar-scale", float, None),
         ),
     ),
     "formal-degree": (
         "cmd_formal_degree",
         "closed-form formal degree",
-        (("--alpha", float, None), ("--haar-scale", float, None)),
+        (("--alpha", float, REQUIRED), ("--haar-scale", float, 1.0)),
     ),
-    "ball": ("cmd_ball", "enumerate a group ball", (("--lattice", None, None), ("--norm", float, None))),
+    "ball": ("cmd_ball", "enumerate a group ball", (("--lattice", None, "psl2z"), ("--norm", float, REQUIRED))),
     "stabilizer": (
         "cmd_stabilizer",
         "point and kernel stabilisers at a point",
         (
-            ("--lattice", None, None), ("--z", None, None), ("--ball", float, None),
-            ("--alpha", float, None), ("--tol", float, None),
+            ("--lattice", None, "psl2z"), ("--z", None, REQUIRED), ("--ball", float, REQUIRED),
+            ("--alpha", float, 2.0), ("--tol", float, 1e-4),
         ),
     ),
 }
@@ -149,9 +157,11 @@ class Emitter:
                 self.stream.write(f"{key} = {format_value(value)}\n")
 
 
-def build_parser(named=None) -> argparse.ArgumentParser:
+def build_parser(named=None, config=None) -> argparse.ArgumentParser:
     """The parser of every command name and help line, with the flags of the
-    commands in ``named`` only, or of every command when it is None."""
+    commands in ``named`` only, or of every command when it is None. The
+    values of ``config`` are their flags' defaults, strings that argparse
+    parses with the flags' types."""
     parser = argparse.ArgumentParser(
         prog="orbit-density",
         description="Density conditions for frames and Riesz sequences in lattice orbits.",
@@ -160,11 +170,12 @@ def build_parser(named=None) -> argparse.ArgumentParser:
     for command, (_, help_line, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         if named is None or command in named:
-            p.add_argument("--format", choices=FORMATS, default=None)
+            p.add_argument("--format", choices=FORMATS, default="human")
             p.add_argument("--out", default=None, help="output file (default stdout)")
             p.add_argument("--config", default=None, help="flat key = value configuration file")
-            for flag, kind, help_text in flags:
-                p.add_argument(flag, type=kind, default=None, help=help_text)
+            for flag, kind, default in flags:
+                p.add_argument(flag, type=kind, default=default)
+            p.set_defaults(**(config or {}))
     return parser
 
 
@@ -193,22 +204,33 @@ def main(argv=None) -> int:
     named = [token for token in argv if token in _COMMANDS][:1]
     try:
         args = build_parser(named).parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
-    try:
+        config = {}
+        if args.config:
+            from .commands import LATTICE_KEYS, load_config
+
+            config = load_config(args.config)
+            # a config key names a flag of the command or a key of the lattice block
+            flags = set(vars(args)) - {"command", "config"}
+            unknown = set(config) - flags - LATTICE_KEYS
+            if unknown:
+                raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            args = build_parser(named, {key: config[key] for key in flags & set(config)}).parse_args(argv)
+        missing = [f"--{name.replace('_', '-')}" for name, value in vars(args).items() if value is REQUIRED]
+        if missing:
+            raise UsageError(f"{args.command} requires {' and '.join(missing)}")
+        # argparse checks the choices of a flag, not of a config value
+        if args.format not in FORMATS:
+            raise UsageError(f"format must be one of {FORMATS}, got {args.format!r}")
         from . import commands
 
-        config = commands.load_config(args.config) if args.config else {}
-        settings = commands.Settings(args, config)
-        fmt = settings.get("format", "human")
-        if fmt not in FORMATS:
-            raise UsageError(f"format must be one of {FORMATS}, got {fmt!r}")
         command = getattr(commands, _COMMANDS[args.command][0])
-        out_path = settings.get("out", None)
-        if out_path:
-            with _open_output(out_path) as fh:
-                return command(settings, Emitter(fmt, fh))
-        return command(settings, Emitter(fmt, sys.stdout))
+        if args.out:
+            with _open_output(args.out) as fh:
+                return command(args, config, Emitter(args.format, fh))
+        return command(args, config, Emitter(args.format, sys.stdout))
+    except SystemExit as exc:
+        # argparse has printed the help or the usage error
+        return int(exc.code) if exc.code else EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

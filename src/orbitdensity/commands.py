@@ -1,5 +1,7 @@
-"""The bodies of the command-line commands, their settings and parsers,
-imported by :func:`orbitdensity.cli.main` once the arguments parse."""
+"""The bodies of the command-line commands and the config, lattice and
+point parsers, imported by :func:`orbitdensity.cli.main` once the
+arguments parse. Each command takes the parsed arguments, the config
+file's values (its lattice block included) and the emitter."""
 
 from __future__ import annotations
 
@@ -9,12 +11,14 @@ from typing import TYPE_CHECKING
 from .errors import EXIT_OK, EXIT_VIOLATION, UsageError
 
 if TYPE_CHECKING:
+    from argparse import Namespace
+
     from .cli import Emitter
     from .fuchsian import LatticeSpec
     from .hyperbolic import UpperHalfPoint
 
 # configuration keys of the lattice block, accepted by every command
-_LATTICE_KEYS = {"lattice.name", "lattice.generators", "lattice.covolume", "lattice.integral"}
+LATTICE_KEYS = {"lattice.name", "lattice.generators", "lattice.covolume", "lattice.integral"}
 
 
 def parse_point(text: str) -> UpperHalfPoint:
@@ -96,44 +100,12 @@ def lattice_from_config(name: str, config: dict) -> LatticeSpec:
     )
 
 
-class Settings:
-    """Merged view of flags, config file, and defaults."""
-
-    def __init__(self, args, config: dict):
-        self.args = args
-        self.config = config
-        # a config key names a parameter of the command's own flags
-        allowed = (set(vars(args)) - {"command", "config"}) | _LATTICE_KEYS
-        unknown = set(config) - allowed
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-
-    def get(self, name: str, default, parse=None):
-        value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name in self.config:
-            raw = self.config[name]
-            if parse is None:
-                return raw
-            try:
-                return parse(raw)
-            except ValueError as exc:
-                raise UsageError(f"config key {name}: cannot parse {raw!r}") from exc
-        return default
-
-
-def cmd_finite_scan(settings: Settings, emitter: Emitter) -> int:
-    n_max = settings.get("n_max", None, int)
-    if n_max is None:
-        raise UsageError("finite-scan requires --n-max")
+def cmd_finite_scan(args: Namespace, config: dict, emitter: Emitter) -> int:
     from . import finite_gabor
 
-    windows = settings.get("windows", 50, int)
-    seed = settings.get("seed", 0, int)
-    if windows < 0 or seed < 0:
+    if args.windows < 0 or args.seed < 0:
         raise UsageError("windows and seed must be nonnegative")
-    report = finite_gabor.exhaustive_scan(n_max, windows_per_case=windows, seed=seed)
+    report = finite_gabor.exhaustive_scan(args.n_max, windows_per_case=args.windows, seed=args.seed)
     for row in report.rows:
         emitter.record("scan_row", {c: row[c] for c in finite_gabor.SCAN_CSV_COLUMNS})
     for violation in report.violations:
@@ -142,34 +114,27 @@ def cmd_finite_scan(settings: Settings, emitter: Emitter) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
-def cmd_formal_degree(settings: Settings, emitter: Emitter) -> int:
+def cmd_formal_degree(args: Namespace, config: dict, emitter: Emitter) -> int:
     from . import bergman
 
-    alpha = settings.get("alpha", None, float)
-    if alpha is None:
-        raise UsageError("formal-degree requires --alpha")
-    haar_scale = settings.get("haar_scale", 1.0, float)
-    degree = bergman.formal_degree_closed_form(bergman.Weight(alpha), haar_scale)
-    emitter.record("formal_degree", {"alpha": alpha, "haar_scale": haar_scale, "formal_degree": degree})
+    degree = bergman.formal_degree_closed_form(bergman.Weight(args.alpha), args.haar_scale)
+    emitter.record("formal_degree", {"alpha": args.alpha, "haar_scale": args.haar_scale, "formal_degree": degree})
     emitter.summary({"formal_degree": degree})
     return EXIT_OK
 
 
-def cmd_ball(settings: Settings, emitter: Emitter) -> int:
+def cmd_ball(args: Namespace, config: dict, emitter: Emitter) -> int:
     from . import fuchsian
     from .hyperbolic import frobenius_sq
 
-    norm = settings.get("norm", None, float)
-    if norm is None:
-        raise UsageError("ball requires --norm")
-    spec = lattice_from_config(settings.get("lattice", "psl2z"), settings.config)
-    ball = fuchsian.ball_enumerate(spec, norm)
+    spec = lattice_from_config(args.lattice, config)
+    ball = fuchsian.ball_enumerate(spec, args.norm)
     for (a, b, c, d), norm_sq in zip(ball.elements.tolist(), frobenius_sq(ball.elements).tolist()):
         emitter.record("element", {"a": a, "b": b, "c": c, "d": d, "frobenius_norm": math.sqrt(norm_sq)})
     emitter.summary(
         {
             "lattice": spec.name,
-            "norm_bound": norm,
+            "norm_bound": args.norm,
             "size": len(ball.elements),
             "closure_certified": ball.closure_certified,
         }
@@ -177,31 +142,26 @@ def cmd_ball(settings: Settings, emitter: Emitter) -> int:
     return EXIT_OK
 
 
-def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
+def cmd_stabilizer(args: Namespace, config: dict, emitter: Emitter) -> int:
     import numpy as np
 
     from . import bergman, fuchsian
 
-    z_text = settings.get("z", None)
-    ball_norm = settings.get("ball", None, float)
-    if z_text is None or ball_norm is None:
-        raise UsageError("stabilizer requires --z and --ball")
-    z = parse_point(z_text)
+    z = parse_point(args.z)
     # a bad weight fails before the ball is enumerated
-    kernel = bergman.KernelOrbit.plain([z], bergman.Weight(settings.get("alpha", 2.0, float)))
-    tol = settings.get("tol", 1e-4, float)
-    spec = lattice_from_config(settings.get("lattice", "psl2z"), settings.config)
-    ball = fuchsian.ball_enumerate(spec, ball_norm)
+    kernel = bergman.KernelOrbit.plain([z], bergman.Weight(args.alpha))
+    spec = lattice_from_config(args.lattice, config)
+    ball = fuchsian.ball_enumerate(spec, args.ball)
     # raises OracleInconsistencyError unless the overlaps match the points' distances
     members, phases = bergman.projective_stabilizer_kernel(
-        ball, kernel, bergman.orbit_system(ball.elements, kernel), tol=tol
+        ball, kernel, bergman.orbit_system(ball.elements, kernel), tol=args.tol
     )
     emitter.record(
         "stabilizer",
         {
             "lattice": spec.name,
             "z": f"{z.x}+{z.y}i",
-            "ball_norm": ball_norm,
+            "ball_norm": args.ball,
             "ball_size": len(ball.elements),
             "order": len(members),
             "order_kernel": len(members),
@@ -216,31 +176,15 @@ def cmd_stabilizer(settings: Settings, emitter: Emitter) -> int:
     return EXIT_OK
 
 
-# keyword options of bergman.density_analysis, with the parser of a config value
-_DENSITY_OPTIONS = {
-    "probes": int, "probe_radius": float, "refine_steps": int, "refine_delta": float,
-    "frame_floor": float, "riesz_floor": float, "haar_scale": float,
-}
-
-
-def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
+def cmd_bergman_density(args: Namespace, config: dict, emitter: Emitter) -> int:
     from . import bergman
 
-    alpha = settings.get("alpha", None, float)
-    if alpha is None:
-        raise UsageError("bergman-density requires --alpha")
-    z_text = settings.get("z", None)
-    if z_text is None:
-        raise UsageError("bergman-density requires --z")
-    z = parse_point(z_text)
-    ball_norm = settings.get("ball", None, float)
-    if ball_norm is None:
-        raise UsageError("bergman-density requires --ball")
-    spec = lattice_from_config(settings.get("lattice", "psl2z"), settings.config)
-    options = {name: settings.get(name, None, parse) for name, parse in _DENSITY_OPTIONS.items()}
+    z = parse_point(args.z)
+    spec = lattice_from_config(args.lattice, config)
+    options = {name: getattr(args, name) for name in ("probes", "refine_steps", "refine_delta", "haar_scale")}
     # an option left unset takes density_analysis's default
     reports = bergman.density_analysis(
-        spec, z, alpha, ball_norm, **{name: v for name, v in options.items() if v is not None}
+        spec, z, args.alpha, args.ball, **{name: v for name, v in options.items() if v is not None}
     )
 
     for report in reports:
@@ -249,7 +193,7 @@ def cmd_bergman_density(settings: Settings, emitter: Emitter) -> int:
     emitter.summary(
         {
             "lattice": spec.name,
-            "alpha": alpha,
+            "alpha": args.alpha,
             "z": f"{z.x}+{z.y}i",
             "stab_order": final.stab_order,
             "covolume": final.covolume,

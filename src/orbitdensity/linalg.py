@@ -159,19 +159,20 @@ def _leading_sums(A, bounds, factor=None) -> tuple:
 
 
 def _hermitian_part_in_place(A, n: int) -> None:
-    """Overwrite A[..., :n, :n] with its Hermitian part (A + A*) / 2, by
-    strips of ROW_BLOCK rows.
-
-    Entry for entry this is (A + A*) / 2 formed in a fresh array, and exactly
-    Hermitian, so eigensolvers that read one triangle see the same numbers.
+    """Overwrite A[..., :n, :n] with its Hermitian part A / 2 + A* / 2, by
+    strips of ROW_BLOCK rows: halved before the sum, no finite entry
+    overflows, and where the halves are normal it is bitwise (A + A*) / 2.
+    It is exactly Hermitian, so eigensolvers that read one triangle see the
+    same numbers.
     """
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
         strip = _adjoint_rows(A[..., r0:n, r0:r1])
-        strip += A[..., r0:r1, r0:n]
         strip *= 0.5
-        A[..., r0:r1, r0:n] = strip
-        A[..., r1:n, r0:r1] = adjoint(strip[..., r1 - r0 :])
+        rows = A[..., r0:r1, r0:n]
+        rows *= 0.5
+        rows += strip
+        A[..., r1:n, r0:r1] = adjoint(rows[..., r1 - r0 :])
 
 
 def _adjoint_rows(columns) -> np.ndarray:
@@ -320,9 +321,9 @@ def psd_eigen(
         w = spec.eigenvalues
         if w.shape[-1]:
             lam_max = np.maximum(w[..., -1], 0.0)
-            # ||M_k||_F^2 is the sum of the squared eigenvalues; the absolute
-            # term keeps exact-zero matrices and pure roundoff negatives legal
-            norm = np.sqrt(np.einsum("...i,...i->...", w, w))
+            # ||M_k||_F by hypot, as the eigenvalues' squares overflow beyond 1e154;
+            # the absolute term keeps exact-zero matrices and roundoff negatives legal
+            norm = np.hypot.reduce(w, axis=-1)
             bad = w[..., 0] < -(DEFAULT_REL_TOL * lam_max + 64.0 * np.finfo(float).eps * norm)
             if np.any(bad):
                 j = np.argmax(bad)

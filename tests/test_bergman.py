@@ -373,11 +373,13 @@ class TestKernelStabilizer:
 class TestProbeKernels:
     def test_count_and_weights(self):
         center = UpperHalfPoint(0.3, 0.8)
-        probes = bergman.probe_kernels(KernelOrbit.plain([center], Weight(2.0)), 17, max_radius=1.5)
+        probes = bergman.probe_kernels(KernelOrbit.plain([center], Weight(2.0)), 17)
         assert len(probes) == 17
         assert probes.alpha == 2.0
-        for z in probes.z:
-            assert distance(UpperHalfPoint(z.real, z.imag), center) <= 1.5 + 1e-9
+        # the spiral's radii sqrt((p + 1/2) / 17) PROBE_RADIUS, all below PROBE_RADIUS
+        radii = [distance(UpperHalfPoint(z.real, z.imag), center) for z in probes.z]
+        np.testing.assert_allclose(radii, bergman.PROBE_RADIUS * np.sqrt((np.arange(17) + 0.5) / 17), rtol=1e-9)
+        assert max(radii) <= bergman.PROBE_RADIUS
 
     def test_deterministic(self):
         k = KernelOrbit.plain([POINT_I], Weight(2.0))

@@ -142,11 +142,28 @@ class TestExitCodes:
         assert "lattice.generators" in err
 
     def test_malformed_config_value_is_usage_error(self, capsys, tmp_path):
+        # argparse parses a config value with its flag's type
         cfg = tmp_path / "run.cfg"
         cfg.write_text("norm = two\n")
         code, _, err = run_cli(capsys, "ball", "--config", str(cfg))
         assert code == 2
-        assert "norm" in err
+        assert "argument --norm: invalid float value: 'two'" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("finite-scan", "--windows", "3"), "finite-scan requires --n-max"),
+            (("bergman-density", "--probes", "8"), "bergman-density requires --alpha and --z and --ball"),
+            (("bergman-density", "--z", "i"), "bergman-density requires --alpha and --ball"),
+            (("formal-degree",), "formal-degree requires --alpha"),
+            (("ball", "--lattice", "psl2z"), "ball requires --norm"),
+            (("stabilizer",), "stabilizer requires --z and --ball"),
+            (("stabilizer", "--z", "i"), "stabilizer requires --ball"),
+        ],
+        ids=["finite-scan", "bergman-density", "bergman-density-z", "formal-degree", "ball", "stabilizer", "stabilizer-z"],
+    )
+    def test_missing_required_flags_are_all_named(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "failure",
@@ -191,23 +208,27 @@ class TestExitCodes:
         assert json_lines(out)[0]["order"] == 2
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, key",
         [
-            ("finite-scan", "--n-max", "2", "--windows", "1"),
-            ("ball", "--norm", "2"),
-            ("stabilizer", "--z", "i", "--ball", "3"),
+            (("finite-scan", "--n-max", "2", "--windows", "1"), "haar_scale"),
+            (("ball", "--norm", "2"), "haar_scale"),
+            (("stabilizer", "--z", "i", "--ball", "3"), "haar_scale"),
+            # the probe radius and the decision floors are constants
+            *((("bergman-density", "--alpha", "2", "--z", "i", "--ball", "3"), key)
+              for key in ("probe_radius", "frame_floor", "riesz_floor")),
         ],
-        ids=["finite-scan", "ball", "stabilizer"],
+        ids=["finite-scan", "ball", "stabilizer", "probe-radius", "frame-floor", "riesz-floor"],
     )
-    def test_haar_scale_is_refused_where_nothing_reads_it(self, capsys, tmp_path, argv):
-        code, out, err = run_cli(capsys, *argv, "--haar-scale", "5")
+    def test_haar_scale_is_refused_where_nothing_reads_it(self, capsys, tmp_path, argv, key):
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run_cli(capsys, *argv, flag, "5")
         assert code == 2 and out == ""
-        assert "unrecognized arguments: --haar-scale 5" in err
+        assert f"unrecognized arguments: {flag} 5" in err
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("haar_scale = 5\n")
+        cfg.write_text(f"{key} = 5\n")
         code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert code == 2 and out == ""
-        assert "unknown config keys: ['haar_scale']" in err
+        assert f"unknown config keys: ['{key}']" in err
 
     def test_a_large_weight_on_a_large_ball_exits_zero(self, capsys):
         # |cz + d|^-300 would underflow to 0 for the large elements of the
@@ -332,12 +353,8 @@ def test_scan_at_n_max_ten(capsys):
     assert len(out.splitlines()) == expected + 1
 
 
-COMMAND_MODULES = {
-    f"orbitdensity.{name}"
-    for name in ("bergman", "commands", "finite_gabor", "frames", "fuchsian", "hyperbolic", "linalg")
-}
-
-# the package modules that --help and a usage error caught by the parser load
+# the package modules that --help and a usage error caught by the parser or
+# the required check load
 ENTRY_MODULES = {"orbitdensity.cli", "orbitdensity.errors"}
 
 
@@ -450,9 +467,8 @@ class TestImports:
     def test_usage_error_before_the_command_imports_loads_no_numpy(self):
         codes, modules = loaded_modules(["finite-scan", "--windows", "3"])
         assert codes == [2]
-        # the command's body raises it, so the commands module has loaded
-        assert not modules & (COMMAND_MODULES - {"orbitdensity.commands"})
-        assert not modules & {"numpy", "json", "csv"}
+        # the required check raises it before the commands module loads
+        assert modules == ENTRY_MODULES
 
     def test_usage_error_of_the_parser_loads_only_the_entry(self):
         codes, modules = loaded_modules(["finite-scan", "--n-max", "x"], ["nosuch"], ["ball", "--norm"])
@@ -835,6 +851,18 @@ class TestConfigFile:
         )
         assert code == 0
         assert json_lines(out)[-1]["size"] == 2
+
+    def test_density_from_config_matches_flags(self, capsys, tmp_path):
+        values = {
+            "lattice": "psl2z", "alpha": "3", "z": "-0.3+1.5i", "ball": "6", "probes": "12",
+            "refine_steps": "4", "refine_delta": "0.5", "haar_scale": "2", "format": "json",
+        }
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        expected = run_cli(capsys, "bergman-density", *flags)
+        assert expected[0] == 0 and len(json_lines(expected[1])) == 5
+        assert run_cli(capsys, "bergman-density", "--config", str(cfg)) == expected
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

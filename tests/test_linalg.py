@@ -64,6 +64,13 @@ class TestHermitianEigen:
             w = linalg.hermitian_eigen(scale * np.array([[1.0, 0.2], [0.2, 1.0]])).eigenvalues
         np.testing.assert_allclose(w / scale, [0.8, 1.2], rtol=1e-14)
 
+    def test_hermitian_part_of_entries_near_the_double_maximum(self):
+        # A + A* overflows; A / 2 + A* / 2 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = linalg.hermitian_eigen([[1.7e308, 0.0], [0.0, 1.7e308]]).eigenvalues
+        assert w.tolist() == [1.7e308, 1.7e308]
+
     @pytest.mark.parametrize(
         "leading, corner, deviation",
         [([[1.0, 0.3], [0.1, 1.0]], 0.0, "1.952e-01"), ([[1.0, 0.2], [0.2, 1.0]], 0.5, "6.325e-01")],
@@ -115,8 +122,10 @@ class TestInverseSqrtPsd:
         assert np.allclose(P, proj, atol=1e-12)
 
     def test_negative_rejected(self):
-        with pytest.raises(OracleInconsistencyError):
-            linalg.psd_eigen(np.diag([1.0, -1.0]))
+        # at 1e200 the squares of the eigenvalues overflow
+        for scale in (1.0, 1e200):
+            with pytest.raises(OracleInconsistencyError, match="not PSD"):
+                linalg.psd_eigen(scale * np.diag([1.0, -1.0]))
 
     def test_pseudo_inverse_action(self):
         rng = np.random.default_rng(4)
