@@ -190,11 +190,12 @@ def transversal_symmetry(
     For either map, a point mismatch, the distance from the image of z_k to
     z_p(k), above the rounding bound 64 eps |z_k| / Im z_k, or, as the
     phases compare independently rounded points, a phase with
-    | |t_k| - 1 | or an involution defect |t_k t_p(k) - 1| (for R,
-    |conj(t_k) t_q(k) - 1|) above alpha times that, raises
+    | |t_k| - 1 |, an involution defect |t_k t_p(k) - 1| (for R,
+    |conj(t_k) t_q(k) - 1|) or, for a fixed vector, whose point is i or on
+    the mirror, |t_k - 1| above alpha times that, raises
     ``OracleInconsistencyError``, and so do q p != p q and a defect
     |conj(t_k) s_p(k) - s_k t_q(k)| of RW = WR above alpha times the bound.
-    The phases t of vectors that W fixes are then set to exactly +-1.
+    The phases t of vectors that W fixes are then set to exactly 1.
     """
     lam = orbit.take(cosets.rep_index)
     n = len(lam)
@@ -210,6 +211,7 @@ def transversal_symmetry(
             ("point", distance(image, lam.z[p])),
             ("phase modulus", np.abs(np.abs(t) - 1.0) / orbit.alpha),
             ("phase product", np.abs((t if mirror is None else t.conj()) * t[p] - 1.0) / orbit.alpha),
+            ("fixed phase", np.where(p == np.arange(n), np.abs(t - 1.0), 0.0) / orbit.alpha),
         ):
             if np.any(deviation > scale):
                 raise OracleInconsistencyError(
@@ -219,8 +221,7 @@ def transversal_symmetry(
         return p, t
 
     p, t = paired("rotation S") or (np.arange(n), np.ones(n, dtype=complex))
-    fixed = p == np.arange(n)
-    t[fixed] = np.where(t[fixed].real < 0.0, -1.0, 1.0)
+    t[p == np.arange(n)] = 1.0
     mirror = fuchsian.mirror_of(complex(orbit.z[ball.index_of(fuchsian.IDENTITY)]))
     reflection = None if mirror is None else paired("reflection w -> -conj(w)", mirror)
     if reflection is not None:
@@ -288,7 +289,7 @@ def symmetry_halves(orbit: KernelOrbit, rotation, reflection=None) -> list[tuple
     float64 Gram of a real basis of its half (:func:`_real_form`).
 
     The basis is (u_a +- t_a u_p(a)) / sqrt 2 over the pair leaders
-    a < p(a), plus each fixed vector u_f in the half of t_f = +-1. W is
+    a < p(a), plus each fixed vector u_f (t_f = 1) in the +1 half. W is
     unitary and self-adjoint, so M[a, b] = w_a w_b (G[a, b] +- conj(t_b)
     G[a, p(b)]), with weight 1 for a leader and 1/sqrt 2 for a fixed vector,
     whose two terms are equal. Over the rows R of leaders and fixed vectors
@@ -297,10 +298,12 @@ def symmetry_halves(orbit: KernelOrbit, rotation, reflection=None) -> list[tuple
     fixed row's leader columns. For every m that p closes, the spectrum of
     the Gram of u_k, k < m, is the union of those of the halves' leading
     blocks over their rows below m. Only A and C are assembled, about half
-    of G's entries; the +1 half is formed in A's buffer. With p the identity
-    and t = 1, A = G is the one half. M[a, b] and conj M[b, a] are built from
-    different, independently rounded points, so the Hermitian check of a
-    half sees assembly errors that the check of G could not.
+    of G's entries; by row strips, the +1 half is formed in A's buffer and
+    the -1 half, A - C on the leaders' rows, in C's leading rows. With p
+    the identity and t = 1, A = G is the one half. M[a, b] and conj M[b, a]
+    are built from different, independently rounded points, so the
+    Hermitian check of a half sees assembly errors that the check of G
+    could not.
 
     R commutes with W, so it maps each half onto itself: the basis vector
     of a goes to s_a times that of c = q(a) where c leads its pair or is
@@ -311,36 +314,41 @@ def symmetry_halves(orbit: KernelOrbit, rotation, reflection=None) -> list[tuple
     r is the same at w, -1/w and -conj w). So 8 alpha r is each row's bound.
     """
     p, t = rotation
-    index = np.arange(len(orbit))
-    rows = np.flatnonzero(p >= index)
-    lead = p[rows] > rows
-    leaders = rows[lead]
+    rows = np.flatnonzero(p >= np.arange(len(orbit)))
+    leaders = rows[p[rows] > rows]
     A = kernel_gram(orbit.take(rows), orbit.take(rows))
     C = kernel_gram(orbit.take(rows), orbit.take(p[leaders]))
     C *= t[leaders].conj()[None, :]
-    if reflection is not None:
-        bound = 8.0 * orbit.alpha * rounding_bound(orbit.z)
+    # runs lo:hi of leaders between the fixed positions of R, k fixed before
+    # them: C's columns, and the -1 half's rows, lo - k:hi - k
+    fixed = np.flatnonzero(p[rows] == rows).tolist()
+    edges = [-1, *fixed, len(rows)]
+    runs = [(lo + 1, hi, k) for k, (lo, hi) in enumerate(zip(edges, edges[1:])) if hi > lo + 1]
+    for f in fixed:
+        for lo, hi, k in runs:
+            A[f, lo:hi] += C[f, lo - k : hi - k]
+            A[f, lo:hi] *= math.sqrt(0.5)
+            A[lo:hi, f] *= math.sqrt(2.0)
+    for lo, hi, k in runs:
+        for r0 in range(lo, hi, linalg.ROW_BLOCK):
+            r1 = min(r0 + linalg.ROW_BLOCK, hi)
+            minus = np.empty((r1 - r0, len(leaders)), dtype=C.dtype)
+            for c0, c1, j in runs:
+                a, c = A[r0:r1, c0:c1], C[r0:r1, c0 - j : c1 - j]
+                np.subtract(a, c, out=minus[:, c0 - j : c1 - j])
+                a += c
+            C[r0 - k : r1 - k] = minus
     halves = []
-    for sign in (-1.0, 1.0):
-        keep = lead | (t[rows] == sign)
-        if not keep.any():
+    for sign, M, members in ((-1.0, C[: len(leaders)], leaders), (1.0, A, rows)):
+        if not len(members):
             continue
-        M = A if sign > 0.0 and keep.all() else A[np.ix_(keep, keep)]
-        kept, lead_kept = np.flatnonzero(keep), lead[keep]
-        for r0 in range(0, len(M), linalg.ROW_BLOCK):
-            strip = M[r0 : r0 + linalg.ROW_BLOCK]
-            strip[:, lead_kept] += sign * C[kept[r0 : r0 + linalg.ROW_BLOCK]]
-        M[np.ix_(lead_kept, ~lead_kept)] *= math.sqrt(2.0)
-        M[np.ix_(~lead_kept, lead_kept)] *= math.sqrt(0.5)
-        members = rows[keep]
         if reflection is not None:
             q, s = reflection
-            position = np.zeros(len(orbit), dtype=int)
-            position[members] = np.arange(len(members))
             image = q[members]
             head = np.minimum(image, p[image])
             phases = s[members] * np.where(image == head, 1.0, sign * t[head].conj())
-            M = _real_form(M, position[head], phases, bound[members])
+            bound = 8.0 * orbit.alpha * rounding_bound(orbit.z[members])
+            M = _real_form(M, np.searchsorted(members, head), phases, bound)
         halves.append((M, members))
     return halves
 
@@ -456,7 +464,7 @@ def density_analysis(
     """
     weight = Weight(alpha)
     # ball_enumerate refuses a small ball norm before any work on the ball;
-    # the probes are built after the eigensolves, so their count is checked here
+    # the probe count is checked here, before the ball enumeration it would spare
     if probes < 1:
         raise UsageError(f"probes must be at least 1, got {probes}")
     if refine_steps < 1:

@@ -33,13 +33,14 @@ only when a record is written in their format.
 
 The process entry is :func:`run`, for both ``python -m orbitdensity.cli``
 and the ``orbit-density`` script: it runs :func:`main`, which tests call in
-process, flushes stdout and stderr, and ends the process with
-``os._exit``, skipping the interpreter's teardown.
+process, with the cyclic garbage collector off, flushes stdout and stderr,
+and ends the process with ``os._exit``, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -250,9 +251,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """:func:`main`, then flush stdout and stderr and end the process with its
-    exit code, without the interpreter's teardown: no exit-time collections,
-    module cleanup or atexit handlers."""
+    """:func:`main` without cyclic collections, most of which would run while
+    numpy imports, then flush stdout and stderr and end the process with
+    its exit code, without teardown: no module cleanup or atexit handlers."""
+    gc.disable()
     code = main()
     try:
         sys.stdout.flush()

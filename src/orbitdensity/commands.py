@@ -164,7 +164,6 @@ def cmd_stabilizer(args: Namespace, config: dict, emitter: Emitter) -> int:
             "ball_norm": args.ball,
             "ball_size": len(ball.elements),
             "order": len(members),
-            "order_kernel": len(members),
             "members": " ".join(
                 f"({a:.12g},{b:.12g};{c:.12g},{d:.12g})"
                 for a, b, c, d in ball.elements[members].tolist()

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import OracleInconsistencyError, ResourceLimitError, UsageError
 from .hyperbolic import MoebiusMap, UpperHalfPoint
-from .hyperbolic import act, canonical, compose, distance, frobenius_sq, inverse, round9, rounding_bound, row_keys
+from .hyperbolic import act, canonical, compose, distance, frobenius_sq, inverse, round9, rounding_bound
 
 # identity has Frobenius norm sqrt(2); smaller balls would be empty
 MIN_NORM_BOUND = math.sqrt(2.0)
@@ -84,11 +84,14 @@ def psl2z() -> LatticeSpec:
     )
 
 
-def _norm_sorted(elements: np.ndarray) -> np.ndarray:
-    """Positions of the rows in norm order: Frobenius norm rounded to 9
-    digits, ties broken on the rounded entries."""
-    k = np.array(round9(elements)).reshape(-1, 4)
-    return np.lexsort((k[:, 3], k[:, 2], k[:, 1], k[:, 0], round9(frobenius_sq(elements))))
+def _norm_keys(elements: np.ndarray) -> np.ndarray:
+    """Columns of norm order: the norm rounded to 9 digits, then the rounded entries."""
+    return np.column_stack([round9(frobenius_sq(elements)), round9(elements).reshape(-1, 4)])
+
+
+def _keys(rows) -> np.ndarray:
+    """The rounded entries of each matrix row as one 32-byte key."""
+    return round9(rows).view("V32")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,39 +101,41 @@ class GroupBall:
 
     Every other list of group elements (stabilisers, coset transversals,
     truncations) is a selection from this order, so a truncation to a
-    smaller norm is a leading prefix.
+    smaller norm is a leading prefix. Lookups search the sorted row keys.
     """
 
     norm_bound: float
     elements: np.ndarray
     closure_certified: bool
-    _index: dict = field(init=False, repr=False)
+    _sorted_keys: np.ndarray = field(init=False, repr=False)
+    _order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         elements = np.asarray(self.elements, dtype=float).reshape(-1, 4)
-        keys = row_keys(elements)
-        index = {key: i for i, key in enumerate(keys)}
-        if len(index) != len(keys):
+        keys = _keys(elements)
+        order = np.argsort(keys)
+        for name, value in (("elements", elements), ("_sorted_keys", keys[order]), ("_order", order)):
+            object.__setattr__(self, name, value)
+        if np.any(self._sorted_keys[1:] == self._sorted_keys[:-1]):
             raise UsageError("ball contains duplicate canonical representatives")
-        if IDENTITY not in index:
+        if not len(elements) or self.index_of(IDENTITY) < 0:
             raise UsageError("ball does not contain the identity")
-        if not np.array_equal(_norm_sorted(elements), np.arange(len(keys))):
+        # each row after the first is larger in the first norm-order column that differs
+        step = np.sign(np.diff(_norm_keys(elements), axis=0))
+        if not np.all(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] > 0):
             raise UsageError("ball elements must be sorted by norm, ties by entries")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_index", index)
-
-    def key_set(self) -> set:
-        return set(self._index)
 
     def index_of(self, rows) -> np.ndarray:
         """Ball index of each canonical matrix row (..., 4) by its rounded
         entries, or -1 where the ball does not hold it."""
-        found = [self._index.get(key, -1) for key in row_keys(rows)]
-        return np.array(found, dtype=int).reshape(np.shape(rows)[:-1])
+        keys = _keys(rows)
+        at = np.searchsorted(self._sorted_keys, keys).clip(max=len(self._sorted_keys) - 1)
+        return np.where(self._sorted_keys[at] == keys, self._order[at], -1).reshape(np.shape(rows)[:-1])
 
 
-def brute_force_integer_ball(norm_bound: float) -> GroupBall:
-    """All of PSL(2, Z) with Frobenius norm <= norm_bound, by exhaustion.
+def brute_force_integer_ball(norm_bound: float) -> np.ndarray:
+    """All of PSL(2, Z) with Frobenius norm <= norm_bound, by exhaustion, as
+    canonical rows in norm order.
 
     Entry ranges make this an exact oracle; it is intentionally independent
     of the breadth-first enumeration it certifies.
@@ -156,7 +161,7 @@ def brute_force_integer_ball(norm_bound: float) -> GroupBall:
     kept = norms <= norm_bound * norm_bound + _NORM_EPS
     quads, norms = quads[kept], norms[kept]
     order = np.lexsort((quads[:, 3], quads[:, 2], quads[:, 1], quads[:, 0], norms))
-    return GroupBall(norm_bound, quads[order].astype(float), closure_certified=True)
+    return quads[order].astype(float)
 
 
 def ball_enumerate(
@@ -168,7 +173,7 @@ def ball_enumerate(
     their inverses) and keeps, in frontier-times-step order, the first
     product of each new element inside the ball, until a sweep adds
     nothing. For integral groups the result is certified by exact
-    comparison with the integer oracle (bounds up to 30).
+    comparison of its rounded rows with the integer oracle's (bounds up to 30).
     """
     if norm_bound < MIN_NORM_BOUND - 1e-12:
         raise UsageError(f"norm_bound must be at least sqrt(2), got {norm_bound}")
@@ -176,16 +181,16 @@ def ball_enumerate(
     generators = np.array(spec.generators, dtype=float)
     steps = np.stack([generators, inverse(generators)], axis=1).reshape(-1, 4)
     # g1, g1^-1, g2, ... without repeats
-    _, first = np.unique(np.array(round9(steps)).reshape(-1, 4), axis=0, return_index=True)
+    _, first = np.unique(round9(steps).reshape(-1, 4), axis=0, return_index=True)
     steps = steps[np.sort(first)]
 
-    seen = {IDENTITY}
+    seen = set(_keys(IDENTITY).tolist())
     found = [np.array([IDENTITY])]
     while len(found[-1]):
         products = compose(found[-1][:, None, :], steps[None, :, :]).reshape(-1, 4)
         products = products[frobenius_sq(products) <= bound_sq]
         fresh = []
-        for i, key in enumerate(row_keys(products)):
+        for i, key in enumerate(_keys(products).tolist()):
             if key not in seen:
                 seen.add(key)
                 fresh.append(i)
@@ -193,16 +198,17 @@ def ball_enumerate(
             raise ResourceLimitError(f"ball enumeration exceeded {max_elements} elements")
         found.append(products[fresh])
     elements = np.concatenate(found)
+    elements = elements[np.lexsort(_norm_keys(elements).T[::-1])]
 
     certified = False
     if spec.is_integral and norm_bound <= 30.0:
-        certified = brute_force_integer_ball(norm_bound).key_set() == seen
+        certified = np.array_equal(round9(elements).reshape(-1, 4), brute_force_integer_ball(norm_bound))
         if not certified:
             warnings.warn(
                 f"ball enumeration disagrees with the integer oracle at bound {norm_bound}",
                 stacklevel=2,
             )
-    return GroupBall(norm_bound, elements[_norm_sorted(elements)], certified)
+    return GroupBall(norm_bound, elements, certified)
 
 
 def stabilizer_of_point(ball: GroupBall, z: UpperHalfPoint, tol: float | None = None) -> np.ndarray:

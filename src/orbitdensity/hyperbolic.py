@@ -65,20 +65,13 @@ def frobenius_sq(x) -> np.ndarray:
     return a * a + b * b + c * c + d * d
 
 
-def round9(values) -> list[float]:
-    """``round(v, 9) + 0.0`` of each value, flattened. An integer-valued
+def round9(values) -> np.ndarray:
+    """``round(v, 9) + 0.0`` of each value, as a new flat array. An integer-valued
     float is its own rounding, so only the others pay for Python's round."""
-    v = np.asarray(values, dtype=float).ravel()
-    out = (v + 0.0).tolist()
-    for i in np.flatnonzero(v != np.floor(v)).tolist():
-        out[i] = round(out[i], 9) + 0.0
-    return out
-
-
-def row_keys(x) -> list[tuple[float, float, float, float]]:
-    """Entries of matrix rows rounded to 9 digits, as hashable keys."""
-    flat = round9(x)
-    return list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
+    v = np.asarray(values, dtype=float).ravel() + 0.0
+    inexact = np.flatnonzero(v != np.floor(v))
+    v[inexact] = [round(x, 9) + 0.0 for x in v[inexact].tolist()]
+    return v
 
 
 def distance(u, w) -> np.ndarray:

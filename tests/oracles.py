@@ -35,6 +35,7 @@ from orbitdensity.hyperbolic import (
     MoebiusMap,
     UpperHalfPoint,
     frobenius_sq,
+    round9,
 )
 
 
@@ -268,6 +269,13 @@ def scalar_key(x) -> tuple:
     return tuple(round(v, 9) + 0.0 for v in x)
 
 
+def row_keys(x) -> list[tuple[float, float, float, float]]:
+    """Entries of matrix rows rounded to 9 digits by ``hyperbolic.round9``,
+    as hashable keys."""
+    flat = round9(x).tolist()
+    return list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
+
+
 def scalar_norm_order(x) -> tuple:
     a, b, c, d = x
     return (round(a * a + b * b + c * c + d * d, 9), scalar_key(x))
@@ -296,7 +304,7 @@ def integer_ball_by_loops(norm_bound: float) -> list[tuple]:
     return sorted(found.values(), key=scalar_norm_order)
 
 
-def integer_ball_by_meshgrid(norm_bound: float) -> GroupBall:
+def integer_ball_by_meshgrid(norm_bound: float) -> np.ndarray:
     """``fuchsian.brute_force_integer_ball`` on the whole (a, b, c) cube at
     once, O(m^3) memory, with both signs enumerated and one kept."""
     assert MIN_NORM_BOUND - 1e-12 <= norm_bound <= 30.0
@@ -314,7 +322,7 @@ def integer_ball_by_meshgrid(norm_bound: float) -> GroupBall:
     kept = (lead > 0) & (norms <= norm_bound * norm_bound + _NORM_EPS)
     quads, norms = quads[kept], norms[kept]
     order = np.lexsort((quads[:, 3], quads[:, 2], quads[:, 1], quads[:, 0], norms))
-    return GroupBall(norm_bound, quads[order].astype(float), closure_certified=True)
+    return quads[order].astype(float)
 
 
 def ball_by_scalar_bfs(spec, norm_bound: float) -> tuple[list[tuple], bool]:

@@ -394,9 +394,23 @@ class TestProcessEntry:
             assert in_process_out.read_text().startswith("n,subgroup_order,")
 
     def test_main_in_process_freezes_nothing(self, capsys):
-        frozen = gc.get_freeze_count()
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
         assert run_cli(capsys, "finite-scan", "--n-max", "3", "--windows", "1")[0] == 0
         assert gc.get_freeze_count() == frozen
+        assert gc.isenabled() == enabled
+
+    def test_run_calls_main_with_the_collector_off(self, monkeypatch):
+        # the process entry turns the cyclic collector off for the rest of the process
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append(gc.isenabled()) or 0)
+        monkeypatch.setattr(os, "_exit", calls.append)
+        enabled = gc.isenabled()
+        gc.enable()
+        try:
+            cli.run()
+        finally:
+            (gc.enable if enabled else gc.disable)()
+        assert calls == [False, 0]
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
@@ -638,7 +652,7 @@ class TestBallCommand:
         elements = {
             (r["a"], r["b"], r["c"], r["d"]) for r in records if r["type"] == "element"
         }
-        oracle = {tuple(row) for row in fuchsian.brute_force_integer_ball(3.0).elements.tolist()}
+        oracle = {tuple(row) for row in fuchsian.brute_force_integer_ball(3.0).tolist()}
         assert elements == oracle
         summary = records[-1]
         assert summary["type"] == "summary"
@@ -654,7 +668,7 @@ class TestStabilizerCommand:
         assert code == 0
         record = json_lines(out)[0]
         assert record["order"] == 3
-        assert record["order_kernel"] == record["order"]
+        assert "order_kernel" not in record
 
     def test_path_disagreement_raises(self, capsys, monkeypatch):
         # the kernel path's overlaps must agree with the point path's

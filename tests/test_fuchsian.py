@@ -7,6 +7,7 @@ from oracles import (
     covolume_psl2z_by_meshgrid,
     integer_ball_by_meshgrid,
     restricted,
+    row_keys,
     traced_peak,
 )
 
@@ -17,7 +18,6 @@ from orbitdensity.hyperbolic import (
     compose,
     frobenius_sq,
     inverse,
-    row_keys,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -43,9 +43,9 @@ def ball3():
 
 class TestIntegerBallOracle:
     def test_smallest_ball(self):
-        ball = fuchsian.brute_force_integer_ball(SQRT2)
+        rows = fuchsian.brute_force_integer_ball(SQRT2)
         expected = keyset([Moebius.identity(), Moebius(0.0, -1.0, 1.0, 0.0)])
-        assert ball.key_set() == expected
+        assert keyset(rows) == expected
 
     def test_sqrt3_ball_exact_set(self):
         # exhaustive hand enumeration of unit-determinant integer matrices
@@ -63,9 +63,9 @@ class TestIntegerBallOracle:
             (1, 1, -1, 0),
         ]
         expected = keyset([Moebius(*map(float, t)) for t in hand])
-        ball = fuchsian.brute_force_integer_ball(SQRT3)
-        assert ball.key_set() == expected
-        assert len(ball.elements) == 10
+        rows = fuchsian.brute_force_integer_ball(SQRT3)
+        assert keyset(rows) == expected
+        assert len(rows) == 10
 
     def test_norm_below_identity_rejected(self):
         with pytest.raises(UsageError):
@@ -79,11 +79,12 @@ class TestIntegerBallOracle:
 
     @pytest.mark.parametrize("bound", [SQRT2, SQRT3, 2.0, 3.0, 4.5, 7.0, 10.0, 13.0, 17.0, 22.5, 30.0])
     def test_slabs_match_whole_cube(self, bound):
-        ball = fuchsian.brute_force_integer_ball(bound)
+        rows = fuchsian.brute_force_integer_ball(bound)
         oracle = integer_ball_by_meshgrid(bound)
-        assert ball.elements.dtype == oracle.elements.dtype
-        assert np.array_equal(ball.elements, oracle.elements)
-        assert ball.norm_bound == oracle.norm_bound and ball.closure_certified
+        assert rows.dtype == oracle.dtype
+        assert np.array_equal(rows, oracle)
+        # distinct rows in norm order that hold the identity: a valid ball
+        fuchsian.GroupBall(bound, rows, closure_certified=True)
 
     def test_memory_is_far_below_the_whole_cube(self):
         # (2m + 1)^2 entries per slab against (2m + 1)^3 for the cube, m = 30
@@ -97,19 +98,19 @@ class TestBallEnumerate:
         spec = fuchsian.psl2z()
         ball = fuchsian.ball_enumerate(spec, SQRT2)
         oracle = fuchsian.brute_force_integer_ball(SQRT2)
-        assert ball.key_set() == oracle.key_set()
+        assert keyset(ball.elements) == keyset(oracle)
         assert ball.closure_certified
 
     @pytest.mark.parametrize("bound", [2.0, 5.0, 10.0])
     def test_matches_oracle(self, bound):
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), bound)
         oracle = fuchsian.brute_force_integer_ball(bound)
-        assert ball.key_set() == oracle.key_set()
+        assert keyset(ball.elements) == keyset(oracle)
         assert ball.closure_certified
 
     def test_closed_under_inverse(self):
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0)
-        keys = ball.key_set()
+        keys = keyset(ball.elements)
         for key in row_keys(inverse(ball.elements)):
             assert key in keys
 
@@ -121,6 +122,24 @@ class TestBallEnumerate:
         with pytest.raises(ResourceLimitError):
             fuchsian.ball_enumerate(fuchsian.psl2z(), 10.0, max_elements=20)
 
+    def test_oracle_disagreement_warns_and_leaves_the_ball_uncertified(self, monkeypatch):
+        oracle = fuchsian.brute_force_integer_ball
+        monkeypatch.setattr(fuchsian, "brute_force_integer_ball", lambda bound: oracle(bound)[:-1])
+        with pytest.warns(UserWarning, match="disagrees with the integer oracle at bound 5.0"):
+            ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 5.0)
+        assert ball.closure_certified is False
+        # the enumeration itself is whole: only the oracle missed an element
+        assert np.array_equal(ball.elements, oracle(5.0))
+
+    def test_duplicate_or_missing_identity_rejected(self):
+        rotation = Moebius(0.0, -1.0, 1.0, 0.0)
+        with pytest.raises(UsageError, match="duplicate"):
+            fuchsian.GroupBall(2.0, (rotation, rotation, Moebius.identity()), closure_certified=False)
+        with pytest.raises(UsageError, match="identity"):
+            fuchsian.GroupBall(2.0, (rotation,), closure_certified=False)
+        with pytest.raises(UsageError, match="identity"):
+            fuchsian.GroupBall(2.0, np.empty((0, 4)), closure_certified=False)
+
     def test_out_of_order_elements_rejected(self):
         elliptic = Moebius(1.0, -1.0, 1.0, 0.0)
         with pytest.raises(UsageError, match="sorted"):
@@ -130,7 +149,7 @@ class TestBallEnumerate:
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0)
         sub = restricted(ball, 3.0)
         oracle = fuchsian.brute_force_integer_ball(3.0)
-        assert sub.key_set() == oracle.key_set()
+        assert keyset(sub.elements) == keyset(oracle)
 
 
 class TestStabilizer:
@@ -199,7 +218,7 @@ def representatives(ball, cs):
 class TestCosetSystem:
     def test_trivial_stabilizer(self, ball3):
         cs = fuchsian.coset_representatives(ball3, ball3.index_of([Moebius.identity()]))
-        assert keyset(representatives(ball3, cs)) == ball3.key_set()
+        assert keyset(representatives(ball3, cs)) == keyset(ball3.elements)
         assert np.all(cs.tile >= 0)
 
     def test_stabilizer_equals_ball(self):

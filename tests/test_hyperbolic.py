@@ -14,6 +14,7 @@ from oracles import (
     scalar_canonical,
     scalar_compose,
     scalar_inverse,
+    row_keys,
     scalar_key,
 )
 from orbitdensity.errors import UsageError
@@ -22,7 +23,6 @@ from orbitdensity.hyperbolic import (
     UpperHalfPoint,
     compose,
     inverse,
-    row_keys,
 )
 
 S = Moebius(0.0, -1.0, 1.0, 0.0)
