@@ -15,7 +15,10 @@ Where the kernel's point lies on a mirror through i, the antiunitary
 involution f(w) -> conj f(-conj w) pairs them too, and each block is the
 real Gram of a basis that it fixes.
 :func:`density_analysis` is the ``bergman-density`` pipeline: the frame
-reports of a lattice orbit of one kernel over refining truncations.
+reports of a lattice orbit of one kernel over refining truncations, each
+a :class:`FrameReport`, whose fields, declared once in record order, are
+the schema of the ``frame_report`` record, and which evaluates both
+density verdicts on construction.
 
 Conventions fixed here and verified by the test suite:
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +50,9 @@ PROBE_RADIUS = 2.0
 
 # a frame or Riesz decision holds while its lower bound exceeds this times its upper one
 DECISION_FLOOR = 1e-6
+
+# the schema version of the frame_report record, which FrameReport's fields declare
+SCHEMA_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -439,6 +445,77 @@ def probe_kernels(kernel: KernelOrbit, count: int) -> KernelOrbit:
     return KernelOrbit(z=z, alpha=kernel.alpha)
 
 
+@dataclass(frozen=True)
+class FrameReport:
+    """One density analysis step, its fields declared in ``frame_report``
+    record order, and both density verdicts, evaluated on construction.
+
+    Verdict (i): a frame forces covolume * degree <= 1 / stabiliser order.
+    Verdict (ii): a Riesz transversal orbit forces the reverse inequality.
+    Each compares to ``frames.DENSITY_TOL`` relative, and a failed
+    applicable verdict is flagged as an inconsistency.
+    """
+
+    lattice: str
+    ball_norm: float
+    stab_order: int
+    covolume: float
+    formal_degree: float
+    density_product: float = field(init=False)
+    density_bound: float = field(init=False)
+    gen_norm_sq: float
+    a_est: float
+    b_est: float
+    riesz_min: float
+    riesz_max: float
+    frame_decision: bool
+    riesz_decision: bool
+    verdict_i_applicable: bool = field(init=False)
+    verdict_i_pass: bool = field(init=False)
+    verdict_ii_applicable: bool = field(init=False)
+    verdict_ii_pass: bool = field(init=False)
+    consistent: bool = field(init=False)
+    diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.stab_order < 1:
+            raise UsageError(f"stabiliser order must be at least 1, got {self.stab_order}")
+        if self.a_est > self.b_est:
+            raise UsageError(f"frame estimates out of order: {self.a_est} > {self.b_est}")
+        product = self.covolume * self.formal_degree
+        bound = 1.0 / self.stab_order
+        if not product > 0.0:
+            raise UsageError("density product must be positive")
+        scale = max(product, bound)
+        pass_i = product <= bound + frames.DENSITY_TOL * scale
+        pass_ii = product >= bound - frames.DENSITY_TOL * scale
+        derived = {
+            "density_product": product,
+            "density_bound": bound,
+            "verdict_i_applicable": self.frame_decision,
+            "verdict_i_pass": pass_i,
+            "verdict_ii_applicable": self.riesz_decision,
+            "verdict_ii_pass": pass_ii,
+            "consistent": (not self.frame_decision or pass_i) and (not self.riesz_decision or pass_ii),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def to_flat_dict(self) -> dict:
+        """The ``frame_report`` record: the schema version, every field but
+        the diagnostics in declaration order, then each diagnostic, sorted by
+        key, as ``diag_<key>``."""
+        record = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            if f.name != "diagnostics":
+                record[f.name] = getattr(self, f.name)
+        for key, value in sorted(self.diagnostics.items()):
+            if isinstance(value, (list, tuple)):
+                value = ";".join(repr(float(v)) for v in value)
+            record[f"diag_{key}"] = value
+        return record
+
+
 def density_analysis(
     spec: fuchsian.LatticeSpec,
     z: UpperHalfPoint,
@@ -449,7 +526,7 @@ def density_analysis(
     refine_steps: int = 3,
     refine_delta: float = 1.0,
     haar_scale: float = 1.0,
-) -> list[frames.FrameReport]:
+) -> list[FrameReport]:
     """Frame reports of the orbit of the kernel at ``z`` under ``spec``, one
     per truncation: ``refine_steps`` radii ``refine_delta`` apart up to
     ``ball_norm``, none below sqrt 2.
@@ -560,7 +637,7 @@ def density_analysis(
             "riesz_trace_max": scaled(riesz_trace_max),
         }
         reports.append(
-            frames.FrameReport(
+            FrameReport(
                 lattice=spec.name, ball_norm=norm, stab_order=stab_order, covolume=covolume,
                 formal_degree=degree, gen_norm_sq=gen_norm_sq,
                 a_est=gen_norm_sq * probe_lo, b_est=gen_norm_sq * probe_hi,

@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 exact-mode theorem violation, 2 usage error,
 traceback goes to stderr). Output formats: human, csv (RFC quoting, one
 table under a header row; every other record goes to stderr), json (one
 object per line plus a final summary object). Floats are printed with 17
-significant digits.
+significant digits. Commands hand :class:`Emitter` tables of columns;
+no write holds more than :data:`WRITE_CHARS` characters.
 
 Each flag is declared once, in ``_COMMANDS``, with its type and default;
 argparse parses it. A flat key=value config file can supply any flag of
@@ -91,71 +92,76 @@ _COMMANDS = {
 }
 
 
-def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if value is None:
-        return ""
-    return str(value)
+# most characters in one write: at most 4096 bytes of UTF-8, PIPE_BUF, which a pipe takes whole
+# or fails (EPIPE); unbuffered stdout drops unseen the rest of a longer write cut short by its reader
+WRITE_CHARS = 1024
 
 
-def _json_line(kind: str, data: dict) -> str:
-    import json
+def _write(stream, text: str):
+    for start in range(0, len(text), WRITE_CHARS):
+        stream.write(text[start : start + WRITE_CHARS])
 
-    return json.dumps({"type": kind, **data}) + "\n"
+
+def _texts(column) -> list[str]:
+    """Each value's text: true or false for a bool, 17 significant digits for
+    a float, empty for None, str otherwise."""
+    return [("true" if v else "false") if isinstance(v, bool) else f"{v:.17g}" if isinstance(v, float)
+            else "" if v is None else str(v) for v in column]
 
 
 class Emitter:
-    """Serialises records uniformly into the chosen format.
-
-    A CSV stream holds one table: the records of the first kind written.
-    Records of any other kind, and the summary, go to stderr as comment
-    lines, so that stdout always parses as a single table.
-    """
+    """Serialises tables of records uniformly into the chosen format. A CSV
+    stream is one table, the records of the first kind written, built in memory
+    and written in slices; other records and the summary go to stderr as comment
+    lines. Each human or JSON record, and the summary, is one write if it fits."""
 
     def __init__(self, fmt: str, stream):
         self.fmt = fmt
         self.stream = stream
-        self._csv_writer = None
-        self._csv_columns = None
         self._csv_kind = None
 
-    def record(self, kind: str, data: dict):
-        if self.fmt == "json":
-            self.stream.write(_json_line(kind, data))
-        elif self.fmt == "csv":
-            if self._csv_writer is None:
-                import csv
+    def table(self, kind: str, columns: dict):
+        """One ``kind`` record per row of ``columns``, equally long lists of
+        values keyed by field name in record order."""
+        if self.fmt == "csv" and self._csv_kind in (None, kind):
+            import csv
+            import io
 
+            text = io.StringIO()
+            writer = csv.writer(text, lineterminator="\n")
+            if self._csv_kind is None:
                 self._csv_kind = kind
-                self._csv_columns = list(data.keys())
-                self._csv_writer = csv.writer(self.stream, lineterminator="\n")
-                self._csv_writer.writerow(self._csv_columns)
-            if kind == self._csv_kind:
-                self._csv_writer.writerow([format_value(data.get(c)) for c in self._csv_columns])
-            else:
-                import json
+                writer.writerow(columns)
+            writer.writerows(zip(*map(_texts, columns.values())))
+            _write(self.stream, text.getvalue())
+        elif self.fmt == "human":
+            for texts in zip(*map(_texts, columns.values())):
+                lines = "".join(f"{key} = {text}\n" for key, text in zip(columns, texts))
+                _write(self.stream, f"[{kind}]\n{lines}\n")
+        else:  # JSON, or records of another kind beside a CSV table
+            import json
 
-                print(f"# {kind}: {json.dumps(data)}", file=sys.stderr)
-        else:
-            self.stream.write(f"[{kind}]\n")
-            for key, value in data.items():
-                self.stream.write(f"{key} = {format_value(value)}\n")
-            self.stream.write("\n")
+            for values in zip(*columns.values()):
+                data = dict(zip(columns, values))
+                if self.fmt == "json":
+                    _write(self.stream, json.dumps({"type": kind, **data}) + "\n")
+                else:
+                    self.stream.flush()  # as in summary, the table goes out first
+                    _write(sys.stderr, f"# {kind}: {json.dumps(data)}\n")
+
+    def record(self, kind: str, data: dict):
+        self.table(kind, {key: [value] for key, value in data.items()})
 
     def summary(self, data: dict):
         if self.fmt == "json":
-            self.stream.write(_json_line("summary", data))
-        elif self.fmt == "csv":
-            # keep the CSV stream pure data; the summary goes to stderr
-            for key, value in data.items():
-                print(f"# {key} = {format_value(value)}", file=sys.stderr)
+            return self.record("summary", data)
+        lines = [f"{key} = {text}\n" for key, text in zip(data, _texts(data.values()))]
+        if self.fmt == "human":
+            _write(self.stream, "[summary]\n" + "".join(lines))
         else:
-            self.stream.write("[summary]\n")
-            for key, value in data.items():
-                self.stream.write(f"{key} = {format_value(value)}\n")
+            # stderr takes the CSV summary once the table is out: a reader who closed it fails the command first
+            self.stream.flush()
+            _write(sys.stderr, "".join(f"# {line}" for line in lines))
 
 
 def build_parser(named=None, config=None) -> argparse.ArgumentParser:

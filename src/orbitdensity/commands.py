@@ -106,8 +106,7 @@ def cmd_finite_scan(args: Namespace, config: dict, emitter: Emitter) -> int:
     if args.windows < 0 or args.seed < 0:
         raise UsageError("windows and seed must be nonnegative")
     report = finite_gabor.exhaustive_scan(args.n_max, windows_per_case=args.windows, seed=args.seed)
-    for row in report.rows:
-        emitter.record("scan_row", {c: row[c] for c in finite_gabor.SCAN_CSV_COLUMNS})
+    emitter.table("scan_row", {c: report.columns[c] for c in finite_gabor.SCAN_CSV_COLUMNS})
     for violation in report.violations:
         emitter.record("violation", violation)
     emitter.summary(report.summary())
@@ -129,8 +128,9 @@ def cmd_ball(args: Namespace, config: dict, emitter: Emitter) -> int:
 
     spec = lattice_from_config(args.lattice, config)
     ball = fuchsian.ball_enumerate(spec, args.norm)
-    for (a, b, c, d), norm_sq in zip(ball.elements.tolist(), frobenius_sq(ball.elements).tolist()):
-        emitter.record("element", {"a": a, "b": b, "c": c, "d": d, "frobenius_norm": math.sqrt(norm_sq)})
+    a, b, c, d = ball.elements.T.tolist()
+    norms = list(map(math.sqrt, frobenius_sq(ball.elements).tolist()))
+    emitter.table("element", {"a": a, "b": b, "c": c, "d": d, "frobenius_norm": norms})
     emitter.summary(
         {
             "lattice": spec.name,

@@ -5,22 +5,23 @@ representation of the finite abelian group G = Z_n x Z_n with counting
 measure; every subgroup is a lattice of covolume n^2 / |subgroup| and the
 formal degree is 1/n. In this instance every density statement and proof
 identity is checkable exhaustively in exact arithmetic (up to float
-roundoff), which is what :func:`verify_windows` and
-:func:`exhaustive_scan` do. The scan batches the windows of all
-subgroups of one n and one order, whose orbit matrices share a shape: the
-stabiliser classes of all its windows are found in one pass, the full
-orbits' frame-operator spectra are computed once per batch, and the coset
-transversals' once per nontrivial stabiliser order in it, since a trivial
-stabiliser's transversal is the full orbit up to column order. Every
-eigensolve is of an n x n frame operator V V*: an orbit's Gram matrix has
-the same nonzero spectrum, so the frame, Riesz and span checks read its
-rank and extremes from V V*. Each check is one boolean or float array over
-such a group of windows, and a window leaves as a scan row or as the
-violation of its first failed check. The scan's random windows come from
-the standard library's generator, one stream per subgroup (see
-:func:`scan_windows`), and a scan whose largest batch of orbit matrices
-would exceed :data:`ORBIT_STACK_BYTE_CAP` is refused before any window is
-drawn.
+roundoff), which is what :func:`exhaustive_scan` does. It batches the
+windows of all subgroups of one n and one order, whose orbit matrices
+share a shape: the stabiliser classes of all its windows are found in
+one pass, the full orbits' frame-operator spectra are computed once per
+batch, and the coset transversals' once per nontrivial stabiliser order
+in it, since a trivial stabiliser's transversal is the full orbit up to
+column order. Every eigensolve is of an n x n frame operator V V*: an
+orbit's Gram matrix has the same nonzero spectrum, so the frame, Riesz
+and span checks read its rank and extremes from V V*. Each check is one
+boolean or float array over such a group of windows. The results travel
+as columns, one array per field over the windows of a batch, then one
+list per field over the scan in :class:`ScanReport`; a window that fails
+a check leaves them, by one mask, as the violation of its first failed
+check. The scan's random windows come from the standard library's
+generator, one stream per subgroup (see :func:`scan_windows`), and a
+scan whose largest batch of orbit matrices would exceed
+:data:`ORBIT_STACK_BYTE_CAP` is refused before any window is drawn.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames, linalg
-from .errors import (
-    DimensionError,
-    OracleInconsistencyError,
-    ResourceLimitError,
-    TheoremViolationError,
-    UsageError,
-)
+from .errors import OracleInconsistencyError, ResourceLimitError, TheoremViolationError, UsageError
 
 _IDENTITY_RESIDUAL_TOL = 1e-10
 _STABILIZER_TOL = 1e-9
@@ -247,9 +242,10 @@ def lex_coset_representatives(subgroup: SubgroupDescr, stabilizer: SubgroupDescr
     return lambdas, factorization
 
 
-def verify_windows(subgroup: SubgroupDescr, windows) -> list:
+def _verify_batch(cases) -> tuple[dict, dict]:
     """Exhaustively check the density statements and proof identities for
-    every window of a (W, n) stack over one subgroup.
+    the windows of (subgroup, (W, n) window stack) pairs of one n and one
+    subgroup order, whose orbit matrices share a shape.
 
     With counting measure, vol = n^2 / |subgroup| and the formal degree is
     1/n, so a frame forces n * |stabiliser| <= |subgroup| and a Riesz
@@ -257,23 +253,17 @@ def verify_windows(subgroup: SubgroupDescr, windows) -> list:
     frame-operator relation, the canonical-Parseval norm identity and its
     calibration, biorthogonality of Riesz duals and the frame-bound
     sandwich are all asserted, in this order; any failure is an
-    implementation bug. Returns, per window and in order, its scan row (the
-    :data:`SCAN_CSV_COLUMNS` but ``window_id``, plus the component
-    residuals) or the :class:`TheoremViolationError` with a reproducer for
-    its first failed check; the other windows are unaffected.
+    implementation bug. The stabiliser classes of all windows are found in
+    one pass, the full orbits' spectra are computed once for all windows,
+    and the transversals' once per stabiliser order.
+
+    Returns the scan row columns (the :data:`SCAN_CSV_COLUMNS` but
+    ``window_id``, plus the component residuals) as arrays over all
+    windows, pair by pair and in window order, and the
+    :class:`TheoremViolationError` with a reproducer for the first failed
+    check of each failing window, keyed by its index in that order; the
+    other windows are unaffected.
     """
-    g = np.asarray(windows, dtype=complex)
-    if g.ndim != 2 or g.shape[1] != subgroup.n:
-        raise DimensionError(f"windows must form a (W, {subgroup.n}) stack, got shape {g.shape}")
-    return _verify_batch([(subgroup, g)])
-
-
-def _verify_batch(cases) -> list:
-    """:func:`verify_windows` for (subgroup, window stack) pairs of one n and
-    one subgroup order, whose orbit matrices share a shape: the stabiliser
-    classes of all windows are found in one pass, the full orbits' spectra
-    are computed once for all windows, and the transversals' once per
-    stabiliser order. Returns the outcomes pair by pair."""
     g = np.concatenate([windows for _, windows in cases])
     if not np.all(np.einsum("wj,wj->w", g.conj(), g).real > 0.0):
         raise UsageError("window must be nonzero")
@@ -291,22 +281,28 @@ def _verify_batch(cases) -> list:
         lam_index = [lam_idx for lam_idx, _ in factorization]
         classes = batches.setdefault(stab.order, [])
         classes.append((rows, cols, lam_index, sub.gens_text()))
-    outcomes = [None] * len(g)
+    order, parts, errors = [], [], {}
     for stab_order, classes in batches.items():
         rows, cols, lam_index, gens = zip(*classes)
         counts = [len(r) for r in rows]
         rows = np.concatenate(rows)
         per_row = [np.repeat(x, counts, axis=0) for x in (cols, lam_index, gens)]
         arrays = (g[rows], V_full[rows], S_full[rows])
-        for w, outcome in zip(rows, _verify_class(stab_order, *per_row, *arrays)):
-            outcomes[w] = outcome
-    return outcomes
+        columns, class_errors = _verify_class(stab_order, *per_row, *arrays)
+        errors.update((int(rows[w]), error) for w, error in class_errors.items())
+        order.append(rows)
+        parts.append(columns)
+    # back from class order to window order
+    inverse = np.empty(len(g), dtype=int)
+    inverse[np.concatenate(order)] = np.arange(len(g))
+    return {name: np.concatenate([part[name] for part in parts])[inverse] for name in parts[0]}, errors
 
 
-def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full) -> list:
-    """:func:`verify_windows` for windows that share one stabiliser order: row
-    w's transversal orbit is its full orbit's columns ``cols[w]``, over the
-    subgroup named ``gens[w]``; ``lam_index[w]`` is each full column's coset."""
+def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full) -> tuple[dict, dict]:
+    """:func:`_verify_batch` for windows that share one stabiliser order:
+    row w's transversal orbit is its full orbit's columns ``cols[w]``, over
+    the subgroup named ``gens[w]``; ``lam_index[w]`` is each full column's
+    coset. Returns the columns and the violations in the rows' order."""
     n, gamma_order = g.shape[-1], V_full.shape[-1]
     V_red = np.take_along_axis(V_full, cols[:, None, :], axis=-1)
     lam_size = V_red.shape[-1]
@@ -382,10 +378,24 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full) -> list:
         ),
     )
     failed = np.array([bad for bad, _, _ in checks])
-    table = {
+    errors = {}
+    for w in np.flatnonzero(failed.any(axis=0)).tolist():
+        _, template, args = checks[np.argmax(failed[:, w])]
+        errors[w] = TheoremViolationError(
+            f"{template.format(*(a[w] for a in args))} "
+            f"[n={n}, gens={gens[w]}, window={g[w].tolist()!r}]"
+        )
+    count = len(g)
+    columns = {
+        "n": np.full(count, n),
+        "subgroup_order": np.full(count, gamma_order),
         "subgroup_gens": gens,
+        "stab_order": np.full(count, stab_order),
+        "lambda_size": np.full(count, lam_size),
         "is_frame": is_frame,
         "is_riesz": is_riesz,
+        "vol_times_d": np.full(count, vol_times_d),
+        "bound": np.full(count, 1.0 / stab_order),
         "verdict_i": np.where(is_frame, "pass", "na"),
         "verdict_ii": np.where(is_riesz, "pass", "na"),
         "max_identity_residual": np.fmax.reduce(
@@ -406,27 +416,7 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full) -> list:
         "sandwich_upper_slack": upper_slack,
         "calibration_deviation": np.where(is_frame, calibration, None),
     }
-    fixed = {
-        "n": n,
-        "subgroup_order": gamma_order,
-        "stab_order": stab_order,
-        "lambda_size": lam_size,
-        "vol_times_d": vol_times_d,
-        "bound": 1.0 / stab_order,
-    }
-    outcomes = []
-    for w, values in enumerate(zip(*(column.tolist() for column in table.values()))):
-        if not failed[:, w].any():
-            outcomes.append({**fixed, **dict(zip(table, values))})
-            continue
-        _, template, args = checks[np.argmax(failed[:, w])]
-        outcomes.append(
-            TheoremViolationError(
-                f"{template.format(*(a[w] for a in args))} "
-                f"[n={n}, gens={gens[w]}, window={g[w].tolist()!r}]"
-            )
-        )
-    return outcomes
+    return columns, errors
 
 
 def structured_windows(n: int):
@@ -470,19 +460,24 @@ SCAN_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
 class ScanReport:
-    """Aggregated exhaustive-scan outcome."""
+    """Aggregated exhaustive-scan outcome. ``columns`` maps each field of a
+    scan row, the :data:`SCAN_CSV_COLUMNS` and the component residuals, to
+    its list of values over the passing windows in scan order: an int,
+    float, str or bool, or None where a check does not apply.
+    ``violations`` holds one dict per failing window, and ``total_cases``
+    counts every checked window, passing or failing."""
 
-    n_max: int
-    windows_per_case: int
-    seed: int
-    rows: tuple
-    violations: tuple
+    def __init__(self, n_max: int, windows_per_case: int, seed: int, columns: dict, violations: tuple):
+        self.n_max = n_max
+        self.windows_per_case = windows_per_case
+        self.seed = seed
+        self.columns = columns
+        self.violations = violations
 
     @property
     def total_cases(self) -> int:
-        return len(self.rows)
+        return len(self.columns["n"]) + len(self.violations)
 
     def summary(self) -> dict:
         return {
@@ -530,13 +525,14 @@ def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> Sc
     ``windows_per_case`` seeded random ones), the density theorem and proof
     identities are verified, all windows of the subgroups of one order in
     one batch. Violations are collected with a reproducer rather than
-    aborting the scan. The report is byte-deterministic for a fixed seed.
+    aborting the scan, and ``total_cases`` counts them with the passing
+    windows. The report is byte-deterministic for a fixed seed.
     A scan whose largest orbit stack (see :func:`orbit_stack_bytes`) would
     exceed :data:`ORBIT_STACK_BYTE_CAP` raises :class:`ResourceLimitError`
     before any window is drawn. ``n_max`` goes up to 16: with 6
-    random windows that is 9853 cases, which take about 2.1 s and 67 MB
-    peak RSS end to end with one BLAS thread (shared 2-core Xeon under
-    load), since every eigensolve is of an n x n frame operator.
+    random windows that is 9853 cases, which take about 0.9 s and 60 MB
+    peak RSS end to end with one BLAS thread (shared 2-core Xeon), since
+    every eigensolve is of an n x n frame operator.
     """
     if not (2 <= n_max <= 16):
         raise UsageError(f"n_max must lie in [2, 16], got {n_max}")
@@ -549,31 +545,28 @@ def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> Sc
                 f"{windows_per_case} windows per case need a {stack_bytes}-byte orbit stack "
                 f"at n = {n}, over the cap of {ORBIT_STACK_BYTE_CAP} bytes"
             )
-    rows = []
-    violations = []
+    batches, window_ids, violations, failing = [], [], [], []
     for n in range(2, n_max + 1):
         by_order = itertools.groupby(enumerate(subgroup_enumerate(n)), lambda item: item[1].order)
         for _, group in by_order:
             cases = [(sub, *scan_windows(n, si, windows_per_case, seed)) for si, sub in group]
-            outcomes = _verify_batch([(sub, windows) for sub, _, windows in cases])
-            labels = [(sub, window_id) for sub, window_ids, _ in cases for window_id in window_ids]
-            for (sub, window_id), outcome in zip(labels, outcomes):
-                if isinstance(outcome, TheoremViolationError):
-                    violations.append(
-                        {
-                            "n": n,
-                            "subgroup_gens": sub.gens_text(),
-                            "window_id": window_id,
-                            "seed": seed,
-                            "message": str(outcome),
-                        }
-                    )
-                else:
-                    rows.append(dict(outcome, window_id=window_id))
-    return ScanReport(
-        n_max=n_max,
-        windows_per_case=windows_per_case,
-        seed=seed,
-        rows=tuple(rows),
-        violations=tuple(violations),
-    )
+            columns, errors = _verify_batch([(sub, windows) for sub, _, windows in cases])
+            offset = len(window_ids)
+            window_ids.extend(window_id for _, ids, _ in cases for window_id in ids)
+            for w in sorted(errors):
+                failing.append(offset + w)
+                violations.append(
+                    {
+                        "n": n,
+                        "subgroup_gens": str(columns["subgroup_gens"][w]),
+                        "window_id": window_ids[offset + w],
+                        "seed": seed,
+                        "message": str(errors[w]),
+                    }
+                )
+            batches.append(columns)
+    passing = np.ones(len(window_ids), dtype=bool)
+    passing[failing] = False
+    columns = {name: np.concatenate([b[name] for b in batches])[passing].tolist() for name in batches[0]}
+    columns["window_id"] = list(itertools.compress(window_ids, passing))
+    return ScanReport(n_max, windows_per_case, seed, columns, tuple(violations))

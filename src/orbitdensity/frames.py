@@ -24,22 +24,17 @@ PSD and rank check still applies to each matrix on its own. The identity
 checks return their deviations, slacks and pass masks as plain numbers or
 arrays, and leave the verdict and its message to the caller.
 
-:class:`FrameReport` is the ``frame_report`` record of ``bergman-density``:
-its fields, declared once in record order, are the record's schema, and it
-evaluates both density verdicts on construction. The verdicts and the
-frame-bound sandwich compare to one tolerance, ``DENSITY_TOL``.
+The frame-bound sandwich here and the density verdicts of
+``bergman.FrameReport``, the ``frame_report`` record of
+``bergman-density``, compare to one tolerance, ``DENSITY_TOL``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionError, NotRieszError, OracleInconsistencyError, UsageError
-
-SCHEMA_VERSION = "2"
 
 # Relative tolerance of the density comparisons: a verdict's product against
 # 1 / |stab|, and each side of the frame-bound sandwich against its largest term.
@@ -186,74 +181,3 @@ def density_sandwich_check(lower, upper, covolume: float, degree: float, gen_nor
     upper_slack = upper * covolume - mid
     tol = DENSITY_TOL * scale
     return lower_slack, upper_slack, (lower_slack >= -tol) & (upper_slack >= -tol)
-
-
-@dataclass(frozen=True)
-class FrameReport:
-    """One density analysis step, its fields declared in ``frame_report``
-    record order, and both density verdicts, evaluated on construction.
-
-    Verdict (i): a frame forces covolume * degree <= 1 / stabiliser order.
-    Verdict (ii): a Riesz transversal orbit forces the reverse inequality.
-    Each compares to ``DENSITY_TOL`` relative, and a failed applicable verdict
-    is flagged as an inconsistency.
-    """
-
-    lattice: str
-    ball_norm: float
-    stab_order: int
-    covolume: float
-    formal_degree: float
-    density_product: float = field(init=False)
-    density_bound: float = field(init=False)
-    gen_norm_sq: float
-    a_est: float
-    b_est: float
-    riesz_min: float
-    riesz_max: float
-    frame_decision: bool
-    riesz_decision: bool
-    verdict_i_applicable: bool = field(init=False)
-    verdict_i_pass: bool = field(init=False)
-    verdict_ii_applicable: bool = field(init=False)
-    verdict_ii_pass: bool = field(init=False)
-    consistent: bool = field(init=False)
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.stab_order < 1:
-            raise UsageError(f"stabiliser order must be at least 1, got {self.stab_order}")
-        if self.a_est > self.b_est:
-            raise UsageError(f"frame estimates out of order: {self.a_est} > {self.b_est}")
-        product = self.covolume * self.formal_degree
-        bound = 1.0 / self.stab_order
-        if not product > 0.0:
-            raise UsageError("density product must be positive")
-        scale = max(product, bound)
-        pass_i = product <= bound + DENSITY_TOL * scale
-        pass_ii = product >= bound - DENSITY_TOL * scale
-        derived = {
-            "density_product": product,
-            "density_bound": bound,
-            "verdict_i_applicable": self.frame_decision,
-            "verdict_i_pass": pass_i,
-            "verdict_ii_applicable": self.riesz_decision,
-            "verdict_ii_pass": pass_ii,
-            "consistent": (not self.frame_decision or pass_i) and (not self.riesz_decision or pass_ii),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-
-    def to_flat_dict(self) -> dict:
-        """The ``frame_report`` record: the schema version, every field but
-        the diagnostics in declaration order, then each diagnostic, sorted by
-        key, as ``diag_<key>``."""
-        record = {"schema_version": SCHEMA_VERSION}
-        for f in fields(self):
-            if f.name != "diagnostics":
-                record[f.name] = getattr(self, f.name)
-        for key, value in sorted(self.diagnostics.items()):
-            if isinstance(value, (list, tuple)):
-                value = ";".join(repr(float(v)) for v in value)
-            record[f"diag_{key}"] = value
-        return record

@@ -3,7 +3,8 @@
 The scalar kernel formula, the per-pair inner products, the
 extended-precision unit-kernel Gram, the one-vector time-frequency shift,
 the pair-closure subgroup enumeration, the membership-table and
-pair-closure subgroup tests, the stacked Gram matrix of orbit matrices and
+pair-closure subgroup tests, the exact checks of one subgroup's windows as
+a batch of their own, the stacked Gram matrix of orbit matrices and
 the one-matrix-at-a-time group ball, stabiliser,
 coset and orbit paths are the slow reference paths that the closed-form,
 batched and array code in ``orbitdensity`` is compared against. So are the
@@ -14,8 +15,9 @@ rotation split replaced, and the whitened probe product that the whitened
 probe matrix replaced. Midpoint quadrature against the invariant measure
 on materialised meshgrids is the independent path to the closed-form
 covolume and formal degree. The grid, ball and shift-matrix helpers build
-inputs for property tests, and :func:`traced_peak` measures the numpy and
-Python memory a call holds at its peak.
+inputs for property tests, :func:`scan_rows` is the per-row view of a scan
+report's columns, and :func:`traced_peak` measures the numpy and Python
+memory a call holds at its peak.
 """
 
 import cmath
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbitdensity import bergman, linalg
+from orbitdensity import bergman, finite_gabor, linalg
 from orbitdensity.errors import DimensionError, OracleInconsistencyError, UsageError
 from orbitdensity.finite_gabor import SubgroupDescr
 from orbitdensity.fuchsian import _NORM_EPS, MIN_NORM_BOUND, GroupBall
@@ -196,6 +198,30 @@ def subgroup_enumerate_pairs(n: int) -> list[SubgroupDescr]:
     for g1, g2 in itertools.combinations(all_pairs, 2):
         record((g1, g2))
     return sorted(seen.values(), key=lambda s: (s.order, s.elements))
+
+
+def column_rows(columns: dict) -> list[dict]:
+    """One dict per row of a table of equally long columns keyed by field name."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
+def scan_rows(report: finite_gabor.ScanReport) -> list[dict]:
+    """The per-row view of a scan report: one dict per passing window, in
+    scan order, with every field of the report's columns."""
+    return column_rows(report.columns)
+
+
+def verify_windows(subgroup: SubgroupDescr, windows) -> list:
+    """The scan's checks of every window of a (W, n) stack over one subgroup,
+    as a batch of its own: per window and in order, its scan row (the
+    ``SCAN_CSV_COLUMNS`` but ``window_id``, plus the component residuals)
+    or the :class:`TheoremViolationError` of its first failed check."""
+    g = np.asarray(windows, dtype=complex)
+    if g.ndim != 2 or g.shape[1] != subgroup.n:
+        raise DimensionError(f"windows must form a (W, {subgroup.n}) stack, got shape {g.shape}")
+    columns, errors = finite_gabor._verify_batch([(subgroup, g)])
+    rows = column_rows({name: column.tolist() for name, column in columns.items()})
+    return [errors.get(w, row) for w, row in enumerate(rows)]
 
 
 def restricted(ball: GroupBall, norm_bound: float) -> GroupBall:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 from oracles import Moebius, covolume_psl2z_by_meshgrid, distance, formal_degree_by_meshgrid, pi_shift_matrix
-from oracles import row_keys, vector_gram
+from oracles import row_keys, scan_rows, vector_gram
 from scipy.integrate import quad
 
 from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian, linalg
@@ -49,7 +49,7 @@ def test_criterion_1_exhaustive_theorem_verification(scan_result):
         assert report.n_max == 6 and report.windows_per_case == 50
         assert report.total_cases > 0
         assert len(report.violations) == 0
-        for row in report.rows:
+        for row in scan_rows(report):
             if row["is_frame"]:
                 assert row["n"] * row["stab_order"] <= row["subgroup_order"]
                 assert row["verdict_i"] == "pass"
@@ -63,7 +63,7 @@ def test_criterion_2_proof_identity_suite(scan_result):
     report, _ = scan_result
     with criterion(2, "proof identities exact on every scan case"):
         riesz_cases = 0
-        for row in report.rows:
+        for row in scan_rows(report):
             assert row["s_relation_residual"] <= 1e-10
             assert row["parseval_deviation"] <= 1e-10
             if row["is_riesz"]:
@@ -81,7 +81,7 @@ def test_frame_verdicts_match_adjoint_riesz_duality(scan_result):
     orbit over the adjoint subgroup L° = {mu : mu_a l_b - l_a mu_b = 0 mod n}
     is a Riesz sequence, and |L| |L°| = n^2."""
     report, _ = scan_result
-    rows = iter(report.rows)
+    rows = iter(scan_rows(report))
     for n in range(2, 7):
         shifts = {(a, b): pi_shift_matrix(a, b, n) for a in range(n) for b in range(n)}
         for si, sub in enumerate(finite_gabor.subgroup_enumerate(n)):
@@ -110,7 +110,7 @@ def test_gram_verdicts_match_frame_operator_spectra(scan_result):
     transversal a nonsingular |Lambda| x |Lambda| Gram, and the two Grams
     have equal rank."""
     report, _ = scan_result
-    rows = iter(report.rows)
+    rows = iter(scan_rows(report))
     rel_tol = linalg.DEFAULT_REL_TOL
     seen = set()
     for n in range(2, 7):

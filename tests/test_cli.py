@@ -415,12 +415,19 @@ class TestProcessEntry:
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
         "argv, read",
-        [(("finite-scan", "--n-max", "7", "--windows", "6", "--format", "csv"), 10), (("ball", "--norm", "3"), 0)],
-        ids=["scan-closed-after-10-bytes", "ball-closed-before-output"],
+        [
+            (("finite-scan", "--n-max", "7", "--windows", "6", "--format", "csv"), 10),
+            (("finite-scan", "--n-max", "7", "--windows", "20", "--format", "csv"), 10),
+            (("ball", "--norm", "3"), 0),
+        ],
+        ids=["scan-closed-after-10-bytes", "scan-148kB-closed-after-10-bytes", "ball-closed-before-output"],
     )
     def test_reader_closing_early_exits_three(self, argv, read, buffered):
         # a buffered small output fails only at run()'s final flush, which
-        # reports it like main does
+        # reports it like main does. A CSV table is flushed before its
+        # summary goes to stderr, so a closed reader fails the command first,
+        # however fast the writer; the 72 kB scan nearly fits the pipe (64 kB)
+        # and the reader's first buffered read (8 kB), the 148 kB one does not.
         env = python_env("1")
         env.pop("PYTHONUNBUFFERED", None)
         if not buffered:
@@ -640,6 +647,148 @@ class TestFormatParity:
         assert len(rows) == len(clean.splitlines()) - 1
         assert "canonical Parseval norm identity deviation 1.000e+00" in err
         assert "# violations = 1" in err
+        # every checked case counts, the failing one included
+        assert sum(calls) == 20
+        assert "# total_cases = 20" in err.splitlines()
+
+    def test_scan_with_every_window_failing_keeps_the_csv_header(self, capsys, monkeypatch):
+        original = frames.parseval_norm_check
+
+        def fail_all(*args, **kwargs):
+            max_dev, gen_psq = original(*args, **kwargs)
+            return np.ones_like(max_dev), gen_psq
+
+        monkeypatch.setattr(frames, "parseval_norm_check", fail_all)
+        argv = ("finite-scan", "--n-max", "2", "--windows", "1", "--format", "csv")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        # stdout is the scan table without rows; the violations go to stderr
+        assert out == ",".join(finite_gabor.SCAN_CSV_COLUMNS) + "\n"
+        prefix = "# violation: "
+        violations = [json.loads(line[len(prefix):]) for line in err.splitlines() if line.startswith(prefix)]
+        # five subgroups of Z_2 x Z_2, four windows each: rand000, basis0, basis1, const
+        assert len(violations) == 20
+        assert {v["window_id"] for v in violations} == {"rand000", "basis0", "basis1", "const"}
+        for violation in violations:
+            assert list(violation) == ["n", "subgroup_gens", "window_id", "seed", "message"]
+            assert violation["message"].startswith("canonical Parseval norm identity deviation 1.000e+00 [n=2,")
+        assert err.splitlines()[-2:] == ["# total_cases = 20", "# violations = 20"]
+
+
+def per_record_output(fmt: str, records, summary=None) -> tuple[str, str]:
+    """The stdout and stderr of (kind, data) records, then of the summary if
+    one is given, written one record and one value at a time: the
+    serialisation that :meth:`cli.Emitter.table` reproduces from columns."""
+
+    def text(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return f"{value:.17g}"
+        return "" if value is None else str(value)
+
+    out, err = io.StringIO(), io.StringIO()
+    csv_writer = csv_kind = None
+    for kind, data in records:
+        if fmt == "json":
+            out.write(json.dumps({"type": kind, **data}) + "\n")
+        elif fmt == "csv" and csv_kind in (None, kind):
+            if csv_kind is None:
+                csv_kind, csv_writer = kind, csv.writer(out, lineterminator="\n")
+                csv_writer.writerow(list(data))
+            csv_writer.writerow([text(value) for value in data.values()])
+        elif fmt == "csv":
+            err.write(f"# {kind}: {json.dumps(data)}\n")
+        else:
+            out.write(f"[{kind}]\n" + "".join(f"{key} = {text(value)}\n" for key, value in data.items()) + "\n")
+    if summary is None:
+        pass
+    elif fmt == "json":
+        out.write(json.dumps({"type": "summary", **summary}) + "\n")
+    elif fmt == "csv":
+        err.write("".join(f"# {key} = {text(value)}\n" for key, value in summary.items()))
+    else:
+        out.write("[summary]\n" + "".join(f"{key} = {text(value)}\n" for key, value in summary.items()))
+    return out.getvalue(), err.getvalue()
+
+
+class Writes(io.StringIO):
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+# every value type the commands emit, with strings that need CSV quoting
+# and floats at the edges of the format: nan, infinities, -0.0, subnormals
+EVERY_VALUE = {
+    "flag": [True, False, True, False, True, False, True],
+    "count": [0, -3, 2**70, 7, 1, 12, 9853],
+    "missing": [None] * 7,
+    "text": ["plain", "a,b", 'say "hi"', "two\nlines", "", " lead", "(0,1)+(1,0)"],
+    "real": [0.1, float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.0 / 3.0],
+    "tiny": [2.2250738585072014e-308 / 3, 1e-310, 0.0, 1e300, -5e-324, 123456789.0, 1.0],
+    "mixed": [1.5, None, True, 3, "x,y", float("nan"), "pass"],
+}
+
+
+class TestEmitterTable:
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_table_matches_per_record_output(self, capsys, fmt):
+        rows = [dict(zip(EVERY_VALUE, values)) for values in zip(*EVERY_VALUE.values())]
+        note = {"message": "a, \"quoted\" note", "value": -0.0, "absent": None}
+        summary = {"total_cases": 7, "ratio": float("inf"), "ok": False, "name": "x,y", "none": None}
+        expected = per_record_output(fmt, [*(("row", row) for row in rows), ("note", note)], summary)
+        by_table, by_record = Writes(), Writes()
+        emitter = cli.Emitter(fmt, by_table)
+        emitter.table("row", EVERY_VALUE)
+        emitter.record("note", note)
+        emitter.summary(summary)
+        assert (by_table.getvalue(), capsys.readouterr().err) == expected
+        emitter = cli.Emitter(fmt, by_record)
+        for row in rows:
+            emitter.record("row", row)
+        emitter.table("note", {key: [value] for key, value in note.items()})
+        emitter.summary(summary)
+        assert (by_record.getvalue(), capsys.readouterr().err) == expected
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_an_empty_table_writes_only_a_csv_header(self, fmt):
+        stream = Writes()
+        cli.Emitter(fmt, stream).table("row", {key: [] for key in EVERY_VALUE})
+        assert stream.getvalue() == (",".join(EVERY_VALUE) + "\n" if fmt == "csv" else "")
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_writes_fit_a_pipe_buffer(self, capsys, fmt):
+        # wide characters, of 2, 3 and 4 bytes of UTF-8, make records of up to 1080 bytes
+        count = 900
+        columns = {
+            "text": [("\u0393\u20ac\U0001d53e" * (k % 121)) + str(k) for k in range(count)],
+            "real": [k / 7.0 for k in range(count)],
+            "flag": [k % 3 == 0 for k in range(count)],
+        }
+        stream = Writes()
+        cli.Emitter(fmt, stream).table("row", columns)
+        text = stream.getvalue()
+        assert all(len(w) <= cli.WRITE_CHARS for w in stream.writes)
+        assert all(len(w.encode("utf-8")) <= 4096 for w in stream.writes)
+        if fmt != "json":  # JSON escapes every character beyond ASCII
+            assert max(len(w.encode("utf-8")) for w in stream.writes) > cli.WRITE_CHARS
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        assert (text, capsys.readouterr().err) == per_record_output(fmt, [("row", row) for row in rows])
+        if fmt == "csv":
+            assert len(stream.writes) <= math.ceil(len(text) / cli.WRITE_CHARS) + 1
+        else:
+            # each record on its own, in as few writes as it fits
+            records = [per_record_output(fmt, [("row", row)])[0] for row in rows]
+            assert len(stream.writes) == sum(math.ceil(len(r) / cli.WRITE_CHARS) for r in records)
+            # a human record of this table fits one write; a JSON one may not
+            assert (len(stream.writes) == count) == (fmt == "human")
 
 
 class TestBallCommand:

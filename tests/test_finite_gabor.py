@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
-from oracles import pi_shift_matrix
+from oracles import pi_shift_matrix, scan_rows, verify_windows
 
 from orbitdensity import cli, frames, linalg
 from orbitdensity import finite_gabor as fg
@@ -294,7 +294,7 @@ class TestCosetTransversal:
 
 def verify_one(sub, window):
     """The scan row of one window, or the violation it raises."""
-    (outcome,) = fg.verify_windows(sub, np.asarray(window, dtype=complex)[None, :])
+    (outcome,) = verify_windows(sub, np.asarray(window, dtype=complex)[None, :])
     if isinstance(outcome, TheoremViolationError):
         raise outcome
     return outcome
@@ -332,18 +332,16 @@ class TestVerifyDensityTheorem:
     def test_window_validation(self):
         sub = subgroup_by_elements(2, [(0, 0), (0, 1)])
         with pytest.raises(UsageError):
-            fg.verify_windows(sub, np.zeros((1, 2)))
+            verify_windows(sub, np.zeros((1, 2)))
         with pytest.raises(DimensionError):
-            fg.verify_windows(sub, np.ones(2))
+            verify_windows(sub, np.ones(2))
 
 
 def scan_csv(n_max, **kwargs) -> str:
     """The scan table as the CLI writes it in CSV mode."""
     report = fg.exhaustive_scan(n_max, **kwargs)
     stream = io.StringIO()
-    emitter = cli.Emitter("csv", stream)
-    for row in report.rows:
-        emitter.record("scan_row", {c: row[c] for c in fg.SCAN_CSV_COLUMNS})
+    cli.Emitter("csv", stream).table("scan_row", {c: report.columns[c] for c in fg.SCAN_CSV_COLUMNS})
     return stream.getvalue()
 
 
@@ -416,8 +414,8 @@ class TestBatchedScan:
                     n=n, generators=sub.generators, elements=sub.elements[::-1], order=sub.order
                 )
                 _, windows = fg.scan_windows(n, si, 6, 3)
-                expected = fg.verify_windows(sub, windows)
-                for got, want in zip(fg.verify_windows(reversed_sub, windows), expected):
+                expected = verify_windows(sub, windows)
+                for got, want in zip(verify_windows(reversed_sub, windows), expected):
                     for name, value in want.items():
                         if isinstance(value, float):
                             assert abs(got[name] - value) <= 1e-12
@@ -474,7 +472,7 @@ class TestBatchedScan:
         for n in range(2, 7):
             for si, sub in enumerate(fg.subgroup_enumerate(n)):
                 window_ids, windows = fg.scan_windows(n, si, 3, seed)
-                for window_id, outcome in zip(window_ids, fg.verify_windows(sub, windows)):
+                for window_id, outcome in zip(window_ids, verify_windows(sub, windows)):
                     if isinstance(outcome, TheoremViolationError):
                         violations.append(
                             {
@@ -487,7 +485,7 @@ class TestBatchedScan:
                         )
                     else:
                         rows.append(dict(outcome, window_id=window_id))
-        assert list(report.rows) == rows
+        assert scan_rows(report) == rows
         assert list(report.violations) == violations
         assert bool(violations) == faulty
 
@@ -512,11 +510,11 @@ class TestBatchedScan:
         report = fg.exhaustive_scan(n, windows_per_case=2, seed=seed)
         hit_row = (n, "(2,1)", "const")
         expected = [
-            row for row in clean.rows
+            row for row in scan_rows(clean)
             if (row["n"], row["subgroup_gens"], row["window_id"]) != hit_row
         ]
-        assert len(expected) == len(clean.rows) - 1
-        assert list(report.rows) == expected
+        assert len(expected) == len(scan_rows(clean)) - 1
+        assert scan_rows(report) == expected
         (violation,) = report.violations
         assert (violation["n"], violation["subgroup_gens"], violation["window_id"]) == hit_row
         assert violation["message"] == (
@@ -528,7 +526,7 @@ class TestBatchedScan:
         n = 4
         for si, sub in enumerate(fg.subgroup_enumerate(n)):
             _, windows = fg.scan_windows(n, si, 3, 9)
-            for window, batched in zip(windows, fg.verify_windows(sub, windows)):
+            for window, batched in zip(windows, verify_windows(sub, windows)):
                 single = verify_one(sub, window)
                 for name in ("stab_order", "lambda_size", "is_frame", "is_riesz", "verdict_i"):
                     assert single[name] == batched[name]
@@ -553,11 +551,11 @@ class TestBatchedScan:
         report = fg.exhaustive_scan(n, windows_per_case=3, seed=seed)
         hit_row = (n, sub.gens_text(), "rand001")
         expected = [
-            row for row in clean.rows
+            row for row in scan_rows(clean)
             if (row["n"], row["subgroup_gens"], row["window_id"]) != hit_row
         ]
-        assert len(expected) == len(clean.rows) - 1
-        assert list(report.rows) == expected
+        assert len(expected) == len(scan_rows(clean)) - 1
+        assert scan_rows(report) == expected
         (violation,) = report.violations
         assert (violation["n"], violation["subgroup_gens"], violation["window_id"]) == hit_row
         message = violation["message"]
@@ -587,13 +585,13 @@ class TestBatchedScan:
 
         monkeypatch.setattr(frames, "s_relation_residual", bad_s_relation)
         monkeypatch.setattr(frames, "parseval_norm_check", bad_parseval)
-        *others, outcome = fg.verify_windows(sub, windows)
+        *others, outcome = verify_windows(sub, windows)
         assert not any(isinstance(o, TheoremViolationError) for o in others)
         assert isinstance(outcome, TheoremViolationError)
         assert str(outcome).startswith(f"frame operator relation residual 2.000e+00 [n={n},")
         # with the S-relation intact, the same window fails on the Parseval identity
         monkeypatch.setattr(frames, "s_relation_residual", s_relation)
-        outcome = fg.verify_windows(sub, windows)[-1]
+        outcome = verify_windows(sub, windows)[-1]
         assert str(outcome).startswith("canonical Parseval norm identity deviation 1.000e+00 [")
 
 
@@ -636,7 +634,7 @@ class TestScanWindows:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_windows_have_trivial_stabilizers(self, seed):
-        rows = fg.exhaustive_scan(6, windows_per_case=6, seed=seed).rows
+        rows = scan_rows(fg.exhaustive_scan(6, windows_per_case=6, seed=seed))
         random_rows = [row for row in rows if row["window_id"].startswith("rand")]
         assert len(random_rows) == 6 * sum(len(fg.subgroup_enumerate(n)) for n in range(2, 7))
         assert {row["stab_order"] for row in random_rows} == {1}
@@ -647,7 +645,7 @@ class TestScan:
         report = fg.exhaustive_scan(2, windows_per_case=10, seed=7)
         assert report.total_cases == 5 * (10 + 2 + 1)
         assert not report.violations
-        for row in report.rows:
+        for row in scan_rows(report):
             assert row["max_identity_residual"] <= 1e-10
 
     def test_deterministic_bytes(self):

@@ -457,14 +457,14 @@ class TestSandwich:
             frames.density_sandwich_check(2.0, 1.0, 1.0, 1.0, 1.0)
 
 
-def frame_report(**inputs) -> frames.FrameReport:
+def frame_report(**inputs) -> bergman.FrameReport:
     """A frame report of neutral inputs, but for the given ones."""
     defaults = dict(
         lattice="test", ball_norm=5.0, stab_order=1, covolume=1.0, formal_degree=0.1,
         gen_norm_sq=1.0, a_est=0.5, b_est=1.0, riesz_min=0.5, riesz_max=1.0,
         frame_decision=False, riesz_decision=False,
     )
-    return frames.FrameReport(**{**defaults, **inputs})
+    return bergman.FrameReport(**{**defaults, **inputs})
 
 
 class TestDensityVerdict:
@@ -500,7 +500,7 @@ class TestDensityVerdict:
     def test_flat_record_roundtrip(self):
         report = frame_report(diagnostics={"probe_trace_min": [0.1, 0.2], "probe_count": 7})
         record = report.to_flat_dict()
-        assert record["schema_version"] == frames.SCHEMA_VERSION
+        assert record["schema_version"] == bergman.SCHEMA_VERSION
         assert record["diag_probe_count"] == 7
         assert record["diag_probe_trace_min"] == "0.1;0.2"
 
