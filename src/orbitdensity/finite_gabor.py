@@ -5,22 +5,24 @@ representation of the finite abelian group G = Z_n x Z_n with counting
 measure; every subgroup is a lattice of covolume n^2 / |subgroup| and the
 formal degree is 1/n. In this instance every density statement and proof
 identity is checkable exhaustively in exact arithmetic (up to float
-roundoff), which is what :func:`exhaustive_scan` does. It batches the
-windows of all subgroups of one n and one order, whose orbit matrices
-share a shape: the stabiliser classes of all its windows are found in
-one pass, the full orbits' frame-operator spectra are computed once per
-batch, and the coset transversals' once per nontrivial stabiliser order
-in it, since a trivial stabiliser's transversal is the full orbit up to
-column order. Every eigensolve is of an n x n frame operator V V*: an
-orbit's Gram matrix has the same nonzero spectrum, so the frame, Riesz
-and span checks read its rank and extremes from V V*. Each check is one
-boolean or float array over such a group of windows. The results travel
-as columns, one array per field over the windows of a batch, then one
-list per field over the scan in :class:`ScanReport`; a window that fails
-a check leaves them, by one mask, as the violation of its first failed
-check. The scan's random windows come from the standard library's
+roundoff), which is what :func:`exhaustive_scan` does. It checks the
+windows of one n in passes over runs of consecutive subgroup orders, as
+many as fit :data:`PASS_STACK_BYTES`. The orbit-shaped work runs per
+order, whose orbit matrices share a shape, and per stabiliser order in
+it: the stabiliser classes, cosets, and the S-relation, Parseval and
+biorthogonality checks. The full orbits' frame-operator spectra are one
+eigensolve per pass, and the nontrivial coset transversals' another,
+since a trivial stabiliser's transversal is the full orbit up to column
+order. Every eigensolve is of an n x n frame operator V V*: an orbit's
+Gram matrix has the same nonzero spectrum, so the frame, Riesz and span
+checks read its rank and extremes from V V*. Each verdict and check is
+one boolean or float array over the windows of a pass. The results
+travel as columns, one array per field over the windows of a pass, then
+one list per field over the scan in :class:`ScanReport`; a window that
+fails a check leaves them, by one mask, as the violation of its first
+failed check. The scan's random windows come from the standard library's
 generator, one stream per subgroup (see :func:`scan_windows`), and a
-scan whose largest batch of orbit matrices would exceed
+scan whose largest orbit stack of one order would exceed
 :data:`ORBIT_STACK_BYTE_CAP` is refused before any window is drawn.
 """
 
@@ -44,6 +46,14 @@ _STABILIZER_TOL = 1e-9
 # the scan refuses, before drawing a window, a run whose largest orbit stack
 # (see :func:`orbit_stack_bytes`) would exceed this many bytes
 ORBIT_STACK_BYTE_CAP = 1 << 30
+
+# a pass of the scan (see :func:`_verify_pass`) takes consecutive subgroup
+# orders of one n while the complex n x n matrices of their windows, one per
+# window, fit in this many bytes; an order over it is a pass of its own. At
+# 6 random windows every n <= 7 is one pass (the largest, n = 6, 259 kB).
+PASS_STACK_BYTES = 1 << 20
+
+_TWO_PI = 2.0 * math.pi
 
 
 def _span(generators, n: int) -> set:
@@ -242,10 +252,43 @@ def lex_coset_representatives(subgroup: SubgroupDescr, stabilizer: SubgroupDescr
     return lambdas, factorization
 
 
-def _verify_batch(cases) -> tuple[dict, dict]:
+def _order_classes(cases, g, offset: int) -> list:
+    """The stabiliser classes of one order's (subgroup, (W, n) window stack)
+    pairs, whose windows are ``g[offset:]``: per stabiliser order, in order
+    of appearance, the stabiliser order, the windows' indices in ``g``,
+    their full orbits, the columns of each transversal orbit, the coset of
+    each full column and the subgroup's generators."""
+    subgroups = [sub for sub, _ in cases]
+    owner = np.repeat(np.arange(len(cases)), [len(windows) for _, windows in cases])
+    V_full = np.concatenate([orbit_system(windows, sub.elements) for sub, windows in cases])
+    by_stab = {}
+    for si, stab, rows in stabilizer_classes(subgroups, owner, g[offset : offset + len(V_full)], V_full):
+        sub = subgroups[si]
+        lambdas, factorization = lex_coset_representatives(sub, stab)
+        column_of = {gamma: k for k, gamma in enumerate(sub.elements)}
+        cols = [column_of[lam] for lam in lambdas]
+        lam_index = [lam_idx for lam_idx, _ in factorization]
+        by_stab.setdefault(stab.order, []).append((rows, cols, lam_index, sub.gens_text()))
+    classes = []
+    for stab_order, members in by_stab.items():
+        rows, *per_subgroup = zip(*members)
+        counts = [len(r) for r in rows]
+        rows = np.concatenate(rows)
+        per_row = (np.repeat(x, counts, axis=0) for x in per_subgroup)
+        classes.append((stab_order, offset + rows, V_full[rows], *per_row))
+    return classes
+
+
+def _transversal(V_full, cols) -> np.ndarray:
+    """Row w's transversal orbit: the columns ``cols[w]`` of its full orbit."""
+    return np.take_along_axis(V_full, cols[:, None, :], axis=-1)
+
+
+def _verify_pass(batches) -> tuple[dict, dict]:
     """Exhaustively check the density statements and proof identities for
-    the windows of (subgroup, (W, n) window stack) pairs of one n and one
-    subgroup order, whose orbit matrices share a shape.
+    the windows of consecutive subgroup orders of one n: ``batches`` holds,
+    per order, the (subgroup, (W, n) window stack) pairs of its subgroups,
+    whose orbit matrices share a shape.
 
     With counting measure, vol = n^2 / |subgroup| and the formal degree is
     1/n, so a frame forces n * |stabiliser| <= |subgroup| and a Riesz
@@ -253,92 +296,83 @@ def _verify_batch(cases) -> tuple[dict, dict]:
     frame-operator relation, the canonical-Parseval norm identity and its
     calibration, biorthogonality of Riesz duals and the frame-bound
     sandwich are all asserted, in this order; any failure is an
-    implementation bug. The stabiliser classes of all windows are found in
-    one pass, the full orbits' spectra are computed once for all windows,
-    and the transversals' once per stabiliser order.
+    implementation bug. The orbit-shaped work runs per order (orbit
+    matrices, stabiliser classes, cosets) and per stabiliser order within
+    it (the S-relation, Parseval and biorthogonality checks). The full
+    orbits' n x n frame operators are one eigensolve over the pass, the
+    nontrivial transversals' another, and every verdict and check is one
+    array over the pass's windows.
 
     Returns the scan row columns (the :data:`SCAN_CSV_COLUMNS` but
     ``window_id``, plus the component residuals) as arrays over all
-    windows, pair by pair and in window order, and the
-    :class:`TheoremViolationError` with a reproducer for the first failed
-    check of each failing window, keyed by its index in that order; the
-    other windows are unaffected.
+    windows, in order, and the :class:`TheoremViolationError` with a
+    reproducer for the first failed check of each failing window, keyed by
+    its index in that order; the other windows are unaffected.
     """
-    g = np.concatenate([windows for _, windows in cases])
-    if not np.all(np.einsum("wj,wj->w", g.conj(), g).real > 0.0):
-        raise UsageError("window must be nonzero")
-    subgroups = [sub for sub, _ in cases]
-    owner = np.repeat(np.arange(len(cases)), [len(windows) for _, windows in cases])
-    V_full = np.concatenate([orbit_system(windows, sub.elements) for sub, windows in cases])
-    S_full = linalg.psd_eigen(frames.frame_operator(V_full), name="frame operator")
-    # stabiliser order -> its classes' (rows, coset columns, coset of each column, subgroup)
-    batches = {}
-    for si, stab, rows in stabilizer_classes(subgroups, owner, g, V_full):
-        sub = subgroups[si]
-        lambdas, factorization = lex_coset_representatives(sub, stab)
-        column_of = {gamma: k for k, gamma in enumerate(sub.elements)}
-        cols = [column_of[lam] for lam in lambdas]
-        lam_index = [lam_idx for lam_idx, _ in factorization]
-        classes = batches.setdefault(stab.order, [])
-        classes.append((rows, cols, lam_index, sub.gens_text()))
-    order, parts, errors = [], [], {}
-    for stab_order, classes in batches.items():
-        rows, cols, lam_index, gens = zip(*classes)
-        counts = [len(r) for r in rows]
-        rows = np.concatenate(rows)
-        per_row = [np.repeat(x, counts, axis=0) for x in (cols, lam_index, gens)]
-        arrays = (g[rows], V_full[rows], S_full[rows])
-        columns, class_errors = _verify_class(stab_order, *per_row, *arrays)
-        errors.update((int(rows[w]), error) for w, error in class_errors.items())
-        order.append(rows)
-        parts.append(columns)
-    # back from class order to window order
-    inverse = np.empty(len(g), dtype=int)
-    inverse[np.concatenate(order)] = np.arange(len(g))
-    return {name: np.concatenate([part[name] for part in parts])[inverse] for name in parts[0]}, errors
-
-
-def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full) -> tuple[dict, dict]:
-    """:func:`_verify_batch` for windows that share one stabiliser order:
-    row w's transversal orbit is its full orbit's columns ``cols[w]``, over
-    the subgroup named ``gens[w]``; ``lam_index[w]`` is each full column's
-    coset. Returns the columns and the violations in the rows' order."""
-    n, gamma_order = g.shape[-1], V_full.shape[-1]
-    V_red = np.take_along_axis(V_full, cols[:, None, :], axis=-1)
-    lam_size = V_red.shape[-1]
-    trivial = stab_order == 1
-
-    # with S_full, the two spectra that every check below reads from. The Gram
-    # matrix of an orbit matrix V has the nonzero spectrum of its frame
-    # operator V V*, so the n x n spectra give every Gram rank and extreme. A
-    # trivial stabiliser's transversal is the full orbit with its columns
-    # permuted, which leaves V V*, and so its spectrum, as it is.
-    S_red = S_full if trivial else linalg.psd_eigen(frames.frame_operator(V_red), name="frame operator")
+    g = np.concatenate([windows for cases in batches for _, windows in cases])
     gen_norm_sq = np.einsum("wj,wj->w", g.conj(), g).real
-    is_frame = S_full.rank == n
-    # the Gram matrix's smallest eigenvalue: the lam_size-th largest of S_red,
-    # or 0 for more vectors than dimensions
-    gram_min = S_red.eigenvalues[:, n - lam_size] if lam_size <= n else 0.0
-    is_riesz = gram_min > linalg.DEFAULT_REL_TOL * np.maximum(S_red.eigenvalues[:, -1], 0.0)
-    # against the standard basis the compressed synthesis matrix is V itself
-    s_residual = frames.s_relation_residual(V_full, V_red, stab_order)
-    R_full = S_full.inverse_sqrt()
-    R_red = R_full if trivial else S_red.inverse_sqrt()
-    parseval_dev, gen_parseval_sq = frames.parseval_norm_check(
-        V_full, V_red, R_full, R_red, lam_index, stab_order, generator=g
-    )
-    vol = (n * n) / gamma_order
-    degree = 1.0 / n
-    vol_times_d = vol * degree
+    if not np.all(gen_norm_sq > 0.0):
+        raise UsageError("window must be nonzero")
+    classes, offset = [], 0
+    for cases in batches:
+        classes += _order_classes(cases, g, offset)
+        offset += sum(len(windows) for _, windows in cases)
+    # the pass works in class order, where each class's windows are a slice
+    stab_sizes, class_rows, V_fulls, cols, lam_indices, gens = zip(*classes)
+    gens = np.concatenate(gens)
+    class_order = np.concatenate(class_rows)
+    sizes = [len(rows) for rows in class_rows]
+    g, gen_norm_sq = g[class_order], gen_norm_sq[class_order]
+    count, n = g.shape
+    stab_order = np.repeat(stab_sizes, sizes)
+    gamma_order = np.repeat([V.shape[-1] for V in V_fulls], sizes)
+
+    full_eigenvalues, R_full = _spectra(frames.frame_operator(V) for V in V_fulls)
+    # a trivial stabiliser's transversal is its full orbit with its columns
+    # permuted, which leaves V V*, and so its spectrum, as it is
+    red_eigenvalues, R_red = full_eigenvalues.copy(), None
+    if any(size > 1 for size in stab_sizes):
+        red_eigenvalues[stab_order > 1], R_red = _spectra(
+            frames.frame_operator(_transversal(V, c)) for s, V, c in zip(stab_sizes, V_fulls, cols) if s > 1
+        )
+    full = linalg.PSDSpectrum(full_eigenvalues, None)
+    red = linalg.PSDSpectrum(red_eigenvalues, None)
+    is_frame = full.rank == n
+    lam_size = gamma_order // stab_order
+    # the Gram matrix's smallest eigenvalue: the lam_size-th largest of the
+    # transversal's spectrum, or 0 for more vectors than dimensions
+    kth = np.take_along_axis(red_eigenvalues, np.maximum(n - lam_size, 0)[:, None], axis=-1)[:, 0]
+    gram_min = np.where(lam_size <= n, kth, 0.0)
+    is_riesz = gram_min > linalg.DEFAULT_REL_TOL * np.maximum(red_eigenvalues[:, -1], 0.0)
+
+    s_residual, parseval_dev, gen_parseval_sq = np.empty(count), np.empty(count), np.empty(count)
     # NaN marks a check that does not apply to a window: it fails no
     # comparison, and np.fmax skips it in max_identity_residual
+    biorth = np.full(count, np.nan)
+    start = red_start = 0
+    for stab_size, V_full, class_cols, lam_index in zip(stab_sizes, V_fulls, cols, lam_indices):
+        rows = slice(start, start + len(V_full))
+        start = rows.stop
+        V_red = _transversal(V_full, class_cols)
+        R_full_rows = R_red_rows = R_full[rows]
+        if stab_size > 1:
+            R_red_rows = R_red[red_start : red_start + len(V_full)]
+            red_start += len(V_full)
+        # against the standard basis the compressed synthesis matrix is V itself
+        s_residual[rows] = frames.s_relation_residual(V_full, V_red, stab_size)
+        parseval_dev[rows], gen_parseval_sq[rows] = frames.parseval_norm_check(
+            V_full, V_red, R_full_rows, R_red_rows, lam_index, stab_size, generator=g[rows]
+        )
+        riesz = np.flatnonzero(is_riesz[rows])
+        if riesz.size:
+            biorth[rows][riesz] = frames.biorthogonality_check(
+                V_red[riesz], red[rows][riesz], R_red_rows[riesz]
+            )
+    vol = (n * n) / gamma_order
+    vol_times_d = vol * (1.0 / n)
     calibration = np.where(is_frame, np.abs(gen_parseval_sq - vol_times_d), np.nan)
-    biorth = np.full(len(g), np.nan)
-    riesz = np.flatnonzero(is_riesz)
-    if riesz.size:
-        biorth[riesz] = frames.biorthogonality_check(V_red[riesz], S_red[riesz], R_red[riesz])
     lower_slack, upper_slack, sandwich_ok = frames.density_sandwich_check(
-        S_full.eigenvalues[:, 0], S_full.eigenvalues[:, -1], vol, degree, gen_norm_sq
+        full.eigenvalues[:, 0], full.eigenvalues[:, -1], vol, 1.0 / n, gen_norm_sq
     )
 
     tol = _IDENTITY_RESIDUAL_TOL
@@ -346,16 +380,16 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full) -> tuple
     checks = (
         (
             is_frame & (n * stab_order > gamma_order),
-            f"frame with n*|stab| = {n * stab_order} > |Gamma| = {gamma_order}",
-            (),
+            "frame with n*|stab| = {} > |Gamma| = {}",
+            (n * stab_order, gamma_order),
         ),
         (
             is_riesz & (n * stab_order < gamma_order),
-            f"Riesz transversal with n*|stab| = {n * stab_order} < |Gamma| = {gamma_order}",
-            (),
+            "Riesz transversal with n*|stab| = {} < |Gamma| = {}",
+            (n * stab_order, gamma_order),
         ),
         (
-            S_full.rank != S_red.rank,
+            full.rank != red.rank,
             "span of the full orbit differs from span of the transversal orbit",
             (),
         ),
@@ -366,7 +400,7 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full) -> tuple
             (parseval_dev,),
         ),
         (
-            calibration > tol * max(vol_times_d, 1.0),
+            calibration > tol * np.maximum(vol_times_d, 1.0),
             "Parseval calibration ||S^-1/2 g||^2 off by {:.3e}",
             (calibration,),
         ),
@@ -381,21 +415,20 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full) -> tuple
     errors = {}
     for w in np.flatnonzero(failed.any(axis=0)).tolist():
         _, template, args = checks[np.argmax(failed[:, w])]
-        errors[w] = TheoremViolationError(
+        errors[int(class_order[w])] = TheoremViolationError(
             f"{template.format(*(a[w] for a in args))} "
             f"[n={n}, gens={gens[w]}, window={g[w].tolist()!r}]"
         )
-    count = len(g)
     columns = {
         "n": np.full(count, n),
-        "subgroup_order": np.full(count, gamma_order),
+        "subgroup_order": gamma_order,
         "subgroup_gens": gens,
-        "stab_order": np.full(count, stab_order),
-        "lambda_size": np.full(count, lam_size),
+        "stab_order": stab_order,
+        "lambda_size": lam_size,
         "is_frame": is_frame,
         "is_riesz": is_riesz,
-        "vol_times_d": np.full(count, vol_times_d),
-        "bound": np.full(count, 1.0 / stab_order),
+        "vol_times_d": vol_times_d,
+        "bound": 1.0 / stab_order,
         "verdict_i": np.where(is_frame, "pass", "na"),
         "verdict_ii": np.where(is_riesz, "pass", "na"),
         "max_identity_residual": np.fmax.reduce(
@@ -416,7 +449,18 @@ def _verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full) -> tuple
         "sandwich_upper_slack": upper_slack,
         "calibration_deviation": np.where(is_frame, calibration, None),
     }
-    return columns, errors
+    # back from class order to window order
+    inverse = np.empty(count, dtype=int)
+    inverse[class_order] = np.arange(count)
+    return {name: column[inverse] for name, column in columns.items()}, errors
+
+
+def _spectra(operators) -> tuple:
+    """Eigenvalues and pseudo inverse square roots of the frame-operator
+    stacks that ``operators`` yields, in one eigensolve of their join. Only
+    the join outlives the joining, and only the eigenvectors the eigensolve."""
+    spectrum = linalg.psd_eigen(np.concatenate(list(operators)), name="frame operator")
+    return spectrum.eigenvalues, spectrum.inverse_sqrt()
 
 
 def structured_windows(n: int):
@@ -497,24 +541,52 @@ def scan_windows(n: int, subgroup_index: int, windows_per_case: int, seed: int):
     The random windows come from one :class:`random.Random` seeded with the
     string ``"seed,n,subgroup_index"``: the key is injective in the three
     integers, and CPython documents string seeding as reproducible. Each
-    window in turn draws its n real parts, then its n imaginary parts, with
-    ``gauss(0.0, 1.0)``, so window w does not depend on ``windows_per_case``.
+    window in turn draws its n real parts, then its n imaginary parts, as
+    ``gauss(0.0, 1.0)`` would: each pair of uniforms u1, u2 gives
+    0.0 + cos(2 pi u1) sqrt(-2 log(1 - u2)), then its sine twin, by the
+    standard library's own formula, written out here to save a method call
+    per number. The stream is gauss's bit for bit, the 0.0 + keeping its
+    sign of zero, and window w does not depend on ``windows_per_case``.
     """
     structured_ids, structured = _structured_stack(n)
-    rng = random.Random(f"{seed},{n},{subgroup_index}")
-    draws = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * n * windows_per_case)])
-    draws = draws.reshape(windows_per_case, 2, n)
+    uniform = random.Random(f"{seed},{n},{subgroup_index}").random
+    draws = []
+    for _ in range(n * windows_per_case):
+        x2pi = uniform() * _TWO_PI
+        g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+        draws += (0.0 + math.cos(x2pi) * g2rad, 0.0 + math.sin(x2pi) * g2rad)
+    draws = np.array(draws).reshape(windows_per_case, 2, n)
     window_ids = [*structured_ids, *(f"rand{w:03d}" for w in range(windows_per_case))]
     return window_ids, np.concatenate([structured, draws[:, 0] + 1j * draws[:, 1]])
 
 
 def orbit_stack_bytes(n: int, windows_per_case: int) -> int:
-    """Bytes of the largest orbit stack that the scan builds at modulus n:
-    the complex n x |subgroup| orbit matrices of every window, structured
-    and random, of all subgroups of one order."""
+    """Bytes of the largest orbit stack of one subgroup order that the scan
+    builds at modulus n: the complex n x |subgroup| orbit matrices of every
+    window, structured and random, of all subgroups of that order. A pass
+    of several orders holds their orbit stacks together, but then their
+    n x n stacks fit :data:`PASS_STACK_BYTES`, so those take at most n
+    times as many bytes (|subgroup| <= n^2)."""
     counts = Counter((n // a) * (n // d) for a, _, d in _hermite_normal_forms(n))
     windows = windows_per_case + len(_structured_stack(n)[0])
     return max(order * count for order, count in counts.items()) * windows * n * 16
+
+
+def _scan_passes(n: int, windows_per_case: int, seed: int):
+    """The scan's window ids and :func:`_verify_pass` batches at modulus n,
+    one pair per pass: consecutive subgroup orders, as long as the complex
+    n x n matrices of their windows fit :data:`PASS_STACK_BYTES`."""
+    ids, batches, stack_bytes = [], [], 0
+    for _, group in itertools.groupby(enumerate(subgroup_enumerate(n)), lambda item: item[1].order):
+        cases = [(sub, *scan_windows(n, si, windows_per_case, seed)) for si, sub in group]
+        order_bytes = sum(len(windows) for *_, windows in cases) * n * n * 16
+        if batches and stack_bytes + order_bytes > PASS_STACK_BYTES:
+            yield ids, batches
+            ids, batches, stack_bytes = [], [], 0
+        ids.extend(window_id for _, window_ids, _ in cases for window_id in window_ids)
+        batches.append([(sub, windows) for sub, _, windows in cases])
+        stack_bytes += order_bytes
+    yield ids, batches
 
 
 def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> ScanReport:
@@ -523,14 +595,17 @@ def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> Sc
     For each modulus n <= n_max, each subgroup of Z_n x Z_n, and each of
     its windows from :func:`scan_windows` (the structured windows and
     ``windows_per_case`` seeded random ones), the density theorem and proof
-    identities are verified, all windows of the subgroups of one order in
-    one batch. Violations are collected with a reproducer rather than
-    aborting the scan, and ``total_cases`` counts them with the passing
-    windows. The report is byte-deterministic for a fixed seed.
+    identities are verified, in one pass (see :func:`_verify_pass`) per
+    run of consecutive subgroup orders of one n whose n x n stacks fit
+    :data:`PASS_STACK_BYTES`; an order over it is a pass of its own. The
+    budget changes the number of passes only, not a bit of the report.
+    Violations are collected with a reproducer rather than aborting the
+    scan, and ``total_cases`` counts them with the passing windows. The
+    report is byte-deterministic for a fixed seed.
     A scan whose largest orbit stack (see :func:`orbit_stack_bytes`) would
     exceed :data:`ORBIT_STACK_BYTE_CAP` raises :class:`ResourceLimitError`
     before any window is drawn. ``n_max`` goes up to 16: with 6
-    random windows that is 9853 cases, which take about 0.9 s and 60 MB
+    random windows that is 9853 cases, which take about 0.76 s and 56 MB
     peak RSS end to end with one BLAS thread (shared 2-core Xeon), since
     every eigensolve is of an n x n frame operator.
     """
@@ -545,14 +620,12 @@ def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> Sc
                 f"{windows_per_case} windows per case need a {stack_bytes}-byte orbit stack "
                 f"at n = {n}, over the cap of {ORBIT_STACK_BYTE_CAP} bytes"
             )
-    batches, window_ids, violations, failing = [], [], [], []
+    passes, window_ids, violations, failing = [], [], [], []
     for n in range(2, n_max + 1):
-        by_order = itertools.groupby(enumerate(subgroup_enumerate(n)), lambda item: item[1].order)
-        for _, group in by_order:
-            cases = [(sub, *scan_windows(n, si, windows_per_case, seed)) for si, sub in group]
-            columns, errors = _verify_batch([(sub, windows) for sub, _, windows in cases])
+        for ids, batches in _scan_passes(n, windows_per_case, seed):
+            columns, errors = _verify_pass(batches)
             offset = len(window_ids)
-            window_ids.extend(window_id for _, ids, _ in cases for window_id in ids)
+            window_ids.extend(ids)
             for w in sorted(errors):
                 failing.append(offset + w)
                 violations.append(
@@ -564,9 +637,9 @@ def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> Sc
                         "message": str(errors[w]),
                     }
                 )
-            batches.append(columns)
+            passes.append(columns)
     passing = np.ones(len(window_ids), dtype=bool)
     passing[failing] = False
-    columns = {name: np.concatenate([b[name] for b in batches])[passing].tolist() for name in batches[0]}
+    columns = {name: np.concatenate([p[name] for p in passes])[passing].tolist() for name in passes[0]}
     columns["window_id"] = list(itertools.compress(window_ids, passing))
     return ScanReport(n_max, windows_per_case, seed, columns, tuple(violations))

@@ -163,14 +163,15 @@ def biorthogonality_check(V, frame_spectrum: linalg.PSDSpectrum, R) -> float:
     return linalg.per_matrix(np.max(np.abs(K - np.eye(V.shape[-1])), axis=(-2, -1)))
 
 
-def density_sandwich_check(lower, upper, covolume: float, degree: float, gen_norm_sq) -> tuple:
+def density_sandwich_check(lower, upper, covolume, degree: float, gen_norm_sq) -> tuple:
     """Verify the frame-bound sandwich A vol <= ||g||^2 / d_pi <= B vol.
 
-    Takes scalars or equally shaped arrays of bounds and norms; returns the
-    slacks ||g||^2 / d - A vol and B vol - ||g||^2 / d and whether both are
-    at least -``DENSITY_TOL`` times the largest of the three terms.
+    Takes scalars or equally shaped arrays of bounds, covolumes and norms;
+    returns the slacks ||g||^2 / d - A vol and B vol - ||g||^2 / d and
+    whether both are at least -``DENSITY_TOL`` times the largest of the
+    three terms. Every covolume must be positive.
     """
-    if not (np.all(lower <= upper) and covolume > 0.0 and degree > 0.0):
+    if not (np.all(lower <= upper) and np.all(covolume > 0.0) and degree > 0.0):
         raise UsageError("need lower <= upper, covolume > 0 and degree > 0")
     mid = gen_norm_sq / degree
     scale = np.maximum(

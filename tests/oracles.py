@@ -219,7 +219,7 @@ def verify_windows(subgroup: SubgroupDescr, windows) -> list:
     g = np.asarray(windows, dtype=complex)
     if g.ndim != 2 or g.shape[1] != subgroup.n:
         raise DimensionError(f"windows must form a (W, {subgroup.n}) stack, got shape {g.shape}")
-    columns, errors = finite_gabor._verify_batch([(subgroup, g)])
+    columns, errors = finite_gabor._verify_pass([[(subgroup, g)]])
     rows = column_rows({name: column.tolist() for name, column in columns.items()})
     return [errors.get(w, row) for w, row in enumerate(rows)]
 

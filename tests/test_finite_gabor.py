@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -366,7 +367,7 @@ class TestBatchedScan:
         assert 4 * batches < report.total_cases
         assert len(calls) <= 4 * batches
 
-    def test_one_n_by_n_eigensolve_per_order_and_stab_order(self, monkeypatch):
+    def test_two_n_by_n_eigensolves_per_pass(self, monkeypatch):
         shapes = []
         for name in ("eigh", "eigvalsh"):
 
@@ -377,35 +378,36 @@ class TestBatchedScan:
             monkeypatch.setattr(np.linalg, name, counting)
         report = fg.exhaustive_scan(7, windows_per_case=6, seed=1)
         monkeypatch.undo()
-        orders, stab_orders, nontrivial = set(), set(), 0
+        expected, nontrivial = [], 0
         for n in range(2, 8):
+            windows, transversals = 0, 0
             for si, sub in enumerate(fg.subgroup_enumerate(n)):
-                _, windows = fg.scan_windows(n, si, 6, 1)
-                orders.add((n, sub.order))
-                for stab, members in stabilizers(sub, windows):
-                    if stab.order > 1:
-                        stab_orders.add((n, sub.order, stab.order))
-                        nontrivial += len(members)
-        # the full orbits' frame operators per (n, order), the transversals'
-        # per nontrivial stabiliser order: a trivial stabiliser's transversal
-        # is the full orbit. No |Gamma| x |Gamma| or |Lambda| x |Lambda| Gram.
-        expected = [(n, n) for n, *_ in [*orders, *stab_orders]]
-        assert sorted(shape[-2:] for shape in shapes) == sorted(expected)
-        # 78 calls and 1942 matrices when every class was eigensolved
-        assert len(shapes) == 52
+                _, stack = fg.scan_windows(n, si, 6, 1)
+                windows += len(stack)
+                transversals += sum(len(members) for stab, members in stabilizers(sub, stack) if stab.order > 1)
+            expected += [(windows, n, n), (transversals, n, n)]
+            nontrivial += transversals
+        # each n <= 7 is one pass: its full orbits' frame operators in one
+        # eigensolve, its nontrivial transversals' in another; a trivial
+        # stabiliser's transversal is the full orbit. No |Gamma| x |Gamma| or
+        # |Lambda| x |Lambda| Gram.
+        assert shapes == expected
+        # 52 calls with one batch per (n, order), 78 calls and 1942 matrices
+        # when every class was eigensolved
+        assert len(shapes) == 12
         assert sum(math.prod(shape[:-2]) for shape in shapes) == 1229
         assert report.total_cases + nontrivial == 1229
 
     def test_trivial_stabilizer_spectrum_is_the_transversal_eigensolve(self, monkeypatch):
         trivial = []
-        verify_class = fg._verify_class
+        parseval = frames.parseval_norm_check
 
-        def recording(stab_order, cols, lam_index, gens, g, V_full, S_full):
+        def recording(V_full, V_red, R_full, R_red, lam_index, stab_order, *, generator):
             if stab_order == 1:
-                trivial.append((cols, V_full, S_full))
-            return verify_class(stab_order, cols, lam_index, gens, g, V_full, S_full)
+                trivial.append((V_full, V_red, R_full, R_red))
+            return parseval(V_full, V_red, R_full, R_red, lam_index, stab_order, generator=generator)
 
-        monkeypatch.setattr(fg, "_verify_class", recording)
+        monkeypatch.setattr(frames, "parseval_norm_check", recording)
         for n in range(2, 7):
             for si, sub in enumerate(fg.subgroup_enumerate(n)):
                 # reversed elements make each trivial transversal a true
@@ -422,16 +424,72 @@ class TestBatchedScan:
                         else:
                             assert got[name] == value
         monkeypatch.undo()
-        assert any(np.any(np.diff(cols, axis=-1) < 0) for cols, *_ in trivial)
-        for cols, V_full, S_full in trivial:
-            V_red = np.take_along_axis(V_full, cols[:, None, :], axis=-1)
+        assert any(not np.array_equal(V_red, V_full) for V_full, V_red, *_ in trivial)
+        for V_full, V_red, R_full, R_red in trivial:
+            # the pass hands the full orbit's inverse square root to the transversal
+            assert R_red is R_full
+            S_full = linalg.psd_eigen(frames.frame_operator(V_full))
             S_red = linalg.psd_eigen(frames.frame_operator(V_red))
             scale = S_full.eigenvalues[:, -1:]
             assert np.array_equal(S_red.rank, S_full.rank)
             assert np.all(np.abs(S_red.eigenvalues - S_full.eigenvalues) <= 1e-12 * scale)
-            R_full = S_full.inverse_sqrt()
             R_gap = np.abs(S_red.inverse_sqrt() - R_full).max(axis=(-2, -1))
             assert np.all(R_gap <= 1e-9 * np.abs(R_full).max(axis=(-2, -1)))
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_pass_budget_changes_only_the_number_of_passes(self, monkeypatch, seed):
+        # a fault keyed by window content hits the same window under every budget
+        _, windows = fg.scan_windows(6, 12, 6, seed)
+        target = windows[-2]
+        original = frames.parseval_norm_check
+
+        def corrupt(*args, generator, **kwargs):
+            max_dev, gen_psq = original(*args, generator=generator, **kwargs)
+            hit = [np.array_equal(g, target) for g in generator]
+            return np.where(hit, 1.0, max_dev), gen_psq
+
+        passes = []  # per pass: its order count, window count, n and eigensolve stack sizes
+        verify_pass = fg._verify_pass
+
+        def recording(batches):
+            stack = [windows for cases in batches for _, windows in cases]
+            passes.append((len(batches), sum(map(len, stack)), stack[0].shape[-1], []))
+            return verify_pass(batches)
+
+        def counting(a, *args, _original=np.linalg.eigh, **kwargs):
+            passes[-1][-1].append(len(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(frames, "parseval_norm_check", corrupt)
+        monkeypatch.setattr(fg, "_verify_pass", recording)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        reports, orders_per_pass, eigensolves = [], [], []
+        for budget in (fg.PASS_STACK_BYTES, 1 << 16, 0):
+            monkeypatch.setattr(fg, "PASS_STACK_BYTES", budget)
+            passes.clear()
+            reports.append(fg.exhaustive_scan(7, windows_per_case=6, seed=seed))
+            for orders, count, n, stacks in passes:
+                assert max(stacks) <= count
+                # only a pass of one order may exceed the budget
+                assert orders == 1 or count * n * n * 16 <= budget
+                assert all(k * n * n * 16 <= budget for k in stacks) or orders == 1
+            orders_per_pass.append([orders for orders, *_ in passes])
+            eigensolves.append(sum(len(stacks) for *_, stacks in passes))
+        monkeypatch.undo()
+        default, middle, per_order = orders_per_pass
+        # each n <= 7 one pass, some passes of several orders, one pass per (n, order)
+        assert len(default) == 6
+        assert len(default) < len(middle) < len(per_order) == 26
+        assert max(middle) > 1 and set(per_order) == {1}
+        # per (n, order): the full orbits' and the nontrivial transversals'
+        # eigensolves, where one batch per (n, order) made 52 with one per
+        # nontrivial stabiliser order
+        assert (eigensolves[0], eigensolves[2]) == (12, 46)
+        (violation,) = reports[0].violations
+        assert violation["window_id"] == "rand004"
+        for report in reports[1:]:
+            assert report.columns == reports[0].columns
+            assert report.violations == reports[0].violations
 
     def test_batch_classes_equal_per_subgroup_classes(self):
         for n in range(2, 9):
@@ -614,6 +672,14 @@ class TestScanWindows:
             0.25753635129713537 + 0.9760596072034069j,
             1.4451526877659804 + 0.27333374545212974j,
         ]
+
+    def test_random_windows_are_the_gauss_stream(self):
+        for seed, n, si in [(0, 2, 0), (7, 3, 0), (1, 6, 12), (9, 12, 40), (3, 16, 82)]:
+            _, windows = fg.scan_windows(n, si, 5, seed)
+            rng = random.Random(f"{seed},{n},{si}")
+            draws = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * n * 5)]).reshape(5, 2, n)
+            assert windows[-5:].real.tobytes() == draws[:, 0].tobytes()
+            assert windows[-5:].imag.tobytes() == draws[:, 1].tobytes()
 
     def test_fewer_windows_are_a_prefix(self):
         for n, si, seed in [(2, 0, 0), (6, 7, 3), (12, 40, 9)]:

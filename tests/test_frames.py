@@ -452,9 +452,21 @@ class TestSandwich:
         assert list(lower_slack) == [0.0, -2.0] and list(upper_slack) == [0.0, 3.0]
         assert list(passed) == [True, False]
 
+    def test_covolumes_checked_per_entry(self):
+        lower, upper, gsq = np.array([1.0, 3.0]), np.array([1.0, 4.0]), np.array([0.5, 1.0])
+        covolume = np.array([0.5, 1.0])
+        lower_slack, upper_slack, passed = frames.density_sandwich_check(lower, upper, covolume, 1.0, gsq)
+        for i in range(2):
+            one = frames.density_sandwich_check(lower[i], upper[i], covolume[i], 1.0, gsq[i])
+            assert (lower_slack[i], upper_slack[i], passed[i]) == one
+        assert list(passed) == [True, False]
+
     def test_precondition(self):
         with pytest.raises(UsageError):
             frames.density_sandwich_check(2.0, 1.0, 1.0, 1.0, 1.0)
+        for covolume in ([1.0, 0.0], [-1.0, 1.0], [np.nan, 1.0]):
+            with pytest.raises(UsageError):
+                frames.density_sandwich_check(np.ones(2), np.ones(2), np.array(covolume), 1.0, np.ones(2))
 
 
 def frame_report(**inputs) -> bergman.FrameReport:
