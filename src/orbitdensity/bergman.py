@@ -1,7 +1,7 @@
 """Weighted Bergman spaces on the upper half-plane: reproducing kernels,
-kernel orbits as the arrays of their points with closed-form Gram
-matrices, and the formal degree in closed form. A single kernel is a
-one-element orbit. Every vector of an orbit is a unit kernel
+kernel orbits as 1-d complex arrays of their points with closed-form Gram
+matrices, and the formal degree in closed form. The weight alpha is passed
+only where kernels are formed. Every vector of an orbit is a unit kernel
 u_w = k_w / ||k_w||: pi(g) k_z is ||k_z|| times a unimodular scalar times
 u_{gz}, and every quantity read from the orbit (Gram spectra, frame sums,
 the stabiliser) is unchanged by unimodular scalars, so the cocycle and the
@@ -66,36 +66,12 @@ class Weight:
             raise UsageError(f"weight must satisfy alpha > 1, got {self.alpha}")
 
 
-@dataclass(frozen=True, eq=False)
-class KernelOrbit:
-    """Unit kernels u_w = k_w / ||k_w|| of one weight at the points ``z``, a
-    1-d complex array."""
-
-    z: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        if self.z.ndim != 1:
-            raise UsageError("kernel points must be a 1-d array")
-        if not np.all(self.z.imag > 0.0):
-            raise UsageError("kernel points must lie in the open upper half-plane")
-
-    @classmethod
-    def plain(cls, points, weight: Weight) -> "KernelOrbit":
-        """The unit kernels at the given points."""
-        return cls(z=np.array([p.as_complex for p in points], dtype=complex), alpha=weight.alpha)
-
-    def __len__(self):
-        return len(self.z)
-
-    def take(self, index) -> "KernelOrbit":
-        """The vectors at the given positions, in that order."""
-        return KernelOrbit(z=self.z[index], alpha=self.alpha)
-
-
-def kernel_gram(left: KernelOrbit, right: KernelOrbit) -> np.ndarray:
-    """Inner products G[i, j] = <u_{z_i}, u_{w_j}> of unit kernels, linear in
-    the left entry.
+def kernel_gram(z: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
+    """Inner products G[i, j] = <u_{z_i}, u_{w_j}> of the unit kernels of
+    weight alpha at the points of 1-d complex arrays, linear in the left
+    entry. The points are not checked: they come from :func:`hyperbolic.act`,
+    which raises ``NumericalFailure`` for an image outside the open upper
+    half-plane, or from an ``UpperHalfPoint``.
 
     By the reproducing property <k_z, k_w> = k_z(w), so with the norms
     ||k_z||^2 = k_z(z), G[i, j] = ((w_j - conj z_i) / (2i sqrt(Im z_i Im w_j)))^-alpha.
@@ -108,48 +84,37 @@ def kernel_gram(left: KernelOrbit, right: KernelOrbit) -> np.ndarray:
     every entry is computed by the same operations at every size: a leading
     block of a Gram is bitwise the Gram of the leading vectors.
     """
-    if left.alpha != right.alpha:
-        raise UsageError(f"weight mismatch: {left.alpha} vs {right.alpha}")
-    if len(left) * len(right) > GRAM_SIZE_CAP * GRAM_SIZE_CAP:
+    if len(z) * len(w) > GRAM_SIZE_CAP * GRAM_SIZE_CAP:
         raise ResourceLimitError(
-            f"{len(left)} x {len(right)} inner products exceed the Gram cap {GRAM_SIZE_CAP}^2"
+            f"{len(z)} x {len(w)} inner products exceed the Gram cap {GRAM_SIZE_CAP}^2"
         )
-    G = np.subtract(right.z[None, :], left.z.conj()[:, None])
-    G *= (-0.5j / np.sqrt(left.z.imag))[:, None]
-    G *= (1.0 / np.sqrt(right.z.imag))[None, :]
-    np.power(G, -left.alpha, out=G)
+    G = np.subtract(w[None, :], z.conj()[:, None])
+    G *= (-0.5j / np.sqrt(z.imag))[:, None]
+    G *= (1.0 / np.sqrt(w.imag))[None, :]
+    np.power(G, -alpha, out=G)
     return G
 
 
-def kernel_norm_sq(kernel: KernelOrbit) -> float:
-    """||k_z||^2 = (alpha - 1) / (4 pi) (Im z)^-alpha for the point z of a
-    one-element orbit: the squared norm of every vector pi(g) k_z. A value
-    beyond the double range raises ``NumericalFailure``."""
-    (z,) = kernel.z.tolist()
+def kernel_norm_sq(z: complex, alpha: float) -> float:
+    """||k_z||^2 = (alpha - 1) / (4 pi) (Im z)^-alpha at the point z: the
+    squared norm of every vector pi(g) k_z. A value beyond the double range
+    raises ``NumericalFailure``."""
     try:
-        norm_sq = (kernel.alpha - 1.0) / (4.0 * math.pi) * z.imag**-kernel.alpha
+        norm_sq = (alpha - 1.0) / (4.0 * math.pi) * z.imag**-alpha
     except OverflowError:
         norm_sq = math.inf
     if norm_sq == math.inf:
         raise NumericalFailure(
-            f"||k_z||^2 = (alpha - 1) / (4 pi) (Im z)^-alpha overflows at alpha = {kernel.alpha}, "
+            f"||k_z||^2 = (alpha - 1) / (4 pi) (Im z)^-alpha overflows at alpha = {alpha}, "
             f"Im z = {z.imag}"
         )
     return norm_sq
 
 
-def orbit_system(maps, kernel: KernelOrbit) -> KernelOrbit:
-    """Orbit of the kernel at the point z of a one-element orbit under group
-    elements given as matrix rows: pi(m) k_z is ||k_z|| times a unimodular
-    scalar times the unit kernel at m.z, and the orbit is those points."""
-    (z,) = kernel.z.tolist()
-    return KernelOrbit(z=act(np.asarray(maps, dtype=float).reshape(-1, 4), z), alpha=kernel.alpha)
-
-
-def symmetry_phases(orbit: KernelOrbit, p, mirror=None) -> np.ndarray:
-    """Phases t with U u_k = t_k u_p(k) for the unit kernels u_k at the points
-    w_k of ``orbit`` and the pairing p of their points, in closed form: by
-    the rotation S: w -> -1/w, or with ``mirror`` by the reflection
+def symmetry_phases(w: np.ndarray, alpha: float, p, mirror=None) -> np.ndarray:
+    """Phases t with U u_k = t_k u_p(k) for the unit kernels u_k of weight
+    alpha at the points w_k and the pairing p of those points, in closed
+    form: by the rotation S: w -> -1/w, or with ``mirror`` by the reflection
     w -> -conj(w).
 
     pi(S) k_w = c conj(w^-alpha) k_{-1/w} for a unimodular constant c, and
@@ -166,21 +131,20 @@ def symmetry_phases(orbit: KernelOrbit, p, mirror=None) -> np.ndarray:
     of a base of modulus about 1, and for R
     s_k = (Im w_k / Im w_q(k))^(alpha/2), which is 1 up to rounding.
     """
-    alpha = orbit.alpha
-    ratio = orbit.z.imag / orbit.z[p].imag
+    ratio = w.imag / w[p].imag
     if mirror is not None:
         return ratio ** (0.5 * alpha) + 0j
-    t = np.power(orbit.z / np.sqrt(ratio), -alpha).conj()
+    t = np.power(w / np.sqrt(ratio), -alpha).conj()
     t *= cmath.exp(-0.5j * math.pi * alpha)
     return t
 
 
 def transversal_symmetry(
-    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: KernelOrbit, sizes
+    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: np.ndarray, alpha: float, sizes
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
     """Pairings and phases (p, t) of W and (q, s) of R (see
-    :func:`symmetry_phases`) on the transversal's vectors u_k = ``orbit`` at
-    ``cosets.rep_index``: W u_k = t_k u_p(k) and R u_k = s_k u_q(k), with p
+    :func:`symmetry_phases`) on the transversal's vectors u_k at the points
+    ``orbit[cosets.rep_index]``: W u_k = t_k u_p(k), R u_k = s_k u_q(k), with p
     and q commuting involutions that close every truncation of ``sizes``.
 
     The cosets are of the stabiliser of the kernel's point z, which fixes z
@@ -203,21 +167,21 @@ def transversal_symmetry(
     |conj(t_k) s_p(k) - s_k t_q(k)| of RW = WR above alpha times the bound.
     The phases t of vectors that W fixes are then set to exactly 1.
     """
-    lam = orbit.take(cosets.rep_index)
+    lam = orbit[cosets.rep_index]
     n = len(lam)
-    scale = rounding_bound(lam.z)
+    scale = rounding_bound(lam)
 
     def paired(name, mirror=None):
         p = fuchsian.coset_pairing(ball, cosets, sizes, mirror)
         if p is None:
             return None
-        t = symmetry_phases(lam, p, mirror)
-        image = -1.0 / lam.z if mirror is None else -lam.z.conj()
+        t = symmetry_phases(lam, alpha, p, mirror)
+        image = -1.0 / lam if mirror is None else -lam.conj()
         for what, deviation in (
-            ("point", distance(image, lam.z[p])),
-            ("phase modulus", np.abs(np.abs(t) - 1.0) / orbit.alpha),
-            ("phase product", np.abs((t if mirror is None else t.conj()) * t[p] - 1.0) / orbit.alpha),
-            ("fixed phase", np.where(p == np.arange(n), np.abs(t - 1.0), 0.0) / orbit.alpha),
+            ("point", distance(image, lam[p])),
+            ("phase modulus", np.abs(np.abs(t) - 1.0) / alpha),
+            ("phase product", np.abs((t if mirror is None else t.conj()) * t[p] - 1.0) / alpha),
+            ("fixed phase", np.where(p == np.arange(n), np.abs(t - 1.0), 0.0) / alpha),
         ):
             if np.any(deviation > scale):
                 raise OracleInconsistencyError(
@@ -228,11 +192,11 @@ def transversal_symmetry(
 
     p, t = paired("rotation S") or (np.arange(n), np.ones(n, dtype=complex))
     t[p == np.arange(n)] = 1.0
-    mirror = fuchsian.mirror_of(complex(orbit.z[ball.index_of(fuchsian.IDENTITY)]))
+    mirror = fuchsian.mirror_of(complex(orbit[ball.index_of(fuchsian.IDENTITY)]))
     reflection = None if mirror is None else paired("reflection w -> -conj(w)", mirror)
     if reflection is not None:
         q, s = reflection
-        deviation = np.abs(t.conj() * s[p] - s * t[q]) / orbit.alpha
+        deviation = np.abs(t.conj() * s[p] - s * t[q]) / alpha
         if not np.array_equal(q[p], p[q]) or np.any(deviation > scale):
             raise OracleInconsistencyError(
                 "the reflection w -> -conj(w) does not commute with the rotation S: mismatch "
@@ -286,13 +250,14 @@ def _real_form(M, pairing, phases, bound) -> np.ndarray:
     return M.real
 
 
-def symmetry_halves(orbit: KernelOrbit, rotation, reflection=None) -> list[tuple[np.ndarray, np.ndarray]]:
+def symmetry_halves(points, alpha, rotation, reflection=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """The Grams of the two eigenspaces of the involution W u_k = t_k u_p(k)
-    (see :func:`transversal_symmetry`) on the vectors of ``orbit``: for -1,
-    then +1, the Gram M of an orthonormal basis of the span's part in it,
-    and the increasing indices k that M's rows stand for. A half without
-    rows is left out. With the reflection R u_k = s_k u_q(k), each M is the
-    float64 Gram of a real basis of its half (:func:`_real_form`).
+    (see :func:`transversal_symmetry`) on the unit kernels of weight alpha
+    at ``points``: for -1, then +1, the Gram M of an orthonormal basis of
+    the span's part in it, and the increasing indices k that M's rows stand
+    for. A half without rows is left out. With the reflection
+    R u_k = s_k u_q(k), each M is the float64 Gram of a real basis of its
+    half (:func:`_real_form`).
 
     The basis is (u_a +- t_a u_p(a)) / sqrt 2 over the pair leaders
     a < p(a), plus each fixed vector u_f (t_f = 1) in the +1 half. W is
@@ -320,10 +285,10 @@ def symmetry_halves(orbit: KernelOrbit, rotation, reflection=None) -> list[tuple
     r is the same at w, -1/w and -conj w). So 8 alpha r is each row's bound.
     """
     p, t = rotation
-    rows = np.flatnonzero(p >= np.arange(len(orbit)))
+    rows = np.flatnonzero(p >= np.arange(len(points)))
     leaders = rows[p[rows] > rows]
-    A = kernel_gram(orbit.take(rows), orbit.take(rows))
-    C = kernel_gram(orbit.take(rows), orbit.take(p[leaders]))
+    A = kernel_gram(points[rows], points[rows], alpha)
+    C = kernel_gram(points[rows], points[p[leaders]], alpha)
     C *= t[leaders].conj()[None, :]
     # runs lo:hi of leaders between the fixed positions of R, k fixed before
     # them: C's columns, and the -1 half's rows, lo - k:hi - k
@@ -353,27 +318,27 @@ def symmetry_halves(orbit: KernelOrbit, rotation, reflection=None) -> list[tuple
             image = q[members]
             head = np.minimum(image, p[image])
             phases = s[members] * np.where(image == head, 1.0, sign * t[head].conj())
-            bound = 8.0 * orbit.alpha * rounding_bound(orbit.z[members])
+            bound = 8.0 * alpha * rounding_bound(points[members])
             M = _real_form(M, np.searchsorted(members, head), phases, bound)
         halves.append((M, members))
     return halves
 
 
 def transversal_riesz_bounds(
-    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: KernelOrbit, sizes
+    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: np.ndarray, alpha: float, sizes
 ) -> list[tuple[float, float]]:
     """Smallest and largest eigenvalue of the Gram of the first k coset
-    representatives' unit kernels (``orbit`` at ``cosets.rep_index``), one
-    pair per k of ``sizes``, each a truncation by norm.
+    representatives' unit kernels (at the points ``orbit[cosets.rep_index]``),
+    one pair per k of ``sizes``, each a truncation by norm.
 
     The vectors are split by :func:`transversal_symmetry` and
     :func:`symmetry_halves`; each half's truncations are its leading blocks,
     validated and eigensolved by one :func:`frames.gram` call, in real
     arithmetic at a mirror point, and each extreme is taken over both halves.
     """
-    rotation, reflection = transversal_symmetry(ball, cosets, orbit, sizes)
+    rotation, reflection = transversal_symmetry(ball, cosets, orbit, alpha, sizes)
     bounds = [(math.inf, -math.inf)] * len(sizes)
-    for M, members in symmetry_halves(orbit.take(cosets.rep_index), rotation, reflection):
+    for M, members in symmetry_halves(orbit[cosets.rep_index], alpha, rotation, reflection):
         half_sizes = np.searchsorted(members, sizes).tolist()
         steps = [j for j, size in enumerate(half_sizes) if size]
         for j, spectrum in zip(steps, frames.gram(M, [half_sizes[j] for j in steps])):
@@ -395,32 +360,31 @@ def formal_degree_closed_form(weight: Weight, haar_scale: float = 1.0) -> float:
 
 
 def projective_stabilizer_kernel(
-    ball: fuchsian.GroupBall, kernel: KernelOrbit, orbit: KernelOrbit, tol: float | None = None
+    ball: fuchsian.GroupBall, z: UpperHalfPoint, alpha: float, orbit: np.ndarray, tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ball indices, increasing, of the elements g that move the kernel's
-    point z by at most tol (:func:`fuchsian.stabilizer_of_point`), and their
-    overlaps u(g) = <u_{gz}, u_z>. pi(g) k_z is a unimodular multiple of
-    ||k_z|| u_{gz}, so it lies in the circle times k_z iff gz = z, and then
-    |u(g)| = 1.
+    """Ball indices, increasing, of the elements g that move the point z by
+    at most tol (:func:`fuchsian.stabilizer_of_point`), and the overlaps
+    u(g) = <u_{gz}, u_z> of the unit kernels of weight alpha. pi(g) k_z is a
+    unimodular multiple of ||k_z|| u_{gz}, so it lies in the circle times
+    k_z iff gz = z, and then |u(g)| = 1.
 
-    ``orbit`` is ``orbit_system(ball.elements, kernel)``, whose points are
-    the images that the stabiliser is decided from. The overlaps are the
-    independent path: each |u(g)| is checked against cosh(d(w, z)/2)^-alpha
-    at the computed point w of gz, with d in its asinh form. Both are exact
-    functions of w and z, computed to a few eps times alpha (1 + d), below
-    alpha times the rounding bounds of z and w (64 eps each at least). So a
-    deviation above that, relative to cosh(d/2)^-alpha, and above the
-    smallest normal double, where both underflow, raises
-    ``OracleInconsistencyError``.
+    ``orbit`` is ``act(ball.elements, z.as_complex)``, the images that the
+    stabiliser is decided from. The overlaps are the independent path: each
+    |u(g)| is checked against cosh(d(w, z)/2)^-alpha at the computed point w
+    of gz, with d in its asinh form. Both are exact functions of w and z,
+    computed to a few eps times alpha (1 + d), below alpha times the
+    rounding bounds of z and w (64 eps each at least). So a deviation above
+    that, relative to cosh(d/2)^-alpha, and above the smallest normal
+    double, where both underflow, raises ``OracleInconsistencyError``.
     """
     if len(orbit) != len(ball.elements):
         raise UsageError(f"orbit has {len(orbit)} vectors for {len(ball.elements)} ball elements")
-    (z,) = kernel.z.tolist()
-    members = fuchsian.stabilizer_of_point(ball, UpperHalfPoint(z.real, z.imag), tol=tol)
-    overlaps = kernel_gram(orbit, kernel)[:, 0]
-    expected = np.cosh(distance(orbit.z, z) / 2.0) ** -kernel.alpha
+    members = fuchsian.stabilizer_of_point(ball, z, tol=tol)
+    center = z.as_complex
+    overlaps = kernel_gram(orbit, np.array([center]), alpha)[:, 0]
+    expected = np.cosh(distance(orbit, center) / 2.0) ** -alpha
     deviation = np.abs(np.abs(overlaps) - expected)
-    scale = kernel.alpha * (rounding_bound(z) + rounding_bound(orbit.z)) * expected + np.finfo(float).tiny
+    scale = alpha * (rounding_bound(center) + rounding_bound(orbit)) * expected + np.finfo(float).tiny
     if np.any(deviation > scale):
         raise OracleInconsistencyError(
             "kernel overlaps disagree with the distances of their points: mismatch "
@@ -429,20 +393,18 @@ def projective_stabilizer_kernel(
     return members, overlaps[members]
 
 
-def probe_kernels(kernel: KernelOrbit, count: int) -> KernelOrbit:
-    """Deterministic probe set: kernels on a golden-angle spiral of geodesic
-    polar coordinates within ``PROBE_RADIUS`` of the point of a one-element orbit."""
+def probe_kernels(center: complex, count: int) -> np.ndarray:
+    """Deterministic probe set: the points of kernels on a golden-angle spiral
+    of geodesic polar coordinates within ``PROBE_RADIUS`` of ``center``."""
     if count < 1:
         raise UsageError(f"need at least one probe, got {count}")
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    (center,) = kernel.z.tolist()
     root_y = math.sqrt(center.imag)
     mover = canonical([root_y, center.real / root_y, 0.0, 1.0 / root_y])
     thetas = [(p / golden) % 1.0 * math.pi for p in range(count)]
     rotations = canonical([(math.cos(t), math.sin(t), -math.sin(t), math.cos(t)) for t in thetas])
     radii = [PROBE_RADIUS * math.sqrt((p + 0.5) / count) for p in range(count)]
-    z = act(compose(mover, rotations), np.array([complex(0.0, math.exp(r)) for r in radii]))
-    return KernelOrbit(z=z, alpha=kernel.alpha)
+    return act(compose(mover, rotations), np.array([complex(0.0, math.exp(r)) for r in radii]))
 
 
 @dataclass(frozen=True)
@@ -549,18 +511,17 @@ def density_analysis(
     if not refine_delta > 0.0:
         raise UsageError(f"refine_delta must be positive, got {refine_delta}")
 
-    kernel = KernelOrbit.plain([z], weight)
     covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)  # refuses haar_scale <= 0
     degree = formal_degree_closed_form(weight, haar_scale)
-    gen_norm_sq = kernel_norm_sq(kernel)
+    gen_norm_sq = kernel_norm_sq(z.as_complex, alpha)
 
     ball = fuchsian.ball_enumerate(spec, ball_norm)
     # the one orbit of the analysis; every other orbit is a gather from it
-    orbit = orbit_system(ball.elements, kernel)
-    stab_members, _phases = projective_stabilizer_kernel(ball, kernel, orbit)
+    orbit = act(ball.elements, z.as_complex)
+    stab_members, _phases = projective_stabilizer_kernel(ball, z, alpha, orbit)
     stab_order = len(stab_members)
     cosets = fuchsian.coset_representatives(ball, stab_members)
-    probe_orbit = probe_kernels(kernel, probes)
+    probe_points = probe_kernels(z.as_complex, probes)
 
     # Ball elements are sorted by norm and the representatives' ball indices
     # increase, so every truncation is a leading prefix of both: assemble
@@ -577,16 +538,16 @@ def density_analysis(
         if not inside[: gamma_counts[-1]].all():
             raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
     lam_counts = [int(np.searchsorted(cosets.rep_index, count)) for count in gamma_counts]
-    riesz_bounds = transversal_riesz_bounds(ball, cosets, orbit, lam_counts)
+    riesz_bounds = transversal_riesz_bounds(ball, cosets, orbit, alpha, lam_counts)
     # Weighted by ||k_w|| over the largest probe norm, (min Im w / Im w)^(alpha/2)
     # <= 1, the unit probes are the plain kernels k_w up to one common
     # factor, so the probe family and its whitening cutoff are theirs, and no
     # probe entry leaves the double range at any alpha.
-    probe_y = probe_orbit.z.imag
+    probe_y = probe_points.imag
     probe_weight = (probe_y.min() / probe_y) ** (0.5 * alpha)
-    probe_matrix = kernel_gram(probe_orbit, orbit).T
+    probe_matrix = kernel_gram(probe_points, orbit, alpha).T
     probe_matrix *= probe_weight
-    probe_gram = kernel_gram(probe_orbit, probe_orbit).T
+    probe_gram = kernel_gram(probe_points, probe_points, alpha).T
     probe_gram *= probe_weight[:, None] * probe_weight
     whitener = linalg.psd_eigen(probe_gram, name="probe Gram matrix").whitener()
     # The S-relation compares the synthesis of the fully tiled
@@ -594,7 +555,7 @@ def density_analysis(
     # the other ball elements of each coset: both are gathers of the
     # synthesis of the whole ball, which is then freed.
     fully_tiled = np.all(cosets.tile >= 0, axis=1)
-    synthesis = kernel_gram(orbit, probe_orbit).T
+    synthesis = kernel_gram(orbit, probe_points, alpha).T
     synthesis *= probe_weight[:, None]
     synth_red = synthesis[:, cosets.rep_index[fully_tiled]]
     synth_full = synthesis[:, cosets.tile[fully_tiled].ravel()]

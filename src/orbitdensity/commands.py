@@ -74,7 +74,6 @@ def _parse_float(text: str, key: str) -> float:
 
 def lattice_from_config(name: str, config: dict) -> LatticeSpec:
     from . import fuchsian
-    from .hyperbolic import MoebiusMap
 
     if name == "psl2z":
         return fuchsian.psl2z()
@@ -88,7 +87,7 @@ def lattice_from_config(name: str, config: dict) -> LatticeSpec:
         entries = [_parse_float(v, "lattice.generators") for v in chunk.split(",")]
         if len(entries) != 4:
             raise UsageError(f"generator needs 4 entries, got {chunk!r}")
-        generators.append(MoebiusMap(*entries))
+        generators.append(entries)
     covolume = (
         _parse_float(config["lattice.covolume"], "lattice.covolume")
         if "lattice.covolume" in config
@@ -146,15 +145,16 @@ def cmd_stabilizer(args: Namespace, config: dict, emitter: Emitter) -> int:
     import numpy as np
 
     from . import bergman, fuchsian
+    from .hyperbolic import act
 
     z = parse_point(args.z)
     # a bad weight fails before the ball is enumerated
-    kernel = bergman.KernelOrbit.plain([z], bergman.Weight(args.alpha))
+    alpha = bergman.Weight(args.alpha).alpha
     spec = lattice_from_config(args.lattice, config)
     ball = fuchsian.ball_enumerate(spec, args.ball)
     # raises OracleInconsistencyError unless the overlaps match the points' distances
     members, phases = bergman.projective_stabilizer_kernel(
-        ball, kernel, bergman.orbit_system(ball.elements, kernel), tol=args.tol
+        ball, z, alpha, act(ball.elements, z.as_complex), tol=args.tol
     )
     emitter.record(
         "stabilizer",

@@ -22,11 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OracleInconsistencyError, ResourceLimitError, UsageError
-from .hyperbolic import MoebiusMap, UpperHalfPoint
+from .hyperbolic import UpperHalfPoint
 from .hyperbolic import act, canonical, compose, distance, frobenius_sq, inverse, round9, rounding_bound
 
 # identity has Frobenius norm sqrt(2); smaller balls would be empty
 MIN_NORM_BOUND = math.sqrt(2.0)
+
+# ball_enumerate refuses a ball of more elements
+MAX_BALL_ELEMENTS = 200_000
 
 _NORM_EPS = 1e-9
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
@@ -58,18 +61,23 @@ def mirror_of(z: complex) -> tuple | None:
 class LatticeSpec:
     """Named generating set for a discrete subgroup, with optional covolume.
 
-    ``covolume`` is understood at Haar scale 1; ``is_integral`` enables the
-    exact integer cross-check for ball enumeration.
+    ``generators`` are matrix rows, stored canonical (a determinant <= 0
+    raises ``UsageError``). ``covolume`` is understood at Haar scale 1;
+    ``is_integral`` compares the ball with PSL(2, Z)'s whole integer ball, so
+    it certifies only a generating set of the whole modular group: a proper
+    integral subgroup warns and stays uncertified.
     """
 
     name: str
-    generators: tuple[MoebiusMap, ...]
+    generators: tuple[tuple[float, float, float, float], ...]
     covolume: float | None = None
     is_integral: bool = False
 
     def __post_init__(self):
         if not self.generators:
             raise UsageError("lattice spec needs at least one generator")
+        rows = canonical(np.asarray(self.generators, dtype=float).reshape(-1, 4))
+        object.__setattr__(self, "generators", tuple(map(tuple, rows.tolist())))
         if self.covolume is not None and not self.covolume > 0.0:
             raise UsageError(f"covolume must be positive, got {self.covolume}")
 
@@ -78,7 +86,7 @@ def psl2z() -> LatticeSpec:
     """The modular group PSL(2, Z), generated by z -> -1/z and z -> z + 1."""
     return LatticeSpec(
         name="psl2z",
-        generators=(MoebiusMap(0.0, -1.0, 1.0, 0.0), MoebiusMap(1.0, 1.0, 0.0, 1.0)),
+        generators=((0.0, -1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 1.0)),
         covolume=None,
         is_integral=True,
     )
@@ -164,9 +172,7 @@ def brute_force_integer_ball(norm_bound: float) -> np.ndarray:
     return quads[order].astype(float)
 
 
-def ball_enumerate(
-    spec: LatticeSpec, norm_bound: float, *, max_elements: int = 200_000
-) -> GroupBall:
+def ball_enumerate(spec: LatticeSpec, norm_bound: float) -> GroupBall:
     """Breadth-first closure of the generators inside the Frobenius ball.
 
     Each sweep composes the whole frontier with every step (generators and
@@ -194,8 +200,8 @@ def ball_enumerate(
             if key not in seen:
                 seen.add(key)
                 fresh.append(i)
-        if len(seen) > max_elements:
-            raise ResourceLimitError(f"ball enumeration exceeded {max_elements} elements")
+        if len(seen) > MAX_BALL_ELEMENTS:
+            raise ResourceLimitError(f"ball enumeration exceeded {MAX_BALL_ELEMENTS} elements")
         found.append(products[fresh])
     elements = np.concatenate(found)
     elements = elements[np.lexsort(_norm_keys(elements).T[::-1])]

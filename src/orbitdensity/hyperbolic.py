@@ -5,8 +5,7 @@ first entry of (a, b, c, d) larger than 1e-14 in modulus is positive, so
 each class of the +/- identification has one representative. A list of
 elements is an ``(N, 4)`` float array of rows (a, b, c, d), and
 :func:`canonical`, :func:`compose`, :func:`inverse` and :func:`act` work on
-whole arrays; :class:`MoebiusMap` is one such row, for generators and
-probes.
+whole arrays. A list of points, such as an orbit, is a 1-d complex array.
 """
 
 from __future__ import annotations
@@ -97,23 +96,6 @@ def act(m, z) -> np.ndarray:
     if bad.any():
         raise NumericalFailure(f"Moebius image left the upper half-plane: {w[bad].flat[0]}")
     return w
-
-
-@dataclass(eq=False)
-class MoebiusMap:
-    """One element of PSL(2, R), such as a generator, as a canonicalised
-    matrix (a b; c d), ad - bc = 1; array-like as its row (a, b, c, d)."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        self.a, self.b, self.c, self.d = canonical([self.a, self.b, self.c, self.d]).tolist()
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.a, self.b, self.c, self.d], dtype=dtype)
 
 
 @dataclass(frozen=True)

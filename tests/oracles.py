@@ -16,14 +16,17 @@ probe matrix replaced. Midpoint quadrature against the invariant measure
 on materialised meshgrids is the independent path to the closed-form
 covolume and formal degree. The grid, ball and shift-matrix helpers build
 inputs for property tests, :func:`scan_rows` is the per-row view of a scan
-report's columns, and :func:`traced_peak` measures the numpy and Python
-memory a call holds at its peak.
+report's columns, :func:`point_array` is the array of some points, and
+:func:`traced_peak` measures the numpy and Python memory a call holds at
+its peak. :class:`MoebiusMap` is one group element as an object, which only
+the tests make.
 """
 
 import cmath
 import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,13 +35,7 @@ from orbitdensity import bergman, finite_gabor, linalg
 from orbitdensity.errors import DimensionError, OracleInconsistencyError, UsageError
 from orbitdensity.finite_gabor import SubgroupDescr
 from orbitdensity.fuchsian import _NORM_EPS, MIN_NORM_BOUND, GroupBall
-from orbitdensity.hyperbolic import (
-    SIGN_TOL,
-    MoebiusMap,
-    UpperHalfPoint,
-    frobenius_sq,
-    round9,
-)
+from orbitdensity.hyperbolic import SIGN_TOL, UpperHalfPoint, canonical, frobenius_sq, round9
 
 
 def kernel_value(z: complex, w: complex, alpha: float) -> complex:
@@ -49,31 +46,36 @@ def kernel_value(z: complex, w: complex, alpha: float) -> complex:
     return const * i_pow * (w - z.conjugate()) ** (-alpha)
 
 
-def kernel_cross_oracle(left, right) -> np.ndarray:
+def point_array(pts) -> np.ndarray:
+    """The 1-d complex array of some ``UpperHalfPoint``s."""
+    return np.array([p.as_complex for p in pts], dtype=complex)
+
+
+def kernel_cross_oracle(z, w, alpha) -> np.ndarray:
     """<u_i, u_j> = k_{z_i}(w_j) / sqrt(k_{z_i}(z_i) k_{w_j}(w_j)) for the unit
-    kernels of two orbits, one Python call per pair."""
-    assert left.alpha == right.alpha
-    out = np.empty((len(left), len(right)), dtype=complex)
-    for i, zi in enumerate(left.z.tolist()):
-        for j, wj in enumerate(right.z.tolist()):
-            norms_sq = kernel_value(zi, zi, left.alpha) * kernel_value(wj, wj, left.alpha)
-            out[i, j] = kernel_value(zi, wj, left.alpha) / cmath.sqrt(norms_sq)
+    kernels of weight alpha at two point arrays, one Python call per pair."""
+    out = np.empty((len(z), len(w)), dtype=complex)
+    for i, zi in enumerate(z.tolist()):
+        for j, wj in enumerate(w.tolist()):
+            norms_sq = kernel_value(zi, zi, alpha) * kernel_value(wj, wj, alpha)
+            out[i, j] = kernel_value(zi, wj, alpha) / cmath.sqrt(norms_sq)
     return out
 
 
-def unit_gram_extended(left, right) -> np.ndarray:
+def unit_gram_extended(z, w, alpha) -> np.ndarray:
     """The unit-kernel Gram ((w_j - conj z_i) / (2i sqrt(Im z_i Im w_j)))^-alpha
-    of two orbits' points, in ``np.clongdouble`` arithmetic."""
-    z = left.z.astype(np.clongdouble)[:, None]
-    w = right.z.astype(np.clongdouble)[None, :]
-    return ((w - z.conj()) / (2j * np.sqrt(z.imag * w.imag))) ** -np.longdouble(left.alpha)
+    of two point arrays, in ``np.clongdouble`` arithmetic."""
+    z = z.astype(np.clongdouble)[:, None]
+    w = w.astype(np.clongdouble)[None, :]
+    return ((w - z.conj()) / (2j * np.sqrt(z.imag * w.imag))) ** -np.longdouble(alpha)
 
 
-def unsplit_gram_spectra(lam, sizes) -> list[np.ndarray]:
-    """Eigenvalues of the leading k x k blocks of the whole Gram of the
-    kernel vectors ``lam``, one ``np.linalg.eigvalsh`` per k of ``sizes``:
-    the Gram assembled in one piece and eigensolved unsplit."""
-    G = bergman.kernel_gram(lam, lam)
+def unsplit_gram_spectra(lam, alpha, sizes) -> list[np.ndarray]:
+    """Eigenvalues of the leading k x k blocks of the whole Gram of the unit
+    kernels of weight alpha at the points ``lam``, one ``np.linalg.eigvalsh``
+    per k of ``sizes``: the Gram assembled in one piece and eigensolved
+    unsplit."""
+    G = bergman.kernel_gram(lam, lam, alpha)
     return [np.linalg.eigvalsh(G[:k, :k]) for k in sizes]
 
 
@@ -396,6 +398,23 @@ def scalar_image(m, z: complex) -> complex:
 
 def scalar_j(m, z: complex) -> complex:
     return 1.0 / (m[2] * z + m[3])
+
+
+@dataclass(eq=False)
+class MoebiusMap:
+    """One element of PSL(2, R) as a canonicalised matrix (a b; c d),
+    ad - bc = 1; array-like as its row (a, b, c, d)."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+
+    def __post_init__(self):
+        self.a, self.b, self.c, self.d = canonical([self.a, self.b, self.c, self.d]).tolist()
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array([self.a, self.b, self.c, self.d], dtype=dtype)
 
 
 class Moebius(MoebiusMap):

@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 from oracles import Moebius, covolume_psl2z_by_meshgrid, distance, formal_degree_by_meshgrid, pi_shift_matrix
-from oracles import row_keys, scan_rows, vector_gram
+from oracles import point_array, row_keys, scan_rows, vector_gram
 from scipy.integrate import quad
 
 from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian, linalg
-from orbitdensity.bergman import KernelOrbit, Weight
-from orbitdensity.hyperbolic import UpperHalfPoint
+from orbitdensity.bergman import Weight
+from orbitdensity.hyperbolic import UpperHalfPoint, act
 
 SCAN_SEED = 20240810
 POINT_I = UpperHalfPoint(0.0, 1.0)
@@ -176,22 +176,21 @@ def test_criterion_4_bergman_kernel_oracle():
             )
 
         for alpha in (2.0, 3.0, 4.5):
-            w = Weight(alpha)
             for _ in range(1000):
                 z, u = rand_point(), rand_point()
-                kz, ku = KernelOrbit.plain([z], w), KernelOrbit.plain([u], w)
-                n1 = bergman.kernel_gram(kz, kz)[0, 0]
+                kz, ku = point_array([z]), point_array([u])
+                n1 = bergman.kernel_gram(kz, kz, alpha)[0, 0]
                 assert abs(n1 - 1.0) <= 1e-12
-                lhs = abs(bergman.kernel_gram(kz, ku)[0, 0]) ** 2
+                lhs = abs(bergman.kernel_gram(kz, ku, alpha)[0, 0]) ** 2
                 rhs = math.cosh(distance(z, u) / 2.0) ** (-2.0 * alpha)
                 assert abs(lhs - rhs) <= 1e-10
             for _ in range(300):
                 # pi(m) is unitary: it keeps the overlap of two kernels up to a phase
                 m = rand_map()
-                k, k2 = KernelOrbit.plain([rand_point()], w), KernelOrbit.plain([rand_point()], w)
-                t, t2 = bergman.orbit_system([m], k), bergman.orbit_system([m], k2)
-                lhs = abs(bergman.kernel_gram(t, t2)[0, 0])
-                assert abs(lhs - abs(bergman.kernel_gram(k, k2)[0, 0])) <= 1e-10
+                k, k2 = point_array([rand_point()]), point_array([rand_point()])
+                t, t2 = act([m], k), act([m], k2)
+                lhs = abs(bergman.kernel_gram(t, t2, alpha)[0, 0])
+                assert abs(lhs - abs(bergman.kernel_gram(k, k2, alpha)[0, 0])) <= 1e-10
 
 
 def test_criterion_5_formal_degree():
@@ -243,9 +242,8 @@ def test_criterion_7_stabilizer_orders_both_paths():
             ball = fuchsian.ball_enumerate(fuchsian.psl2z(), float(bound))
             for z, order in expected:
                 point_members = fuchsian.stabilizer_of_point(ball, z)
-                kernel = KernelOrbit.plain([z], w)
                 kernel_members, phases = bergman.projective_stabilizer_kernel(
-                    ball, kernel, bergman.orbit_system(ball.elements, kernel)
+                    ball, z, w.alpha, act(ball.elements, z.as_complex)
                 )
                 assert len(point_members) == order
                 assert len(kernel_members) == order

@@ -3,18 +3,11 @@ import math
 import numpy as np
 import pytest
 from oracles import Moebius, distance, formal_degree_by_meshgrid, formal_degree_rectangle, kernel_value
-from oracles import meshgrid_integrate, meshgrid_rectangle_log_y, traced_peak, unit_gram_extended
+from oracles import meshgrid_integrate, meshgrid_rectangle_log_y, point_array, traced_peak, unit_gram_extended
 from scipy.integrate import quad
 
 from orbitdensity import bergman, fuchsian, linalg
-from orbitdensity.bergman import (
-    KernelOrbit,
-    Weight,
-    formal_degree_closed_form,
-    kernel_gram,
-    kernel_norm_sq,
-    orbit_system,
-)
+from orbitdensity.bergman import Weight, formal_degree_closed_form, kernel_gram, kernel_norm_sq
 from orbitdensity.errors import OracleInconsistencyError, ResourceLimitError, UsageError
 from orbitdensity.hyperbolic import UpperHalfPoint, act, rounding_bound
 
@@ -40,13 +33,17 @@ def random_point(rng) -> UpperHalfPoint:
 
 def inner(z: UpperHalfPoint, u: UpperHalfPoint, w: Weight) -> complex:
     """<u_z, u_u> from the array assembly."""
-    return complex(kernel_gram(KernelOrbit.plain([z], w), KernelOrbit.plain([u], w))[0, 0])
+    return complex(kernel_gram(point_array([z]), point_array([u]), w.alpha)[0, 0])
 
 
-def moved(m: Moebius, k: KernelOrbit) -> UpperHalfPoint:
-    """Point of pi(m) k from the array builder."""
-    z = complex(orbit_system([m], k).z[0])
-    return UpperHalfPoint(z.real, z.imag)
+def moved(m: Moebius, z: UpperHalfPoint) -> UpperHalfPoint:
+    """Point of pi(m) k_z from the array action."""
+    w = complex(act([m], z.as_complex)[0])
+    return UpperHalfPoint(w.real, w.imag)
+
+
+def norm_sq(z: UpperHalfPoint, w: Weight) -> float:
+    return kernel_norm_sq(z.as_complex, w.alpha)
 
 
 class TestKernel:
@@ -56,18 +53,18 @@ class TestKernel:
 
     def test_value_at_center_alpha_two(self):
         # k_i(i) = 1 / (4 pi), and the unit kernel's is 1
-        assert abs(kernel_norm_sq(KernelOrbit.plain([POINT_I], Weight(2.0))) - 1.0 / (4.0 * math.pi)) <= 1e-15
+        assert abs(norm_sq(POINT_I, Weight(2.0)) - 1.0 / (4.0 * math.pi)) <= 1e-15
         assert inner(POINT_I, POINT_I, Weight(2.0)) == 1.0
 
     def test_diagonal_closed_form_and_positivity(self):
         rng = np.random.default_rng(21)
         for alpha in (1.5, 2.0, 3.0, 4.5, 7.0, 12.0):
             points = [random_point(rng) for _ in range(20)]
-            orbit = KernelOrbit.plain(points, Weight(alpha))
-            diag = np.diag(kernel_gram(orbit, orbit))
+            orbit = point_array(points)
+            diag = np.diag(kernel_gram(orbit, orbit, alpha))
             assert np.all(diag.real > 0.0)
             assert np.all(np.abs(diag.imag) <= 1e-12 * diag.real)
-            assert np.all(np.abs(diag.real - 1.0) <= 2.0 * alpha * rounding_bound(orbit.z))
+            assert np.all(np.abs(diag.real - 1.0) <= 2.0 * alpha * rounding_bound(orbit))
 
     def test_reproducing_property_on_kernel_combinations(self):
         # <f, k_target> for f = sum c_j k_{z_j} equals f(target) evaluated
@@ -81,8 +78,8 @@ class TestKernel:
             c * kernel_value(z.as_complex, target.as_complex, w.alpha)
             for c, z in zip(coeffs, centers)
         )
-        norms = np.sqrt([kernel_norm_sq(KernelOrbit.plain([z], w)) for z in (*centers, target)])
-        unit_inners = kernel_gram(KernelOrbit.plain(centers, w), KernelOrbit.plain([target], w))[:, 0]
+        norms = np.sqrt([norm_sq(z, w) for z in (*centers, target)])
+        unit_inners = kernel_gram(point_array(centers), point_array([target]), w.alpha)[:, 0]
         inner_with_kernel = np.sum(coeffs * norms[:-1] * unit_inners) * norms[-1]
         assert abs(inner_with_kernel - f_at_target) <= 1e-13 * abs(f_at_target)
 
@@ -95,52 +92,43 @@ class TestKernel:
 
     def test_norms_hand_values(self):
         w = Weight(2.0)
-        assert abs(kernel_norm_sq(KernelOrbit.plain([POINT_I], w)) - 1.0 / (4.0 * math.pi)) <= 1e-15
-        assert abs(kernel_norm_sq(KernelOrbit.plain([POINT_2I], w)) - 1.0 / (16.0 * math.pi)) <= 1e-16
+        assert abs(norm_sq(POINT_I, w) - 1.0 / (4.0 * math.pi)) <= 1e-15
+        assert abs(norm_sq(POINT_2I, w) - 1.0 / (16.0 * math.pi)) <= 1e-16
 
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(23)
         w = Weight(3.5)
-        left = KernelOrbit.plain([random_point(rng) for _ in range(200)], w)
-        right = KernelOrbit.plain([random_point(rng) for _ in range(200)], w)
-        lhs = kernel_gram(left, right)
-        rhs = kernel_gram(right, left).conj().T
+        left = point_array([random_point(rng) for _ in range(200)])
+        right = point_array([random_point(rng) for _ in range(200)])
+        lhs = kernel_gram(left, right, w.alpha)
+        rhs = kernel_gram(right, left, w.alpha).conj().T
         assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(np.abs(lhs), 1e-300))
-
-    def test_weight_mismatch_rejected(self):
-        with pytest.raises(UsageError):
-            kernel_gram(
-                KernelOrbit.plain([POINT_I], Weight(2.0)), KernelOrbit.plain([POINT_I], Weight(3.0))
-            )
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr(bergman, "GRAM_SIZE_CAP", 2)
-        orbit = KernelOrbit.plain([POINT_I, POINT_2I, UpperHalfPoint(1.0, 1.0)], Weight(2.0))
-        assert kernel_gram(orbit, KernelOrbit.plain([POINT_I], Weight(2.0))).shape == (3, 1)
+        orbit = point_array([POINT_I, POINT_2I, UpperHalfPoint(1.0, 1.0)])
+        assert kernel_gram(orbit, point_array([POINT_I]), 2.0).shape == (3, 1)
         with pytest.raises(ResourceLimitError):
-            kernel_gram(orbit, orbit)
+            kernel_gram(orbit, orbit, 2.0)
 
     def test_leading_block_is_bitwise_the_gram_of_the_leading_vectors(self):
         # the 506 x 506 Gram at rho is past the size (256 KiB) where numpy
         # computes a temporary's product in place, its small blocks are not;
         # the operand order of every product must not depend on that
-        kernel = KernelOrbit.plain([UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)], Weight(3.0))
-        orbit = orbit_system(fuchsian.ball_enumerate(fuchsian.psl2z(), 13.0).elements, kernel)
-        probes = bergman.probe_kernels(kernel, 40)
-        G = kernel_gram(orbit, orbit)
-        B = kernel_gram(orbit, probes)
+        z = complex(0.5, math.sqrt(3.0) / 2.0)
+        orbit = act(fuchsian.ball_enumerate(fuchsian.psl2z(), 13.0).elements, z)
+        probes = bergman.probe_kernels(z, 40)
+        G = kernel_gram(orbit, orbit, 3.0)
+        B = kernel_gram(orbit, probes, 3.0)
         assert G.shape == (506, 506)
         for k in (1, 63, 64, 65, 100, 300):
-            lead = orbit.take(np.arange(k))
-            assert np.array_equal(G[:k, :k], kernel_gram(lead, lead))
-            assert np.array_equal(B[:k], kernel_gram(lead, probes))
+            lead = orbit[:k]
+            assert np.array_equal(G[:k, :k], kernel_gram(lead, lead, 3.0))
+            assert np.array_equal(B[:k], kernel_gram(lead, probes, 3.0))
 
     def test_assembly_holds_one_buffer(self):
-        orbit = orbit_system(
-            fuchsian.ball_enumerate(fuchsian.psl2z(), 13.0).elements,
-            KernelOrbit.plain([UpperHalfPoint(0.3, 1.5)], Weight(2.0)),
-        )
-        G, peak = traced_peak(kernel_gram, orbit, orbit)
+        orbit = act(fuchsian.ball_enumerate(fuchsian.psl2z(), 13.0).elements, 0.3 + 1.5j)
+        G, peak = traced_peak(kernel_gram, orbit, orbit, 2.0)
         # the Gram, its row and column factors and numpy's ufunc buffers
         # (2 x 8192 entries), which are less than two strips of 64 rows here
         assert peak <= G.nbytes * (1.0 + 2.0 * linalg.ROW_BLOCK / len(orbit))
@@ -152,8 +140,7 @@ class TestKernel:
         z = rng.uniform(-5.0, 5.0, 60) + 1j * np.geomspace(1e-6, 1e3, 60)
         r = rounding_bound(z)
         for alpha in (2.0, 30.0, 300.0, 1000.0):
-            orbit = KernelOrbit(z=z, alpha=alpha)
-            G = kernel_gram(orbit, orbit)
+            G = kernel_gram(z, z, alpha)
             assert np.all(np.isfinite(G))
             assert np.all(np.abs(G) <= 1.0 + alpha * (r[:, None] + r[None, :]))
             assert np.all(np.abs(np.diag(G) - 1.0) <= 2.0 * alpha * r)
@@ -165,9 +152,9 @@ class TestKernel:
         # points, so the spectral norm of the error is within 2 alpha k max r
         for norm in (6.0, 10.0, 14.0):
             ball = fuchsian.ball_enumerate(fuchsian.psl2z(), norm)
-            orbit = orbit_system(ball.elements, KernelOrbit.plain([z], Weight(alpha)))
-            error = (kernel_gram(orbit, orbit) - unit_gram_extended(orbit, orbit)).astype(complex)
-            assert np.linalg.norm(error, 2) <= 2.0 * alpha * len(orbit) * np.max(rounding_bound(orbit.z))
+            orbit = act(ball.elements, z.as_complex)
+            error = (kernel_gram(orbit, orbit, alpha) - unit_gram_extended(orbit, orbit, alpha)).astype(complex)
+            assert np.linalg.norm(error, 2) <= 2.0 * alpha * len(orbit) * np.max(rounding_bound(orbit))
 
     def test_norm_by_weighted_quadrature_slow_cross_check(self):
         # independent of the closed form: ||k_z||^2 equals the
@@ -178,7 +165,6 @@ class TestKernel:
             (6.0, UpperHalfPoint(-2.0, 0.5), 1e-9),
         ]
         for alpha, z, tol in cases:
-            k = KernelOrbit.plain([z], Weight(alpha))
             nodes = meshgrid_rectangle_log_y(*formal_degree_rectangle(alpha, z, nx=1600, nt=900))
             const = 2.0 ** (alpha - 2.0) / math.pi * (alpha - 1.0)
             zbar = complex(z.x, -z.y)
@@ -188,7 +174,7 @@ class TestKernel:
                 return np.abs(values) ** 2 * y**alpha
 
             quadrature = meshgrid_integrate(nodes, integrand)
-            diagonal = kernel_norm_sq(k)
+            diagonal = kernel_norm_sq(z.as_complex, alpha)
             assert abs(quadrature - diagonal) <= tol * diagonal
 
     def test_correlation_identity(self):
@@ -204,18 +190,18 @@ class TestKernel:
 
 class TestAction:
     def test_identity(self):
-        assert moved(Moebius.identity(), KernelOrbit.plain([POINT_I], Weight(2.0))) == POINT_I
+        assert moved(Moebius.identity(), POINT_I) == POINT_I
 
     def test_translation(self):
-        point = moved(T, KernelOrbit.plain([POINT_I], Weight(2.0)))
+        point = moved(T, POINT_I)
         assert abs(point.as_complex - (1.0 + 1.0j)) <= 1e-15
 
     def test_inversion_at_2i(self):
         w = Weight(2.0)
-        point = moved(S, KernelOrbit.plain([POINT_2I], w))
+        point = moved(S, POINT_2I)
         assert abs(point.as_complex - 0.5j) <= 1e-15
         # pi(S) k_2i = c k_0.5i with |c| = ||k_2i|| / ||k_0.5i|| = |j(S, 2i)|^alpha = 1/4
-        ratio = kernel_norm_sq(KernelOrbit.plain([POINT_2I], w)) / kernel_norm_sq(KernelOrbit.plain([point], w))
+        ratio = norm_sq(POINT_2I, w) / norm_sq(point, w)
         assert abs(math.sqrt(ratio) - 0.25) <= 1e-15
 
     def test_unitarity(self):
@@ -223,20 +209,18 @@ class TestAction:
         # to a unimodular factor, and are unit vectors
         rng = np.random.default_rng(25)
         for alpha in (2.0, 3.7, 6.0):
-            w = Weight(alpha)
             for _ in range(200):
                 m = random_map(rng)
-                k, k2 = KernelOrbit.plain([random_point(rng)], w), KernelOrbit.plain([random_point(rng)], w)
-                t, t2 = orbit_system([m], k), orbit_system([m], k2)
-                assert abs(kernel_gram(t, t)[0, 0] - 1.0) <= 1e-12
-                assert abs(abs(kernel_gram(t, t2)[0, 0]) - abs(kernel_gram(k, k2)[0, 0])) <= 1e-10
+                k, k2 = point_array([random_point(rng)]), point_array([random_point(rng)])
+                t, t2 = act([m], k), act([m], k2)
+                assert abs(kernel_gram(t, t, alpha)[0, 0] - 1.0) <= 1e-12
+                assert abs(abs(kernel_gram(t, t2, alpha)[0, 0]) - abs(kernel_gram(k, k2, alpha)[0, 0])) <= 1e-10
 
 
 class TestOrbitInner:
     def test_self_inner_positive(self):
-        w = Weight(2.0)
-        t = orbit_system([Moebius(1.0, 0.5, 0.0, 1.0)], KernelOrbit.plain([POINT_I], w))
-        value = complex(kernel_gram(t, t)[0, 0])
+        t = act([Moebius(1.0, 0.5, 0.0, 1.0)], point_array([POINT_I]))
+        value = complex(kernel_gram(t, t, 2.0)[0, 0])
         assert value.real > 0.0
         assert abs(value.imag) <= 1e-15 * value.real
         assert abs(value.real - 1.0) <= 1e-15
@@ -246,7 +230,7 @@ class TestOrbitInner:
         w = Weight(2.0)
         value = inner(POINT_I, POINT_2I, w)
         oracle = kernel_value(POINT_I.as_complex, POINT_2I.as_complex, w.alpha) / math.sqrt(
-            kernel_norm_sq(KernelOrbit.plain([POINT_I], w)) * kernel_norm_sq(KernelOrbit.plain([POINT_2I], w))
+            norm_sq(POINT_I, w) * norm_sq(POINT_2I, w)
         )
         assert abs(value - oracle) <= 1e-15 * abs(oracle)
 
@@ -254,10 +238,10 @@ class TestOrbitInner:
         rng = np.random.default_rng(30)
         w = Weight(3.1)
         for _ in range(100):
-            t1 = orbit_system([random_map(rng)], KernelOrbit.plain([random_point(rng)], w))
-            t2 = orbit_system([random_map(rng)], KernelOrbit.plain([random_point(rng)], w))
-            lhs = complex(kernel_gram(t1, t2)[0, 0])
-            rhs = complex(kernel_gram(t2, t1)[0, 0]).conjugate()
+            t1 = act([random_map(rng)], point_array([random_point(rng)]))
+            t2 = act([random_map(rng)], point_array([random_point(rng)]))
+            lhs = complex(kernel_gram(t1, t2, w.alpha)[0, 0])
+            rhs = complex(kernel_gram(t2, t1, w.alpha)[0, 0]).conjugate()
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-300)
 
 
@@ -328,8 +312,8 @@ class TestKernelStabilizer:
             (POINT_2I, 1),
         ]
         for z, expected_order in cases:
-            k = KernelOrbit.plain([z], w)
-            members, phases = bergman.projective_stabilizer_kernel(ball, k, orbit_system(ball.elements, k))
+            orbit = act(ball.elements, z.as_complex)
+            members, phases = bergman.projective_stabilizer_kernel(ball, z, w.alpha, orbit)
             assert len(members) == expected_order
             for u in phases:
                 assert abs(abs(u) - 1.0) <= 1e-10
@@ -350,8 +334,7 @@ class TestKernelStabilizer:
         z = complex(act(g, w))
         z = UpperHalfPoint(z.real, z.imag)
         point_members = fuchsian.stabilizer_of_point(ball, z)
-        k = KernelOrbit.plain([z], Weight(alpha))
-        members, phases = bergman.projective_stabilizer_kernel(ball, k, orbit_system(ball.elements, k))
+        members, phases = bergman.projective_stabilizer_kernel(ball, z, alpha, act(ball.elements, z.as_complex))
         assert len(point_members) == order
         assert np.array_equal(members, point_members)
         assert np.all(np.abs(np.abs(phases) - 1.0) <= 1e-12)
@@ -359,43 +342,40 @@ class TestKernelStabilizer:
     def test_a_perturbed_overlap_is_an_inconsistency(self, ball, monkeypatch):
         # one overlap scaled by 1 + 1e-9: it no longer matches
         # cosh(d/2)^-alpha of its point's distance
-        def perturbed(left, right):
-            G = kernel_gram(left, right)
+        def perturbed(left, right, alpha):
+            G = kernel_gram(left, right, alpha)
             G[len(G) // 2] *= 1.0 + 1e-9
             return G
 
         monkeypatch.setattr(bergman, "kernel_gram", perturbed)
-        k = KernelOrbit.plain([UpperHalfPoint(0.3, 1.5)], Weight(2.0))
+        z = UpperHalfPoint(0.3, 1.5)
         with pytest.raises(OracleInconsistencyError, match="overlaps disagree"):
-            bergman.projective_stabilizer_kernel(ball, k, bergman.orbit_system(ball.elements, k))
+            bergman.projective_stabilizer_kernel(ball, z, 2.0, act(ball.elements, z.as_complex))
 
 
 class TestProbeKernels:
     def test_count_and_weights(self):
         center = UpperHalfPoint(0.3, 0.8)
-        probes = bergman.probe_kernels(KernelOrbit.plain([center], Weight(2.0)), 17)
-        assert len(probes) == 17
-        assert probes.alpha == 2.0
+        probes = bergman.probe_kernels(center.as_complex, 17)
+        assert probes.shape == (17,) and probes.dtype == complex
         # the spiral's radii sqrt((p + 1/2) / 17) PROBE_RADIUS, all below PROBE_RADIUS
-        radii = [distance(UpperHalfPoint(z.real, z.imag), center) for z in probes.z]
+        radii = [distance(UpperHalfPoint(z.real, z.imag), center) for z in probes]
         np.testing.assert_allclose(radii, bergman.PROBE_RADIUS * np.sqrt((np.arange(17) + 0.5) / 17), rtol=1e-9)
         assert max(radii) <= bergman.PROBE_RADIUS
 
     def test_deterministic(self):
-        k = KernelOrbit.plain([POINT_I], Weight(2.0))
-        a = bergman.probe_kernels(k, 8)
-        b = bergman.probe_kernels(k, 8)
-        assert np.array_equal(a.z, b.z)
+        a = bergman.probe_kernels(1j, 8)
+        b = bergman.probe_kernels(1j, 8)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: KernelOrbit(np.array([1j]), 2.0),
         lambda: linalg.PSDSpectrum(np.array([1.0]), None),
         lambda: fuchsian.CosetSystem(np.array([0]), np.array([[0]])),
     ],
-    ids=["KernelOrbit", "PSDSpectrum", "CosetSystem"],
+    ids=["PSDSpectrum", "CosetSystem"],
 )
 def test_array_records_compare_and_hash_by_identity(make):
     # field-wise equality would take the truth value of an array, and an array has no hash

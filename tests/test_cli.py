@@ -824,17 +824,17 @@ class TestStabilizerCommand:
         # distances; a wrong overlap is reported as a numerical failure
         kernel_gram = bergman.kernel_gram
 
-        def wrong(left, right):
-            G = kernel_gram(left, right)
+        def wrong(left, right, alpha):
+            G = kernel_gram(left, right, alpha)
             G[-1] *= 1.0 + 1e-9
             return G
 
         monkeypatch.setattr(bergman, "kernel_gram", wrong)
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 4.0)
-        kernel = bergman.KernelOrbit.plain([commands.parse_point("i")], bergman.Weight(2.0))
-        orbit = bergman.orbit_system(ball.elements, kernel)
+        z = commands.parse_point("i")
+        orbit = hyperbolic.act(ball.elements, z.as_complex)
         with pytest.raises(OracleInconsistencyError):
-            bergman.projective_stabilizer_kernel(ball, kernel, orbit)
+            bergman.projective_stabilizer_kernel(ball, z, 2.0, orbit)
         code, _, err = run_cli(capsys, "stabilizer", "--z", "i", "--ball", "4")
         assert code == 3
         assert "overlaps disagree" in err
@@ -855,43 +855,25 @@ class TestStabilizerCommand:
     ],
 )
 def test_one_kernel_orbit_per_command(capsys, monkeypatch, argv):
-    # the ball's orbit is built once; stabiliser, transversal, S-relation
-    # and truncations are gathers from it
-    sizes = []
-    build = bergman.orbit_system
+    # the ball's orbit, its image under act, is built once; stabiliser,
+    # transversal, S-relation and truncations are gathers from it. The
+    # point path of fuchsian.stabilizer_of_point maps the ball through its
+    # own binding of act and builds no kernel orbit.
+    size = len(fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0).elements)
+    orbits = []
+    act = hyperbolic.act
 
-    def counted(maps, kernel):
-        orbit = build(maps, kernel)
-        sizes.append(len(orbit))
-        return orbit
+    def counted(m, z):
+        w = act(m, z)
+        if np.size(w) == size:
+            orbits.append(w)
+        return w
 
-    monkeypatch.setattr(bergman, "orbit_system", counted)
+    monkeypatch.setattr(hyperbolic, "act", counted)
+    monkeypatch.setattr(bergman, "act", counted)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert sizes == [len(fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0).elements)]
-
-
-def test_moebius_maps_do_not_grow_with_the_ball(capsys, monkeypatch):
-    # the ball, stabiliser, cosets and orbit are arrays; maps are made only
-    # for the generators
-    counts = []
-    for ball in ("7", "13"):
-        made = []
-        build = hyperbolic.MoebiusMap.__post_init__
-
-        def counted(self):
-            made.append(self)
-            build(self)
-
-        monkeypatch.setattr(hyperbolic.MoebiusMap, "__post_init__", counted)
-        code, _, _ = run_cli(
-            capsys, "bergman-density", "--alpha", "2", "--z", "0.3+1.5i", "--ball", ball,
-            "--probes", "8",
-        )
-        monkeypatch.undo()
-        assert code == 0
-        counts.append(len(made))
-    assert counts[0] == counts[1]
+    assert len(orbits) == 1
 
 
 class TestFormalDegreeCommand:
@@ -1050,6 +1032,18 @@ class TestConfigFile:
         summary = json_lines(out)[-1]
         assert summary["lattice"] == "halfcont"
         assert summary["closure_certified"] is False
+
+    @pytest.mark.parametrize("generator, det", [("1,0,0,-1", "-1.0"), ("2,1,4,2", "0.0")])
+    def test_lattice_generator_with_nonpositive_determinant_exits_2(self, capsys, tmp_path, generator, det):
+        cfg = tmp_path / "lat.cfg"
+        cfg.write_text(
+            "lattice.name = bad\n"
+            f"lattice.generators = 0,-1,1,0; {generator}\n"
+            "lattice.covolume = 1.0\n"
+        )
+        code, out, err = run_cli(capsys, "ball", "--config", str(cfg), "--lattice", "bad", "--norm", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: matrix determinant must be positive, got {det}\n"
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

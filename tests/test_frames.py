@@ -6,20 +6,20 @@ from oracles import (
     covolume_psl2z_by_meshgrid,
     gram_per_call,
     hermitian_deviation,
+    point_array,
     vector_gram,
     whitened_probe_extremes,
 )
 from test_parity import PROBE_MAX_RTOL, PROBE_MIN_RTOL, PROBE_MIN_TOL
 
 from orbitdensity import bergman, frames, fuchsian, linalg
-from orbitdensity.bergman import KernelOrbit, Weight
 from orbitdensity.errors import (
     DimensionError,
     NotRieszError,
     OracleInconsistencyError,
     UsageError,
 )
-from orbitdensity.hyperbolic import UpperHalfPoint
+from orbitdensity.hyperbolic import UpperHalfPoint, act
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -126,9 +126,8 @@ class TestGram:
         assert spec.rank == 1
 
     def test_bergman_pair_closed_form(self):
-        w = Weight(2.0)
-        pair = KernelOrbit.plain([POINT_I, POINT_2I], w)
-        G = bergman.kernel_gram(pair, pair)
+        pair = point_array([POINT_I, POINT_2I])
+        G = bergman.kernel_gram(pair, pair, 2.0)
         assert abs(G[0, 0] - 1.0) <= 1e-15
         assert abs(G[1, 1] - 1.0) <= 1e-15
         # k_i(2i) = (1/pi) (-1) (2i + i)^-2 = 1 / (9 pi), over the norms
@@ -149,11 +148,10 @@ def transversal_gram(z: UpperHalfPoint, alpha: float) -> np.ndarray:
     """Gram of the coset representatives' kernels in the psl2z ball of norm
     9, assembled as ``bergman-density`` assembles it."""
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 9.0)
-    kernel = bergman.KernelOrbit.plain([z], Weight(alpha))
-    orbit = bergman.orbit_system(ball.elements, kernel)
-    members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
-    lam_orbit = orbit.take(fuchsian.coset_representatives(ball, members).rep_index)
-    return bergman.kernel_gram(lam_orbit, lam_orbit)
+    orbit = act(ball.elements, z.as_complex)
+    members, _ = bergman.projective_stabilizer_kernel(ball, z, alpha, orbit)
+    lam = orbit[fuchsian.coset_representatives(ball, members).rep_index]
+    return bergman.kernel_gram(lam, lam, alpha)
 
 
 def random_gram(m: int = 150, dim: int = 40) -> np.ndarray:
@@ -335,12 +333,11 @@ class TestFrameBoundsProbe:
     def test_whitened_probe_matrix_matches_the_whitened_product(self, z, alpha):
         # the probe data of bergman-density at ball 10, over a refinement schedule
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 10.0)
-        kernel = bergman.KernelOrbit.plain([z], Weight(alpha))
-        probes = bergman.probe_kernels(kernel, 40)
+        probes = bergman.probe_kernels(z.as_complex, 40)
         # the unit probes weighted to the plain kernels up to one factor
-        weight = (probes.z.imag.min() / probes.z.imag) ** (alpha / 2.0)
-        A = bergman.kernel_gram(probes, bergman.orbit_system(ball.elements, kernel)).T * weight
-        D = bergman.kernel_gram(probes, probes).T * (weight[:, None] * weight)
+        weight = (probes.imag.min() / probes.imag) ** (alpha / 2.0)
+        A = bergman.kernel_gram(probes, act(ball.elements, z.as_complex), alpha).T * weight
+        D = bergman.kernel_gram(probes, probes, alpha).T * (weight[:, None] * weight)
         whitener = linalg.psd_eigen(D).whitener()
         C = A @ whitener
         # Hermitian to a few ulps, where B* (A* A) B is off by up to 1e-9

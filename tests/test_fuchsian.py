@@ -118,9 +118,10 @@ class TestBallEnumerate:
         with pytest.raises(UsageError):
             fuchsian.ball_enumerate(fuchsian.psl2z(), SQRT2 - 1e-6)
 
-    def test_element_cap(self):
-        with pytest.raises(ResourceLimitError):
-            fuchsian.ball_enumerate(fuchsian.psl2z(), 10.0, max_elements=20)
+    def test_element_cap(self, monkeypatch):
+        monkeypatch.setattr(fuchsian, "MAX_BALL_ELEMENTS", 20)
+        with pytest.raises(ResourceLimitError, match="exceeded 20 elements"):
+            fuchsian.ball_enumerate(fuchsian.psl2z(), 10.0)
 
     def test_oracle_disagreement_warns_and_leaves_the_ball_uncertified(self, monkeypatch):
         oracle = fuchsian.brute_force_integer_ball
@@ -298,14 +299,25 @@ class TestCovolume:
     def test_configured_covolume(self):
         spec = fuchsian.LatticeSpec(
             name="level2",
-            generators=(Moebius(1.0, 2.0, 0.0, 1.0),),
+            generators=((1.0, 2.0, 0.0, 1.0),),
             covolume=2.0 * math.pi,
         )
         assert fuchsian.lattice_covolume(spec, haar_scale=0.5) == math.pi
 
+    def test_generators_are_stored_as_canonical_rows(self):
+        spec = fuchsian.LatticeSpec(name="scaled", generators=([-2.0, 0.0, 0.0, -0.5], (0, -2, 2, 0)))
+        assert spec.generators == ((2.0, 0.0, 0.0, 0.5), (0.0, 1.0, -1.0, 0.0))
+        assert all(type(v) is float for row in spec.generators for v in row)
+
+    @pytest.mark.parametrize("row", [(1.0, 0.0, 0.0, -1.0), (1.0, 1.0, 1.0, 1.0)], ids=["det-1", "det0"])
+    def test_nonpositive_determinant_generator_rejected(self, row):
+        det = row[0] * row[3] - row[1] * row[2]
+        with pytest.raises(UsageError, match=f"matrix determinant must be positive, got {det}"):
+            fuchsian.LatticeSpec(name="bad", generators=((0.0, -1.0, 1.0, 0.0), row))
+
     def test_missing_covolume_rejected(self):
         spec = fuchsian.LatticeSpec(
-            name="mystery", generators=(Moebius(1.0, 2.0, 0.0, 1.0),)
+            name="mystery", generators=((1.0, 2.0, 0.0, 1.0),)
         )
         with pytest.raises(UsageError):
             fuchsian.lattice_covolume(spec)

@@ -6,7 +6,6 @@ import pytest
 from oracles import hermitian_part, psd_eigen_by_copy
 
 from orbitdensity import bergman, finite_gabor, frames, linalg
-from orbitdensity.bergman import KernelOrbit, Weight
 from orbitdensity.errors import (
     DegenerateProbeError,
     DimensionError,
@@ -234,9 +233,9 @@ def frame_operator_stack(n: int, which: int, windows: int = 6) -> np.ndarray:
 
 def probe_gram(z: UpperHalfPoint, alpha: float) -> np.ndarray:
     """The probe Gram of ``bergman-density``, as it is assembled there."""
-    probes = bergman.probe_kernels(KernelOrbit.plain([z], Weight(alpha)), 40)
-    weight = (probes.z.imag.min() / probes.z.imag) ** (alpha / 2.0)
-    D = bergman.kernel_gram(probes, probes).T
+    probes = bergman.probe_kernels(z.as_complex, 40)
+    weight = (probes.imag.min() / probes.imag) ** (alpha / 2.0)
+    D = bergman.kernel_gram(probes, probes, alpha).T
     D *= weight[:, None] * weight
     return D
 

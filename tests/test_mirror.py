@@ -14,9 +14,8 @@ import pytest
 from oracles import traced_peak
 
 from orbitdensity import bergman, cli, frames, fuchsian
-from orbitdensity.bergman import KernelOrbit, Weight
 from orbitdensity.errors import OracleInconsistencyError
-from orbitdensity.hyperbolic import UpperHalfPoint, canonical, compose, frobenius_sq, inverse
+from orbitdensity.hyperbolic import UpperHalfPoint, act, canonical, compose, frobenius_sq, inverse
 
 POINTS = {
     "i": UpperHalfPoint(0.0, 1.0),
@@ -33,9 +32,8 @@ def ball17():
 def transversal(ball, z: UpperHalfPoint, alpha: float):
     """Stabiliser, cosets, Lambda orbit and the Lambda counts of the balls
     of radius 6..17, as ``bergman-density`` truncates them."""
-    kernel = KernelOrbit.plain([z], Weight(alpha))
-    orbit = bergman.orbit_system(ball.elements, kernel)
-    members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
+    orbit = act(ball.elements, z.as_complex)
+    members, _ = bergman.projective_stabilizer_kernel(ball, z, alpha, orbit)
     cosets = fuchsian.coset_representatives(ball, members)
     norms_sq = frobenius_sq(ball.elements)
     counts = [
@@ -91,9 +89,9 @@ def test_real_form_extremes_match_the_complex_blocks(ball17, point, alpha):
     # the extremes the command reports at a mirror point, from the two real
     # halves, against the complex Gram's blocks
     orbit, members, cosets, counts = transversal(ball17, POINTS[point], alpha)
-    bounds = bergman.transversal_riesz_bounds(ball17, cosets, orbit, counts)
-    lam = orbit.take(cosets.rep_index)
-    G = bergman.kernel_gram(lam, lam)
+    bounds = bergman.transversal_riesz_bounds(ball17, cosets, orbit, alpha, counts)
+    lam = orbit[cosets.rep_index]
+    G = bergman.kernel_gram(lam, lam, alpha)
     for k, (lo, hi) in zip(counts, bounds):
         reference = np.linalg.eigvalsh(G[:k, :k])
         bound = 64.0 * np.finfo(float).eps * np.linalg.norm(G[:k, :k])

@@ -40,8 +40,8 @@ import oracles
 from oracles import kernel_cross_oracle, pi_shift, vector_gram, vector_gram_oracle
 
 from orbitdensity import bergman, cli, commands, finite_gabor, frames, fuchsian
-from orbitdensity.bergman import KernelOrbit, Weight
-from orbitdensity.hyperbolic import MoebiusMap, UpperHalfPoint, distance, rounding_bound
+from orbitdensity.bergman import Weight
+from orbitdensity.hyperbolic import UpperHalfPoint, act, distance, rounding_bound
 
 ORACLE_RTOL = 1e-13
 FLOAT_RTOL = 1e-12
@@ -316,18 +316,18 @@ n,subgroup_order,subgroup_gens,window_id,stab_order,lambda_size,is_frame,is_ries
 @pytest.mark.parametrize("z, alpha, order", POINTS)
 def test_bergman_arrays_match_per_pair_oracle(z, alpha, order):
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0)
-    kernel = KernelOrbit.plain([z], Weight(alpha))
-    orbit = bergman.orbit_system(ball.elements, kernel)
-    members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
+    kernel = oracles.point_array([z])
+    orbit = act(ball.elements, z.as_complex)
+    members, _ = bergman.projective_stabilizer_kernel(ball, z, alpha, orbit)
     assert len(members) == order
-    probes = bergman.probe_kernels(kernel, 40)
+    probes = bergman.probe_kernels(z.as_complex, 40)
     # Gram, probe matrix, probe Gram, overlap row and compressed synthesis
     for left, right in ((orbit, orbit), (probes, orbit), (probes, probes), (orbit, kernel), (orbit, probes)):
-        array = bergman.kernel_gram(left, right)
-        oracle = kernel_cross_oracle(left, right)
+        array = bergman.kernel_gram(left, right, alpha)
+        oracle = kernel_cross_oracle(left, right, alpha)
         assert np.all(np.abs(array - oracle) <= ORACLE_RTOL * np.abs(oracle))
-    B = bergman.kernel_gram(orbit, probes).T
-    B_oracle = kernel_cross_oracle(orbit, probes).T
+    B = bergman.kernel_gram(orbit, probes, alpha).T
+    B_oracle = kernel_cross_oracle(orbit, probes, alpha).T
     M, M_oracle = B @ B.conj().T, B_oracle @ B_oracle.conj().T
     assert np.linalg.norm(M - M_oracle) <= ORACLE_RTOL * np.linalg.norm(M_oracle)
 
@@ -443,7 +443,7 @@ BASES = [UpperHalfPoint(0.0, 1.0), RHO, GENERIC]
 BASE_IDS = ["i", "rho", "generic"]
 HALFCONT = fuchsian.LatticeSpec(
     name="halfcont",
-    generators=(MoebiusMap(1.0, 2.0, 0.0, 1.0), MoebiusMap(0.0, -1.0, 1.0, 0.0)),
+    generators=((1.0, 2.0, 0.0, 1.0), (0.0, -1.0, 1.0, 0.0)),
     covolume=2.0 * math.pi,
 )
 
@@ -505,8 +505,9 @@ def test_ball_stabilizers_and_cosets_match_scalar_oracle(spec, bound):
 @pytest.mark.parametrize("z", BASES, ids=BASE_IDS)
 def test_orbit_matches_scalar_oracle(alpha, z):
     # vectorised complex division is not bit-equal to the scalar one, so the
-    # array action's points match the per-row ones to their rounding bound
+    # array action's points match the per-row ones to their rounding bound;
+    # the points are those of the kernel orbit at every alpha
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 13.0)
-    orbit = bergman.orbit_system(ball.elements, KernelOrbit.plain([z], Weight(alpha)))
+    orbit = act(ball.elements, z.as_complex)
     points = oracles.orbit_by_scalars(ball.elements.tolist(), z.as_complex)
-    assert np.all(distance(orbit.z, points) <= rounding_bound(points))
+    assert np.all(distance(orbit, points) <= rounding_bound(points))

@@ -12,9 +12,8 @@ import pytest
 from oracles import traced_peak, unsplit_gram_spectra
 
 from orbitdensity import bergman, cli, commands, frames, fuchsian
-from orbitdensity.bergman import KernelOrbit, Weight
 from orbitdensity.errors import EXIT_NUMERICAL
-from orbitdensity.hyperbolic import UpperHalfPoint, frobenius_sq
+from orbitdensity.hyperbolic import UpperHalfPoint, act, frobenius_sq
 
 RHO = UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)
 POINTS = {
@@ -44,9 +43,8 @@ def ball17():
 def transversal(ball, z: UpperHalfPoint, alpha: float, radii=RADII):
     """Orbit, stabiliser, cosets and the Lambda counts of the balls of
     radius 6..17, or ``radii``, as ``bergman-density`` truncates them."""
-    kernel = KernelOrbit.plain([z], Weight(alpha))
-    orbit = bergman.orbit_system(ball.elements, kernel)
-    members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
+    orbit = act(ball.elements, z.as_complex)
+    members, _ = bergman.projective_stabilizer_kernel(ball, z, alpha, orbit)
     cosets = fuchsian.coset_representatives(ball, members)
     norms_sq = frobenius_sq(ball.elements)
     counts = [
@@ -60,12 +58,13 @@ def half_sizes(members, counts) -> np.ndarray:
     return np.searchsorted(members, counts)
 
 
-def assert_halves_have_the_unsplit_spectrum(ball, orbit, cosets, counts):
+def assert_halves_have_the_unsplit_spectrum(ball, orbit, alpha, cosets, counts):
     """The transversal's Gram splits into two halves, real where the point
     lies on a mirror, and each truncation's spectrum is the union of the
     halves' leading blocks'."""
-    rotation, reflection = bergman.transversal_symmetry(ball, cosets, orbit, counts)
-    halves = bergman.symmetry_halves(orbit.take(cosets.rep_index), rotation, reflection)
+    lam = orbit[cosets.rep_index]
+    rotation, reflection = bergman.transversal_symmetry(ball, cosets, orbit, alpha, counts)
+    halves = bergman.symmetry_halves(lam, alpha, rotation, reflection)
     assert len(halves) == 2
     dtype = np.complex128 if reflection is None else np.float64
     assert all(M.dtype == dtype for M, _ in halves)
@@ -74,7 +73,7 @@ def assert_halves_have_the_unsplit_spectrum(ball, orbit, cosets, counts):
         sizes = half_sizes(half_members, counts)
         for j, spectrum in enumerate(frames.gram(M, sizes)):
             split[j].append(spectrum.eigenvalues)
-    for k, parts, reference in zip(counts, split, unsplit_gram_spectra(orbit.take(cosets.rep_index), counts)):
+    for k, parts, reference in zip(counts, split, unsplit_gram_spectra(lam, alpha, counts)):
         got = np.sort(np.concatenate(parts))
         assert len(got) == k
         assert np.abs(got - reference).max() <= 64.0 * k * EPS * reference[-1]
@@ -84,15 +83,15 @@ def assert_halves_have_the_unsplit_spectrum(ball, orbit, cosets, counts):
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha):
     orbit, _, cosets, counts = transversal(ball17, POINTS[point], alpha)
-    assert_halves_have_the_unsplit_spectrum(ball17, orbit, cosets, counts)
+    assert_halves_have_the_unsplit_spectrum(ball17, orbit, alpha, cosets, counts)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 5.0, 7.0, 13.0])
 @pytest.mark.parametrize("point", sorted(MIRRORS))
 def test_real_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha):
     orbit, _, cosets, counts = transversal(ball17, MIRRORS[point], alpha)
-    assert bergman.transversal_symmetry(ball17, cosets, orbit, counts)[1] is not None
-    assert_halves_have_the_unsplit_spectrum(ball17, orbit, cosets, counts)
+    assert bergman.transversal_symmetry(ball17, cosets, orbit, alpha, counts)[1] is not None
+    assert_halves_have_the_unsplit_spectrum(ball17, orbit, alpha, cosets, counts)
 
 
 @pytest.mark.parametrize("point", sorted(MIRRORS))
@@ -108,8 +107,8 @@ def test_reflection_pairing_is_an_involution_that_commutes_with_s(ball17, point)
     for k in counts:
         assert np.array_equal(np.sort(q[:k]), np.arange(k))
     # the partner's point is the mirrored point
-    lam = orbit.take(cosets.rep_index)
-    assert np.all(np.abs(-lam.z.conj() - lam.z[q]) <= 1e-12 * np.abs(lam.z[q]))
+    lam = orbit[cosets.rep_index]
+    assert np.all(np.abs(-lam.conj() - lam[q]) <= 1e-12 * np.abs(lam[q]))
 
 
 @pytest.mark.parametrize(
@@ -154,11 +153,11 @@ def test_pairing_is_an_involution_that_closes_every_truncation(ball17, point):
     for k in counts:
         assert np.array_equal(np.sort(p[:k]), np.arange(k))
     # the partner's point is the rotated point, so p pairs vectors, not only cosets
-    lam = orbit.take(cosets.rep_index)
-    assert np.all(np.abs(-1.0 / lam.z - lam.z[p]) <= 1e-12 * np.abs(lam.z[p]))
+    lam = orbit[cosets.rep_index]
+    assert np.all(np.abs(-1.0 / lam - lam[p]) <= 1e-12 * np.abs(lam[p]))
     assert np.count_nonzero(p == index) == (1 if point == "i" else 0)
     # the halves split every truncation evenly, the fixed coset aside
-    halves = bergman.symmetry_halves(lam, *bergman.transversal_symmetry(ball17, cosets, orbit, counts))
+    halves = bergman.symmetry_halves(lam, 3.0, *bergman.transversal_symmetry(ball17, cosets, orbit, 3.0, counts))
     sizes = [half_sizes(half_members, counts) for _, half_members in halves]
     assert np.array_equal(sum(sizes), counts)
     for half in sizes:
@@ -198,8 +197,8 @@ def test_a_corrupted_pairing_or_phase_exits_3(capsys, monkeypatch, corruption, c
             p[[a, b, p[a], p[b]]] = p[b], p[a], b, a
         return p
 
-    def corrupted(orbit, p, mirror=None):
-        t = phases(orbit, p, mirror)
+    def corrupted(w, alpha, p, mirror=None):
+        t = phases(w, alpha, p, mirror)
         index = np.arange(len(p))
         if (mirror is not None) != reflection:
             return t
@@ -207,7 +206,7 @@ def test_a_corrupted_pairing_or_phase_exits_3(capsys, monkeypatch, corruption, c
             t[np.flatnonzero(p > index)[0]] *= -1.0
         elif corruption == "reflection pair turned":
             # both phases of a pair whose rotated point lies outside the pair
-            rotated = [int(np.argmin(np.abs(orbit.z + 1.0 / w))) for w in orbit.z]
+            rotated = [int(np.argmin(np.abs(w + 1.0 / wk))) for wk in w]
             a = next(a for a in np.flatnonzero(p > index) if rotated[a] not in (a, p[a]))
             t[[a, p[a]]] *= 1j
         elif corruption == "modulus":
@@ -216,12 +215,12 @@ def test_a_corrupted_pairing_or_phase_exits_3(capsys, monkeypatch, corruption, c
             t[p == index] *= 1j
         return t
 
-    def moved(orbit, *symmetries):
+    def moved(points, alpha, *symmetries):
         # after the pairings and phases passed: only the real form's
         # imaginary part compares the entries of mirrored points
-        z = orbit.z.copy()
+        z = points.copy()
         z[1] += 1e-9
-        return halves(KernelOrbit(z=z, alpha=orbit.alpha), *symmetries)
+        return halves(z, alpha, *symmetries)
 
     if corruption.endswith("partners"):
         monkeypatch.setattr(fuchsian, "coset_pairing", swapped)
@@ -260,7 +259,7 @@ def test_stab_order_does_not_depend_on_alpha(z, order):
         # and S splits the Gram, also near i where it is no longer taken
         # into the stabiliser
         orbit, _, cosets, counts = transversal(ball, z, alpha, radii=[4.0, 5.0, 6.0])
-        assert_halves_have_the_unsplit_spectrum(ball, orbit, cosets, counts)
+        assert_halves_have_the_unsplit_spectrum(ball, orbit, alpha, cosets, counts)
 
 
 GAMMA2 = (
@@ -284,10 +283,10 @@ def test_a_lattice_without_s_is_one_block_as_before(capsys, monkeypatch, tmp_pat
     assembled, solved, inside = [], [], []
     kernel_gram, gram, halves = bergman.kernel_gram, frames.gram, bergman.symmetry_halves
 
-    def recording_kernel_gram(left, right):
+    def recording_kernel_gram(left, right, alpha):
         if inside:
             assembled.append((len(left), len(right)))
-        return kernel_gram(left, right)
+        return kernel_gram(left, right, alpha)
 
     def marked_halves(*args):
         inside.append(True)
@@ -320,13 +319,13 @@ def test_a_lattice_without_s_is_one_block_as_before(capsys, monkeypatch, tmp_pat
     ball = fuchsian.ball_enumerate(spec, 9.0)
     orbit, members, cosets, _ = transversal(ball, commands.parse_point(z), 3.0)
     assert len(members) == 1
-    lam = orbit.take(cosets.rep_index)
+    lam = orbit[cosets.rep_index]
     if z == "i":
         assert G.dtype == np.float64
-        reference = np.linalg.eigvalsh(kernel_gram(lam, lam))
+        reference = np.linalg.eigvalsh(kernel_gram(lam, lam, 3.0))
         assert np.abs(np.linalg.eigvalsh(G) - reference).max() <= 64.0 * m * EPS * reference[-1]
     else:
-        assert np.array_equal(G, kernel_gram(lam, lam))
+        assert np.array_equal(G, kernel_gram(lam, lam, 3.0))
 
 
 def test_a_configured_modular_group_gets_the_split(capsys, monkeypatch, tmp_path):
@@ -397,20 +396,20 @@ def test_benchmark_lambda_stage_peak_is_at_most_the_unsplit_one(command):
     argv = BENCHMARK_COMMANDS[command]
     z = commands.parse_point(argv[2].partition("=")[2])
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), float(argv[4]))
-    kernel = KernelOrbit.plain([z], Weight(float(argv[1])))
-    orbit = bergman.orbit_system(ball.elements, kernel)
-    members, _ = bergman.projective_stabilizer_kernel(ball, kernel, orbit)
+    alpha = float(argv[1])
+    orbit = act(ball.elements, z.as_complex)
+    members, _ = bergman.projective_stabilizer_kernel(ball, z, alpha, orbit)
     cosets = fuchsian.coset_representatives(ball, members)
     counts = [len(cosets.rep_index)]
-    lam = orbit.take(cosets.rep_index)
+    lam = orbit[cosets.rep_index]
 
     def unsplit():
         # the stage as it was: the whole Gram in one buffer, one gram call
-        return frames.gram(bergman.kernel_gram(lam, lam), counts)
+        return frames.gram(bergman.kernel_gram(lam, lam, alpha), counts)
 
     unsplit()  # first-call caches
     bounds, split_peak = traced_peak(
-        bergman.transversal_riesz_bounds, ball, cosets, orbit, counts
+        bergman.transversal_riesz_bounds, ball, cosets, orbit, alpha, counts
     )
     spectra, unsplit_peak = traced_peak(unsplit)
     assert split_peak <= unsplit_peak
