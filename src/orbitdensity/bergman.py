@@ -13,7 +13,9 @@ of a coset transversal's orbit up to closed-form phases
 matrix into two blocks of about half the size (:func:`symmetry_halves`).
 Where the kernel's point lies on a mirror through i, the antiunitary
 involution f(w) -> conj f(-conj w) pairs them too, and each block is the
-real Gram of a basis that it fixes.
+real Gram of a basis that it fixes. Both are rows of one table,
+:data:`fuchsian.CENTRE_SYMMETRIES`, checked in one loop, and the ball's
+images of z and their distances to z are computed once per run.
 :func:`density_analysis` is the ``bergman-density`` pipeline: the frame
 reports of a lattice orbit of one kernel over refining truncations, each
 a :class:`FrameReport`, whose fields, declared once in record order, are
@@ -111,11 +113,11 @@ def kernel_norm_sq(z: complex, alpha: float) -> float:
     return norm_sq
 
 
-def symmetry_phases(w: np.ndarray, alpha: float, p, mirror=None) -> np.ndarray:
+def symmetry_phases(w: np.ndarray, alpha: float, p, unitary: bool) -> np.ndarray:
     """Phases t with U u_k = t_k u_p(k) for the unit kernels u_k of weight
     alpha at the points w_k and the pairing p of those points, in closed
-    form: by the rotation S: w -> -1/w, or with ``mirror`` by the reflection
-    w -> -conj(w).
+    form: by the rotation S: w -> -1/w if ``unitary``, else by the
+    reflection w -> -conj(w).
 
     pi(S) k_w = c conj(w^-alpha) k_{-1/w} for a unimodular constant c, and
     applied twice this gives pi(S)^2 = omega with omega = c^2 exp(i pi alpha),
@@ -132,15 +134,13 @@ def symmetry_phases(w: np.ndarray, alpha: float, p, mirror=None) -> np.ndarray:
     s_k = (Im w_k / Im w_q(k))^(alpha/2), which is 1 up to rounding.
     """
     ratio = w.imag / w[p].imag
-    if mirror is not None:
+    if not unitary:
         return ratio ** (0.5 * alpha) + 0j
-    t = np.power(w / np.sqrt(ratio), -alpha).conj()
-    t *= cmath.exp(-0.5j * math.pi * alpha)
-    return t
+    return np.power(w / np.sqrt(ratio), -alpha).conj() * cmath.exp(-0.5j * math.pi * alpha)
 
 
 def transversal_symmetry(
-    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: np.ndarray, alpha: float, sizes
+    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, z: complex, orbit: np.ndarray, alpha: float, sizes
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
     """Pairings and phases (p, t) of W and (q, s) of R (see
     :func:`symmetry_phases`) on the transversal's vectors u_k at the points
@@ -168,32 +168,30 @@ def transversal_symmetry(
     The phases t of vectors that W fixes are then set to exactly 1.
     """
     lam = orbit[cosets.rep_index]
-    n = len(lam)
+    index = np.arange(len(lam))
     scale = rounding_bound(lam)
-
-    def paired(name, mirror=None):
-        p = fuchsian.coset_pairing(ball, cosets, sizes, mirror)
+    pairs = []
+    pairings = fuchsian.coset_pairing(ball, cosets, sizes, z)
+    for (name, _, _, image, unitary), p in zip(fuchsian.CENTRE_SYMMETRIES, pairings):
         if p is None:
-            return None
-        t = symmetry_phases(lam, alpha, p, mirror)
-        image = -1.0 / lam if mirror is None else -lam.conj()
+            pairs.append(None)
+            continue
+        t = symmetry_phases(lam, alpha, p, unitary)
         for what, deviation in (
-            ("point", distance(image, lam[p])),
+            ("point", distance(image(lam), lam[p])),
             ("phase modulus", np.abs(np.abs(t) - 1.0) / alpha),
-            ("phase product", np.abs((t if mirror is None else t.conj()) * t[p] - 1.0) / alpha),
-            ("fixed phase", np.where(p == np.arange(n), np.abs(t - 1.0), 0.0) / alpha),
+            ("phase product", np.abs((t if unitary else t.conj()) * t[p] - 1.0) / alpha),
+            ("fixed phase", np.where(p == index, np.abs(t - 1.0), 0.0) / alpha),
         ):
             if np.any(deviation > scale):
                 raise OracleInconsistencyError(
                     f"the {name} does not map the transversal onto itself: {what} "
                     f"mismatch {np.max(deviation / scale):.3e} times its rounding bound"
                 )
-        return p, t
-
-    p, t = paired("rotation S") or (np.arange(n), np.ones(n, dtype=complex))
-    t[p == np.arange(n)] = 1.0
-    mirror = fuchsian.mirror_of(complex(orbit[ball.index_of(fuchsian.IDENTITY)]))
-    reflection = None if mirror is None else paired("reflection w -> -conj(w)", mirror)
+        pairs.append((p, t))
+    rotation, reflection = pairs
+    p, t = rotation or (index, np.ones(len(lam), dtype=complex))
+    t[p == index] = 1.0
     if reflection is not None:
         q, s = reflection
         deviation = np.abs(t.conj() * s[p] - s * t[q]) / alpha
@@ -325,7 +323,7 @@ def symmetry_halves(points, alpha, rotation, reflection=None) -> list[tuple[np.n
 
 
 def transversal_riesz_bounds(
-    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, orbit: np.ndarray, alpha: float, sizes
+    ball: fuchsian.GroupBall, cosets: fuchsian.CosetSystem, z: complex, orbit: np.ndarray, alpha: float, sizes
 ) -> list[tuple[float, float]]:
     """Smallest and largest eigenvalue of the Gram of the first k coset
     representatives' unit kernels (at the points ``orbit[cosets.rep_index]``),
@@ -336,7 +334,7 @@ def transversal_riesz_bounds(
     validated and eigensolved by one :func:`frames.gram` call, in real
     arithmetic at a mirror point, and each extreme is taken over both halves.
     """
-    rotation, reflection = transversal_symmetry(ball, cosets, orbit, alpha, sizes)
+    rotation, reflection = transversal_symmetry(ball, cosets, z, orbit, alpha, sizes)
     bounds = [(math.inf, -math.inf)] * len(sizes)
     for M, members in symmetry_halves(orbit[cosets.rep_index], alpha, rotation, reflection):
         half_sizes = np.searchsorted(members, sizes).tolist()
@@ -354,8 +352,8 @@ def formal_degree_closed_form(weight: Weight, haar_scale: float = 1.0) -> float:
     This is the coupling constant of Atiyah-Schmid and Goodman-de la
     Harpe-Jones.
     """
-    if not haar_scale > 0.0:
-        raise UsageError(f"haar_scale must be positive, got {haar_scale}")
+    if not 0.0 < haar_scale < math.inf:
+        raise UsageError(f"haar_scale must be positive and finite, got {haar_scale}")
     return (weight.alpha - 1.0) / (4.0 * math.pi) / haar_scale
 
 
@@ -368,10 +366,10 @@ def projective_stabilizer_kernel(
     unimodular multiple of ||k_z|| u_{gz}, so it lies in the circle times
     k_z iff gz = z, and then |u(g)| = 1.
 
-    ``orbit`` is ``act(ball.elements, z.as_complex)``, the images that the
-    stabiliser is decided from. The overlaps are the independent path: each
-    |u(g)| is checked against cosh(d(w, z)/2)^-alpha at the computed point w
-    of gz, with d in its asinh form. Both are exact functions of w and z,
+    ``orbit`` is ``act(ball.elements, z.as_complex)``. The distances d(w, z)
+    of its points w, in asinh form, decide the stabiliser and check the
+    overlaps, the independent path: each |u(g)| against cosh(d/2)^-alpha at
+    the computed point w of gz. Both are exact functions of w and z,
     computed to a few eps times alpha (1 + d), below alpha times the
     rounding bounds of z and w (64 eps each at least). So a deviation above
     that, relative to cosh(d/2)^-alpha, and above the smallest normal
@@ -379,10 +377,11 @@ def projective_stabilizer_kernel(
     """
     if len(orbit) != len(ball.elements):
         raise UsageError(f"orbit has {len(orbit)} vectors for {len(ball.elements)} ball elements")
-    members = fuchsian.stabilizer_of_point(ball, z, tol=tol)
     center = z.as_complex
+    distances = distance(orbit, center)
+    members = fuchsian.stabilizer_of_point(ball, z, distances, tol)
     overlaps = kernel_gram(orbit, np.array([center]), alpha)[:, 0]
-    expected = np.cosh(distance(orbit, center) / 2.0) ** -alpha
+    expected = np.cosh(distances / 2.0) ** -alpha
     deviation = np.abs(np.abs(overlaps) - expected)
     scale = alpha * (rounding_bound(center) + rounding_bound(orbit)) * expected + np.finfo(float).tiny
     if np.any(deviation > scale):
@@ -448,6 +447,8 @@ class FrameReport:
         bound = 1.0 / self.stab_order
         if not product > 0.0:
             raise UsageError("density product must be positive")
+        if product == math.inf:
+            raise NumericalFailure(f"density product {self.covolume} * {self.formal_degree} overflows")
         scale = max(product, bound)
         pass_i = product <= bound + frames.DENSITY_TOL * scale
         pass_ii = product >= bound - frames.DENSITY_TOL * scale
@@ -508,8 +509,8 @@ def density_analysis(
         raise UsageError(f"probes must be at least 1, got {probes}")
     if refine_steps < 1:
         raise UsageError(f"refine_steps must be at least 1, got {refine_steps}")
-    if not refine_delta > 0.0:
-        raise UsageError(f"refine_delta must be positive, got {refine_delta}")
+    if not 0.0 < refine_delta < math.inf:
+        raise UsageError(f"refine_delta must be positive and finite, got {refine_delta}")
 
     covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)  # refuses haar_scale <= 0
     degree = formal_degree_closed_form(weight, haar_scale)
@@ -538,7 +539,7 @@ def density_analysis(
         if not inside[: gamma_counts[-1]].all():
             raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
     lam_counts = [int(np.searchsorted(cosets.rep_index, count)) for count in gamma_counts]
-    riesz_bounds = transversal_riesz_bounds(ball, cosets, orbit, alpha, lam_counts)
+    riesz_bounds = transversal_riesz_bounds(ball, cosets, z.as_complex, orbit, alpha, lam_counts)
     # Weighted by ||k_w|| over the largest probe norm, (min Im w / Im w)^(alpha/2)
     # <= 1, the unit probes are the plain kernels k_w up to one common
     # factor, so the probe family and its whitening cutoff are theirs, and no

@@ -230,12 +230,10 @@ def _stabilizer(subgroup: SubgroupDescr, mask) -> SubgroupDescr:
 def lex_coset_representatives(subgroup: SubgroupDescr, stabilizer: SubgroupDescr):
     """Lexicographically smallest representative per coset gamma + stabiliser.
 
-    Returns (lambdas, factorization) where factorization maps each
-    subgroup element index to (lambda index, stabiliser element index)
-    with gamma = lambda + gamma'.
+    Returns (lambdas, coset) where coset[i] is the index in lambdas of the
+    representative of the i-th subgroup element's coset.
     """
     n = subgroup.n
-    stab_index = {e: i for i, e in enumerate(stabilizer.elements)}
     coset_of = {}
     lambdas = []
     # in ascending order, the first element met of each coset is its minimum
@@ -244,12 +242,7 @@ def lex_coset_representatives(subgroup: SubgroupDescr, stabilizer: SubgroupDescr
             for s in stabilizer.elements:
                 coset_of[((gamma[0] + s[0]) % n, (gamma[1] + s[1]) % n)] = len(lambdas)
             lambdas.append(gamma)
-    factorization = []
-    for gamma in subgroup.elements:
-        lam = lambdas[coset_of[gamma]]
-        diff = ((gamma[0] - lam[0]) % n, (gamma[1] - lam[1]) % n)
-        factorization.append((coset_of[gamma], stab_index[diff]))
-    return lambdas, factorization
+    return lambdas, [coset_of[gamma] for gamma in subgroup.elements]
 
 
 def _order_classes(cases, g, offset: int) -> list:
@@ -264,10 +257,9 @@ def _order_classes(cases, g, offset: int) -> list:
     by_stab = {}
     for si, stab, rows in stabilizer_classes(subgroups, owner, g[offset : offset + len(V_full)], V_full):
         sub = subgroups[si]
-        lambdas, factorization = lex_coset_representatives(sub, stab)
+        lambdas, lam_index = lex_coset_representatives(sub, stab)
         column_of = {gamma: k for k, gamma in enumerate(sub.elements)}
         cols = [column_of[lam] for lam in lambdas]
-        lam_index = [lam_idx for lam_idx, _ in factorization]
         by_stab.setdefault(stab.order, []).append((rows, cols, lam_index, sub.gens_text()))
     classes = []
     for stab_order, members in by_stab.items():

@@ -10,7 +10,7 @@ flagged as such. Left multiplication by the order-2 rotation S about i,
 and the reflection g -> sigma g sigma by sigma = diag(1, -1), keep the
 Frobenius norm, so in a ball that they map onto itself they map every
 truncation onto itself, and :func:`coset_pairing` pairs each coset with its
-image under either.
+image under each row of :data:`CENTRE_SYMMETRIES`.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ MAX_BALL_ELEMENTS = 200_000
 _NORM_EPS = 1e-9
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
-# The rotation S: w -> -1/w of order 2 about the ball centre i. Its matrix
-# is orthogonal, so S g has the norm of g for every g.
-ROTATION = (0.0, -1.0, 1.0, 0.0)
+# The rotation S: w -> -1/w of order 2 about the ball centre i, canonical.
+# Its matrix is orthogonal, so S g has the norm of g for every g.
+ROTATION = (0.0, 1.0, -1.0, 0.0)
 
 
 def reflected(rows) -> np.ndarray:
@@ -55,6 +55,19 @@ def mirror_of(z: complex) -> tuple | None:
         if distance(-z.conjugate(), act(g0, z)) <= rounding_bound(z):
             return g0
     return None
+
+
+# The involutions of the ball centre i that can pair the cosets of the
+# stabiliser of z: name, map of matrix rows given g0 = mirror_of(z), that
+# map's precondition on the ball, map of points, and whether it keeps the
+# orientation and so acts on kernels by a unitary (else an antiunitary).
+CENTRE_SYMMETRIES = (
+    ("rotation S", lambda g, g0: compose(ROTATION, g), lambda ball, g0: ball.index_of(ROTATION) >= 0,
+     lambda w: -1.0 / w, True),
+    ("reflection w -> -conj(w)", lambda g, g0: compose(reflected(g), g0),
+     lambda ball, g0: g0 is not None and np.all(ball.index_of(np.vstack([g0, reflected(ball.elements)])) >= 0),
+     lambda w: -w.conj(), False),
+)
 
 
 @dataclass(frozen=True)
@@ -78,8 +91,8 @@ class LatticeSpec:
             raise UsageError("lattice spec needs at least one generator")
         rows = canonical(np.asarray(self.generators, dtype=float).reshape(-1, 4))
         object.__setattr__(self, "generators", tuple(map(tuple, rows.tolist())))
-        if self.covolume is not None and not self.covolume > 0.0:
-            raise UsageError(f"covolume must be positive, got {self.covolume}")
+        if self.covolume is not None and not 0.0 < self.covolume < math.inf:
+            raise UsageError(f"covolume must be positive and finite, got {self.covolume}")
 
 
 def psl2z() -> LatticeSpec:
@@ -148,8 +161,8 @@ def brute_force_integer_ball(norm_bound: float) -> np.ndarray:
     Entry ranges make this an exact oracle; it is intentionally independent
     of the breadth-first enumeration it certifies.
     """
-    if norm_bound < MIN_NORM_BOUND - 1e-12:
-        raise UsageError(f"norm_bound must be at least sqrt(2), got {norm_bound}")
+    if not MIN_NORM_BOUND - 1e-12 <= norm_bound < math.inf:
+        raise UsageError(f"norm_bound must be finite and at least sqrt(2), got {norm_bound}")
     if norm_bound > 30.0:
         raise ResourceLimitError(f"integer oracle capped at norm_bound 30, got {norm_bound}")
     m = int(math.floor(norm_bound + 1e-12))
@@ -181,8 +194,8 @@ def ball_enumerate(spec: LatticeSpec, norm_bound: float) -> GroupBall:
     nothing. For integral groups the result is certified by exact
     comparison of its rounded rows with the integer oracle's (bounds up to 30).
     """
-    if norm_bound < MIN_NORM_BOUND - 1e-12:
-        raise UsageError(f"norm_bound must be at least sqrt(2), got {norm_bound}")
+    if not MIN_NORM_BOUND - 1e-12 <= norm_bound < math.inf:
+        raise UsageError(f"norm_bound must be finite and at least sqrt(2), got {norm_bound}")
     bound_sq = norm_bound * norm_bound + _NORM_EPS
     generators = np.array(spec.generators, dtype=float)
     steps = np.stack([generators, inverse(generators)], axis=1).reshape(-1, 4)
@@ -217,9 +230,9 @@ def ball_enumerate(spec: LatticeSpec, norm_bound: float) -> GroupBall:
     return GroupBall(norm_bound, elements, certified)
 
 
-def stabilizer_of_point(ball: GroupBall, z: UpperHalfPoint, tol: float | None = None) -> np.ndarray:
-    """Ball indices, increasing, of the elements moving z by hyperbolic
-    distance at most tol, by default the rounding bound of z: the
+def stabilizer_of_point(ball: GroupBall, z: UpperHalfPoint, distances, tol: float | None = None) -> np.ndarray:
+    """Ball indices, increasing, of the elements g whose ``distances``
+    d(g z, z) are at most tol, by default the rounding bound of z: the
     stabiliser of z itself, exact to rounding. An explicit tol, a query
     for the elements that nearly fix z, must lie in (0, 1e-4].
 
@@ -230,7 +243,7 @@ def stabilizer_of_point(ball: GroupBall, z: UpperHalfPoint, tol: float | None = 
         tol = rounding_bound(z.as_complex)
     elif not (0.0 < tol <= 1e-4):
         raise UsageError(f"tol must lie in (0, 1e-4], got {tol}")
-    members = np.flatnonzero(distance(act(ball.elements, z.as_complex), z.as_complex) <= tol)
+    members = np.flatnonzero(distances <= tol)
     h = ball.elements[members]
     products = compose(h[:, None, :], h[None, :, :]).reshape(-1, 4)
     inside = frobenius_sq(products) <= ball.norm_bound * ball.norm_bound + _NORM_EPS
@@ -295,8 +308,8 @@ def lattice_covolume(spec: LatticeSpec, *, haar_scale: float = 1.0) -> float:
     elliptic periods 2 and 3, one cusp, which gives pi/3. Any other lattice
     must carry a configured covolume (understood at scale 1).
     """
-    if not haar_scale > 0.0:
-        raise UsageError(f"haar_scale must be positive, got {haar_scale}")
+    if not 0.0 < haar_scale < math.inf:
+        raise UsageError(f"haar_scale must be positive and finite, got {haar_scale}")
     if spec.name == "psl2z" and spec.covolume is None:
         return haar_scale * (math.pi / 3.0)
     if spec.covolume is None:
@@ -304,12 +317,12 @@ def lattice_covolume(spec: LatticeSpec, *, haar_scale: float = 1.0) -> float:
     return haar_scale * spec.covolume
 
 
-def coset_pairing(ball: GroupBall, cosets: CosetSystem, sizes, mirror=None) -> np.ndarray | None:
-    """Permutation p of the coset representatives of a stabiliser H with
-    S rep_i H = rep_p(i) H for the rotation S (:data:`ROTATION`), or, with
-    ``mirror`` = g0 of :func:`mirror_of`, sigma rep_i sigma g0 H = rep_p(i) H
-    for the reflection of :func:`reflected`. None when the ball does not
-    hold S, or g0, or is not mapped onto itself by the reflection.
+def coset_pairing(ball: GroupBall, cosets: CosetSystem, sizes, z: complex) -> list[np.ndarray | None]:
+    """Per row of :data:`CENTRE_SYMMETRIES`, the permutation p of the coset
+    representatives of the stabiliser H of z with S rep_i H = rep_p(i) H
+    for S, and sigma rep_i sigma g0 H = rep_p(i) H for the reflection, with
+    g0 of :func:`mirror_of`; None where the ball lacks S, or z is on no
+    mirror, or the ball lacks g0 or is not closed under g -> sigma g sigma.
 
     S and sigma are orthogonal, so either map moves the coset rep_i H onto
     its image element by element and norm for norm: the reflection maps H
@@ -318,28 +331,21 @@ def coset_pairing(ball: GroupBall, cosets: CosetSystem, sizes, mirror=None) -> n
     every k of ``sizes`` that is a truncation by norm; a failure of either,
     or an image outside the ball, raises ``OracleInconsistencyError``.
     """
+    g0 = mirror_of(z)
     reps = ball.elements[cosets.rep_index]
-    if mirror is None:
-        name, rotation = "rotation S", canonical(ROTATION)
-        if ball.index_of(rotation) < 0:
-            return None
-        images = compose(rotation, reps)
-    else:
-        name, g0 = "reflection w -> -conj(w)", canonical(mirror)
-        if ball.index_of(g0) < 0 or np.any(ball.index_of(reflected(ball.elements)) < 0):
-            return None
-        images = compose(reflected(reps), g0)
     coset_of = np.full(len(ball.elements), -1)
     placed = cosets.tile >= 0
     coset_of[cosets.tile[placed]] = np.nonzero(placed)[0]
-    images = ball.index_of(images)
-    p = np.where(images >= 0, coset_of[images], -1)
-    if (
-        np.any(p < 0)
-        or not np.array_equal(p[p], np.arange(len(p)))
-        or any(np.any(p[:k] >= k) for k in sizes)
-    ):
-        raise OracleInconsistencyError(
-            f"the {name} does not pair the coset representatives within each truncation"
-        )
-    return p
+    pairings = []
+    for name, image, holds, _, _ in CENTRE_SYMMETRIES:
+        p = None
+        if holds(ball, g0):
+            images = ball.index_of(image(reps, g0))
+            p = np.where(images >= 0, coset_of[images], -1)
+            closes = all(np.all(p[:k] < k) for k in sizes)
+            if np.any(p < 0) or not np.array_equal(p[p], np.arange(len(p))) or not closes:
+                raise OracleInconsistencyError(
+                    f"the {name} does not pair the coset representatives within each truncation"
+                )
+        pairings.append(p)
+    return pairings

@@ -16,9 +16,10 @@ probe matrix replaced. Midpoint quadrature against the invariant measure
 on materialised meshgrids is the independent path to the closed-form
 covolume and formal degree. The grid, ball and shift-matrix helpers build
 inputs for property tests, :func:`scan_rows` is the per-row view of a scan
-report's columns, :func:`point_array` is the array of some points, and
-:func:`traced_peak` measures the numpy and Python memory a call holds at
-its peak. :class:`MoebiusMap` is one group element as an object, which only
+report's columns, :func:`point_array` is the array of some points,
+:func:`point_stabilizer` is the stabiliser read from the ball's distances,
+and :func:`traced_peak` measures the numpy and Python memory a call holds
+at its peak. :class:`MoebiusMap` is one group element as an object, which only
 the tests make.
 """
 
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbitdensity import bergman, finite_gabor, linalg
+from orbitdensity import bergman, finite_gabor, fuchsian, hyperbolic, linalg
 from orbitdensity.errors import DimensionError, OracleInconsistencyError, UsageError
 from orbitdensity.finite_gabor import SubgroupDescr
 from orbitdensity.fuchsian import _NORM_EPS, MIN_NORM_BOUND, GroupBall
@@ -447,6 +448,13 @@ class Moebius(MoebiusMap):
 
     def __hash__(self):
         return hash(self.key())
+
+
+def point_stabilizer(ball: GroupBall, z: UpperHalfPoint, tol: float | None = None) -> np.ndarray:
+    """``fuchsian.stabilizer_of_point`` at the distances d(g z, z) over the
+    whole ball, as the commands compute them."""
+    w = z.as_complex
+    return fuchsian.stabilizer_of_point(ball, z, hyperbolic.distance(hyperbolic.act(ball.elements, w), w), tol)
 
 
 def stabilizer_by_scalars(rows, z: UpperHalfPoint, tol: float) -> list[int]:

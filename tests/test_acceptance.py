@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 from oracles import Moebius, covolume_psl2z_by_meshgrid, distance, formal_degree_by_meshgrid, pi_shift_matrix
-from oracles import point_array, row_keys, scan_rows, vector_gram
+from oracles import point_array, point_stabilizer, row_keys, scan_rows, vector_gram
 from scipy.integrate import quad
 
 from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian, linalg
@@ -241,7 +241,7 @@ def test_criterion_7_stabilizer_orders_both_paths():
         for bound in range(2, 11):
             ball = fuchsian.ball_enumerate(fuchsian.psl2z(), float(bound))
             for z, order in expected:
-                point_members = fuchsian.stabilizer_of_point(ball, z)
+                point_members = point_stabilizer(ball, z)
                 kernel_members, phases = bergman.projective_stabilizer_kernel(
                     ball, z, w.alpha, act(ball.elements, z.as_complex)
                 )

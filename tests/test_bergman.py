@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 from oracles import Moebius, distance, formal_degree_by_meshgrid, formal_degree_rectangle, kernel_value
-from oracles import meshgrid_integrate, meshgrid_rectangle_log_y, point_array, traced_peak, unit_gram_extended
+from oracles import meshgrid_integrate, meshgrid_rectangle_log_y, point_array, point_stabilizer, traced_peak
+from oracles import unit_gram_extended
 from scipy.integrate import quad
 
 from orbitdensity import bergman, fuchsian, linalg
@@ -283,8 +284,9 @@ class TestFormalDegree:
     def test_haar_scale_division_exact(self):
         w = Weight(3.0)
         assert formal_degree_closed_form(w, 4.0) == formal_degree_closed_form(w) / 4.0
-        with pytest.raises(UsageError, match="haar_scale"):
-            formal_degree_closed_form(w, 0.0)
+        for scale in (0.0, math.inf, math.nan):
+            with pytest.raises(UsageError, match=f"haar_scale must be positive and finite, got {scale}"):
+                formal_degree_closed_form(w, scale)
 
     def test_base_point_independence(self):
         d_i = formal_degree_by_meshgrid(2.0)["formal_degree"]
@@ -333,7 +335,7 @@ class TestKernelStabilizer:
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 22.0)
         z = complex(act(g, w))
         z = UpperHalfPoint(z.real, z.imag)
-        point_members = fuchsian.stabilizer_of_point(ball, z)
+        point_members = point_stabilizer(ball, z)
         members, phases = bergman.projective_stabilizer_kernel(ball, z, alpha, act(ball.elements, z.as_complex))
         assert len(point_members) == order
         assert np.array_equal(members, point_members)

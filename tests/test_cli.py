@@ -166,6 +166,43 @@ class TestExitCodes:
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("ball", "--norm", "nan"), "norm_bound must be finite and at least sqrt(2), got nan"),
+            (("ball", "--norm", "inf"), "norm_bound must be finite and at least sqrt(2), got inf"),
+            (("stabilizer", "--z", "i", "--ball", "nan"), "norm_bound must be finite and at least sqrt(2), got nan"),
+            (
+                ("bergman-density", "--alpha", "3", "--z", "i", "--ball", "nan"),
+                "norm_bound must be finite and at least sqrt(2), got nan",
+            ),
+            (("formal-degree", "--alpha", "3", "--haar-scale", "inf"), "haar_scale must be positive and finite, got inf"),
+            (
+                ("bergman-density", "--alpha", "3", "--z", "i", "--ball", "4", "--haar-scale", "inf"),
+                "haar_scale must be positive and finite, got inf",
+            ),
+            (
+                ("bergman-density", "--alpha", "3", "--z", "i", "--ball", "4", "--refine-delta", "inf"),
+                "refine_delta must be positive and finite, got inf",
+            ),
+            (
+                ("bergman-density", "--lattice", "g", "--alpha", "3", "--z", "i", "--ball", "4"),
+                "covolume must be positive and finite, got inf",
+            ),
+        ],
+        ids=[
+            "ball-nan", "ball-inf", "stabilizer-nan", "bergman-density-nan", "formal-degree-inf",
+            "bergman-density-inf", "refine-delta-inf", "covolume-inf",
+        ],
+    )
+    def test_non_finite_bounds_and_scales_exit_2(self, capsys, tmp_path, argv, message):
+        # NaN passes every lower-bound comparison, and an infinite ball,
+        # Haar scale, refinement step or covolume has no finite result; the
+        # lattice block is read only where --lattice names it
+        cfg = tmp_path / "lattice.cfg"
+        cfg.write_text("lattice.name = g\nlattice.generators = 1,2,0,1; 0,-1,1,0\nlattice.covolume = inf\n")
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "failure",
         [NumericalFailure, ResourceLimitError, OracleInconsistencyError, NotRieszError, BrokenPipeError],
     )
@@ -200,6 +237,16 @@ class TestExitCodes:
         assert code == 3
         assert "failure:" in err and "Traceback" not in err
         assert "||k_z||^2" in err and "alpha = 2000.0" in err and "Im z = 0.5" in err
+
+    def test_an_overflowing_density_product_exits_three(self, capsys, tmp_path):
+        # an infinite product would widen the verdicts' tolerance to infinity
+        # and pass both
+        cfg = tmp_path / "lattice.cfg"
+        cfg.write_text("lattice.name = g\nlattice.generators = 1,2,0,1; 0,-1,1,0\nlattice.covolume = 1e308\n")
+        argv = ("--config", str(cfg), "--lattice", "g", "--alpha", "30", "--z=0.3+1.5i", "--ball", "5", "--probes", "8")
+        code, out, err = run_cli(capsys, "bergman-density", *argv)
+        assert (code, out) == (3, "")
+        assert "failure: density product 1e+308 * 2.3077466748324826 overflows" in err
 
     def test_a_huge_weight_leaves_the_stabiliser_in_range(self, capsys):
         # every overlap of unit kernels lies in [0, 1]
@@ -855,25 +902,30 @@ class TestStabilizerCommand:
     ],
 )
 def test_one_kernel_orbit_per_command(capsys, monkeypatch, argv):
-    # the ball's orbit, its image under act, is built once; stabiliser,
-    # transversal, S-relation and truncations are gathers from it. The
-    # point path of fuchsian.stabilizer_of_point maps the ball through its
-    # own binding of act and builds no kernel orbit.
+    # the ball is mapped through act once, and d(gz, z) is measured over it
+    # once: stabiliser, overlap check, transversal, S-relation and
+    # truncations all read those two arrays, whichever module's binding
+    # they call
     size = len(fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0).elements)
-    orbits = []
-    act = hyperbolic.act
+    calls = {"act": 0, "distance": 0}
 
-    def counted(m, z):
-        w = act(m, z)
-        if np.size(w) == size:
-            orbits.append(w)
-        return w
+    def counted(name):
+        original = getattr(hyperbolic, name)
 
-    monkeypatch.setattr(hyperbolic, "act", counted)
-    monkeypatch.setattr(bergman, "act", counted)
+        def call(*args):
+            result = original(*args)
+            calls[name] += np.size(result) == size
+            return result
+
+        return call
+
+    for name in calls:
+        wrapper = counted(name)
+        for module in (hyperbolic, fuchsian, bergman):
+            monkeypatch.setattr(module, name, wrapper)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len(orbits) == 1
+    assert calls == {"act": 1, "distance": 1}
 
 
 class TestFormalDegreeCommand:

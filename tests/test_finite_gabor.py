@@ -285,12 +285,12 @@ class TestCosetTransversal:
     def test_lexicographic_choice(self):
         full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         stab = subgroup_by_elements(2, [(0, 0), (0, 1)])
-        lambdas, factorization = fg.lex_coset_representatives(full, stab)
+        lambdas, coset = fg.lex_coset_representatives(full, stab)
         assert lambdas == [(0, 0), (1, 0)]
-        for idx, gamma in enumerate(full.elements):
-            lam_idx, stab_idx = factorization[idx]
-            lam, gp = lambdas[lam_idx], stab.elements[stab_idx]
-            assert ((lam[0] + gp[0]) % 2, (lam[1] + gp[1]) % 2) == gamma
+        for gamma, lam_idx in zip(full.elements, coset, strict=True):
+            # gamma - lambda lies in the stabiliser
+            lam = lambdas[lam_idx]
+            assert ((gamma[0] - lam[0]) % 2, (gamma[1] - lam[1]) % 2) in stab.elements
 
 
 def verify_one(sub, window):

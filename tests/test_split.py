@@ -58,12 +58,12 @@ def half_sizes(members, counts) -> np.ndarray:
     return np.searchsorted(members, counts)
 
 
-def assert_halves_have_the_unsplit_spectrum(ball, orbit, alpha, cosets, counts):
+def assert_halves_have_the_unsplit_spectrum(ball, z, orbit, alpha, cosets, counts):
     """The transversal's Gram splits into two halves, real where the point
     lies on a mirror, and each truncation's spectrum is the union of the
     halves' leading blocks'."""
     lam = orbit[cosets.rep_index]
-    rotation, reflection = bergman.transversal_symmetry(ball, cosets, orbit, alpha, counts)
+    rotation, reflection = bergman.transversal_symmetry(ball, cosets, z.as_complex, orbit, alpha, counts)
     halves = bergman.symmetry_halves(lam, alpha, rotation, reflection)
     assert len(halves) == 2
     dtype = np.complex128 if reflection is None else np.float64
@@ -83,15 +83,16 @@ def assert_halves_have_the_unsplit_spectrum(ball, orbit, alpha, cosets, counts):
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha):
     orbit, _, cosets, counts = transversal(ball17, POINTS[point], alpha)
-    assert_halves_have_the_unsplit_spectrum(ball17, orbit, alpha, cosets, counts)
+    assert_halves_have_the_unsplit_spectrum(ball17, POINTS[point], orbit, alpha, cosets, counts)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 5.0, 7.0, 13.0])
 @pytest.mark.parametrize("point", sorted(MIRRORS))
 def test_real_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha):
-    orbit, _, cosets, counts = transversal(ball17, MIRRORS[point], alpha)
-    assert bergman.transversal_symmetry(ball17, cosets, orbit, alpha, counts)[1] is not None
-    assert_halves_have_the_unsplit_spectrum(ball17, orbit, alpha, cosets, counts)
+    z = MIRRORS[point]
+    orbit, _, cosets, counts = transversal(ball17, z, alpha)
+    assert bergman.transversal_symmetry(ball17, cosets, z.as_complex, orbit, alpha, counts)[1] is not None
+    assert_halves_have_the_unsplit_spectrum(ball17, z, orbit, alpha, cosets, counts)
 
 
 @pytest.mark.parametrize("point", sorted(MIRRORS))
@@ -100,8 +101,7 @@ def test_reflection_pairing_is_an_involution_that_commutes_with_s(ball17, point)
     orbit, _, cosets, counts = transversal(ball17, z, 3.0)
     mirror = fuchsian.mirror_of(z.as_complex)
     assert mirror == (fuchsian.IDENTITY if z.x == 0.0 else fuchsian.ROTATION)
-    q = fuchsian.coset_pairing(ball17, cosets, counts, mirror)
-    p = fuchsian.coset_pairing(ball17, cosets, counts)
+    p, q = fuchsian.coset_pairing(ball17, cosets, counts, z.as_complex)
     assert np.array_equal(q[q], np.arange(len(q)))
     assert np.array_equal(q[p], p[q])
     for k in counts:
@@ -146,8 +146,9 @@ def test_points_off_the_mirrors_keep_the_complex_halves(capsys, monkeypatch, z):
 
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_pairing_is_an_involution_that_closes_every_truncation(ball17, point):
+    z = POINTS[point].as_complex
     orbit, members, cosets, counts = transversal(ball17, POINTS[point], 3.0)
-    p = fuchsian.coset_pairing(ball17, cosets, counts)
+    p, _ = fuchsian.coset_pairing(ball17, cosets, counts, z)
     index = np.arange(len(p))
     assert np.array_equal(p[p], index)
     for k in counts:
@@ -157,7 +158,7 @@ def test_pairing_is_an_involution_that_closes_every_truncation(ball17, point):
     assert np.all(np.abs(-1.0 / lam - lam[p]) <= 1e-12 * np.abs(lam[p]))
     assert np.count_nonzero(p == index) == (1 if point == "i" else 0)
     # the halves split every truncation evenly, the fixed coset aside
-    halves = bergman.symmetry_halves(lam, 3.0, *bergman.transversal_symmetry(ball17, cosets, orbit, 3.0, counts))
+    halves = bergman.symmetry_halves(lam, 3.0, *bergman.transversal_symmetry(ball17, cosets, z, orbit, 3.0, counts))
     sizes = [half_sizes(half_members, counts) for _, half_members in halves]
     assert np.array_equal(sum(sizes), counts)
     for half in sizes:
@@ -187,20 +188,20 @@ def test_a_corrupted_pairing_or_phase_exits_3(capsys, monkeypatch, corruption, c
     pairing, phases, halves = fuchsian.coset_pairing, bergman.symmetry_phases, bergman.symmetry_halves
     reflection = corruption.startswith("refl")
 
-    def swapped(ball, cosets, sizes, mirror=None):
+    def swapped(ball, cosets, sizes, z):
         # the partners of the first two pairs exchanged: still an involution,
         # but the mapped points miss their partners'
-        p = pairing(ball, cosets, sizes, mirror)
-        if (mirror is not None) == reflection:
-            p = p.copy()
-            a, b = np.flatnonzero(p > np.arange(len(p)))[:2]
-            p[[a, b, p[a], p[b]]] = p[b], p[a], b, a
-        return p
+        pairings = pairing(ball, cosets, sizes, z)
+        p = pairings[reflection].copy()
+        a, b = np.flatnonzero(p > np.arange(len(p)))[:2]
+        p[[a, b, p[a], p[b]]] = p[b], p[a], b, a
+        pairings[reflection] = p
+        return pairings
 
-    def corrupted(w, alpha, p, mirror=None):
-        t = phases(w, alpha, p, mirror)
+    def corrupted(w, alpha, p, unitary):
+        t = phases(w, alpha, p, unitary)
         index = np.arange(len(p))
-        if (mirror is not None) != reflection:
+        if unitary == reflection:
             return t
         if corruption in ("leader sign", "reflection sign"):
             t[np.flatnonzero(p > index)[0]] *= -1.0
@@ -259,7 +260,7 @@ def test_stab_order_does_not_depend_on_alpha(z, order):
         # and S splits the Gram, also near i where it is no longer taken
         # into the stabiliser
         orbit, _, cosets, counts = transversal(ball, z, alpha, radii=[4.0, 5.0, 6.0])
-        assert_halves_have_the_unsplit_spectrum(ball, orbit, alpha, cosets, counts)
+        assert_halves_have_the_unsplit_spectrum(ball, z, orbit, alpha, cosets, counts)
 
 
 GAMMA2 = (
@@ -348,6 +349,37 @@ def test_a_configured_modular_group_gets_the_split(capsys, monkeypatch, tmp_path
     assert modular.replace(",modular,", ",psl2z,") == psl2z
 
 
+# PSL(2, Z) turned through 0.3 rad about i: it holds S, which commutes with
+# the rotations about i, but w -> -conj(w) does not map it onto itself
+TURNED = (
+    "lattice.name = turned\n"
+    "lattice.generators = 0.0,1.0,-1.0,0.0; 1.2823212366975179,0.9126678074548393,"
+    "-0.08733219254516086,0.7176787633024824\n"
+    "lattice.covolume = 1.0471975511965976\n"
+)
+
+
+def test_a_lattice_with_s_but_not_the_reflection_keeps_the_complex_halves(capsys, monkeypatch, tmp_path):
+    # 1.3i lies on the mirror Re z = 0, but the ball is not closed under the
+    # reflection, so S splits the Gram and no real form is taken
+    cfg = tmp_path / "turned.cfg"
+    cfg.write_text(TURNED)
+    spec = commands.lattice_from_config("turned", commands.load_config(str(cfg)))
+    ball = fuchsian.ball_enumerate(spec, 8.0)
+    z = UpperHalfPoint(0.0, 1.3)
+    orbit, _, cosets, counts = transversal(ball, z, 3.0, radii=[6.0, 7.0, 8.0])
+    p, q = fuchsian.coset_pairing(ball, cosets, counts, z.as_complex)
+    assert p is not None and q is None
+    assert_halves_have_the_unsplit_spectrum(ball, z, orbit, 3.0, cosets, counts)
+
+    def refuse(*args):
+        raise AssertionError("a real form without the reflection")
+
+    monkeypatch.setattr(bergman, "_real_form", refuse)
+    argv = ["--lattice", "turned", "--config", str(cfg), "--alpha", "3", "--z=1.3i", "--ball", "8", "--probes", "8"]
+    assert run_density(capsys, argv)[0] == 0
+
+
 # the benchmark's density commands: its seed-0 generic point, then rho
 BENCHMARK_COMMANDS = {
     "generic": ["--alpha", "2", "--z=0.2755374812200385+1.6227106094846067i", "--ball", "13"],
@@ -409,7 +441,7 @@ def test_benchmark_lambda_stage_peak_is_at_most_the_unsplit_one(command):
 
     unsplit()  # first-call caches
     bounds, split_peak = traced_peak(
-        bergman.transversal_riesz_bounds, ball, cosets, orbit, alpha, counts
+        bergman.transversal_riesz_bounds, ball, cosets, z.as_complex, orbit, alpha, counts
     )
     spectra, unsplit_peak = traced_peak(unsplit)
     assert split_peak <= unsplit_peak
