@@ -514,6 +514,12 @@ def density_analysis(
 
     covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)  # refuses haar_scale <= 0
     degree = formal_degree_closed_form(weight, haar_scale)
+    # both factors are positive and finite; their product is checked before the ball
+    product = covolume * degree
+    if product == 0.0:
+        raise UsageError(f"density product {covolume} * {degree} underflows to {product}")
+    if product == math.inf:
+        raise NumericalFailure(f"density product {covolume} * {degree} overflows to {product}")
     gen_norm_sq = kernel_norm_sq(z.as_complex, alpha)
 
     ball = fuchsian.ball_enumerate(spec, ball_norm)

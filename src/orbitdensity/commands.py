@@ -75,6 +75,8 @@ def _parse_float(text: str, key: str) -> float:
 def lattice_from_config(name: str, config: dict) -> LatticeSpec:
     from . import fuchsian
 
+    if config.get("lattice.name") == "psl2z":
+        raise UsageError("lattice.name 'psl2z' is reserved for the built-in modular group")
     if name == "psl2z":
         return fuchsian.psl2z()
     if config.get("lattice.name") != name:

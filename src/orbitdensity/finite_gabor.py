@@ -8,14 +8,17 @@ identity is checkable exhaustively in exact arithmetic (up to float
 roundoff), which is what :func:`exhaustive_scan` does. It checks the
 windows of one n in passes over runs of consecutive subgroup orders, as
 many as fit :data:`PASS_STACK_BYTES`. The orbit-shaped work runs per
-order, whose orbit matrices share a shape, and per stabiliser order in
-it: the stabiliser classes, cosets, and the S-relation, Parseval and
-biorthogonality checks. The full orbits' frame-operator spectra are one
-eigensolve per pass, and the nontrivial coset transversals' another,
-since a trivial stabiliser's transversal is the full orbit up to column
-order. Every eigensolve is of an n x n frame operator V V*: an orbit's
-Gram matrix has the same nonzero spectrum, so the frame, Riesz and span
-checks read its rank and extremes from V V*. Each verdict and check is
+order, whose orbit matrices share a shape: a stabiliser class is the
+windows of one subgroup with one stabiliser mask over its elements, and
+the mask's cosets are orbit column indices (see
+:func:`lex_coset_representatives`). The S-relation, Parseval and
+biorthogonality checks run per stabiliser order. The full orbits'
+frame-operator spectra are one eigensolve per pass, and the nontrivial
+coset transversals' another, since a trivial stabiliser's transversal is
+the full orbit up to column order. Every eigensolve is of an n x n
+frame operator V V*: an orbit's Gram matrix has the same nonzero
+spectrum, so the frame, Riesz and span checks read its rank and extremes
+from V V*. Each verdict and check is
 one boolean or float array over the windows of a pass. The results
 travel as columns, one array per field over the windows of a pass, then
 one list per field over the scan in :class:`ScanReport`; a window that
@@ -76,15 +79,16 @@ class SubgroupDescr:
     n: int
     generators: tuple
     elements: tuple
-    order: int
 
     def __post_init__(self):
-        if self.order != len(self.elements):
-            raise UsageError("subgroup order must match its element count")
         # a duplicate-free list equal to a span is a subgroup, inside Z_n x Z_n
         members = set(self.elements)
-        if len(members) != self.order or members != _span(self.generators, self.n):
+        if len(members) != len(self.elements) or members != _span(self.generators, self.n):
             raise UsageError("elements not closed under addition or not the generators' span")
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
     def gens_text(self) -> str:
         return "+".join(f"({a},{b})" for a, b in self.generators) or "()"
@@ -120,39 +124,24 @@ def subgroup_enumerate(n: int) -> list[SubgroupDescr]:
                 for j in range(n // d)
             )
         )
-        subgroups.append(
-            SubgroupDescr(
-                n=n,
-                generators=_find_small_generators(elements, n),
-                elements=elements,
-                order=len(elements),
-            )
-        )
+        subgroups.append(SubgroupDescr(n=n, generators=_find_small_generators(elements, n), elements=elements))
     return sorted(subgroups, key=lambda s: (s.order, s.elements))
 
 
 def _find_small_generators(elements, n: int):
     """The lexicographically first generator, else pair of generators, of
-    the subgroup with these elements.
+    the subgroup with these sorted elements.
 
     Inside a subgroup H, the elements span H exactly when they span a
     group of order |H|; one element g spans n / gcd(n, g) elements.
     """
-    elems = tuple(sorted(elements))
-    if elems == ((0, 0),):
-        return ((0, 0),)
-    order = len(elems)
-    for g in elems:
-        if g != (0, 0) and n // math.gcd(n, *g) == order:
+    order = len(elements)
+    for g in elements:
+        if n // math.gcd(n, *g) == order:
             return (g,)
-    for g1, g2 in itertools.combinations(elems, 2):
-        span = {
-            ((i * g1[0] + j * g2[0]) % n, (i * g1[1] + j * g2[1]) % n)
-            for i in range(n // math.gcd(n, *g1))
-            for j in range(n // math.gcd(n, *g2))
-        }
-        if len(span) == order:
-            return (g1, g2)
+    for pair in itertools.combinations(elements, 2):
+        if len(_span(pair, n)) == order:
+            return pair
     raise OracleInconsistencyError("subgroup of Z_n x Z_n needed more than two generators")
 
 
@@ -180,17 +169,18 @@ def stabilizer_classes(subgroups, owner, windows, V) -> list:
     of one order, and ``V`` is the windows' orbit stack over their own
     subgroups (see :func:`orbit_system`); gamma stabilises g when
     |<pi(gamma) g, g>| >= (1 - 1e-9) ||g||^2. Returns one triple (subgroup
-    index, stabiliser, increasing window indices) per distinct pair of
-    subgroup and stabiliser, sorted by subgroup index, each stabiliser
-    asserted to be a subgroup whose order divides its lattice's order.
+    index, stabiliser mask, increasing window indices) per distinct pair of
+    subgroup and stabiliser, sorted by subgroup index; the mask is a list of
+    booleans over the subgroup's elements, checked by
+    :func:`lex_coset_representatives`.
     """
     nsq = np.einsum("...j,...j->...", windows.conj(), windows).real[..., None]
     overlaps = np.einsum("...j,...jk->...k", windows.conj(), V)
     masks = np.abs(overlaps) >= (1.0 - _STABILIZER_TOL) * nsq
     owners, classes, class_of = _unique_rows(np.asarray(owner), masks)
     return [
-        (si, _stabilizer(subgroups[si], mask), np.flatnonzero(class_of == c))
-        for c, (si, mask) in enumerate(zip(owners.tolist(), classes))
+        (si, mask, np.flatnonzero(class_of == c))
+        for c, (si, mask) in enumerate(zip(owners.tolist(), classes.tolist()))
     ]
 
 
@@ -209,40 +199,33 @@ def _unique_rows(labels, masks):
     return labels[first], masks[first], class_of.ravel()
 
 
-def _stabilizer(subgroup: SubgroupDescr, mask) -> SubgroupDescr:
-    """The stabiliser with this membership mask over the subgroup's
-    elements, asserted to be a subgroup whose order divides the lattice order."""
-    members = tuple(gamma for gamma, kept in zip(subgroup.elements, mask) if kept)
-    try:
-        stabilizer = SubgroupDescr(
-            n=subgroup.n,
-            generators=_find_small_generators(members, subgroup.n),
-            elements=members,
-            order=len(members),
-        )
-    except UsageError as exc:
-        raise OracleInconsistencyError(f"stabiliser {members} is not a subgroup: {exc}") from exc
-    if subgroup.order % stabilizer.order != 0:
-        raise OracleInconsistencyError("stabiliser order does not divide the lattice order")
-    return stabilizer
+def lex_coset_representatives(subgroup: SubgroupDescr, mask):
+    """The cosets of the stabiliser whose membership over the subgroup's
+    elements is ``mask``, which is checked to be a subgroup: it holds
+    (0, 0), is closed under addition and its order divides |subgroup|.
 
-
-def lex_coset_representatives(subgroup: SubgroupDescr, stabilizer: SubgroupDescr):
-    """Lexicographically smallest representative per coset gamma + stabiliser.
-
-    Returns (lambdas, coset) where coset[i] is the index in lambdas of the
-    representative of the i-th subgroup element's coset.
+    Returns (stabiliser order, cols, coset): cols are the columns, indices
+    in ``subgroup.elements``, of the lexicographically smallest element of
+    each coset, in the order of those elements (increasing for the sorted
+    elements of :func:`subgroup_enumerate`), and coset[k] is the index in
+    cols of the k-th element's coset.
     """
-    n = subgroup.n
-    coset_of = {}
-    lambdas = []
+    n, elements = subgroup.n, subgroup.elements
+    members = {gamma for gamma, kept in zip(elements, mask) if kept}
+    sums = {((a + c) % n, (b + d) % n) for a, b in members for c, d in members}
+    if (0, 0) not in members or not sums <= members or len(elements) % len(members):
+        raise OracleInconsistencyError(
+            f"stabiliser {tuple(sorted(members))} is not closed under addition, lacks (0, 0) "
+            f"or has an order not dividing {len(elements)}"
+        )
     # in ascending order, the first element met of each coset is its minimum
-    for gamma in sorted(subgroup.elements):
-        if gamma not in coset_of:
-            for s in stabilizer.elements:
-                coset_of[((gamma[0] + s[0]) % n, (gamma[1] + s[1]) % n)] = len(lambdas)
-            lambdas.append(gamma)
-    return lambdas, [coset_of[gamma] for gamma in subgroup.elements]
+    coset_of, cols = {}, []
+    for k in sorted(range(len(elements)), key=elements.__getitem__):
+        if elements[k] not in coset_of:
+            x, y = elements[k]
+            coset_of.update((((x + a) % n, (y + b) % n), len(cols)) for a, b in members)
+            cols.append(k)
+    return len(members), cols, [coset_of[gamma] for gamma in elements]
 
 
 def _order_classes(cases, g, offset: int) -> list:
@@ -255,12 +238,9 @@ def _order_classes(cases, g, offset: int) -> list:
     owner = np.repeat(np.arange(len(cases)), [len(windows) for _, windows in cases])
     V_full = np.concatenate([orbit_system(windows, sub.elements) for sub, windows in cases])
     by_stab = {}
-    for si, stab, rows in stabilizer_classes(subgroups, owner, g[offset : offset + len(V_full)], V_full):
-        sub = subgroups[si]
-        lambdas, lam_index = lex_coset_representatives(sub, stab)
-        column_of = {gamma: k for k, gamma in enumerate(sub.elements)}
-        cols = [column_of[lam] for lam in lambdas]
-        by_stab.setdefault(stab.order, []).append((rows, cols, lam_index, sub.gens_text()))
+    for si, mask, rows in stabilizer_classes(subgroups, owner, g[offset : offset + len(V_full)], V_full):
+        stab_order, cols, coset = lex_coset_representatives(subgroups[si], mask)
+        by_stab.setdefault(stab_order, []).append((rows, cols, coset, subgroups[si].gens_text()))
     classes = []
     for stab_order, members in by_stab.items():
         rows, *per_subgroup = zip(*members)
@@ -455,28 +435,21 @@ def _spectra(operators) -> tuple:
     return spectrum.eigenvalues, spectrum.inverse_sqrt()
 
 
-def structured_windows(n: int):
-    """Deterministic window family: basis vectors, the constant vector, and
-    indicators of the nontrivial proper subgroups of Z_n."""
+@functools.cache
+def structured_windows(n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Ids and read-only (W, n) stack of the deterministic window family,
+    built once per n for all subgroups: basis vectors, the constant
+    vector, and indicators of the nontrivial proper subgroups of Z_n."""
     eye = np.eye(n, dtype=complex)
-    windows = [(f"basis{j}", eye[:, j].copy()) for j in range(n)]
-    windows.append(("const", np.ones(n, dtype=complex) / np.sqrt(n)))
+    ids = [f"basis{j}" for j in range(n)] + ["const"]
+    windows = [*eye, np.ones(n, dtype=complex) / np.sqrt(n)]
     for d in range(2, n):
         if n % d == 0:
-            ind = np.zeros(n, dtype=complex)
-            ind[::d] = 1.0
-            windows.append((f"ind{d}", ind))
-    return windows
-
-
-@functools.cache
-def _structured_stack(n: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """Ids and read-only (W, n) stack of :func:`structured_windows`, built
-    once per n for all subgroups."""
-    ids, windows = zip(*structured_windows(n))
+            ids.append(f"ind{d}")
+            windows.append(np.where(np.arange(n) % d == 0, 1.0 + 0j, 0.0))
     stack = np.array(windows)
     stack.flags.writeable = False
-    return ids, stack
+    return tuple(ids), stack
 
 
 SCAN_CSV_COLUMNS = (
@@ -540,7 +513,7 @@ def scan_windows(n: int, subgroup_index: int, windows_per_case: int, seed: int):
     per number. The stream is gauss's bit for bit, the 0.0 + keeping its
     sign of zero, and window w does not depend on ``windows_per_case``.
     """
-    structured_ids, structured = _structured_stack(n)
+    structured_ids, structured = structured_windows(n)
     uniform = random.Random(f"{seed},{n},{subgroup_index}").random
     draws = []
     for _ in range(n * windows_per_case):
@@ -560,7 +533,7 @@ def orbit_stack_bytes(n: int, windows_per_case: int) -> int:
     n x n stacks fit :data:`PASS_STACK_BYTES`, so those take at most n
     times as many bytes (|subgroup| <= n^2)."""
     counts = Counter((n // a) * (n // d) for a, _, d in _hermite_normal_forms(n))
-    windows = windows_per_case + len(_structured_stack(n)[0])
+    windows = windows_per_case + len(structured_windows(n)[0])
     return max(order * count for order, count in counts.items()) * windows * n * 16
 
 

@@ -3,9 +3,9 @@
 The scalar kernel formula, the per-pair inner products, the
 extended-precision unit-kernel Gram, the one-vector time-frequency shift,
 the pair-closure subgroup enumeration, the membership-table and
-pair-closure subgroup tests, the exact checks of one subgroup's windows as
-a batch of their own, the stacked Gram matrix of orbit matrices and
-the one-matrix-at-a-time group ball, stabiliser,
+pair-closure subgroup tests, the listed cosets' minima, the exact checks
+of one subgroup's windows as a batch of their own, the stacked Gram
+matrix of orbit matrices and the one-matrix-at-a-time group ball, stabiliser,
 coset and orbit paths are the slow reference paths that the closed-form,
 batched and array code in ``orbitdensity`` is compared against. So are the
 whole-cube integer ball, the one-block, copy-based Gram validation and
@@ -165,6 +165,12 @@ def is_subgroup_pairs(elements, n: int) -> bool:
     )
 
 
+def coset_minima(elements, stabilizer, n: int) -> list:
+    """Per element gamma, the lexicographic minimum of its coset
+    gamma + stabilizer, by listing the coset."""
+    return [min(((a + c) % n, (b + d) % n) for c, d in stabilizer) for a, b in elements]
+
+
 def additive_closure(gens, n: int) -> tuple:
     """Sorted elements of the subgroup of Z_n x Z_n generated by ``gens``, by search."""
     elements = {(0, 0)}
@@ -191,9 +197,7 @@ def subgroup_enumerate_pairs(n: int) -> list[SubgroupDescr]:
         elements = additive_closure(gens, n)
         if elements not in seen:
             kept = tuple(g for g in gens if g != (0, 0)) or ((0, 0),)
-            seen[elements] = SubgroupDescr(
-                n=n, generators=kept, elements=elements, order=len(elements)
-            )
+            seen[elements] = SubgroupDescr(n=n, generators=kept, elements=elements)
 
     record(((0, 0),))
     for g in all_pairs:

@@ -238,15 +238,38 @@ class TestExitCodes:
         assert "failure:" in err and "Traceback" not in err
         assert "||k_z||^2" in err and "alpha = 2000.0" in err and "Im z = 0.5" in err
 
-    def test_an_overflowing_density_product_exits_three(self, capsys, tmp_path):
-        # an infinite product would widen the verdicts' tolerance to infinity
-        # and pass both
+    @pytest.mark.parametrize(
+        "covolume, alpha, expected",
+        [
+            ("1e-323", "3", (2, "", "error: density product 1e-323 * 0.15915494309189535 underflows to 0.0\n")),
+            ("1e308", "30", (3, "", "failure: density product 1e+308 * 2.3077466748324826 overflows to inf\n")),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_the_density_product_is_checked_before_the_ball(self, capsys, tmp_path, monkeypatch, covolume, alpha, expected):
+        # every factor is positive, yet the product is 0 or inf; an infinite
+        # product would widen the verdicts' tolerance to infinity and pass both
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the ball was enumerated")
+
+        monkeypatch.setattr(fuchsian, "ball_enumerate", unreachable)
         cfg = tmp_path / "lattice.cfg"
-        cfg.write_text("lattice.name = g\nlattice.generators = 1,2,0,1; 0,-1,1,0\nlattice.covolume = 1e308\n")
-        argv = ("--config", str(cfg), "--lattice", "g", "--alpha", "30", "--z=0.3+1.5i", "--ball", "5", "--probes", "8")
-        code, out, err = run_cli(capsys, "bergman-density", *argv)
-        assert (code, out) == (3, "")
-        assert "failure: density product 1e+308 * 2.3077466748324826 overflows" in err
+        cfg.write_text(f"lattice.name = g\nlattice.generators = 1,2,0,1; 0,-1,1,0\nlattice.covolume = {covolume}\n")
+        argv = ("--config", str(cfg), "--lattice", "g", "--alpha", alpha, "--z=0.3+1.5i", "--ball", "5", "--probes", "8")
+        assert run_cli(capsys, "bergman-density", *argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("ball", "--norm", "3"), ("stabilizer", "--z", "i", "--ball", "4"), ("bergman-density", "--alpha", "3", "--z", "i", "--ball", "5")],
+        ids=["ball", "stabilizer", "bergman-density"],
+    )
+    def test_a_lattice_block_named_psl2z_is_refused(self, capsys, tmp_path, argv):
+        # the built-in would shadow the block: ball printed PSL(2, Z)'s 26 elements, certified
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("lattice.name = psl2z\nlattice.generators = 1,2,0,1; 0,-1,1,0\nlattice.covolume = 3.141592653589793\n")
+        message = "error: lattice.name 'psl2z' is reserved for the built-in modular group\n"
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == (2, "", message)
+        assert run_cli(capsys, *argv, "--config", str(cfg), "--lattice", "psl2z") == (2, "", message)
 
     def test_a_huge_weight_leaves_the_stabiliser_in_range(self, capsys):
         # every overlap of unit kernels lies in [0, 1]

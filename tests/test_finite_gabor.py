@@ -162,7 +162,7 @@ class TestSubgroupEnumeration:
             # whatever generators it names, since every span is a subgroup
             for generators in ((), elements[:1], elements[:2], elements):
                 with pytest.raises(UsageError):
-                    fg.SubgroupDescr(n=n, generators=generators, elements=elements, order=len(elements))
+                    fg.SubgroupDescr(n=n, generators=generators, elements=elements)
 
         rng = np.random.default_rng(57)
         for n in range(2, 9):
@@ -193,26 +193,33 @@ class TestSubgroupEnumeration:
 
     def test_rejects_element_list_that_is_not_closed(self):
         with pytest.raises(UsageError):
-            fg.SubgroupDescr(n=4, generators=((1, 0),), elements=((0, 0), (1, 0)), order=2)
+            fg.SubgroupDescr(n=4, generators=((1, 0),), elements=((0, 0), (1, 0)))
 
 
 def stabilizers(sub, windows):
-    """The (stabiliser, window indices) classes of a window stack over one
-    subgroup, as the scan forms them."""
+    """The (stabiliser elements, window indices) classes of a window stack
+    over one subgroup, as the scan forms them, each checked to be a subgroup
+    of the order that its cosets report."""
     windows = np.asarray(windows, dtype=complex)
     V = fg.orbit_system(windows, sub.elements)
     owner = np.zeros(len(windows), dtype=int)
-    return [(stab, members) for _, stab, members in fg.stabilizer_classes([sub], owner, windows, V)]
+    classes = []
+    for _, mask, members in fg.stabilizer_classes([sub], owner, windows, V):
+        stab = tuple(itertools.compress(sub.elements, mask))
+        assert oracles.is_subgroup_pairs(stab, sub.n)
+        assert fg.lex_coset_representatives(sub, mask)[0] == len(stab)
+        classes.append((stab, members))
+    return classes
 
 
 class TestProjectiveStabilizer:
     def test_basis_window_full_group(self):
         full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         ((stab, members),) = stabilizers(full, [E1])
-        assert stab.elements == ((0, 0), (0, 1))
+        assert stab == ((0, 0), (0, 1))
         assert list(members) == [0]
         # both members fix e1 with phase 1
-        for a, b in stab.elements:
+        for a, b in stab:
             assert np.array_equal(oracles.pi_shift(a, b, E1), E1)
 
     def test_generic_window_trivial(self):
@@ -221,21 +228,21 @@ class TestProjectiveStabilizer:
             full = max(fg.subgroup_enumerate(n), key=lambda s: s.order)
             g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             ((stab, _),) = stabilizers(full, [g])
-            assert stab.order == 1
+            assert len(stab) == 1
 
     def test_flat_window_translation_invariant(self):
         full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         g = np.ones(2, dtype=complex) / np.sqrt(2.0)
         ((stab, _),) = stabilizers(full, [g])
-        assert (1, 0) in stab.elements
-        assert stab.order >= 2
+        assert (1, 0) in stab
+        assert len(stab) >= 2
 
     def test_windows_grouped_by_stabilizer(self):
         full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         flat = np.ones(2, dtype=complex)
         generic = np.array([1.0, 0.3 + 0.4j])
         classes = stabilizers(full, [E1, generic, flat, 2.0 * E1])
-        by_window = {int(w): stab.elements for stab, members in classes for w in members}
+        by_window = {int(w): stab for stab, members in classes for w in members}
         assert by_window == {
             0: ((0, 0), (0, 1)),
             1: ((0, 0),),
@@ -273,24 +280,66 @@ class TestProjectiveStabilizer:
             assert np.array_equal(classes, want[:, 1:].astype(bool))
             assert np.array_equal(class_of, want_class_of.ravel())
 
+    def test_one_subgroup_description_per_subgroup(self, monkeypatch):
+        # the stabilisers are masks, never a SubgroupDescr of their own
+        built = []
+        post_init = fg.SubgroupDescr.__post_init__
+
+        def counting(sub):
+            built.append(sub)
+            post_init(sub)
+
+        monkeypatch.setattr(fg.SubgroupDescr, "__post_init__", counting)
+        report = fg.exhaustive_scan(7, windows_per_case=6, seed=1)
+        assert report.total_cases == 971
+        assert len(built) == 74 == sum(len(fg.subgroup_enumerate(n)) for n in range(2, 8))
+
     def test_stabilizer_that_is_not_a_subgroup_is_an_inconsistency(self):
         full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         with pytest.raises(OracleInconsistencyError, match="not closed under addition"):
-            fg._stabilizer(full, [False, True, True, False])
+            fg.lex_coset_representatives(full, [False, True, True, False])
+        # not closed, without (0, 0), and empty
+        for mask in ([True, False, True, True], [False, True, False, False], [False] * 4):
+            with pytest.raises(OracleInconsistencyError):
+                fg.lex_coset_representatives(full, mask)
+        # with (0, 0) and of an order that divides 16, but without (1, 0) + (1, 0)
+        z4 = subgroup_by_elements(4, list(itertools.product(range(4), repeat=2)))
         with pytest.raises(OracleInconsistencyError):
-            fg._stabilizer(full, [True, False, True, True])
+            fg.lex_coset_representatives(z4, [gamma in ((0, 0), (1, 0)) for gamma in z4.elements])
 
 
 class TestCosetTransversal:
     def test_lexicographic_choice(self):
         full = subgroup_by_elements(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        stab = subgroup_by_elements(2, [(0, 0), (0, 1)])
-        lambdas, coset = fg.lex_coset_representatives(full, stab)
-        assert lambdas == [(0, 0), (1, 0)]
+        stab = [(0, 0), (0, 1)]
+        stab_order, cols, coset = fg.lex_coset_representatives(full, [gamma in stab for gamma in full.elements])
+        assert stab_order == 2
+        assert [full.elements[k] for k in cols] == [(0, 0), (1, 0)]
         for gamma, lam_idx in zip(full.elements, coset, strict=True):
             # gamma - lambda lies in the stabiliser
-            lam = lambdas[lam_idx]
-            assert ((gamma[0] - lam[0]) % 2, (gamma[1] - lam[1]) % 2) in stab.elements
+            lam = full.elements[cols[lam_idx]]
+            assert ((gamma[0] - lam[0]) % 2, (gamma[1] - lam[1]) % 2) in stab
+
+    def test_cosets_match_listed_cosets(self):
+        # every stabiliser mask H of every subgroup Gamma, n <= 8, over the
+        # sorted elements and over them reversed
+        for n in range(2, 9):
+            subgroups = fg.subgroup_enumerate(n)
+            for sub in subgroups:
+                for full in (sub, fg.SubgroupDescr(n=n, generators=sub.generators, elements=sub.elements[::-1])):
+                    members = set(full.elements)
+                    for stab in (h.elements for h in subgroups if members.issuperset(h.elements)):
+                        mask = [gamma in stab for gamma in full.elements]
+                        stab_order, cols, coset = fg.lex_coset_representatives(full, mask)
+                        minima = oracles.coset_minima(full.elements, stab, n)
+                        assert stab_order == len(stab)
+                        # the cosets' minima, in lexicographic order: increasing
+                        # columns over the sorted elements
+                        assert [full.elements[k] for k in cols] == sorted(set(minima))
+                        assert full is not sub or cols == sorted(cols)
+                        assert [full.elements[cols[i]] for i in coset] == minima
+                        for (a, b), (c, d) in zip(full.elements, minima, strict=True):
+                            assert ((a - c) % n, (b - d) % n) in stab
 
 
 def verify_one(sub, window):
@@ -384,7 +433,7 @@ class TestBatchedScan:
             for si, sub in enumerate(fg.subgroup_enumerate(n)):
                 _, stack = fg.scan_windows(n, si, 6, 1)
                 windows += len(stack)
-                transversals += sum(len(members) for stab, members in stabilizers(sub, stack) if stab.order > 1)
+                transversals += sum(len(members) for stab, members in stabilizers(sub, stack) if len(stab) > 1)
             expected += [(windows, n, n), (transversals, n, n)]
             nontrivial += transversals
         # each n <= 7 is one pass: its full orbits' frame operators in one
@@ -412,9 +461,7 @@ class TestBatchedScan:
             for si, sub in enumerate(fg.subgroup_enumerate(n)):
                 # reversed elements make each trivial transversal a true
                 # column permutation of the full orbit
-                reversed_sub = fg.SubgroupDescr(
-                    n=n, generators=sub.generators, elements=sub.elements[::-1], order=sub.order
-                )
+                reversed_sub = fg.SubgroupDescr(n=n, generators=sub.generators, elements=sub.elements[::-1])
                 _, windows = fg.scan_windows(n, si, 6, 3)
                 expected = verify_windows(sub, windows)
                 for got, want in zip(verify_windows(reversed_sub, windows), expected):
@@ -508,8 +555,8 @@ class TestBatchedScan:
                 owner = np.repeat(np.arange(len(stacks)), [len(w) for w in stacks])
                 V = np.concatenate([fg.orbit_system(w, sub.elements) for sub, w in zip(subgroups, stacks)])
                 got = [
-                    (si, stab, members.tolist())
-                    for si, stab, members in fg.stabilizer_classes(subgroups, owner, g, V)
+                    (si, tuple(itertools.compress(subgroups[si].elements, mask)), members.tolist())
+                    for si, mask, members in fg.stabilizer_classes(subgroups, owner, g, V)
                 ]
                 assert got == expected
 
@@ -688,7 +735,7 @@ class TestScanWindows:
             assert ids6[: len(ids3)] == ids3
             assert w6[: len(w3)].tobytes() == w3.tobytes()
             ids0, w0 = fg.scan_windows(n, si, 0, seed)
-            assert [wid for wid, _ in fg.structured_windows(n)] == ids0
+            assert list(fg.structured_windows(n)[0]) == ids0
             assert w0.tobytes() == w3[: len(w0)].tobytes()
 
     def test_windows_differ_across_seed_n_and_subgroup(self):
@@ -728,7 +775,7 @@ class TestScan:
     def test_orbit_stack_bytes_counts_the_largest_order_batch(self):
         for n in range(2, 17):
             orders = [sub.order for sub in fg.subgroup_enumerate(n)]
-            cases = 5 + len(fg.structured_windows(n))
+            cases = 5 + len(fg.structured_windows(n)[0])
             largest = max(order * orders.count(order) for order in orders)
             assert fg.orbit_stack_bytes(n, 5) == largest * cases * n * 16
         # n = 16 with 50 windows: 31 subgroups of order 16, 70 windows each
