@@ -42,7 +42,7 @@ import numpy as np
 
 from . import frames, fuchsian, linalg
 from .errors import NumericalFailure, OracleInconsistencyError, ResourceLimitError, UsageError
-from .hyperbolic import UpperHalfPoint, act, canonical, compose, distance, frobenius_sq, rounding_bound
+from .hyperbolic import UpperHalfPoint, act, canonical, compose, distance, rounding_bound
 
 # an assembled inner-product matrix holds at most GRAM_SIZE_CAP^2 entries
 GRAM_SIZE_CAP = 4096
@@ -339,9 +339,8 @@ def transversal_riesz_bounds(
     for M, members in symmetry_halves(orbit[cosets.rep_index], alpha, rotation, reflection):
         half_sizes = np.searchsorted(members, sizes).tolist()
         steps = [j for j, size in enumerate(half_sizes) if size]
-        for j, spectrum in zip(steps, frames.gram(M, [half_sizes[j] for j in steps])):
-            lo, hi = spectrum.extremes
-            bounds[j] = (min(bounds[j][0], lo), max(bounds[j][1], hi))
+        for j, w in zip(steps, frames.gram(M, [half_sizes[j] for j in steps])):
+            bounds[j] = (min(bounds[j][0], float(w[0])), max(bounds[j][1], float(w[-1])))
     return bounds
 
 
@@ -537,13 +536,7 @@ def density_analysis(
     # validated and eigensolved as views of them, before the probe matrices
     # are made.
     norms = [max(math.sqrt(2.0), ball_norm - refine_delta * j) for j in range(refine_steps)][::-1]
-    ball_norms_sq = frobenius_sq(ball.elements)
-    gamma_counts = []
-    for norm in norms:
-        inside = ball_norms_sq <= norm * norm + 1e-9
-        gamma_counts.append(int(np.count_nonzero(inside)))
-        if not inside[: gamma_counts[-1]].all():
-            raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
+    gamma_counts = [ball.truncation_count(norm) for norm in norms]
     lam_counts = [int(np.searchsorted(cosets.rep_index, count)) for count in gamma_counts]
     riesz_bounds = transversal_riesz_bounds(ball, cosets, z.as_complex, orbit, alpha, lam_counts)
     # Weighted by ||k_w|| over the largest probe norm, (min Im w / Im w)^(alpha/2)
@@ -556,7 +549,7 @@ def density_analysis(
     probe_matrix *= probe_weight
     probe_gram = kernel_gram(probe_points, probe_points, alpha).T
     probe_gram *= probe_weight[:, None] * probe_weight
-    whitener = linalg.psd_eigen(probe_gram, name="probe Gram matrix").whitener()
+    whitener = linalg.whitener(*linalg.hermitian_eigen(probe_gram, name="probe Gram matrix"))
     # The S-relation compares the synthesis of the fully tiled
     # representatives with that of every rep * h, whose columns come from
     # the other ball elements of each coset: both are gathers of the

@@ -11,11 +11,12 @@ many as fit :data:`PASS_STACK_BYTES`. The orbit-shaped work runs per
 order, whose orbit matrices share a shape: a stabiliser class is the
 windows of one subgroup with one stabiliser mask over its elements, and
 the mask's cosets are orbit column indices (see
-:func:`lex_coset_representatives`). The S-relation, Parseval and
-biorthogonality checks run per stabiliser order. The full orbits'
-frame-operator spectra are one eigensolve per pass, and the nontrivial
-coset transversals' another, since a trivial stabiliser's transversal is
-the full orbit up to column order. Every eigensolve is of an n x n
+:func:`lex_coset_representatives`). The Parseval and biorthogonality
+checks run per stabiliser order. Each frame operator is formed once: the
+S-relation residual of a pass is read from them, and then the full
+orbits' spectra are one eigensolve per pass, and the nontrivial coset
+transversals' another, since a trivial stabiliser's transversal is the
+full orbit up to column order. Every eigensolve is of an n x n
 frame operator V V*: an orbit's Gram matrix has the same nonzero
 spectrum, so the frame, Riesz and span checks read its rank and extremes
 from V V*. Each verdict and check is
@@ -270,10 +271,11 @@ def _verify_pass(batches) -> tuple[dict, dict]:
     sandwich are all asserted, in this order; any failure is an
     implementation bug. The orbit-shaped work runs per order (orbit
     matrices, stabiliser classes, cosets) and per stabiliser order within
-    it (the S-relation, Parseval and biorthogonality checks). The full
-    orbits' n x n frame operators are one eigensolve over the pass, the
-    nontrivial transversals' another, and every verdict and check is one
-    array over the pass's windows.
+    it (the Parseval and biorthogonality checks). The full orbits' n x n
+    frame operators are one stack over the pass, the transversals' another;
+    the S-relation residual reads both, then one eigensolve of the full
+    stack and one of the nontrivial transversals' overwrite them, and every
+    verdict and check is one array over the pass's windows.
 
     Returns the scan row columns (the :data:`SCAN_CSV_COLUMNS` but
     ``window_id``, plus the component residuals) as arrays over all
@@ -299,17 +301,19 @@ def _verify_pass(batches) -> tuple[dict, dict]:
     stab_order = np.repeat(stab_sizes, sizes)
     gamma_order = np.repeat([V.shape[-1] for V in V_fulls], sizes)
 
-    full_eigenvalues, R_full = _spectra(frames.frame_operator(V) for V in V_fulls)
+    S_full = np.concatenate([frames.frame_operator(V) for V in V_fulls])
+    S_red = np.concatenate([frames.frame_operator(_transversal(V, c)) for V, c in zip(V_fulls, cols)])
+    # against the standard basis the compressed synthesis matrix is V itself;
+    # the residual reads the operators before their eigensolves overwrite them
+    s_residual = frames.operator_relation_residual(S_full, S_red, stab_order)
+    full_eigenvalues, R_full = _spectra(S_full)
     # a trivial stabiliser's transversal is its full orbit with its columns
     # permuted, which leaves V V*, and so its spectrum, as it is
     red_eigenvalues, R_red = full_eigenvalues.copy(), None
-    if any(size > 1 for size in stab_sizes):
-        red_eigenvalues[stab_order > 1], R_red = _spectra(
-            frames.frame_operator(_transversal(V, c)) for s, V, c in zip(stab_sizes, V_fulls, cols) if s > 1
-        )
-    full = linalg.PSDSpectrum(full_eigenvalues, None)
-    red = linalg.PSDSpectrum(red_eigenvalues, None)
-    is_frame = full.rank == n
+    nontrivial = stab_order > 1
+    if nontrivial.any():
+        red_eigenvalues[nontrivial], R_red = _spectra(S_red[nontrivial])
+    is_frame = linalg.rank(full_eigenvalues) == n
     lam_size = gamma_order // stab_order
     # the Gram matrix's smallest eigenvalue: the lam_size-th largest of the
     # transversal's spectrum, or 0 for more vectors than dimensions
@@ -317,7 +321,7 @@ def _verify_pass(batches) -> tuple[dict, dict]:
     gram_min = np.where(lam_size <= n, kth, 0.0)
     is_riesz = gram_min > linalg.DEFAULT_REL_TOL * np.maximum(red_eigenvalues[:, -1], 0.0)
 
-    s_residual, parseval_dev, gen_parseval_sq = np.empty(count), np.empty(count), np.empty(count)
+    parseval_dev, gen_parseval_sq = np.empty(count), np.empty(count)
     # NaN marks a check that does not apply to a window: it fails no
     # comparison, and np.fmax skips it in max_identity_residual
     biorth = np.full(count, np.nan)
@@ -330,21 +334,19 @@ def _verify_pass(batches) -> tuple[dict, dict]:
         if stab_size > 1:
             R_red_rows = R_red[red_start : red_start + len(V_full)]
             red_start += len(V_full)
-        # against the standard basis the compressed synthesis matrix is V itself
-        s_residual[rows] = frames.s_relation_residual(V_full, V_red, stab_size)
         parseval_dev[rows], gen_parseval_sq[rows] = frames.parseval_norm_check(
             V_full, V_red, R_full_rows, R_red_rows, lam_index, stab_size, generator=g[rows]
         )
         riesz = np.flatnonzero(is_riesz[rows])
         if riesz.size:
             biorth[rows][riesz] = frames.biorthogonality_check(
-                V_red[riesz], red[rows][riesz], R_red_rows[riesz]
+                V_red[riesz], red_eigenvalues[rows][riesz], R_red_rows[riesz]
             )
     vol = (n * n) / gamma_order
     vol_times_d = vol * (1.0 / n)
     calibration = np.where(is_frame, np.abs(gen_parseval_sq - vol_times_d), np.nan)
     lower_slack, upper_slack, sandwich_ok = frames.density_sandwich_check(
-        full.eigenvalues[:, 0], full.eigenvalues[:, -1], vol, 1.0 / n, gen_norm_sq
+        full_eigenvalues[:, 0], full_eigenvalues[:, -1], vol, 1.0 / n, gen_norm_sq
     )
 
     tol = _IDENTITY_RESIDUAL_TOL
@@ -361,7 +363,7 @@ def _verify_pass(batches) -> tuple[dict, dict]:
             (n * stab_order, gamma_order),
         ),
         (
-            full.rank != red.rank,
+            linalg.rank(full_eigenvalues) != linalg.rank(red_eigenvalues),
             "span of the full orbit differs from span of the transversal orbit",
             (),
         ),
@@ -427,12 +429,10 @@ def _verify_pass(batches) -> tuple[dict, dict]:
     return {name: column[inverse] for name, column in columns.items()}, errors
 
 
-def _spectra(operators) -> tuple:
-    """Eigenvalues and pseudo inverse square roots of the frame-operator
-    stacks that ``operators`` yields, in one eigensolve of their join. Only
-    the join outlives the joining, and only the eigenvectors the eigensolve."""
-    spectrum = linalg.psd_eigen(np.concatenate(list(operators)), name="frame operator")
-    return spectrum.eigenvalues, spectrum.inverse_sqrt()
+def _spectra(S) -> tuple:
+    """Eigenvalues and pseudo inverse square roots of a frame-operator stack, which it overwrites."""
+    w, V = linalg.hermitian_eigen(S, name="frame operator")
+    return w, linalg.inverse_sqrt(w, V)
 
 
 @functools.cache

@@ -10,13 +10,13 @@ columns of an n x m matrix V, whose frame operator is V V*
 Gram matrix V^T conj(V) has the nonzero spectrum of V V*, so every Gram
 rank and extreme of a finite system is read from the n x n frame
 operator. Every spectrum, the probe quotient's included, is computed
-once on linalg's one spectrum path (:func:`linalg.hermitian_eigen`,
-:func:`linalg.psd_eigen`), and every rank, bound and identity check reads
-from it. :func:`gram` adds only the Gram-only positive-diagonal check; the
-nested truncations it serves are leading blocks of one buffer, validated,
-symmetrized in place once and eigensolved as views. A Gram that a symmetry
-of the system splits into blocks (see ``bergman.symmetry_halves``) is
-passed one block at a time.
+once by linalg's one eigensolver entry, :func:`linalg.hermitian_eigen`, as
+eigenvalue and eigenvector arrays, and every rank, bound and identity check
+reads from those. :func:`gram` adds only the Gram-only positive-diagonal
+check; the nested truncations it serves are leading blocks of one buffer,
+validated, symmetrized in place once and eigensolved as views. A Gram
+that a symmetry of the system splits into blocks (see
+``bergman.symmetry_halves``) is passed one block at a time.
 
 The matrix functions also take stacks (..., rows, cols) of equally sized
 systems and then return one value per system; every Hermitian, diagonal,
@@ -46,15 +46,15 @@ def frame_operator(V) -> np.ndarray:
     return V @ linalg.adjoint(V)
 
 
-def gram(G, sizes=None) -> list[linalg.PSDSpectrum]:
+def gram(G, sizes=None) -> list[np.ndarray]:
     """Validate the leading blocks G[:k, :k] of an assembled Gram matrix (of
-    each matrix of a stack) and return their spectra, one per k of
-    ``sizes``, the whole matrix by default. Eigenvalues only.
+    each matrix of a stack) and return their ascending eigenvalues, one
+    array per k of ``sizes``, the whole matrix by default.
 
     Each block must have a strictly positive diagonal and pass
-    :func:`linalg.psd_eigen`: finite, Hermitian to ``linalg.HERMITIAN_RTOL``
-    relative and PSD. Violations of the diagonal, Hermitian and PSD
-    conditions signal inconsistent inner products.
+    :func:`linalg.hermitian_eigen`: finite, Hermitian to
+    ``linalg.HERMITIAN_RTOL`` relative and PSD. Violations of the diagonal,
+    Hermitian and PSD conditions signal inconsistent inner products.
 
     A complex128 ``G`` is the working buffer: its leading max(sizes) rows
     and columns are overwritten with the Hermitian part (G + G*) / 2, and
@@ -63,12 +63,12 @@ def gram(G, sizes=None) -> list[linalg.PSDSpectrum]:
     """
     G = np.asarray(G, dtype=complex if np.iscomplexobj(G) else float)
     sizes = G.shape[-1:] if sizes is None else sizes
-    # psd_eigen raises DimensionError for fewer than two axes
+    # hermitian_eigen raises DimensionError for fewer than two axes
     if G.ndim >= 2:
         diagonal = np.diagonal(G, axis1=-2, axis2=-1)[..., : max(sizes, default=0)]
         if not np.all(diagonal.real > 0.0):
             raise OracleInconsistencyError("Gram diagonal must be strictly positive")
-    return linalg.psd_eigen(G, sizes, compute_vectors=False, name="Gram matrix")
+    return [w for w, _ in linalg.hermitian_eigen(G, sizes, compute_vectors=False, name="Gram matrix")]
 
 
 def frame_bounds_probe(A, whitener) -> tuple[float, float, dict]:
@@ -76,7 +76,7 @@ def frame_bounds_probe(A, whitener) -> tuple[float, float, dict]:
 
     ``A[i, j] = <q_j, v_i>`` is the m x p probe matrix and ``whitener`` the
     whitening of the probe Gram ``D[i, j] = <q_j, q_i>`` (see
-    :meth:`linalg.PSDSpectrum.whitener`). Returns extremes of
+    :func:`linalg.whitener`). Returns extremes of
     sum_i |<f, v_i>|^2 / ||f||^2 over f in the probe span. The max is a
     certified lower bound for the true upper frame bound of the full
     system; the min carries opposing biases (subspace restriction raises
@@ -84,22 +84,19 @@ def frame_bounds_probe(A, whitener) -> tuple[float, float, dict]:
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(whitener, dtype=complex)
-    m, p = A.shape
+    _, p = A.shape
     if p == 0:
         raise UsageError("need at least one probe")
     if B.ndim != 2 or B.shape[0] != p:
         raise DimensionError(f"shape mismatch: probe matrix is {A.shape}, whitener is {B.shape}")
     # sum_i |<f, v_i>|^2 at f = Q B x is ||A B x||^2, and ||f|| = ||x||
     C = A @ B
-    w = linalg.hermitian_eigen(
-        linalg.adjoint(C) @ C, compute_vectors=False, name="whitened probe matrix"
-    ).eigenvalues
+    w, _ = linalg.hermitian_eigen(linalg.adjoint(C) @ C, compute_vectors=False, name="whitened probe matrix")
     # the quotient is a sum of squares, and the eigensolve of the k x k
     # C* C resolves it to k eps times its largest value: a smaller minimum,
     # of either sign, is a zero
     lo = float(w[0]) if w[0] > C.shape[1] * np.finfo(float).eps * w[-1] else 0.0
-    diagnostics = {"probe_count": p, "index_count": m, "probe_rank": B.shape[1]}
-    return lo, float(w[-1]), diagnostics
+    return lo, float(w[-1]), {"probe_count": p, "probe_rank": B.shape[1]}
 
 
 def s_relation_residual(B_full, B_reduced, stab_order: int) -> float:
@@ -117,10 +114,15 @@ def s_relation_residual(B_full, B_reduced, stab_order: int) -> float:
         raise UsageError(
             f"tiling violated: {m_full} full vectors vs {stab_order} x {m_red} reduced"
         )
-    M_full = B_full @ linalg.adjoint(B_full)
-    M_red = B_reduced @ linalg.adjoint(B_reduced)
-    scale = linalg.frobenius(M_full)
-    dev = linalg.frobenius(M_full - stab_order * M_red)
+    return operator_relation_residual(frame_operator(B_full), frame_operator(B_reduced), stab_order)
+
+
+def operator_relation_residual(S_full, S_reduced, stab_order):
+    """Relative deviation ||S_full - stab_order S_reduced|| / ||S_full|| of two
+    frame operators, of each pair of a stack (0 where S_full is zero);
+    ``stab_order`` is one integer or an array of one per pair."""
+    scale = linalg.frobenius(S_full)
+    dev = linalg.frobenius(S_full - np.asarray(stab_order)[..., None, None] * S_reduced)
     return linalg.per_matrix(np.divide(dev, scale, out=np.zeros_like(dev), where=scale > 0.0))
 
 
@@ -147,16 +149,16 @@ def parseval_norm_check(
     return max_dev, linalg.per_matrix(np.sum(np.abs(gv) ** 2, axis=-1))
 
 
-def biorthogonality_check(V, frame_spectrum: linalg.PSDSpectrum, R) -> float:
+def biorthogonality_check(V, eigenvalues, R) -> float:
     """Max deviation of <v_i, S^-1 v_j> from the Kronecker delta.
 
-    ``frame_spectrum`` is the spectrum of the frame operator S = V V* of the
-    orbit matrix ``V`` and ``R`` its pseudo inverse square root. Requires a
+    ``eigenvalues`` are those of the frame operator S = V V* of the orbit
+    matrix ``V`` and ``R`` its pseudo inverse square root. Requires a
     numerically nonsingular Gram matrix (a Riesz system): its nonzero
     spectrum is that of S, so S must have rank equal to the column count.
     """
     m = V.shape[-1]
-    rank = np.ravel(frame_spectrum.rank)
+    rank = np.ravel(linalg.rank(eigenvalues))
     if np.any(rank < m):
         raise NotRieszError(f"Gram matrix is numerically singular: rank {np.min(rank)} of {m}")
     K = linalg.adjoint(V) @ (R @ R) @ V

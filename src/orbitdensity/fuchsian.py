@@ -110,6 +110,11 @@ def _norm_keys(elements: np.ndarray) -> np.ndarray:
     return np.column_stack([round9(frobenius_sq(elements)), round9(elements).reshape(-1, 4)])
 
 
+def _within(norms_sq, norm_bound: float) -> np.ndarray:
+    """Mask of the squared Frobenius norms inside the ball of ``norm_bound``."""
+    return norms_sq <= norm_bound * norm_bound + _NORM_EPS
+
+
 def _keys(rows) -> np.ndarray:
     """The rounded entries of each matrix row as one 32-byte key."""
     return round9(rows).view("V32")
@@ -153,6 +158,14 @@ class GroupBall:
         at = np.searchsorted(self._sorted_keys, keys).clip(max=len(self._sorted_keys) - 1)
         return np.where(self._sorted_keys[at] == keys, self._order[at], -1).reshape(np.shape(rows)[:-1])
 
+    def truncation_count(self, norm: float) -> int:
+        """Number of elements of norm at most ``norm``, checked to be a leading prefix."""
+        inside = _within(frobenius_sq(self.elements), norm)
+        count = int(np.count_nonzero(inside))
+        if not inside[:count].all():
+            raise OracleInconsistencyError("truncation is not a leading prefix of the norm-sorted elements")
+        return count
+
 
 def brute_force_integer_ball(norm_bound: float) -> np.ndarray:
     """All of PSL(2, Z) with Frobenius norm <= norm_bound, by exhaustion, as
@@ -179,7 +192,7 @@ def brute_force_integer_ball(norm_bound: float) -> np.ndarray:
         slabs.append(np.stack([np.full(np.count_nonzero(found), a), b[found], c[found], d[found]], axis=1))
     quads = np.concatenate(slabs)
     norms = np.sum(quads * quads, axis=1)
-    kept = norms <= norm_bound * norm_bound + _NORM_EPS
+    kept = _within(norms, norm_bound)
     quads, norms = quads[kept], norms[kept]
     order = np.lexsort((quads[:, 3], quads[:, 2], quads[:, 1], quads[:, 0], norms))
     return quads[order].astype(float)
@@ -196,7 +209,6 @@ def ball_enumerate(spec: LatticeSpec, norm_bound: float) -> GroupBall:
     """
     if not MIN_NORM_BOUND - 1e-12 <= norm_bound < math.inf:
         raise UsageError(f"norm_bound must be finite and at least sqrt(2), got {norm_bound}")
-    bound_sq = norm_bound * norm_bound + _NORM_EPS
     generators = np.array(spec.generators, dtype=float)
     steps = np.stack([generators, inverse(generators)], axis=1).reshape(-1, 4)
     # g1, g1^-1, g2, ... without repeats
@@ -207,7 +219,7 @@ def ball_enumerate(spec: LatticeSpec, norm_bound: float) -> GroupBall:
     found = [np.array([IDENTITY])]
     while len(found[-1]):
         products = compose(found[-1][:, None, :], steps[None, :, :]).reshape(-1, 4)
-        products = products[frobenius_sq(products) <= bound_sq]
+        products = products[_within(frobenius_sq(products), norm_bound)]
         fresh = []
         for i, key in enumerate(_keys(products).tolist()):
             if key not in seen:
@@ -246,7 +258,7 @@ def stabilizer_of_point(ball: GroupBall, z: UpperHalfPoint, distances, tol: floa
     members = np.flatnonzero(distances <= tol)
     h = ball.elements[members]
     products = compose(h[:, None, :], h[None, :, :]).reshape(-1, 4)
-    inside = frobenius_sq(products) <= ball.norm_bound * ball.norm_bound + _NORM_EPS
+    inside = _within(frobenius_sq(products), ball.norm_bound)
     reached = np.concatenate([ball.index_of(inverse(h)), ball.index_of(products[inside])])
     if not np.isin(reached, members).all():
         warnings.warn("stabilizer is not closed within the ball; enlarge the norm bound", stacklevel=2)

@@ -1,24 +1,23 @@
 """Dense Hermitian linear algebra.
 
 Everything downstream (Gram matrices, frame operators, probe quotients)
-reduces to Hermitian eigenproblems, and all of them take one path:
-:func:`hermitian_eigen`, and :func:`psd_eigen` for a PSD matrix with its
-numerical rank. The path takes a matrix or a stack of equally sized ones,
-and optionally the sizes of leading blocks, for the nested truncations of
-one Gram buffer. It checks each block's shape, finiteness and Hermitian
-deviation against one tolerance, ``HERMITIAN_RTOL``, by strips of
-``ROW_BLOCK`` rows; overwrites the buffer with its Hermitian part in place,
-once; and eigensolves every block as a view of it, so LAPACK's copy is the
-only other full-size array. Real input is solved in real arithmetic. All
-routines are deterministic for identical input, and every rank decision,
-the PSD check's allowance included, reads one relative threshold,
-``DEFAULT_REL_TOL``.
+reduces to eigenproblems of PSD matrices, and all of them take one entry,
+:func:`hermitian_eigen`, which returns plain arrays: eigenvalues, and
+eigenvectors when asked. It takes a matrix or a stack of equally sized
+ones, and optionally the sizes of leading blocks, for the nested
+truncations of one Gram buffer. It checks each block's shape, finiteness
+and Hermitian deviation against one tolerance, ``HERMITIAN_RTOL``, by
+strips of ``ROW_BLOCK`` rows; overwrites the buffer with its Hermitian
+part in place, once; eigensolves every block as a view of it, so LAPACK's
+copy is the only other full-size array; and refuses a clearly negative
+eigenvalue. Real input is solved in real arithmetic. :func:`rank`,
+:func:`inverse_sqrt` and :func:`whitener` read those arrays through one
+kept-eigenvalue rule. All routines are deterministic for identical input,
+and every rank decision, the PSD floor's allowance included, reads one
+relative threshold, ``DEFAULT_REL_TOL``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -184,75 +183,43 @@ def _adjoint_rows(columns) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class PSDSpectrum:
-    """Real spectrum of a Hermitian matrix, or of each matrix of a stack,
-    eigenvalues ascending along the last axis.
+def _kept(w) -> np.ndarray:
+    """Mask of the eigenvalues above ``DEFAULT_REL_TOL * max(lambda_max, 0)`` of their matrix."""
+    return w > DEFAULT_REL_TOL * np.maximum(w[..., -1:], 0.0)
 
-    ``eigenvectors`` holds an orthonormal column system aligned with
-    ``eigenvalues``, or ``None`` when only eigenvalues were requested.
-    ``keep`` marks the eigenvalues above ``DEFAULT_REL_TOL * lambda_max`` of
-    their own matrix; the others count as kernel directions. Every rank,
-    extreme, pseudo inverse square root and whitening of the matrix is read
-    from this one decomposition. For a stack, ``rank`` and ``extremes`` are
-    arrays over the stack and indexing selects matrices.
+
+def rank(w):
+    """Number of kept eigenvalues ``w`` of each matrix; 0 for the zero matrix."""
+    return per_matrix(np.count_nonzero(_kept(w), axis=-1))
+
+
+def inverse_sqrt(w, V) -> np.ndarray:
+    """Pseudo inverse square root R of the matrix M (of each matrix of a
+    stack) with eigenvalues ``w`` and eigenvectors ``V``.
+
+    R @ M @ R is the orthogonal projector onto the span of the kept
+    eigenvectors; kernel directions are mapped to zero.
     """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-
-    @cached_property
-    def keep(self) -> np.ndarray:
-        """Mask of the eigenvalues above ``DEFAULT_REL_TOL * max(lambda_max, 0)``."""
-        lam_max = np.maximum(self.eigenvalues[..., -1:], 0.0)
-        return self.eigenvalues > DEFAULT_REL_TOL * lam_max
-
-    def __getitem__(self, index) -> "PSDSpectrum":
-        vectors = None if self.eigenvectors is None else self.eigenvectors[index]
-        return PSDSpectrum(self.eigenvalues[index], vectors)
-
-    @property
-    def rank(self):
-        """Number of eigenvalues above the threshold; 0 for the zero matrix."""
-        return per_matrix(np.count_nonzero(self.keep, axis=-1))
-
-    @property
-    def extremes(self):
-        """Smallest and largest eigenvalue."""
-        return per_matrix(self.eigenvalues[..., 0]), per_matrix(self.eigenvalues[..., -1])
-
-    def _vectors(self) -> np.ndarray:
-        if self.eigenvectors is None:
-            raise UsageError("spectrum was computed without eigenvectors")
-        return self.eigenvectors
-
-    def inverse_sqrt(self) -> np.ndarray:
-        """Pseudo inverse square root R of the matrix M (of each matrix of a stack).
-
-        R @ M @ R is the orthogonal projector onto the span of the kept
-        eigenvectors; kernel directions are mapped to zero.
-        """
-        V = self._vectors()
-        inv = np.zeros_like(self.eigenvalues)
-        inv[self.keep] = 1.0 / np.sqrt(self.eigenvalues[self.keep])
-        return (V * inv[..., None, :]) @ adjoint(V)
-
-    def whitener(self) -> np.ndarray:
-        """Columns v_k / sqrt(w_k) over the kept eigendirections of one
-        matrix, so that B* M B is the identity on the numerically
-        nondegenerate subspace."""
-        V = self._vectors()
-        if not np.any(self.keep):
-            raise DegenerateProbeError("probe Gram matrix is numerically singular in every direction")
-        return V[:, self.keep] / np.sqrt(self.eigenvalues[self.keep])
+    keep = _kept(w)
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / np.sqrt(w[keep])
+    return (V * inv[..., None, :]) @ adjoint(V)
 
 
-def hermitian_eigen(
-    M, sizes=None, *, compute_vectors: bool = True, name: str = "matrix"
-) -> PSDSpectrum | list[PSDSpectrum]:
-    """Spectrum of a Hermitian matrix or of each matrix of a stack; with
-    ``sizes``, a list of the spectra of the leading blocks M[..., :k, :k],
-    one per k.
+def whitener(w, V) -> np.ndarray:
+    """Columns v_k / sqrt(w_k) over the kept eigendirections of one matrix M,
+    so that B* M B is the identity on the numerically nondegenerate subspace."""
+    keep = _kept(w)
+    if not np.any(keep):
+        raise DegenerateProbeError("probe Gram matrix is numerically singular in every direction")
+    return V[:, keep] / np.sqrt(w[keep])
+
+
+def hermitian_eigen(M, sizes=None, *, compute_vectors: bool = True, name: str = "matrix"):
+    """Eigenvalues, ascending along the last axis, and eigenvectors (``None``
+    without ``compute_vectors``) of a PSD matrix or of each matrix of a
+    stack, as a pair ``(w, V)``; with ``sizes``, a list of the pairs of the
+    leading blocks M[..., :k, :k], one per k.
 
     A non-square input raises ``DimensionError``. Each block must be finite
     and Hermitian to ``HERMITIAN_RTOL`` relative. The first block, in
@@ -260,17 +227,16 @@ def hermitian_eigen(
     ``UsageError`` for a non-finite entry, ``OracleInconsistencyError`` for
     the deviation. Then the leading max(sizes) rows and columns are
     overwritten with the Hermitian part (M + M*) / 2, and every block is
-    eigensolved as a view of it. ``name`` names the matrix in these errors.
+    eigensolved as a view of it. Every matrix served is a Gram matrix or a
+    frame operator, so an eigenvalue below -(DEFAULT_REL_TOL * lambda_max +
+    64 eps ||M_k||_F) of its own matrix is an error in the numbers and raises
+    ``OracleInconsistencyError``. ``name`` names the matrix in these errors.
 
     A complex128 ndarray ``M`` is that buffer; pass a copy to keep it
     intact. Any other input is first converted into a fresh array, of
     float64 if it is real and of complex128 otherwise.
     """
-    A = np.asarray(M)
-    if np.iscomplexobj(A):
-        A = np.asarray(A, dtype=complex)
-    else:
-        A = np.array(A, dtype=float)
+    A = np.asarray(M, dtype=complex) if np.iscomplexobj(M) else np.array(M, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     if sizes is None:
@@ -301,34 +267,17 @@ def hermitian_eigen(
                 w, V = np.linalg.eigvalsh(A[..., :k, :k]), None
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-        spectra.append(PSDSpectrum(w, V))
-    return spectra[0] if sizes is None else spectra
-
-
-def psd_eigen(
-    M, sizes=None, *, compute_vectors: bool = True, name: str = "matrix"
-) -> PSDSpectrum | list[PSDSpectrum]:
-    """:func:`hermitian_eigen` of a PSD matrix, stack or set of leading
-    blocks.
-
-    An eigenvalue below -(DEFAULT_REL_TOL * lambda_max + 64 eps ||M_k||_F)
-    of its own matrix raises ``OracleInconsistencyError``: the matrices are
-    built from inner products, so a clearly negative eigenvalue is an error
-    in the numbers, not in the input.
-    """
-    spectra = hermitian_eigen(M, sizes, compute_vectors=compute_vectors, name=name)
-    for spec in [spectra] if sizes is None else spectra:
-        w = spec.eigenvalues
-        if w.shape[-1]:
+        if k:
             lam_max = np.maximum(w[..., -1], 0.0)
-            # ||M_k||_F by hypot, as the eigenvalues' squares overflow beyond 1e154;
-            # the absolute term keeps exact-zero matrices and roundoff negatives legal
-            norm = np.hypot.reduce(w, axis=-1)
-            bad = w[..., 0] < -(DEFAULT_REL_TOL * lam_max + 64.0 * np.finfo(float).eps * norm)
+            # ||M_k||_F = top * norm, by hypot over the largest modulus top: beyond 1e154
+            # squares overflow. The absolute term keeps zero and roundoff negatives legal
+            top = np.maximum(-w[..., 0], w[..., -1])
+            norm = np.hypot.reduce(w / np.where(top > 0.0, top, 1.0)[..., None], axis=-1)
+            bad = w[..., 0] < -(DEFAULT_REL_TOL * lam_max + 64.0 * np.finfo(float).eps * top * norm)
             if np.any(bad):
                 j = np.argmax(bad)
                 raise OracleInconsistencyError(
-                    f"{name} is not PSD: min eigenvalue {w[..., 0].flat[j]:.6e} "
-                    f"of max {lam_max.flat[j]:.6e}"
+                    f"{name} is not PSD: min eigenvalue {w[..., 0].flat[j]:.6e} of max {lam_max.flat[j]:.6e}"
                 )
-    return spectra
+        spectra.append((w, V))
+    return spectra[0] if sizes is None else spectra

@@ -624,12 +624,11 @@ def hermitian_part(A) -> np.ndarray:
     return H
 
 
-def psd_eigen_by_copy(M) -> linalg.PSDSpectrum:
-    """Eigenvalues, eigenvectors and rank mask of a fresh (M + M*) / 2, the
-    copy-based path that the in-place ``linalg.psd_eigen`` replaced; ``M``
-    is left as it is."""
-    w, V = np.linalg.eigh(hermitian_part(np.asarray(M, dtype=complex)))
-    return linalg.PSDSpectrum(w, V)
+def hermitian_eigen_by_copy(M) -> tuple:
+    """Eigenvalues and eigenvectors of a fresh (M + M*) / 2, the copy-based
+    path that the in-place ``linalg.hermitian_eigen`` replaced; ``M`` is left
+    as it is."""
+    return np.linalg.eigh(hermitian_part(np.asarray(M, dtype=complex)))
 
 
 def whitened_probe_extremes(A, whitener) -> tuple[float, float]:
@@ -641,8 +640,8 @@ def whitened_probe_extremes(A, whitener) -> tuple[float, float]:
     return max(float(w[0]), 0.0), float(w[-1])
 
 
-def gram_per_call(G) -> linalg.PSDSpectrum:
-    """Spectrum of one Gram matrix (or stack) with the checks of
+def gram_per_call(G) -> np.ndarray:
+    """Eigenvalues of one Gram matrix (or stack) with the checks of
     ``frames.gram``, on whole-matrix copies: the Hermitian deviation from
     a full A* - A, then the eigenvalues of a fresh (A + A*) / 2. ``G`` is
     left as it is."""
@@ -667,7 +666,7 @@ def gram_per_call(G) -> linalg.PSDSpectrum:
             f"Gram matrix is not PSD: min eigenvalue {w[..., 0].flat[k]:.6e} "
             f"of max {lam_max.flat[k]:.6e}"
         )
-    return linalg.PSDSpectrum(w, None)
+    return w
 
 
 def traced_peak(fn, *args, **kwargs) -> tuple:

@@ -118,15 +118,14 @@ def test_gram_verdicts_match_frame_operator_spectra(scan_result):
             window_ids, windows = finite_gabor.scan_windows(n, si, 50, SCAN_SEED)
             V = finite_gabor.orbit_system(windows, sub.elements)
             (G_full,) = frames.gram(vector_gram(V))
-            is_frame = G_full.rank == n
+            is_frame = linalg.rank(G_full) == n
             is_riesz = np.zeros(len(windows), dtype=bool)
             owner = np.zeros(len(windows), dtype=int)
             for _, mask, members in finite_gabor.stabilizer_classes([sub], owner, windows, V):
                 _, cols, _ = finite_gabor.lex_coset_representatives(sub, mask)
-                (G_red,) = frames.gram(vector_gram(V[members][..., cols]))
-                w = G_red.eigenvalues
+                (w,) = frames.gram(vector_gram(V[members][..., cols]))
                 is_riesz[members] = w[:, 0] > rel_tol * np.maximum(w[:, -1], 0.0)
-                assert np.array_equal(G_full.rank[members], G_red.rank)
+                assert np.array_equal(linalg.rank(G_full)[members], linalg.rank(w))
             for k, window_id in enumerate(window_ids):
                 row = next(rows)
                 assert (row["n"], row["subgroup_gens"], row["window_id"]) == (

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from oracles import traced_peak
 
-from orbitdensity import bergman, cli, commands, finite_gabor, frames, fuchsian, hyperbolic
+from orbitdensity import bergman, cli, commands, finite_gabor, frames, fuchsian, hyperbolic, linalg
 from orbitdensity.errors import (
     NotRieszError,
     NumericalFailure,
@@ -949,6 +949,33 @@ def test_one_kernel_orbit_per_command(capsys, monkeypatch, argv):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert calls == {"act": 1, "distance": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bergman-density", "--alpha", "3", "--z", "0.5+0.8660254037844386i", "--ball", "6"),
+        ("finite-scan", "--n-max", "5", "--windows", "2"),
+    ],
+)
+def test_every_eigensolve_goes_through_hermitian_eigen(capsys, monkeypatch, argv):
+    # every matrix eigensolved is a Gram matrix or a frame operator, and
+    # linalg.hermitian_eigen is the one entry that checks it is PSD
+    callers = []
+
+    def recorded(original):
+        def call(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code)
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(callers) > 0
+    assert set(callers) == {linalg.hermitian_eigen.__code__}
 
 
 class TestFormalDegreeCommand:

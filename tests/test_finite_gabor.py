@@ -475,12 +475,12 @@ class TestBatchedScan:
         for V_full, V_red, R_full, R_red in trivial:
             # the pass hands the full orbit's inverse square root to the transversal
             assert R_red is R_full
-            S_full = linalg.psd_eigen(frames.frame_operator(V_full))
-            S_red = linalg.psd_eigen(frames.frame_operator(V_red))
-            scale = S_full.eigenvalues[:, -1:]
-            assert np.array_equal(S_red.rank, S_full.rank)
-            assert np.all(np.abs(S_red.eigenvalues - S_full.eigenvalues) <= 1e-12 * scale)
-            R_gap = np.abs(S_red.inverse_sqrt() - R_full).max(axis=(-2, -1))
+            w_full, _ = linalg.hermitian_eigen(frames.frame_operator(V_full))
+            w_red, U_red = linalg.hermitian_eigen(frames.frame_operator(V_red))
+            scale = w_full[:, -1:]
+            assert np.array_equal(linalg.rank(w_red), linalg.rank(w_full))
+            assert np.all(np.abs(w_red - w_full) <= 1e-12 * scale)
+            R_gap = np.abs(linalg.inverse_sqrt(w_red, U_red) - R_full).max(axis=(-2, -1))
             assert np.all(R_gap <= 1e-9 * np.abs(R_full).max(axis=(-2, -1)))
 
     @pytest.mark.parametrize("seed", [1, 4])
@@ -675,27 +675,30 @@ class TestBatchedScan:
         sub = subgroups[-1]
         _, windows = fg.scan_windows(n, len(subgroups) - 1, 3, seed)
         target = windows[-1]
-        s_relation, parseval = frames.s_relation_residual, frames.parseval_norm_check
+        s_relation, parseval = frames.operator_relation_residual, frames.parseval_norm_check
+        (target_operator,) = frames.frame_operator(fg.orbit_system(target[None], sub.elements))
 
         def hit(V_full):
             # column 0 of an orbit matrix is its window
             return [np.array_equal(V[:, 0], target) for V in V_full]
 
-        def bad_s_relation(V_full, V_red, stab_order):
-            return np.where(hit(V_full), 2.0, s_relation(V_full, V_red, stab_order))
+        def bad_s_relation(S_full, S_red, stab_order):
+            # the scan hands over the frame operators V V*, not the orbits
+            hit_operator = [np.allclose(S, target_operator, rtol=0.0, atol=1e-12) for S in S_full]
+            return np.where(hit_operator, 2.0, s_relation(S_full, S_red, stab_order))
 
         def bad_parseval(V_full, *args, **kwargs):
             max_dev, gen_psq = parseval(V_full, *args, **kwargs)
             return np.where(hit(V_full), 1.0, max_dev), gen_psq
 
-        monkeypatch.setattr(frames, "s_relation_residual", bad_s_relation)
+        monkeypatch.setattr(frames, "operator_relation_residual", bad_s_relation)
         monkeypatch.setattr(frames, "parseval_norm_check", bad_parseval)
         *others, outcome = verify_windows(sub, windows)
         assert not any(isinstance(o, TheoremViolationError) for o in others)
         assert isinstance(outcome, TheoremViolationError)
         assert str(outcome).startswith(f"frame operator relation residual 2.000e+00 [n={n},")
         # with the S-relation intact, the same window fails on the Parseval identity
-        monkeypatch.setattr(frames, "s_relation_residual", s_relation)
+        monkeypatch.setattr(frames, "operator_relation_residual", s_relation)
         outcome = verify_windows(sub, windows)[-1]
         assert str(outcome).startswith("canonical Parseval norm identity deviation 1.000e+00 [")
 

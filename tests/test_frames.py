@@ -34,13 +34,21 @@ def orbit_of(*vectors) -> np.ndarray:
     return np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
 
 
-def gram_of(*vectors) -> linalg.PSDSpectrum:
-    (spectrum,) = frames.gram(vector_gram(orbit_of(*vectors)))
-    return spectrum
+def gram_of(*vectors) -> np.ndarray:
+    (w,) = frames.gram(vector_gram(orbit_of(*vectors)))
+    return w
 
 
-def frame_spectrum(*vectors) -> linalg.PSDSpectrum:
-    return linalg.psd_eigen(frames.frame_operator(orbit_of(*vectors)))
+def frame_spectrum(*vectors) -> tuple:
+    return linalg.hermitian_eigen(frames.frame_operator(orbit_of(*vectors)))
+
+
+def extremes(w) -> tuple:
+    return w[..., 0], w[..., -1]
+
+
+def inverse_sqrt_of(S) -> np.ndarray:
+    return linalg.inverse_sqrt(*linalg.hermitian_eigen(S))
 
 
 def probe_bounds(vectors, probes):
@@ -48,27 +56,27 @@ def probe_bounds(vectors, probes):
     V, Q = orbit_of(*vectors), orbit_of(*probes)
     A = V.conj().T @ Q
     D = Q.conj().T @ Q
-    return frames.frame_bounds_probe(A, linalg.psd_eigen(D).whitener())
+    return frames.frame_bounds_probe(A, linalg.whitener(*linalg.hermitian_eigen(D)))
 
 
 def parseval(full_vectors, reduced_vectors, lam_index, stab_order, generator):
     V_full, V_red = orbit_of(*full_vectors), orbit_of(*reduced_vectors)
-    R_full = linalg.psd_eigen(frames.frame_operator(V_full)).inverse_sqrt()
-    R_red = linalg.psd_eigen(frames.frame_operator(V_red)).inverse_sqrt()
+    R_full = inverse_sqrt_of(frames.frame_operator(V_full))
+    R_red = inverse_sqrt_of(frames.frame_operator(V_red))
     return frames.parseval_norm_check(
         V_full, V_red, R_full, R_red, lam_index, stab_order, generator=generator
     )
 
 
 def biorthogonality(*vectors) -> float:
-    S = frame_spectrum(*vectors)
-    return frames.biorthogonality_check(orbit_of(*vectors), S, S.inverse_sqrt())
+    w, V = frame_spectrum(*vectors)
+    return frames.biorthogonality_check(orbit_of(*vectors), w, linalg.inverse_sqrt(w, V))
 
 
 class TestStackedSystems:
     def test_gram_checks_every_matrix(self):
         good = np.eye(2)
-        assert list(frames.gram(np.array([good, 2.0 * good]))[0].rank) == [2, 2]
+        assert list(linalg.rank(frames.gram(np.array([good, 2.0 * good]))[0])) == [2, 2]
         with pytest.raises(OracleInconsistencyError):
             frames.gram(np.array([good, [[1.0, 2.0], [2.0, 1.0]]]))
 
@@ -76,22 +84,24 @@ class TestStackedSystems:
         rng = np.random.default_rng(62)
         V = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
         V_red = V[..., :2]
-        S, S_red = (linalg.psd_eigen(frames.frame_operator(X)) for X in (V, V_red))
+        (w, U), (w_red, U_red) = (linalg.hermitian_eigen(frames.frame_operator(X)) for X in (V, V_red))
         lam_index = [0, 1, 0, 1]
         s_res = frames.s_relation_residual(V, V_red, 2)
         max_dev, gen_psq = frames.parseval_norm_check(
-            V, V_red, S.inverse_sqrt(), S_red.inverse_sqrt(), lam_index, 2, generator=V[..., 0]
+            V, V_red, linalg.inverse_sqrt(w, U), linalg.inverse_sqrt(w_red, U_red), lam_index, 2,
+            generator=V[..., 0],
         )
-        biorth = frames.biorthogonality_check(V_red, S_red, S_red.inverse_sqrt())
+        biorth = frames.biorthogonality_check(V_red, w_red, linalg.inverse_sqrt(w_red, U_red))
         for k in range(3):
-            S_k, S_red_k = S[k].inverse_sqrt(), S_red[k].inverse_sqrt()
+            S_k = linalg.inverse_sqrt(w[k], U[k])
+            S_red_k = linalg.inverse_sqrt(w_red[k], U_red[k])
             one_dev, one_psq = frames.parseval_norm_check(
                 V[k], V_red[k], S_k, S_red_k, lam_index, 2, generator=V[k, :, 0]
             )
             assert abs(s_res[k] - frames.s_relation_residual(V[k], V_red[k], 2)) <= 1e-12
             assert abs(max_dev[k] - one_dev) <= 1e-12
             assert abs(gen_psq[k] - one_psq) <= 1e-12
-            one_biorth = frames.biorthogonality_check(V_red[k], S_red[k], S_red_k)
+            one_biorth = frames.biorthogonality_check(V_red[k], w_red[k], S_red_k)
             assert abs(biorth[k] - one_biorth) <= 1e-12
 
     def test_parseval_takes_one_lam_index_per_system(self):
@@ -100,7 +110,7 @@ class TestStackedSystems:
         cols = np.array([[0, 1], [2, 3], [1, 2]])
         lam_index = np.array([[0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 1]])
         V_red = np.take_along_axis(V, cols[:, None, :], axis=-1)
-        R, R_red = (linalg.psd_eigen(frames.frame_operator(X)).inverse_sqrt() for X in (V, V_red))
+        R, R_red = (inverse_sqrt_of(frames.frame_operator(X)) for X in (V, V_red))
         max_dev, gen_psq = frames.parseval_norm_check(
             V, V_red, R, R_red, lam_index, 2, generator=V[..., 0]
         )
@@ -115,15 +125,15 @@ class TestStackedSystems:
 
 class TestGram:
     def test_orthonormal_triple(self):
-        spec = gram_of(*np.eye(3, dtype=complex))
-        assert np.allclose(spec.eigenvalues, np.ones(3), atol=1e-15)
-        assert spec.rank == 3
+        w = gram_of(*np.eye(3, dtype=complex))
+        assert np.allclose(w, np.ones(3), atol=1e-15)
+        assert linalg.rank(w) == 3
 
     def test_repeated_vector(self):
         # Gram of {e1, e1} is all ones: spectrum 0, 2
-        spec = gram_of(E1, E1)
-        assert np.allclose(spec.eigenvalues, [0.0, 2.0], atol=1e-15)
-        assert spec.rank == 1
+        w = gram_of(E1, E1)
+        assert np.allclose(w, [0.0, 2.0], atol=1e-15)
+        assert linalg.rank(w) == 1
 
     def test_bergman_pair_closed_form(self):
         pair = point_array([POINT_I, POINT_2I])
@@ -133,7 +143,7 @@ class TestGram:
         # k_i(2i) = (1/pi) (-1) (2i + i)^-2 = 1 / (9 pi), over the norms
         # 1 / (2 sqrt(pi)) and 1 / (4 sqrt(pi)) of k_i and k_2i
         assert abs(G[0, 1] - 8.0 / 9.0) <= 1e-15
-        assert frames.gram(G)[0].rank == 2
+        assert linalg.rank(frames.gram(G)[0]) == 2
 
     def test_inconsistent_oracle_rejected(self):
         with pytest.raises(OracleInconsistencyError):
@@ -181,11 +191,11 @@ class TestNestedGram:
         for order in (sizes, sizes[::-1] + sizes[:2]):
             spectra = frames.gram(G.copy(), order)
             assert len(spectra) == len(order)
-            for k, spectrum in zip(order, spectra):
+            for k, w in zip(order, spectra):
                 oracle = gram_per_call(G[:k, :k])
-                assert spectrum.extremes == oracle.extremes
-                assert np.array_equal(spectrum.eigenvalues, oracle.eigenvalues)
-                assert np.array_equal(spectrum.keep, oracle.keep)
+                assert extremes(w) == extremes(oracle)
+                assert np.array_equal(w, oracle)
+                assert linalg.rank(w) == linalg.rank(oracle)
 
     def test_buffer_becomes_the_hermitian_part(self):
         G = random_gram()
@@ -227,7 +237,7 @@ class TestNestedGram:
             frames.gram(G.copy(), sizes)
         assert str(nested.value) == str(per_call.value)
         assert str(nested.value).startswith("Gram ")
-        assert frames.gram(G.copy(), sizes[:1])[0].rank == gram_per_call(G[:64, :64]).rank
+        assert linalg.rank(frames.gram(G.copy(), sizes[:1])[0]) == linalg.rank(gram_per_call(G[:64, :64]))
 
     def test_sizes_validated(self):
         with pytest.raises(UsageError, match="at least one vector"):
@@ -240,14 +250,14 @@ class TestNestedGram:
 
 class TestRieszExtremes:
     def test_identity(self):
-        assert gram_of(*np.eye(3, dtype=complex)).extremes == (
+        assert extremes(gram_of(*np.eye(3, dtype=complex))) == (
             pytest.approx(1.0),
             pytest.approx(1.0),
         )
 
     def test_dependent_triple(self):
         # Gram of {e1, e1, e2} has blocks [[1,1],[1,1]] and [1]: spectrum 0, 1, 2
-        lo, hi = gram_of(E1, E1, E2).extremes
+        lo, hi = extremes(gram_of(E1, E1, E2))
         assert abs(lo) <= 1e-12
         assert abs(hi - 2.0) <= 1e-12
 
@@ -257,8 +267,8 @@ class TestRieszExtremes:
         vecs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(6)]
         G = vector_gram(orbit_of(*vecs))
         prev_lo, prev_hi = None, None
-        for spectrum in frames.gram(G, (2, 4, 6)):
-            lo, hi = spectrum.extremes
+        for w in frames.gram(G, (2, 4, 6)):
+            lo, hi = extremes(w)
             if prev_lo is not None:
                 assert lo <= prev_lo + 1e-12
                 assert hi >= prev_hi - 1e-12
@@ -267,24 +277,24 @@ class TestRieszExtremes:
 
 class TestFrameExtremes:
     def test_orthonormal_basis(self):
-        lo, hi = frame_spectrum(E1, E2).extremes
+        lo, hi = extremes(frame_spectrum(E1, E2)[0])
         assert (lo, hi) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_redundant_system(self):
         # S = diag(2, 1)
-        lo, hi = frame_spectrum(E1, E1, E2).extremes
+        lo, hi = extremes(frame_spectrum(E1, E1, E2)[0])
         assert (lo, hi) == (pytest.approx(1.0), pytest.approx(2.0))
 
     def test_non_spanning(self):
-        lo, hi = frame_spectrum(E1).extremes
+        lo, hi = extremes(frame_spectrum(E1)[0])
         assert abs(lo) <= 1e-15
         assert abs(hi - 1.0) <= 1e-15
 
     def test_gram_and_frame_operator_share_nonzero_spectrum(self):
         rng = np.random.default_rng(42)
         vecs = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(5)]
-        gram_eigs = gram_of(*vecs).eigenvalues
-        frame_eigs = frame_spectrum(*vecs).eigenvalues
+        gram_eigs = gram_of(*vecs)
+        frame_eigs, _ = frame_spectrum(*vecs)
         gram_nonzero = sorted(v for v in gram_eigs if v > 1e-9 * gram_eigs[-1])
         frame_nonzero = sorted(v for v in frame_eigs if v > 1e-9 * frame_eigs[-1])
         assert len(gram_nonzero) == len(frame_nonzero)
@@ -297,11 +307,22 @@ class TestFrameBoundsProbe:
         rng = np.random.default_rng(43)
         vecs = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(5)]
         lo_p, hi_p, diag = probe_bounds(vecs, list(np.eye(3, dtype=complex)))
-        lo_f, hi_f = frame_spectrum(*vecs).extremes
+        lo_f, hi_f = extremes(frame_spectrum(*vecs)[0])
         assert abs(lo_p - lo_f) <= 1e-8 * max(1.0, hi_f)
         assert abs(hi_p - hi_f) <= 1e-8 * max(1.0, hi_f)
         assert diag["probe_rank"] == 3
-        assert diag["index_count"] == 5 and diag["probe_count"] == 3
+        assert diag["probe_count"] == 3
+
+    def test_an_indefinite_whitened_probe_matrix_is_an_inconsistency(self, monkeypatch):
+        # C* C is PSD by construction: negated, it has a clearly negative eigenvalue
+        hermitian_eigen = linalg.hermitian_eigen
+
+        def negated(M, *args, **kwargs):
+            return hermitian_eigen(-M, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "hermitian_eigen", negated)
+        with pytest.raises(OracleInconsistencyError, match="^whitened probe matrix is not PSD: "):
+            frames.frame_bounds_probe(np.eye(2), np.eye(2))
 
     def test_single_probe_identity_index(self):
         lo, hi, _ = probe_bounds([2.0 * E1], [2.0 * E1])
@@ -315,7 +336,7 @@ class TestFrameBoundsProbe:
         probes = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
         Q = orbit_of(*probes)
         A = orbit_of(*vecs).conj().T @ Q
-        whitener = linalg.psd_eigen(Q.conj().T @ Q).whitener()
+        whitener = linalg.whitener(*linalg.hermitian_eigen(Q.conj().T @ Q))
         prev = None
         for count in (2, 4, 6):
             lo, hi, _ = frames.frame_bounds_probe(A[:count], whitener)
@@ -338,7 +359,7 @@ class TestFrameBoundsProbe:
         weight = (probes.imag.min() / probes.imag) ** (alpha / 2.0)
         A = bergman.kernel_gram(probes, act(ball.elements, z.as_complex), alpha).T * weight
         D = bergman.kernel_gram(probes, probes, alpha).T * (weight[:, None] * weight)
-        whitener = linalg.psd_eigen(D).whitener()
+        whitener = linalg.whitener(*linalg.hermitian_eigen(D))
         C = A @ whitener
         # Hermitian to a few ulps, where B* (A* A) B is off by up to 1e-9
         assert hermitian_deviation(linalg.adjoint(C) @ C) <= 1e-15
@@ -353,13 +374,13 @@ class TestFrameBoundsProbe:
 class TestSpanEquality:
     # spans agree exactly when the numerical ranks of the two Gram matrices do
     def test_same_system(self):
-        assert gram_of(E1, E2).rank == gram_of(E1, E2).rank
+        assert linalg.rank(gram_of(E1, E2)) == linalg.rank(gram_of(E1, E2))
 
     def test_duplicated_vs_reduced(self):
-        assert gram_of(E1, E1, E2, E2).rank == gram_of(E1, E2).rank
+        assert linalg.rank(gram_of(E1, E1, E2, E2)) == linalg.rank(gram_of(E1, E2))
 
     def test_detects_genuine_difference(self):
-        assert gram_of(E1, E2).rank != gram_of(E1).rank
+        assert linalg.rank(gram_of(E1, E2)) != linalg.rank(gram_of(E1))
 
 
 class TestSRelation:

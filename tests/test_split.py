@@ -71,8 +71,8 @@ def assert_halves_have_the_unsplit_spectrum(ball, z, orbit, alpha, cosets, count
     split = [[] for _ in counts]
     for M, half_members in halves:
         sizes = half_sizes(half_members, counts)
-        for j, spectrum in enumerate(frames.gram(M, sizes)):
-            split[j].append(spectrum.eigenvalues)
+        for j, w in enumerate(frames.gram(M, sizes)):
+            split[j].append(w)
     for k, parts, reference in zip(counts, split, unsplit_gram_spectra(lam, alpha, counts)):
         got = np.sort(np.concatenate(parts))
         assert len(got) == k
@@ -445,6 +445,6 @@ def test_benchmark_lambda_stage_peak_is_at_most_the_unsplit_one(command):
     )
     spectra, unsplit_peak = traced_peak(unsplit)
     assert split_peak <= unsplit_peak
-    lo, hi = spectra[0].extremes
+    lo, hi = spectra[0][0], spectra[0][-1]
     assert abs(bounds[0][0] - lo) <= 64.0 * counts[0] * EPS * hi
     assert abs(bounds[0][1] - hi) <= 64.0 * counts[0] * EPS * hi
