@@ -349,11 +349,17 @@ def formal_degree_closed_form(weight: Weight, haar_scale: float = 1.0) -> float:
     representation, divided by ``haar_scale``.
 
     This is the coupling constant of Atiyah-Schmid and Goodman-de la
-    Harpe-Jones.
+    Harpe-Jones. A degree that overflows raises ``NumericalFailure``, one
+    that underflows to 0 ``UsageError``.
     """
     if not 0.0 < haar_scale < math.inf:
         raise UsageError(f"haar_scale must be positive and finite, got {haar_scale}")
-    return (weight.alpha - 1.0) / (4.0 * math.pi) / haar_scale
+    degree = (weight.alpha - 1.0) / (4.0 * math.pi) / haar_scale
+    if degree == math.inf:
+        raise NumericalFailure(f"formal degree overflows at alpha = {weight.alpha}, haar_scale = {haar_scale}")
+    if degree == 0.0:
+        raise UsageError(f"formal degree underflows to 0 at alpha = {weight.alpha}, haar_scale = {haar_scale}")
+    return degree
 
 
 def projective_stabilizer_kernel(

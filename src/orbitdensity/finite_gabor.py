@@ -252,11 +252,6 @@ def _order_classes(cases, g, offset: int) -> list:
     return classes
 
 
-def _transversal(V_full, cols) -> np.ndarray:
-    """Row w's transversal orbit: the columns ``cols[w]`` of its full orbit."""
-    return np.take_along_axis(V_full, cols[:, None, :], axis=-1)
-
-
 def _verify_pass(batches) -> tuple[dict, dict]:
     """Exhaustively check the density statements and proof identities for
     the windows of consecutive subgroup orders of one n: ``batches`` holds,
@@ -302,7 +297,9 @@ def _verify_pass(batches) -> tuple[dict, dict]:
     gamma_order = np.repeat([V.shape[-1] for V in V_fulls], sizes)
 
     S_full = np.concatenate([frames.frame_operator(V) for V in V_fulls])
-    S_red = np.concatenate([frames.frame_operator(_transversal(V, c)) for V, c in zip(V_fulls, cols)])
+    # row w's transversal orbit: the columns cols[w] of its full orbit
+    V_reds = [np.take_along_axis(V, c[:, None, :], axis=-1) for V, c in zip(V_fulls, cols)]
+    S_red = np.concatenate([frames.frame_operator(V) for V in V_reds])
     # against the standard basis the compressed synthesis matrix is V itself;
     # the residual reads the operators before their eigensolves overwrite them
     s_residual = frames.operator_relation_residual(S_full, S_red, stab_order)
@@ -313,7 +310,8 @@ def _verify_pass(batches) -> tuple[dict, dict]:
     nontrivial = stab_order > 1
     if nontrivial.any():
         red_eigenvalues[nontrivial], R_red = _spectra(S_red[nontrivial])
-    is_frame = linalg.rank(full_eigenvalues) == n
+    full_rank = linalg.rank(full_eigenvalues)
+    is_frame = full_rank == n
     lam_size = gamma_order // stab_order
     # the Gram matrix's smallest eigenvalue: the lam_size-th largest of the
     # transversal's spectrum, or 0 for more vectors than dimensions
@@ -326,10 +324,9 @@ def _verify_pass(batches) -> tuple[dict, dict]:
     # comparison, and np.fmax skips it in max_identity_residual
     biorth = np.full(count, np.nan)
     start = red_start = 0
-    for stab_size, V_full, class_cols, lam_index in zip(stab_sizes, V_fulls, cols, lam_indices):
+    for stab_size, V_full, V_red, lam_index in zip(stab_sizes, V_fulls, V_reds, lam_indices):
         rows = slice(start, start + len(V_full))
         start = rows.stop
-        V_red = _transversal(V_full, class_cols)
         R_full_rows = R_red_rows = R_full[rows]
         if stab_size > 1:
             R_red_rows = R_red[red_start : red_start + len(V_full)]
@@ -363,7 +360,7 @@ def _verify_pass(batches) -> tuple[dict, dict]:
             (n * stab_order, gamma_order),
         ),
         (
-            linalg.rank(full_eigenvalues) != linalg.rank(red_eigenvalues),
+            full_rank != linalg.rank(red_eigenvalues),
             "span of the full orbit differs from span of the transversal orbit",
             (),
         ),

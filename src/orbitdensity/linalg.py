@@ -5,16 +5,17 @@ reduces to eigenproblems of PSD matrices, and all of them take one entry,
 :func:`hermitian_eigen`, which returns plain arrays: eigenvalues, and
 eigenvectors when asked. It takes a matrix or a stack of equally sized
 ones, and optionally the sizes of leading blocks, for the nested
-truncations of one Gram buffer. It checks each block's shape, finiteness
-and Hermitian deviation against one tolerance, ``HERMITIAN_RTOL``, by
-strips of ``ROW_BLOCK`` rows; overwrites the buffer with its Hermitian
-part in place, once; eigensolves every block as a view of it, so LAPACK's
-copy is the only other full-size array; and refuses a clearly negative
-eigenvalue. Real input is solved in real arithmetic. :func:`rank`,
-:func:`inverse_sqrt` and :func:`whitener` read those arrays through one
-kept-eigenvalue rule. All routines are deterministic for identical input,
-and every rank decision, the PSD floor's allowance included, reads one
-relative threshold, ``DEFAULT_REL_TOL``.
+truncations of one Gram buffer. It checks the shape, then each distinct
+block once, for finiteness and Hermitian deviation against one tolerance,
+``HERMITIAN_RTOL``, by strips of ``ROW_BLOCK`` rows, all before the buffer
+is touched; overwrites the buffer with its Hermitian part in place, once;
+eigensolves every block as a view of it, so LAPACK's copy is the only
+other full-size array; and refuses a clearly negative eigenvalue. Real
+input is solved in real arithmetic. :func:`rank`, :func:`inverse_sqrt`
+and :func:`whitener` read those arrays through one kept-eigenvalue rule.
+All routines are deterministic for identical input, and every rank
+decision, the PSD floor's allowance included, reads one relative
+threshold, ``DEFAULT_REL_TOL``.
 """
 
 from __future__ import annotations
@@ -70,91 +71,40 @@ def per_matrix(values):
     return values.item() if values.ndim == 0 else values
 
 
-def _block_sums(X, row_index, bounds) -> np.ndarray:
-    """Squared Frobenius norms of the parts of a strip X that lie inside
-    each leading block [:k, :k], one per k of the ascending ``bounds``, of
-    shape (len(bounds),) + the stack shape. Row i of X is row
-    ``row_index[i]`` of the whole matrix; columns are the whole matrix's.
-
-    Each row's sums over the column segments between the bounds are formed
-    once and accumulated, so the cost is one pass over X however many
-    blocks there are. Strips of the callers lie inside the largest block.
-    """
-    if len(bounds) == 1:
-        return _sum_sq(X)[None]
-    starts = (0, *bounds[:-1])
-    segments = [_sum_sq_rows(X[..., s:e]) for s, e in zip(starts, bounds)]
-    cumulative = np.cumsum(np.stack(segments, axis=-1), axis=-1)
-    inside = np.asarray(row_index)[:, None] < np.asarray(bounds)
-    # where, not a product: a non-finite entry of a row outside a block
-    # must not turn that block's sum into nan
-    return np.moveaxis(np.where(inside, cumulative, 0.0).sum(axis=-2), -1, 0)
-
-
-def _sum_sq_rows(X) -> np.ndarray:
-    """Squared Euclidean norm of each row of a matrix or stack."""
-    sq = np.einsum("...ij,...ij->...i", X.real, X.real)
-    if np.iscomplexobj(X):
-        sq = sq + np.einsum("...ij,...ij->...i", X.imag, X.imag)
-    return sq
-
-
-def _leading_deviations(A, bounds) -> tuple:
-    """||A_k - A_k*|| / ||A_k|| (0 for a zero block) of each leading block
-    A_k = A[..., :k, :k], one per k of the ascending ``bounds``, of shape
-    (len(bounds),) + the stack shape, and whether each block is finite in
-    every matrix.
+def _hermitian_deviation(A) -> tuple:
+    """||A - A*|| / ||A|| (0 for a zero matrix) of a square matrix or of
+    each matrix of a stack, and whether every entry is finite.
 
     Measured by strips of ROW_BLOCK rows, so no temporary is larger than
-    ROW_BLOCK x max(bounds). The squares of entries beyond about 1e154
-    overflow and those below about 1e-154 underflow, which would make a
-    quotient nan or lose it: a block whose squared norm leaves
-    [2^-900, 2^1000] is measured again on its own, times 2^-600 or 2^600,
-    which brings its squares into the double range and, a power of two,
-    changes no quotient.
+    ROW_BLOCK x n. The squares of entries beyond about 1e154 overflow and
+    those below about 1e-154 underflow, which would make a quotient nan or
+    lose it: a matrix whose squared norm leaves [2^-900, 2^1000] is
+    measured again times 2^-600 or 2^600, which brings its squares into the
+    double range and, a power of two, changes no quotient. After that the
+    squared norm is finite exactly when every entry is.
     """
-    norm_sq, diff_sq, finite = _leading_sums(A, bounds)
-    for i, k in enumerate(bounds):
-        low, high = norm_sq[i] <= 2.0**-900, norm_sq[i] >= 2.0**1000
-        if np.any(low | high):
-            factor = np.where(high, 2.0**-600, np.where(low, 2.0**600, 1.0))
-            block_norm_sq, block_diff_sq, _ = _leading_sums(A, [k], factor)
-            norm_sq[i], diff_sq[i] = block_norm_sq[0], block_diff_sq[0]
+    n = A.shape[-1]
+    for rescaled in (False, True):
+        norm_sq, diff_sq = np.zeros(A.shape[:-2]), np.zeros(A.shape[:-2])
+        for r0 in range(0, n, ROW_BLOCK):
+            rows, diff = A[..., r0 : r0 + ROW_BLOCK, :], _adjoint_rows(A[..., r0 : r0 + ROW_BLOCK])
+            if rescaled:
+                rows = rows * factor
+                diff *= factor
+            norm_sq += _sum_sq(rows)
+            # inf - inf is nan: a non-finite matrix is rejected as such, not warned about
+            with np.errstate(invalid="ignore"):
+                diff -= rows
+                diff_sq += _sum_sq(diff)
+        low, high = norm_sq <= 2.0**-900, norm_sq >= 2.0**1000
+        if rescaled or not np.any(low | high):
+            break
+        factor = np.where(high, 2.0**-600, np.where(low, 2.0**600, 1.0))[..., None, None]
     scale = np.sqrt(norm_sq)
-    # inf / inf is left only in a non-finite block, which is rejected as such
+    # inf / inf is left only in a non-finite matrix, which is rejected as such
     with np.errstate(invalid="ignore"):
         dev = np.divide(np.sqrt(diff_sq), scale, out=np.zeros_like(scale), where=scale > 0.0)
-    return dev, finite
-
-
-def _leading_sums(A, bounds, factor=None) -> tuple:
-    """Squared Frobenius norms of A_k and of A_k - A_k* for the leading
-    blocks of :func:`_leading_deviations`, of each matrix times its
-    ``factor`` (an array over the stack) when one is given, and whether
-    each block is finite."""
-    n = bounds[-1]
-    norm_sq = np.zeros((len(bounds),) + A.shape[:-2])
-    diff_sq = np.zeros_like(norm_sq)
-    finite = np.ones(len(bounds), dtype=bool)
-    for r0 in range(0, n, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n)
-        rows = A[..., r0:r1, :n]
-        if factor is not None:
-            rows = rows * factor[..., None, None]
-        index = np.arange(r0, r1)
-        norm_sq += _block_sums(rows, index, bounds)
-        # inf - inf is nan: a non-finite block is rejected as such, not warned about
-        with np.errstate(invalid="ignore"):
-            diff = _adjoint_rows(A[..., :n, r0:r1])
-            if factor is not None:
-                diff *= factor[..., None, None]
-            diff -= rows
-            diff_sq += _block_sums(diff, index, bounds)
-            del diff
-        if not np.isfinite(rows).all():
-            for i, k in enumerate(bounds):
-                finite[i] &= np.isfinite(rows[..., : max(k - r0, 0), :k]).all()
-    return norm_sq, diff_sq, finite
+    return dev, bool(np.isfinite(norm_sq).all())
 
 
 def _hermitian_part_in_place(A, n: int) -> None:
@@ -222,8 +172,9 @@ def hermitian_eigen(M, sizes=None, *, compute_vectors: bool = True, name: str = 
     leading blocks M[..., :k, :k], one per k.
 
     A non-square input raises ``DimensionError``. Each block must be finite
-    and Hermitian to ``HERMITIAN_RTOL`` relative. The first block, in
-    ``sizes`` order, that is not raises before anything is eigensolved:
+    and Hermitian to ``HERMITIAN_RTOL`` relative to its own norm. Each
+    distinct block is checked once, in ``sizes`` order, all on the buffer
+    as given, before any is symmetrised; the first that fails raises:
     ``UsageError`` for a non-finite entry, ``OracleInconsistencyError`` for
     the deviation. Then the leading max(sizes) rows and columns are
     overwritten with the Hermitian part (M + M*) / 2, and every block is
@@ -247,17 +198,14 @@ def hermitian_eigen(M, sizes=None, *, compute_vectors: bool = True, name: str = 
             raise UsageError("system needs at least one vector")
         if max(blocks) > A.shape[-1]:
             raise UsageError(f"truncation size {max(blocks)} exceeds the {A.shape[-1]} vectors")
-    bounds = sorted(set(blocks))
-    dev, finite = _leading_deviations(A, bounds)
-    for k in blocks:
-        i = bounds.index(k)
-        if not finite[i]:
+    # every block is measured on the raw buffer, before any is overwritten
+    for k in dict.fromkeys(blocks):
+        dev, finite = _hermitian_deviation(A[..., :k, :k])
+        if not finite:
             raise UsageError(f"{name} contains non-finite entries")
-        if np.any(dev[i] > HERMITIAN_RTOL):
-            raise OracleInconsistencyError(
-                f"{name} is not Hermitian: relative deviation {np.max(dev[i]):.3e}"
-            )
-    _hermitian_part_in_place(A, bounds[-1])
+        if np.any(dev > HERMITIAN_RTOL):
+            raise OracleInconsistencyError(f"{name} is not Hermitian: relative deviation {np.max(dev):.3e}")
+    _hermitian_part_in_place(A, max(blocks))
     spectra = []
     for k in blocks:
         try:

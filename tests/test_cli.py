@@ -259,6 +259,27 @@ class TestExitCodes:
         assert run_cli(capsys, "bergman-density", *argv) == expected
 
     @pytest.mark.parametrize(
+        "command, alpha, haar_scale, expected",
+        [
+            ("formal-degree", "1e308", "1e-300", (3, "failure: formal degree overflows at alpha = 1e+308, haar_scale = 1e-300\n")),
+            ("bergman-density", "1e308", "1e-300", (3, "failure: formal degree overflows at alpha = 1e+308, haar_scale = 1e-300\n")),
+            (
+                "formal-degree", "1.0000000000000002", "1e308",
+                (2, "error: formal degree underflows to 0 at alpha = 1.0000000000000002, haar_scale = 1e+308\n"),
+            ),
+        ],
+        ids=["overflow", "overflow-density", "underflow"],
+    )
+    def test_a_formal_degree_outside_the_double_range_is_refused(self, capsys, command, alpha, haar_scale, expected):
+        # it was printed as inf (JSON's invalid Infinity) or 0.0 with exit 0,
+        # and bergman-density blamed the density product
+        argv = ("--alpha", alpha, "--haar-scale", haar_scale, "--format", "json")
+        if command == "bergman-density":
+            argv += ("--z=i", "--ball", "4")
+        code, out, err = run_cli(capsys, command, *argv)
+        assert (code, err) == expected and out == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [("ball", "--norm", "3"), ("stabilizer", "--z", "i", "--ball", "4"), ("bergman-density", "--alpha", "3", "--z", "i", "--ball", "5")],
         ids=["ball", "stabilizer", "bergman-density"],

@@ -89,6 +89,18 @@ class TestHermitianEigen:
         with pytest.raises(OracleInconsistencyError, match=f"relative deviation {deviation}"):
             linalg.hermitian_eigen(A, (2, 3))
 
+    @pytest.mark.parametrize("sizes", [(3, 2), (2, 3)])
+    def test_every_block_is_measured_before_any_is_symmetrised(self, sizes):
+        # the leading 2 x 2 block deviates 2e-12 relative to itself, the whole
+        # matrix, with its large third diagonal entry, only 2.8e-13: the
+        # block fails on the raw buffer in either order, although the whole
+        # matrix's Hermitian part would make it pass
+        A = np.diag([1.0, 1.0, 10.0])
+        A[0, 1] = 2e-12
+        with pytest.raises(OracleInconsistencyError, match="not Hermitian: relative deviation 2.000e-12"):
+            linalg.hermitian_eigen(A, sizes)
+        linalg.hermitian_eigen(A)
+
     def test_trace_and_frobenius_identities(self):
         rng = np.random.default_rng(2)
         for n in (2, 5, 9):
