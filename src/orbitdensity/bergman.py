@@ -42,7 +42,7 @@ import numpy as np
 
 from . import frames, fuchsian, linalg
 from .errors import NumericalFailure, OracleInconsistencyError, ResourceLimitError, UsageError
-from .hyperbolic import UpperHalfPoint, act, canonical, compose, distance, rounding_bound
+from .hyperbolic import act, canonical, check_point, compose, distance, rounding_bound
 
 # an assembled inner-product matrix holds at most GRAM_SIZE_CAP^2 entries
 GRAM_SIZE_CAP = 4096
@@ -57,15 +57,12 @@ DECISION_FLOOR = 1e-6
 SCHEMA_VERSION = "2"
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Weight exponent of the Bergman space; must exceed 1."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 1.0):
-            raise UsageError(f"weight must satisfy alpha > 1, got {self.alpha}")
+def check_weight(alpha: float) -> float:
+    """``alpha`` itself if it is the weight exponent of a Bergman space,
+    finite and above 1; otherwise ``UsageError``."""
+    if not (math.isfinite(alpha) and alpha > 1.0):
+        raise UsageError(f"weight must satisfy alpha > 1, got {alpha}")
+    return alpha
 
 
 def kernel_gram(z: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
@@ -73,7 +70,7 @@ def kernel_gram(z: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
     weight alpha at the points of 1-d complex arrays, linear in the left
     entry. The points are not checked: they come from :func:`hyperbolic.act`,
     which raises ``NumericalFailure`` for an image outside the open upper
-    half-plane, or from an ``UpperHalfPoint``.
+    half-plane, or from :func:`hyperbolic.check_point`.
 
     By the reproducing property <k_z, k_w> = k_z(w), so with the norms
     ||k_z||^2 = k_z(z), G[i, j] = ((w_j - conj z_i) / (2i sqrt(Im z_i Im w_j)))^-alpha.
@@ -344,26 +341,28 @@ def transversal_riesz_bounds(
     return bounds
 
 
-def formal_degree_closed_form(weight: Weight, haar_scale: float = 1.0) -> float:
+def formal_degree_closed_form(alpha: float, haar_scale: float = 1.0) -> float:
     """Formal degree (alpha - 1) / (4 pi) of the weighted Bergman
     representation, divided by ``haar_scale``.
 
     This is the coupling constant of Atiyah-Schmid and Goodman-de la
-    Harpe-Jones. A degree that overflows raises ``NumericalFailure``, one
-    that underflows to 0 ``UsageError``.
+    Harpe-Jones. The weight is checked (:func:`check_weight`) before the
+    scale. A degree that overflows raises ``NumericalFailure``, one that
+    underflows to 0 ``UsageError``.
     """
+    check_weight(alpha)
     if not 0.0 < haar_scale < math.inf:
         raise UsageError(f"haar_scale must be positive and finite, got {haar_scale}")
-    degree = (weight.alpha - 1.0) / (4.0 * math.pi) / haar_scale
+    degree = (alpha - 1.0) / (4.0 * math.pi) / haar_scale
     if degree == math.inf:
-        raise NumericalFailure(f"formal degree overflows at alpha = {weight.alpha}, haar_scale = {haar_scale}")
+        raise NumericalFailure(f"formal degree overflows at alpha = {alpha}, haar_scale = {haar_scale}")
     if degree == 0.0:
-        raise UsageError(f"formal degree underflows to 0 at alpha = {weight.alpha}, haar_scale = {haar_scale}")
+        raise UsageError(f"formal degree underflows to 0 at alpha = {alpha}, haar_scale = {haar_scale}")
     return degree
 
 
 def projective_stabilizer_kernel(
-    ball: fuchsian.GroupBall, z: UpperHalfPoint, alpha: float, orbit: np.ndarray, tol: float | None = None
+    ball: fuchsian.GroupBall, z: complex, alpha: float, orbit: np.ndarray, tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ball indices, increasing, of the elements g that move the point z by
     at most tol (:func:`fuchsian.stabilizer_of_point`), and the overlaps
@@ -371,7 +370,7 @@ def projective_stabilizer_kernel(
     unimodular multiple of ||k_z|| u_{gz}, so it lies in the circle times
     k_z iff gz = z, and then |u(g)| = 1.
 
-    ``orbit`` is ``act(ball.elements, z.as_complex)``. The distances d(w, z)
+    ``orbit`` is ``act(ball.elements, z)``. The distances d(w, z)
     of its points w, in asinh form, decide the stabiliser and check the
     overlaps, the independent path: each |u(g)| against cosh(d/2)^-alpha at
     the computed point w of gz. Both are exact functions of w and z,
@@ -382,13 +381,12 @@ def projective_stabilizer_kernel(
     """
     if len(orbit) != len(ball.elements):
         raise UsageError(f"orbit has {len(orbit)} vectors for {len(ball.elements)} ball elements")
-    center = z.as_complex
-    distances = distance(orbit, center)
+    distances = distance(orbit, z)
     members = fuchsian.stabilizer_of_point(ball, z, distances, tol)
-    overlaps = kernel_gram(orbit, np.array([center]), alpha)[:, 0]
+    overlaps = kernel_gram(orbit, np.array([z]), alpha)[:, 0]
     expected = np.cosh(distances / 2.0) ** -alpha
     deviation = np.abs(np.abs(overlaps) - expected)
-    scale = alpha * (rounding_bound(center) + rounding_bound(orbit)) * expected + np.finfo(float).tiny
+    scale = alpha * (rounding_bound(z) + rounding_bound(orbit)) * expected + np.finfo(float).tiny
     if np.any(deviation > scale):
         raise OracleInconsistencyError(
             "kernel overlaps disagree with the distances of their points: mismatch "
@@ -486,7 +484,7 @@ class FrameReport:
 
 def density_analysis(
     spec: fuchsian.LatticeSpec,
-    z: UpperHalfPoint,
+    z: complex,
     alpha: float,
     ball_norm: float,
     *,
@@ -505,9 +503,11 @@ def density_analysis(
     kernels of the orbit and reported times ||k_z||^2 = ``gen_norm_sq``,
     the squared norm of every orbit vector. A decision holds when its lower
     bound stays above ``DECISION_FLOOR`` times the upper one over the last
-    three truncations: a trend, not a proof.
+    three truncations: a trend, not a proof. The point z, a complex number,
+    is checked first, then the weight alpha, then the options.
     """
-    weight = Weight(alpha)
+    check_point(z)
+    check_weight(alpha)
     # ball_enumerate refuses a small ball norm before any work on the ball;
     # the probe count is checked here, before the ball enumeration it would spare
     if probes < 1:
@@ -518,22 +518,22 @@ def density_analysis(
         raise UsageError(f"refine_delta must be positive and finite, got {refine_delta}")
 
     covolume = fuchsian.lattice_covolume(spec, haar_scale=haar_scale)  # refuses haar_scale <= 0
-    degree = formal_degree_closed_form(weight, haar_scale)
+    degree = formal_degree_closed_form(alpha, haar_scale)
     # both factors are positive and finite; their product is checked before the ball
     product = covolume * degree
     if product == 0.0:
         raise UsageError(f"density product {covolume} * {degree} underflows to {product}")
     if product == math.inf:
         raise NumericalFailure(f"density product {covolume} * {degree} overflows to {product}")
-    gen_norm_sq = kernel_norm_sq(z.as_complex, alpha)
+    gen_norm_sq = kernel_norm_sq(z, alpha)
 
     ball = fuchsian.ball_enumerate(spec, ball_norm)
     # the one orbit of the analysis; every other orbit is a gather from it
-    orbit = act(ball.elements, z.as_complex)
+    orbit = act(ball.elements, z)
     stab_members, _phases = projective_stabilizer_kernel(ball, z, alpha, orbit)
     stab_order = len(stab_members)
     cosets = fuchsian.coset_representatives(ball, stab_members)
-    probe_points = probe_kernels(z.as_complex, probes)
+    probe_points = probe_kernels(z, probes)
 
     # Ball elements are sorted by norm and the representatives' ball indices
     # increase, so every truncation is a leading prefix of both: assemble
@@ -544,7 +544,7 @@ def density_analysis(
     norms = [max(math.sqrt(2.0), ball_norm - refine_delta * j) for j in range(refine_steps)][::-1]
     gamma_counts = [ball.truncation_count(norm) for norm in norms]
     lam_counts = [int(np.searchsorted(cosets.rep_index, count)) for count in gamma_counts]
-    riesz_bounds = transversal_riesz_bounds(ball, cosets, z.as_complex, orbit, alpha, lam_counts)
+    riesz_bounds = transversal_riesz_bounds(ball, cosets, z, orbit, alpha, lam_counts)
     # Weighted by ||k_w|| over the largest probe norm, (min Im w / Im w)^(alpha/2)
     # <= 1, the unit probes are the plain kernels k_w up to one common
     # factor, so the probe family and its whitening cutoff are theirs, and no

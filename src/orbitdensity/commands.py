@@ -15,15 +15,14 @@ if TYPE_CHECKING:
 
     from .cli import Emitter
     from .fuchsian import LatticeSpec
-    from .hyperbolic import UpperHalfPoint
 
 # configuration keys of the lattice block, accepted by every command
 LATTICE_KEYS = {"lattice.name", "lattice.generators", "lattice.covolume", "lattice.integral"}
 
 
-def parse_point(text: str) -> UpperHalfPoint:
-    """Parse '1.5+0.5i', '2i', 'i' into an upper half-plane point."""
-    from .hyperbolic import UpperHalfPoint
+def parse_point(text: str) -> complex:
+    """Parse '1.5+0.5i', '2i', 'i' into a point of the upper half-plane."""
+    from .hyperbolic import check_point
 
     cleaned = text.strip().replace("I", "i").replace("i", "j")
     try:
@@ -32,7 +31,7 @@ def parse_point(text: str) -> UpperHalfPoint:
         raise UsageError(f"cannot parse point {text!r}") from exc
     if not z.imag > 0.0:
         raise UsageError(f"point {text!r} is not in the open upper half-plane")
-    return UpperHalfPoint(z.real, z.imag)
+    return check_point(z)
 
 
 def load_config(path: str) -> dict:
@@ -106,18 +105,26 @@ def cmd_finite_scan(args: Namespace, config: dict, emitter: Emitter) -> int:
 
     if args.windows < 0 or args.seed < 0:
         raise UsageError("windows and seed must be nonnegative")
-    report = finite_gabor.exhaustive_scan(args.n_max, windows_per_case=args.windows, seed=args.seed)
-    emitter.table("scan_row", {c: report.columns[c] for c in finite_gabor.SCAN_CSV_COLUMNS})
-    for violation in report.violations:
+    columns, violations = finite_gabor.exhaustive_scan(args.n_max, windows_per_case=args.windows, seed=args.seed)
+    emitter.table("scan_row", {c: columns[c] for c in finite_gabor.SCAN_CSV_COLUMNS})
+    for violation in violations:
         emitter.record("violation", violation)
-    emitter.summary(report.summary())
-    return EXIT_VIOLATION if report.violations else EXIT_OK
+    emitter.summary(
+        {
+            "n_max": args.n_max,
+            "windows_per_case": args.windows,
+            "seed": args.seed,
+            "total_cases": len(columns["n"]) + len(violations),
+            "violations": len(violations),
+        }
+    )
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def cmd_formal_degree(args: Namespace, config: dict, emitter: Emitter) -> int:
     from . import bergman
 
-    degree = bergman.formal_degree_closed_form(bergman.Weight(args.alpha), args.haar_scale)
+    degree = bergman.formal_degree_closed_form(args.alpha, args.haar_scale)
     emitter.record("formal_degree", {"alpha": args.alpha, "haar_scale": args.haar_scale, "formal_degree": degree})
     emitter.summary({"formal_degree": degree})
     return EXIT_OK
@@ -151,18 +158,18 @@ def cmd_stabilizer(args: Namespace, config: dict, emitter: Emitter) -> int:
 
     z = parse_point(args.z)
     # a bad weight fails before the ball is enumerated
-    alpha = bergman.Weight(args.alpha).alpha
+    alpha = bergman.check_weight(args.alpha)
     spec = lattice_from_config(args.lattice, config)
     ball = fuchsian.ball_enumerate(spec, args.ball)
     # raises OracleInconsistencyError unless the overlaps match the points' distances
     members, phases = bergman.projective_stabilizer_kernel(
-        ball, z, alpha, act(ball.elements, z.as_complex), tol=args.tol
+        ball, z, alpha, act(ball.elements, z), tol=args.tol
     )
     emitter.record(
         "stabilizer",
         {
             "lattice": spec.name,
-            "z": f"{z.x}+{z.y}i",
+            "z": f"{z.real}+{z.imag}i",
             "ball_norm": args.ball,
             "ball_size": len(ball.elements),
             "order": len(members),
@@ -195,7 +202,7 @@ def cmd_bergman_density(args: Namespace, config: dict, emitter: Emitter) -> int:
         {
             "lattice": spec.name,
             "alpha": args.alpha,
-            "z": f"{z.x}+{z.y}i",
+            "z": f"{z.real}+{z.imag}i",
             "stab_order": final.stab_order,
             "covolume": final.covolume,
             "formal_degree": final.formal_degree,

@@ -22,12 +22,13 @@ spectrum, so the frame, Riesz and span checks read its rank and extremes
 from V V*. Each verdict and check is
 one boolean or float array over the windows of a pass. The results
 travel as columns, one array per field over the windows of a pass, then
-one list per field over the scan in :class:`ScanReport`; a window that
-fails a check leaves them, by one mask, as the violation of its first
-failed check. The scan's random windows come from the standard library's
-generator, one stream per subgroup (see :func:`scan_windows`), and a
-scan whose largest orbit stack of one order would exceed
-:data:`ORBIT_STACK_BYTE_CAP` is refused before any window is drawn.
+one list per field over the scan, which :func:`exhaustive_scan` returns
+with the violations; a window that fails a check leaves the columns, by
+one mask, as the violation of its first failed check. The scan's random
+windows come from the standard library's generator, one stream per
+subgroup (see :func:`scan_windows`), and a scan whose largest orbit
+stack of one order would exceed :data:`ORBIT_STACK_BYTE_CAP` is refused
+before any window is drawn.
 """
 
 from __future__ import annotations
@@ -111,8 +112,7 @@ def subgroup_enumerate(n: int) -> list[SubgroupDescr]:
 
     Each is L / nZ^2 for exactly one lattice nZ^2 <= L <= Z^2 (see
     :func:`_hermite_normal_forms`); its elements are i (a, b) + j (0, d)
-    for i < n / a, j < n / d. Supports n <= 16: n = 16 has 83 subgroups,
-    enumerated in about 30 ms.
+    for i < n / a, j < n / d. Supports n <= 16: n = 16 has 83 subgroups.
     """
     if not (1 <= n <= 16):
         raise ResourceLimitError(f"subgroup enumeration supports n <= 16, got {n}")
@@ -466,35 +466,6 @@ SCAN_CSV_COLUMNS = (
 )
 
 
-class ScanReport:
-    """Aggregated exhaustive-scan outcome. ``columns`` maps each field of a
-    scan row, the :data:`SCAN_CSV_COLUMNS` and the component residuals, to
-    its list of values over the passing windows in scan order: an int,
-    float, str or bool, or None where a check does not apply.
-    ``violations`` holds one dict per failing window, and ``total_cases``
-    counts every checked window, passing or failing."""
-
-    def __init__(self, n_max: int, windows_per_case: int, seed: int, columns: dict, violations: tuple):
-        self.n_max = n_max
-        self.windows_per_case = windows_per_case
-        self.seed = seed
-        self.columns = columns
-        self.violations = violations
-
-    @property
-    def total_cases(self) -> int:
-        return len(self.columns["n"]) + len(self.violations)
-
-    def summary(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "windows_per_case": self.windows_per_case,
-            "seed": self.seed,
-            "total_cases": self.total_cases,
-            "violations": len(self.violations),
-        }
-
-
 def scan_windows(n: int, subgroup_index: int, windows_per_case: int, seed: int):
     """Window ids and the (W, n) window stack that the scan checks for the
     ``subgroup_index``-th subgroup of Z_n x Z_n: the structured windows,
@@ -551,7 +522,7 @@ def _scan_passes(n: int, windows_per_case: int, seed: int):
     yield ids, batches
 
 
-def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> ScanReport:
+def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> tuple[dict, list]:
     """Run the exact verification over every subgroup and window family.
 
     For each modulus n <= n_max, each subgroup of Z_n x Z_n, and each of
@@ -560,16 +531,21 @@ def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> Sc
     identities are verified, in one pass (see :func:`_verify_pass`) per
     run of consecutive subgroup orders of one n whose n x n stacks fit
     :data:`PASS_STACK_BYTES`; an order over it is a pass of its own. The
-    budget changes the number of passes only, not a bit of the report.
-    Violations are collected with a reproducer rather than aborting the
-    scan, and ``total_cases`` counts them with the passing windows. The
-    report is byte-deterministic for a fixed seed.
+    budget changes the number of passes only, not a bit of the result.
+
+    Returns ``(columns, violations)``. ``columns`` maps each field of a
+    scan row, the :data:`SCAN_CSV_COLUMNS` and the component residuals, to
+    its list of values over the passing windows in scan order: an int,
+    float, str or bool, or None where a check does not apply. Violations
+    are collected with a reproducer rather than aborting the scan:
+    ``violations`` holds one dict per failing window, so the scan checked
+    ``len(columns["n"]) + len(violations)`` windows. The result is
+    byte-deterministic for a fixed seed.
     A scan whose largest orbit stack (see :func:`orbit_stack_bytes`) would
     exceed :data:`ORBIT_STACK_BYTE_CAP` raises :class:`ResourceLimitError`
-    before any window is drawn. ``n_max`` goes up to 16: with 6
-    random windows that is 9853 cases, which take about 0.76 s and 56 MB
-    peak RSS end to end with one BLAS thread (shared 2-core Xeon), since
-    every eigensolve is of an n x n frame operator.
+    before any window is drawn. ``n_max`` goes up to 16: with 6 random
+    windows that is 9853 cases, and every eigensolve is of an n x n frame
+    operator.
     """
     if not (2 <= n_max <= 16):
         raise UsageError(f"n_max must lie in [2, 16], got {n_max}")
@@ -604,4 +580,4 @@ def exhaustive_scan(n_max: int, windows_per_case: int = 50, seed: int = 0) -> Sc
     passing[failing] = False
     columns = {name: np.concatenate([p[name] for p in passes])[passing].tolist() for name in passes[0]}
     columns["window_id"] = list(itertools.compress(window_ids, passing))
-    return ScanReport(n_max, windows_per_case, seed, columns, tuple(violations))
+    return columns, violations

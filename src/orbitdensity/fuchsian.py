@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OracleInconsistencyError, ResourceLimitError, UsageError
-from .hyperbolic import UpperHalfPoint
 from .hyperbolic import act, canonical, compose, distance, frobenius_sq, inverse, round9, rounding_bound
 
 # identity has Frobenius norm sqrt(2); smaller balls would be empty
@@ -242,7 +241,7 @@ def ball_enumerate(spec: LatticeSpec, norm_bound: float) -> GroupBall:
     return GroupBall(norm_bound, elements, certified)
 
 
-def stabilizer_of_point(ball: GroupBall, z: UpperHalfPoint, distances, tol: float | None = None) -> np.ndarray:
+def stabilizer_of_point(ball: GroupBall, z: complex, distances, tol: float | None = None) -> np.ndarray:
     """Ball indices, increasing, of the elements g whose ``distances``
     d(g z, z) are at most tol, by default the rounding bound of z: the
     stabiliser of z itself, exact to rounding. An explicit tol, a query
@@ -252,7 +251,7 @@ def stabilizer_of_point(ball: GroupBall, z: UpperHalfPoint, distances, tol: floa
     within the ball; a failed check warns that the ball is too small.
     """
     if tol is None:
-        tol = rounding_bound(z.as_complex)
+        tol = rounding_bound(z)
     elif not (0.0 < tol <= 1e-4):
         raise UsageError(f"tol must lie in (0, 1e-4], got {tol}")
     members = np.flatnonzero(distances <= tol)

@@ -5,13 +5,13 @@ first entry of (a, b, c, d) larger than 1e-14 in modulus is positive, so
 each class of the +/- identification has one representative. A list of
 elements is an ``(N, 4)`` float array of rows (a, b, c, d), and
 :func:`canonical`, :func:`compose`, :func:`inverse` and :func:`act` work on
-whole arrays. A list of points, such as an orbit, is a 1-d complex array.
+whole arrays. A point is a complex number, checked by :func:`check_point`,
+and a list of points, such as an orbit, is a 1-d complex array.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import cmath
 
 import numpy as np
 
@@ -98,17 +98,9 @@ def act(m, z) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    """Point x + iy with y > 0."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0.0):
-            raise UsageError(f"point ({self.x}, {self.y}) is not in the open upper half-plane")
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
+def check_point(z: complex) -> complex:
+    """``z`` itself if it is a finite point of the open upper half-plane;
+    otherwise ``UsageError``."""
+    if not (cmath.isfinite(z) and z.imag > 0.0):
+        raise UsageError(f"point ({z.real}, {z.imag}) is not in the open upper half-plane")
+    return z

@@ -15,9 +15,8 @@ rotation split replaced, and the whitened probe product that the whitened
 probe matrix replaced. Midpoint quadrature against the invariant measure
 on materialised meshgrids is the independent path to the closed-form
 covolume and formal degree. The grid, ball and shift-matrix helpers build
-inputs for property tests, :func:`scan_rows` is the per-row view of a scan
-report's columns, :func:`point_array` is the array of some points,
-:func:`point_stabilizer` is the stabiliser read from the ball's distances,
+inputs for property tests, :func:`column_rows` is the per-row view of a
+scan's columns, :func:`point_stabilizer` is the stabiliser read from the ball's distances,
 and :func:`traced_peak` measures the numpy and Python memory a call holds
 at its peak. :class:`MoebiusMap` is one group element as an object, which only
 the tests make.
@@ -36,7 +35,7 @@ from orbitdensity import bergman, finite_gabor, fuchsian, hyperbolic, linalg
 from orbitdensity.errors import DimensionError, OracleInconsistencyError, UsageError
 from orbitdensity.finite_gabor import SubgroupDescr
 from orbitdensity.fuchsian import _NORM_EPS, MIN_NORM_BOUND, GroupBall
-from orbitdensity.hyperbolic import SIGN_TOL, UpperHalfPoint, canonical, frobenius_sq, round9
+from orbitdensity.hyperbolic import SIGN_TOL, canonical, frobenius_sq, round9
 
 
 def kernel_value(z: complex, w: complex, alpha: float) -> complex:
@@ -45,11 +44,6 @@ def kernel_value(z: complex, w: complex, alpha: float) -> complex:
     const = 2.0 ** (alpha - 2.0) / math.pi * (alpha - 1.0)
     i_pow = cmath.exp(1j * math.pi * alpha / 2.0)
     return const * i_pow * (w - z.conjugate()) ** (-alpha)
-
-
-def point_array(pts) -> np.ndarray:
-    """The 1-d complex array of some ``UpperHalfPoint``s."""
-    return np.array([p.as_complex for p in pts], dtype=complex)
 
 
 def kernel_cross_oracle(z, w, alpha) -> np.ndarray:
@@ -212,12 +206,6 @@ def column_rows(columns: dict) -> list[dict]:
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
-def scan_rows(report: finite_gabor.ScanReport) -> list[dict]:
-    """The per-row view of a scan report: one dict per passing window, in
-    scan order, with every field of the report's columns."""
-    return column_rows(report.columns)
-
-
 def verify_windows(subgroup: SubgroupDescr, windows) -> list:
     """The scan's checks of every window of a (W, n) stack over one subgroup,
     as a batch of its own: per window and in order, its scan row (the
@@ -239,7 +227,7 @@ def restricted(ball: GroupBall, norm_bound: float) -> GroupBall:
 
 
 def geodesic_annulus(
-    center: UpperHalfPoint, rho_min: float, rho_max: float, n_rho: int, n_theta: int
+    center: complex, rho_min: float, rho_max: float, n_rho: int, n_theta: int
 ) -> tuple:
     """Flat nodes (xs, ys) and weights of the midpoint grid in geodesic polar
     coordinates around ``center``.
@@ -257,7 +245,7 @@ def geodesic_annulus(
     base = 1j * np.exp(R)
     cos_t, sin_t = np.cos(TH), np.sin(TH)
     w = (cos_t * base + sin_t) / (-sin_t * base + cos_t)
-    z = center.y * w + center.x
+    z = center.imag * w + center.real
     weights = 2.0 * np.sinh(R) * hr * hth
     return z.real.ravel(), z.imag.ravel(), weights.ravel()
 
@@ -388,11 +376,11 @@ def ball_by_scalar_bfs(spec, norm_bound: float) -> tuple[list[tuple], bool]:
     return sorted(elements.values(), key=scalar_norm_order), certified
 
 
-def distance(z: UpperHalfPoint, w: UpperHalfPoint) -> float:
+def distance(z: complex, w: complex) -> float:
     """Hyperbolic distance acosh(1 + |z-w|^2 / (2 Im z Im w))."""
-    dx = z.x - w.x
-    dy = z.y - w.y
-    arg = 1.0 + (dx * dx + dy * dy) / (2.0 * z.y * w.y)
+    dx = z.real - w.real
+    dy = z.imag - w.imag
+    arg = 1.0 + (dx * dx + dy * dy) / (2.0 * z.imag * w.imag)
     return math.acosh(max(arg, 1.0))
 
 
@@ -436,13 +424,12 @@ class Moebius(MoebiusMap):
     def inverse(self) -> "Moebius":
         return Moebius(self.d, -self.b, -self.c, self.a)
 
-    def act(self, z: UpperHalfPoint) -> UpperHalfPoint:
-        w = scalar_image((self.a, self.b, self.c, self.d), z.as_complex)
-        return UpperHalfPoint(w.real, w.imag)
+    def act(self, z: complex) -> complex:
+        return scalar_image((self.a, self.b, self.c, self.d), z)
 
-    def j_factor(self, z: UpperHalfPoint) -> complex:
+    def j_factor(self, z: complex) -> complex:
         """Automorphy factor 1/(cz + d); |j|^2 equals Im(m.z)/Im(z)."""
-        return scalar_j((self.a, self.b, self.c, self.d), z.as_complex)
+        return scalar_j((self.a, self.b, self.c, self.d), z)
 
     def key(self) -> tuple:
         return scalar_key((self.a, self.b, self.c, self.d))
@@ -454,19 +441,17 @@ class Moebius(MoebiusMap):
         return hash(self.key())
 
 
-def point_stabilizer(ball: GroupBall, z: UpperHalfPoint, tol: float | None = None) -> np.ndarray:
+def point_stabilizer(ball: GroupBall, z: complex, tol: float | None = None) -> np.ndarray:
     """``fuchsian.stabilizer_of_point`` at the distances d(g z, z) over the
     whole ball, as the commands compute them."""
-    w = z.as_complex
-    return fuchsian.stabilizer_of_point(ball, z, hyperbolic.distance(hyperbolic.act(ball.elements, w), w), tol)
+    return fuchsian.stabilizer_of_point(ball, z, hyperbolic.distance(hyperbolic.act(ball.elements, z), z), tol)
 
 
-def stabilizer_by_scalars(rows, z: UpperHalfPoint, tol: float) -> list[int]:
+def stabilizer_by_scalars(rows, z: complex, tol: float) -> list[int]:
     """Indices of the rows moving z by hyperbolic distance at most tol."""
     members = []
     for i, g in enumerate(rows):
-        w = scalar_image(g, z.as_complex)
-        if distance(UpperHalfPoint(w.real, w.imag), z) <= tol:
+        if distance(scalar_image(g, z), z) <= tol:
             members.append(i)
     return members
 
@@ -543,7 +528,7 @@ def meshgrid_integrate(nodes, f) -> float:
     return float(np.einsum("i,i->", weights, vals))
 
 
-def formal_degree_rectangle(alpha: float, base: UpperHalfPoint, nx: int = 1536, nt: int = 768) -> tuple:
+def formal_degree_rectangle(alpha: float, base: complex, nx: int = 1536, nt: int = 768) -> tuple:
     """Ranges (x_min, x_max, t_min, t_max) and node counts (nx, nt) of the
     rectangle in (x, t = ln y) for the formal-degree quadrature at ``base``.
 
@@ -559,16 +544,16 @@ def formal_degree_rectangle(alpha: float, base: UpperHalfPoint, nx: int = 1536, 
     y_hi = max(1e3, 1e8 ** (1.0 / alpha))
     half_width = 120.0
     return (
-        base.x - half_width * base.y,
-        base.x + half_width * base.y,
-        math.log(y_lo * base.y),
-        math.log(y_hi * base.y),
+        base.real - half_width * base.imag,
+        base.real + half_width * base.imag,
+        math.log(y_lo * base.imag),
+        math.log(y_hi * base.imag),
         nx,
         nt,
     )
 
 
-def formal_degree_by_meshgrid(alpha: float, base: UpperHalfPoint = UpperHalfPoint(0.0, 1.0), **grid) -> dict:
+def formal_degree_by_meshgrid(alpha: float, base: complex = 1j, **grid) -> dict:
     """Formal degree from the square-integrability integral of the kernel
     at ``base``, on the rectangle of :func:`formal_degree_rectangle` with
     the node counts in ``grid``.
@@ -581,7 +566,7 @@ def formal_degree_by_meshgrid(alpha: float, base: UpperHalfPoint = UpperHalfPoin
     mesh. It sees only the discretisation error, not the mass cut off by
     the rectangle's x-range.
     """
-    x0, y0 = base.x, base.y
+    x0, y0 = base.real, base.imag
 
     def integrand(x, y):
         return (4.0 * y0 * y / ((x - x0) ** 2 + (y + y0) ** 2)) ** alpha

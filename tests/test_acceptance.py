@@ -12,17 +12,16 @@ import time
 import numpy as np
 import pytest
 from oracles import Moebius, covolume_psl2z_by_meshgrid, distance, formal_degree_by_meshgrid, pi_shift_matrix
-from oracles import point_array, point_stabilizer, row_keys, scan_rows, vector_gram
+from oracles import column_rows, point_stabilizer, row_keys, vector_gram
 from scipy.integrate import quad
 
 from orbitdensity import bergman, cli, finite_gabor, frames, fuchsian, linalg
-from orbitdensity.bergman import Weight
-from orbitdensity.hyperbolic import UpperHalfPoint, act
+from orbitdensity.hyperbolic import act
 
 SCAN_SEED = 20240810
-POINT_I = UpperHalfPoint(0.0, 1.0)
-POINT_RHO = UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)
-POINT_2I = UpperHalfPoint(0.0, 2.0)
+POINT_I = 1j
+POINT_RHO = complex(0.5, math.sqrt(3.0) / 2.0)
+POINT_2I = 2j
 
 
 @contextlib.contextmanager
@@ -38,18 +37,17 @@ def criterion(number: int, description: str):
 @pytest.fixture(scope="module")
 def scan_result():
     start = time.perf_counter()
-    report = finite_gabor.exhaustive_scan(6, windows_per_case=50, seed=SCAN_SEED)
+    columns, violations = finite_gabor.exhaustive_scan(6, windows_per_case=50, seed=SCAN_SEED)
     elapsed = time.perf_counter() - start
-    return report, elapsed
+    return column_rows(columns), violations, elapsed
 
 
 def test_criterion_1_exhaustive_theorem_verification(scan_result):
-    report, elapsed = scan_result
+    rows, violations, elapsed = scan_result
     with criterion(1, "exhaustive density-theorem scan, n <= 6, zero violations"):
-        assert report.n_max == 6 and report.windows_per_case == 50
-        assert report.total_cases > 0
-        assert len(report.violations) == 0
-        for row in scan_rows(report):
+        assert len(rows) > 0
+        assert len(violations) == 0
+        for row in rows:
             if row["is_frame"]:
                 assert row["n"] * row["stab_order"] <= row["subgroup_order"]
                 assert row["verdict_i"] == "pass"
@@ -60,10 +58,10 @@ def test_criterion_1_exhaustive_theorem_verification(scan_result):
 
 
 def test_criterion_2_proof_identity_suite(scan_result):
-    report, _ = scan_result
+    rows, _, _ = scan_result
     with criterion(2, "proof identities exact on every scan case"):
         riesz_cases = 0
-        for row in scan_rows(report):
+        for row in rows:
             assert row["s_relation_residual"] <= 1e-10
             assert row["parseval_deviation"] <= 1e-10
             if row["is_riesz"]:
@@ -80,8 +78,7 @@ def test_frame_verdicts_match_adjoint_riesz_duality(scan_result):
     Wexler-Raz, duality): the orbit over L is a frame exactly when the full
     orbit over the adjoint subgroup L° = {mu : mu_a l_b - l_a mu_b = 0 mod n}
     is a Riesz sequence, and |L| |L°| = n^2."""
-    report, _ = scan_result
-    rows = iter(scan_rows(report))
+    rows = iter(scan_result[0])
     for n in range(2, 7):
         shifts = {(a, b): pi_shift_matrix(a, b, n) for a in range(n) for b in range(n)}
         for si, sub in enumerate(finite_gabor.subgroup_enumerate(n)):
@@ -109,8 +106,7 @@ def test_gram_verdicts_match_frame_operator_spectra(scan_result):
     frame operators: a frame is a |Gamma| x |Gamma| Gram of rank n, a Riesz
     transversal a nonsingular |Lambda| x |Lambda| Gram, and the two Grams
     have equal rank."""
-    report, _ = scan_result
-    rows = iter(scan_rows(report))
+    rows = iter(scan_result[0])
     rel_tol = linalg.DEFAULT_REL_TOL
     seen = set()
     for n in range(2, 7):
@@ -159,7 +155,7 @@ def test_criterion_4_bergman_kernel_oracle():
         rng = np.random.default_rng(SCAN_SEED + 4)
 
         def rand_point():
-            return UpperHalfPoint(
+            return complex(
                 float(rng.uniform(-5.0, 5.0)), float(math.exp(rng.uniform(-2.3, 2.3)))
             )
 
@@ -176,7 +172,7 @@ def test_criterion_4_bergman_kernel_oracle():
         for alpha in (2.0, 3.0, 4.5):
             for _ in range(1000):
                 z, u = rand_point(), rand_point()
-                kz, ku = point_array([z]), point_array([u])
+                kz, ku = np.array([z]), np.array([u])
                 n1 = bergman.kernel_gram(kz, kz, alpha)[0, 0]
                 assert abs(n1 - 1.0) <= 1e-12
                 lhs = abs(bergman.kernel_gram(kz, ku, alpha)[0, 0]) ** 2
@@ -185,7 +181,7 @@ def test_criterion_4_bergman_kernel_oracle():
             for _ in range(300):
                 # pi(m) is unitary: it keeps the overlap of two kernels up to a phase
                 m = rand_map()
-                k, k2 = point_array([rand_point()]), point_array([rand_point()])
+                k, k2 = np.array([rand_point()]), np.array([rand_point()])
                 t, t2 = act([m], k), act([m], k2)
                 lhs = abs(bergman.kernel_gram(t, t2, alpha)[0, 0])
                 assert abs(lhs - abs(bergman.kernel_gram(k, k2, alpha)[0, 0])) <= 1e-10
@@ -194,7 +190,6 @@ def test_criterion_4_bergman_kernel_oracle():
 def test_criterion_5_formal_degree():
     with criterion(5, "formal degree within 1e-4 with mesh-halving refinement study"):
         for alpha in (2.0, 3.0, 4.0, 6.0):
-            w = Weight(alpha)
             oracle = quad(
                 lambda y: y ** (alpha - 2.0)
                 * (1.0 + y) ** (1.0 - 2.0 * alpha)
@@ -203,7 +198,7 @@ def test_criterion_5_formal_degree():
                 np.inf,
             )[0]
             oracle = 1.0 / (2.0 ** (2.0 * alpha) * oracle)
-            assert abs(oracle - bergman.formal_degree_closed_form(w)) <= 1e-8 * oracle
+            assert abs(oracle - bergman.formal_degree_closed_form(alpha)) <= 1e-8 * oracle
             start = time.perf_counter()
             value = formal_degree_by_meshgrid(alpha)["formal_degree"]
             assert abs(value - oracle) <= 1e-4 * oracle
@@ -222,11 +217,10 @@ def test_criterion_6_covolume_and_haar_invariance():
         vol = fuchsian.lattice_covolume(fuchsian.psl2z())
         assert abs(vol - oracle) <= 1e-4 * oracle
         assert abs(covolume_psl2z_by_meshgrid() - oracle) <= 1e-4 * oracle
-        w = Weight(2.0)
         products = []
         for c in (1.0 / 3.0, 1.0, 7.0):
             vol_c = fuchsian.lattice_covolume(fuchsian.psl2z(), haar_scale=c)
-            deg_c = bergman.formal_degree_closed_form(w, c)
+            deg_c = bergman.formal_degree_closed_form(2.0, c)
             products.append(vol_c * deg_c)
         for p in products[1:]:
             assert abs(p - products[0]) <= 1e-12 * products[0]
@@ -234,14 +228,13 @@ def test_criterion_6_covolume_and_haar_invariance():
 
 def test_criterion_7_stabilizer_orders_both_paths():
     with criterion(7, "stabiliser orders (2, 3, 1) via point and kernel paths, bounds 2..10"):
-        w = Weight(2.0)
         expected = [(POINT_I, 2), (POINT_RHO, 3), (POINT_2I, 1)]
         for bound in range(2, 11):
             ball = fuchsian.ball_enumerate(fuchsian.psl2z(), float(bound))
             for z, order in expected:
                 point_members = point_stabilizer(ball, z)
                 kernel_members, phases = bergman.projective_stabilizer_kernel(
-                    ball, z, w.alpha, act(ball.elements, z.as_complex)
+                    ball, z, 2.0, act(ball.elements, z)
                 )
                 assert len(point_members) == order
                 assert len(kernel_members) == order

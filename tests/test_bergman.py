@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 from oracles import Moebius, distance, formal_degree_by_meshgrid, formal_degree_rectangle, kernel_value
-from oracles import meshgrid_integrate, meshgrid_rectangle_log_y, point_array, point_stabilizer, traced_peak
+from oracles import meshgrid_integrate, meshgrid_rectangle_log_y, point_stabilizer, traced_peak
 from oracles import unit_gram_extended
 from scipy.integrate import quad
 
 from orbitdensity import bergman, fuchsian, linalg
-from orbitdensity.bergman import Weight, formal_degree_closed_form, kernel_gram, kernel_norm_sq
+from orbitdensity.bergman import check_weight, formal_degree_closed_form, kernel_gram, kernel_norm_sq
 from orbitdensity.errors import OracleInconsistencyError, ResourceLimitError, UsageError
-from orbitdensity.hyperbolic import UpperHalfPoint, act, rounding_bound
+from orbitdensity.hyperbolic import act, rounding_bound
 
-POINT_I = UpperHalfPoint(0.0, 1.0)
-POINT_2I = UpperHalfPoint(0.0, 2.0)
+POINT_I = 1j
+POINT_2I = 2j
 S = Moebius(0.0, -1.0, 1.0, 0.0)
 T = Moebius(1.0, 1.0, 0.0, 1.0)
 
@@ -28,40 +28,41 @@ def random_map(rng) -> Moebius:
     return n.compose(a).compose(k)
 
 
-def random_point(rng) -> UpperHalfPoint:
-    return UpperHalfPoint(float(rng.uniform(-5.0, 5.0)), float(math.exp(rng.uniform(-2.3, 2.3))))
+def random_point(rng) -> complex:
+    return complex(float(rng.uniform(-5.0, 5.0)), float(math.exp(rng.uniform(-2.3, 2.3))))
 
 
-def inner(z: UpperHalfPoint, u: UpperHalfPoint, w: Weight) -> complex:
+def inner(z: complex, u: complex, alpha: float) -> complex:
     """<u_z, u_u> from the array assembly."""
-    return complex(kernel_gram(point_array([z]), point_array([u]), w.alpha)[0, 0])
+    return complex(kernel_gram(np.array([z]), np.array([u]), alpha)[0, 0])
 
 
-def moved(m: Moebius, z: UpperHalfPoint) -> UpperHalfPoint:
+def moved(m: Moebius, z: complex) -> complex:
     """Point of pi(m) k_z from the array action."""
-    w = complex(act([m], z.as_complex)[0])
-    return UpperHalfPoint(w.real, w.imag)
+    return complex(act([m], z)[0])
 
 
-def norm_sq(z: UpperHalfPoint, w: Weight) -> float:
-    return kernel_norm_sq(z.as_complex, w.alpha)
+def norm_sq(z: complex, alpha: float) -> float:
+    return kernel_norm_sq(z, alpha)
 
 
 class TestKernel:
     def test_weight_validation(self):
-        with pytest.raises(UsageError):
-            Weight(1.0)
+        for alpha in (1.0, math.nan, math.inf):
+            with pytest.raises(UsageError, match=f"^weight must satisfy alpha > 1, got {alpha}$"):
+                check_weight(alpha)
+        assert check_weight(1.5) == 1.5
 
     def test_value_at_center_alpha_two(self):
         # k_i(i) = 1 / (4 pi), and the unit kernel's is 1
-        assert abs(norm_sq(POINT_I, Weight(2.0)) - 1.0 / (4.0 * math.pi)) <= 1e-15
-        assert inner(POINT_I, POINT_I, Weight(2.0)) == 1.0
+        assert abs(norm_sq(POINT_I, 2.0) - 1.0 / (4.0 * math.pi)) <= 1e-15
+        assert inner(POINT_I, POINT_I, 2.0) == 1.0
 
     def test_diagonal_closed_form_and_positivity(self):
         rng = np.random.default_rng(21)
         for alpha in (1.5, 2.0, 3.0, 4.5, 7.0, 12.0):
             points = [random_point(rng) for _ in range(20)]
-            orbit = point_array(points)
+            orbit = np.array(points)
             diag = np.diag(kernel_gram(orbit, orbit, alpha))
             assert np.all(diag.real > 0.0)
             assert np.all(np.abs(diag.imag) <= 1e-12 * diag.real)
@@ -71,16 +72,16 @@ class TestKernel:
         # <f, k_target> for f = sum c_j k_{z_j} equals f(target) evaluated
         # pointwise by the scalar kernel formula; k_z = ||k_z|| u_z
         rng = np.random.default_rng(22)
-        w = Weight(3.0)
+        alpha = 3.0
         centers = [random_point(rng) for _ in range(4)]
         coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         target = random_point(rng)
         f_at_target = sum(
-            c * kernel_value(z.as_complex, target.as_complex, w.alpha)
+            c * kernel_value(z, target, alpha)
             for c, z in zip(coeffs, centers)
         )
-        norms = np.sqrt([norm_sq(z, w) for z in (*centers, target)])
-        unit_inners = kernel_gram(point_array(centers), point_array([target]), w.alpha)[:, 0]
+        norms = np.sqrt([norm_sq(z, alpha) for z in (*centers, target)])
+        unit_inners = kernel_gram(np.array(centers), np.array([target]), alpha)[:, 0]
         inner_with_kernel = np.sum(coeffs * norms[:-1] * unit_inners) * norms[-1]
         assert abs(inner_with_kernel - f_at_target) <= 1e-13 * abs(f_at_target)
 
@@ -88,27 +89,27 @@ class TestKernel:
         # |<u_i, u_2i>|^2 = (8/9)^alpha since |i - conj(2i)| = 3 while the
         # diagonal distances give 2 and 4
         for alpha in (2.0, 3.0, 4.5):
-            ratio = abs(inner(POINT_I, POINT_2I, Weight(alpha))) ** 2
+            ratio = abs(inner(POINT_I, POINT_2I, alpha)) ** 2
             assert abs(ratio - (8.0 / 9.0) ** alpha) <= 1e-12
 
     def test_norms_hand_values(self):
-        w = Weight(2.0)
-        assert abs(norm_sq(POINT_I, w) - 1.0 / (4.0 * math.pi)) <= 1e-15
-        assert abs(norm_sq(POINT_2I, w) - 1.0 / (16.0 * math.pi)) <= 1e-16
+        alpha = 2.0
+        assert abs(norm_sq(POINT_I, alpha) - 1.0 / (4.0 * math.pi)) <= 1e-15
+        assert abs(norm_sq(POINT_2I, alpha) - 1.0 / (16.0 * math.pi)) <= 1e-16
 
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(23)
-        w = Weight(3.5)
-        left = point_array([random_point(rng) for _ in range(200)])
-        right = point_array([random_point(rng) for _ in range(200)])
-        lhs = kernel_gram(left, right, w.alpha)
-        rhs = kernel_gram(right, left, w.alpha).conj().T
+        alpha = 3.5
+        left = np.array([random_point(rng) for _ in range(200)])
+        right = np.array([random_point(rng) for _ in range(200)])
+        lhs = kernel_gram(left, right, alpha)
+        rhs = kernel_gram(right, left, alpha).conj().T
         assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(np.abs(lhs), 1e-300))
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr(bergman, "GRAM_SIZE_CAP", 2)
-        orbit = point_array([POINT_I, POINT_2I, UpperHalfPoint(1.0, 1.0)])
-        assert kernel_gram(orbit, point_array([POINT_I]), 2.0).shape == (3, 1)
+        orbit = np.array([POINT_I, POINT_2I, complex(1.0, 1.0)])
+        assert kernel_gram(orbit, np.array([POINT_I]), 2.0).shape == (3, 1)
         with pytest.raises(ResourceLimitError):
             kernel_gram(orbit, orbit, 2.0)
 
@@ -147,13 +148,13 @@ class TestKernel:
             assert np.all(np.abs(np.diag(G) - 1.0) <= 2.0 * alpha * r)
 
     @pytest.mark.parametrize("alpha", [3.0, 13.0, 60.0, 150.0])
-    @pytest.mark.parametrize("z", [POINT_I, UpperHalfPoint(0.3, 1.5)], ids=["i", "generic"])
+    @pytest.mark.parametrize("z", [POINT_I, complex(0.3, 1.5)], ids=["i", "generic"])
     def test_matches_an_extended_precision_reassembly(self, z, alpha):
         # each entry is within alpha (r_i + r_j) of its value at the same
         # points, so the spectral norm of the error is within 2 alpha k max r
         for norm in (6.0, 10.0, 14.0):
             ball = fuchsian.ball_enumerate(fuchsian.psl2z(), norm)
-            orbit = act(ball.elements, z.as_complex)
+            orbit = act(ball.elements, z)
             error = (kernel_gram(orbit, orbit, alpha) - unit_gram_extended(orbit, orbit, alpha)).astype(complex)
             assert np.linalg.norm(error, 2) <= 2.0 * alpha * len(orbit) * np.max(rounding_bound(orbit))
 
@@ -161,30 +162,29 @@ class TestKernel:
         # independent of the closed form: ||k_z||^2 equals the
         # integral of |k_z(w)|^2 against y^(alpha-2) dx dy
         cases = [
-            (2.0, UpperHalfPoint(0.0, 1.0), 1e-3),
-            (3.5, UpperHalfPoint(0.7, 1.3), 1e-5),
-            (6.0, UpperHalfPoint(-2.0, 0.5), 1e-9),
+            (2.0, 1j, 1e-3),
+            (3.5, complex(0.7, 1.3), 1e-5),
+            (6.0, complex(-2.0, 0.5), 1e-9),
         ]
         for alpha, z, tol in cases:
             nodes = meshgrid_rectangle_log_y(*formal_degree_rectangle(alpha, z, nx=1600, nt=900))
             const = 2.0 ** (alpha - 2.0) / math.pi * (alpha - 1.0)
-            zbar = complex(z.x, -z.y)
+            zbar = z.conjugate()
 
             def integrand(x, y):
                 values = const * np.exp(1j * math.pi * alpha / 2.0) * ((x + 1j * y) - zbar) ** (-alpha)
                 return np.abs(values) ** 2 * y**alpha
 
             quadrature = meshgrid_integrate(nodes, integrand)
-            diagonal = kernel_norm_sq(z.as_complex, alpha)
+            diagonal = kernel_norm_sq(z, alpha)
             assert abs(quadrature - diagonal) <= tol * diagonal
 
     def test_correlation_identity(self):
         rng = np.random.default_rng(24)
         for alpha in (2.0, 3.0, 4.5):
-            w = Weight(alpha)
             for _ in range(1000):
                 z, u = random_point(rng), random_point(rng)
-                lhs = abs(inner(z, u, w)) ** 2
+                lhs = abs(inner(z, u, alpha)) ** 2
                 rhs = math.cosh(distance(z, u) / 2.0) ** (-2.0 * alpha)
                 assert abs(lhs - rhs) <= 1e-10
 
@@ -195,14 +195,14 @@ class TestAction:
 
     def test_translation(self):
         point = moved(T, POINT_I)
-        assert abs(point.as_complex - (1.0 + 1.0j)) <= 1e-15
+        assert abs(point - (1.0 + 1.0j)) <= 1e-15
 
     def test_inversion_at_2i(self):
-        w = Weight(2.0)
+        alpha = 2.0
         point = moved(S, POINT_2I)
-        assert abs(point.as_complex - 0.5j) <= 1e-15
+        assert abs(point - 0.5j) <= 1e-15
         # pi(S) k_2i = c k_0.5i with |c| = ||k_2i|| / ||k_0.5i|| = |j(S, 2i)|^alpha = 1/4
-        ratio = norm_sq(POINT_2I, w) / norm_sq(point, w)
+        ratio = norm_sq(POINT_2I, alpha) / norm_sq(point, alpha)
         assert abs(math.sqrt(ratio) - 0.25) <= 1e-15
 
     def test_unitarity(self):
@@ -212,7 +212,7 @@ class TestAction:
         for alpha in (2.0, 3.7, 6.0):
             for _ in range(200):
                 m = random_map(rng)
-                k, k2 = point_array([random_point(rng)]), point_array([random_point(rng)])
+                k, k2 = np.array([random_point(rng)]), np.array([random_point(rng)])
                 t, t2 = act([m], k), act([m], k2)
                 assert abs(kernel_gram(t, t, alpha)[0, 0] - 1.0) <= 1e-12
                 assert abs(abs(kernel_gram(t, t2, alpha)[0, 0]) - abs(kernel_gram(k, k2, alpha)[0, 0])) <= 1e-10
@@ -220,7 +220,7 @@ class TestAction:
 
 class TestOrbitInner:
     def test_self_inner_positive(self):
-        t = act([Moebius(1.0, 0.5, 0.0, 1.0)], point_array([POINT_I]))
+        t = act([Moebius(1.0, 0.5, 0.0, 1.0)], np.array([POINT_I]))
         value = complex(kernel_gram(t, t, 2.0)[0, 0])
         assert value.real > 0.0
         assert abs(value.imag) <= 1e-15 * value.real
@@ -228,21 +228,21 @@ class TestOrbitInner:
 
     def test_reduces_to_kernel_inner(self):
         # the unit kernels' inner product is the kernel value k_i(2i) over the norms
-        w = Weight(2.0)
-        value = inner(POINT_I, POINT_2I, w)
-        oracle = kernel_value(POINT_I.as_complex, POINT_2I.as_complex, w.alpha) / math.sqrt(
-            norm_sq(POINT_I, w) * norm_sq(POINT_2I, w)
+        alpha = 2.0
+        value = inner(POINT_I, POINT_2I, alpha)
+        oracle = kernel_value(POINT_I, POINT_2I, alpha) / math.sqrt(
+            norm_sq(POINT_I, alpha) * norm_sq(POINT_2I, alpha)
         )
         assert abs(value - oracle) <= 1e-15 * abs(oracle)
 
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(30)
-        w = Weight(3.1)
+        alpha = 3.1
         for _ in range(100):
-            t1 = act([random_map(rng)], point_array([random_point(rng)]))
-            t2 = act([random_map(rng)], point_array([random_point(rng)]))
-            lhs = complex(kernel_gram(t1, t2, w.alpha)[0, 0])
-            rhs = complex(kernel_gram(t2, t1, w.alpha)[0, 0]).conjugate()
+            t1 = act([random_map(rng)], np.array([random_point(rng)]))
+            t2 = act([random_map(rng)], np.array([random_point(rng)]))
+            lhs = complex(kernel_gram(t1, t2, alpha)[0, 0])
+            rhs = complex(kernel_gram(t2, t1, alpha)[0, 0]).conjugate()
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-300)
 
 
@@ -268,7 +268,7 @@ class TestFormalDegree:
     def test_against_beta_oracle(self, alpha):
         oracle = beta_integral_oracle(alpha)
         # the oracle itself reproduces the closed form (alpha-1)/(4 pi)
-        assert abs(oracle - formal_degree_closed_form(Weight(alpha))) <= 1e-8 * oracle
+        assert abs(oracle - formal_degree_closed_form(alpha)) <= 1e-8 * oracle
         value = formal_degree_by_meshgrid(alpha)["formal_degree"]
         # the x-range truncation of the default grid: 6.9e-5 relative at alpha = 2
         assert abs(value - oracle) <= 1e-4 * oracle
@@ -282,15 +282,15 @@ class TestFormalDegree:
         assert errors[2] < errors[1] < errors[0]
 
     def test_haar_scale_division_exact(self):
-        w = Weight(3.0)
-        assert formal_degree_closed_form(w, 4.0) == formal_degree_closed_form(w) / 4.0
+        alpha = 3.0
+        assert formal_degree_closed_form(alpha, 4.0) == formal_degree_closed_form(alpha) / 4.0
         for scale in (0.0, math.inf, math.nan):
             with pytest.raises(UsageError, match=f"haar_scale must be positive and finite, got {scale}"):
-                formal_degree_closed_form(w, scale)
+                formal_degree_closed_form(alpha, scale)
 
     def test_base_point_independence(self):
         d_i = formal_degree_by_meshgrid(2.0)["formal_degree"]
-        d_moved = formal_degree_by_meshgrid(2.0, UpperHalfPoint(1.0, 2.0))["formal_degree"]
+        d_moved = formal_degree_by_meshgrid(2.0, complex(1.0, 2.0))["formal_degree"]
         assert abs(d_moved - d_i) <= 1e-6 * d_i
 
     def test_diagnostics(self):
@@ -307,15 +307,15 @@ def ball():
 
 class TestKernelStabilizer:
     def test_orders_and_phases(self, ball):
-        w = Weight(2.0)
+        alpha = 2.0
         cases = [
             (POINT_I, 2),
-            (UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0), 3),
+            (complex(0.5, math.sqrt(3.0) / 2.0), 3),
             (POINT_2I, 1),
         ]
         for z, expected_order in cases:
-            orbit = act(ball.elements, z.as_complex)
-            members, phases = bergman.projective_stabilizer_kernel(ball, z, w.alpha, orbit)
+            orbit = act(ball.elements, z)
+            members, phases = bergman.projective_stabilizer_kernel(ball, z, alpha, orbit)
             assert len(members) == expected_order
             for u in phases:
                 assert abs(abs(u) - 1.0) <= 1e-10
@@ -334,9 +334,8 @@ class TestKernelStabilizer:
         # evaluation, inside the rounding bound 1.2e-13 of z.
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 22.0)
         z = complex(act(g, w))
-        z = UpperHalfPoint(z.real, z.imag)
         point_members = point_stabilizer(ball, z)
-        members, phases = bergman.projective_stabilizer_kernel(ball, z, alpha, act(ball.elements, z.as_complex))
+        members, phases = bergman.projective_stabilizer_kernel(ball, z, alpha, act(ball.elements, z))
         assert len(point_members) == order
         assert np.array_equal(members, point_members)
         assert np.all(np.abs(np.abs(phases) - 1.0) <= 1e-12)
@@ -350,18 +349,18 @@ class TestKernelStabilizer:
             return G
 
         monkeypatch.setattr(bergman, "kernel_gram", perturbed)
-        z = UpperHalfPoint(0.3, 1.5)
+        z = complex(0.3, 1.5)
         with pytest.raises(OracleInconsistencyError, match="overlaps disagree"):
-            bergman.projective_stabilizer_kernel(ball, z, 2.0, act(ball.elements, z.as_complex))
+            bergman.projective_stabilizer_kernel(ball, z, 2.0, act(ball.elements, z))
 
 
 class TestProbeKernels:
     def test_count_and_weights(self):
-        center = UpperHalfPoint(0.3, 0.8)
-        probes = bergman.probe_kernels(center.as_complex, 17)
+        center = complex(0.3, 0.8)
+        probes = bergman.probe_kernels(center, 17)
         assert probes.shape == (17,) and probes.dtype == complex
         # the spiral's radii sqrt((p + 1/2) / 17) PROBE_RADIUS, all below PROBE_RADIUS
-        radii = [distance(UpperHalfPoint(z.real, z.imag), center) for z in probes]
+        radii = [distance(z, center) for z in probes]
         np.testing.assert_allclose(radii, bergman.PROBE_RADIUS * np.sqrt((np.arange(17) + 0.5) / 17), rtol=1e-9)
         assert max(radii) <= bergman.PROBE_RADIUS
 
@@ -369,6 +368,28 @@ class TestProbeKernels:
         a = bergman.probe_kernels(1j, 8)
         b = bergman.probe_kernels(1j, 8)
         assert np.array_equal(a, b)
+
+
+class TestDensityAnalysis:
+    @pytest.mark.parametrize(
+        "z, alpha, message",
+        [
+            (complex(0.3, -1.5), 2.0, "point (0.3, -1.5) is not in the open upper half-plane"),
+            (complex(math.nan, 1.0), 2.0, "point (nan, 1.0) is not in the open upper half-plane"),
+            (complex(math.nan, 1.0), 1.0, "point (nan, 1.0) is not in the open upper half-plane"),
+            (1j, 1.0, "weight must satisfy alpha > 1, got 1.0"),
+        ],
+        ids=["lower-half-plane", "nan", "nan-and-alpha-one", "alpha-one"],
+    )
+    def test_a_bad_point_or_weight_is_refused_before_the_ball(self, monkeypatch, z, alpha, message):
+        # the library entry checks its own arguments: the point first, then the weight
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the ball was enumerated")
+
+        monkeypatch.setattr(fuchsian, "ball_enumerate", unreachable)
+        with pytest.raises(UsageError) as refused:
+            bergman.density_analysis(fuchsian.psl2z(), z, alpha, 6.0)
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize(

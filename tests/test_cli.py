@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,9 +92,9 @@ def json_lines(out):
 
 class TestParsing:
     def test_parse_point_formats(self):
-        assert commands.parse_point("i").as_complex == 1j
-        assert commands.parse_point("2i").as_complex == 2j
-        assert commands.parse_point("0.5+0.866i").as_complex == 0.5 + 0.866j
+        assert commands.parse_point("i") == 1j
+        assert commands.parse_point("2i") == 2j
+        assert commands.parse_point("0.5+0.866i") == 0.5 + 0.866j
         with pytest.raises(UsageError):
             commands.parse_point("1.0")
         with pytest.raises(UsageError):
@@ -257,6 +258,40 @@ class TestExitCodes:
         cfg.write_text(f"lattice.name = g\nlattice.generators = 1,2,0,1; 0,-1,1,0\nlattice.covolume = {covolume}\n")
         argv = ("--config", str(cfg), "--lattice", "g", "--alpha", alpha, "--z=0.3+1.5i", "--ball", "5", "--probes", "8")
         assert run_cli(capsys, "bergman-density", *argv) == expected
+
+    @pytest.mark.parametrize(
+        "command, argv, message",
+        [
+            *(
+                (command, ("--alpha", "2", f"--z={z}", "--ball", "4"), message)
+                for command in ("bergman-density", "stabilizer")
+                for z, message in [
+                    ("nan+1i", "point (nan, 1.0) is not in the open upper half-plane"),
+                    ("1e400i", "point (0.0, inf) is not in the open upper half-plane"),
+                    ("0.3-1.5i", "point '0.3-1.5i' is not in the open upper half-plane"),
+                ]
+            ),
+            *(
+                (command, ("--alpha", alpha, *point), f"weight must satisfy alpha > 1, got {shown}")
+                for command, point in [
+                    ("bergman-density", ("--z=i", "--ball", "4")),
+                    ("stabilizer", ("--z=i", "--ball", "4")),
+                    ("formal-degree", ()),
+                ]
+                for alpha, shown in [("1", "1.0"), ("nan", "nan")]
+            ),
+        ],
+        ids=[
+            *(f"{c}-{z}" for c in ("density", "stabilizer") for z in ("nan", "inf", "lower-half-plane")),
+            *(f"{c}-alpha-{a}" for c in ("density", "stabilizer", "formal-degree") for a in ("1", "nan")),
+        ],
+    )
+    def test_a_bad_point_or_weight_is_refused_before_the_ball(self, capsys, monkeypatch, command, argv, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the ball was enumerated")
+
+        monkeypatch.setattr(fuchsian, "ball_enumerate", unreachable)
+        assert run_cli(capsys, command, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "command, alpha, haar_scale, expected",
@@ -604,11 +639,18 @@ class TestImports:
             "-c",
             "import sys\n"
             "from orbitdensity import bergman, fuchsian\n"
-            "from orbitdensity.hyperbolic import UpperHalfPoint\n"
-            "reports = bergman.density_analysis(fuchsian.psl2z(), UpperHalfPoint(0.0, 1.0), 2.0, 4.0, probes=8)\n"
+            "reports = bergman.density_analysis(fuchsian.psl2z(), 1j, 2.0, 4.0, probes=8)\n"
             "print(len(reports), reports[-1].stab_order, 'orbitdensity.cli' in sys.modules)\n",
         )
         assert child.stdout.decode().split() == ["3", "2", "False"]
+
+    def test_readme_snippet_runs(self):
+        # README's in-process example, run as CI runs it: any warning is an error
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+        (snippet,) = [block for block in blocks if "from orbitdensity import" in block]
+        child = run_python("1", "-W", "error", "-c", snippet, check=False)
+        assert child.returncode == 0, child.stderr.decode()
 
 
 def _every_flag_argv(parser: argparse.ArgumentParser, command: str) -> list[str]:
@@ -923,7 +965,7 @@ class TestStabilizerCommand:
         monkeypatch.setattr(bergman, "kernel_gram", wrong)
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 4.0)
         z = commands.parse_point("i")
-        orbit = hyperbolic.act(ball.elements, z.as_complex)
+        orbit = hyperbolic.act(ball.elements, z)
         with pytest.raises(OracleInconsistencyError):
             bergman.projective_stabilizer_kernel(ball, z, 2.0, orbit)
         code, _, err = run_cli(capsys, "stabilizer", "--z", "i", "--ball", "4")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
-from oracles import pi_shift_matrix, scan_rows, verify_windows
+from oracles import column_rows, pi_shift_matrix, verify_windows
 
 from orbitdensity import cli, frames, linalg
 from orbitdensity import finite_gabor as fg
@@ -290,8 +290,8 @@ class TestProjectiveStabilizer:
             post_init(sub)
 
         monkeypatch.setattr(fg.SubgroupDescr, "__post_init__", counting)
-        report = fg.exhaustive_scan(7, windows_per_case=6, seed=1)
-        assert report.total_cases == 971
+        columns, violations = fg.exhaustive_scan(7, windows_per_case=6, seed=1)
+        assert len(columns["n"]) + len(violations) == 971
         assert len(built) == 74 == sum(len(fg.subgroup_enumerate(n)) for n in range(2, 8))
 
     def test_stabilizer_that_is_not_a_subgroup_is_an_inconsistency(self):
@@ -389,9 +389,9 @@ class TestVerifyDensityTheorem:
 
 def scan_csv(n_max, **kwargs) -> str:
     """The scan table as the CLI writes it in CSV mode."""
-    report = fg.exhaustive_scan(n_max, **kwargs)
+    columns, _ = fg.exhaustive_scan(n_max, **kwargs)
     stream = io.StringIO()
-    cli.Emitter("csv", stream).table("scan_row", {c: report.columns[c] for c in fg.SCAN_CSV_COLUMNS})
+    cli.Emitter("csv", stream).table("scan_row", {c: columns[c] for c in fg.SCAN_CSV_COLUMNS})
     return stream.getvalue()
 
 
@@ -405,7 +405,7 @@ class TestBatchedScan:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        report = fg.exhaustive_scan(5, windows_per_case=4, seed=7)
+        columns, violations = fg.exhaustive_scan(5, windows_per_case=4, seed=7)
         monkeypatch.undo()
         batches = 0
         for n in range(2, 6):
@@ -413,7 +413,7 @@ class TestBatchedScan:
                 _, windows = fg.scan_windows(n, si, 4, 7)
                 batches += len(stabilizers(sub, windows))
         # a per-case design makes four eigensolves per case
-        assert 4 * batches < report.total_cases
+        assert 4 * batches < len(columns["n"]) + len(violations)
         assert len(calls) <= 4 * batches
 
     def test_two_n_by_n_eigensolves_per_pass(self, monkeypatch):
@@ -425,7 +425,7 @@ class TestBatchedScan:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        report = fg.exhaustive_scan(7, windows_per_case=6, seed=1)
+        columns, violations = fg.exhaustive_scan(7, windows_per_case=6, seed=1)
         monkeypatch.undo()
         expected, nontrivial = [], 0
         for n in range(2, 8):
@@ -445,7 +445,7 @@ class TestBatchedScan:
         # when every class was eigensolved
         assert len(shapes) == 12
         assert sum(math.prod(shape[:-2]) for shape in shapes) == 1229
-        assert report.total_cases + nontrivial == 1229
+        assert len(columns["n"]) + len(violations) + nontrivial == 1229
 
     def test_trivial_stabilizer_spectrum_is_the_transversal_eigensolve(self, monkeypatch):
         trivial = []
@@ -532,11 +532,9 @@ class TestBatchedScan:
         # eigensolves, where one batch per (n, order) made 52 with one per
         # nontrivial stabiliser order
         assert (eigensolves[0], eigensolves[2]) == (12, 46)
-        (violation,) = reports[0].violations
+        (violation,) = reports[0][1]
         assert violation["window_id"] == "rand004"
-        for report in reports[1:]:
-            assert report.columns == reports[0].columns
-            assert report.violations == reports[0].violations
+        assert all(report == reports[0] for report in reports[1:])
 
     def test_batch_classes_equal_per_subgroup_classes(self):
         for n in range(2, 9):
@@ -572,7 +570,7 @@ class TestBatchedScan:
                 return np.where(generator[:, 0].real > 1.0, 2.0, max_dev), gen_psq
 
             monkeypatch.setattr(frames, "parseval_norm_check", corrupt)
-        report = fg.exhaustive_scan(6, windows_per_case=3, seed=seed)
+        columns, scan_violations = fg.exhaustive_scan(6, windows_per_case=3, seed=seed)
         rows, violations = [], []
         for n in range(2, 7):
             for si, sub in enumerate(fg.subgroup_enumerate(n)):
@@ -590,8 +588,8 @@ class TestBatchedScan:
                         )
                     else:
                         rows.append(dict(outcome, window_id=window_id))
-        assert scan_rows(report) == rows
-        assert list(report.violations) == violations
+        assert column_rows(columns) == rows
+        assert scan_violations == violations
         assert bool(violations) == faulty
 
     def test_violation_names_its_own_subgroup_within_a_batch(self, monkeypatch):
@@ -614,13 +612,11 @@ class TestBatchedScan:
         monkeypatch.setattr(frames, "parseval_norm_check", corrupt)
         report = fg.exhaustive_scan(n, windows_per_case=2, seed=seed)
         hit_row = (n, "(2,1)", "const")
-        expected = [
-            row for row in scan_rows(clean)
-            if (row["n"], row["subgroup_gens"], row["window_id"]) != hit_row
-        ]
-        assert len(expected) == len(scan_rows(clean)) - 1
-        assert scan_rows(report) == expected
-        (violation,) = report.violations
+        clean_rows = column_rows(clean[0])
+        expected = [row for row in clean_rows if (row["n"], row["subgroup_gens"], row["window_id"]) != hit_row]
+        assert len(expected) == len(clean_rows) - 1
+        columns, (violation,) = report
+        assert column_rows(columns) == expected
         assert (violation["n"], violation["subgroup_gens"], violation["window_id"]) == hit_row
         assert violation["message"] == (
             "canonical Parseval norm identity deviation 1.000e+00 "
@@ -655,13 +651,11 @@ class TestBatchedScan:
         monkeypatch.setattr(frames, "parseval_norm_check", corrupt)
         report = fg.exhaustive_scan(n, windows_per_case=3, seed=seed)
         hit_row = (n, sub.gens_text(), "rand001")
-        expected = [
-            row for row in scan_rows(clean)
-            if (row["n"], row["subgroup_gens"], row["window_id"]) != hit_row
-        ]
-        assert len(expected) == len(scan_rows(clean)) - 1
-        assert scan_rows(report) == expected
-        (violation,) = report.violations
+        clean_rows = column_rows(clean[0])
+        expected = [row for row in clean_rows if (row["n"], row["subgroup_gens"], row["window_id"]) != hit_row]
+        assert len(expected) == len(clean_rows) - 1
+        columns, (violation,) = report
+        assert column_rows(columns) == expected
         assert (violation["n"], violation["subgroup_gens"], violation["window_id"]) == hit_row
         message = violation["message"]
         assert message.startswith("canonical Parseval norm identity deviation 1.000e+00")
@@ -750,7 +744,7 @@ class TestScanWindows:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_windows_have_trivial_stabilizers(self, seed):
-        rows = scan_rows(fg.exhaustive_scan(6, windows_per_case=6, seed=seed))
+        rows = column_rows(fg.exhaustive_scan(6, windows_per_case=6, seed=seed)[0])
         random_rows = [row for row in rows if row["window_id"].startswith("rand")]
         assert len(random_rows) == 6 * sum(len(fg.subgroup_enumerate(n)) for n in range(2, 7))
         assert {row["stab_order"] for row in random_rows} == {1}
@@ -758,10 +752,10 @@ class TestScanWindows:
 
 class TestScan:
     def test_small_scan_clean(self):
-        report = fg.exhaustive_scan(2, windows_per_case=10, seed=7)
-        assert report.total_cases == 5 * (10 + 2 + 1)
-        assert not report.violations
-        for row in scan_rows(report):
+        columns, violations = fg.exhaustive_scan(2, windows_per_case=10, seed=7)
+        assert len(columns["n"]) == 5 * (10 + 2 + 1)
+        assert not violations
+        for row in column_rows(columns):
             assert row["max_identity_residual"] <= 1e-10
 
     def test_deterministic_bytes(self):
@@ -788,7 +782,7 @@ class TestScan:
         cap = fg.orbit_stack_bytes(4, 2)
         assert fg.orbit_stack_bytes(5, 2) > cap
         monkeypatch.setattr(fg, "ORBIT_STACK_BYTE_CAP", cap)
-        assert not fg.exhaustive_scan(4, windows_per_case=2, seed=0).violations
+        assert not fg.exhaustive_scan(4, windows_per_case=2, seed=0)[1]
         with pytest.raises(ResourceLimitError, match=f"at n = 5, over the cap of {cap} bytes"):
             fg.exhaustive_scan(5, windows_per_case=2, seed=0)
 

@@ -6,7 +6,6 @@ from oracles import (
     covolume_psl2z_by_meshgrid,
     gram_per_call,
     hermitian_deviation,
-    point_array,
     vector_gram,
     whitened_probe_extremes,
 )
@@ -19,14 +18,14 @@ from orbitdensity.errors import (
     OracleInconsistencyError,
     UsageError,
 )
-from orbitdensity.hyperbolic import UpperHalfPoint, act
+from orbitdensity.hyperbolic import act
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
-POINT_I = UpperHalfPoint(0.0, 1.0)
-POINT_2I = UpperHalfPoint(0.0, 2.0)
-POINT_RHO = UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)
-POINT_GENERIC = UpperHalfPoint(0.3, 1.5)
+POINT_I = 1j
+POINT_2I = 2j
+POINT_RHO = complex(0.5, math.sqrt(3.0) / 2.0)
+POINT_GENERIC = complex(0.3, 1.5)
 
 
 def orbit_of(*vectors) -> np.ndarray:
@@ -136,7 +135,7 @@ class TestGram:
         assert linalg.rank(w) == 1
 
     def test_bergman_pair_closed_form(self):
-        pair = point_array([POINT_I, POINT_2I])
+        pair = np.array([POINT_I, POINT_2I])
         G = bergman.kernel_gram(pair, pair, 2.0)
         assert abs(G[0, 0] - 1.0) <= 1e-15
         assert abs(G[1, 1] - 1.0) <= 1e-15
@@ -154,11 +153,11 @@ class TestGram:
             frames.gram(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
-def transversal_gram(z: UpperHalfPoint, alpha: float) -> np.ndarray:
+def transversal_gram(z: complex, alpha: float) -> np.ndarray:
     """Gram of the coset representatives' kernels in the psl2z ball of norm
     9, assembled as ``bergman-density`` assembles it."""
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 9.0)
-    orbit = act(ball.elements, z.as_complex)
+    orbit = act(ball.elements, z)
     members, _ = bergman.projective_stabilizer_kernel(ball, z, alpha, orbit)
     lam = orbit[fuchsian.coset_representatives(ball, members).rep_index]
     return bergman.kernel_gram(lam, lam, alpha)
@@ -354,10 +353,10 @@ class TestFrameBoundsProbe:
     def test_whitened_probe_matrix_matches_the_whitened_product(self, z, alpha):
         # the probe data of bergman-density at ball 10, over a refinement schedule
         ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 10.0)
-        probes = bergman.probe_kernels(z.as_complex, 40)
+        probes = bergman.probe_kernels(z, 40)
         # the unit probes weighted to the plain kernels up to one factor
         weight = (probes.imag.min() / probes.imag) ** (alpha / 2.0)
-        A = bergman.kernel_gram(probes, act(ball.elements, z.as_complex), alpha).T * weight
+        A = bergman.kernel_gram(probes, act(ball.elements, z), alpha).T * weight
         D = bergman.kernel_gram(probes, probes, alpha).T * (weight[:, None] * weight)
         whitener = linalg.whitener(*linalg.hermitian_eigen(D))
         C = A @ whitener

@@ -15,7 +15,6 @@ from oracles import (
 from orbitdensity import fuchsian
 from orbitdensity.errors import ResourceLimitError, UsageError
 from orbitdensity.hyperbolic import (
-    UpperHalfPoint,
     compose,
     frobenius_sq,
     inverse,
@@ -23,9 +22,9 @@ from orbitdensity.hyperbolic import (
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
-POINT_I = UpperHalfPoint(0.0, 1.0)
-POINT_RHO = UpperHalfPoint(0.5, SQRT3 / 2.0)  # primitive sixth root of unity
-POINT_2I = UpperHalfPoint(0.0, 2.0)
+POINT_I = 1j
+POINT_RHO = complex(0.5, SQRT3 / 2.0)  # primitive sixth root of unity
+POINT_2I = 2j
 
 
 def keyset(elements):
@@ -179,7 +178,7 @@ class TestStabilizer:
     def test_rounding_level_tolerances_resolve(self, ball6, tol):
         # S moves 1.000000001i by 2e-9, a distance that an arccosh form
         # rounds to 0
-        members = point_stabilizer(ball6, UpperHalfPoint(0.0, 1.000000001), tol=tol)
+        members = point_stabilizer(ball6, complex(0.0, 1.000000001), tol=tol)
         assert keyset(ball6.elements[members]) == keyset([Moebius.identity()])
 
     def test_order_three_at_rho(self, ball6):
@@ -267,7 +266,7 @@ class TestCosetSystem:
             cs = fuchsian.coset_representatives(ball3, point_stabilizer(ball3, z))
             assert sorted(cs.tile[cs.tile >= 0]) == list(range(len(ball3.elements)))
 
-    @pytest.mark.parametrize("z", [POINT_I, POINT_RHO, POINT_2I])
+    @pytest.mark.parametrize("z", [POINT_I, POINT_RHO, POINT_2I], ids=["z0", "z1", "z2"])
     def test_rep_index_increasing(self, ball6, z):
         cs = fuchsian.coset_representatives(ball6, point_stabilizer(ball6, z))
         assert np.all(np.diff(cs.rep_index) > 0)

@@ -12,7 +12,6 @@ from orbitdensity.errors import (
     OracleInconsistencyError,
     UsageError,
 )
-from orbitdensity.hyperbolic import UpperHalfPoint
 
 
 def random_psd(rng, n):
@@ -244,9 +243,9 @@ def frame_operator_stack(n: int, which: int, windows: int = 6) -> np.ndarray:
     return frames.frame_operator(finite_gabor.orbit_system(g, subgroups[index].elements))
 
 
-def probe_gram(z: UpperHalfPoint, alpha: float) -> np.ndarray:
+def probe_gram(z: complex, alpha: float) -> np.ndarray:
     """The probe Gram of ``bergman-density``, as it is assembled there."""
-    probes = bergman.probe_kernels(z.as_complex, 40)
+    probes = bergman.probe_kernels(z, 40)
     weight = (probes.imag.min() / probes.imag) ** (alpha / 2.0)
     D = bergman.kernel_gram(probes, probes, alpha).T
     D *= weight[:, None] * weight
@@ -259,9 +258,9 @@ SPECTRUM_CASES = {
         for n in (3, 7, 12, 16)
         for which in range(3)
     },
-    "probe_i": lambda: probe_gram(UpperHalfPoint(0.0, 1.0), 2.0),
-    "probe_rho": lambda: probe_gram(UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0), 3.0),
-    "probe_generic": lambda: probe_gram(UpperHalfPoint(0.3, 1.5), 2.0),
+    "probe_i": lambda: probe_gram(1j, 2.0),
+    "probe_rho": lambda: probe_gram(complex(0.5, math.sqrt(3.0) / 2.0), 3.0),
+    "probe_generic": lambda: probe_gram(complex(0.3, 1.5), 2.0),
 }
 
 

@@ -16,11 +16,11 @@ from oracles import traced_peak
 
 from orbitdensity import bergman, cli, frames, fuchsian
 from orbitdensity.errors import OracleInconsistencyError
-from orbitdensity.hyperbolic import UpperHalfPoint, act, canonical, compose, frobenius_sq, inverse
+from orbitdensity.hyperbolic import act, canonical, compose, frobenius_sq, inverse
 
 POINTS = {
-    "i": UpperHalfPoint(0.0, 1.0),
-    "rho": UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0),
+    "i": 1j,
+    "rho": complex(0.5, math.sqrt(3.0) / 2.0),
 }
 RADII = range(6, 18)
 
@@ -30,10 +30,10 @@ def ball17():
     return fuchsian.ball_enumerate(fuchsian.psl2z(), 17.0)
 
 
-def transversal(ball, z: UpperHalfPoint, alpha: float):
+def transversal(ball, z: complex, alpha: float):
     """Stabiliser, cosets, Lambda orbit and the Lambda counts of the balls
     of radius 6..17, as ``bergman-density`` truncates them."""
-    orbit = act(ball.elements, z.as_complex)
+    orbit = act(ball.elements, z)
     members, _ = bergman.projective_stabilizer_kernel(ball, z, alpha, orbit)
     cosets = fuchsian.coset_representatives(ball, members)
     norms_sq = frobenius_sq(ball.elements)
@@ -48,8 +48,8 @@ def transversal(ball, z: UpperHalfPoint, alpha: float):
 def test_pairing_is_an_involution_within_every_ball(ball17, point):
     z = POINTS[point]
     _, members, cosets, counts = transversal(ball17, z, 2.0)
-    mirror = fuchsian.mirror_of(z.as_complex)
-    p, q = fuchsian.coset_pairing(ball17, cosets, counts, z.as_complex)
+    mirror = fuchsian.mirror_of(z)
+    p, q = fuchsian.coset_pairing(ball17, cosets, counts, z)
     for pairing in (p, q):
         assert np.array_equal(pairing[pairing], np.arange(len(pairing)))
         for k in counts:
@@ -73,7 +73,7 @@ def test_pairing_failure_is_an_inconsistency(ball17):
     # at rho, and at i the first size that S closes and the reflection cuts
     # (at rho the reflection closes every size that S closes)
     for point, name in (("rho", "rotation S"), ("i", "reflection w -> -conj(w)")):
-        z = POINTS[point].as_complex
+        z = POINTS[point]
         _, _, cosets, counts = transversal(ball17, POINTS[point], 3.0)
         p, q = fuchsian.coset_pairing(ball17, cosets, counts, z)
         if point == "rho":
@@ -96,7 +96,7 @@ def test_real_form_extremes_match_the_complex_blocks(ball17, point, alpha):
     # the extremes the command reports at a mirror point, from the two real
     # halves, against the complex Gram's blocks
     orbit, members, cosets, counts = transversal(ball17, POINTS[point], alpha)
-    bounds = bergman.transversal_riesz_bounds(ball17, cosets, POINTS[point].as_complex, orbit, alpha, counts)
+    bounds = bergman.transversal_riesz_bounds(ball17, cosets, POINTS[point], orbit, alpha, counts)
     lam = orbit[cosets.rep_index]
     G = bergman.kernel_gram(lam, lam, alpha)
     for k, (lo, hi) in zip(counts, bounds):

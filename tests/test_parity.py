@@ -40,8 +40,7 @@ import oracles
 from oracles import kernel_cross_oracle, pi_shift, vector_gram, vector_gram_oracle
 
 from orbitdensity import bergman, cli, commands, finite_gabor, frames, fuchsian
-from orbitdensity.bergman import Weight
-from orbitdensity.hyperbolic import UpperHalfPoint, act, distance, rounding_bound
+from orbitdensity.hyperbolic import act, distance, rounding_bound
 
 ORACLE_RTOL = 1e-13
 FLOAT_RTOL = 1e-12
@@ -58,9 +57,9 @@ def degree(alpha: float) -> float:
 
 
 POINTS = [
-    (UpperHalfPoint(0.0, 1.0), 2.0, 2),
-    (UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0), 3.0, 3),
-    (UpperHalfPoint(-0.3, 1.4), 7.5, 1),
+    (1j, 2.0, 2),
+    (complex(0.5, math.sqrt(3.0) / 2.0), 3.0, 3),
+    (complex(-0.3, 1.4), 7.5, 1),
 ]
 
 
@@ -313,14 +312,16 @@ n,subgroup_order,subgroup_gens,window_id,stab_order,lambda_size,is_frame,is_ries
 """
 
 
-@pytest.mark.parametrize("z, alpha, order", POINTS)
+@pytest.mark.parametrize(
+    "z, alpha, order", POINTS, ids=[f"z{k}-{alpha}-{order}" for k, (_, alpha, order) in enumerate(POINTS)]
+)
 def test_bergman_arrays_match_per_pair_oracle(z, alpha, order):
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 6.0)
-    kernel = oracles.point_array([z])
-    orbit = act(ball.elements, z.as_complex)
+    kernel = np.array([z])
+    orbit = act(ball.elements, z)
     members, _ = bergman.projective_stabilizer_kernel(ball, z, alpha, orbit)
     assert len(members) == order
-    probes = bergman.probe_kernels(z.as_complex, 40)
+    probes = bergman.probe_kernels(z, 40)
     # Gram, probe matrix, probe Gram, overlap row and compressed synthesis
     for left, right in ((orbit, orbit), (probes, orbit), (probes, probes), (orbit, kernel), (orbit, probes)):
         array = bergman.kernel_gram(left, right, alpha)
@@ -437,9 +438,9 @@ def test_finite_scan_matches_golden(capsys):
                 assert g == w
 
 
-RHO = UpperHalfPoint(0.5, 0.8660254037844386)
-GENERIC = UpperHalfPoint(0.3, 1.5)
-BASES = [UpperHalfPoint(0.0, 1.0), RHO, GENERIC]
+RHO = complex(0.5, 0.8660254037844386)
+GENERIC = complex(0.3, 1.5)
+BASES = [1j, RHO, GENERIC]
 BASE_IDS = ["i", "rho", "generic"]
 HALFCONT = fuchsian.LatticeSpec(
     name="halfcont",
@@ -458,7 +459,7 @@ def test_formal_degree_matches_meshgrid_oracle(alpha, base):
     # the quadrature's rectangle is translated and dilated to the base point,
     # so it has the same error at every base: the mass beyond its x-range,
     # 6.9e-5 relative at alpha = 2 and 1.0e-6 at alpha = 3
-    exact = bergman.formal_degree_closed_form(Weight(alpha))
+    exact = bergman.formal_degree_closed_form(alpha)
     at_base = oracles.formal_degree_by_meshgrid(alpha, base)["formal_degree"]
     at_i = oracles.formal_degree_by_meshgrid(alpha)["formal_degree"]
     assert abs(at_base - exact) <= 1e-4 * exact
@@ -469,7 +470,7 @@ def test_formal_degree_on_a_custom_grid_matches_meshgrid_oracle():
     # on a coarse grid the discretisation error dominates, and the
     # mesh-halving estimate bounds it: 1.8e-3 off, estimated 2.7e-2
     diag = oracles.formal_degree_by_meshgrid(2.5, GENERIC, nx=300, nt=200)
-    exact = bergman.formal_degree_closed_form(Weight(2.5))
+    exact = bergman.formal_degree_closed_form(2.5)
     assert diag["node_count"] == 300 * 200
     assert abs(diag["formal_degree"] - exact) <= diag["est_rel_error"] * exact
 
@@ -493,7 +494,7 @@ def test_ball_stabilizers_and_cosets_match_scalar_oracle(spec, bound):
     for z in BASES:
         for tol in (None, 1e-4):
             members = oracles.point_stabilizer(ball, z, tol)
-            oracle_tol = rounding_bound(z.as_complex) if tol is None else tol
+            oracle_tol = rounding_bound(z) if tol is None else tol
             assert members.tolist() == oracles.stabilizer_by_scalars(rows, z, oracle_tol)
         cosets = fuchsian.coset_representatives(ball, members)
         rep_index, tile = oracles.cosets_by_loop(rows, members.tolist())
@@ -508,6 +509,6 @@ def test_orbit_matches_scalar_oracle(alpha, z):
     # array action's points match the per-row ones to their rounding bound;
     # the points are those of the kernel orbit at every alpha
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), 13.0)
-    orbit = act(ball.elements, z.as_complex)
-    points = oracles.orbit_by_scalars(ball.elements.tolist(), z.as_complex)
+    orbit = act(ball.elements, z)
+    points = oracles.orbit_by_scalars(ball.elements.tolist(), z)
     assert np.all(distance(orbit, points) <= rounding_bound(points))

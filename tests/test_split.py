@@ -13,22 +13,22 @@ from oracles import traced_peak, unsplit_gram_spectra
 
 from orbitdensity import bergman, cli, commands, frames, fuchsian
 from orbitdensity.errors import EXIT_NUMERICAL
-from orbitdensity.hyperbolic import UpperHalfPoint, act, frobenius_sq
+from orbitdensity.hyperbolic import act, frobenius_sq
 
-RHO = UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)
+RHO = complex(0.5, math.sqrt(3.0) / 2.0)
 POINTS = {
-    "i": UpperHalfPoint(0.0, 1.0),  # S fixes i: one coset is its own partner
+    "i": 1j,  # S fixes i: one coset is its own partner
     "rho": RHO,  # an order-3 stabiliser
-    "near-rho": UpperHalfPoint(0.5, 0.866),  # 2.5e-5 from rho
-    "generic": UpperHalfPoint(0.3, 1.5),
-    "generic-left": UpperHalfPoint(-0.3, 1.4),
+    "near-rho": complex(0.5, 0.866),  # 2.5e-5 from rho
+    "generic": complex(0.3, 1.5),
+    "generic-left": complex(-0.3, 1.4),
 }
 # points on the mirrors Re z = 0 and |z| = 1, the last two with a trivial stabiliser
 MIRRORS = {
     "i": POINTS["i"],
     "rho": RHO,
-    "1.3i": UpperHalfPoint(0.0, 1.3),
-    "0.6+0.8i": UpperHalfPoint(0.6, 0.8),
+    "1.3i": complex(0.0, 1.3),
+    "0.6+0.8i": complex(0.6, 0.8),
 }
 ALPHAS = [2.0, 3.0, 7.0, 13.0, 30.0, 60.0]
 RADII = range(6, 18)
@@ -40,10 +40,10 @@ def ball17():
     return fuchsian.ball_enumerate(fuchsian.psl2z(), 17.0)
 
 
-def transversal(ball, z: UpperHalfPoint, alpha: float, radii=RADII):
+def transversal(ball, z: complex, alpha: float, radii=RADII):
     """Orbit, stabiliser, cosets and the Lambda counts of the balls of
     radius 6..17, or ``radii``, as ``bergman-density`` truncates them."""
-    orbit = act(ball.elements, z.as_complex)
+    orbit = act(ball.elements, z)
     members, _ = bergman.projective_stabilizer_kernel(ball, z, alpha, orbit)
     cosets = fuchsian.coset_representatives(ball, members)
     norms_sq = frobenius_sq(ball.elements)
@@ -63,7 +63,7 @@ def assert_halves_have_the_unsplit_spectrum(ball, z, orbit, alpha, cosets, count
     lies on a mirror, and each truncation's spectrum is the union of the
     halves' leading blocks'."""
     lam = orbit[cosets.rep_index]
-    rotation, reflection = bergman.transversal_symmetry(ball, cosets, z.as_complex, orbit, alpha, counts)
+    rotation, reflection = bergman.transversal_symmetry(ball, cosets, z, orbit, alpha, counts)
     halves = bergman.symmetry_halves(lam, alpha, rotation, reflection)
     assert len(halves) == 2
     dtype = np.complex128 if reflection is None else np.float64
@@ -91,7 +91,7 @@ def test_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha):
 def test_real_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha):
     z = MIRRORS[point]
     orbit, _, cosets, counts = transversal(ball17, z, alpha)
-    assert bergman.transversal_symmetry(ball17, cosets, z.as_complex, orbit, alpha, counts)[1] is not None
+    assert bergman.transversal_symmetry(ball17, cosets, z, orbit, alpha, counts)[1] is not None
     assert_halves_have_the_unsplit_spectrum(ball17, z, orbit, alpha, cosets, counts)
 
 
@@ -99,9 +99,9 @@ def test_real_halves_have_the_spectrum_of_the_unsplit_gram(ball17, point, alpha)
 def test_reflection_pairing_is_an_involution_that_commutes_with_s(ball17, point):
     z = MIRRORS[point]
     orbit, _, cosets, counts = transversal(ball17, z, 3.0)
-    mirror = fuchsian.mirror_of(z.as_complex)
-    assert mirror == (fuchsian.IDENTITY if z.x == 0.0 else fuchsian.ROTATION)
-    p, q = fuchsian.coset_pairing(ball17, cosets, counts, z.as_complex)
+    mirror = fuchsian.mirror_of(z)
+    assert mirror == (fuchsian.IDENTITY if z.real == 0.0 else fuchsian.ROTATION)
+    p, q = fuchsian.coset_pairing(ball17, cosets, counts, z)
     assert np.array_equal(q[q], np.arange(len(q)))
     assert np.array_equal(q[p], p[q])
     for k in counts:
@@ -120,7 +120,7 @@ def test_reflection_pairing_is_an_involution_that_commutes_with_s(ball17, point)
     ],
 )
 def test_the_mirror_is_decided_by_the_point_alone(z, mirror):
-    assert fuchsian.mirror_of(commands.parse_point(z).as_complex) == mirror
+    assert fuchsian.mirror_of(commands.parse_point(z)) == mirror
 
 
 # points off both mirrors: two fixed ones and the benchmark's generic points
@@ -146,7 +146,7 @@ def test_points_off_the_mirrors_keep_the_complex_halves(capsys, monkeypatch, z):
 
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_pairing_is_an_involution_that_closes_every_truncation(ball17, point):
-    z = POINTS[point].as_complex
+    z = POINTS[point]
     orbit, members, cosets, counts = transversal(ball17, POINTS[point], 3.0)
     p, _ = fuchsian.coset_pairing(ball17, cosets, counts, z)
     index = np.arange(len(p))
@@ -243,10 +243,10 @@ def test_a_corrupted_pairing_or_phase_exits_3(capsys, monkeypatch, corruption, c
 @pytest.mark.parametrize(
     "z, order",
     [
-        (UpperHalfPoint(0.0, 1.00002), 1),
-        (UpperHalfPoint(0.5, 0.866), 1),
-        (UpperHalfPoint(0.0, 1.0), 2),
-        (UpperHalfPoint(0.5, 0.8660254037844386), 3),
+        (complex(0.0, 1.00002), 1),
+        (complex(0.5, 0.866), 1),
+        (1j, 2),
+        (complex(0.5, 0.8660254037844386), 3),
     ],
     ids=["near-i", "near-rho", "i", "rho"],
 )
@@ -366,9 +366,9 @@ def test_a_lattice_with_s_but_not_the_reflection_keeps_the_complex_halves(capsys
     cfg.write_text(TURNED)
     spec = commands.lattice_from_config("turned", commands.load_config(str(cfg)))
     ball = fuchsian.ball_enumerate(spec, 8.0)
-    z = UpperHalfPoint(0.0, 1.3)
+    z = complex(0.0, 1.3)
     orbit, _, cosets, counts = transversal(ball, z, 3.0, radii=[6.0, 7.0, 8.0])
-    p, q = fuchsian.coset_pairing(ball, cosets, counts, z.as_complex)
+    p, q = fuchsian.coset_pairing(ball, cosets, counts, z)
     assert p is not None and q is None
     assert_halves_have_the_unsplit_spectrum(ball, z, orbit, 3.0, cosets, counts)
 
@@ -429,7 +429,7 @@ def test_benchmark_lambda_stage_peak_is_at_most_the_unsplit_one(command):
     z = commands.parse_point(argv[2].partition("=")[2])
     ball = fuchsian.ball_enumerate(fuchsian.psl2z(), float(argv[4]))
     alpha = float(argv[1])
-    orbit = act(ball.elements, z.as_complex)
+    orbit = act(ball.elements, z)
     members, _ = bergman.projective_stabilizer_kernel(ball, z, alpha, orbit)
     cosets = fuchsian.coset_representatives(ball, members)
     counts = [len(cosets.rep_index)]
@@ -441,7 +441,7 @@ def test_benchmark_lambda_stage_peak_is_at_most_the_unsplit_one(command):
 
     unsplit()  # first-call caches
     bounds, split_peak = traced_peak(
-        bergman.transversal_riesz_bounds, ball, cosets, z.as_complex, orbit, alpha, counts
+        bergman.transversal_riesz_bounds, ball, cosets, z, orbit, alpha, counts
     )
     spectra, unsplit_peak = traced_peak(unsplit)
     assert split_peak <= unsplit_peak
